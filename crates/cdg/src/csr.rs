@@ -1,9 +1,9 @@
-//! Flat CSR/bitset adjacency — the unified graph representation behind
-//! every CDG verdict path.
+//! Flat CSR adjacency — the unified graph representation behind every
+//! CDG verdict path.
 //!
 //! A [`Csr`] stores a channel-indexed dependency graph as two flat
-//! arrays (`row_start`, `col`) plus, for graphs small enough, u64
-//! bitset rows for O(1) edge membership. Dally cycle detection
+//! arrays (`row_start`, `col`); rows ascend, so edge membership is a
+//! binary search over a handful of targets. Dally cycle detection
 //! ([`find_cycle`]), the iterative Tarjan SCC pass ([`tarjan`]) and the
 //! Duato escape check (via [`crate::dally::verify_turn_set`]) all walk
 //! this one structure; the incremental engine
@@ -21,19 +21,12 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Bitset rows are materialized only while `nodes * words_per_row`
-/// stays under this many u64 words (16 MiB) — verification CDGs are
-/// hundreds of nodes, but the cap keeps pathological topologies from
-/// allocating quadratic memory for a linear-time algorithm.
-const BITSET_WORD_CAP: usize = 1 << 21;
-
-/// Compressed-sparse-row adjacency over `u32` node indices, with
-/// optional u64 bitset rows for O(1) `has_edge` queries.
+/// Compressed-sparse-row adjacency over `u32` node indices.
 ///
 /// Construction invariant (documented, relied upon for byte-identical
 /// witnesses): rows are laid out in node-index order and every row's
-/// successor list ascends. [`crate::Cdg::build`] guarantees this by
-/// enumerating candidate successors in channel-enumeration order.
+/// successor list ascends. The CDG build guarantees this by enumerating
+/// candidate successors in channel-enumeration order.
 #[derive(Debug, Clone)]
 pub struct Csr {
     n: usize,
@@ -41,10 +34,6 @@ pub struct Csr {
     row_start: Vec<u32>,
     /// Successor node indices, ascending within each row.
     col: Vec<u32>,
-    /// Words per bitset row; 0 when bitset rows are not materialized.
-    words_per_row: usize,
-    /// Row-major adjacency bitset (`bits[u * words_per_row + v / 64]`).
-    bits: Vec<u64>,
 }
 
 impl Csr {
@@ -58,25 +47,7 @@ impl Csr {
         assert_eq!(row_start.len(), n + 1, "row_start needs n + 1 entries");
         assert_eq!(*row_start.last().unwrap() as usize, col.len());
         assert!(row_start.windows(2).all(|w| w[0] <= w[1]));
-        let words_per_row = n.div_ceil(64);
-        let mut csr = Csr {
-            n,
-            row_start,
-            col,
-            words_per_row: 0,
-            bits: Vec::new(),
-        };
-        if n > 0 && n.saturating_mul(words_per_row) <= BITSET_WORD_CAP {
-            let mut bits = vec![0u64; n * words_per_row];
-            for u in 0..n {
-                for &v in csr.row(u) {
-                    bits[u * words_per_row + v as usize / 64] |= 1 << (v % 64);
-                }
-            }
-            csr.words_per_row = words_per_row;
-            csr.bits = bits;
-        }
-        csr
+        Csr { n, row_start, col }
     }
 
     /// Number of nodes.
@@ -108,20 +79,10 @@ impl Csr {
         row.binary_search(&v).ok().map(|k| self.edge_base(u) + k)
     }
 
-    /// Whether the edge `u -> v` exists — O(1) via the bitset rows when
-    /// they are materialized, binary search otherwise.
+    /// Whether the edge `u -> v` exists (binary search, as
+    /// [`Csr::edge_index`]).
     pub fn has_edge(&self, u: usize, v: u32) -> bool {
-        if self.words_per_row > 0 {
-            let w = self.bits[u * self.words_per_row + v as usize / 64];
-            w >> (v % 64) & 1 == 1
-        } else {
-            self.row(u).binary_search(&v).is_ok()
-        }
-    }
-
-    /// Whether the bitset rows are materialized (size-capped).
-    pub fn has_bitset(&self) -> bool {
-        self.words_per_row > 0
+        self.edge_index(u, v).is_some()
     }
 }
 
@@ -500,10 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_bitset_and_search_agree() {
+    fn has_edge_and_edge_index_find_exactly_the_edges() {
         let g = vec![vec![1, 3], vec![2], vec![0, 1, 3], vec![]];
         let csr = csr_of(&g);
-        assert!(csr.has_bitset());
         for (u, succs) in g.iter().enumerate() {
             for v in 0..4u32 {
                 assert_eq!(csr.has_edge(u, v), succs.contains(&v), "edge {u}->{v}");

@@ -10,11 +10,11 @@
 //! the escape turn relation must have an acyclic CDG, and the escape
 //! subnetwork alone must connect every source to every destination.
 
+use crate::bitrow;
 use crate::dally::verify_turn_set;
 use crate::graph::ConcreteChannel;
 use crate::topology::{NodeId, Topology};
-use ebda_core::{Channel, TurnSet};
-use std::collections::VecDeque;
+use ebda_core::{Channel, Dimension, Direction, TurnSet};
 use std::fmt;
 
 /// The outcome of checking Duato's conditions.
@@ -74,10 +74,11 @@ impl fmt::Display for DuatoReport {
 /// Checks Duato's conditions for an escape subnetwork described by a
 /// class-level turn set over `escape_universe`.
 ///
-/// Connectivity is checked with minimal-path reachability: from every
-/// source, a BFS over (node, last escape class) states must reach every
-/// other node while strictly decreasing distance (escape channels in
-/// Duato-style designs are dimension-ordered and minimal).
+/// Connectivity is checked with minimal-path reachability: every source
+/// must reach every other node over escape classes while strictly
+/// decreasing distance and respecting the escape turns (escape channels
+/// in Duato-style designs are dimension-ordered and minimal) — one
+/// distance-ordered pass per destination, see `check_connectivity`.
 pub fn verify_escape(
     topo: &Topology,
     vcs: &[u8],
@@ -101,7 +102,7 @@ pub fn verify_escape(
 /// The acyclicity half of [`verify_escape`] is literally
 /// [`verify_turn_set`] on the same CDG, so a caller that has already run
 /// Dally (the differential oracle's `evaluate`) can share that report
-/// and pay only for the connectivity BFS — halving the CDG build and
+/// and pay only for the connectivity check — halving the CDG build and
 /// cycle-search work per artifact. The returned report is byte-identical
 /// to what [`verify_escape`] would produce.
 pub fn verify_escape_given(
@@ -119,81 +120,130 @@ pub fn verify_escape_given(
     }
 }
 
-/// BFS over `(node, last class)` states restricted to minimal moves.
+/// Minimal-path connectivity of the escape subnetwork: one dynamic
+/// program per destination instead of one search per ordered pair.
+///
+/// A legal move follows an escape class present at the node, along an
+/// existing link, towards the destination (on a torus dimension, the
+/// rotation that shortens the ring distance, `Plus` on a tie), so it
+/// shortens the distance to `dst` by exactly one. Visiting nodes by
+/// ascending distance, `good[v]` is the set of classes usable at `v`
+/// whose next hop is `dst` or has a class in `good` that the turn set
+/// lets follow; `src` reaches `dst` iff `good[src]` is non-empty.
+/// O(N² · k) for N nodes and k classes, with every table (allow rows,
+/// coordinates, next hops) built once per call.
+///
+/// The reported pair is the first failing `(src, dst)` in src-major
+/// order.
 fn check_connectivity(
     topo: &Topology,
     universe: &[Channel],
     turns: &TurnSet,
 ) -> (bool, Option<(NodeId, NodeId)>) {
-    let n = topo.node_count();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            if !reachable(topo, universe, turns, src, dst) {
-                return (false, Some((src, dst)));
-            }
-        }
-    }
-    (true, None)
-}
+    const NONE: u32 = u32::MAX;
+    let (n, dims, k) = (topo.node_count(), topo.dims(), universe.len());
+    let words = bitrow::words_for(k);
+    let mut allow = Vec::new();
+    bitrow::allow_rows(universe, turns, &mut allow);
+    let wrap: Vec<bool> = (0..dims)
+        .map(|d| topo.wraps(Dimension::new(d as u8)))
+        .collect();
 
-fn reachable(
-    topo: &Topology,
-    universe: &[Channel],
-    turns: &TurnSet,
-    src: NodeId,
-    dst: NodeId,
-) -> bool {
-    // State: (node, last class index or usize::MAX at injection).
-    let k = universe.len();
-    let mut seen = vec![false; topo.node_count() * (k + 1)];
-    let state = |node: NodeId, last: usize| node * (k + 1) + last;
-    let mut queue = VecDeque::new();
-    queue.push_back((src, usize::MAX));
-    seen[state(src, k)] = true;
-    let dstc = topo.coords(dst);
-    while let Some((node, last)) = queue.pop_front() {
-        if node == dst {
-            return true;
-        }
-        let coords = topo.coords(node);
-        for (ci, &c) in universe.iter().enumerate() {
-            // Minimal move: the hop must reduce distance to dst.
-            let here = coords[c.dim.index()];
-            let want = dstc[c.dim.index()];
-            let towards = if topo.wraps(c.dim) {
-                // On tori allow either rotation that reduces ring distance.
-                let r = topo.radix()[c.dim.index()] as i64;
-                let fwd = ((want - here) % r + r) % r;
-                match c.dir {
-                    ebda_core::Direction::Plus => fwd != 0 && fwd <= r / 2,
-                    ebda_core::Direction::Minus => fwd != 0 && fwd > r / 2,
-                }
-            } else {
-                match c.dir {
-                    ebda_core::Direction::Plus => want > here,
-                    ebda_core::Direction::Minus => want < here,
-                }
-            };
-            if !towards || !c.class.contains(&coords) {
-                continue;
-            }
-            let allowed = last == usize::MAX || turns.allows(universe[last], c);
-            if !allowed {
-                continue;
-            }
-            if let Some(next) = topo.neighbor(node, c.dim, c.dir) {
-                let s = state(next, ci);
-                if !seen[s] {
-                    seen[s] = true;
-                    queue.push_back((next, ci));
+    // Per node: its coordinates and, per class, the node one hop along
+    // it (`NONE` where the class or the link is absent).
+    let mut coords = vec![0i64; n * dims];
+    let mut hop = vec![NONE; n * k];
+    for v in 0..n {
+        let at = &mut coords[v * dims..][..dims];
+        topo.coords_into(v, at);
+        for (c, cl) in universe.iter().enumerate() {
+            if cl.class.contains(at) {
+                if let Some(next) = topo.neighbor_from(v, at, cl.dim, cl.dir) {
+                    hop[v * k + c] = next as u32;
                 }
             }
         }
     }
-    false
+
+    let max_dist: usize = topo.radix().iter().map(|r| r - 1).sum();
+    let mut toward: Vec<Option<Direction>> = vec![None; n * dims];
+    let mut dist = vec![0usize; n];
+    let mut bucket = vec![0usize; max_dist + 2];
+    let mut order = vec![0usize; n];
+    let mut good = vec![0u64; n * words];
+    let mut first: Option<(NodeId, NodeId)> = None;
+    for dst in 0..n {
+        // Distance to `dst` and the shortening direction per dimension,
+        // then a counting sort of the nodes by distance.
+        bucket.fill(0);
+        for v in 0..n {
+            let mut total = 0;
+            for d in 0..dims {
+                let r = topo.radix()[d] as i64;
+                let (here, want) = (coords[v * dims + d], coords[dst * dims + d]);
+                let (steps, dir) = if wrap[d] {
+                    let fwd = if want >= here {
+                        want - here
+                    } else {
+                        want - here + r
+                    };
+                    if fwd <= r / 2 {
+                        (fwd, Direction::Plus)
+                    } else {
+                        (r - fwd, Direction::Minus)
+                    }
+                } else if want >= here {
+                    (want - here, Direction::Plus)
+                } else {
+                    (here - want, Direction::Minus)
+                };
+                toward[v * dims + d] = (steps != 0).then_some(dir);
+                total += steps as usize;
+            }
+            dist[v] = total;
+            bucket[total + 1] += 1;
+        }
+        for i in 1..bucket.len() {
+            bucket[i] += bucket[i - 1];
+        }
+        for v in 0..n {
+            order[bucket[dist[v]]] = v;
+            bucket[dist[v]] += 1;
+        }
+
+        // `order[0]` is `dst` itself, the only node at distance zero.
+        for &v in &order[1..] {
+            good[v * words..][..words].fill(0);
+            for (c, cl) in universe.iter().enumerate() {
+                let next = hop[v * k + c];
+                if next == NONE || toward[v * dims + cl.dim.index()] != Some(cl.dir) {
+                    continue;
+                }
+                let next = next as usize;
+                if next == dst
+                    || bitrow::intersects(
+                        &allow[c * words..][..words],
+                        &good[next * words..][..words],
+                    )
+                {
+                    bitrow::set(&mut good[v * words..][..words], c);
+                }
+            }
+        }
+
+        // Only a smaller `src` precedes the pair already found; `dst`
+        // ascends, so ties keep the earlier one.
+        let below = first.map_or(n, |(src, _)| src);
+        let stuck =
+            |src: &NodeId| *src != dst && good[src * words..][..words].iter().all(|&w| w == 0);
+        if let Some(src) = (0..below).find(stuck) {
+            first = Some((src, dst));
+            if src == 0 {
+                break;
+            }
+        }
+    }
+    (first.is_none(), first)
 }
 
 #[cfg(test)]

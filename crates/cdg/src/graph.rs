@@ -5,10 +5,13 @@
 //! An edge `a → b` means a packet holding `a` may request `b` next; Dally's
 //! criterion says the network is deadlock-free iff this graph is acyclic.
 
+use crate::bitrow;
 use crate::csr::Csr;
 use crate::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction, TurnSet};
+use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 /// A concrete channel instance: one virtual channel of one directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,7 +53,7 @@ impl fmt::Display for ConcreteChannel {
 /// Duato escape check and the incremental engine.
 ///
 /// **Edge-order invariant:** adjacency rows are laid out in channel
-/// index order and every row's successor indices ascend — [`Cdg::build`]
+/// index order and every row's successor indices ascend — the build
 /// enumerates candidate successors in channel-enumeration order, never
 /// sorting after the fact. Cycle witnesses, topological orders and DOT
 /// output are byte-stable because of this, and the incremental engine's
@@ -61,6 +64,173 @@ pub struct Cdg {
     csr: Csr,
 }
 
+/// The turn-independent part of a CDG build — a function of topology,
+/// VC counts and class universe only: the concrete channels, their
+/// by-source-node groups and, per channel, the universe classes it
+/// matches. A caller that checks several turn sets over one network
+/// (the incremental verifier across its rebuilds of one base) builds
+/// this once and calls [`Skeleton::fill`] per turn set.
+///
+/// A concrete channel *matches* a channel class when dimension,
+/// direction and VC agree and the class's coordinate restriction holds
+/// at the link's source node.
+#[derive(Debug, Clone)]
+pub struct Skeleton {
+    channels: Vec<ConcreteChannel>,
+    /// Channels are enumerated node-major, so those leaving node `n`
+    /// are exactly `node_start[n]..node_start[n + 1]`.
+    node_start: Vec<u32>,
+    universe: Vec<Channel>,
+    /// One [`bitrow`] per channel over `universe`: the classes it matches.
+    class_mask: Vec<u64>,
+    /// Adjacent channel pairs (`a.to == b.from`): the edge-count bound.
+    pairs: usize,
+}
+
+thread_local! {
+    /// The allow rows and one reach row of [`Skeleton::fill`], recycled
+    /// so that a fill allocates only the CSR arrays it returns.
+    static ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Skeleton {
+    /// Enumerates every concrete channel of `topo` (`vcs[d]` virtual
+    /// channels along dimension `d`), decoding each node's coordinates
+    /// once, and matches the channels against `universe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs.len()` differs from the topology's dimension count.
+    pub fn new(topo: &Topology, vcs: &[u8], universe: &[Channel]) -> Skeleton {
+        assert_eq!(vcs.len(), topo.dims(), "one VC count per dimension");
+        let words = bitrow::words_for(universe.len());
+        let nodes = topo.node_count();
+        let mut channels = Vec::new();
+        let mut node_start = Vec::with_capacity(nodes + 1);
+        let mut class_mask = Vec::new();
+        let mut coords = vec![0i64; topo.dims()];
+        for from in 0..nodes {
+            node_start.push(channels.len() as u32);
+            topo.coords_into(from, &mut coords);
+            for (d, &vcs_along) in vcs.iter().enumerate() {
+                let dim = Dimension::new(d as u8);
+                for dir in [Direction::Plus, Direction::Minus] {
+                    let Some(to) = topo.neighbor_from(from, &coords, dim, dir) else {
+                        continue;
+                    };
+                    for vc in 1..=vcs_along {
+                        channels.push(ConcreteChannel {
+                            from,
+                            to,
+                            dim,
+                            dir,
+                            vc,
+                        });
+                        let row = class_mask.len();
+                        class_mask.resize(row + words, 0);
+                        for (ci, cl) in universe.iter().enumerate() {
+                            if cl.dim == dim
+                                && cl.dir == dir
+                                && cl.vc == vc
+                                && cl.class.contains(&coords)
+                            {
+                                bitrow::set(&mut class_mask[row..], ci);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        node_start.push(channels.len() as u32);
+        let pairs = channels
+            .iter()
+            .map(|c| (node_start[c.to + 1] - node_start[c.to]) as usize)
+            .sum();
+        Skeleton {
+            channels,
+            node_start,
+            universe: universe.to_vec(),
+            class_mask,
+            pairs,
+        }
+    }
+
+    /// The concrete channels, in graph-node order.
+    pub fn channels(&self) -> &[ConcreteChannel] {
+        &self.channels
+    }
+
+    /// Indices of the channels leaving `node`.
+    pub(crate) fn node_channels(&self, node: NodeId) -> Range<u32> {
+        self.node_start[node]..self.node_start[node + 1]
+    }
+
+    fn class_row(&self, channel: usize) -> &[u64] {
+        let words = bitrow::words_for(self.universe.len());
+        &self.class_mask[channel * words..][..words]
+    }
+
+    /// Universe indices of the classes `channel` matches, ascending.
+    pub(crate) fn classes_of(&self, channel: usize) -> impl Iterator<Item = usize> + '_ {
+        bitrow::ones(self.class_row(channel))
+    }
+
+    /// The dependency edges `turns` induces: `a -> b` when the links are
+    /// adjacent (`a.to == b.from`) and the turn set allows some matched
+    /// class of `a` to continue on some matched class of `b`
+    /// (straight-through on the same class is always allowed). Channels
+    /// matching no class are unused by the routing function and get no
+    /// edges.
+    ///
+    /// The class relation becomes one bit row per class, each channel's
+    /// `reach` is the union of its classes' rows, and a dependency is
+    /// `reach(a) & classes(b) != 0`.
+    pub fn fill(&self, turns: &TurnSet) -> Csr {
+        let classes = self.universe.len();
+        let words = bitrow::words_for(classes);
+        ROWS.with(|rows| {
+            let rows = &mut *rows.borrow_mut();
+            bitrow::allow_rows(&self.universe, turns, rows);
+            rows.resize((classes + 1) * words, 0);
+            let (allow, reach) = rows.split_at_mut(classes * words);
+            self.assemble(|a, group, col| {
+                reach.fill(0);
+                for c in self.classes_of(a) {
+                    for (r, x) in reach.iter_mut().zip(&allow[c * words..]) {
+                        *r |= x;
+                    }
+                }
+                col.extend(
+                    group.filter(|&b| bitrow::intersects(reach, self.class_row(b as usize))),
+                );
+            })
+        })
+    }
+
+    /// The one row-assembly loop behind every build. For channel `a`,
+    /// `successors(a, group, col)` appends to `col`, ascending, the
+    /// members of `group` (the channels leaving `a`'s head node) that
+    /// `a` depends on — groups ascend, so rows do: the documented
+    /// edge-order invariant.
+    fn assemble(&self, mut successors: impl FnMut(usize, Range<u32>, &mut Vec<u32>)) -> Csr {
+        let _span = ebda_obs::span("cdg.graph.build");
+        let n = self.channels.len();
+        let mut row_start = Vec::with_capacity(n + 1);
+        row_start.push(0u32);
+        let mut col: Vec<u32> = Vec::with_capacity(self.pairs);
+        for (ai, a) in self.channels.iter().enumerate() {
+            successors(ai, self.node_channels(a.to), &mut col);
+            row_start.push(col.len() as u32);
+        }
+        let edge_count = col.len();
+        ebda_obs::counter_add("cdg.graph.builds", 1);
+        ebda_obs::counter_add("cdg.graph.nodes", n as u64);
+        ebda_obs::counter_add("cdg.graph.edges", edge_count as u64);
+        ebda_obs::prof::work("cdg/csr_build", "edges", edge_count as u64);
+        Csr::new(n, row_start, col)
+    }
+}
+
 impl Cdg {
     /// Enumerates every concrete channel of `topo` given per-dimension VC
     /// counts (`vcs[d]` virtual channels along dimension `d`).
@@ -69,30 +239,12 @@ impl Cdg {
     ///
     /// Panics if `vcs.len()` differs from the topology's dimension count.
     pub fn channels_of(topo: &Topology, vcs: &[u8]) -> Vec<ConcreteChannel> {
-        assert_eq!(vcs.len(), topo.dims(), "one VC count per dimension");
-        let mut out = Vec::new();
-        for (from, to, dim, dir) in topo.links() {
-            for vc in 1..=vcs[dim.index()] {
-                out.push(ConcreteChannel {
-                    from,
-                    to,
-                    dim,
-                    dir,
-                    vc,
-                });
-            }
-        }
-        out
+        Skeleton::new(topo, vcs, &[]).channels
     }
 
-    /// Builds the CDG induced by a class-level turn set.
-    ///
-    /// A concrete channel *matches* a channel class when dimension,
-    /// direction and VC agree and the class's parity restriction holds at
-    /// the link's source node. The dependency `a → b` is added when the
-    /// links are adjacent (`a.to == b.from`) and the turn set allows some
-    /// matched class of `a` to continue on some matched class of `b`
-    /// (straight-through on the same class is always allowed).
+    /// Builds the CDG induced by a class-level turn set: one
+    /// [`Skeleton`], one [`Skeleton::fill`] (which states the dependency
+    /// rule).
     ///
     /// `universe` is the design's channel-class universe; concrete channels
     /// matching no class are unused by the routing function and get no
@@ -103,71 +255,12 @@ impl Cdg {
         universe: &[Channel],
         turns: &TurnSet,
     ) -> Cdg {
-        let channels = Cdg::channels_of(topo, vcs);
-        let matches = Cdg::class_matches(topo, &channels, universe);
-        Cdg::build(topo, channels, |ai, bi| {
-            matches[ai].iter().any(|&ca| {
-                matches[bi]
-                    .iter()
-                    .any(|&cb| turns.allows(universe[ca as usize], universe[cb as usize]))
-            })
-        })
-    }
-
-    /// Class matches per concrete channel: indices into `universe` whose
-    /// dimension, direction, VC and parity restriction cover the
-    /// channel's source node. Shared with the incremental engine
-    /// ([`crate::incremental`]) so both sides apply the exact same
-    /// dependency rule.
-    pub(crate) fn class_matches(
-        topo: &Topology,
-        channels: &[ConcreteChannel],
-        universe: &[Channel],
-    ) -> Vec<Vec<u32>> {
-        channels
-            .iter()
-            .map(|cc| {
-                let coords = topo.coords(cc.from);
-                universe
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cl)| {
-                        cl.dim == cc.dim
-                            && cl.dir == cc.dir
-                            && cl.vc == cc.vc
-                            && cl.class.contains(&coords)
-                    })
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Channel indices grouped by source node via counting sort — the
-    /// dense staging that replaced the `HashMap<NodeId, Vec<usize>>`
-    /// build path. Returns `(starts, idx)` where
-    /// `idx[starts[n]..starts[n + 1]]` lists the channels leaving node
-    /// `n`, ascending (channels are enumerated node-major, so the
-    /// stable fill preserves index order within each group).
-    pub(crate) fn by_source_node(
-        topo: &Topology,
-        channels: &[ConcreteChannel],
-    ) -> (Vec<u32>, Vec<u32>) {
-        let nodes = topo.node_count();
-        let mut starts = vec![0u32; nodes + 1];
-        for c in channels {
-            starts[c.from + 1] += 1;
+        let skeleton = Skeleton::new(topo, vcs, universe);
+        let csr = skeleton.fill(turns);
+        Cdg {
+            channels: skeleton.channels,
+            csr,
         }
-        for n in 0..nodes {
-            starts[n + 1] += starts[n];
-        }
-        let mut idx = vec![0u32; channels.len()];
-        let mut cursor: Vec<u32> = starts[..nodes].to_vec();
-        for (i, c) in channels.iter().enumerate() {
-            idx[cursor[c.from] as usize] = i as u32;
-            cursor[c.from] += 1;
-        }
-        (starts, idx)
     }
 
     /// Builds the CDG from an arbitrary dependency rule over adjacent
@@ -178,38 +271,15 @@ impl Cdg {
     where
         F: Fn(ConcreteChannel, ConcreteChannel) -> bool,
     {
-        let channels = Cdg::channels_of(topo, vcs);
-        let chans = channels.clone();
-        Cdg::build(topo, channels, |ai, bi| rule(chans[ai], chans[bi]))
-    }
-
-    fn build<F>(topo: &Topology, channels: Vec<ConcreteChannel>, allowed: F) -> Cdg
-    where
-        F: Fn(usize, usize) -> bool,
-    {
-        let _span = ebda_obs::span("cdg.graph.build");
-        // Dense per-node staging (no hashing); each group ascends, so
-        // the CSR rows ascend too — the documented edge-order invariant.
-        let (starts, idx) = Cdg::by_source_node(topo, &channels);
-        let mut row_start = Vec::with_capacity(channels.len() + 1);
-        row_start.push(0u32);
-        let mut col: Vec<u32> = Vec::new();
-        for (ai, a) in channels.iter().enumerate() {
-            let group = &idx[starts[a.to] as usize..starts[a.to + 1] as usize];
-            for &bi in group {
-                if allowed(ai, bi as usize) {
-                    col.push(bi);
-                }
-            }
-            row_start.push(col.len() as u32);
+        let skeleton = Skeleton::new(topo, vcs, &[]);
+        let chans = &skeleton.channels;
+        let csr = skeleton.assemble(|a, group, col| {
+            col.extend(group.filter(|&b| rule(chans[a], chans[b as usize])));
+        });
+        Cdg {
+            channels: skeleton.channels,
+            csr,
         }
-        let edge_count = col.len();
-        ebda_obs::counter_add("cdg.graph.builds", 1);
-        ebda_obs::counter_add("cdg.graph.nodes", channels.len() as u64);
-        ebda_obs::counter_add("cdg.graph.edges", edge_count as u64);
-        ebda_obs::prof::work("cdg/csr_build", "edges", edge_count as u64);
-        let csr = Csr::new(channels.len(), row_start, col);
-        Cdg { channels, csr }
     }
 
     /// The concrete channels (graph nodes).
@@ -278,17 +348,35 @@ impl Cdg {
     /// coverage subsystem records as the `cdg_edge` family — class
     /// granularity keeps maps comparable across topology sizes.
     pub fn class_edges(&self) -> Vec<String> {
-        let mut set = std::collections::BTreeSet::new();
-        for ai in 0..self.channels.len() {
+        // A graph has a handful of distinct `(dim, vc, dir)` classes:
+        // deduplicate on their index pairs, format only the distinct ones.
+        let mut reps: Vec<ConcreteChannel> = Vec::new();
+        let class_of: Vec<usize> = self
+            .channels
+            .iter()
+            .map(|c| {
+                let same = |r: &ConcreteChannel| (r.dim, r.vc, r.dir) == (c.dim, c.vc, c.dir);
+                reps.iter().position(same).unwrap_or_else(|| {
+                    reps.push(*c);
+                    reps.len() - 1
+                })
+            })
+            .collect();
+        let k = reps.len();
+        let mut seen = vec![false; k * k];
+        for (ai, &ca) in class_of.iter().enumerate() {
             for &bi in self.csr.row(ai) {
-                set.insert(format!(
-                    "{}>{}",
-                    self.channels[ai].class_label(),
-                    self.channels[bi as usize].class_label()
-                ));
+                seen[ca * k + class_of[bi as usize]] = true;
             }
         }
-        set.into_iter().collect()
+        let labels: Vec<String> = reps.iter().map(ConcreteChannel::class_label).collect();
+        let mut out: Vec<String> = (0..k * k)
+            .filter(|&pair| seen[pair])
+            .map(|pair| format!("{}>{}", labels[pair / k], labels[pair % k]))
+            .collect();
+        out.sort();
+        out.dedup();
+        out
     }
 
     /// Renders the concrete CDG in Graphviz DOT form (one node per

@@ -34,7 +34,7 @@
 //! [`IncrementalVerifier::set_cross_check`]).
 
 use crate::csr::{self, Csr, EdgeMask, SccInfo};
-use crate::graph::{Cdg, ConcreteChannel};
+use crate::graph::{Cdg, ConcreteChannel, Skeleton};
 use crate::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
 use std::collections::BTreeMap;
@@ -56,14 +56,12 @@ pub struct IncrementalVerifier {
     vcs: Vec<u8>,
     universe: Vec<Channel>,
     turns: TurnSet,
-    channels: Vec<ConcreteChannel>,
-    /// Universe indices matching each concrete channel (value-filtered).
-    matches: Vec<Vec<u32>>,
-    /// Concrete channels matching each universe entry (the transpose).
+    /// The base's channels, by-source-node groups and class matches —
+    /// rebuilt only when topology or VC mix change, never per turn edit.
+    skeleton: Skeleton,
+    /// Concrete channels matching each universe entry (the transpose of
+    /// the skeleton's class matches).
     class_members: Vec<Vec<u32>>,
-    /// Channel indices grouped by source node (`Cdg::by_source_node`).
-    node_starts: Vec<u32>,
-    node_idx: Vec<u32>,
     csr: Csr,
     /// Predecessor lists per node, ascending.
     rev: Vec<Vec<u32>>,
@@ -86,27 +84,40 @@ impl IncrementalVerifier {
             std::env::var("EBDA_INCR_CHECK").as_deref(),
             Ok("1") | Ok("on") | Ok("true")
         );
+        IncrementalVerifier::build(topo, vcs, universe, turns, check)
+    }
+
+    /// One skeleton, one edge fill, then the derived indexes.
+    fn build(
+        topo: Topology,
+        vcs: Vec<u8>,
+        universe: Vec<Channel>,
+        turns: TurnSet,
+        check: bool,
+    ) -> IncrementalVerifier {
+        let skeleton = Skeleton::new(&topo, &vcs, &universe);
+        let csr = skeleton.fill(&turns);
+        let mut class_members = vec![Vec::new(); universe.len()];
+        for u in 0..skeleton.channels().len() {
+            for ci in skeleton.classes_of(u) {
+                class_members[ci].push(u as u32);
+            }
+        }
+        let scc = csr::tarjan(&csr);
         let mut v = IncrementalVerifier {
             topo,
             vcs,
             universe,
             turns,
-            channels: Vec::new(),
-            matches: Vec::new(),
-            class_members: Vec::new(),
-            node_starts: Vec::new(),
-            node_idx: Vec::new(),
-            csr: Csr::new(0, vec![0], Vec::new()),
+            skeleton,
+            class_members,
+            csr,
             rev: Vec::new(),
-            scc: SccInfo {
-                comp_of: Vec::new(),
-                comp_nodes: Vec::new(),
-                cyclic: Vec::new(),
-            },
-            acyclic: true,
+            acyclic: scc.acyclic(),
+            scc,
             check,
         };
-        v.rebuild();
+        v.rebuild_rev();
         v
     }
 
@@ -134,7 +145,7 @@ impl IncrementalVerifier {
 
     /// The concrete channels of the base CDG.
     pub fn channels(&self) -> &[ConcreteChannel] {
-        &self.channels
+        self.skeleton.channels()
     }
 
     /// A cycle witness of the base CDG, or `None` when acyclic. Walks
@@ -143,35 +154,21 @@ impl IncrementalVerifier {
     pub fn find_cycle(&self) -> Option<Vec<ConcreteChannel>> {
         csr::find_cycle(&self.csr).map(|idxs| {
             idxs.into_iter()
-                .map(|i| self.channels[i as usize])
+                .map(|i| self.channels()[i as usize])
                 .collect()
         })
     }
 
+    /// The full-rebuild fallback: topology or VC mix changed, so the
+    /// skeleton itself is stale.
     fn rebuild(&mut self) {
-        let cdg = Cdg::from_turn_set(&self.topo, &self.vcs, &self.universe, &self.turns);
-        self.channels = cdg.channels().to_vec();
-        self.csr = cdg.csr().clone();
-        self.matches = Cdg::class_matches(&self.topo, &self.channels, &self.universe);
-        let mut class_members = vec![Vec::new(); self.universe.len()];
-        for (u, m) in self.matches.iter().enumerate() {
-            for &ci in m {
-                class_members[ci as usize].push(u as u32);
-            }
-        }
-        self.class_members = class_members;
-        let (starts, idx) = Cdg::by_source_node(&self.topo, &self.channels);
-        self.node_starts = starts;
-        self.node_idx = idx;
-        let n = self.channels.len();
-        let mut rev = vec![Vec::new(); n];
-        for u in 0..n {
-            for &v in self.csr.row(u) {
-                rev[v as usize].push(u as u32);
-            }
-        }
-        self.rev = rev;
-        self.refresh_scc();
+        *self = IncrementalVerifier::build(
+            self.topo.clone(),
+            std::mem::take(&mut self.vcs),
+            std::mem::take(&mut self.universe),
+            std::mem::take(&mut self.turns),
+            self.check,
+        );
     }
 
     fn refresh_scc(&mut self) {
@@ -179,19 +176,14 @@ impl IncrementalVerifier {
         self.acyclic = self.scc.acyclic();
     }
 
-    /// Channel indices leaving `node`.
-    fn node_channels(&self, node: NodeId) -> &[u32] {
-        &self.node_idx[self.node_starts[node] as usize..self.node_starts[node + 1] as usize]
-    }
-
     /// Whether the edge `u -> v` survives once turn `t` is removed.
     /// Value-based: duplicate universe entries equal to `t.from`/`t.to`
     /// are all treated as removed-pair candidates.
     fn allowed_without_turn(&self, u: usize, v: usize, t: Turn) -> bool {
-        self.matches[u].iter().any(|&x| {
-            let cx = self.universe[x as usize];
-            self.matches[v].iter().any(|&y| {
-                let cy = self.universe[y as usize];
+        self.skeleton.classes_of(u).any(|x| {
+            let cx = self.universe[x];
+            self.skeleton.classes_of(v).any(|y| {
+                let cy = self.universe[y];
                 if cx == cy {
                     return true;
                 }
@@ -207,11 +199,11 @@ impl IncrementalVerifier {
     /// is dropped from the universe (shrinker case: turns touching the
     /// victim go with it, but a pair not touching it is unaffected).
     fn allowed_without_channel(&self, u: usize, v: usize, victim: Channel) -> bool {
-        self.matches[u].iter().any(|&x| {
-            let cx = self.universe[x as usize];
+        self.skeleton.classes_of(u).any(|x| {
+            let cx = self.universe[x];
             cx != victim
-                && self.matches[v].iter().any(|&y| {
-                    let cy = self.universe[y as usize];
+                && self.skeleton.classes_of(v).any(|y| {
+                    let cy = self.universe[y];
                     cy != victim && self.turns.allows(cx, cy)
                 })
         })
@@ -234,9 +226,10 @@ impl IncrementalVerifier {
                     if mask.get(base + k) {
                         continue;
                     }
-                    if !self.matches[v as usize]
-                        .iter()
-                        .any(|&y| self.universe[y as usize] == t.to)
+                    if !self
+                        .skeleton
+                        .classes_of(v as usize)
+                        .any(|y| self.universe[y] == t.to)
                     {
                         continue;
                     }
@@ -414,14 +407,14 @@ impl IncrementalVerifier {
             return self.acyclic;
         };
         let mut dead: Vec<u32> = Vec::new();
-        for &u in self.node_channels(node) {
-            let c = self.channels[u as usize];
+        for u in self.skeleton.node_channels(node) {
+            let c = self.channels()[u as usize];
             if c.dim == dim && c.dir == dir {
                 dead.push(u);
             }
         }
-        for &u in self.node_channels(other) {
-            let c = self.channels[u as usize];
+        for u in self.skeleton.node_channels(other) {
+            let c = self.channels()[u as usize];
             if c.dim == dim && c.dir == dir.opposite() {
                 dead.push(u);
             }
@@ -467,14 +460,15 @@ impl IncrementalVerifier {
                 continue;
             }
             for &u in &self.class_members[ci] {
-                let c = self.channels[u as usize];
-                for &v in self.node_channels(c.to) {
+                let c = self.channels()[u as usize];
+                for v in self.skeleton.node_channels(c.to) {
                     if self.csr.has_edge(u as usize, v) {
                         continue;
                     }
-                    if !self.matches[v as usize]
-                        .iter()
-                        .any(|&y| self.universe[y as usize] == t.to)
+                    if !self
+                        .skeleton
+                        .classes_of(v as usize)
+                        .any(|y| self.universe[y] == t.to)
                     {
                         continue;
                     }

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitrow;
 pub mod csr;
 pub mod cycle;
 pub mod dally;
@@ -40,6 +41,6 @@ pub mod witness;
 
 pub use csr::{Csr, EdgeMask, SccInfo};
 pub use dally::{verify_design, verify_turn_set, VerificationReport};
-pub use graph::{Cdg, ConcreteChannel};
+pub use graph::{Cdg, ConcreteChannel, Skeleton};
 pub use incremental::IncrementalVerifier;
 pub use topology::{Connectivity, NodeId, Topology};

@@ -146,13 +146,19 @@ impl Topology {
     /// Coordinates of a node (row-major decoding).
     pub fn coords(&self, node: NodeId) -> Vec<i64> {
         let mut coords = vec![0i64; self.radix.len()];
+        self.coords_into(node, &mut coords);
+        coords
+    }
+
+    /// [`Topology::coords`] into a caller-owned buffer of `dims()`
+    /// entries, for kernels that decode every node of the network.
+    pub(crate) fn coords_into(&self, node: NodeId, coords: &mut [i64]) {
         let mut rest = node;
         for d in (0..self.radix.len()).rev() {
             coords[d] = (rest % self.radix[d]) as i64;
             rest /= self.radix[d];
         }
         debug_assert_eq!(rest, 0, "node index out of range");
-        coords
     }
 
     /// Node id from coordinates.
@@ -195,17 +201,29 @@ impl Topology {
     /// The neighbour of `node` along `dim` in direction `dir`, or `None`
     /// at a mesh edge, a missing partial link, or a failed link.
     pub fn neighbor(&self, node: NodeId, dim: Dimension, dir: Direction) -> Option<NodeId> {
+        if dim.index() >= self.radix.len() {
+            return None;
+        }
+        self.neighbor_from(node, &self.coords(node), dim, dir)
+    }
+
+    /// [`Topology::neighbor`] for a caller that already holds `node`'s
+    /// decoded `coords`: the per-node kernels decode once and probe
+    /// every dimension and direction without allocating.
+    pub(crate) fn neighbor_from(
+        &self,
+        node: NodeId,
+        coords: &[i64],
+        dim: Dimension,
+        dir: Direction,
+    ) -> Option<NodeId> {
         let d = dim.index();
-        if d >= self.radix.len() {
+        if d >= self.radix.len() || self.failed.contains(&(node, d, dir)) {
             return None;
         }
-        if self.failed.contains(&(node, d, dir)) {
-            return None;
-        }
-        let coords = self.coords(node);
         if let Connectivity::Partial { dim: pdim, columns } = &self.connectivity {
             if *pdim == dim {
-                let mut base = coords.clone();
+                let mut base = coords.to_vec();
                 base.remove(d);
                 if !columns.contains(&base) {
                     return None;
@@ -225,9 +243,10 @@ impl Topology {
             // Radix-1 dimensions have no distinct neighbour.
             return None;
         }
-        let mut out = coords;
-        out[d] = next;
-        Some(self.node_at(&out))
+        // Row-major ids: one step along `d` moves by the product of the
+        // radices after it.
+        let stride: usize = self.radix[d + 1..].iter().product();
+        Some(node - coords[d] as usize * stride + next as usize * stride)
     }
 
     /// Iterates over every node id.

@@ -1,0 +1,437 @@
+//! Differential tests of the two verification kernels against the code
+//! they replaced, kept here as the reference (a faster checker counts
+//! only if it gives the same answers):
+//!
+//! * Duato connectivity — the per-pair BFS over `(node, last class)`
+//!   states ([`reference_connectivity`]) against the per-destination
+//!   dynamic program behind `verify_escape_given`: same
+//!   `escape_connected`, same `unreachable` pair.
+//! * CDG build — `Cdg::from_rule` with the literal class-match rule
+//!   ([`reference_cdg`]) against `Cdg::from_turn_set` and against one
+//!   `Skeleton` filled for several turn sets: same channels, same rows
+//!   in the same order.
+//!
+//! Inputs are seed-pinned random turn relations over random class
+//! universes (parity / `AtCoord` / `NotAtCoord` classes, dropped and
+//! duplicated entries, more than 64 classes) on meshes, tori (radix 1,
+//! 2, odd, even), a mixed mesh/torus, partially connected 3D meshes and
+//! topologies with failed links.
+
+use ebda_cdg::duato::verify_escape_given;
+use ebda_cdg::{Cdg, ConcreteChannel, NodeId, Skeleton, Topology, VerificationReport};
+use ebda_core::{Channel, Dimension, Direction, Parity, Turn, TurnSet};
+use ebda_obs::Rng64;
+use std::collections::VecDeque;
+
+// ---------------------------------------------------------------------
+// Reference: the per-pair BFS `check_connectivity` used before the DP.
+// ---------------------------------------------------------------------
+
+fn reference_connectivity(
+    topo: &Topology,
+    universe: &[Channel],
+    turns: &TurnSet,
+) -> (bool, Option<(NodeId, NodeId)>) {
+    let n = topo.node_count();
+    for src in 0..n {
+        for dst in 0..n {
+            if src != dst && !reachable(topo, universe, turns, src, dst) {
+                return (false, Some((src, dst)));
+            }
+        }
+    }
+    (true, None)
+}
+
+fn reachable(
+    topo: &Topology,
+    universe: &[Channel],
+    turns: &TurnSet,
+    src: NodeId,
+    dst: NodeId,
+) -> bool {
+    // State: (node, last class index or usize::MAX at injection).
+    let k = universe.len();
+    let mut seen = vec![false; topo.node_count() * (k + 1)];
+    let state = |node: NodeId, last: usize| node * (k + 1) + last;
+    let mut queue = VecDeque::new();
+    queue.push_back((src, usize::MAX));
+    seen[state(src, k)] = true;
+    let dstc = topo.coords(dst);
+    while let Some((node, last)) = queue.pop_front() {
+        if node == dst {
+            return true;
+        }
+        let coords = topo.coords(node);
+        for (ci, &c) in universe.iter().enumerate() {
+            // Minimal move: the hop must reduce distance to dst.
+            let here = coords[c.dim.index()];
+            let want = dstc[c.dim.index()];
+            let towards = if topo.wraps(c.dim) {
+                // On tori allow either rotation that reduces ring distance.
+                let r = topo.radix()[c.dim.index()] as i64;
+                let fwd = ((want - here) % r + r) % r;
+                match c.dir {
+                    Direction::Plus => fwd != 0 && fwd <= r / 2,
+                    Direction::Minus => fwd != 0 && fwd > r / 2,
+                }
+            } else {
+                match c.dir {
+                    Direction::Plus => want > here,
+                    Direction::Minus => want < here,
+                }
+            };
+            if !towards || !c.class.contains(&coords) {
+                continue;
+            }
+            let allowed = last == usize::MAX || turns.allows(universe[last], c);
+            if !allowed {
+                continue;
+            }
+            if let Some(next) = topo.neighbor(node, c.dim, c.dir) {
+                let s = state(next, ci);
+                if !seen[s] {
+                    seen[s] = true;
+                    queue.push_back((next, ci));
+                }
+            }
+        }
+    }
+    false
+}
+
+// ---------------------------------------------------------------------
+// Reference: the class-match rule with a `Vec` per channel and a
+// `TurnSet` probe per class pair, and the link-by-link enumeration.
+// ---------------------------------------------------------------------
+
+fn reference_cdg(topo: &Topology, vcs: &[u8], universe: &[Channel], turns: &TurnSet) -> Cdg {
+    let matches = |cc: ConcreteChannel| -> Vec<Channel> {
+        let coords = topo.coords(cc.from);
+        universe
+            .iter()
+            .copied()
+            .filter(|cl| {
+                cl.dim == cc.dim && cl.dir == cc.dir && cl.vc == cc.vc && cl.class.contains(&coords)
+            })
+            .collect()
+    };
+    Cdg::from_rule(topo, vcs, |a, b| {
+        matches(a)
+            .iter()
+            .any(|&ca| matches(b).iter().any(|&cb| turns.allows(ca, cb)))
+    })
+}
+
+fn reference_channels(topo: &Topology, vcs: &[u8]) -> Vec<ConcreteChannel> {
+    let mut out = Vec::new();
+    for (from, to, dim, dir) in topo.links() {
+        for vc in 1..=vcs[dim.index()] {
+            out.push(ConcreteChannel {
+                from,
+                to,
+                dim,
+                dir,
+                vc,
+            });
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Seed-pinned inputs.
+// ---------------------------------------------------------------------
+
+fn topologies() -> Vec<(&'static str, Topology)> {
+    let (x, y, z) = (Dimension::X, Dimension::Y, Dimension::Z);
+    let (plus, minus) = (Direction::Plus, Direction::Minus);
+    vec![
+        ("mesh4x4", Topology::mesh(&[4, 4])),
+        ("mesh5x3", Topology::mesh(&[5, 3])),
+        ("mesh1x4", Topology::mesh(&[1, 4])),
+        ("mesh2x2", Topology::mesh(&[2, 2])),
+        ("mesh3x3x3", Topology::mesh(&[3, 3, 3])),
+        ("torus1x3", Topology::torus(&[1, 3])),
+        ("torus2x2", Topology::torus(&[2, 2])),
+        ("torus2x3", Topology::torus(&[2, 3])),
+        ("torus5x5", Topology::torus(&[5, 5])),
+        ("torus4x4", Topology::torus(&[4, 4])),
+        ("torus4x6", Topology::torus(&[4, 6])),
+        (
+            "mixed4x4",
+            Topology::mesh(&[4, 4]).with_wrap(&[true, false]),
+        ),
+        (
+            "partial3x3x2",
+            Topology::mesh(&[3, 3, 2]).with_partial_dim(z, [vec![0, 0], vec![2, 2]]),
+        ),
+        (
+            "partial2x3x3",
+            Topology::mesh(&[2, 3, 3]).with_partial_dim(z, [vec![1, 1]]),
+        ),
+        (
+            "mesh4x4-failed",
+            Topology::mesh(&[4, 4])
+                .with_failed_link(5, x, plus)
+                .with_failed_link(10, y, minus),
+        ),
+        (
+            "torus4x4-failed",
+            Topology::torus(&[4, 4]).with_failed_link(15, y, plus),
+        ),
+        (
+            "mesh3x3x2-failed",
+            Topology::mesh(&[3, 3, 2]).with_failed_link(4, z, plus),
+        ),
+    ]
+}
+
+/// Every `(dim, dir, vc)` of the topology, each kept whole, split by a
+/// parity or by a coordinate, narrowed to one coordinate, or dropped;
+/// then some entries duplicated and the whole list shuffled.
+fn random_universe(rng: &mut Rng64, topo: &Topology, vcs: &[u8]) -> Vec<Channel> {
+    let dims = topo.dims();
+    let mut out = Vec::new();
+    for (d, &vcs_along) in vcs.iter().enumerate() {
+        for dir in [Direction::Plus, Direction::Minus] {
+            for vc in 1..=vcs_along {
+                let base = Channel::with_vc(Dimension::new(d as u8), dir, vc);
+                let axis_index = rng.gen_index(dims);
+                let axis = Dimension::new(axis_index as u8);
+                let value = rng.gen_index(topo.radix()[axis_index]) as i64;
+                match rng.gen_index(20) {
+                    0..=9 => out.push(base),
+                    10..=12 => {
+                        out.push(base.at_parity(axis, Parity::Even));
+                        out.push(base.at_parity(axis, Parity::Odd));
+                    }
+                    13..=15 => {
+                        out.push(base.at_coord(axis, value));
+                        out.push(base.not_at_coord(axis, value));
+                    }
+                    16 => out.push(base.at_coord(axis, value)),
+                    17 => out.push(base.not_at_coord(axis, value)),
+                    _ => {}
+                }
+            }
+        }
+    }
+    if !out.is_empty() {
+        for _ in 0..rng.gen_index(3) {
+            out.push(out[rng.gen_index(out.len())]);
+        }
+    }
+    rng.shuffle(&mut out);
+    out
+}
+
+/// Every class variant of a 2D two-VC network: 8 bases times (whole,
+/// 4 parity halves, 8 `AtCoord`, 8 `NotAtCoord`) = 168 classes, cut to
+/// `keep` after a shuffle — three bit-row words at most.
+fn big_universe(rng: &mut Rng64, radix: usize, keep: usize) -> Vec<Channel> {
+    let mut out = Vec::new();
+    for dim in [Dimension::X, Dimension::Y] {
+        for dir in [Direction::Plus, Direction::Minus] {
+            for vc in 1..=2u8 {
+                let base = Channel::with_vc(dim, dir, vc);
+                out.push(base);
+                for axis in [Dimension::X, Dimension::Y] {
+                    out.push(base.at_parity(axis, Parity::Even));
+                    out.push(base.at_parity(axis, Parity::Odd));
+                    for value in 0..radix.min(4) as i64 {
+                        out.push(base.at_coord(axis, value));
+                        out.push(base.not_at_coord(axis, value));
+                    }
+                }
+            }
+        }
+    }
+    rng.shuffle(&mut out);
+    out.truncate(keep);
+    out
+}
+
+/// Each ordered pair of distinct classes, kept with probability `p`.
+fn random_turns(rng: &mut Rng64, universe: &[Channel], p: f64) -> TurnSet {
+    let mut turns = TurnSet::new();
+    for &a in universe {
+        for &b in universe {
+            if a != b && rng.gen_bool(p) {
+                turns.insert(Turn::new(a, b));
+            }
+        }
+    }
+    turns
+}
+
+fn random_vcs(rng: &mut Rng64, dims: usize) -> Vec<u8> {
+    (0..dims).map(|_| 1 + rng.gen_index(2) as u8).collect()
+}
+
+const DENSITIES: [f64; 5] = [0.0, 0.15, 0.5, 0.85, 1.0];
+
+// ---------------------------------------------------------------------
+// Duato connectivity.
+// ---------------------------------------------------------------------
+
+fn connectivity_under_test(
+    topo: &Topology,
+    universe: &[Channel],
+    turns: &TurnSet,
+) -> (bool, Option<(NodeId, NodeId)>) {
+    // The acyclicity half is handed in; connectivity ignores it.
+    let dally = VerificationReport {
+        channels: 0,
+        dependencies: 0,
+        cycle: None,
+    };
+    let report = verify_escape_given(&dally, topo, universe, turns);
+    (report.escape_connected, report.unreachable)
+}
+
+#[test]
+fn connectivity_dp_matches_the_per_pair_bfs() {
+    let mut rng = Rng64::new(0x00D0_A701);
+    let (mut connected, mut stuck_at_zero, mut stuck_later) = (0, 0, 0);
+    let mut tally = |got: (bool, Option<(NodeId, NodeId)>)| match got.1 {
+        None => connected += 1,
+        Some((0, _)) => stuck_at_zero += 1,
+        Some(_) => stuck_later += 1,
+    };
+    for (name, topo) in topologies() {
+        for round in 0..12 {
+            let vcs = random_vcs(&mut rng, topo.dims());
+            let universe = random_universe(&mut rng, &topo, &vcs);
+            let turns = random_turns(&mut rng, &universe, DENSITIES[round % DENSITIES.len()]);
+            let want = reference_connectivity(&topo, &universe, &turns);
+            let got = connectivity_under_test(&topo, &universe, &turns);
+            assert_eq!(got, want, "{name} round {round}: {universe:?} / {turns}");
+            tally(got);
+        }
+        // Every class whole and every turn allowed: only the topology
+        // (missing columns, failed links) can disconnect the escape, and
+        // it does so away from node 0.
+        let mut universe = Vec::new();
+        for d in 0..topo.dims() {
+            for dir in [Direction::Plus, Direction::Minus] {
+                universe.push(Channel::new(Dimension::new(d as u8), dir));
+            }
+        }
+        let turns = random_turns(&mut rng, &universe, 1.0);
+        let want = reference_connectivity(&topo, &universe, &turns);
+        let got = connectivity_under_test(&topo, &universe, &turns);
+        assert_eq!(got, want, "{name}, all turns");
+        tally(got);
+    }
+    // More than 64 classes: two- and three-word bit rows.
+    for (radix, keep) in [(4usize, 70usize), (3, 130), (4, 168)] {
+        for topo in [
+            Topology::mesh(&[radix, radix]),
+            Topology::torus(&[radix, radix]),
+        ] {
+            let universe = big_universe(&mut rng, radix, keep);
+            assert!(universe.len() > 64);
+            for p in [0.05, 0.6] {
+                let turns = random_turns(&mut rng, &universe, p);
+                let want = reference_connectivity(&topo, &universe, &turns);
+                let got = connectivity_under_test(&topo, &universe, &turns);
+                assert_eq!(got, want, "big universe {keep} on radix {radix}, p {p}");
+                tally(got);
+            }
+        }
+    }
+    // The inputs must exercise all three outcomes, the interesting one
+    // being a first failing pair whose source is not node 0.
+    assert!(connected >= 10, "only {connected} connected escapes");
+    assert!(stuck_at_zero >= 10, "only {stuck_at_zero} stuck at node 0");
+    assert!(
+        stuck_later >= 3,
+        "only {stuck_later} stuck at a later source"
+    );
+}
+
+// ---------------------------------------------------------------------
+// CDG build.
+// ---------------------------------------------------------------------
+
+fn assert_same_graph(got: &Cdg, want: &Cdg, context: &str) {
+    assert_eq!(got.channels(), want.channels(), "{context}: channels");
+    for i in 0..want.node_count() {
+        assert_eq!(
+            got.successors(i),
+            want.successors(i),
+            "{context}: row {i} ({})",
+            want.channels()[i]
+        );
+    }
+}
+
+#[test]
+fn mask_build_matches_the_class_match_rule() {
+    let mut rng = Rng64::new(0x00C0_D601);
+    let mut edges = 0;
+    for (name, topo) in topologies() {
+        for round in 0..6 {
+            let vcs = random_vcs(&mut rng, topo.dims());
+            let universe = random_universe(&mut rng, &topo, &vcs);
+            assert_eq!(
+                Cdg::channels_of(&topo, &vcs),
+                reference_channels(&topo, &vcs),
+                "{name}: channel enumeration"
+            );
+            // One skeleton serves every turn set over this universe.
+            let skeleton = Skeleton::new(&topo, &vcs, &universe);
+            assert_eq!(skeleton.channels(), reference_channels(&topo, &vcs));
+            for &p in &DENSITIES {
+                let turns = random_turns(&mut rng, &universe, p);
+                let context = format!("{name} round {round} p {p}: {universe:?} / {turns}");
+                let want = reference_cdg(&topo, &vcs, &universe, &turns);
+                let got = Cdg::from_turn_set(&topo, &vcs, &universe, &turns);
+                assert_same_graph(&got, &want, &context);
+                let filled = skeleton.fill(&turns);
+                assert_eq!(filled.edge_count(), want.edge_count(), "{context}: fill");
+                for i in 0..want.node_count() {
+                    assert_eq!(filled.row(i), want.successors(i), "{context}: fill row {i}");
+                }
+                edges += want.edge_count();
+            }
+        }
+    }
+    assert!(edges > 10_000, "the random graphs are not empty: {edges}");
+}
+
+#[test]
+fn mask_build_handles_universes_wider_than_one_word() {
+    let mut rng = Rng64::new(0x00C0_D602);
+    for (radix, keep) in [(4usize, 65usize), (4, 100), (3, 168)] {
+        for topo in [
+            Topology::mesh(&[radix, radix]),
+            Topology::torus(&[radix, radix]),
+        ] {
+            let universe = big_universe(&mut rng, radix, keep);
+            assert!(universe.len() > 64);
+            for p in [0.02, 0.3] {
+                let turns = random_turns(&mut rng, &universe, p);
+                let want = reference_cdg(&topo, &[2, 2], &universe, &turns);
+                let got = Cdg::from_turn_set(&topo, &[2, 2], &universe, &turns);
+                assert!(want.edge_count() > 0);
+                assert_same_graph(
+                    &got,
+                    &want,
+                    &format!("{keep} classes, radix {radix}, p {p}"),
+                );
+            }
+        }
+    }
+    // A narrow universe right after a wide one reuses the fill's
+    // recycled bit rows: stale words must not leak.
+    let topo = Topology::mesh(&[4, 4]);
+    let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
+    let turns = random_turns(&mut rng, &universe, 0.5);
+    assert_same_graph(
+        &Cdg::from_turn_set(&topo, &[1, 1], &universe, &turns),
+        &reference_cdg(&topo, &[1, 1], &universe, &turns),
+        "narrow after wide",
+    );
+}

@@ -3,11 +3,17 @@
 //! thread-local scratch arena, so after a warmup query on the largest
 //! graph, repeated queries perform **zero** allocations.
 //!
-//! Everything lives in one `#[test]` so the scratch arena (and the
-//! allocation counter — both thread-local) belong to a single thread.
+//! The two verification kernels get complexity guards that do not depend
+//! on the clock: Duato's connectivity check allocates its tables once
+//! per call, however many nodes there are, and a skeleton's edge fill
+//! allocates only the two CSR arrays it returns.
+//!
+//! Each `#[test]` warms and measures on its own thread: the scratch
+//! arenas and the allocation counter are all thread-local.
 
-use ebda_cdg::{Cdg, Topology};
-use ebda_core::{parse_channels, Turn, TurnSet};
+use ebda_cdg::duato::verify_escape_given;
+use ebda_cdg::{Cdg, Skeleton, Topology, VerificationReport};
+use ebda_core::{parse_channels, Channel, Turn, TurnSet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -44,10 +50,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// An acyclic CDG (XY-style turns) and a cyclic one (all turns), both on
-/// the same universe so they share node counts.
-fn graphs() -> (Cdg, Cdg) {
-    let topo = Topology::mesh(&[6, 6]);
+/// The four plain 2D classes with XY-style turns (acyclic on a mesh) and
+/// with every turn (cyclic).
+fn relations() -> (Vec<Channel>, TurnSet, TurnSet) {
     let universe = parse_channels("X+ X- Y+ Y-").unwrap();
     let mut xy = TurnSet::new();
     for &a in &universe {
@@ -67,6 +72,14 @@ fn graphs() -> (Cdg, Cdg) {
             }
         }
     }
+    (universe, xy, all)
+}
+
+/// An acyclic CDG and a cyclic one, both on the same universe so they
+/// share node counts.
+fn graphs() -> (Cdg, Cdg) {
+    let topo = Topology::mesh(&[6, 6]);
+    let (universe, xy, all) = relations();
     let acyclic = Cdg::from_turn_set(&topo, &[1, 1], &universe, &xy);
     let cyclic = Cdg::from_turn_set(&topo, &[1, 1], &universe, &all);
     (acyclic, cyclic)
@@ -109,4 +122,39 @@ fn query_paths_reuse_one_scratch_buffer() {
     });
     assert_eq!(a, b, "steady-state queries must allocate identically");
     assert!(a > 0, "sanity: the counter is live");
+}
+
+#[test]
+fn duato_connectivity_allocations_do_not_grow_with_the_network() {
+    // One table set per call (allow rows, coordinates, next hops, the
+    // distance order, the `good` rows) — nothing per source, per
+    // destination or per visited state.
+    let (universe, xy, _) = relations();
+    let dally = VerificationReport {
+        channels: 0,
+        dependencies: 0,
+        cycle: None,
+    };
+    let allocs_at = |radix: usize| {
+        let topo = Topology::mesh(&[radix, radix]);
+        allocs_during(|| {
+            let report = verify_escape_given(&dally, &topo, &universe, &xy);
+            assert!(report.escape_connected);
+        })
+    };
+    let (small, large) = (allocs_at(4), allocs_at(8));
+    assert_eq!(small, large, "16 nodes: {small} allocations, 64: {large}");
+    assert!((1..=16).contains(&large), "{large} allocations per check");
+}
+
+#[test]
+fn skeleton_fill_allocates_only_the_csr_arrays() {
+    let (universe, xy, all) = relations();
+    let skeleton = Skeleton::new(&Topology::mesh(&[6, 6]), &[1, 1], &universe);
+    // Warmup: sizes this thread's recycled bit rows.
+    let sparse = skeleton.fill(&xy);
+    let mut dense_edges = 0;
+    let n = allocs_during(|| dense_edges = skeleton.fill(&all).edge_count());
+    assert!(dense_edges > sparse.edge_count());
+    assert_eq!(n, 2, "a fill returns `row_start` and `col`, nothing else");
 }

@@ -8,73 +8,83 @@
 use crate::channel::{Channel, Dimension, Direction, Parity};
 use crate::partition::Partition;
 use crate::sequence::PartitionSeq;
+use std::sync::OnceLock;
 
-fn parse(s: &str) -> PartitionSeq {
-    let seq = PartitionSeq::parse(s).expect("catalog entries are well-formed");
-    seq.validate().expect("catalog entries are valid designs");
-    seq
+/// A design printed in the paper as a fixed string: parsed and validated
+/// on first use, cloned afterwards (a clone is a handful of small copies;
+/// the parse is several times that).
+macro_rules! parse {
+    ($design:expr $(,)?) => {{
+        static SEQ: OnceLock<PartitionSeq> = OnceLock::new();
+        SEQ.get_or_init(|| {
+            let seq = PartitionSeq::parse($design).expect("catalog entries are well-formed");
+            seq.validate().expect("catalog entries are valid designs");
+            seq
+        })
+        .clone()
+    }};
 }
 
 /// Section 4, `P1`: four singleton partitions — the XY routing algorithm
 /// (Fig. 6a).
 pub fn p1_xy() -> PartitionSeq {
-    parse("X+ | X- | Y+ | Y-")
+    parse!("X+ | X- | Y+ | Y-")
 }
 
 /// Section 4, `P2`: `{PA[Y-] → PB[X-] → PC[Y+ X+]}` — partially adaptive
 /// (fully adaptive in the NE region only, Fig. 6b).
 pub fn p2_partially_adaptive() -> PartitionSeq {
-    parse("Y- | X- | Y+ X+")
+    parse!("Y- | X- | Y+ X+")
 }
 
 /// Section 4, `P3`: `{PA[X-] → PB[X+ Y+ Y-]}` — the west-first routing
 /// algorithm (Fig. 6c).
 pub fn p3_west_first() -> PartitionSeq {
-    parse("X- | X+ Y+ Y-")
+    parse!("X- | X+ Y+ Y-")
 }
 
 /// Section 4, `P4`: `{PA[X- Y-] → PB[X+ Y+]}` — the negative-first routing
 /// algorithm (Fig. 6d).
 pub fn p4_negative_first() -> PartitionSeq {
-    parse("X- Y- | X+ Y+")
+    parse!("X- Y- | X+ Y+")
 }
 
 /// Section 4, `P5`: `{PA[X-] → PB[X+ Y1+ Y1- Y2+ Y2-]}` — west-first with
 /// extra VCs in `PB`; more identical/U/I-turns, no extra adaptiveness
 /// (Fig. 6e).
 pub fn p5_west_first_vcs() -> PartitionSeq {
-    parse("X- | X+ Y1+ Y1- Y2+ Y2-")
+    parse!("X- | X+ Y1+ Y1- Y2+ Y2-")
 }
 
 /// Figure 5's running example: `{PA[X+ X- Y-] → PB[Y+]}` — the north-last
 /// routing algorithm.
 pub fn north_last() -> PartitionSeq {
-    parse("X+ X- Y- | Y+")
+    parse!("X+ X- Y- | Y+")
 }
 
 /// Figure 7a: the naive 2D fully adaptive design, one partition per
 /// quadrant, 8 channels.
 pub fn fig7a() -> PartitionSeq {
-    parse("X1+ Y1+ | X2+ Y1- | X2- Y2- | X1- Y2+")
+    parse!("X1+ Y1+ | X2+ Y1- | X2- Y2- | X1- Y2+")
 }
 
 /// Figure 7b: the 6-channel 2D fully adaptive design
 /// `{PA[X1+ Y1+ Y1-]; PB[X1- Y2+ Y2-]}`, "the same routing algorithm as
 /// DyXY".
 pub fn fig7b_dyxy() -> PartitionSeq {
-    parse("X1+ Y1+ Y1- | X1- Y2+ Y2-")
+    parse!("X1+ Y1+ Y1- | X1- Y2+ Y2-")
 }
 
 /// Figure 7c: the alternative 6-channel 2D fully adaptive design
 /// `{PA[X1+ X1- Y1+]; PB[X2+ X2- Y1-]}`.
 pub fn fig7c() -> PartitionSeq {
-    parse("X1+ X1- Y1+ | X2+ X2- Y1-")
+    parse!("X1+ X1- Y1+ | X2+ X2- Y1-")
 }
 
 /// Figure 9a: the naive 3D fully adaptive design — eight partitions, one
 /// per octant, 24 channels.
 pub fn fig9a() -> PartitionSeq {
-    parse(
+    parse!(
         "X1+ Y1+ Z1+ | X1- Y2+ Z4+ | X2+ Y1- Z2+ | X2- Y2- Z3+ | \
          X3+ Y3+ Z1- | X3- Y4+ Z4- | X4- Y4- Z3- | X4+ Y3- Z2-",
     )
@@ -83,13 +93,13 @@ pub fn fig9a() -> PartitionSeq {
 /// Figure 9b: the 16-channel 3D fully adaptive design with 2, 2 and 4 VCs
 /// along X, Y and Z — the partitioning Figure 8's turn extraction uses.
 pub fn fig9b() -> PartitionSeq {
-    parse("X1+ Y1+ Z1+ Z1- | X1- Y2+ Z4+ Z4- | X2+ Y1- Z2+ Z2- | X2- Y2- Z3+ Z3-")
+    parse!("X1+ Y1+ Z1+ Z1- | X1- Y2+ Z4+ Z4- | X2+ Y1- Z2+ Z2- | X2- Y2- Z3+ Z3-")
 }
 
 /// Figure 9c: the alternative 16-channel 3D design with 3, 2 and 3 VCs
 /// along X, Y and Z — the output of the Section 5 worked example.
 pub fn fig9c() -> PartitionSeq {
-    parse("Z1+ Z1- X1+ Y1+ | Z2+ Z2- X1- Y2+ | X2+ X2- Z3+ Y1- | X3+ X3- Z3- Y2-")
+    parse!("Z1+ Z1- X1+ Y1+ | Z2+ Z2- X1- Y2+ | X2+ X2- Z3+ Y1- | X3+ X3- Z3- Y2-")
 }
 
 /// Section 6.2: the Odd-Even turn model as a partitioning —
@@ -139,7 +149,7 @@ pub fn hamiltonian() -> PartitionSeq {
 /// `P = {PA[X1+ Y1* Z1+]; PB[X1- Y2* Z1-]}` — thirty 90° turns (Table 5)
 /// with 1, 2, 1 VCs along X, Y, Z.
 pub fn table5_partial3d() -> PartitionSeq {
-    parse("X1+ Y1+ Y1- Z1+ | X1- Y2+ Y2- Z1-")
+    parse!("X1+ Y1+ Y1- Z1+ | X1- Y2+ Y2- Z1-")
 }
 
 /// Planar-adaptive routing (Chien & Kim, the paper's reference 2) as an

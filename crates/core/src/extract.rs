@@ -13,7 +13,7 @@
 //! * **Theorem 3** — from any channel of partition *i* to any channel of
 //!   partition *j > i*, every transition (90°, U or I) is allowed.
 
-use crate::channel::Channel;
+use crate::channel::Direction;
 use crate::error::Result;
 use crate::partition::Partition;
 use crate::sequence::PartitionSeq;
@@ -133,6 +133,10 @@ pub fn extract_turns(seq: &PartitionSeq) -> Result<Extraction> {
     seq.validate()?;
     let mut ex = Extraction::default();
     let parts = seq.partitions();
+    // Every turn joins two distinct channels of the design.
+    let channels = seq.channel_count();
+    ex.justified
+        .reserve_exact(channels * channels.saturating_sub(1));
 
     for (pi, p) in parts.iter().enumerate() {
         intra_partition_theorem1(&mut ex, p, pi);
@@ -171,35 +175,23 @@ fn intra_partition_theorem1(ex: &mut Extraction, p: &Partition, pi: usize) {
 /// Theorem 2).
 fn intra_partition_theorem2(ex: &mut Extraction, p: &Partition, pi: usize) {
     let just = Justification::Theorem2 { partition: pi };
-    let paired = p.complete_pair_dims();
-    let dims = p.dims();
-    for d in dims {
-        let in_dim: Vec<Channel> = p
-            .channels()
-            .iter()
-            .copied()
-            .filter(|c| c.dim == d)
-            .collect();
-        if in_dim.len() < 2 {
-            continue;
-        }
-        if paired.contains(&d) {
-            // Ascending order only: i < j.
-            for i in 0..in_dim.len() {
-                for j in (i + 1)..in_dim.len() {
-                    ex.record(Turn::new(in_dim[i], in_dim[j]), just);
-                }
-            }
-        } else {
-            // Single direction: all I-turns are allowed.
-            for &a in &in_dim {
-                for &b in &in_dim {
-                    if a != b {
-                        ex.record(Turn::new(a, b), just);
-                    }
+    let channels = p.channels();
+    // Dimensions ascending, each once: the lowest, then the lowest above it.
+    let mut next = channels.iter().map(|c| c.dim).min();
+    while let Some(d) = next {
+        let in_dim = || channels.iter().copied().filter(move |c| c.dim == d);
+        let paired = in_dim().any(|c| c.dir == Direction::Plus)
+            && in_dim().any(|c| c.dir == Direction::Minus);
+        for (i, a) in in_dim().enumerate() {
+            for (j, b) in in_dim().enumerate() {
+                // Complete pair: ascending order only. Single direction:
+                // all I-turns are allowed.
+                if if paired { i < j } else { a != b } {
+                    ex.record(Turn::new(a, b), just);
                 }
             }
         }
+        next = channels.iter().map(|c| c.dim).filter(|&x| x > d).min();
     }
 }
 

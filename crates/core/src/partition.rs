@@ -139,7 +139,20 @@ impl Partition {
     /// Theorem 1: the partition is cycle-free (ignoring U-/I-turns) iff it
     /// covers at most one complete D-pair.
     pub fn theorem1_holds(&self) -> bool {
-        self.complete_pair_dims().len() <= 1
+        // Count each paired dimension at its first `+` channel; no list
+        // is built on this path, which every validation takes.
+        let paired = self
+            .channels
+            .iter()
+            .enumerate()
+            .filter(|&(i, c)| {
+                let same = |e: &Channel, dir| e.dim == c.dim && e.dir == dir;
+                c.dir == Direction::Plus
+                    && !self.channels[..i].iter().any(|e| same(e, Direction::Plus))
+                    && self.channels.iter().any(|e| same(e, Direction::Minus))
+            })
+            .count();
+        paired <= 1
     }
 
     /// Like [`Partition::theorem1_holds`] but returns the offending
@@ -150,12 +163,15 @@ impl Partition {
     /// Returns [`EbdaError::TooManyPairs`] listing every dimension with a
     /// complete pair when there is more than one.
     pub fn check_theorem1(&self) -> Result<()> {
-        let dims = self.complete_pair_dims();
-        if dims.len() <= 1 {
+        if self.theorem1_holds() {
             Ok(())
         } else {
             Err(EbdaError::TooManyPairs {
-                dims: dims.iter().map(|d| d.to_string()).collect(),
+                dims: self
+                    .complete_pair_dims()
+                    .iter()
+                    .map(|d| d.to_string())
+                    .collect(),
             })
         }
     }
@@ -312,6 +328,25 @@ mod tests {
             p.check_theorem1(),
             Err(EbdaError::TooManyPairs { dims }) if dims == ["X", "Y"]
         ));
+    }
+
+    #[test]
+    fn theorem1_count_agrees_with_the_listed_pair_dimensions() {
+        // `theorem1_holds` counts paired dimensions without listing
+        // them; the list is the definition.
+        for s in [
+            "X+",
+            "X+ X-",
+            "X- X+ Y-",
+            "Y- X2- Y+ X1+",
+            "X1+ X2+ X1- Y+ Y- Z+",
+            "Z- Y+ Z+ X+ Y-",
+            "X1+ X2+ Y1- Y2-",
+        ] {
+            let p = Partition::parse(s).unwrap();
+            assert_eq!(p.theorem1_holds(), p.complete_pair_dims().len() <= 1, "{s}");
+            assert_eq!(p.check_theorem1().is_ok(), p.theorem1_holds(), "{s}");
+        }
     }
 
     #[test]

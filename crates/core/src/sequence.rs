@@ -110,10 +110,11 @@ impl PartitionSeq {
     /// assert_eq!(seq.channels()[0].to_string(), "X1-");
     /// ```
     pub fn channels(&self) -> Vec<crate::channel::Channel> {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.channels().iter().copied())
-            .collect()
+        let mut out = Vec::with_capacity(self.channel_count());
+        for p in &self.partitions {
+            out.extend_from_slice(p.channels());
+        }
+        out
     }
 
     /// Checks the two structural conditions EbDa requires:

@@ -192,9 +192,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test that runs a pool: the metrics and profiler
+    /// switches and the counters behind them are process-global, so a
+    /// sibling's `parallel_map` would otherwise land in the window where
+    /// `pool_metrics_are_emitted` has them enabled. (The root fix is a
+    /// registry owned by the run, ROADMAP item 6.)
+    fn pool_guard() -> MutexGuard<'static, ()> {
+        static POOL: Mutex<()> = Mutex::new(());
+        // `worker_panic_propagates` unwinds while holding the guard; the
+        // unit value it protects cannot be left half-updated.
+        POOL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_come_back_in_index_order() {
+        let _pool = pool_guard();
         let items: Vec<u64> = (0..97).collect();
         let got = parallel_map(8, &items, |i, &x| {
             assert_eq!(i as u64, x);
@@ -206,6 +220,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
+        let _pool = pool_guard();
         let items: Vec<u32> = (0..40).rev().collect();
         let f = |_: usize, &x: &u32| x.wrapping_mul(2654435761).rotate_left(7);
         let serial = parallel_map(1, &items, f);
@@ -216,6 +231,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _pool = pool_guard();
         let empty: Vec<u8> = Vec::new();
         assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
         assert_eq!(parallel_map(4, &[9u8], |i, &x| (i, x)), vec![(0, 9)]);
@@ -223,6 +239,7 @@ mod tests {
 
     #[test]
     fn each_index_runs_exactly_once() {
+        let _pool = pool_guard();
         let counts: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..50).collect();
         parallel_map(6, &items, |i, _| counts[i].fetch_add(1, Ordering::Relaxed));
@@ -233,6 +250,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_items_is_fine() {
+        let _pool = pool_guard();
         let items = [1u8, 2, 3];
         assert_eq!(parallel_map(32, &items, |_, &x| x + 1), vec![2, 3, 4]);
     }
@@ -250,6 +268,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scoped thread panicked")]
     fn worker_panic_propagates() {
+        let _pool = pool_guard();
         let items: Vec<u32> = (0..16).collect();
         parallel_map(4, &items, |_, &x| {
             if x == 7 {
@@ -261,8 +280,9 @@ mod tests {
 
     #[test]
     fn profiler_records_worker_segments_on_both_paths() {
-        // Existence assertions only: sibling tests may run parallel_map
-        // concurrently while the global profiler is enabled.
+        let _pool = pool_guard();
+        // Existence assertions only: the profiler's snapshot is
+        // cumulative over the process.
         ebda_obs::prof::set_enabled(true);
         let items: Vec<u32> = (0..9).collect();
         let serial = parallel_map(1, &items, |_, &x| x + 1);
@@ -281,6 +301,7 @@ mod tests {
 
     #[test]
     fn pool_metrics_are_emitted() {
+        let _pool = pool_guard();
         ebda_obs::metrics::set_enabled(true);
         let before = ebda_obs::metrics::global().counter_value("ebda_par_tasks_total", &[]);
         let items: Vec<u32> = (0..12).collect();
