@@ -201,10 +201,33 @@ impl Topology {
     /// The neighbour of `node` along `dim` in direction `dir`, or `None`
     /// at a mesh edge, a missing partial link, or a failed link.
     pub fn neighbor(&self, node: NodeId, dim: Dimension, dir: Direction) -> Option<NodeId> {
-        if dim.index() >= self.radix.len() {
+        let d = dim.index();
+        if d >= self.radix.len() {
             return None;
         }
-        self.neighbor_from(node, &self.coords(node), dim, dir)
+        if self.connectivity != Connectivity::Full {
+            // A partial dimension is keyed by the full base coordinate.
+            return self.neighbor_from(node, &self.coords(node), dim, dir);
+        }
+        if self.failed.contains(&(node, d, dir)) {
+            return None;
+        }
+        // Only coordinate `d` matters on a regular network: decode it
+        // from the stride (row-major ids: one step along `d` moves by the
+        // product of the radices after it) without building the
+        // coordinate vector.
+        let stride: usize = self.radix[d + 1..].iter().product();
+        let r = self.radix[d];
+        let here = node / stride % r;
+        let next = match dir {
+            Direction::Plus if here + 1 < r => here + 1,
+            Direction::Minus if here > 0 => here - 1,
+            Direction::Plus if self.wrap[d] => 0,
+            Direction::Minus if self.wrap[d] => r - 1,
+            _ => return None,
+        };
+        // Radix-1 dimensions have no distinct neighbour.
+        (next != here).then(|| node - here * stride + next * stride)
     }
 
     /// [`Topology::neighbor`] for a caller that already holds `node`'s
@@ -368,6 +391,43 @@ mod tests {
         // Failing a nonexistent (edge) link is a no-op.
         let t2 = Topology::mesh(&[3, 3]).with_failed_link(0, Dimension::X, Direction::Minus);
         assert_eq!(t2.failed_link_count(), 0);
+    }
+
+    #[test]
+    fn neighbor_agrees_with_the_coordinate_path() {
+        // `neighbor` decodes one coordinate on regular networks;
+        // `neighbor_from` steps through the full coordinate vector.
+        let cut = |t: Topology| {
+            let n = t.node_count() / 2;
+            t.with_failed_link(n, Dimension::X, Direction::Plus)
+        };
+        let topos = [
+            Topology::mesh(&[3, 4, 5]),
+            Topology::torus(&[4, 4]),
+            Topology::torus(&[5, 3]),
+            Topology::torus(&[1, 2, 3]),
+            Topology::mesh(&[1, 1]),
+            Topology::mesh(&[4, 3]).with_wrap(&[false, true]),
+            Topology::hypercube(4),
+            cut(Topology::mesh(&[4, 4])),
+            cut(Topology::torus(&[2, 5])),
+            Topology::mesh(&[3, 3, 2]).with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 2]]),
+        ];
+        for t in &topos {
+            for node in t.nodes() {
+                let coords = t.coords(node);
+                for d in 0..=t.dims() {
+                    let dim = Dimension::new(d as u8);
+                    for dir in [Direction::Plus, Direction::Minus] {
+                        assert_eq!(
+                            t.neighbor(node, dim, dir),
+                            t.neighbor_from(node, &coords, dim, dir),
+                            "{t:?}: node {node} {dim}{dir}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub mod verify;
 pub use certify_relation::{certify_relation, ClassScheme, RelationCertificate};
 pub use ebda_cdg::topology::{NodeId, Topology};
 pub use relation::{
-    find_delivery_failure, walk_first_choice, PortVc, RouteChoice, RouteState, RoutingRelation,
-    INJECT,
+    bind, find_delivery_failure, walk_first_choice, BoundRelation, PortVc, RouteChoice, RouteState,
+    RoutingRelation, INJECT,
 };
 pub use table::TableRouting;
 pub use turn_based::TurnRouting;

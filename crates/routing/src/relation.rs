@@ -4,6 +4,7 @@
 use ebda_cdg::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction};
 use std::fmt;
+use std::sync::Arc;
 
 /// An output selection: move one hop along `dim` in `dir` using virtual
 /// channel `vc`.
@@ -94,6 +95,61 @@ pub trait RoutingRelation: Send + Sync {
             }
         }
         vcs
+    }
+
+    /// The relation resolved against `topo` once, for callers that ask
+    /// many queries on one fabric (a simulation run; a router being
+    /// programmed). Relations that can precompute per-topology tables
+    /// return a view whose queries only look things up; the default
+    /// `None` means "nothing to resolve" and [`bind`] forwards instead.
+    fn bind(&self, _topo: &Topology) -> Option<Arc<dyn BoundRelation + '_>> {
+        None
+    }
+}
+
+/// A [`RoutingRelation`] bound to one topology: same candidates in the
+/// same order as [`RoutingRelation::route_into`] on that topology.
+pub trait BoundRelation: Send + Sync {
+    /// Writes the candidates for a packet at `node` in `state`, travelling
+    /// from `src` to `dst`, into `out` (cleared first).
+    fn route_into(
+        &self,
+        node: NodeId,
+        state: RouteState,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<RouteChoice>,
+    );
+}
+
+/// Binds `relation` to `topo`: its own resolved view when it offers one,
+/// otherwise a wrapper that forwards every query with a copy of `topo`.
+pub fn bind<'a>(relation: &'a dyn RoutingRelation, topo: &Topology) -> Arc<dyn BoundRelation + 'a> {
+    relation.bind(topo).unwrap_or_else(|| {
+        Arc::new(Forwarding {
+            relation,
+            topo: topo.clone(),
+        })
+    })
+}
+
+/// The bound view of a relation with nothing to resolve.
+struct Forwarding<'a> {
+    relation: &'a dyn RoutingRelation,
+    topo: Topology,
+}
+
+impl BoundRelation for Forwarding<'_> {
+    fn route_into(
+        &self,
+        node: NodeId,
+        state: RouteState,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<RouteChoice>,
+    ) {
+        self.relation
+            .route_into(&self.topo, node, state, src, dst, out);
     }
 }
 

@@ -14,30 +14,191 @@
 //!   shortest legal path is offered;
 //! * **irregular-topology support** — on vertically partially connected 3D
 //!   meshes the legal shortest path automatically detours via an elevator.
+//!
+//! # Resolution
+//!
+//! Everything a query needs is resolved against the topology once, into
+//! one `Resolved` structure: per-(node, class) next-hop and predecessor
+//! tables (class membership, mesh edges, missing partial links and failed
+//! links already folded in) and one distance table per destination, built
+//! on first use by a backward search over the predecessor table. `route`,
+//! `route_into`, `legal_distance` and the view handed out by
+//! [`RoutingRelation::bind`] all run the same candidate loop over it. The
+//! topology-taking entry points first find the structure for their
+//! topology (one lock, one topology comparison; a different topology
+//! resolves afresh and replaces it); a bound view holds it directly, so
+//! its queries take no lock and allocate nothing.
 
-use crate::relation::{PortVc, RouteChoice, RouteState, RoutingRelation, INJECT};
+use crate::relation::{BoundRelation, PortVc, RouteChoice, RouteState, RoutingRelation, INJECT};
 use ebda_cdg::topology::{NodeId, Topology};
 use ebda_core::{extract_turns, Channel, PartitionSeq, Result, TurnSet};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Distance value for unreachable states.
 const UNREACHABLE: u32 = u32::MAX;
 
-/// (topology key, per-destination distance tables).
-type DistCache = (Option<Topology>, HashMap<NodeId, std::sync::Arc<Vec<u32>>>);
+/// Table entry for "no such hop".
+const NO_NODE: u32 = u32::MAX;
 
 /// A routing relation derived from a class-level turn set.
 pub struct TurnRouting {
     name: String,
     universe: Vec<Channel>,
     turns: TurnSet,
-    /// allow[a][b]: may a packet on class `a` continue on class `b`?
-    /// Row `k` (= universe.len()) is the injection state.
-    allow: Vec<Vec<bool>>,
-    /// Per-destination distance tables, built lazily and keyed to one
-    /// topology (the cache resets if the relation is moved to another).
-    dist_cache: Mutex<DistCache>,
+    /// The relation resolved against the topology it was last used on.
+    resolved: Mutex<Option<Arc<Resolved>>>,
+}
+
+/// A [`TurnRouting`] resolved against one topology. States are
+/// `node * (k + 1) + s` with `s == k` the injection state.
+struct Resolved {
+    topo: Topology,
+    /// Number of channel classes.
+    k: usize,
+    /// `allow[s * k + c]`: may a packet in state `s` continue on class
+    /// `c`? Injection (row `k`) may start on any class.
+    allow: Vec<bool>,
+    /// The hop each class stands for.
+    choices: Vec<RouteChoice>,
+    /// `next[node * k + c]`: where class `c` leads from `node`, or
+    /// [`NO_NODE`] when the class does not exist there or the link is
+    /// missing.
+    next: Vec<u32>,
+    /// The inverse: `prev[node * k + c]` is the node whose class-`c` hop
+    /// lands on `node`.
+    prev: Vec<u32>,
+    /// Distance-to-`dst` over states, indexed by `dst`, built on first use.
+    dist: Vec<OnceLock<Vec<u32>>>,
+}
+
+impl Resolved {
+    fn new(universe: &[Channel], turns: &TurnSet, topo: &Topology) -> Resolved {
+        let k = universe.len();
+        let n = topo.node_count();
+        assert!(n < NO_NODE as usize, "too many nodes for the hop tables");
+        let mut allow = vec![true; (k + 1) * k];
+        for (a, &ca) in universe.iter().enumerate() {
+            for (b, &cb) in universe.iter().enumerate() {
+                allow[a * k + b] = turns.allows(ca, cb);
+            }
+        }
+        let choices = universe
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| RouteChoice {
+                port: PortVc {
+                    dim: c.dim,
+                    dir: c.dir,
+                    vc: c.vc,
+                },
+                state: ci as RouteState,
+            })
+            .collect();
+        let mut next = vec![NO_NODE; n * k];
+        let mut prev = vec![NO_NODE; n * k];
+        for node in topo.nodes() {
+            let coords = topo.coords(node);
+            for (ci, c) in universe.iter().enumerate() {
+                if !c.class.contains(&coords) {
+                    continue;
+                }
+                if let Some(to) = topo.neighbor(node, c.dim, c.dir) {
+                    next[node * k + ci] = to as u32;
+                    prev[to * k + ci] = node as u32;
+                }
+            }
+        }
+        Resolved {
+            topo: topo.clone(),
+            k,
+            allow,
+            choices,
+            next,
+            prev,
+            dist: (0..n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Row of `state` in `allow` and within a node's block of `dist`.
+    fn state_row(&self, state: RouteState) -> usize {
+        if state == INJECT {
+            self.k
+        } else {
+            state as usize
+        }
+    }
+
+    fn dist_to(&self, dst: NodeId) -> &[u32] {
+        self.dist[dst].get_or_init(|| self.build_dist(dst))
+    }
+
+    /// Backward BFS from `dst` over reversed product-graph edges.
+    fn build_dist(&self, dst: NodeId) -> Vec<u32> {
+        let k = self.k;
+        let mut dist = vec![UNREACHABLE; self.next.len() / k * (k + 1)];
+        // Every state enters the queue at most once.
+        let mut queue: Vec<(u32, u32)> = Vec::with_capacity(dist.len());
+        // Arriving at dst in any state (including injection = src == dst).
+        for s in 0..=k {
+            dist[dst * (k + 1) + s] = 0;
+            queue.push((dst as u32, s as u32));
+        }
+        let mut head = 0;
+        while let Some(&(node, s)) = queue.get(head) {
+            head += 1;
+            let (node, s) = (node as usize, s as usize);
+            if s == k {
+                continue; // nothing precedes the injection state
+            }
+            // Predecessor states: (prev, ps) such that moving on class `s`
+            // from prev lands on node, and ps allows continuing on s.
+            let prev = self.prev[node * k + s];
+            if prev == NO_NODE {
+                continue;
+            }
+            let d = dist[node * (k + 1) + s];
+            let base = prev as usize * (k + 1);
+            for ps in 0..=k {
+                if self.allow[ps * k + s] && dist[base + ps] == UNREACHABLE {
+                    dist[base + ps] = d + 1;
+                    queue.push((prev, ps as u32));
+                }
+            }
+        }
+        dist
+    }
+}
+
+impl BoundRelation for Resolved {
+    /// The one candidate loop: every class the state may continue on whose
+    /// hop exists here and strictly decreases the legal distance.
+    fn route_into(
+        &self,
+        node: NodeId,
+        state: RouteState,
+        _src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<RouteChoice>,
+    ) {
+        out.clear();
+        let dist = self.dist_to(dst);
+        let k = self.k;
+        let s = self.state_row(state);
+        let here = dist[node * (k + 1) + s];
+        if here == UNREACHABLE || here == 0 {
+            return;
+        }
+        let allow = &self.allow[s * k..][..k];
+        let next = &self.next[node * k..][..k];
+        for ci in 0..k {
+            if allow[ci]
+                && next[ci] != NO_NODE
+                && dist[next[ci] as usize * (k + 1) + ci] == here - 1
+            {
+                out.push(self.choices[ci]);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for TurnRouting {
@@ -62,23 +223,11 @@ impl TurnRouting {
             universe.len() < usize::from(u16::MAX),
             "too many channel classes"
         );
-        let k = universe.len();
-        let mut allow = vec![vec![false; k]; k + 1];
-        for (a, &ca) in universe.iter().enumerate() {
-            for (b, &cb) in universe.iter().enumerate() {
-                allow[a][b] = turns.allows(ca, cb);
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // the index doubles as the dimension id
-        for b in 0..k {
-            allow[k][b] = true; // injection may start on any class
-        }
         TurnRouting {
             name: name.into(),
             universe,
             turns,
-            allow,
-            dist_cache: Mutex::new((None, HashMap::new())),
+            resolved: Mutex::new(None),
         }
     }
 
@@ -117,78 +266,25 @@ impl TurnRouting {
         state: RouteState,
         dst: NodeId,
     ) -> Option<u32> {
-        let dist = self.dist_table(topo, dst);
-        let d = dist[self.state_index(node, state)];
+        let r = self.resolve(topo);
+        let d = r.dist_to(dst)[node * (r.k + 1) + r.state_row(state)];
         (d != UNREACHABLE).then_some(d)
     }
 
-    fn state_index(&self, node: NodeId, state: RouteState) -> usize {
-        let k = self.universe.len();
-        let s = if state == INJECT { k } else { state as usize };
-        node * (k + 1) + s
-    }
-
-    /// Returns (building if needed) the distance-to-`dst` table over
-    /// (node, class) states. The cache is keyed to the topology: moving
-    /// the relation to a different topology transparently rebuilds.
-    fn dist_table(&self, topo: &Topology, dst: NodeId) -> std::sync::Arc<Vec<u32>> {
-        {
-            let mut guard = self.dist_cache.lock().expect("poisoned");
-            let (cached_topo, tables) = &mut *guard;
-            if cached_topo.as_ref() != Some(topo) {
-                *cached_topo = Some(topo.clone());
-                tables.clear();
-            } else if let Some(t) = tables.get(&dst) {
-                return t.clone();
+    /// The relation resolved against `topo`: the held structure when it
+    /// is for this topology, otherwise a fresh one that replaces it (so
+    /// moving the relation to another topology, e.g. after a link
+    /// failure, never serves stale tables).
+    fn resolve(&self, topo: &Topology) -> Arc<Resolved> {
+        let mut held = self.resolved.lock().expect("resolution never panics");
+        match &*held {
+            Some(r) if r.topo == *topo => r.clone(),
+            _ => {
+                let r = Arc::new(Resolved::new(&self.universe, &self.turns, topo));
+                *held = Some(r.clone());
+                r
             }
         }
-        let table = std::sync::Arc::new(self.build_dist(topo, dst));
-        self.dist_cache
-            .lock()
-            .expect("poisoned")
-            .1
-            .insert(dst, table.clone());
-        table
-    }
-
-    /// Backward BFS from `dst` over reversed product-graph edges.
-    fn build_dist(&self, topo: &Topology, dst: NodeId) -> Vec<u32> {
-        let k = self.universe.len();
-        let n = topo.node_count();
-        let mut dist = vec![UNREACHABLE; n * (k + 1)];
-        let mut queue = VecDeque::new();
-        // Arriving at dst in any state (including injection = src == dst).
-        for s in 0..=k {
-            dist[dst * (k + 1) + s] = 0;
-            queue.push_back((dst, s));
-        }
-        while let Some((node, s)) = queue.pop_front() {
-            let d = dist[node * (k + 1) + s];
-            // Predecessor states: (prev, ps) such that moving on class `s`
-            // from prev lands on node, and ps allows continuing on s.
-            if s == k {
-                continue; // nothing precedes the injection state
-            }
-            let c = self.universe[s];
-            let Some(prev) = topo.neighbor(node, c.dim, c.dir.opposite()) else {
-                continue;
-            };
-            // The class must exist at the hop's source node.
-            if !c.class.contains(&topo.coords(prev)) {
-                continue;
-            }
-            for ps in 0..=k {
-                if !self.allow[ps][s] {
-                    continue;
-                }
-                let idx = prev * (k + 1) + ps;
-                if dist[idx] == UNREACHABLE {
-                    dist[idx] = d + 1;
-                    queue.push_back((prev, ps));
-                }
-            }
-        }
-        dist
     }
 }
 
@@ -219,37 +315,15 @@ impl RoutingRelation for TurnRouting {
         topo: &Topology,
         node: NodeId,
         state: RouteState,
-        _src: NodeId,
+        src: NodeId,
         dst: NodeId,
         out: &mut Vec<RouteChoice>,
     ) {
-        out.clear();
-        let dist = self.dist_table(topo, dst);
-        let k = self.universe.len();
-        let here = dist[self.state_index(node, state)];
-        if here == UNREACHABLE || here == 0 {
-            return;
-        }
-        let s = if state == INJECT { k } else { state as usize };
-        let coords = topo.coords(node);
-        for (ci, &c) in self.universe.iter().enumerate() {
-            if !self.allow[s][ci] || !c.class.contains(&coords) {
-                continue;
-            }
-            let Some(next) = topo.neighbor(node, c.dim, c.dir) else {
-                continue;
-            };
-            if dist[next * (k + 1) + ci] == here - 1 {
-                out.push(RouteChoice {
-                    port: PortVc {
-                        dim: c.dim,
-                        dir: c.dir,
-                        vc: c.vc,
-                    },
-                    state: ci as RouteState,
-                });
-            }
-        }
+        self.resolve(topo).route_into(node, state, src, dst, out);
+    }
+
+    fn bind(&self, topo: &Topology) -> Option<Arc<dyn BoundRelation + '_>> {
+        Some(self.resolve(topo))
     }
 }
 

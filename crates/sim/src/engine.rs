@@ -20,8 +20,11 @@ use crate::config::{BufferPolicy, Selection, SimConfig, Switching};
 use crate::metrics::{ChannelCoord, Outcome, SimResult, SuspectedEdge};
 
 use ebda_obs::{Event, Recorder, Rng64, Sample};
-use ebda_routing::{NodeId, RouteState, RoutingRelation, Topology, INJECT};
+use ebda_routing::{
+    BoundRelation, NodeId, RouteChoice, RouteState, RoutingRelation, Topology, INJECT,
+};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 type Pid = u32;
@@ -58,7 +61,8 @@ enum Alloc {
 /// run); only the `_ns` sums are wall-clock.
 #[derive(Debug, Default)]
 struct ProfAcc {
-    /// Wall ns inside `relation.route_into` and number of route queries.
+    /// Wall ns inside the bound relation's `route_into` and number of
+    /// route queries (one per head per hop).
     route_ns: u64,
     routes: u64,
     /// Wall ns of whole `allocate()` calls; VC allocation time is this
@@ -90,6 +94,54 @@ struct OutVc {
     owner: Option<Pid>,
     src_in: usize,
     credits: usize,
+}
+
+/// The route computed for the head at the front of an in-slot: asked
+/// once when the head arrives (a router's RC stage), kept while the head
+/// waits for an output VC, dropped when it is granted one. `cands` keeps
+/// its capacity across heads.
+#[derive(Debug, Default)]
+struct HeadRoute {
+    routed: bool,
+    cands: Vec<RouteChoice>,
+}
+
+/// "No such slot" in the link maps.
+const NO_SLOT: usize = usize::MAX;
+
+/// How the slots are wired by the topology's links: `down_in[o]` is the
+/// in-slot that out-slot `o` feeds, `up_out[i]` the out-slot that feeds
+/// in-slot `i` ([`NO_SLOT`] at mesh edges, missing or failed links and,
+/// for `up_out`, injection slots). Resolved at construction and after
+/// each applied fault, so moving a flit and returning its credit are
+/// array reads.
+#[derive(Debug)]
+struct Links {
+    down_in: Vec<usize>,
+    up_out: Vec<usize>,
+}
+
+impl Links {
+    fn new(topo: &Topology, layout: &Layout) -> Links {
+        let n = topo.node_count();
+        let mut down_in = vec![NO_SLOT; n * layout.out_per_node];
+        let mut up_out = vec![NO_SLOT; n * layout.in_per_node];
+        for node in topo.nodes() {
+            for port in 0..2 * layout.dims {
+                let dim = ebda_core::Dimension::new(Layout::port_dim(port) as u8);
+                let Some(nbr) = topo.neighbor(node, dim, Layout::port_dir(port)) else {
+                    continue;
+                };
+                for vc0 in 0..layout.vcs[Layout::port_dim(port)] as usize {
+                    let oslot = layout.out_slot(node, port, vc0);
+                    let islot = layout.in_slot(nbr, port, vc0);
+                    down_in[oslot] = islot;
+                    up_out[islot] = oslot;
+                }
+            }
+        }
+        Links { down_in, up_out }
+    }
 }
 
 /// Index arithmetic for the flattened per-node port/VC arrays.
@@ -333,12 +385,20 @@ impl DeliveredLog {
 struct Simulator<'a> {
     topo: Topology,
     relation: &'a dyn RoutingRelation,
+    /// `relation` bound to the current `topo`: taken once per run and
+    /// again after each applied fault.
+    bound: Arc<dyn BoundRelation + 'a>,
     cfg: &'a SimConfig,
     /// Optional flight recorder; `None` keeps every emission site on a
     /// single-branch fast path.
     rec: Option<&'a mut Recorder>,
     layout: Layout,
+    links: Links,
+    /// Local input port of each in-slot (`2 * dims` for injection slots).
+    in_port: Vec<u8>,
     in_vcs: Vec<InVc>,
+    /// Per in-slot, the route of the unallocated head at its front.
+    head_routes: Vec<HeadRoute>,
     out_vcs: Vec<OutVc>,
     eject_owner: Vec<Option<(Pid, usize)>>,
     packets: Vec<Packet>,
@@ -404,12 +464,13 @@ struct Simulator<'a> {
     /// incrementally so the per-cycle in-flight check is O(1) instead of
     /// a scan over every VC buffer.
     buffered_flits: usize,
-    /// Scratch reused across cycles by `arbitrate_and_move` and
-    /// `allocate` — the per-cycle hot path allocates nothing.
+    /// Scratch reused across cycles by `arbitrate_and_move`. With the
+    /// per-slot candidate lists of `head_routes` these are why the cycle
+    /// loop stops allocating once buffers have reached their working
+    /// size (pinned by `tests/prof_overhead.rs`).
     moves_buf: Vec<(usize, Option<usize>)>,
     arrivals_buf: Vec<(usize, FlitTag)>,
     used_inputs: Vec<u64>,
-    route_buf: Vec<ebda_routing::RouteChoice>,
     /// Per-node ON/OFF state for bursty traffic (empty otherwise).
     burst_on: Vec<bool>,
     /// Next unapplied fault-schedule index (the schedule is sorted once).
@@ -428,11 +489,17 @@ impl<'a> Simulator<'a> {
         let vcs = relation.vcs(topo);
         let layout = Layout::new(topo, &vcs);
         let n = topo.node_count();
+        let in_port = (0..n * layout.in_per_node)
+            .map(|slot| layout.in_slot_parts(slot).1 as u8)
+            .collect();
         let in_vcs = (0..n * layout.in_per_node)
             .map(|_| InVc {
                 buf: VecDeque::new(),
                 alloc: Alloc::None,
             })
+            .collect();
+        let head_routes = (0..n * layout.in_per_node)
+            .map(|_| HeadRoute::default())
             .collect();
         let out_vcs = (0..n * layout.out_per_node)
             .map(|_| OutVc {
@@ -447,10 +514,14 @@ impl<'a> Simulator<'a> {
         Simulator {
             topo: topo.clone(),
             relation,
+            bound: ebda_routing::bind(relation, topo),
             cfg,
             rec,
+            links: Links::new(topo, &layout),
             layout,
+            in_port,
             in_vcs,
+            head_routes,
             out_vcs,
             eject_owner: vec![None; n],
             packets: Vec::new(),
@@ -489,7 +560,6 @@ impl<'a> Simulator<'a> {
             moves_buf: Vec::new(),
             arrivals_buf: Vec::new(),
             used_inputs: Vec::new(),
-            route_buf: Vec::new(),
             burst_on: vec![false; n],
             fault_cursor: 0,
             faults_sorted,
@@ -940,7 +1010,7 @@ impl<'a> Simulator<'a> {
             match vc.alloc {
                 Alloc::Out(oslot) if self.out_vcs[oslot].credits == 0 => {
                     // Waiting on space freed by packets downstream.
-                    let (onode, oport, ovc) = self.out_slot_parts(oslot);
+                    let (onode, oport, ovc) = self.layout.out_slot_parts(oslot);
                     let dim = ebda_core::Dimension::new(Layout::port_dim(oport) as u8);
                     let dir = Layout::port_dir(oport);
                     if let Some(nbr) = self.topo.neighbor(onode, dim, dir) {
@@ -1049,16 +1119,21 @@ impl<'a> Simulator<'a> {
         if !applied {
             return;
         }
+        // Everything resolved against the old topology is stale: the
+        // bound relation, the link maps, and the route of every waiting
+        // head (its candidates may cross a link that is gone).
+        self.bound = ebda_routing::bind(self.relation, &self.topo);
+        self.links = Links::new(&self.topo, &self.layout);
+        for route in &mut self.head_routes {
+            route.routed = false;
+        }
         // Release or tear down traffic over links that no longer exist.
         let out_slots = self.out_vcs.len();
         for oslot in 0..out_slots {
             let Some(pid) = self.out_vcs[oslot].owner else {
                 continue;
             };
-            let (node, port, _) = self.out_slot_parts(oslot);
-            let dim = ebda_core::Dimension::new(Layout::port_dim(port) as u8);
-            let dir = Layout::port_dir(port);
-            if self.topo.neighbor(node, dim, dir).is_some() {
+            if self.links.down_in[oslot] != NO_SLOT {
                 continue; // link survived
             }
             let islot = self.out_vcs[oslot].src_in;
@@ -1114,6 +1189,7 @@ impl<'a> Simulator<'a> {
             self.buffered_flits -= before - self.in_vcs[slot].buf.len();
             if had_front {
                 self.in_vcs[slot].alloc = Alloc::None;
+                self.head_routes[slot].routed = false;
             }
         }
         for oslot in 0..self.out_vcs.len() {
@@ -1145,14 +1221,11 @@ impl<'a> Simulator<'a> {
     /// after teardown, where piecewise accounting is error-prone.
     fn recompute_credits(&mut self) {
         for oslot in 0..self.out_vcs.len() {
-            let (node, port, vc0) = self.out_slot_parts(oslot);
-            let dim = ebda_core::Dimension::new(Layout::port_dim(port) as u8);
-            let dir = Layout::port_dir(port);
-            let Some(nbr) = self.topo.neighbor(node, dim, dir) else {
+            let dslot = self.links.down_in[oslot];
+            if dslot == NO_SLOT {
                 self.out_vcs[oslot].credits = self.cfg.buffer_depth;
                 continue;
-            };
-            let dslot = self.layout.in_slot(nbr, port, vc0);
+            }
             let occupied = self.in_vcs[dslot].buf.len()
                 + self
                     .in_transit
@@ -1301,86 +1374,97 @@ impl<'a> Simulator<'a> {
                         continue;
                     }
                 }
-                let mut cands = std::mem::take(&mut self.route_buf);
-                if self.prof_on {
-                    let t0 = Instant::now();
-                    self.relation
-                        .route_into(&self.topo, node, state, src, dst, &mut cands);
-                    self.prof.route_ns += t0.elapsed().as_nanos() as u64;
-                    self.prof.routes += 1;
-                } else {
-                    self.relation
-                        .route_into(&self.topo, node, state, src, dst, &mut cands);
+                // Route computation: once per head per hop. A head that
+                // finds no free output VC keeps its candidates and only
+                // repeats the selection below.
+                if !self.head_routes[slot].routed {
+                    let cands = &mut self.head_routes[slot].cands;
+                    if self.prof_on {
+                        let t0 = Instant::now();
+                        self.bound.route_into(node, state, src, dst, cands);
+                        self.prof.route_ns += t0.elapsed().as_nanos() as u64;
+                        self.prof.routes += 1;
+                    } else {
+                        self.bound.route_into(node, state, src, dst, cands);
+                    }
+                    self.head_routes[slot].routed = true;
                 }
-                if cands.is_empty() {
+                if self.head_routes[slot].cands.is_empty() {
                     self.routing_faults += 1;
-                    self.route_buf = cands;
                     continue;
                 }
-                let feasible = |sim: &Simulator<'_>, oslot: usize| {
-                    if sim.out_vcs[oslot].owner.is_some() {
-                        return false;
-                    }
-                    if sim.cfg.buffer_policy == BufferPolicy::SinglePacket
-                        && sim.out_vcs[oslot].credits < sim.cfg.buffer_depth
-                    {
-                        return false; // downstream buffer not empty: Duato mode
-                    }
-                    if sim.cfg.switching != Switching::Wormhole
-                        && sim.out_vcs[oslot].credits < sim.cfg.packet_length
-                    {
-                        return false; // VCT/SAF: room for the whole packet
-                    }
-                    true
+                let Some((oslot, ch)) = self.select(cycle, node, &self.head_routes[slot].cands)
+                else {
+                    continue;
                 };
-                let oslot_of = |sim: &Simulator<'_>, k: usize| {
-                    let ch = cands[k];
-                    let vc0 = ch.port.vc as usize - 1;
-                    debug_assert!(
-                        vc0 < sim.layout.vcs[ch.port.dim.index()] as usize,
-                        "relation requested VC beyond its declared budget"
-                    );
-                    let port = Layout::port(ch.port.dim.index(), ch.port.dir);
-                    sim.layout.out_slot(node, port, vc0)
-                };
-                let chosen = match self.cfg.selection {
-                    Selection::RotatingFirstFit => {
-                        let start = (cycle as usize + node) % cands.len();
-                        (0..cands.len())
-                            .map(|k| (start + k) % cands.len())
-                            .find(|&k| feasible(self, oslot_of(self, k)))
-                    }
-                    Selection::MostCredits => (0..cands.len())
-                        .filter(|&k| feasible(self, oslot_of(self, k)))
-                        .max_by_key(|&k| {
-                            (self.out_vcs[oslot_of(self, k)].credits, cands.len() - k)
-                        }),
-                };
-                if let Some(k) = chosen {
-                    let oslot = oslot_of(self, k);
-                    self.out_vcs[oslot].owner = Some(pid);
-                    self.out_vcs[oslot].src_in = slot;
-                    self.in_vcs[slot].alloc = Alloc::Out(oslot);
-                    self.packets[pid as usize].route_state = cands[k].state;
-                    if self.prof_on {
-                        self.prof.vc_allocs += 1;
-                    }
-                    if self.rec.is_some() {
-                        let ch = cands[k];
-                        let ev = Event::VcAlloc {
-                            cycle,
-                            pid: u64::from(pid),
-                            node,
-                            dim: ch.port.dim.index() as u8,
-                            dir: dir_char(ch.port.dir),
-                            vc: ch.port.vc - 1,
-                        };
-                        self.rec.as_deref_mut().expect("checked").record(ev);
-                    }
+                self.head_routes[slot].routed = false;
+                self.out_vcs[oslot].owner = Some(pid);
+                self.out_vcs[oslot].src_in = slot;
+                self.in_vcs[slot].alloc = Alloc::Out(oslot);
+                self.packets[pid as usize].route_state = ch.state;
+                if self.prof_on {
+                    self.prof.vc_allocs += 1;
                 }
-                self.route_buf = cands;
+                if let Some(rec) = self.rec.as_deref_mut() {
+                    rec.record(Event::VcAlloc {
+                        cycle,
+                        pid: u64::from(pid),
+                        node,
+                        dim: ch.port.dim.index() as u8,
+                        dir: dir_char(ch.port.dir),
+                        vc: ch.port.vc - 1,
+                    });
+                }
             }
         }
+    }
+
+    /// Picks the output VC a head at `node` claims this cycle among its
+    /// route candidates: the out-slot and the candidate behind it, or
+    /// `None` when no candidate is free.
+    fn select(
+        &self,
+        cycle: u64,
+        node: NodeId,
+        cands: &[RouteChoice],
+    ) -> Option<(usize, RouteChoice)> {
+        let feasible = |oslot: usize| {
+            let out = &self.out_vcs[oslot];
+            if out.owner.is_some() {
+                return false;
+            }
+            if self.cfg.buffer_policy == BufferPolicy::SinglePacket
+                && out.credits < self.cfg.buffer_depth
+            {
+                return false; // downstream buffer not empty: Duato mode
+            }
+            if self.cfg.switching != Switching::Wormhole && out.credits < self.cfg.packet_length {
+                return false; // VCT/SAF: room for the whole packet
+            }
+            true
+        };
+        let oslot_of = |k: usize| {
+            let ch = cands[k];
+            let vc0 = ch.port.vc as usize - 1;
+            debug_assert!(
+                vc0 < self.layout.vcs[ch.port.dim.index()] as usize,
+                "relation requested VC beyond its declared budget"
+            );
+            let port = Layout::port(ch.port.dim.index(), ch.port.dir);
+            self.layout.out_slot(node, port, vc0)
+        };
+        let chosen = match self.cfg.selection {
+            Selection::RotatingFirstFit => {
+                let start = (cycle as usize + node) % cands.len();
+                (0..cands.len())
+                    .map(|k| (start + k) % cands.len())
+                    .find(|&k| feasible(oslot_of(k)))
+            }
+            Selection::MostCredits => (0..cands.len())
+                .filter(|&k| feasible(oslot_of(k)))
+                .max_by_key(|&k| (self.out_vcs[oslot_of(k)].credits, cands.len() - k)),
+        };
+        chosen.map(|k| (oslot_of(k), cands[k]))
     }
 
     /// Switch allocation + traversal. Returns `true` if any flit moved.
@@ -1402,7 +1486,7 @@ impl<'a> Simulator<'a> {
             if let Some((pid, slot)) = self.eject_owner[node] {
                 if let Some(&front) = self.in_vcs[slot].buf.front() {
                     if front.pid == pid {
-                        let (_, port, _) = self.layout.in_slot_parts(slot);
+                        let port = usize::from(self.in_port[slot]);
                         if used_inputs[node] & input_bit(port) == 0 {
                             used_inputs[node] |= input_bit(port);
                             moves.push((slot, None));
@@ -1441,8 +1525,8 @@ impl<'a> Simulator<'a> {
                     if front.pid != pid {
                         continue;
                     }
-                    let (inode, iport, _) = self.layout.in_slot_parts(islot);
-                    debug_assert_eq!(inode, node);
+                    debug_assert_eq!(islot / self.layout.in_per_node, node);
+                    let iport = usize::from(self.in_port[islot]);
                     if used_inputs[node] & input_bit(iport) != 0 {
                         continue;
                     }
@@ -1454,6 +1538,19 @@ impl<'a> Simulator<'a> {
         }
 
         let moved = !moves.is_empty();
+        // Credit return for every flit about to leave its buffer, in one
+        // pass (one timer pair per cycle, not per flit). Credits were
+        // last read by the selection loop above, which checked `> 0` on
+        // every out-slot the loop below decrements, so returning them
+        // all first leaves every counter where the interleaved order did.
+        let t0 = self.prof_on.then(Instant::now);
+        for &(islot, _) in &moves {
+            self.return_credit(islot);
+        }
+        if let Some(t0) = t0 {
+            self.prof.credit_ns += t0.elapsed().as_nanos() as u64;
+            self.prof.credits += moves.len() as u64;
+        }
         let mut arrivals = std::mem::take(&mut self.arrivals_buf);
         arrivals.clear();
         for &(islot, target) in &moves {
@@ -1462,14 +1559,6 @@ impl<'a> Simulator<'a> {
                 .pop_front()
                 .expect("scheduled move from empty buffer");
             self.buffered_flits -= 1;
-            if self.prof_on {
-                let t0 = Instant::now();
-                self.return_credit(islot);
-                self.prof.credit_ns += t0.elapsed().as_nanos() as u64;
-                self.prof.credits += 1;
-            } else {
-                self.return_credit(islot);
-            }
             let last = flit.idx + 1 == self.packets[flit.pid as usize].len;
             match target {
                 Some(oslot) => {
@@ -1492,26 +1581,22 @@ impl<'a> Simulator<'a> {
                         self.out_vcs[oslot].owner = None;
                         self.in_vcs[islot].alloc = Alloc::None;
                     }
-                    let (node, port, vc0) = self.out_slot_parts(oslot);
-                    let dim = ebda_core::Dimension::new(Layout::port_dim(port) as u8);
-                    let dir = Layout::port_dir(port);
-                    let nbr = self
-                        .topo
-                        .neighbor(node, dim, dir)
-                        .expect("allocated output must have a link");
+                    let dslot = self.links.down_in[oslot];
+                    assert_ne!(dslot, NO_SLOT, "allocated output must have a link");
                     if let Some(rec) = self.rec.as_deref_mut() {
+                        let (node, port, vc0) = self.layout.out_slot_parts(oslot);
                         rec.record(Event::LinkTraverse {
                             cycle,
                             pid: u64::from(flit.pid),
                             flit: flit.idx as usize,
                             from: node,
-                            to: nbr,
-                            dim: dim.index() as u8,
-                            dir: dir_char(dir),
+                            to: dslot / self.layout.in_per_node,
+                            dim: Layout::port_dim(port) as u8,
+                            dir: dir_char(Layout::port_dir(port)),
                             vc: vc0 as u8,
                         });
                     }
-                    arrivals.push((self.layout.in_slot(nbr, port, vc0), flit));
+                    arrivals.push((dslot, flit));
                     if self.prof_on {
                         self.prof.link_flits += 1;
                     }
@@ -1523,7 +1608,7 @@ impl<'a> Simulator<'a> {
                         self.window_flits_ejected += 1;
                     }
                     if last {
-                        let (node, _, _) = self.layout.in_slot_parts(islot);
+                        let node = islot / self.layout.in_per_node;
                         self.eject_owner[node] = None;
                         self.in_vcs[islot].alloc = Alloc::None;
                         self.complete_packet(flit.pid, cycle, node);
@@ -1547,25 +1632,15 @@ impl<'a> Simulator<'a> {
         moved
     }
 
-    fn out_slot_parts(&self, slot: usize) -> (NodeId, usize, usize) {
-        self.layout.out_slot_parts(slot)
-    }
-
-    /// Returns a credit to the upstream output VC feeding `islot` (network
-    /// ports only; injection queues are source-side and creditless).
+    /// Returns a credit to the upstream output VC feeding `islot`.
+    /// Injection queues are source-side and creditless; and the upstream
+    /// link may have failed after this flit arrived, in which case its
+    /// out-slot credits were already reset by the fault handler.
     fn return_credit(&mut self, islot: usize) {
-        let (node, port, vc0) = self.layout.in_slot_parts(islot);
-        if port >= 2 * self.layout.dims {
-            return; // injection slot
-        }
-        let dim = ebda_core::Dimension::new(Layout::port_dim(port) as u8);
-        let dir = Layout::port_dir(port);
-        // The upstream link may have failed after this flit arrived; its
-        // out-slot credits were already reset by the fault handler.
-        let Some(upstream) = self.topo.neighbor(node, dim, dir.opposite()) else {
+        let oslot = self.links.up_out[islot];
+        if oslot == NO_SLOT {
             return;
-        };
-        let oslot = self.layout.out_slot(upstream, port, vc0);
+        }
         self.out_vcs[oslot].credits += 1;
         debug_assert!(self.out_vcs[oslot].credits <= self.cfg.buffer_depth);
     }

@@ -3,12 +3,16 @@
 //! steady-state simulation loop allocates exactly the same with the
 //! profiler compiled in (but off) run after run.
 //!
-//! Everything lives in one `#[test]` so no sibling test thread can
-//! pollute the counts; the counter itself is thread-local, so the
-//! harness's own threads never show up in it either.
+//! The same allocator pins the cycle loop itself: a saturated run's
+//! allocations are set-up plus buffers growing to their working size, a
+//! fixed budget that simulating twice as long does not double.
+//!
+//! The counter is thread-local, so neither the harness's own threads nor
+//! the sibling test ever show up in a count.
 
+use ebda_core::catalog;
 use ebda_routing::classic::DimensionOrder;
-use ebda_routing::Topology;
+use ebda_routing::{Topology, TurnRouting};
 use noc_sim::{simulate, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,4 +91,48 @@ fn disabled_profiler_adds_zero_allocations() {
     });
     assert_eq!(a, b, "steady-state runs must allocate identically");
     assert!(a > 0, "sanity: the counter is live");
+}
+
+/// The cycle loop allocates nothing per cycle, per flit or per route
+/// query. Clock-free: only allocation counts are compared. The run is
+/// the benchmark's `sim-saturation` shape (8x8 west-first past the
+/// knee), which made 1.09 million allocations when every flit moved and
+/// every route query built coordinate vectors.
+#[test]
+fn saturated_run_stays_within_a_fixed_allocation_budget() {
+    let topo = Topology::mesh(&[8, 8]);
+    let relation = TurnRouting::from_design("west-first", &catalog::p3_west_first()).unwrap();
+    let cfg = |measurement| SimConfig {
+        injection_rate: 0.07,
+        warmup: 500,
+        measurement,
+        drain: 500,
+        collect_latencies: false,
+        ..SimConfig::default()
+    };
+    // (allocations, flits ejected in the measurement window)
+    let run = |measurement| {
+        let mut flits = 0;
+        let allocs = allocs_during(|| {
+            let r = simulate(&topo, &relation, &cfg(measurement));
+            assert!(r.outcome.is_deadlock_free(), "{r}");
+            flits = r.window_ejected;
+        });
+        (allocs, flits)
+    };
+    let (short, short_flits) = run(1_500);
+    let (long, flits) = run(3_000);
+    assert!(
+        flits > short_flits * 3 / 2,
+        "the longer run must do more work: {short_flits} vs {flits} flits"
+    );
+    assert!(
+        short_flits > 15_000,
+        "not saturated: {short_flits} flits in the window"
+    );
+    assert!(short <= 5_000, "{short} allocations in the 1500-cycle run");
+    assert!(
+        long < short * 3 / 2,
+        "allocations grow with simulated time: {short} for 1500 cycles, {long} for 3000"
+    );
 }
