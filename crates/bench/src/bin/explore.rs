@@ -5,9 +5,10 @@
 //! Usage: `cargo run -p ebda-bench --bin explore [-- <vcs like 1,2>]`
 
 //! `--trace-out <path>` (or `EBDA_TRACE`) additionally writes the
-//! telemetry snapshot (Algorithm 1/2 + CDG spans and counters) as JSON.
+//! profile (Algorithm 1/2 + CDG phases and work units), exactly like
+//! `--profile-out`.
 
-use ebda_bench::trace::{write_telemetry, ObsOptions};
+use ebda_bench::trace::{write_profile, ObsOptions};
 use ebda_cdg::{verify_design, Topology};
 use ebda_core::adaptiveness::{adaptiveness_profile, region_classes, RegionClass};
 use ebda_core::algorithm2::{derive_all, transition_reorderings};
@@ -18,7 +19,7 @@ use std::collections::BTreeSet;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
+    obs.activate_aggregate();
     let vcs: Vec<u8> = args
         .first()
         .map(|s| {
@@ -93,7 +94,7 @@ fn main() {
         rows.len()
     );
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     obs.finish();
 }

@@ -7,7 +7,7 @@
 //! table (with the paper's quoted values for comparison), and (c) a wall-
 //! clock comparison of brute force vs EbDa construction.
 
-use ebda_bench::trace::{write_telemetry, ObsOptions};
+use ebda_bench::trace::{write_profile, ObsOptions};
 use ebda_cdg::turn_model::{
     abstract_cycle_count, combination_count, deadlock_free_combinations,
     deadlock_free_combinations_2d, unique_up_to_symmetry,
@@ -18,10 +18,10 @@ use std::time::Instant;
 
 fn main() {
     // `--trace-out <path>` / `EBDA_TRACE`: export the verification-path
-    // telemetry (spans over find_cycle/tarjan/builds, partition counters).
+    // profile (CDG build / cycle / SCC phases, partition counters).
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
+    obs.activate_aggregate();
 
     // (a) The exhaustive 2D check.
     let t0 = Instant::now();
@@ -136,7 +136,7 @@ fn main() {
     assert_eq!(certified2, 12);
 
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     obs.finish();
 }

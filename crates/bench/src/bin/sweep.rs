@@ -15,8 +15,8 @@
 //! hardware parallelism) and the CSV is byte-identical at every thread
 //! count — rows merge in matrix order, not completion order.
 //!
-//! Observability: `--trace-out <path>` (or `EBDA_TRACE`) writes the
-//! telemetry snapshot on exit; `--journey-out <path>` (or
+//! Observability: `--trace-out <path>` (or `EBDA_TRACE`) is a synonym
+//! of `--profile-out` here; `--journey-out <path>` (or
 //! `EBDA_JOURNEY_OUT`) records per-packet journeys of every point —
 //! one Chrome-trace "process" per point, thinned with
 //! `--journey-sample-rate <p>` — and writes the merged timeline on
@@ -30,13 +30,13 @@
 //! smoke-test size.
 
 use ebda_bench::sweep_matrix::run_sweep;
-use ebda_bench::trace::{write_telemetry, ObsOptions};
+use ebda_bench::trace::{write_profile, ObsOptions};
 use std::io::Write;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
+    obs.activate_aggregate();
     let quick = match args.iter().position(|a| a == "--quick") {
         Some(i) => {
             args.remove(i);
@@ -61,7 +61,7 @@ fn main() {
         }
     }
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     if let (Some(mut builder), Some(path)) = (result.journeys, &obs.journey) {
         // With the profiler on, the worker busy timeline renders next to

@@ -21,7 +21,6 @@
 //! | `--threads <n>` | hardware | worker threads (`EBDA_THREADS`); report is byte-identical at every value |
 //! | `--ledger <path>` | off | append one provenance-carrying run-ledger record per entry (`EBDA_LEDGER`); bytes are identical at every thread count |
 //! | `--coverage-out <path>` | off | write the campaign's merged design-space coverage map as canonical JSON; bytes are identical at every thread count |
-//! | `--incremental <on\|off>` | on | dirty-SCC incremental re-verification when shrinking mismatches (`EBDA_INCREMENTAL`); report, ledger and coverage bytes are identical either way |
 //!
 //! All campaign and stats output is deterministic: wall-clock timings go
 //! to stderr only, so CI can diff stdout across thread counts. Exit code
@@ -30,7 +29,7 @@
 
 use std::path::PathBuf;
 
-use crate::trace::{write_telemetry, ObsOptions};
+use crate::trace::{write_profile, ObsOptions};
 use ebda_corpus::{families, store, CorpusCampaignConfig};
 use ebda_oracle::shrink::DEFAULT_SHRINK_BUDGET;
 use ebda_oracle::verdict::Mutation;
@@ -110,7 +109,7 @@ fn generate(mut args: Vec<String>) -> i32 {
 /// `ebda corpus run <dir> [flags]`: the regression campaign.
 fn campaign(mut args: Vec<String>) -> i32 {
     let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
+    obs.activate_aggregate();
     let archive_dir: Option<PathBuf> = take(&mut args, "--archive-to");
     let shrink_budget: usize = take(&mut args, "--shrink-budget").unwrap_or(DEFAULT_SHRINK_BUDGET);
     let mutation = match take::<String>(&mut args, "--mutate") {
@@ -127,15 +126,6 @@ fn campaign(mut args: Vec<String>) -> i32 {
     };
     let inject_mismatch = take_switch(&mut args, "--inject-mismatch");
     let expect_mismatch = take_switch(&mut args, "--expect-mismatch");
-    match take::<String>(&mut args, "--incremental").as_deref() {
-        Some("on") => ebda_oracle::incr::set_enabled(true),
-        Some("off") => ebda_oracle::incr::set_enabled(false),
-        Some(other) => {
-            eprintln!("--incremental: expected on|off, got {other:?}");
-            return 2;
-        }
-        None => {}
-    }
     let ledger = take::<String>(&mut args, "--ledger")
         .or_else(|| std::env::var("EBDA_LEDGER").ok().filter(|v| !v.is_empty()))
         .map(PathBuf::from);
@@ -208,7 +198,7 @@ fn campaign(mut args: Vec<String>) -> i32 {
         );
     }
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     obs.finish();
 

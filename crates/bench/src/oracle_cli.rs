@@ -12,7 +12,7 @@
 //! | `--max-nodes <n>` | 36 | topology size ceiling |
 //! | `--mutate <name>` | none | deliberately break a checker (`dally-ignores-wrap`, `ebda-skips-theorem1`) |
 //! | `--expect-disagreement` | off | exit 0 iff a disagreement IS found (mutation self-check) |
-//! | `--trace-out <path>` | off | write the replay trace (on disagreement) or the telemetry snapshot |
+//! | `--trace-out <path>` | off | write the replay trace (on disagreement) or the campaign profile (as `--profile-out`) |
 //! | `--journey-out <path>` | off | write the caught replay's packet journeys as a Chrome trace (`EBDA_JOURNEY_OUT`) |
 //! | `--journey-sample-rate <p>` | 1.0 | fraction of replay packets journey-traced (`EBDA_JOURNEY_SAMPLE_RATE`) |
 //! | `--metrics-addr <host:port>` | off | serve live campaign metrics at `/metrics` (`EBDA_METRICS_ADDR`) |
@@ -21,13 +21,12 @@
 //! | `--ledger <path>` | off | append one provenance-carrying run-ledger record per verdict (`EBDA_LEDGER`); bytes are identical at every thread count |
 //! | `--coverage-out <path>` | off | write the campaign's merged design-space coverage map as canonical JSON; bytes are identical at every thread count |
 //! | `--coverage-guided` | off | bias generation toward uncovered design-space bins (seed-deterministic rejection sampling) |
-//! | `--incremental <on\|off>` | on | dirty-SCC incremental re-verification in the shrinker (`EBDA_INCREMENTAL`); verdicts, ledger and coverage bytes are identical either way |
 //!
 //! The exit code is 0 when the outcome matches the expectation — clean by
 //! default, caught-disagreement under `--expect-disagreement` — and 1
 //! otherwise, so both the CI guard and its self-check are one invocation.
 
-use crate::trace::{write_telemetry, ObsOptions};
+use crate::trace::{write_profile, ObsOptions};
 use ebda_oracle::differential::{run_campaign, CampaignConfig};
 use ebda_oracle::verdict::Mutation;
 use std::time::Duration;
@@ -63,7 +62,8 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
 /// report and returns the process exit code.
 pub fn run(mut args: Vec<String>) -> i32 {
     let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
+    // A clean campaign has no replay to trace and writes the profile.
+    obs.activate_aggregate();
     let trace = obs.trace.clone();
     let budget: u64 = take(&mut args, "--budget").unwrap_or(10);
     let seed: u64 = take(&mut args, "--seed").unwrap_or(7);
@@ -88,15 +88,6 @@ pub fn run(mut args: Vec<String>) -> i32 {
         .map(std::path::PathBuf::from);
     let coverage = take::<String>(&mut args, "--coverage-out").map(std::path::PathBuf::from);
     let coverage_guided = take_switch(&mut args, "--coverage-guided");
-    match take::<String>(&mut args, "--incremental").as_deref() {
-        Some("on") => ebda_oracle::incr::set_enabled(true),
-        Some("off") => ebda_oracle::incr::set_enabled(false),
-        Some(other) => {
-            eprintln!("--incremental: expected on|off, got {other:?}");
-            return 2;
-        }
-        None => {}
-    }
     if !args.is_empty() {
         eprintln!("unknown arguments: {args:?}");
         return 2;
@@ -154,7 +145,7 @@ pub fn run(mut args: Vec<String>) -> i32 {
                     .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
                 eprintln!("replay trace written to {}", path.display());
             }
-            None => write_telemetry(path),
+            None => write_profile(path),
         }
     }
     if let Some(path) = &obs.journey {
@@ -234,8 +225,7 @@ mod tests {
     fn unknown_flags_are_rejected() {
         assert_eq!(run(argv("--frobnicate")), 2);
         assert_eq!(run(argv("--mutate nonsense")), 2);
-        // Rejected before any global-mode change, so this cannot leak
-        // into the other tests in this process.
-        assert_eq!(run(argv("--incremental sideways")), 2);
+        // The full-rebuild switch is gone, not silently accepted.
+        assert_eq!(run(argv("--incremental on")), 2);
     }
 }

@@ -4,8 +4,11 @@
 //! `EBDA_TRACE` environment variable as a fallback) and, when set, runs
 //! with a flight recorder attached and writes the trace there on exit:
 //! `.csv` paths get the event log as CSV plus a `<stem>.samples.csv`
-//! sibling with the time series; any other extension gets the full JSON
-//! document (events + samples + totals + telemetry spans/counters).
+//! sibling with the time series; any other extension gets the recorder's
+//! JSON document (meta + totals + events + samples) and nothing else.
+//! Commands that aggregate many runs have no single event log and write
+//! the [`write_profile`] document to the trace path instead
+//! ([`ObsOptions::activate_aggregate`]).
 
 use ebda_obs::{JourneyConfig, MetricsServer, Recorder, RecorderConfig, TraceBuilder};
 use std::path::{Path, PathBuf};
@@ -32,7 +35,8 @@ use std::path::{Path, PathBuf};
 /// ```
 #[derive(Debug)]
 pub struct ObsOptions {
-    /// Where to write the trace / telemetry snapshot, when requested.
+    /// Where to write the trace (single-run commands) or the profile
+    /// (aggregate commands), when requested.
     pub trace: Option<PathBuf>,
     /// Where to write the Chrome-trace packet-journey timeline, when
     /// requested (`--journey-out`, env `EBDA_JOURNEY_OUT`).
@@ -128,9 +132,11 @@ impl ObsOptions {
         }
     }
 
-    /// Enables the requested observability layers: telemetry spans when
-    /// either tracing or metrics is on, the global metrics registry and
-    /// the HTTP endpoint when a metrics address was given. Prints the
+    /// Enables the requested observability layers: the self-profiler
+    /// when a profile was asked for (a trace alone does not switch it
+    /// on — it costs 1.2–1.3× on the simulator), the global metrics
+    /// registry and the HTTP endpoint when a metrics address was given
+    /// (with both, `/metrics` carries the `ebda_prof_*` families). Prints the
     /// bound address to stderr (`metrics: serving http://...`), which is
     /// how scripts discover a port-0 binding.
     ///
@@ -142,9 +148,6 @@ impl ObsOptions {
         // Install the thread count process-wide so library entry points
         // that resolve via ebda_par::threads() see the flag too.
         ebda_par::set_threads(self.threads);
-        if self.trace.is_some() || self.metrics_addr.is_some() {
-            ebda_obs::telemetry::set_enabled(true);
-        }
         if self.profile.is_some() {
             ebda_obs::prof::set_enabled(true);
         }
@@ -164,6 +167,18 @@ impl ObsOptions {
                 .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
             eprintln!("metrics: serving http://{}/metrics", server.local_addr());
             self.server = Some(server);
+        }
+    }
+
+    /// [`ObsOptions::activate`] for commands that aggregate many runs
+    /// (`sweep`, `explore`, `scalability`, `ebda corpus run`, `oracle`).
+    /// They share no single event log, so `--trace-out` means the profile
+    /// there: it switches the profiler on like `--profile-out`, and the
+    /// command ends with [`write_profile`] on [`ObsOptions::trace`].
+    pub fn activate_aggregate(&mut self) {
+        self.activate();
+        if self.trace.is_some() {
+            ebda_obs::prof::set_enabled(true);
         }
     }
 
@@ -257,10 +272,7 @@ pub fn trace_path(args: &mut Vec<String>) -> Option<PathBuf> {
 
 /// A recorder to attach when tracing was requested: `Some` iff `path` is.
 pub fn recorder_for(path: Option<&PathBuf>) -> Option<Recorder> {
-    path.map(|_| {
-        ebda_obs::telemetry::set_enabled(true);
-        Recorder::new(RecorderConfig::default())
-    })
+    path.map(|_| Recorder::new(RecorderConfig::default()))
 }
 
 /// Writes the recorded trace to `path` in the format its extension picks.
@@ -280,20 +292,7 @@ pub fn write_trace(rec: &Recorder, path: &Path) {
         std::fs::write(&samples, rec.samples_csv())
             .unwrap_or_else(|e| panic!("write trace {}: {e}", samples.display()));
     } else {
-        // Splice the telemetry snapshot into the recorder document so one
-        // file carries events, samples and span/counter aggregates.
-        let doc = rec.write_json();
-        let body = doc
-            .trim_end()
-            .strip_suffix('}')
-            .expect("recorder JSON ends with an object brace")
-            .trim_end()
-            .to_string();
-        let merged = format!(
-            "{body},\n  \"telemetry\": {}\n}}\n",
-            ebda_obs::telemetry::snapshot().to_json()
-        );
-        std::fs::write(path, merged)
+        std::fs::write(path, rec.write_json())
             .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
     }
     eprintln!("trace written to {}", path.display());
@@ -369,19 +368,6 @@ pub fn write_profile(path: &Path) {
     );
 }
 
-/// Writes only the telemetry snapshot (spans + counters) as JSON — the
-/// export used by binaries that run many simulations and where a single
-/// per-run event log would be meaningless.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written.
-pub fn write_telemetry(path: &Path) {
-    std::fs::write(path, ebda_obs::telemetry::snapshot().to_json())
-        .unwrap_or_else(|e| panic!("write telemetry {}: {e}", path.display()));
-    eprintln!("telemetry written to {}", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn json_trace_roundtrips_with_telemetry() {
+    fn json_trace_roundtrips_with_exactly_the_recorder_keys() {
         let mut rec = Recorder::with_defaults();
         rec.record(Event::Inject {
             cycle: 1,
@@ -446,7 +432,11 @@ mod tests {
         write_trace(&rec, &path);
         let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(doc.get("events").unwrap().as_arr().unwrap().len() == 1);
-        assert!(doc.get("telemetry").is_some());
+        let Value::Obj(top) = &doc else {
+            panic!("trace document is not an object")
+        };
+        let keys: Vec<&str> = top.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["events", "meta", "samples", "totals"]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -213,7 +213,7 @@ impl Skeleton {
     /// `a` depends on — groups ascend, so rows do: the documented
     /// edge-order invariant.
     fn assemble(&self, mut successors: impl FnMut(usize, Range<u32>, &mut Vec<u32>)) -> Csr {
-        let _span = ebda_obs::span("cdg.graph.build");
+        let _p = ebda_obs::prof::phase("cdg/csr_build");
         let n = self.channels.len();
         let mut row_start = Vec::with_capacity(n + 1);
         row_start.push(0u32);
@@ -223,9 +223,7 @@ impl Skeleton {
             row_start.push(col.len() as u32);
         }
         let edge_count = col.len();
-        ebda_obs::counter_add("cdg.graph.builds", 1);
-        ebda_obs::counter_add("cdg.graph.nodes", n as u64);
-        ebda_obs::counter_add("cdg.graph.edges", edge_count as u64);
+        ebda_obs::prof::work("cdg/csr_build", "nodes", n as u64);
         ebda_obs::prof::work("cdg/csr_build", "edges", edge_count as u64);
         Csr::new(n, row_start, col)
     }
@@ -308,10 +306,9 @@ impl Cdg {
     }
 
     /// Finds a dependency cycle, or `None` when the graph is acyclic —
-    /// Dally's criterion. Same traversal and witness as
-    /// [`crate::cycle::find_cycle`], over the shared CSR with the
-    /// thread-local scratch buffer (no per-call allocation beyond the
-    /// witness itself).
+    /// Dally's criterion. [`crate::csr::find_cycle`] over the shared CSR
+    /// with the thread-local scratch buffer (no per-call allocation
+    /// beyond the witness itself).
     pub fn find_cycle(&self) -> Option<Vec<ConcreteChannel>> {
         crate::csr::find_cycle(&self.csr).map(|idxs| {
             idxs.into_iter()

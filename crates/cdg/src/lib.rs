@@ -5,7 +5,7 @@
 //! the two classic criteria the paper builds on and compares against:
 //!
 //! * **Dally & Seitz** ([`dally`]): build the channel dependency graph
-//!   (CDG, [`graph`]) and test it for cycles ([`cycle`]). EbDa's claim is
+//!   (CDG, [`graph`]) and test it for cycles ([`csr`]). EbDa's claim is
 //!   that every partitioning satisfying Theorems 1–3 yields an acyclic CDG;
 //!   the tests in this crate confirm it for every design the paper names
 //!   and for randomly generated ones.
@@ -30,7 +30,6 @@
 
 mod bitrow;
 pub mod csr;
-pub mod cycle;
 pub mod dally;
 pub mod duato;
 pub mod graph;

@@ -1,19 +1,38 @@
-//! Cycle detection for dependency graphs: iterative three-colour DFS with a
-//! cycle witness, and Tarjan's strongly connected components.
+//! The `Vec<Vec<u32>>` cycle/SCC kernel `ebda_cdg::csr` replaced, kept as
+//! the differential reference (`mod cycle_ref;` in `proptest_cycles.rs`
+//! and `kernel_differential.rs`): iterative three-colour DFS with a cycle
+//! witness, and Tarjan's strongly connected components.
+
+use ebda_cdg::Csr;
+
+/// The adjacency list `edges` (rows ascending) as the CSR the shipping
+/// kernel walks.
+pub fn csr_of(edges: &[Vec<u32>]) -> Csr {
+    let mut row_start = vec![0u32];
+    let mut col = Vec::new();
+    for row in edges {
+        col.extend_from_slice(row);
+        row_start.push(col.len() as u32);
+    }
+    Csr::new(edges.len(), row_start, col)
+}
+
+/// The shipping kernel's counterpart of [`cyclic_components`]: the
+/// components `csr::tarjan` flags as able to carry a cycle.
+pub fn csr_knots(csr: &Csr) -> Vec<Vec<u32>> {
+    let scc = ebda_cdg::csr::tarjan(csr);
+    let knots = scc.comp_nodes.into_iter().zip(scc.cyclic);
+    knots
+        .filter(|(_, cyclic)| *cyclic)
+        .map(|(comp, _)| comp)
+        .collect()
+}
 
 /// Finds a directed cycle in an adjacency-list graph, returning the node
 /// indices along the cycle (first node repeated implicitly), or `None` for
 /// acyclic graphs.
 ///
 /// Runs an iterative DFS (no recursion — CDGs of large tori can be deep).
-///
-/// ```
-/// use ebda_cdg::cycle::find_cycle;
-/// let g = vec![vec![1], vec![2], vec![0u32]]; // 0 -> 1 -> 2 -> 0
-/// let cycle = find_cycle(&g).unwrap();
-/// assert_eq!(cycle.len(), 3);
-/// assert!(find_cycle(&vec![vec![1], vec![2], vec![]]).is_none());
-/// ```
 pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
@@ -21,10 +40,6 @@ pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
         Gray,
         Black,
     }
-    let _span = ebda_obs::span("cdg.cycle.find_cycle");
-    // Edge visits are accumulated locally and flushed once: one telemetry
-    // call per search, not per edge, keeps the hot loop clean.
-    let mut edges_visited = 0u64;
     let n = edges.len();
     let mut color = vec![Color::White; n];
     let mut parent = vec![u32::MAX; n];
@@ -41,7 +56,6 @@ pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
             if *next < succs.len() {
                 let s = succs[*next];
                 *next += 1;
-                edges_visited += 1;
                 match color[s as usize] {
                     Color::White => {
                         parent[s as usize] = node;
@@ -57,9 +71,6 @@ pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
                             cycle.push(cur);
                         }
                         cycle.reverse();
-                        ebda_obs::counter_add("cdg.cycle.edges_visited", edges_visited);
-                        ebda_obs::counter_add("cdg.cycle.cycles_found", 1);
-                        ebda_obs::prof::work("cdg/cycle", "edges_visited", edges_visited);
                         return Some(cycle);
                     }
                     Color::Black => {}
@@ -70,15 +81,12 @@ pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
             }
         }
     }
-    ebda_obs::counter_add("cdg.cycle.edges_visited", edges_visited);
-    ebda_obs::prof::work("cdg/cycle", "edges_visited", edges_visited);
     None
 }
 
 /// Tarjan's strongly connected components (iterative), in reverse
 /// topological order. Singleton components without self-loops are included.
 pub fn tarjan_scc(edges: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let _span = ebda_obs::span("cdg.cycle.tarjan_scc");
     let n = edges.len();
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
@@ -135,12 +143,6 @@ pub fn tarjan_scc(edges: &[Vec<u32>]) -> Vec<Vec<u32>> {
             }
         }
     }
-    ebda_obs::counter_add("cdg.cycle.scc_runs", 1);
-    ebda_obs::counter_add("cdg.cycle.scc_count", sccs.len() as u64);
-    ebda_obs::counter_max(
-        "cdg.cycle.scc_max_size",
-        sccs.iter().map(Vec::len).max().unwrap_or(0) as u64,
-    );
     sccs
 }
 
@@ -151,67 +153,4 @@ pub fn cyclic_components(edges: &[Vec<u32>]) -> Vec<Vec<u32>> {
         .into_iter()
         .filter(|comp| comp.len() > 1 || edges[comp[0] as usize].contains(&comp[0]))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_and_singleton() {
-        assert!(find_cycle(&[]).is_none());
-        assert!(find_cycle(&[vec![]]).is_none());
-        // Self-loop is a cycle of length 1.
-        let c = find_cycle(&[vec![0]]).unwrap();
-        assert_eq!(c, vec![0]);
-    }
-
-    #[test]
-    fn dag_has_no_cycle() {
-        // Diamond DAG.
-        let g = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        assert!(find_cycle(&g).is_none());
-        assert_eq!(tarjan_scc(&g).len(), 4);
-        assert!(cyclic_components(&g).is_empty());
-    }
-
-    #[test]
-    fn finds_embedded_cycle() {
-        // 0 -> 1 -> 2 -> 3 -> 1 plus a tail 4 -> 0.
-        let g = vec![vec![1], vec![2], vec![3], vec![1], vec![0]];
-        let cycle = find_cycle(&g).unwrap();
-        assert_eq!(cycle.len(), 3);
-        // The cycle must actually close in the graph.
-        for w in cycle.windows(2) {
-            assert!(g[w[0] as usize].contains(&w[1]));
-        }
-        assert!(g[*cycle.last().unwrap() as usize].contains(&cycle[0]));
-    }
-
-    #[test]
-    fn tarjan_groups_knots() {
-        let g = vec![vec![1], vec![2], vec![0], vec![2], vec![]];
-        let knots = cyclic_components(&g);
-        assert_eq!(knots.len(), 1);
-        let mut knot = knots[0].clone();
-        knot.sort_unstable();
-        assert_eq!(knot, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn deep_chain_does_not_overflow() {
-        // 100k-node path: recursion would overflow; iteration must not.
-        let n = 100_000;
-        let mut g: Vec<Vec<u32>> = (0..n - 1).map(|i| vec![i as u32 + 1]).collect();
-        g.push(vec![]);
-        assert!(find_cycle(&g).is_none());
-        assert_eq!(tarjan_scc(&g).len(), n);
-    }
-
-    #[test]
-    fn two_disjoint_cycles() {
-        let g = vec![vec![1], vec![0], vec![3], vec![2]];
-        assert_eq!(cyclic_components(&g).len(), 2);
-        assert!(find_cycle(&g).is_some());
-    }
 }

@@ -1,16 +1,23 @@
-//! Randomized tests of the cycle-detection substrate and the CDG
-//! construction.
+//! Randomized tests of the cycle-detection kernel that ships
+//! ([`ebda_cdg::csr`]) and the CDG construction. Every graph property is
+//! asserted on the CSR kernel's answer, and that answer is compared with
+//! the adjacency-list reference in `cycle_ref/`.
 //!
 //! Driven by a seeded [`Rng64`] instead of a property-testing framework
 //! so the suite is fully deterministic and dependency-free; every assert
 //! message carries the case index for replay.
 
-use ebda_cdg::cycle::{cyclic_components, find_cycle, tarjan_scc};
+mod cycle_ref;
+
+use cycle_ref::{csr_knots, csr_of};
+use ebda_cdg::csr::{find_cycle, tarjan};
 use ebda_cdg::{Cdg, Topology};
 use ebda_obs::Rng64;
 
 /// A random directed graph as an adjacency list with up to `max_nodes`
-/// nodes and `max_edges` edge draws (duplicates discarded).
+/// nodes and `max_edges` edge draws (duplicates discarded). Rows ascend,
+/// the layout [`ebda_cdg::Csr`] requires, so both kernels walk the same
+/// edge order.
 fn rand_graph(rng: &mut Rng64, max_nodes: usize, max_edges: usize) -> Vec<Vec<u32>> {
     let n = 1 + rng.gen_index(max_nodes - 1);
     let mut g = vec![Vec::new(); n];
@@ -21,28 +28,36 @@ fn rand_graph(rng: &mut Rng64, max_nodes: usize, max_edges: usize) -> Vec<Vec<u3
             g[a].push(b);
         }
     }
+    g.iter_mut().for_each(|row| row.sort_unstable());
     g
 }
 
-/// find_cycle and Tarjan agree: a cycle exists iff some SCC is a knot.
+/// find_cycle and Tarjan agree: a cycle exists iff some SCC is a knot —
+/// and the knots are the reference's.
 #[test]
 fn dfs_and_tarjan_agree() {
     let mut rng = Rng64::new(0xCD61);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        let has_cycle = find_cycle(&g).is_some();
-        let has_knot = !cyclic_components(&g).is_empty();
-        assert_eq!(has_cycle, has_knot, "case {case}");
+        let csr = csr_of(&g);
+        let has_cycle = find_cycle(&csr).is_some();
+        let knots = csr_knots(&csr);
+        assert_eq!(has_cycle, !knots.is_empty(), "case {case}");
+        assert_eq!(has_cycle, !tarjan(&csr).acyclic(), "case {case}");
+        assert_eq!(knots, cycle_ref::cyclic_components(&g), "case {case}");
     }
 }
 
-/// Any witness returned by find_cycle is a genuine closed walk.
+/// Any witness returned by find_cycle is a genuine closed walk, and the
+/// same one the reference reports.
 #[test]
 fn witness_is_a_real_cycle() {
     let mut rng = Rng64::new(0xCD62);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        if let Some(cycle) = find_cycle(&g) {
+        let witness = find_cycle(&csr_of(&g));
+        assert_eq!(witness, cycle_ref::find_cycle(&g), "case {case}");
+        if let Some(cycle) = witness {
             assert!(!cycle.is_empty(), "case {case}");
             for w in cycle.windows(2) {
                 assert!(g[w[0] as usize].contains(&w[1]), "case {case}");
@@ -53,21 +68,24 @@ fn witness_is_a_real_cycle() {
     }
 }
 
-/// Tarjan SCCs partition the node set.
+/// Tarjan SCCs partition the node set, `comp_of` indexes them, and they
+/// come out in the reference's order.
 #[test]
 fn sccs_partition_nodes() {
     let mut rng = Rng64::new(0xCD63);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        let sccs = tarjan_scc(&g);
+        let scc = tarjan(&csr_of(&g));
         let mut seen = vec![false; g.len()];
-        for comp in &sccs {
+        for (id, comp) in scc.comp_nodes.iter().enumerate() {
             for &v in comp {
                 assert!(!seen[v as usize], "case {case}: node in two SCCs");
                 seen[v as usize] = true;
+                assert_eq!(scc.comp_of[v as usize] as usize, id, "case {case}");
             }
         }
         assert!(seen.iter().all(|&s| s), "case {case}");
+        assert_eq!(scc.comp_nodes, cycle_ref::tarjan_scc(&g), "case {case}");
     }
 }
 
@@ -89,8 +107,10 @@ fn dag_by_construction_is_acyclic() {
                 }
             }
         }
-        assert!(find_cycle(&g).is_none(), "case {case}");
-        assert!(cyclic_components(&g).is_empty(), "case {case}");
+        g.iter_mut().for_each(|row| row.sort_unstable());
+        assert!(find_cycle(&csr_of(&g)).is_none(), "case {case}");
+        assert!(csr_knots(&csr_of(&g)).is_empty(), "case {case}");
+        assert!(cycle_ref::find_cycle(&g).is_none(), "case {case}");
     }
 }
 

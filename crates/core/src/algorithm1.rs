@@ -47,7 +47,7 @@ use crate::sets::SetArrangement;
 /// happen for well-formed inputs — each partition takes at most one pair —
 /// but malformed custom sets are reported rather than silently accepted).
 pub fn partition_sets(mut sets: SetArrangement) -> Result<PartitionSeq> {
-    let _span = ebda_obs::span("core.algorithm1.partition_sets");
+    let _p = ebda_obs::prof::phase("core/algorithm1");
     let mut rounds = 0u64;
     let mut partitions: Vec<Partition> = Vec::new();
     reorder(&mut sets);
@@ -78,10 +78,11 @@ pub fn partition_sets(mut sets: SetArrangement) -> Result<PartitionSeq> {
     }
     let before_merge = partitions.len();
     let merged = merge_matching(partitions);
-    ebda_obs::counter_add("core.algorithm1.rounds", rounds);
-    ebda_obs::counter_add("core.algorithm1.partitions_created", before_merge as u64);
-    ebda_obs::counter_add(
-        "core.algorithm1.partitions_merged",
+    ebda_obs::prof::work("core/algorithm1", "rounds", rounds);
+    ebda_obs::prof::work("core/algorithm1", "partitions_created", before_merge as u64);
+    ebda_obs::prof::work(
+        "core/algorithm1",
+        "partitions_merged",
         (before_merge - merged.len()) as u64,
     );
     PartitionSeq::try_from_partitions(merged)

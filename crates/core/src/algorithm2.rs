@@ -17,7 +17,13 @@ use crate::error::Result;
 use crate::partition::Partition;
 use crate::sequence::PartitionSeq;
 use crate::sets::{permutations, SetArrangement};
+use ebda_obs::prof;
 use std::collections::BTreeSet;
+
+/// Profiler phase of [`derive_all`].
+const DERIVE: &str = "core/algorithm2/derive";
+/// Profiler phase of [`enumerate_partitionings`].
+const ENUMERATE: &str = "core/algorithm2/enumerate";
 
 /// Algorithm 2: enumerates the partitionings produced by every circular
 /// shift combination of the arranged sets (Set1 pair-wise, the rest
@@ -35,7 +41,7 @@ use std::collections::BTreeSet;
 ///
 /// Propagates Algorithm 1 errors for any shift combination.
 pub fn derive_all(sets: SetArrangement) -> Result<Vec<PartitionSeq>> {
-    let _span = ebda_obs::span("core.algorithm2.derive_all");
+    let _p = prof::phase(DERIVE);
     let mut combinations = 0u64;
     let mut duplicates = 0u64;
     let mut shift_counts: Vec<usize> = Vec::with_capacity(sets.len());
@@ -73,9 +79,9 @@ pub fn derive_all(sets: SetArrangement) -> Result<Vec<PartitionSeq>> {
         let mut k = 0;
         loop {
             if k == shifts.len() {
-                ebda_obs::counter_add("core.algorithm2.shift_combinations", combinations);
-                ebda_obs::counter_add("core.algorithm2.duplicates_pruned", duplicates);
-                ebda_obs::counter_add("core.algorithm2.options_derived", out.len() as u64);
+                prof::work(DERIVE, "shift_combinations", combinations);
+                prof::work(DERIVE, "duplicates_pruned", duplicates);
+                prof::work(DERIVE, "options_derived", out.len() as u64);
                 return Ok(out);
             }
             shifts[k] += 1;
@@ -114,7 +120,7 @@ pub fn transition_reorderings(seq: &PartitionSeq) -> Vec<PartitionSeq> {
 /// assert_eq!(enumerate_partitionings(&chs, 4).len(), 24);
 /// ```
 pub fn enumerate_partitionings(channels: &[Channel], k: usize) -> Vec<PartitionSeq> {
-    let _span = ebda_obs::span("core.algorithm2.enumerate_partitionings");
+    let _p = prof::phase(ENUMERATE);
     let mut out = Vec::new();
     if k == 0 || k > channels.len() {
         return out;
@@ -124,13 +130,13 @@ pub fn enumerate_partitionings(channels: &[Channel], k: usize) -> Vec<PartitionS
     let mut assignment = vec![0usize; channels.len()];
     let mut stats = AssignStats::default();
     assign(channels, k, 0, &mut assignment, &mut out, &mut stats);
-    ebda_obs::counter_add("core.algorithm2.assignments_explored", stats.explored);
-    ebda_obs::counter_add("core.algorithm2.assignments_pruned", stats.pruned);
+    prof::work(ENUMERATE, "assignments_explored", stats.explored);
+    prof::work(ENUMERATE, "assignments_pruned", stats.pruned);
     out
 }
 
 /// Exploration/prune counts accumulated across the [`assign`] recursion
-/// and flushed to telemetry once per enumeration.
+/// and flushed to the profiler once per enumeration.
 #[derive(Default)]
 struct AssignStats {
     explored: u64,

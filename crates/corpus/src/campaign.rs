@@ -327,8 +327,7 @@ pub fn run_corpus_campaign(
             // Without a design the label check reduces to the four path
             // booleans, so turn/channel-drop candidates are answered by
             // the incremental session's dirty-SCC queries; structural
-            // candidates (and `EBDA_INCREMENTAL=0`) take the identical
-            // full-evaluate path.
+            // candidates take the identical full-evaluate path.
             let want_free = entry.expected.is_free();
             shrink_with_context(
                 &artifact,

@@ -1,4 +1,4 @@
-//! # ebda-obs — flight-recorder telemetry for the EbDa reproduction
+//! # ebda-obs — observability for the EbDa reproduction
 //!
 //! A zero-dependency observability layer shared by every crate in the
 //! workspace:
@@ -9,18 +9,15 @@
 //!   structured wait-for edges of a diagnosed deadlock) plus **periodic
 //!   time-series samples** of channel occupancy, credit stalls and
 //!   in-flight packet counts.
-//! * [`telemetry`] — process-wide RAII timing **spans** and named
-//!   **counters** that instrument the verification hot paths (Algorithm
-//!   1/2 partitioning, CDG construction and cycle search) at negligible
-//!   cost when disabled.
 //! * [`metrics`] — a live **metrics registry** (log-bucketed histograms,
 //!   counters, gauges) rendered as Prometheus text exposition, and
 //!   [`http`] — the blocking `/metrics` + `/healthz` endpoint serving it
 //!   while a sweep or oracle campaign runs.
-//! * [`prof`] — a deterministic **self-profiler**: hierarchical phases
-//!   (slash paths like `sim/run/route`) each recording wall nanoseconds
-//!   *and* deterministic work-unit counters, plus per-worker busy
-//!   timelines, exported as a phase table / flame JSON / Perfetto
+//! * [`prof`] — a deterministic **self-profiler** and the workspace's
+//!   only span system: hierarchical phases (slash paths like
+//!   `sim/run/route` or `core/algorithm1`) each recording wall
+//!   nanoseconds *and* deterministic work-unit counters, plus per-worker
+//!   busy timelines, exported as a phase table / flame JSON / Perfetto
 //!   worker tracks and gated on by `bench_report --baseline`.
 //! * [`json`] / [`csv`] — hand-rolled writers *and* parsers, so traces can
 //!   be exported and round-tripped without pulling in serde (the build
@@ -57,7 +54,6 @@ pub mod prof;
 pub mod recorder;
 pub mod ring;
 pub mod rng;
-pub mod telemetry;
 
 pub use chrome::{TraceBuilder, TraceSummary};
 pub use coverage::CoverageMap;
@@ -70,4 +66,3 @@ pub use prof::{PhaseStat, ProfSnapshot, WorkerSegment};
 pub use recorder::{Recorder, RecorderConfig, Sample};
 pub use ring::RingBuffer;
 pub use rng::Rng64;
-pub use telemetry::{counter_add, counter_max, span, Span, SpanStat, TelemetrySnapshot};

@@ -4,13 +4,14 @@
 //! [`crate::http`].
 //!
 //! The registry complements the flight recorder ([`crate::recorder`]) and
-//! the telemetry spans ([`crate::telemetry`]): the recorder is a
-//! post-mortem event log of *one* run, telemetry aggregates span timings,
-//! and this module is the *live*, scrapeable view of a whole campaign —
-//! thousands of simulations, sweep points or oracle artifacts — while it
-//! executes.
+//! the self-profiler ([`crate::prof`]): the recorder is a post-mortem
+//! event log of *one* run, the profiler aggregates phase timings and work
+//! units (and mirrors them here as the `ebda_prof_*` families when both
+//! are on), and this module is the *live*, scrapeable view of a whole
+//! campaign — thousands of simulations, sweep points or oracle artifacts
+//! — while it executes.
 //!
-//! Like telemetry, the global registry is off by default: until
+//! Like the profiler, the global registry is off by default: until
 //! [`set_enabled`] is called every emission is a single relaxed atomic
 //! load. Instrumented code batches locally (e.g. the sim engine fills one
 //! [`Histogram`] per run) and flushes under one lock, so hot paths never
@@ -18,7 +19,7 @@
 //!
 //! Metric names follow Prometheus conventions:
 //! `ebda_<area>_<thing>_<unit>[_total]`, lowercase, with labels for
-//! per-series dimensions (`{span="..."}`, `{node="...",dim="..."}`).
+//! per-series dimensions (`{phase="..."}`, `{node="...",dim="..."}`).
 //! docs/OBSERVABILITY.md lists the full vocabulary.
 //!
 //! Determinism: every cycle-derived family is byte-identical across
@@ -419,8 +420,9 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// Globally enables or disables metrics collection (also enables the
-/// telemetry spans feeding the `ebda_span_*` families).
+/// Globally enables or disables metrics collection. The profiler is
+/// switched separately ([`crate::prof::set_enabled`]); its `ebda_prof_*`
+/// families appear only when both are on.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -458,80 +460,15 @@ pub fn merge_histogram(name: &str, labels: &[(&str, String)], h: &Histogram) {
     }
 }
 
-/// Renders the global registry plus the telemetry bridge (spans as
-/// `ebda_span_*`, counters as `ebda_telemetry_total`, maxima as
-/// `ebda_telemetry_max`) — the exact body the `/metrics` endpoint serves.
+/// Renders the global registry — the exact body the `/metrics` endpoint
+/// serves.
 ///
 /// Honors the `EBDA_METRICS_DETERMINISTIC` environment variable (any
 /// non-empty value) by dropping wall-clock (`_ns`) families.
 pub fn render_global() -> String {
     let deterministic =
         std::env::var_os("EBDA_METRICS_DETERMINISTIC").is_some_and(|v| !v.is_empty());
-    let opts = RenderOptions { deterministic };
-    let mut out = global().render(opts);
-    out.push_str(&render_telemetry(&crate::telemetry::snapshot(), opts));
-    out
-}
-
-/// Renders a telemetry snapshot as exposition families: span invocation
-/// counts (`ebda_span_invocations_total{span=...}`), span wall-clock
-/// totals/maxima (`ebda_span_total_ns` / `ebda_span_max_ns`), named
-/// counters (`ebda_telemetry_total{name=...}`) and high-water marks
-/// (`ebda_telemetry_max{name=...}`).
-pub fn render_telemetry(snap: &crate::telemetry::TelemetrySnapshot, opts: RenderOptions) -> String {
-    let mut out = String::new();
-    if !snap.counters.is_empty() {
-        let _ = writeln!(out, "# TYPE ebda_telemetry_total counter");
-        for (name, v) in &snap.counters {
-            let _ = writeln!(
-                out,
-                "ebda_telemetry_total{{name=\"{}\"}} {v}",
-                escape_label(name)
-            );
-        }
-    }
-    if !snap.maxima.is_empty() {
-        let _ = writeln!(out, "# TYPE ebda_telemetry_max gauge");
-        for (name, v) in &snap.maxima {
-            let _ = writeln!(
-                out,
-                "ebda_telemetry_max{{name=\"{}\"}} {v}",
-                escape_label(name)
-            );
-        }
-    }
-    if !snap.spans.is_empty() {
-        let _ = writeln!(out, "# TYPE ebda_span_invocations_total counter");
-        for (name, s) in &snap.spans {
-            let _ = writeln!(
-                out,
-                "ebda_span_invocations_total{{span=\"{}\"}} {}",
-                escape_label(name),
-                s.count
-            );
-        }
-        if !opts.deterministic {
-            let _ = writeln!(out, "# TYPE ebda_span_total_ns counter");
-            for (name, s) in &snap.spans {
-                let _ = writeln!(
-                    out,
-                    "ebda_span_total_ns{{span=\"{}\"}} {}",
-                    escape_label(name),
-                    s.total_ns
-                );
-            }
-            let _ = writeln!(out, "# TYPE ebda_span_max_ns gauge");
-            for (name, s) in &snap.spans {
-                let _ = writeln!(
-                    out,
-                    "ebda_span_max_ns{{span=\"{}\"}} {}",
-                    escape_label(name),
-                    s.max_ns
-                );
-            }
-        }
-    }
-    out
+    global().render(RenderOptions { deterministic })
 }
 
 // ---------------------------------------------------------------------------

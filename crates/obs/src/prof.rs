@@ -2,10 +2,11 @@
 //! accounting for the tool's own hot paths, plus per-worker busy
 //! timelines for the `ebda-par` pool.
 //!
-//! Where [`crate::telemetry`] times *functions* and [`crate::metrics`]
-//! counts *simulated traffic*, this module answers "where does the tool
-//! itself spend its time, and how much algorithmic work did each phase
-//! do?". Every phase records two kinds of numbers:
+//! Where [`crate::metrics`] counts *simulated traffic* and campaign
+//! tallies, this module answers "where does the tool itself spend its
+//! time, and how much algorithmic work did each phase do?" — it is the
+//! only timing-span facility in the workspace. Every phase records two
+//! kinds of numbers:
 //!
 //! * **wall nanoseconds** — honest but noisy, never compared across
 //!   runs by machines;

@@ -229,7 +229,7 @@ impl fmt::Display for CampaignReport {
 /// point everything else wraps: the `oracle` binary, the crate's
 /// integration tests and the CI job all call it with different budgets.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let _span = ebda_obs::span("oracle.campaign");
+    let _p = ebda_obs::prof::phase("oracle/campaign");
     let start = Instant::now();
     let threads = if cfg.threads == 0 {
         ebda_par::threads()
@@ -304,7 +304,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         });
         for (artifact, (verdicts, prov, cov)) in artifacts.iter().zip(&batch) {
             report.configs += 1;
-            ebda_obs::counter_add("oracle.configs", 1);
             ebda_obs::metrics::counter_add("ebda_oracle_artifacts_checked_total", &[], 1);
             match artifact.kind {
                 ArtifactKind::Partitioning => report.partitionings += 1,
@@ -355,7 +354,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 });
             }
             if cross_check(artifact, verdicts).is_some() {
-                ebda_obs::counter_add("oracle.disagreements", 1);
                 ebda_obs::metrics::counter_add("ebda_oracle_disagreements_total", &[], 1);
                 report.caught = Some(investigate(artifact, cfg, threads));
                 // Later artifacts of this batch were checked speculatively;

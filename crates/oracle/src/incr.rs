@@ -19,14 +19,15 @@
 //! full path does — and feeds them to the same
 //! [`crate::verdict::disagreement_rule`], so the accepted shrink chain,
 //! the final artifact, and every downstream byte (ledger, coverage,
-//! witnesses) are identical between modes. Duato's connectivity BFS is
-//! skipped: neither [`crate::verdict::cross_check`] nor the corpus
-//! mismatch predicate ever reads `escape_connected`.
+//! witnesses) are identical to a full evaluation per candidate. Duato's
+//! connectivity BFS is skipped: neither [`crate::verdict::cross_check`]
+//! nor the corpus mismatch predicate ever reads `escape_connected`.
 //!
-//! Mode selection: incremental is on by default; `EBDA_INCREMENTAL=0`
-//! (or `off`/`false`) or [`set_enabled`]`(false)` forces the
-//! full-rebuild path everywhere, which CI diffs against the incremental
-//! mode byte-for-byte.
+//! There is no switch: incremental is what the code does. The reference
+//! is the per-query full-rebuild assertion inside
+//! [`ebda_cdg::IncrementalVerifier`] under `EBDA_INCR_CHECK=1` (CI runs
+//! the corpus campaigns with it), plus this module's unit tests, which
+//! compare each entry point against an explicit full-`evaluate` chain.
 
 use crate::artifact::Artifact;
 use crate::brute;
@@ -34,32 +35,6 @@ use crate::shrink::{shrink_with_context, ShrinkDelta};
 use crate::verdict::{cross_check, disagreement_rule, evaluate, Mutation};
 use ebda_cdg::{verify_turn_set, IncrementalVerifier, NodeId, Topology};
 use ebda_core::{design_verdict, Dimension, Direction};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = follow the `EBDA_INCREMENTAL` environment variable (default on),
-/// 1 = forced on, 2 = forced off.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the incremental mode for this process (e.g. the
-/// `--incremental on|off` CLI flag). Takes precedence over the
-/// environment variable.
-pub fn set_enabled(on: bool) {
-    MODE.store(if on { 1 } else { 2 }, Ordering::SeqCst);
-}
-
-/// Whether incremental re-verification is active: on by default,
-/// disabled by `EBDA_INCREMENTAL=0|off|false`, overridden either way by
-/// [`set_enabled`].
-pub fn enabled() -> bool {
-    match MODE.load(Ordering::SeqCst) {
-        1 => true,
-        2 => false,
-        _ => !matches!(
-            std::env::var("EBDA_INCREMENTAL").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        ),
-    }
-}
 
 /// The four per-path booleans a shrink predicate needs — the compact
 /// form of [`crate::verdict::Verdicts`] that incremental queries can
@@ -82,9 +57,8 @@ pub struct PathVerdicts {
 pub struct IncrementalSession {
     mutation: Mutation,
     /// Verifier on the Dally topology (diverted under
-    /// [`Mutation::DallyIgnoresWrap`]); `None` when incremental mode is
-    /// disabled.
-    dally: Option<IncrementalVerifier>,
+    /// [`Mutation::DallyIgnoresWrap`]).
+    dally: IncrementalVerifier,
     /// Separate verifier on the real topology, only when the mutation
     /// makes it differ from the Dally one — mutations are handled
     /// incrementally *and* exactly.
@@ -94,13 +68,6 @@ pub struct IncrementalSession {
 impl IncrementalSession {
     /// Builds the session for one parent artifact under `mutation`.
     pub fn new(parent: &Artifact, mutation: Mutation) -> IncrementalSession {
-        if !enabled() {
-            return IncrementalSession {
-                mutation,
-                dally: None,
-                duato: None,
-            };
-        }
         let topo = parent.topology();
         let dally_topo = match mutation {
             Mutation::DallyIgnoresWrap => Topology::mesh(&parent.radix),
@@ -122,7 +89,7 @@ impl IncrementalSession {
         );
         IncrementalSession {
             mutation,
-            dally: Some(dally),
+            dally,
             duato,
         }
     }
@@ -133,10 +100,9 @@ impl IncrementalSession {
     }
 
     /// The per-path booleans for `candidate = parent + delta`, or
-    /// `None` when the delta is structural (or incremental mode is off)
-    /// and the caller must fall back to a full [`evaluate`].
+    /// `None` when the delta is structural and the caller must fall
+    /// back to a full [`evaluate`].
     pub fn path_verdicts(&self, candidate: &Artifact, delta: &ShrinkDelta) -> Option<PathVerdicts> {
-        let dally = self.dally.as_ref()?;
         let query = |v: &IncrementalVerifier| -> Option<bool> {
             match delta {
                 ShrinkDelta::DropTurn(t) => Some(v.query_remove_turn(*t)),
@@ -144,7 +110,7 @@ impl IncrementalSession {
                 ShrinkDelta::Structural => None,
             }
         };
-        let dally_free = query(dally)?;
+        let dally_free = query(&self.dally)?;
         let duato_acyclic = match &self.duato {
             Some(v) => query(v)?,
             None => dally_free,
@@ -188,10 +154,9 @@ impl IncrementalSession {
 }
 
 /// Shrinks a disagreeing artifact with per-pass incremental sessions:
-/// the drop-in replacement for the old `shrink_with_threads` +
-/// full-`evaluate` closure in `investigate`, with the identical
-/// accepted chain (and therefore identical shrunk artifact) in both
-/// modes at any thread count.
+/// the accepted chain (and therefore the shrunk artifact) is the one
+/// `shrink_with_threads` walks with a full-`evaluate` predicate, at any
+/// thread count.
 pub fn shrink_disagreement(
     artifact: &Artifact,
     mutation: Mutation,
@@ -209,28 +174,26 @@ pub fn shrink_disagreement(
 
 /// Shrinks an artifact while its Dally CDG stays cyclic — the
 /// CDG-bound shrink workload `bench_report` measures (`shrink/
-/// turn-ring-cdg`): in full mode every candidate rebuilds the CDG; in
-/// incremental mode turn/channel drops are dirty-SCC queries.
+/// turn-ring-cdg`): turn/channel drops are dirty-SCC queries on the
+/// parent's CDG, structural candidates rebuild.
 pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize, threads: usize) -> Artifact {
     shrink_with_context(
         artifact,
         budget,
         threads,
         |parent| {
-            enabled().then(|| {
-                IncrementalVerifier::new(
-                    parent.topology(),
-                    parent.vcs.clone(),
-                    parent.universe.clone(),
-                    parent.turns.clone(),
-                )
-            })
+            IncrementalVerifier::new(
+                parent.topology(),
+                parent.vcs.clone(),
+                parent.universe.clone(),
+                parent.turns.clone(),
+            )
         },
         |verifier, candidate, delta| {
-            let free = match (verifier, delta) {
-                (Some(v), ShrinkDelta::DropTurn(t)) => v.query_remove_turn(*t),
-                (Some(v), ShrinkDelta::DropChannel(c)) => v.query_remove_channel(*c),
-                _ => verify_turn_set(
+            let free = match delta {
+                ShrinkDelta::DropTurn(t) => verifier.query_remove_turn(*t),
+                ShrinkDelta::DropChannel(c) => verifier.query_remove_channel(*c),
+                ShrinkDelta::Structural => verify_turn_set(
                     &candidate.topology(),
                     &candidate.vcs,
                     &candidate.universe,
@@ -248,37 +211,25 @@ pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize, threads: usize) -
 /// whose `query_fail_link` masks the dead channels' edges and rechecks
 /// only the touched SCCs, then commits via the full-rebuild fallback.
 /// Returns the per-fault verdicts (acyclic after the fault?), identical
-/// to rebuilding the CDG per fault in full mode.
+/// to rebuilding the CDG per fault.
 pub fn verify_fault_schedule(
     artifact: &Artifact,
     faults: &[(NodeId, Dimension, Direction)],
 ) -> Vec<bool> {
-    if enabled() {
-        let mut v = IncrementalVerifier::new(
-            artifact.topology(),
-            artifact.vcs.clone(),
-            artifact.universe.clone(),
-            artifact.turns.clone(),
-        );
-        faults
-            .iter()
-            .map(|&(node, dim, dir)| {
-                let verdict = v.query_fail_link(node, dim, dir);
-                v.apply_fail_link(node, dim, dir);
-                verdict
-            })
-            .collect()
-    } else {
-        let mut topo = artifact.topology();
-        faults
-            .iter()
-            .map(|&(node, dim, dir)| {
-                topo = topo.clone().with_failed_link(node, dim, dir);
-                verify_turn_set(&topo, &artifact.vcs, &artifact.universe, &artifact.turns)
-                    .is_deadlock_free()
-            })
-            .collect()
-    }
+    let mut v = IncrementalVerifier::new(
+        artifact.topology(),
+        artifact.vcs.clone(),
+        artifact.universe.clone(),
+        artifact.turns.clone(),
+    );
+    faults
+        .iter()
+        .map(|&(node, dim, dir)| {
+            let verdict = v.query_fail_link(node, dim, dir);
+            v.apply_fail_link(node, dim, dir);
+            verdict
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -351,10 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_shrink_matches_full_mode_and_witnesses_agree() {
+    fn cyclic_shrink_matches_full_rebuild_and_witnesses_agree() {
         // The bench workload predicate ("Dally still cyclic") must walk
-        // the identical accepted chain with and without the incremental
-        // session, and the shrunk artifact's witness cycle must match.
+        // the same accepted chain as a full rebuild per candidate, and
+        // the shrunk artifact's witness cycle must match.
         let a = all_turns_mesh();
         let full = shrink_with_threads(
             &a,
@@ -392,7 +343,7 @@ mod tests {
             (0, Dimension::X, Direction::Minus),
         ];
         let incr = verify_fault_schedule(&a, &faults);
-        // Full-rebuild chain, computed inline (mode-independent).
+        // The reference: rebuild the CDG after every fault.
         let mut topo = a.topology();
         let full: Vec<bool> = faults
             .iter()
@@ -402,14 +353,5 @@ mod tests {
             })
             .collect();
         assert_eq!(incr, full);
-    }
-
-    #[test]
-    fn default_mode_is_enabled() {
-        // No override set in tests; the env default is on unless the
-        // harness exported EBDA_INCREMENTAL=0 explicitly.
-        if std::env::var("EBDA_INCREMENTAL").is_err() {
-            assert!(enabled());
-        }
     }
 }

@@ -17,8 +17,8 @@
 //! * [`shrink`] — greedy 1-minimal counterexample reduction.
 //! * [`incr`] — incremental re-verification sessions: turn/channel-drop
 //!   shrink candidates answered by dirty-SCC queries on a shared CSR CDG
-//!   instead of full rebuilds, with a byte-identical full-mode fallback
-//!   (`EBDA_INCREMENTAL=0`).
+//!   instead of full rebuilds; `EBDA_INCR_CHECK=1` re-derives every
+//!   query from a full rebuild and panics on a difference.
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.

@@ -201,7 +201,7 @@ pub fn cross_check(artifact: &Artifact, verdicts: &Verdicts) -> Option<Disagreem
 /// per-path verdicts violate. Shared with the incremental shrink paths
 /// ([`crate::incr`]), which compute the same booleans without full
 /// reports — keeping the disagreement predicate identical by
-/// construction between full and incremental modes.
+/// construction between a full evaluation and an incremental query.
 pub fn disagreement_rule(
     artifact: &Artifact,
     ebda_free: Option<bool>,

@@ -30,7 +30,6 @@ pub mod certify_relation;
 pub mod classic;
 pub mod multicast;
 pub mod relation;
-pub mod table;
 pub mod turn_based;
 pub mod verify;
 
@@ -40,7 +39,6 @@ pub use relation::{
     bind, find_delivery_failure, walk_first_choice, BoundRelation, PortVc, RouteChoice, RouteState,
     RoutingRelation, INJECT,
 };
-pub use table::TableRouting;
 pub use turn_based::TurnRouting;
 pub use verify::{routing_cdg, verify_relation};
 

@@ -266,7 +266,6 @@ pub fn simulate_traced(
     rec: Option<&mut Recorder>,
 ) -> SimResult {
     cfg.validate();
-    let _span = ebda_obs::span("sim.engine.run");
     Simulator::new(topo, relation, cfg, rec).run()
 }
 
@@ -900,11 +899,6 @@ impl<'a> Simulator<'a> {
     }
 
     fn finish(mut self, outcome: Outcome, cycles: u64) -> SimResult {
-        ebda_obs::counter_add("sim.engine.runs", 1);
-        ebda_obs::counter_add("sim.engine.cycles", cycles);
-        ebda_obs::counter_add("sim.engine.packets_injected", self.injected);
-        ebda_obs::counter_add("sim.engine.packets_delivered", self.delivered);
-        ebda_obs::counter_add("sim.engine.routing_faults", self.routing_faults);
         if self.metrics_on {
             self.flush_metrics(&outcome, cycles);
         }
@@ -1688,8 +1682,10 @@ fn dir_char(dir: ebda_core::Direction) -> char {
     }
 }
 
-/// Minimal iterative three-colour DFS cycle finder for the wait-for graph
-/// (kept local so the simulator does not depend on the CDG crate).
+/// Minimal iterative three-colour DFS cycle finder for the wait-for
+/// graph. Kept apart from `ebda_cdg::csr::find_cycle` because it walks
+/// successors in insertion order while CSR rows are sorted: the DFS order
+/// decides which wait cycle `SimResult` and the trace report.
 fn find_cycle_indices(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {

@@ -31,7 +31,7 @@ fn value(samples: &[Sample], name: &str) -> Option<f64> {
 #[test]
 fn live_sim_metrics_scrape_end_to_end() {
     metrics::set_enabled(true);
-    ebda_obs::telemetry::set_enabled(true);
+    ebda_obs::prof::set_enabled(true);
     let topo = Topology::mesh(&[4, 4]);
     let cfg = small_cfg();
     let det = RenderOptions {
@@ -59,7 +59,7 @@ fn live_sim_metrics_scrape_end_to_end() {
     let body = http_get(&addr, "/metrics").unwrap();
     server.shutdown();
     metrics::set_enabled(false);
-    ebda_obs::telemetry::set_enabled(false);
+    ebda_obs::prof::set_enabled(false);
 
     let samples = parse_exposition(&body).expect("scraped exposition parses");
 
@@ -127,13 +127,14 @@ fn live_sim_metrics_scrape_end_to_end() {
         .sum();
     assert_eq!(scraped_flits, total_flits as f64);
 
-    // Telemetry spans are bridged into the exposition.
+    // With the profiler on too, its phases are mirrored into the
+    // exposition: one `sim/run` call since the last reset.
     assert!(
         samples.iter().any(|s| {
-            s.name == "ebda_span_invocations_total"
-                && s.label("span") == Some("sim.engine.run")
-                && s.value >= 1.0
+            s.name == "ebda_prof_phase_calls_total"
+                && s.label("phase") == Some("sim/run")
+                && s.value == 1.0
         }),
-        "sim.engine.run span missing from the exposition"
+        "sim/run phase missing from the exposition"
     );
 }

@@ -917,12 +917,12 @@ fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String
             .collect();
         let _ = writeln!(out, "hottest channels: {}", top.join(" | "));
     }
-    let spans = samples
+    let phases = samples
         .iter()
-        .filter(|s| s.name == "ebda_span_invocations_total")
+        .filter(|s| s.name == "ebda_prof_phase_calls_total")
         .count();
-    if spans > 0 {
-        let _ = writeln!(out, "telemetry: {spans} span families");
+    if phases > 0 {
+        let _ = writeln!(out, "profile: {phases} phases");
     }
     out.trim_end().to_string()
 }
@@ -1018,6 +1018,9 @@ mod tests {
         reg.counter_add("ebda_watchdog_trips_total", &[], 1);
         reg.counter_add("ebda_watchdog_suspected_cycles_total", &[], 1);
         reg.gauge_set("ebda_watchdog_suspected_cycle_len", &[], 4.0);
+        for phase in ["sim/run", "sim/run/route"] {
+            reg.counter_add("ebda_prof_phase_calls_total", &[("phase", phase.into())], 1);
+        }
         reg.gauge_set(
             "ebda_sim_channel_utilization",
             &[
@@ -1048,6 +1051,7 @@ mod tests {
             snap.contains("hottest channels: n3 d0+ vc0 0.250"),
             "{snap}"
         );
+        assert!(snap.contains("profile: 2 phases"), "{snap}");
         server.shutdown();
     }
 

@@ -1,0 +1,116 @@
+//! A ratchet on process-global state (ROADMAP item 2): every `static` of
+//! an `Atomic*` / lock / once-cell type in library or binary source must
+//! be on the list below. The list may shrink — delete the line with the
+//! global — but a new entry needs the argument that a run-owned value
+//! would not do.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// `file:NAME`, sorted. Seven run-state globals, then two immutable
+/// caches.
+const ALLOWED: &[&str] = &[
+    "crates/core/src/catalog.rs:SEQ", // cache: parsed catalog designs
+    "crates/obs/src/coverage.rs:GLOBAL_PATH",
+    "crates/obs/src/ledger.rs:GLOBAL_PATH",
+    "crates/obs/src/metrics.rs:ENABLED",
+    "crates/obs/src/metrics.rs:GLOBAL",
+    "crates/obs/src/prof.rs:ENABLED",
+    "crates/obs/src/prof.rs:EPOCH", // cache: the instant timestamps count from
+    "crates/obs/src/prof.rs:REGISTRY",
+    "crates/par/src/lib.rs:THREAD_OVERRIDE",
+];
+
+const SHARED_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
+    for path in entries.map(|e| e.expect("directory entry").path()) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The shared-state statics of one file, skipping `thread_local!` blocks
+/// and `#[cfg(test)]` items (brace-balanced from their opening line).
+fn shared_statics(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut skipping = false;
+    let mut depth = 0i64;
+    for line in source.lines() {
+        let code = line.trim();
+        if !skipping && (code == "#[cfg(test)]" || code.starts_with("thread_local!")) {
+            skipping = true;
+            depth = 0;
+        }
+        if skipping {
+            depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+            // The attribute line itself opens nothing; the item after it does.
+            skipping = depth > 0 || !code.contains(['{', '}']);
+            continue;
+        }
+        let decl = ["static ", "pub static ", "pub(crate) static "]
+            .iter()
+            .find_map(|prefix| code.strip_prefix(prefix));
+        if let Some((name, ty)) = decl.and_then(|d| d.split_once(':')) {
+            if SHARED_STATE_TYPES.iter().any(|t| ty.contains(t)) {
+                found.push(name.to_string());
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn process_global_state_is_on_the_allowlist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(
+            &krate.expect("crate directory").path().join("src"),
+            &mut files,
+        );
+    }
+    let mut found: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .expect("under the root")
+                .display()
+                .to_string();
+            shared_statics(&fs::read_to_string(path).expect("readable source"))
+                .into_iter()
+                .map(move |name| format!("{rel}:{name}"))
+        })
+        .collect();
+    found.sort();
+    assert_eq!(
+        found, ALLOWED,
+        "process-global statics changed; see the module docs"
+    );
+}
+
+#[test]
+fn the_scanner_sees_what_it_should() {
+    let source = "\
+static A: AtomicBool = AtomicBool::new(false);
+static TABLE: [u8; 2] = [1, 2];
+fn f() {
+    static B: OnceLock<u8> = OnceLock::new();
+}
+thread_local! {
+    static C: RefCell<Mutex<u8>> = const { RefCell::new(Mutex::new(0)) };
+}
+pub(crate) static D: Mutex<()> = Mutex::new(());
+#[cfg(test)]
+mod tests {
+    static E: Mutex<()> = Mutex::new(());
+}
+";
+    assert_eq!(shared_statics(source), ["A", "B", "D"]);
+}
