@@ -70,6 +70,22 @@ impl Rng64 {
         self.gen_f64() < p
     }
 
+    /// The integer form of a probability, for loops that draw against
+    /// the same `p` many times: `rng.gen_below(Rng64::bool_threshold(p))`
+    /// consumes the same one draw as `rng.gen_bool(p)` and returns the
+    /// same answer. Exact, not approximate: [`Rng64::gen_f64`] is
+    /// `k * 2^-53` for the 53-bit integer `k = next_u64() >> 11`, and
+    /// `k * 2^-53 < p` holds iff `k < ceil(p * 2^53)` (scaling by a power
+    /// of two is exact in `f64`).
+    pub fn bool_threshold(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Bernoulli trial against a threshold from [`Rng64::bool_threshold`].
+    pub fn gen_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
+    }
+
     /// Uniform integer in `[0, n)`. `n` must be non-zero.
     ///
     /// Uses the widening-multiply trick (Lemire); the modulo bias is at

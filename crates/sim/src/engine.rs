@@ -70,6 +70,11 @@ struct ProfAcc {
     alloc_ns: u64,
     /// Output-VC grants (plus ejection-port claims).
     vc_allocs: u64,
+    /// Waiting heads `allocate()` looked at (one per head per cycle it
+    /// waits), and routers `arbitrate_and_move()` entered: the work the
+    /// event masks leave, against `nodes x cycles` for a full scan.
+    head_visits: u64,
+    router_visits: u64,
     /// Wall ns of whole `arbitrate_and_move()` calls; switch-traversal
     /// time is this minus credit-return and ejection time.
     arb_ns: u64,
@@ -108,6 +113,38 @@ struct HeadRoute {
 
 /// "No such slot" in the link maps.
 const NO_SLOT: usize = usize::MAX;
+
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] |= 1 << (i & 63);
+}
+
+fn clear_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] &= !(1 << (i & 63));
+}
+
+fn test_bit(bits: &[u64], i: usize) -> bool {
+    bits[i >> 6] >> (i & 63) & 1 != 0
+}
+
+/// The lowest set bit at or above `from`.
+fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut word = from >> 6;
+    let mut rest = *bits.get(word)? & (!0 << (from & 63));
+    while rest == 0 {
+        word += 1;
+        rest = *bits.get(word)?;
+    }
+    Some(word * 64 + rest.trailing_zeros() as usize)
+}
+
+/// `turn % n`, without the division in the common `n == 1`.
+fn rotation_start(turn: usize, n: usize) -> usize {
+    if n == 1 {
+        0
+    } else {
+        turn % n
+    }
+}
 
 /// How the slots are wired by the topology's links: `down_in[o]` is the
 /// in-slot that out-slot `o` feeds, `up_out[i]` the out-slot that feeds
@@ -343,7 +380,7 @@ impl WaitEdge {
 /// (src, dst) pair. Dense `n*n` table for the meshes we simulate (zero-
 /// initialised, matching a map's `or_insert(0)`); falls back to hashing
 /// above [`DeliveredLog::DENSE_LIMIT`] pairs so giant topologies don't
-/// pay O(n²) memory.
+/// pay O(n²) memory; choosing the fallback is counted.
 enum DeliveredLog {
     Dense { n: usize, last: Vec<u64> },
     Sparse(std::collections::HashMap<(NodeId, NodeId), u64>),
@@ -361,6 +398,9 @@ impl DeliveredLog {
                 last: vec![0; n * n],
             }
         } else {
+            const COUNTER: &str = "ebda_sim_delivered_log_sparse_fallbacks_total";
+            ebda_obs::prof::work("sim/run", "delivered_log_sparse_fallbacks", 1);
+            ebda_obs::metrics::counter_add(COUNTER, &[], 1);
             DeliveredLog::Sparse(std::collections::HashMap::new())
         }
     }
@@ -393,13 +433,30 @@ struct Simulator<'a> {
     rec: Option<&'a mut Recorder>,
     layout: Layout,
     links: Links,
-    /// Local input port of each in-slot (`2 * dims` for injection slots).
+    /// Local input port of each in-slot (`2 * dims` for injection slots)
+    /// and the router it belongs to.
     in_port: Vec<u8>,
+    in_node: Vec<u32>,
     in_vcs: Vec<InVc>,
     /// Per in-slot, the route of the unallocated head at its front.
     head_routes: Vec<HeadRoute>,
     out_vcs: Vec<OutVc>,
     eject_owner: Vec<Option<(Pid, usize)>>,
+    /// The event masks: what the two per-cycle passes visit instead of
+    /// scanning every slot. `heads` has a bit per in-slot, set iff the
+    /// buffer is non-empty and `alloc` is `None` (an unallocated head
+    /// waits at its front). `owned` has a row of `1 << owned_shift` bits
+    /// per router: a bit per out-slot that has an owner, then one for a
+    /// claimed ejection port. Both are updated where those conditions
+    /// change, rebuilt from the state after a fault, and checked against
+    /// it every cycle in debug builds.
+    heads: Vec<u64>,
+    owned: Vec<u64>,
+    owned_shift: u32,
+    /// Test-only reference mode: every mask bit is forced on before the
+    /// two passes, which then visit every slot as the full scan did.
+    #[cfg(test)]
+    full_visit: bool,
     packets: Vec<Packet>,
     /// Flits in flight on links: (arrival cycle, destination in-slot, flit).
     in_transit: VecDeque<(u64, usize, FlitTag)>,
@@ -469,8 +526,8 @@ struct Simulator<'a> {
     /// size (pinned by `tests/prof_overhead.rs`).
     moves_buf: Vec<(usize, Option<usize>)>,
     arrivals_buf: Vec<(usize, FlitTag)>,
-    used_inputs: Vec<u64>,
-    /// Per-node ON/OFF state for bursty traffic (empty otherwise).
+    /// Per-node ON/OFF state for bursty traffic (all OFF and unread for
+    /// every other pattern).
     burst_on: Vec<bool>,
     /// Next unapplied fault-schedule index (the schedule is sorted once).
     fault_cursor: usize,
@@ -491,6 +548,13 @@ impl<'a> Simulator<'a> {
         let in_port = (0..n * layout.in_per_node)
             .map(|slot| layout.in_slot_parts(slot).1 as u8)
             .collect();
+        let in_node = (0..n * layout.in_per_node)
+            .map(|slot| (slot / layout.in_per_node) as u32)
+            .collect();
+        let heads = vec![0; (n * layout.in_per_node).div_ceil(64)];
+        let owned_shift = (layout.out_per_node + 1)
+            .next_power_of_two()
+            .trailing_zeros();
         let in_vcs = (0..n * layout.in_per_node)
             .map(|_| InVc {
                 buf: VecDeque::new(),
@@ -519,10 +583,16 @@ impl<'a> Simulator<'a> {
             links: Links::new(topo, &layout),
             layout,
             in_port,
+            in_node,
             in_vcs,
             head_routes,
             out_vcs,
             eject_owner: vec![None; n],
+            heads,
+            owned: vec![0; (n << owned_shift).div_ceil(64)],
+            owned_shift,
+            #[cfg(test)]
+            full_visit: false,
             packets: Vec::new(),
             in_transit: VecDeque::new(),
             trace_cursor: 0,
@@ -558,7 +628,6 @@ impl<'a> Simulator<'a> {
             buffered_flits: 0,
             moves_buf: Vec::new(),
             arrivals_buf: Vec::new(),
-            used_inputs: Vec::new(),
             burst_on: vec![false; n],
             fault_cursor: 0,
             faults_sorted,
@@ -588,12 +657,19 @@ impl<'a> Simulator<'a> {
                 let (_, slot, flit) = self.in_transit.pop_front().expect("checked front");
                 self.in_vcs[slot].buf.push_back(flit);
                 self.buffered_flits += 1;
+                self.note_arrival(slot);
             }
             if cycle < self.cfg.warmup + self.cfg.measurement {
                 self.inject(cycle);
             }
             let stalls_before = self.credit_stalls;
             let ejected_before = self.flits_ejected_total;
+            // The full-scan reference: with every bit on, the two passes
+            // look at every slot and find the events by reading the state.
+            #[cfg(test)]
+            if self.full_visit {
+                self.assign_masks(|_| true);
+            }
             let moved = if self.prof_on {
                 let t0 = Instant::now();
                 self.allocate(cycle);
@@ -609,10 +685,18 @@ impl<'a> Simulator<'a> {
             if moved {
                 last_progress = cycle;
             }
+            #[cfg(test)]
+            if self.full_visit {
+                self.assign_masks(|on| on);
+            }
             debug_assert_eq!(
                 self.buffered_flits > 0,
                 self.in_vcs.iter().any(|v| !v.buf.is_empty()),
                 "buffered-flit counter drifted from actual occupancy"
+            );
+            debug_assert!(
+                self.masks_match_state(),
+                "event masks drifted from the state they summarise"
             );
             let in_flight = !self.in_transit.is_empty() || self.buffered_flits > 0;
             if self.cfg.watchdog_window > 0 {
@@ -683,11 +767,74 @@ impl<'a> Simulator<'a> {
             self.eject_owner.iter().all(Option::is_none),
             "an ejection port kept an owner"
         );
+        assert!(
+            self.heads.iter().chain(&self.owned).all(|&w| w == 0),
+            "an event mask kept a bit"
+        );
         assert_eq!(
             self.delivered + self.dropped,
             self.packets.len() as u64,
             "drained run must have delivered or dropped every packet"
         );
+    }
+
+    /// A flit was queued on `slot`: if nothing is allocated there, an
+    /// unallocated head is (already or now) at its front.
+    fn note_arrival(&mut self, slot: usize) {
+        if self.in_vcs[slot].alloc == Alloc::None {
+            set_bit(&mut self.heads, slot);
+        }
+    }
+
+    /// Index in `owned` of local out-slot `local` of `node`; the
+    /// ejection port is local slot `out_per_node`.
+    fn owned_bit(&self, node: NodeId, local: usize) -> usize {
+        (node << self.owned_shift) + local
+    }
+
+    /// Calls `f(is_head, bit, on)` for every bit of `heads`, then of
+    /// `owned`, with the value the state implies for it.
+    fn expected_mask_bits(&self, mut f: impl FnMut(bool, usize, bool)) {
+        for (slot, vc) in self.in_vcs.iter().enumerate() {
+            f(true, slot, vc.alloc == Alloc::None && !vc.buf.is_empty());
+        }
+        let per_node = self.layout.out_per_node;
+        for (node, eject) in self.eject_owner.iter().enumerate() {
+            for (local, out) in self.out_vcs[node * per_node..][..per_node]
+                .iter()
+                .enumerate()
+            {
+                f(false, self.owned_bit(node, local), out.owner.is_some());
+            }
+            f(false, self.owned_bit(node, per_node), eject.is_some());
+        }
+    }
+
+    /// Sets every mask bit to `value(what the state implies)`: the
+    /// identity rebuilds both masks from the state — used after teardown,
+    /// like `recompute_credits` — and `|_| true` is the tests' full scan.
+    fn assign_masks(&mut self, value: impl Fn(bool) -> bool) {
+        let mut heads = std::mem::take(&mut self.heads);
+        let mut owned = std::mem::take(&mut self.owned);
+        heads.fill(0);
+        owned.fill(0);
+        self.expected_mask_bits(|is_head, bit, on| {
+            if value(on) {
+                set_bit(if is_head { &mut heads } else { &mut owned }, bit);
+            }
+        });
+        self.heads = heads;
+        self.owned = owned;
+    }
+
+    /// Whether both masks say exactly what the state implies. Runs every
+    /// cycle in debug builds, so it must not allocate.
+    fn masks_match_state(&self) -> bool {
+        let mut ok = true;
+        self.expected_mask_bits(|is_head, bit, on| {
+            ok &= test_bit(if is_head { &self.heads } else { &self.owned }, bit) == on;
+        });
+        ok
     }
 
     /// Takes one periodic telemetry sample if a recorder is attached and
@@ -802,12 +949,14 @@ impl<'a> Simulator<'a> {
             p.alloc_ns.saturating_sub(p.route_ns),
         );
         prof::work("sim/run/vc_alloc", "vc_grants", p.vc_allocs);
+        prof::work("sim/run/vc_alloc", "head_visits", p.head_visits);
         prof::record(
             "sim/run/switch",
             p.link_flits,
             p.arb_ns.saturating_sub(p.credit_ns + p.eject_ns),
         );
         prof::work("sim/run/switch", "link_flits", p.link_flits);
+        prof::work("sim/run/switch", "router_visits", p.router_visits);
         prof::record("sim/run/credit", p.credits, p.credit_ns);
         prof::work("sim/run/credit", "credits_returned", p.credits);
         prof::record("sim/run/eject", p.eject_flits, p.eject_ns);
@@ -1160,6 +1309,7 @@ impl<'a> Simulator<'a> {
                 .retain(|&(_, _, f)| !dropped.contains(&f.pid));
         }
         self.recompute_credits();
+        self.assign_masks(|on| on);
     }
 
     /// Removes every trace of a packet from the network and counts it as
@@ -1242,51 +1392,57 @@ impl<'a> Simulator<'a> {
     }
 
     fn inject(&mut self, cycle: u64) {
+        use crate::traffic::TrafficPattern;
         let cfg = self.cfg;
-        if let crate::traffic::TrafficPattern::Trace { events } = &cfg.traffic {
-            while let Some(&(c, src, dst)) = events.get(self.trace_cursor) {
-                if c > cycle {
-                    break;
+        match cfg.traffic {
+            TrafficPattern::Trace { ref events } => {
+                while let Some(&(c, src, dst)) = events.get(self.trace_cursor) {
+                    if c > cycle {
+                        break;
+                    }
+                    self.trace_cursor += 1;
+                    self.spawn_packet(cycle, src, dst);
                 }
-                self.trace_cursor += 1;
-                self.spawn_packet(cycle, src, dst);
             }
-            return;
-        }
-        let burst = match cfg.traffic {
-            crate::traffic::TrafficPattern::Bursty {
+            TrafficPattern::Bursty {
                 p_on,
                 p_off,
                 burst_scale,
-            } => Some((p_on, p_off, burst_scale)),
-            _ => None,
-        };
-        for node in self.topo.nodes() {
-            let rate = match burst {
-                Some((p_on, p_off, scale)) => {
+            } => {
+                let on_rate = (cfg.injection_rate * burst_scale).min(1.0);
+                for node in self.topo.nodes() {
                     // Advance the two-state Markov chain, then gate.
                     let on = self.burst_on[node];
                     let flip = self.rng.gen_bool(if on { p_off } else { p_on });
                     let on = on != flip;
                     self.burst_on[node] = on;
-                    if on {
-                        (self.cfg.injection_rate * scale).min(1.0)
-                    } else {
-                        0.0
+                    if on && on_rate != 0.0 && self.rng.gen_bool(on_rate) {
+                        self.inject_at(cycle, node);
                     }
                 }
-                None => self.cfg.injection_rate,
-            };
-            if rate == 0.0 || !self.rng.gen_bool(rate) {
-                continue;
             }
-            let Some(dst) = self
-                .cfg
-                .traffic
-                .destination(&self.topo, node, &mut self.rng)
-            else {
-                continue;
-            };
+            // One Bernoulli draw per node against a fixed rate: compare
+            // the raw draw with the rate's integer threshold.
+            _ if cfg.injection_rate == 0.0 => {}
+            _ => {
+                let threshold = Rng64::bool_threshold(cfg.injection_rate);
+                for node in self.topo.nodes() {
+                    if self.rng.gen_below(threshold) {
+                        self.inject_at(cycle, node);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `node` won its injection draw: pick a destination (patterns that
+    /// map the node to itself inject nothing) and queue the packet.
+    fn inject_at(&mut self, cycle: u64, node: NodeId) {
+        if let Some(dst) = self
+            .cfg
+            .traffic
+            .destination(&self.topo, node, &mut self.rng)
+        {
             self.spawn_packet(cycle, node, dst);
         }
     }
@@ -1315,6 +1471,7 @@ impl<'a> Simulator<'a> {
                 self.in_vcs[slot].buf.push_back(FlitTag { pid, idx });
             }
             self.buffered_flits += self.cfg.packet_length;
+            self.note_arrival(slot);
             if let Some(rec) = self.rec.as_deref_mut() {
                 rec.record(Event::Inject {
                     cycle,
@@ -1328,87 +1485,96 @@ impl<'a> Simulator<'a> {
     }
 
     /// VC allocation: heads at buffer fronts claim output VCs or the
-    /// ejection port.
+    /// ejection port. Visits the in-slots whose `heads` bit is set, in
+    /// ascending (node, local slot) order.
     fn allocate(&mut self, cycle: u64) {
-        for node in self.topo.nodes() {
-            for local in 0..self.layout.in_per_node {
-                let slot = node * self.layout.in_per_node + local;
-                if self.in_vcs[slot].alloc != Alloc::None {
-                    continue;
-                }
-                let Some(&front) = self.in_vcs[slot].buf.front() else {
-                    continue;
-                };
-                debug_assert_eq!(front.idx, 0, "unallocated buffer front must be a head");
-                let pid = front.pid;
-                let (src, dst, state) = {
-                    let p = &self.packets[pid as usize];
-                    (p.src, p.dst, p.route_state)
-                };
-                if dst == node {
-                    if self.eject_owner[node].is_none() {
-                        self.eject_owner[node] = Some((pid, slot));
-                        self.in_vcs[slot].alloc = Alloc::Eject;
-                        if self.prof_on {
-                            self.prof.vc_allocs += 1;
-                        }
-                    }
-                    continue;
-                }
-                // Store-and-forward: the whole packet must be buffered at
-                // this node before its head may be routed onward.
-                if self.cfg.switching == Switching::StoreAndForward {
-                    let len = self.packets[pid as usize].len as usize;
-                    let buffered = self.in_vcs[slot]
-                        .buf
-                        .iter()
-                        .take_while(|f| f.pid == pid)
-                        .count();
-                    if buffered < len {
-                        continue;
-                    }
-                }
-                // Route computation: once per head per hop. A head that
-                // finds no free output VC keeps its candidates and only
-                // repeats the selection below.
-                if !self.head_routes[slot].routed {
-                    let cands = &mut self.head_routes[slot].cands;
+        let mut from = 0;
+        while let Some(slot) = next_set_bit(&self.heads, from) {
+            from = slot + 1;
+            let node = self.in_node[slot] as usize;
+            if self.in_vcs[slot].alloc != Alloc::None {
+                continue;
+            }
+            let Some(&front) = self.in_vcs[slot].buf.front() else {
+                continue;
+            };
+            if self.prof_on {
+                self.prof.head_visits += 1;
+            }
+            debug_assert_eq!(front.idx, 0, "unallocated buffer front must be a head");
+            let pid = front.pid;
+            let (src, dst, state) = {
+                let p = &self.packets[pid as usize];
+                (p.src, p.dst, p.route_state)
+            };
+            if dst == node {
+                if self.eject_owner[node].is_none() {
+                    self.eject_owner[node] = Some((pid, slot));
+                    self.in_vcs[slot].alloc = Alloc::Eject;
+                    clear_bit(&mut self.heads, slot);
+                    let bit = self.owned_bit(node, self.layout.out_per_node);
+                    set_bit(&mut self.owned, bit);
                     if self.prof_on {
-                        let t0 = Instant::now();
-                        self.bound.route_into(node, state, src, dst, cands);
-                        self.prof.route_ns += t0.elapsed().as_nanos() as u64;
-                        self.prof.routes += 1;
-                    } else {
-                        self.bound.route_into(node, state, src, dst, cands);
+                        self.prof.vc_allocs += 1;
                     }
-                    self.head_routes[slot].routed = true;
                 }
-                if self.head_routes[slot].cands.is_empty() {
-                    self.routing_faults += 1;
+                continue;
+            }
+            // Store-and-forward: the whole packet must be buffered at
+            // this node before its head may be routed onward.
+            if self.cfg.switching == Switching::StoreAndForward {
+                let len = self.packets[pid as usize].len as usize;
+                let buffered = self.in_vcs[slot]
+                    .buf
+                    .iter()
+                    .take_while(|f| f.pid == pid)
+                    .count();
+                if buffered < len {
                     continue;
                 }
-                let Some((oslot, ch)) = self.select(cycle, node, &self.head_routes[slot].cands)
-                else {
-                    continue;
-                };
-                self.head_routes[slot].routed = false;
-                self.out_vcs[oslot].owner = Some(pid);
-                self.out_vcs[oslot].src_in = slot;
-                self.in_vcs[slot].alloc = Alloc::Out(oslot);
-                self.packets[pid as usize].route_state = ch.state;
+            }
+            // Route computation: once per head per hop. A head that
+            // finds no free output VC keeps its candidates and only
+            // repeats the selection below.
+            if !self.head_routes[slot].routed {
+                let cands = &mut self.head_routes[slot].cands;
                 if self.prof_on {
-                    self.prof.vc_allocs += 1;
+                    let t0 = Instant::now();
+                    self.bound.route_into(node, state, src, dst, cands);
+                    self.prof.route_ns += t0.elapsed().as_nanos() as u64;
+                    self.prof.routes += 1;
+                } else {
+                    self.bound.route_into(node, state, src, dst, cands);
                 }
-                if let Some(rec) = self.rec.as_deref_mut() {
-                    rec.record(Event::VcAlloc {
-                        cycle,
-                        pid: u64::from(pid),
-                        node,
-                        dim: ch.port.dim.index() as u8,
-                        dir: dir_char(ch.port.dir),
-                        vc: ch.port.vc - 1,
-                    });
-                }
+                self.head_routes[slot].routed = true;
+            }
+            if self.head_routes[slot].cands.is_empty() {
+                self.routing_faults += 1;
+                continue;
+            }
+            let Some((oslot, ch)) = self.select(cycle, node, &self.head_routes[slot].cands) else {
+                continue;
+            };
+            self.head_routes[slot].routed = false;
+            self.out_vcs[oslot].owner = Some(pid);
+            self.out_vcs[oslot].src_in = slot;
+            self.in_vcs[slot].alloc = Alloc::Out(oslot);
+            clear_bit(&mut self.heads, slot);
+            let bit = self.owned_bit(node, oslot - node * self.layout.out_per_node);
+            set_bit(&mut self.owned, bit);
+            self.packets[pid as usize].route_state = ch.state;
+            if self.prof_on {
+                self.prof.vc_allocs += 1;
+            }
+            if let Some(rec) = self.rec.as_deref_mut() {
+                rec.record(Event::VcAlloc {
+                    cycle,
+                    pid: u64::from(pid),
+                    node,
+                    dim: ch.port.dim.index() as u8,
+                    dir: dir_char(ch.port.dir),
+                    vc: ch.port.vc - 1,
+                });
             }
         }
     }
@@ -1449,9 +1615,13 @@ impl<'a> Simulator<'a> {
         };
         let chosen = match self.cfg.selection {
             Selection::RotatingFirstFit => {
-                let start = (cycle as usize + node) % cands.len();
+                let mut next = rotation_start(cycle as usize + node, cands.len());
                 (0..cands.len())
-                    .map(|k| (start + k) % cands.len())
+                    .map(|_| {
+                        let k = next;
+                        next = if k + 1 == cands.len() { 0 } else { k + 1 };
+                        k
+                    })
                     .find(|&k| feasible(oslot_of(k)))
             }
             Selection::MostCredits => (0..cands.len())
@@ -1464,37 +1634,49 @@ impl<'a> Simulator<'a> {
     /// Switch allocation + traversal. Returns `true` if any flit moved.
     fn arbitrate_and_move(&mut self, cycle: u64) -> bool {
         let in_window = cycle >= self.cfg.warmup && cycle < self.cfg.warmup + self.cfg.measurement;
-        // (from in-slot, Option<out-slot>): None = ejection. All three
-        // scratch vectors live on the Simulator and are reused every
-        // cycle — this loop runs once per cycle and must not allocate.
+        // (from in-slot, Option<out-slot>): None = ejection. Both scratch
+        // vectors live on the Simulator and are reused every cycle — this
+        // loop runs once per cycle and must not allocate.
         let mut moves = std::mem::take(&mut self.moves_buf);
         moves.clear();
         let ports = 2 * self.layout.dims;
-        let mut used_inputs = std::mem::take(&mut self.used_inputs);
-        used_inputs.clear();
-        used_inputs.resize(self.topo.node_count(), 0);
         let input_bit = |local_port: usize| 1u64 << local_port;
 
-        for node in self.topo.nodes() {
+        // Only routers with an owned output VC or a claimed ejection port
+        // can move a flit or count a credit stall.
+        let mut from = 0;
+        while let Some(bit) = next_set_bit(&self.owned, from) {
+            let node = bit >> self.owned_shift;
+            let row = node << self.owned_shift;
+            from = row + (1 << self.owned_shift);
+            if self.prof_on {
+                self.prof.router_visits += 1;
+            }
+            let mut used_inputs = 0u64;
             // Ejection first: it frees buffers and models the sink.
             if let Some((pid, slot)) = self.eject_owner[node] {
                 if let Some(&front) = self.in_vcs[slot].buf.front() {
                     if front.pid == pid {
-                        let port = usize::from(self.in_port[slot]);
-                        if used_inputs[node] & input_bit(port) == 0 {
-                            used_inputs[node] |= input_bit(port);
-                            moves.push((slot, None));
-                        }
+                        used_inputs |= input_bit(usize::from(self.in_port[slot]));
+                        moves.push((slot, None));
                     }
                 }
             }
             // One winner per output physical port.
             for port in 0..ports {
                 let nvc = self.layout.vcs[Layout::port_dim(port)] as usize;
-                let start = (cycle as usize + node + port) % nvc;
-                for k in 0..nvc {
-                    let vc0 = (start + k) % nvc;
-                    let oslot = self.layout.out_slot(node, port, vc0);
+                let base = self.layout.out_base[port];
+                if !(base..base + nvc).any(|local| test_bit(&self.owned, row + local)) {
+                    continue;
+                }
+                let mut next = rotation_start(cycle as usize + node + port, nvc);
+                for _ in 0..nvc {
+                    let vc0 = next;
+                    next = if vc0 + 1 == nvc { 0 } else { vc0 + 1 };
+                    let oslot = node * self.layout.out_per_node + base + vc0;
+                    // An owned VC without credits counts as a stall even
+                    // when no flit is waiting behind it, which is why the
+                    // mask is "owned" and not "has a flit to send".
                     let Some(pid) = self.out_vcs[oslot].owner else {
                         continue;
                     };
@@ -1519,12 +1701,12 @@ impl<'a> Simulator<'a> {
                     if front.pid != pid {
                         continue;
                     }
-                    debug_assert_eq!(islot / self.layout.in_per_node, node);
+                    debug_assert_eq!(self.in_node[islot] as usize, node);
                     let iport = usize::from(self.in_port[islot]);
-                    if used_inputs[node] & input_bit(iport) != 0 {
+                    if used_inputs & input_bit(iport) != 0 {
                         continue;
                     }
-                    used_inputs[node] |= input_bit(iport);
+                    used_inputs |= input_bit(iport);
                     moves.push((islot, Some(oslot)));
                     break;
                 }
@@ -1554,6 +1736,15 @@ impl<'a> Simulator<'a> {
                 .expect("scheduled move from empty buffer");
             self.buffered_flits -= 1;
             let last = flit.idx + 1 == self.packets[flit.pid as usize].len;
+            let node = self.in_node[islot] as usize;
+            if last {
+                // The tail leaves: the in-slot is unallocated again, and
+                // whatever is queued behind it starts with a head.
+                self.in_vcs[islot].alloc = Alloc::None;
+                if !self.in_vcs[islot].buf.is_empty() {
+                    set_bit(&mut self.heads, islot);
+                }
+            }
             match target {
                 Some(oslot) => {
                     self.out_vcs[oslot].credits -= 1;
@@ -1561,9 +1752,7 @@ impl<'a> Simulator<'a> {
                         self.packets[flit.pid as usize].hops += 1;
                         // Head leaving its source-side injection queue:
                         // record the queueing delay before network entry.
-                        if self.metrics_on
-                            && islot % self.layout.in_per_node == self.layout.in_per_node - 1
-                        {
+                        if self.metrics_on && usize::from(self.in_port[islot]) == ports {
                             let waited = cycle - self.packets[flit.pid as usize].inject_cycle;
                             self.inject_queue_hist.observe(waited);
                         }
@@ -1573,18 +1762,19 @@ impl<'a> Simulator<'a> {
                     }
                     if last {
                         self.out_vcs[oslot].owner = None;
-                        self.in_vcs[islot].alloc = Alloc::None;
+                        let bit = self.owned_bit(node, oslot - node * self.layout.out_per_node);
+                        clear_bit(&mut self.owned, bit);
                     }
                     let dslot = self.links.down_in[oslot];
                     assert_ne!(dslot, NO_SLOT, "allocated output must have a link");
                     if let Some(rec) = self.rec.as_deref_mut() {
-                        let (node, port, vc0) = self.layout.out_slot_parts(oslot);
+                        let (_, port, vc0) = self.layout.out_slot_parts(oslot);
                         rec.record(Event::LinkTraverse {
                             cycle,
                             pid: u64::from(flit.pid),
                             flit: flit.idx as usize,
                             from: node,
-                            to: dslot / self.layout.in_per_node,
+                            to: self.in_node[dslot] as usize,
                             dim: Layout::port_dim(port) as u8,
                             dir: dir_char(Layout::port_dir(port)),
                             vc: vc0 as u8,
@@ -1602,9 +1792,9 @@ impl<'a> Simulator<'a> {
                         self.window_flits_ejected += 1;
                     }
                     if last {
-                        let node = islot / self.layout.in_per_node;
                         self.eject_owner[node] = None;
-                        self.in_vcs[islot].alloc = Alloc::None;
+                        let bit = self.owned_bit(node, self.layout.out_per_node);
+                        clear_bit(&mut self.owned, bit);
                         self.complete_packet(flit.pid, cycle, node);
                     }
                     if let Some(t0) = t0 {
@@ -1622,7 +1812,6 @@ impl<'a> Simulator<'a> {
         }
         self.moves_buf = moves;
         self.arrivals_buf = arrivals;
-        self.used_inputs = used_inputs;
         moved
     }
 
@@ -2161,6 +2350,37 @@ mod tests {
         );
         let safe = simulate(&topo, &TorusDateline::new(2), &cfg);
         assert!(safe.outcome.is_deadlock_free(), "{safe}");
+    }
+
+    /// The differential reference: the event masks must make the two
+    /// passes do exactly what a scan of every slot does, down to the
+    /// recorder's event order, on every pinned configuration.
+    #[test]
+    fn event_masks_visit_what_the_full_scan_finds() {
+        for case in crate::matrix::cases() {
+            let run = |full_visit| {
+                let mut rec = Recorder::with_defaults();
+                let mut sim =
+                    Simulator::new(&case.topo, &*case.relation, &case.cfg, Some(&mut rec));
+                sim.full_visit = full_visit;
+                let result = format!("{:?}", sim.run());
+                let events: Vec<Event> = rec.events().cloned().collect();
+                (result, events, rec.samples().to_vec())
+            };
+            assert!(run(false) == run(true), "{} differs", case.name);
+        }
+    }
+
+    #[test]
+    fn sparse_delivered_log_counts_the_same_reorderings() {
+        let topo = Topology::mesh(&[4, 4]);
+        let r = TurnRouting::from_design("dyxy", &catalog::fig7b_dyxy()).unwrap();
+        let dense = simulate(&topo, &r, &quick_cfg(0.10));
+        let cfg = quick_cfg(0.10);
+        let mut sim = Simulator::new(&topo, &r, &cfg, None);
+        sim.last_delivered = DeliveredLog::Sparse(Default::default());
+        assert!(dense.reordered_packets > 0, "{dense}");
+        assert_eq!(sim.run().reordered_packets, dense.reordered_packets);
     }
 
     #[test]

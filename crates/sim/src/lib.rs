@@ -30,6 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The engine's pinned configuration matrix, shared with
+/// `tests/engine_matrix.rs` (which names this crate `noc_sim`).
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/matrix/mod.rs"]
+mod matrix;
+#[cfg(test)]
+extern crate self as noc_sim;
+
 pub mod config;
 pub mod engine;
 pub mod metrics;

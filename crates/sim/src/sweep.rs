@@ -102,6 +102,8 @@ pub fn saturation_rate(
     let drained_at = |rate: f64| -> Option<bool> {
         let cfg = SimConfig {
             injection_rate: rate,
+            // Only drain counts and the outcome are read.
+            collect_latencies: false,
             ..base.clone()
         };
         let r = simulate(topo, relation, &cfg);
@@ -189,6 +191,8 @@ pub fn replicate_with_threads(
     let results = ebda_par::parallel_map(threads, &indexes, |_, &i| {
         let run_cfg = SimConfig {
             seed: replicate_seed(cfg.seed, i),
+            // Only the mean latency, throughput and outcome are read.
+            collect_latencies: false,
             ..cfg.clone()
         };
         let r = simulate(topo, relation, &run_cfg);
