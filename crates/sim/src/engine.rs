@@ -2375,8 +2375,8 @@ mod tests {
     fn sparse_delivered_log_counts_the_same_reorderings() {
         let topo = Topology::mesh(&[4, 4]);
         let r = TurnRouting::from_design("dyxy", &catalog::fig7b_dyxy()).unwrap();
-        let dense = simulate(&topo, &r, &quick_cfg(0.10));
         let cfg = quick_cfg(0.10);
+        let dense = simulate(&topo, &r, &cfg);
         let mut sim = Simulator::new(&topo, &r, &cfg, None);
         sim.last_delivered = DeliveredLog::Sparse(Default::default());
         assert!(dense.reordered_packets > 0, "{dense}");

@@ -103,8 +103,8 @@ fn engine_matrix_digests_are_unchanged() {
 /// the watchdog trips, and the idle run stays idle.
 #[test]
 fn engine_matrix_scenarios_are_the_intended_ones() {
+    let cases = matrix::cases();
     let run = |name: &str| {
-        let cases = matrix::cases();
         let case = cases
             .iter()
             .find(|c| c.name == name)

@@ -25,8 +25,8 @@ fn profiled(topo: &Topology, cfg: &SimConfig) -> (u64, impl Fn(&str, &str) -> u6
     assert!(result.outcome.is_deadlock_free(), "{result}");
     let snap = prof::snapshot();
     let work = move |phase: &str, unit: &str| {
-        let stat = snap.phases.get(phase).cloned().unwrap_or_default();
-        stat.work.get(unit).copied().unwrap_or(0)
+        let stat = snap.phases.get(phase);
+        stat.and_then(|s| s.work.get(unit)).copied().unwrap_or(0)
     };
     (result.cycles, work)
 }
