@@ -24,14 +24,14 @@
 //! work is not. `--inject-regression` doubles every current counter so
 //! CI can prove the gate actually trips.
 //!
-//! Microbenchmarks go through the auto-scaling harness in
-//! [`ebda_bench::harness`]; the two macro workloads (sweep, oracle) are
-//! timed once, wall-clock, because they run seconds not microseconds.
+//! Microbenchmarks go through the auto-scaling [`bench`] loop below; the
+//! two macro workloads (sweep, oracle) are timed once, wall-clock,
+//! because they run seconds not microseconds.
 //! The work-unit capture never goes through the harness — counters come
 //! from exactly one profiled execution per workload, so they are
 //! byte-identical at every `EBDA_THREADS` value and on every host.
 
-use ebda_bench::harness::bench;
+use ebda_bench::args::{Args, CliError};
 use ebda_cdg::dally::{design_universe, infer_vcs};
 use ebda_cdg::topology::Topology as CdgTopology;
 use ebda_obs::json::Value;
@@ -47,8 +47,54 @@ use noc_sim::sweep::{latency_curve, replicate};
 use noc_sim::{simulate, SimConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// Renders `123.4 us` style, choosing a readable unit.
+fn human(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2} us", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
+}
+
+/// Times `f` and returns the mean nanoseconds per iteration: one untimed
+/// warm-up call sizes the iteration count to a 200 ms budget, split into
+/// four batches so the printed best-batch figure filters scheduler
+/// noise. Order-of-magnitude costs, not microbenchmark truth.
+fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    let est = t0.elapsed().max(Duration::from_nanos(100));
+    let total_iters = (Duration::from_millis(200).as_nanos() / est.as_nanos()).clamp(4, 100_000);
+    let batches = 4u64;
+    let batch = (total_iters as u64 / batches).max(1);
+    let mut total_ns = 0u128;
+    let mut best = f64::INFINITY;
+    for _ in 0..batches {
+        let t = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let ns = t.elapsed().as_nanos();
+        total_ns += ns;
+        best = best.min(ns as f64 / batch as f64);
+    }
+    let iters = batch * batches;
+    let mean_ns = total_ns as f64 / iters as f64;
+    println!(
+        "{name:<44} {:>12}/iter (best {:>12}, {iters} iters)",
+        human(mean_ns),
+        human(best),
+    );
+    mean_ns
+}
 
 /// One recorded workload: its timing plus the deterministic work-unit
 /// counters (`"phase:unit"` -> count) from the dedicated profiled run.
@@ -226,32 +272,40 @@ fn apply_gate(entries: &[Entry], baseline: &BaselineMap, gate: f64) -> Vec<Strin
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let take = |args: &mut Vec<String>, flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        assert!(i + 1 < args.len(), "{flag} needs a value");
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let take_flag = |args: &mut Vec<String>, flag: &str| -> bool {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.remove(i))
-            .is_some()
-    };
-    let label = take(&mut args, "--label").unwrap_or_else(|| "run".into());
-    let out = take(&mut args, "--out");
-    let baseline_path = take(&mut args, "--baseline");
-    let gate: f64 = take(&mut args, "--gate")
-        .map(|v| v.parse().expect("--gate needs a ratio like 1.25"))
-        .unwrap_or(1.25);
-    let inject = take_flag(&mut args, "--inject-regression");
-    if !args.is_empty() {
-        eprintln!("unknown arguments: {args:?}");
-        return ExitCode::from(2);
+    match run(Args::new(std::env::args().skip(1).collect())) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            match e {
+                CliError::Usage(_) => ExitCode::from(2),
+                CliError::Failed(_) => ExitCode::FAILURE,
+            }
+        }
     }
-    assert!(gate >= 1.0, "--gate below 1.0 rejects identical trees");
+}
+
+/// Measures, gates and writes the report; `Ok(false)` is a tripped gate.
+fn run(mut args: Args) -> Result<bool, CliError> {
+    let label: String = args.value("--label")?.unwrap_or_else(|| "run".into());
+    let out: Option<std::path::PathBuf> = args.value("--out")?;
+    let baseline_path: Option<String> = args.value("--baseline")?;
+    let gate = args
+        .value_with("--gate", |raw| {
+            // Below 1.0 the gate rejects identical trees.
+            raw.parse::<f64>()
+                .ok()
+                .filter(|g| *g >= 1.0)
+                .ok_or_else(|| "needs a ratio of at least 1.0, like 1.25".to_string())
+        })?
+        .unwrap_or(1.25);
+    let inject = args.switch("--inject-regression");
+    args.finish()?;
+    let baseline = baseline_path
+        .as_deref()
+        .map(parse_baseline)
+        .transpose()
+        .map_err(|e| CliError::Failed(format!("--baseline: {e}")))?;
 
     // Shared workload fixtures.
     let topo = Topology::mesh(&[8, 8]);
@@ -335,12 +389,8 @@ fn main() -> ExitCode {
         let small = shrink(&start, deadlocks, DEFAULT_SHRINK_BUDGET);
         assert_eq!(small.universe.len(), 1);
     });
-    // Captured at threads=1: parallel shrink waves evaluate speculative
-    // candidates past the accepted one, which would make the incremental
-    // counters depend on the worker count; serial evaluation is the
-    // deterministic reference (verdicts are identical at every count).
     let work_cdg_shrink = counted_run(|| {
-        let small = incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET, 1);
+        let small = incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET);
         assert_eq!(small, cdg_start, "the turn ring is already 1-minimal");
     });
     let work_sweep = counted_run(|| {
@@ -355,10 +405,10 @@ fn main() -> ExitCode {
     let mut entries: Vec<Entry> = Vec::new();
 
     // Engine hot path: one mid-load simulation on an 8x8 mesh.
-    let m = bench("engine/sim-8x8-rate05", || simulate(&topo, &xy, &cfg));
+    let ns = bench("engine/sim-8x8-rate05", || simulate(&topo, &xy, &cfg));
     entries.push(Entry {
         name: "engine/sim-8x8-rate05",
-        ns: m.mean_ns,
+        ns,
         mode: "harness",
         work: work_engine,
     });
@@ -366,48 +416,48 @@ fn main() -> ExitCode {
     // Brute-force searcher: the torus-dateline design on a 6x6 torus (the
     // largest structured search the tests exercise) and the all-turns
     // mesh (deadlocking, so the fixed point stays populated).
-    let m = bench("brute/torus-dateline-6x6", || {
+    let ns = bench("brute/torus-dateline-6x6", || {
         let r = brute::search(&torus, &vcs, &universe, &turns);
         assert!(r.is_deadlock_free());
         r.sweeps
     });
     entries.push(Entry {
         name: "brute/torus-dateline-6x6",
-        ns: m.mean_ns,
+        ns,
         mode: "harness",
         work: work_brute_torus,
     });
 
-    let m = bench("brute/all-turns-mesh-5x5", || {
+    let ns = bench("brute/all-turns-mesh-5x5", || {
         let r = brute::search(&mesh, &[1, 1], &u2, &all_turns);
         assert!(!r.is_deadlock_free());
         r.surviving
     });
     entries.push(Entry {
         name: "brute/all-turns-mesh-5x5",
-        ns: m.mean_ns,
+        ns,
         mode: "harness",
         work: work_brute_mesh,
     });
 
     // Shrinker: minimize the classic torus-rings counterexample.
-    let m = bench("shrink/torus-rings", || {
+    let ns = bench("shrink/torus-rings", || {
         let small = shrink(&start, deadlocks, DEFAULT_SHRINK_BUDGET);
         assert_eq!(small.universe.len(), 1);
     });
     entries.push(Entry {
         name: "shrink/torus-rings",
-        ns: m.mean_ns,
+        ns,
         mode: "harness",
         work: work_shrink,
     });
 
-    let m = bench("shrink/turn-ring-cdg", || {
-        incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET, 1)
+    let ns = bench("shrink/turn-ring-cdg", || {
+        incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET)
     });
     entries.push(Entry {
         name: "shrink/turn-ring-cdg",
-        ns: m.mean_ns,
+        ns,
         mode: "harness",
         work: work_cdg_shrink,
     });
@@ -417,7 +467,7 @@ fn main() -> ExitCode {
     println!(
         "{:<44} {:>12} wall-clock",
         "sweep/16pt-x3rep-8x8",
-        ebda_bench::harness::Measurement::human(ns)
+        human(ns)
     );
     entries.push(Entry {
         name: "sweep/16pt-x3rep-8x8",
@@ -426,11 +476,7 @@ fn main() -> ExitCode {
         work: work_sweep,
     });
     let ns = oracle_workload();
-    println!(
-        "{:<44} {:>12} wall-clock",
-        "oracle/campaign-150",
-        ebda_bench::harness::Measurement::human(ns)
-    );
+    println!("{:<44} {:>12} wall-clock", "oracle/campaign-150", human(ns));
     entries.push(Entry {
         name: "oracle/campaign-150",
         ns,
@@ -450,13 +496,9 @@ fn main() -> ExitCode {
     }
 
     // The gate, when a baseline was given.
-    let violations = match &baseline_path {
-        Some(path) => {
-            let baseline = parse_baseline(path).unwrap_or_else(|e| panic!("--baseline: {e}"));
-            apply_gate(&entries, &baseline, gate)
-        }
-        None => Vec::new(),
-    };
+    let violations = baseline
+        .as_ref()
+        .map_or_else(Vec::new, |baseline| apply_gate(&entries, baseline, gate));
 
     // Render the JSON document.
     let mut json = String::from("{\n");
@@ -510,19 +552,38 @@ fn main() -> ExitCode {
     json.push_str("  ]\n}\n");
     match out {
         Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("bench report written to {path}");
+            ebda_bench::trace::write_file("report", &path, &json)?;
+            eprintln!("bench report written to {}", path.display());
         }
         None => print!("{json}"),
     }
 
-    if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if !violations.is_empty() {
         eprintln!("\nperf gate FAILED ({} violations):", violations.len());
         for v in &violations {
             eprintln!("  {v}");
         }
-        ExitCode::FAILURE
+    }
+    Ok(violations.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_measures_something_positive() {
+        let mean = bench("bench/self-test", || {
+            (0..100u64).map(black_box).sum::<u64>()
+        });
+        assert!(mean > 0.0);
+    }
+
+    #[test]
+    fn human_units() {
+        assert_eq!(human(50.0), "50 ns");
+        assert_eq!(human(2_500.0), "2.50 us");
+        assert_eq!(human(3_200_000.0), "3.20 ms");
+        assert_eq!(human(1.5e9), "1.50 s");
     }
 }

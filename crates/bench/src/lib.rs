@@ -1,23 +1,38 @@
 //! # ebda-bench — experiment harness for the EbDa reproduction
 //!
-//! One binary per paper table/figure regenerates the published artefact
-//! (see `src/bin/`); the `benches/` targets measure construction,
-//! verification and simulation costs with the zero-dependency harness in
-//! [`harness`]. EXPERIMENTS.md in the repository root records
-//! paper-vs-measured for each. Simulation binaries share the
-//! `--trace-out` flight-recorder wiring in [`trace`].
+//! Everything behind the `ebda` executable that is not a library verdict:
+//! [`repro`] regenerates each published table and figure (EXPERIMENTS.md
+//! records paper-vs-measured for each), [`oracle_cli`] and [`corpus_cli`]
+//! drive the campaigns, [`args`] is the one command-line reader and
+//! [`trace`] the observability flags every run-producing command shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod corpus_cli;
-pub mod harness;
 pub mod oracle_cli;
+pub mod repro;
 pub mod sweep_matrix;
 pub mod trace;
 
 use ebda_core::extract::{Extraction, Justification};
 use ebda_core::{PartitionSeq, TurnKind};
+
+/// Parses a per-dimension VC budget like `3,2,3`.
+///
+/// # Errors
+///
+/// Names the entry that is not a small integer.
+pub fn parse_vcs(spec: &str) -> Result<Vec<u8>, String> {
+    spec.split(',')
+        .map(|t| {
+            t.trim()
+                .parse::<u8>()
+                .map_err(|e| format!("bad VC count {t:?}: {e}"))
+        })
+        .collect()
+}
 
 /// Renders a channel in the paper's compact direction notation: `X1+` →
 /// `E1`, `Y2-` → `S2`, `Z1+` → `U1`; parity classes keep their `e`/`o`

@@ -1,27 +1,14 @@
-//! Extension experiments E1/E2 (the paper itself reports no simulations):
-//!
-//! * **E1 — empirical deadlock freedom**: every EbDa-derived design runs at
-//!   and beyond saturation with the watchdog armed, under unrestricted
-//!   multi-packet wormhole buffers; a deliberately cyclic turn set is the
-//!   positive control.
-//! * **E2 — packet distribution**: channel-load balance (coefficient of
-//!   variation) and latency of EbDa's escape-free fully adaptive design vs
-//!   the Duato adaptive+escape baseline, in both buffer-policy modes.
-//!
-//! Tracing: `--trace-out <path>` (or `EBDA_TRACE`) attaches a flight
-//! recorder to a representative run and writes the trace on exit;
-//! `--journey-out <path>` (or `EBDA_JOURNEY_OUT`) additionally exports
-//! that run's per-packet journeys as a Chrome-trace timeline, thinned
-//! with `--journey-sample-rate <p>`; `--quick` skips the full E1/E2
-//! experiments and runs only that traced run with a short horizon (for
-//! smoke tests and trace round-trips).
+//! The simulator-backed extension experiments: E1/E2 and the sweep.
 
-use ebda_bench::trace::{write_journey, write_trace, ObsOptions};
+use crate::args::{Args, CliError};
+use crate::sweep_matrix::run_sweep;
+use crate::trace::{write_file, write_profile, ObsOptions};
 use ebda_routing::classic::{DimensionOrder, DuatoFullyAdaptive};
 use ebda_routing::{RoutingRelation, Topology, TurnRouting};
-use noc_sim::{simulate, simulate_traced, BufferPolicy, SimConfig, TrafficPattern};
+use noc_sim::{simulate, BufferPolicy, SimConfig, TrafficPattern};
+use std::io::Write;
 
-fn cfg(rate: f64, traffic: TrafficPattern) -> SimConfig {
+fn e1e2_cfg(rate: f64, traffic: TrafficPattern) -> SimConfig {
     SimConfig {
         injection_rate: rate,
         traffic,
@@ -33,45 +20,19 @@ fn cfg(rate: f64, traffic: TrafficPattern) -> SimConfig {
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut obs = ObsOptions::parse(&mut args);
-    obs.activate();
-    let quick = args.iter().any(|a| a == "--quick");
-    if !quick {
-        run_experiments();
-    }
-    if let Some(mut rec) = obs.recorder() {
-        let topo = Topology::mesh(&[8, 8]);
-        let dyxy = TurnRouting::from_design("dyxy", &ebda_core::catalog::fig7b_dyxy()).unwrap();
-        let mut c = cfg(0.05, TrafficPattern::Uniform);
-        if quick {
-            c.warmup = 50;
-            c.measurement = 200;
-            c.drain = 300;
-            c.deadlock_threshold = 200;
-        }
-        let r = simulate_traced(&topo, &dyxy, &c, Some(&mut rec));
-        println!(
-            "\ntraced run (ebda-dyxy, uniform, rate {}): {r}\n\
-             {} events recorded ({} retained, {} evicted), {} samples",
-            c.injection_rate,
-            rec.total_events(),
-            rec.retained(),
-            rec.evicted(),
-            rec.samples().len()
-        );
-        if let Some(path) = &obs.trace {
-            write_trace(&rec, path);
-        }
-        if let Some(path) = &obs.journey {
-            write_journey(&rec, "ebda-dyxy uniform", path);
-        }
-    }
-    obs.finish();
-}
-
-fn run_experiments() {
+/// Extension experiments E1/E2 (the paper itself reports no simulations):
+///
+/// * **E1 — empirical deadlock freedom**: every EbDa-derived design runs at
+///   and beyond saturation with the watchdog armed, under unrestricted
+///   multi-packet wormhole buffers; a deliberately cyclic turn set is the
+///   positive control.
+/// * **E2 — packet distribution**: channel-load balance (coefficient of
+///   variation) and latency of EbDa's escape-free fully adaptive design vs
+///   the Duato adaptive+escape baseline, in both buffer-policy modes.
+///
+/// A flight-recorder trace of the representative run (ebda-dyxy, uniform,
+/// rate 0.05) is `ebda simulate dyxy --mesh 8x8 --rate 0.05 --trace-out`.
+pub(super) fn e1e2() {
     let topo = Topology::mesh(&[8, 8]);
     let designs: Vec<(&str, Box<dyn RoutingRelation>)> = vec![
         ("xy", Box::new(DimensionOrder::xy())),
@@ -111,7 +72,7 @@ fn run_experiments() {
             let r = simulate(
                 &topo,
                 relation.as_ref(),
-                &cfg(rate, TrafficPattern::Uniform),
+                &e1e2_cfg(rate, TrafficPattern::Uniform),
             );
             ok &= r.outcome.is_deadlock_free() && r.routing_faults == 0;
             cells.push(format!("{:.3}", r.throughput));
@@ -139,7 +100,7 @@ fn run_experiments() {
         ("single-packet (Assumption 3)", BufferPolicy::SinglePacket),
         ("multi-packet (EbDa's regime)", BufferPolicy::MultiPacket),
     ] {
-        let mut c = cfg(0.30, TrafficPattern::Uniform);
+        let mut c = e1e2_cfg(0.30, TrafficPattern::Uniform);
         c.buffer_policy = policy;
         // A traffic stream under which the multi-packet run exhibits the
         // deadlock (single-packet survives the same stream).
@@ -182,7 +143,7 @@ fn run_experiments() {
             ("multi", BufferPolicy::MultiPacket),
             ("single", BufferPolicy::SinglePacket),
         ] {
-            let mut c = cfg(0.05, TrafficPattern::Transpose);
+            let mut c = e1e2_cfg(0.05, TrafficPattern::Transpose);
             c.buffer_policy = policy;
             let r = simulate(&topo, relation, &c);
             println!(
@@ -202,4 +163,67 @@ fn run_experiments() {
          reserve) and keeps working with multi-packet buffers, where a\n\
          faithful Duato configuration must restrict buffers to one packet."
     );
+}
+
+/// Full latency/throughput sweep across designs, traffic patterns and
+/// injection rates, emitted as CSV for plotting — the data series behind
+/// the extension experiments E1/E2. The matrix itself lives in
+/// [`crate::sweep_matrix`]; this entry only reads flags.
+///
+/// Usage: `ebda repro sweep [--quick] [flags] [out.csv]` (defaults to
+/// stdout). Columns:
+/// `design,traffic,rate,policy,avg_latency,p50_latency,p99_latency,p999_latency,throughput,balance_cv,outcome`
+///
+/// Quantiles come from the engine's log-bucketed latency histograms
+/// (≤6.25% relative error); the raw per-packet latency vector and its
+/// per-point sort are skipped entirely.
+///
+/// Points run in parallel (`--threads N`, else `EBDA_THREADS`, default
+/// hardware parallelism) and the CSV is byte-identical at every thread
+/// count — rows merge in matrix order, not completion order.
+///
+/// `--quick` shrinks the matrix to a smoke-test size. Of the shared
+/// observability flags (docs/OBSERVABILITY.md §3), `--trace-out` is a
+/// synonym of `--profile-out` here and `--journey-out` merges the
+/// per-packet journeys of every point into one timeline, one Chrome-trace
+/// "process" per point.
+pub(super) fn sweep(mut args: Args) -> Result<(), CliError> {
+    let mut obs = ObsOptions::parse(&mut args)?;
+    let quick = args.switch("--quick");
+    let out = match args.positionals()?.as_slice() {
+        [] => None,
+        [path] => Some(std::path::PathBuf::from(path)),
+        more => {
+            return Err(CliError::Usage(format!(
+                "expected one CSV path, got {more:?}"
+            )))
+        }
+    };
+    obs.activate_aggregate()?;
+
+    let result = run_sweep(quick, obs.threads, obs.journey_config());
+
+    match &out {
+        Some(path) => write_file("csv", path, &result.csv)?,
+        None => std::io::stdout()
+            .lock()
+            .write_all(result.csv.as_bytes())
+            .map_err(|e| CliError::Failed(format!("write csv: {e}")))?,
+    }
+    if let Some(path) = &obs.trace {
+        write_profile(path)?;
+    }
+    if let (Some(mut builder), Some(path)) = (result.journeys, &obs.journey) {
+        // With the profiler on, the worker busy timeline renders next to
+        // the per-point packet journeys in the same Perfetto tab.
+        if ebda_obs::prof::enabled() {
+            builder.add_worker_timeline("workers", &ebda_obs::prof::snapshot().workers);
+        }
+        write_file("journey", path, builder.finish())?;
+        eprintln!(
+            "journeys: merged sweep timeline written to {}",
+            path.display()
+        );
+    }
+    obs.finish()
 }

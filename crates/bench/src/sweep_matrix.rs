@@ -1,5 +1,5 @@
-//! The full sweep matrix behind the `sweep` binary, as a library — so the
-//! binary stays a thin flag parser and the determinism contract (same CSV
+//! The full sweep matrix behind `ebda repro sweep`, as a library — so the
+//! command stays a thin flag parser and the determinism contract (same CSV
 //! at any `--threads` value) is testable without spawning processes.
 //!
 //! [`run_sweep`] expands designs × traffic patterns × injection rates ×
@@ -182,16 +182,6 @@ pub fn run_sweep(quick: bool, threads: usize, journeys: Option<JourneyConfig>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_sweep_csv_is_thread_count_invariant() {
-        let serial = run_sweep(true, 1, None);
-        let parallel = run_sweep(true, 8, None);
-        assert_eq!(serial.csv, parallel.csv, "CSV must not depend on threads");
-        // header + 2 designs x 1 traffic x 2 rates x 2 policies
-        assert_eq!(serial.csv.lines().count(), 1 + 8);
-        assert!(serial.csv.starts_with("design,traffic,rate,policy,"));
-    }
 
     #[test]
     fn journey_timeline_labels_points_in_matrix_order() {

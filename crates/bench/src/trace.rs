@@ -1,37 +1,34 @@
-//! Shared `--trace-out` / `EBDA_TRACE` wiring for the experiment binaries.
+//! The observability flags every run-producing `ebda` subcommand shares.
 //!
-//! Every simulation binary accepts `--trace-out <path>` (or the
-//! `EBDA_TRACE` environment variable as a fallback) and, when set, runs
-//! with a flight recorder attached and writes the trace there on exit:
-//! `.csv` paths get the event log as CSV plus a `<stem>.samples.csv`
-//! sibling with the time series; any other extension gets the recorder's
-//! JSON document (meta + totals + events + samples) and nothing else.
-//! Commands that aggregate many runs have no single event log and write
-//! the [`write_profile`] document to the trace path instead
-//! ([`ObsOptions::activate_aggregate`]).
+//! `--trace-out <path>` runs with a flight recorder attached and writes
+//! the trace there on exit: `.csv` paths get the event log as CSV plus a
+//! `<stem>.samples.csv` sibling with the time series; any other extension
+//! gets the recorder's JSON document (meta + totals + events + samples)
+//! and nothing else. Commands that aggregate many runs have no single
+//! event log and write the [`write_profile`] document to the trace path
+//! instead ([`ObsOptions::activate_aggregate`]). Flags are the only
+//! input: nothing here reads the environment (`EBDA_THREADS` is resolved
+//! inside `ebda-par`).
 
+use crate::args::{Args, CliError};
 use ebda_obs::{JourneyConfig, MetricsServer, Recorder, RecorderConfig, TraceBuilder};
 use std::path::{Path, PathBuf};
 
-/// Unified observability options shared by every binary: trace output
-/// (`--trace-out <path>`, env `EBDA_TRACE`), packet-journey export
-/// (`--journey-out <path>` / `--journey-sample-rate <p>`, env
-/// `EBDA_JOURNEY_OUT` / `EBDA_JOURNEY_SAMPLE_RATE`), live metrics
-/// endpoint (`--metrics-addr <host:port>`, env `EBDA_METRICS_ADDR`),
-/// `--metrics-linger <secs>` (keep serving that long after the work is
-/// done, so external scrapers can collect the final state), the
-/// self-profiler (`--profile-out <path>`, env `EBDA_PROFILE_OUT`) and
-/// the worker-thread count (`--threads N`, env `EBDA_THREADS`, default
-/// hardware parallelism).
+/// The observability options of one run, one field per flag (tabulated
+/// in docs/OBSERVABILITY.md §3). Campaigns additionally read where their
+/// evidence goes ([`ObsOptions::parse_with_evidence`]).
 ///
-/// Typical binary shape:
+/// Typical command shape:
 ///
 /// ```no_run
-/// let mut args: Vec<String> = std::env::args().skip(1).collect();
-/// let mut obs = ebda_bench::trace::ObsOptions::parse(&mut args);
-/// obs.activate();
+/// # fn main() -> Result<(), ebda_bench::args::CliError> {
+/// let mut args = ebda_bench::args::Args::new(std::env::args().skip(2).collect());
+/// let mut obs = ebda_bench::trace::ObsOptions::parse(&mut args)?;
+/// args.finish()?;
+/// obs.activate()?;
 /// // ... the actual work ...
-/// obs.finish();
+/// obs.finish()
+/// # }
 /// ```
 #[derive(Debug)]
 pub struct ObsOptions {
@@ -39,97 +36,84 @@ pub struct ObsOptions {
     /// (aggregate commands), when requested.
     pub trace: Option<PathBuf>,
     /// Where to write the Chrome-trace packet-journey timeline, when
-    /// requested (`--journey-out`, env `EBDA_JOURNEY_OUT`).
+    /// requested (`--journey-out`).
     pub journey: Option<PathBuf>,
     /// Fraction of packets whose journeys are traced, in `[0, 1]`
-    /// (`--journey-sample-rate`, env `EBDA_JOURNEY_SAMPLE_RATE`;
-    /// default 1.0 = every packet). Sampling is deterministic per
-    /// packet id, so reruns trace the same set.
+    /// (`--journey-sample-rate`; default 1.0 = every packet). Sampling
+    /// is deterministic per packet id, so reruns trace the same set.
     pub journey_sample_rate: f64,
     /// Where to write the self-profiler report, when requested
-    /// (`--profile-out`, env `EBDA_PROFILE_OUT`). The file is a
-    /// Perfetto-loadable Chrome trace carrying the per-worker busy
-    /// timeline, with the aggregated phase tree spliced in under the
-    /// extra top-level `ebdaProfile` key (`ebda profile <file>` renders
-    /// it as a table).
+    /// (`--profile-out`). The file is a Perfetto-loadable Chrome trace
+    /// carrying the per-worker busy timeline, with the aggregated phase
+    /// tree spliced in under the extra top-level `ebdaProfile` key
+    /// (`ebda profile <file>` renders it as a table).
     pub profile: Option<PathBuf>,
     /// Address to serve `/metrics` on, when requested (port 0 allowed).
     pub metrics_addr: Option<String>,
     /// Seconds to keep the metrics endpoint up after [`ObsOptions::finish`].
     pub metrics_linger: u64,
-    /// Worker threads for the parallel layers (`--threads N`, env
-    /// `EBDA_THREADS`; default [`ebda_par::available`]). 1 means strictly
-    /// serial execution; results are identical at every value.
+    /// Worker threads for the parallel layers (`--threads N`, else
+    /// [`ebda_par::threads`]). 1 means strictly serial execution;
+    /// results are identical at every value.
     pub threads: usize,
+    /// The run ledger a campaign appends to (`--ledger`); the endpoint
+    /// serves it at `/ledger`.
+    pub ledger: Option<PathBuf>,
+    /// The coverage map a campaign writes (`--coverage-out`); the
+    /// endpoint serves it at `/coverage`.
+    pub coverage: Option<PathBuf>,
     server: Option<MetricsServer>,
 }
 
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            trace: None,
-            journey: None,
-            journey_sample_rate: 1.0,
-            profile: None,
-            metrics_addr: None,
-            metrics_linger: 0,
-            threads: ebda_par::available(),
-            server: None,
-        }
-    }
-}
-
 impl ObsOptions {
-    /// Extracts the observability flags from `args` (removing the consumed
-    /// tokens), falling back to the environment variables.
+    /// Reads the observability flags out of `args`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a flag is given without a value or with a malformed one.
-    pub fn parse(args: &mut Vec<String>) -> ObsOptions {
-        let metrics_addr =
-            take_value(args, "--metrics-addr").or_else(|| env_string("EBDA_METRICS_ADDR"));
-        let metrics_linger = take_value(args, "--metrics-linger")
-            .map(|v| v.parse().expect("--metrics-linger needs whole seconds"))
-            .unwrap_or(0);
-        let journey = take_value(args, "--journey-out")
-            .or_else(|| env_string("EBDA_JOURNEY_OUT"))
-            .map(PathBuf::from);
-        let journey_sample_rate = take_value(args, "--journey-sample-rate")
-            .or_else(|| env_string("EBDA_JOURNEY_SAMPLE_RATE"))
-            .map(|v| {
-                let rate: f64 = v
-                    .parse()
-                    .expect("--journey-sample-rate needs a number in [0, 1]");
-                assert!(
-                    (0.0..=1.0).contains(&rate),
-                    "--journey-sample-rate needs a number in [0, 1]"
-                );
-                rate
-            })
-            .unwrap_or(1.0);
-        let profile = take_value(args, "--profile-out")
-            .or_else(|| env_string("EBDA_PROFILE_OUT"))
-            .map(PathBuf::from);
-        let threads = take_value(args, "--threads")
-            .map(|v| {
-                let n: usize = v.parse().expect("--threads needs a positive integer");
-                assert!(n > 0, "--threads needs a positive integer");
-                n
-            })
+    /// A usage error naming the flag given without a value or with a
+    /// malformed one.
+    pub fn parse(args: &mut Args) -> Result<ObsOptions, CliError> {
+        let journey_sample_rate = args.value_with("--journey-sample-rate", |raw| {
+            raw.parse()
+                .ok()
+                .filter(|rate| (0.0..=1.0).contains(rate))
+                .ok_or_else(|| "needs a number in [0, 1]".to_string())
+        })?;
+        let threads = args.value_with("--threads", |raw| {
+            raw.parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| "needs a positive integer".to_string())
+        })?;
+        Ok(ObsOptions {
+            trace: args.value("--trace-out")?,
+            journey: args.value("--journey-out")?,
+            journey_sample_rate: journey_sample_rate.unwrap_or(1.0),
+            profile: args.value("--profile-out")?,
+            metrics_addr: args.value("--metrics-addr")?,
+            metrics_linger: args.value("--metrics-linger")?.unwrap_or(0),
             // EBDA_THREADS / hardware fallback lives in ebda-par so that
-            // library callers resolve identically to the binaries.
-            .unwrap_or_else(ebda_par::threads);
-        ObsOptions {
-            trace: trace_path(args),
-            journey,
-            journey_sample_rate,
-            profile,
-            metrics_addr,
-            metrics_linger,
-            threads,
+            // library callers resolve identically to the commands.
+            threads: threads.unwrap_or_else(ebda_par::threads),
+            ledger: None,
+            coverage: None,
             server: None,
-        }
+        })
+    }
+
+    /// [`ObsOptions::parse`] for the commands that write evidence
+    /// (`ebda oracle`, `ebda corpus run`): also reads `--ledger` and
+    /// `--coverage-out`, which the endpoint then serves.
+    ///
+    /// # Errors
+    ///
+    /// See [`ObsOptions::parse`].
+    pub fn parse_with_evidence(args: &mut Args) -> Result<ObsOptions, CliError> {
+        Ok(ObsOptions {
+            ledger: args.value("--ledger")?,
+            coverage: args.value("--coverage-out")?,
+            ..ObsOptions::parse(args)?
+        })
     }
 
     /// Enables the requested observability layers: the self-profiler
@@ -140,11 +124,11 @@ impl ObsOptions {
     /// bound address to stderr (`metrics: serving http://...`), which is
     /// how scripts discover a port-0 binding.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the metrics address cannot be bound — an explicitly
+    /// Fails when the metrics address cannot be bound — an explicitly
     /// requested endpoint must not fail silently.
-    pub fn activate(&mut self) {
+    pub fn activate(&mut self) -> Result<(), CliError> {
         // Install the thread count process-wide so library entry points
         // that resolve via ebda_par::threads() see the flag too.
         ebda_par::set_threads(self.threads);
@@ -163,23 +147,30 @@ impl ObsOptions {
                 ],
                 1.0,
             );
-            let server = MetricsServer::serve(addr)
-                .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
+            let server = MetricsServer::serve(addr, self.ledger.clone(), self.coverage.clone())
+                .map_err(|e| CliError::Failed(format!("cannot serve metrics on {addr}: {e}")))?;
             eprintln!("metrics: serving http://{}/metrics", server.local_addr());
             self.server = Some(server);
         }
+        Ok(())
     }
 
     /// [`ObsOptions::activate`] for commands that aggregate many runs
-    /// (`sweep`, `explore`, `scalability`, `ebda corpus run`, `oracle`).
-    /// They share no single event log, so `--trace-out` means the profile
-    /// there: it switches the profiler on like `--profile-out`, and the
-    /// command ends with [`write_profile`] on [`ObsOptions::trace`].
-    pub fn activate_aggregate(&mut self) {
-        self.activate();
+    /// (`repro sweep`, `repro explore`, `repro scalability`, `corpus
+    /// run`, `oracle`). They share no single event log, so `--trace-out`
+    /// means the profile there: it switches the profiler on like
+    /// `--profile-out`, and the command ends with [`write_profile`] on
+    /// [`ObsOptions::trace`].
+    ///
+    /// # Errors
+    ///
+    /// See [`ObsOptions::activate`].
+    pub fn activate_aggregate(&mut self) -> Result<(), CliError> {
+        self.activate()?;
         if self.trace.is_some() {
             ebda_obs::prof::set_enabled(true);
         }
+        Ok(())
     }
 
     /// A recorder to attach when tracing or journey export was
@@ -188,11 +179,8 @@ impl ObsOptions {
     /// recorder comes back with a journey tracer already attached
     /// (see [`ObsOptions::journey_config`]).
     pub fn recorder(&self) -> Option<Recorder> {
-        let mut rec = if self.trace.is_some() {
-            recorder_for(self.trace.as_ref())
-        } else {
-            self.journey.as_ref().map(|_| Recorder::with_defaults())
-        }?;
+        let mut rec =
+            (self.trace.is_some() || self.journey.is_some()).then(Recorder::with_defaults)?;
         if let Some(jcfg) = self.journey_config() {
             rec.enable_journeys(jcfg);
         }
@@ -208,6 +196,26 @@ impl ObsOptions {
         })
     }
 
+    /// Tells stderr where a campaign's evidence went (`records` ledger
+    /// lines, the merged coverage `map`), for the files that were asked for.
+    pub fn note_evidence(&self, records: usize, map: Option<&ebda_obs::CoverageMap>) {
+        if let Some(path) = &self.ledger {
+            eprintln!(
+                "ledger: {records} verdicts appended to {} ({} threads)",
+                path.display(),
+                self.threads
+            );
+        }
+        if let (Some(path), Some(map)) = (&self.coverage, map) {
+            eprintln!(
+                "coverage: {} points written to {} (digest {})",
+                map.total_points(),
+                path.display(),
+                map.digest()
+            );
+        }
+    }
+
     /// The bound metrics address, once [`ObsOptions::activate`] ran.
     pub fn bound_addr(&self) -> Option<std::net::SocketAddr> {
         self.server.as_ref().map(MetricsServer::local_addr)
@@ -216,10 +224,13 @@ impl ObsOptions {
     /// Ends the observability session: writes the self-profiler report
     /// when one was requested, keeps the metrics endpoint up for the
     /// configured linger window, then shuts it down.
-    pub fn finish(&self) {
-        if let Some(path) = &self.profile {
-            write_profile(path);
-        }
+    ///
+    /// # Errors
+    ///
+    /// Fails when the profile cannot be written (the endpoint is shut
+    /// down regardless).
+    pub fn finish(&self) -> Result<(), CliError> {
+        let written = self.profile.as_deref().map_or(Ok(()), write_profile);
         if let Some(server) = &self.server {
             if self.metrics_linger > 0 {
                 eprintln!(
@@ -231,77 +242,48 @@ impl ObsOptions {
             }
             server.shutdown();
         }
+        written
     }
 }
 
-/// Removes `--flag <value>` from `args` and returns the value.
+/// Writes a requested output file; `what` names it in the error.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the flag is present without a value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    assert!(i + 1 < args.len(), "{flag} needs a value");
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Some(value)
-}
-
-/// A non-empty environment variable as a String.
-fn env_string(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
-}
-
-/// Extracts `--trace-out <path>` from `args` (removing both tokens), or
-/// falls back to the `EBDA_TRACE` environment variable.
-///
-/// # Panics
-///
-/// Panics when `--trace-out` is given without a value.
-pub fn trace_path(args: &mut Vec<String>) -> Option<PathBuf> {
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        assert!(i + 1 < args.len(), "--trace-out needs a path argument");
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(PathBuf::from(path));
-    }
-    std::env::var_os("EBDA_TRACE")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// A recorder to attach when tracing was requested: `Some` iff `path` is.
-pub fn recorder_for(path: Option<&PathBuf>) -> Option<Recorder> {
-    path.map(|_| Recorder::new(RecorderConfig::default()))
+/// The I/O failure as a [`CliError::Failed`] — outputs are explicitly
+/// requested, so losing one must fail the command.
+pub fn write_file(what: &str, path: &Path, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::Failed(format!("write {what} {}: {e}", path.display())))
 }
 
 /// Writes the recorded trace to `path` in the format its extension picks.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the file cannot be written — traces are explicitly
-/// requested, so losing one silently would be worse.
-pub fn write_trace(rec: &Recorder, path: &Path) {
+/// See [`write_file`].
+pub fn write_trace(rec: &Recorder, path: &Path) -> Result<(), CliError> {
     let is_csv = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
     if is_csv {
-        std::fs::write(path, rec.events_csv())
-            .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
-        let samples = path.with_extension("samples.csv");
-        std::fs::write(&samples, rec.samples_csv())
-            .unwrap_or_else(|e| panic!("write trace {}: {e}", samples.display()));
+        write_file("trace", path, rec.events_csv())?;
+        write_file(
+            "trace",
+            &path.with_extension("samples.csv"),
+            rec.samples_csv(),
+        )?;
     } else {
-        std::fs::write(path, rec.write_json())
-            .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
+        write_file("trace", path, rec.write_json())?;
     }
     eprintln!("trace written to {}", path.display());
+    Ok(())
 }
 
 /// A small per-run recorder carrying only a journey tracer — the shape
-/// sweep-style binaries attach to each simulated point when
-/// `--journey-out` is set: a modest event ring (journeys themselves
-/// are never evicted) and no periodic samples.
+/// the sweep attaches to each simulated point when `--journey-out` is
+/// set: a modest event ring (journeys themselves are never evicted) and
+/// no periodic samples.
 pub fn journey_recorder(cfg: JourneyConfig) -> Recorder {
     let mut rec = Recorder::new(RecorderConfig {
         capacity: 1024,
@@ -314,12 +296,14 @@ pub fn journey_recorder(cfg: JourneyConfig) -> Recorder {
 /// Writes the packet journeys of `rec` as one Chrome-trace run labelled
 /// `label` — load the file in Perfetto or `chrome://tracing`.
 ///
+/// # Errors
+///
+/// See [`write_file`].
+///
 /// # Panics
 ///
-/// Panics when `rec` has no journey tracer attached or the file cannot
-/// be written — journeys are explicitly requested, so losing them
-/// silently would be worse.
-pub fn write_journey(rec: &Recorder, label: &str, path: &Path) {
+/// Panics when `rec` has no journey tracer attached (a caller bug).
+pub fn write_journey(rec: &Recorder, label: &str, path: &Path) -> Result<(), CliError> {
     let tracer = rec
         .journeys()
         .expect("write_journey needs a journey-enabled recorder");
@@ -330,14 +314,14 @@ pub fn write_journey(rec: &Recorder, label: &str, path: &Path) {
     if ebda_obs::prof::enabled() {
         builder.add_worker_timeline("workers", &ebda_obs::prof::snapshot().workers);
     }
-    std::fs::write(path, builder.finish())
-        .unwrap_or_else(|e| panic!("write journey {}: {e}", path.display()));
+    write_file("journey", path, builder.finish())?;
     eprintln!(
         "journeys: {} traced ({} dropped at the cap) written to {}",
         tracer.journeys().len(),
         tracer.skipped(),
         path.display()
     );
+    Ok(())
 }
 
 /// Writes the self-profiler report to `path`: a Chrome-trace JSON whose
@@ -347,25 +331,25 @@ pub fn write_journey(rec: &Recorder, label: &str, path: &Path) {
 /// so `ebda profile <path>` can render the table, the deterministic
 /// counter tree, or the flame view without re-running anything.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the file cannot be written — profiles are explicitly
-/// requested, so losing one silently would be worse.
-pub fn write_profile(path: &Path) {
+/// See [`write_file`].
+pub fn write_profile(path: &Path) -> Result<(), CliError> {
     let snap = ebda_obs::prof::snapshot();
     let mut builder = TraceBuilder::new();
     builder.add_worker_timeline("workers", &snap.workers);
-    std::fs::write(
+    write_file(
+        "profile",
         path,
         builder.finish_with_extra("ebdaProfile", &snap.to_json()),
-    )
-    .unwrap_or_else(|e| panic!("write profile {}: {e}", path.display()));
+    )?;
     eprintln!(
         "profile: {} phases, {} worker segments written to {}",
         snap.phases.len(),
         snap.workers.len(),
         path.display()
     );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -376,45 +360,34 @@ mod tests {
 
     #[test]
     fn obs_options_extract_all_flags_and_serve() {
-        let mut args = vec![
-            "work".to_string(),
-            "--metrics-addr".to_string(),
-            "127.0.0.1:0".to_string(),
-            "--metrics-linger".to_string(),
-            "0".to_string(),
-            "--trace-out".to_string(),
-            "/tmp/t.json".to_string(),
-        ];
-        let mut obs = ObsOptions::parse(&mut args);
-        assert_eq!(args, vec!["work".to_string()]);
+        let mut args = Args::new(
+            "work --metrics-addr 127.0.0.1:0 --metrics-linger 0 --trace-out /tmp/t.json"
+                .split_whitespace()
+                .map(String::from)
+                .collect(),
+        );
+        let mut obs = ObsOptions::parse(&mut args).unwrap();
+        assert_eq!(args.positionals().unwrap(), ["work"]);
         assert_eq!(obs.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(obs.metrics_linger, 0);
         assert!(obs.bound_addr().is_none());
-        obs.activate();
+        obs.activate().unwrap();
         let addr = obs.bound_addr().expect("bound after activate");
         let body = ebda_obs::http_get(&addr.to_string(), "/healthz").unwrap();
         assert!(body.starts_with("ok uptime_seconds="), "body {body:?}");
-        obs.finish();
-    }
-
-    #[test]
-    fn trace_out_flag_is_extracted() {
-        let mut args = vec![
-            "positional".to_string(),
-            "--trace-out".to_string(),
-            "/tmp/t.json".to_string(),
-            "tail".to_string(),
-        ];
-        let path = trace_path(&mut args);
-        assert_eq!(path, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(args, vec!["positional".to_string(), "tail".to_string()]);
+        obs.finish().unwrap();
     }
 
     #[test]
     fn recorder_only_when_requested() {
-        assert!(recorder_for(None).is_none());
-        assert!(recorder_for(Some(&PathBuf::from("x.json"))).is_some());
+        let parse = |line: &str| {
+            let words = line.split_whitespace().map(String::from).collect();
+            ObsOptions::parse(&mut Args::new(words)).unwrap()
+        };
+        assert!(parse("").recorder().is_none());
+        assert!(parse("--trace-out x.json").recorder().is_some());
+        assert!(parse("--journey-out j.json").recorder().is_some());
     }
 
     #[test]
@@ -429,7 +402,7 @@ mod tests {
         });
         let dir = std::env::temp_dir();
         let path = dir.join("ebda-trace-test.json");
-        write_trace(&rec, &path);
+        write_trace(&rec, &path).unwrap();
         let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(doc.get("events").unwrap().as_arr().unwrap().len() == 1);
         let Value::Obj(top) = &doc else {

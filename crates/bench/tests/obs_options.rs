@@ -1,23 +1,18 @@
 //! Table-driven coverage of the shared observability flag parser
-//! (`ebda_bench::trace::ObsOptions`): flag extraction, environment
-//! fallbacks, flag-over-env precedence, and loud failure on malformed
-//! or value-less flags.
+//! (`ebda_bench::trace::ObsOptions`): flag extraction, the `--threads` /
+//! `EBDA_THREADS` layering, and a usage error naming the flag on
+//! malformed or value-less input.
 
+use ebda_bench::args::{Args, CliError};
 use ebda_bench::trace::ObsOptions;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-/// Serializes every test that reads or writes `EBDA_*` variables:
-/// integration tests share one process, and `ObsOptions::parse` falls
-/// back to the environment for most flags.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn argv(s: &str) -> Vec<String> {
-    s.split_whitespace().map(String::from).collect()
+fn args(s: &str) -> Args {
+    Args::new(s.split_whitespace().map(String::from).collect())
 }
 
-/// One happy-path row: input argv → expected fields and leftover argv.
+/// One happy-path row: input line → expected fields and leftover words.
+/// A row spells out what its line sets; the rest is [`UNSET`].
 struct Case {
     name: &'static str,
     args: &'static str,
@@ -30,75 +25,59 @@ struct Case {
     leftover: &'static str,
 }
 
+const UNSET: Case = Case {
+    name: "",
+    args: "",
+    trace: None,
+    journey: None,
+    rate: 1.0,
+    metrics_addr: None,
+    linger: 0,
+    profile: None,
+    leftover: "",
+};
+
 #[test]
 fn flag_extraction_table() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cases = [
         Case {
-            name: "no flags: everything defaults, argv untouched",
-            args: "run --quick",
-            trace: None,
-            journey: None,
-            rate: 1.0,
-            metrics_addr: None,
-            linger: 0,
-            profile: None,
-            leftover: "run --quick",
+            name: "no flags: everything defaults, the line is untouched",
+            args: "run quick",
+            leftover: "run quick",
+            ..UNSET
         },
         Case {
             name: "trace alone",
             args: "--trace-out /tmp/t.json",
             trace: Some("/tmp/t.json"),
-            journey: None,
-            rate: 1.0,
-            metrics_addr: None,
-            linger: 0,
-            profile: None,
-            leftover: "",
+            ..UNSET
         },
         Case {
             name: "profile alone",
             args: "--profile-out /tmp/p.json run",
-            trace: None,
-            journey: None,
-            rate: 1.0,
-            metrics_addr: None,
-            linger: 0,
             profile: Some("/tmp/p.json"),
             leftover: "run",
+            ..UNSET
         },
         Case {
             name: "journey alone keeps the default sample rate",
             args: "work --journey-out /tmp/j.json",
-            trace: None,
             journey: Some("/tmp/j.json"),
-            rate: 1.0,
-            metrics_addr: None,
-            linger: 0,
-            profile: None,
             leftover: "work",
+            ..UNSET
         },
         Case {
             name: "journey with an explicit sample rate",
             args: "--journey-sample-rate 0.25 --journey-out j.json",
-            trace: None,
             journey: Some("j.json"),
             rate: 0.25,
-            metrics_addr: None,
-            linger: 0,
-            profile: None,
-            leftover: "",
+            ..UNSET
         },
         Case {
             name: "a sample rate without a journey path is still parsed",
             args: "--journey-sample-rate 0.5",
-            trace: None,
-            journey: None,
             rate: 0.5,
-            metrics_addr: None,
-            linger: 0,
-            profile: None,
-            leftover: "",
+            ..UNSET
         },
         Case {
             name: "all flags at once, positionals preserved in order",
@@ -114,143 +93,101 @@ fn flag_extraction_table() {
         },
     ];
     for c in &cases {
-        let mut args = argv(c.args);
-        let obs = ObsOptions::parse(&mut args);
+        let mut args = args(c.args);
+        let obs = ObsOptions::parse(&mut args).expect(c.name);
         assert_eq!(obs.trace, c.trace.map(PathBuf::from), "{}", c.name);
         assert_eq!(obs.journey, c.journey.map(PathBuf::from), "{}", c.name);
         assert_eq!(obs.journey_sample_rate, c.rate, "{}", c.name);
         assert_eq!(obs.metrics_addr.as_deref(), c.metrics_addr, "{}", c.name);
         assert_eq!(obs.metrics_linger, c.linger, "{}", c.name);
         assert_eq!(obs.profile, c.profile.map(PathBuf::from), "{}", c.name);
-        assert_eq!(args, argv(c.leftover), "{}", c.name);
+        let leftover: Vec<&str> = c.leftover.split_whitespace().collect();
+        assert_eq!(args.positionals().unwrap(), leftover, "{}", c.name);
+        // Evidence flags belong to campaigns only.
+        assert_eq!((obs.ledger, obs.coverage), (None, None), "{}", c.name);
     }
 }
 
 #[test]
-fn env_fallbacks_and_flag_precedence() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let vars = [
-        ("EBDA_TRACE", "/tmp/env-trace.json"),
-        ("EBDA_JOURNEY_OUT", "/tmp/env-journey.json"),
-        ("EBDA_JOURNEY_SAMPLE_RATE", "0.125"),
-        ("EBDA_METRICS_ADDR", "127.0.0.1:9"),
-        ("EBDA_PROFILE_OUT", "/tmp/env-profile.json"),
-    ];
-    for (k, v) in vars {
-        std::env::set_var(k, v);
-    }
-
-    // No flags: every field falls back to its variable.
-    let env_only = ObsOptions::parse(&mut argv("work"));
-    assert_eq!(env_only.trace, Some(PathBuf::from("/tmp/env-trace.json")));
+fn evidence_flags_are_read_for_campaigns_only() {
+    let line = "--ledger l.jsonl --coverage-out c.json --threads 2";
+    let obs = ObsOptions::parse_with_evidence(&mut args(line)).unwrap();
+    assert_eq!(obs.ledger, Some(PathBuf::from("l.jsonl")));
+    assert_eq!(obs.coverage, Some(PathBuf::from("c.json")));
+    assert_eq!(obs.threads, 2);
+    let mut plain = args(line);
+    ObsOptions::parse(&mut plain).unwrap();
     assert_eq!(
-        env_only.journey,
-        Some(PathBuf::from("/tmp/env-journey.json"))
+        plain.finish(),
+        Err(CliError::usage("unknown flag --ledger")),
+        "a command that writes no evidence rejects the flag"
     );
-    assert_eq!(env_only.journey_sample_rate, 0.125);
-    assert_eq!(env_only.metrics_addr.as_deref(), Some("127.0.0.1:9"));
-    assert_eq!(
-        env_only.profile,
-        Some(PathBuf::from("/tmp/env-profile.json"))
-    );
-
-    // Explicit flags win over the variables.
-    let flags_win = ObsOptions::parse(&mut argv(
-        "--trace-out /f/t.json --journey-out /f/j.json \
-         --journey-sample-rate 0.75 --metrics-addr 127.0.0.1:0 --profile-out /f/p.json",
-    ));
-    assert_eq!(flags_win.trace, Some(PathBuf::from("/f/t.json")));
-    assert_eq!(flags_win.journey, Some(PathBuf::from("/f/j.json")));
-    assert_eq!(flags_win.journey_sample_rate, 0.75);
-    assert_eq!(flags_win.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-    assert_eq!(flags_win.profile, Some(PathBuf::from("/f/p.json")));
-
-    // Empty variables count as unset.
-    for (k, _) in vars {
-        std::env::set_var(k, "");
-    }
-    let empty_env = ObsOptions::parse(&mut argv(""));
-    assert_eq!(empty_env.trace, None);
-    assert_eq!(empty_env.journey, None);
-    assert_eq!(empty_env.journey_sample_rate, 1.0);
-    assert_eq!(empty_env.metrics_addr, None);
-    assert_eq!(empty_env.profile, None);
-
-    for (k, _) in vars {
-        std::env::remove_var(k);
-    }
 }
 
+/// Nothing in this file calls `ObsOptions::activate`: it installs the
+/// process-global thread override, which would outrank the variable set
+/// here (activation failures are pinned at the process level, tests/cli.rs).
 #[test]
 fn threads_flag_and_env_layering() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let threads = |line: &str| ObsOptions::parse(&mut args(line)).unwrap().threads;
     std::env::remove_var("EBDA_THREADS");
 
-    // Explicit flag wins and is removed from argv.
-    let mut args = argv("work --threads 3 rest");
-    let obs = ObsOptions::parse(&mut args);
-    assert_eq!(obs.threads, 3);
-    assert_eq!(args, argv("work rest"));
+    // Explicit flag wins and is removed from the line.
+    let mut line = args("work --threads 3 rest");
+    assert_eq!(ObsOptions::parse(&mut line).unwrap().threads, 3);
+    assert_eq!(line.positionals().unwrap(), ["work", "rest"]);
 
     // Without the flag, EBDA_THREADS decides.
     std::env::set_var("EBDA_THREADS", "5");
-    assert_eq!(ObsOptions::parse(&mut argv("work")).threads, 5);
+    assert_eq!(threads("work"), 5);
 
     // Flag beats the variable.
-    assert_eq!(ObsOptions::parse(&mut argv("--threads 2")).threads, 2);
+    assert_eq!(threads("--threads 2"), 2);
     std::env::remove_var("EBDA_THREADS");
 
     // Neither: hardware parallelism, and always at least one worker.
-    let fallback = ObsOptions::parse(&mut argv("")).threads;
-    assert_eq!(fallback, ebda_par::available());
-    assert!(fallback >= 1);
+    assert_eq!(threads(""), ebda_par::available());
+    assert!(ebda_par::available() >= 1);
 }
 
-/// Malformed input must panic with the offending flag named — these are
-/// explicitly requested observability layers, so silent misparses would
-/// lose data the user asked for.
+/// Malformed input is a usage error with the offending flag named — these
+/// are explicitly requested observability layers, so silent misparses
+/// would lose data the user asked for.
 #[test]
-fn malformed_flags_panic_with_the_flag_named() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cases: [(&str, &str); 11] = [
-        ("--trace-out", "--trace-out"),
-        ("--profile-out", "--profile-out"),
-        ("--journey-out", "--journey-out"),
-        ("--journey-sample-rate", "--journey-sample-rate"),
-        ("--metrics-addr", "--metrics-addr"),
-        ("--metrics-linger", "--metrics-linger"),
-        ("--journey-sample-rate nope", "[0, 1]"),
-        ("--journey-sample-rate 1.5", "[0, 1]"),
-        ("--threads", "--threads"),
-        ("--threads zero", "--threads needs a positive integer"),
-        ("--threads 0", "--threads needs a positive integer"),
+fn malformed_flags_are_usage_errors_with_the_flag_named() {
+    let cases = [
+        ("--trace-out", "--trace-out needs a value"),
+        ("--profile-out", "--profile-out needs a value"),
+        ("--journey-out", "--journey-out needs a value"),
+        (
+            "--journey-sample-rate",
+            "--journey-sample-rate needs a value",
+        ),
+        ("--metrics-addr", "--metrics-addr needs a value"),
+        ("--metrics-linger", "--metrics-linger needs a value"),
+        ("--metrics-linger soon", "--metrics-linger \"soon\""),
+        ("--trace-out --threads 2", "--trace-out needs a value"),
+        (
+            "--journey-sample-rate nope",
+            "--journey-sample-rate \"nope\": needs a number in [0, 1]",
+        ),
+        (
+            "--journey-sample-rate 1.5",
+            "--journey-sample-rate \"1.5\": needs a number in [0, 1]",
+        ),
+        ("--threads", "--threads needs a value"),
+        (
+            "--threads zero",
+            "--threads \"zero\": needs a positive integer",
+        ),
+        ("--threads 0", "--threads \"0\": needs a positive integer"),
+        ("--ledger", "--ledger needs a value"),
+        ("--coverage-out", "--coverage-out needs a value"),
     ];
-    for (args, expected) in cases {
-        let mut args = argv(args);
-        let err = catch_unwind(AssertUnwindSafe(|| ObsOptions::parse(&mut args)))
-            .expect_err(&format!("{args:?} must be rejected"));
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains(expected), "{args:?}: panic said {msg:?}");
+    for (line, expected) in cases {
+        match ObsOptions::parse_with_evidence(&mut args(line)) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains(expected), "{line}: {msg}"),
+            other => panic!("{line} must be a usage error, got {other:?}"),
+        }
     }
-}
-
-/// A bad `--metrics-addr` parses fine but fails loudly at activation —
-/// an explicitly requested endpoint must not fail silently.
-#[test]
-fn unbindable_metrics_addr_panics_at_activation() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut args = argv("--metrics-addr not-an-address");
-    let mut obs = ObsOptions::parse(&mut args);
-    assert_eq!(obs.metrics_addr.as_deref(), Some("not-an-address"));
-    let err = catch_unwind(AssertUnwindSafe(|| obs.activate()))
-        .expect_err("binding a malformed address must panic");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("cannot serve metrics on not-an-address"),
-        "panic said {msg:?}"
-    );
 }

@@ -100,6 +100,9 @@ pub struct CorpusCampaignReport {
     /// Wall-clock duration — excluded from [`fmt::Display`] so campaign
     /// output stays byte-comparable across runs and thread counts.
     pub elapsed_ms: u128,
+    /// Requested ledger, coverage or witness files that could not be
+    /// written; the check results are complete regardless.
+    pub write_errors: Vec<String>,
 }
 
 impl CorpusCampaignReport {
@@ -267,6 +270,7 @@ pub fn run_corpus_campaign(
         archived: Vec::new(),
         coverage: None,
         elapsed_ms: 0,
+        write_errors: Vec::new(),
     };
     for entry in entries {
         *report.families.entry(entry.family.clone()).or_insert(0) += 1;
@@ -291,28 +295,19 @@ pub fn run_corpus_campaign(
         let records: Vec<ebda_obs::LedgerRecord> = entries
             .iter()
             .zip(&checks)
-            .filter_map(|(entry, (_, prov, cov))| prov.as_ref().map(|p| (entry, p, cov)))
-            .map(|(entry, prov, cov)| ebda_obs::LedgerRecord {
-                index: 0,
-                source: "corpus".into(),
-                name: entry.name.clone(),
-                git_rev: git_rev.clone(),
-                seed: 0,
-                verdict: prov.verdict_str().into(),
-                evidence: if prov.deadlock_free {
-                    "certificate".into()
-                } else {
-                    "witness".into()
-                },
-                hash: prov.hash_hex(),
-                gfp_sweeps: prov.brute.sweeps as u64,
-                wait_pairs: prov.brute.pairs as u64,
-                coverage: cov.as_ref().map(|c| c.digest()).unwrap_or_default(),
-                provenance: prov.to_json(),
+            .filter_map(|(entry, (_, prov, cov))| {
+                let prov = prov.as_ref()?;
+                Some(prov.ledger_record(
+                    "corpus",
+                    entry.name.clone(),
+                    git_rev.clone(),
+                    0,
+                    cov.as_ref(),
+                ))
             })
             .collect();
         if let Err(e) = ebda_obs::ledger::append(path, &records) {
-            eprintln!("warning: corpus ledger append failed: {e}");
+            report.write_errors.push(format!("ledger append: {e}"));
         }
     }
 
@@ -332,7 +327,6 @@ pub fn run_corpus_campaign(
             shrink_with_context(
                 &artifact,
                 cfg.shrink_budget,
-                cfg.threads,
                 |parent| IncrementalSession::new(parent, cfg.mutation),
                 |session, candidate, delta| match session.path_verdicts(candidate, delta) {
                     Some(p) => {
@@ -366,9 +360,9 @@ pub fn run_corpus_campaign(
                     report.archived.push(file.clone());
                     archived = Some(file);
                 }
-                Err(e) => {
-                    eprintln!("warning: failed to archive witness for {}: {e}", entry.name)
-                }
+                Err(e) => report
+                    .write_errors
+                    .push(format!("archive witness for {}: {e}", entry.name)),
             }
         }
         report.mismatches.push(CorpusMismatch {
@@ -384,7 +378,7 @@ pub fn run_corpus_campaign(
         map.publish_metrics();
         if let Some(path) = &cfg.coverage {
             if let Err(e) = map.write_file(path) {
-                eprintln!("warning: corpus coverage write failed: {e}");
+                report.write_errors.push(format!("coverage write: {e}"));
             }
         }
         report.coverage = Some(map);

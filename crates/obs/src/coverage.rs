@@ -39,12 +39,11 @@
 //! 16-digit hex [`CoverageMap::digest`] embedded in ledger records.
 //! `ebda coverage <report|diff|merge>` operates on the files, the
 //! `ebda_coverage_*` metric families mirror the totals, and the
-//! `/coverage` HTTP route serves the file registered via
-//! [`set_global_path`].
+//! `/coverage` route of [`crate::http::MetricsServer`] serves the file
+//! the server was started with.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// On-disk coverage file format version (the `format` field).
 pub const COVERAGE_FORMAT: u64 = 1;
@@ -373,20 +372,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// without depending on `ebda-core`.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
-}
-
-static GLOBAL_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Registers (or clears, with `None`) the coverage file the `/coverage`
-/// HTTP route serves. Process-global, like the metrics registry and the
-/// ledger path.
-pub fn set_global_path(path: Option<PathBuf>) {
-    *GLOBAL_PATH.lock().expect("coverage path lock") = path;
-}
-
-/// The coverage file registered for the `/coverage` route, if any.
-pub fn global_path() -> Option<PathBuf> {
-    GLOBAL_PATH.lock().expect("coverage path lock").clone()
 }
 
 #[cfg(test)]

@@ -8,12 +8,11 @@
 //!   [`crate::metrics::render_global`]
 //! * `GET /healthz` — `ok uptime_seconds=N\n`, for liveness probes
 //!   (`N` counts whole seconds since the server started serving)
-//! * `GET /ledger` — the run ledger registered via
-//!   [`crate::ledger::set_global_path`] as a JSON array (404 when no
-//!   ledger is registered)
-//! * `GET /coverage` — the coverage map registered via
-//!   [`crate::coverage::set_global_path`] as canonical JSON (404 when
-//!   no map is registered)
+//! * `GET /ledger` — the run ledger handed to [`MetricsServer::serve`]
+//!   as a JSON array (404 when the server was given none)
+//! * `GET /coverage` — the coverage map handed to
+//!   [`MetricsServer::serve`] as canonical JSON (404 when the server
+//!   was given none)
 //!
 //! It is deliberately tiny: one detached thread, one connection at a
 //! time, HTTP/1.0-style `Connection: close` responses. Scrapes are rare
@@ -24,6 +23,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,16 +39,23 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9200`, port 0 allowed) and starts
-    /// serving on a detached background thread.
-    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
+    /// serving on a detached background thread. `ledger` and `coverage`
+    /// are the files the `/ledger` and `/coverage` routes read, fresh
+    /// per request.
+    pub fn serve(
+        addr: &str,
+        ledger: Option<PathBuf>,
+        coverage: Option<PathBuf>,
+    ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let started = Instant::now();
+        let files = Files { ledger, coverage };
         std::thread::Builder::new()
             .name("ebda-metrics".into())
-            .spawn(move || serve_loop(listener, &stop2, started))?;
+            .spawn(move || serve_loop(listener, &stop2, started, &files))?;
         Ok(MetricsServer { addr, stop })
     }
 
@@ -65,18 +72,24 @@ impl MetricsServer {
     }
 }
 
-fn serve_loop(listener: TcpListener, stop: &AtomicBool, started: Instant) {
+/// The evidence files a server was started with.
+struct Files {
+    ledger: Option<PathBuf>,
+    coverage: Option<PathBuf>,
+}
+
+fn serve_loop(listener: TcpListener, stop: &AtomicBool, started: Instant, files: &Files) {
     for conn in listener.incoming() {
         if stop.load(Ordering::Relaxed) {
             return;
         }
         let Ok(mut stream) = conn else { continue };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = handle(&mut stream, started);
+        let _ = handle(&mut stream, started, files);
     }
 }
 
-fn handle(stream: &mut TcpStream, started: Instant) -> std::io::Result<()> {
+fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::Result<()> {
     // Read until the end of the request head; we only need the first line.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
@@ -104,8 +117,8 @@ fn handle(stream: &mut TcpStream, started: Instant) -> std::io::Result<()> {
             "text/plain; charset=utf-8",
             format!("ok uptime_seconds={}\n", started.elapsed().as_secs()),
         ),
-        "/coverage" => match crate::coverage::global_path() {
-            Some(path) => match crate::coverage::CoverageMap::read_file(&path) {
+        "/coverage" => match &files.coverage {
+            Some(path) => match crate::coverage::CoverageMap::read_file(path) {
                 Ok(map) => (
                     "200 OK",
                     "application/json; charset=utf-8",
@@ -123,8 +136,8 @@ fn handle(stream: &mut TcpStream, started: Instant) -> std::io::Result<()> {
                 "no coverage map registered\n".to_string(),
             ),
         },
-        "/ledger" => match crate::ledger::global_path() {
-            Some(path) => match crate::ledger::render_json(&path) {
+        "/ledger" => match &files.ledger {
+            Some(path) => match crate::ledger::render_json(path) {
                 Ok(body) => ("200 OK", "application/json; charset=utf-8", body),
                 Err(e) => (
                     "500 Internal Server Error",
@@ -190,8 +203,22 @@ mod tests {
     // process-global, so keep the interactions in a single test fn.
     #[test]
     fn serves_metrics_and_healthz_on_loopback() {
-        let server = MetricsServer::serve("127.0.0.1:0").expect("bind loopback");
+        // The server owns its two evidence paths; the files may appear
+        // after it started.
+        let ledger_path =
+            std::env::temp_dir().join(format!("ebda-http-ledger-{}", std::process::id()));
+        let coverage_path =
+            std::env::temp_dir().join(format!("ebda-http-coverage-{}", std::process::id()));
+        let _ = std::fs::remove_file(&ledger_path);
+        let server = MetricsServer::serve(
+            "127.0.0.1:0",
+            Some(ledger_path.clone()),
+            Some(coverage_path.clone()),
+        )
+        .expect("bind loopback");
         let addr = server.local_addr().to_string();
+        let bare = MetricsServer::serve("127.0.0.1:0", None, None).expect("bind loopback");
+        let bare_addr = bare.local_addr().to_string();
 
         let health = http_get(&addr, "/healthz").expect("healthz");
         assert!(
@@ -217,11 +244,8 @@ mod tests {
 
         assert!(http_get(&addr, "/nope").is_err());
 
-        // /ledger: 404 until a ledger is registered, JSON array after.
-        assert!(http_get(&addr, "/ledger").is_err());
-        let mut ledger_path = std::env::temp_dir();
-        ledger_path.push(format!("ebda-http-ledger-{}", std::process::id()));
-        let _ = std::fs::remove_file(&ledger_path);
+        // /ledger: 404 on a server without one, JSON array otherwise.
+        assert!(http_get(&bare_addr, "/ledger").is_err());
         crate::ledger::append(
             &ledger_path,
             &[crate::ledger::LedgerRecord {
@@ -240,29 +264,24 @@ mod tests {
             }],
         )
         .unwrap();
-        crate::ledger::set_global_path(Some(ledger_path.clone()));
         let body = http_get(&addr, "/ledger").expect("ledger route");
         let parsed = crate::json::Value::parse(&body).expect("ledger body is JSON");
         assert_eq!(parsed.as_arr().map(<[_]>::len), Some(1));
-        crate::ledger::set_global_path(None);
         let _ = std::fs::remove_file(&ledger_path);
 
-        // /coverage: 404 until a map is registered, canonical JSON after.
-        assert!(http_get(&addr, "/coverage").is_err());
-        let mut coverage_path = std::env::temp_dir();
-        coverage_path.push(format!("ebda-http-coverage-{}", std::process::id()));
+        // /coverage: 404 on a server without one, canonical JSON otherwise.
+        assert!(http_get(&bare_addr, "/coverage").is_err());
         let mut map = crate::coverage::CoverageMap::new("http-test");
         map.record("obligation", "theorem1/p0");
         map.write_file(&coverage_path).unwrap();
-        crate::coverage::set_global_path(Some(coverage_path.clone()));
         let body = http_get(&addr, "/coverage").expect("coverage route");
         let served =
             crate::coverage::CoverageMap::from_json(body.trim_end()).expect("coverage body parses");
         assert_eq!(served, map);
-        crate::coverage::set_global_path(None);
         let _ = std::fs::remove_file(&coverage_path);
 
         server.shutdown();
+        bare.shutdown();
     }
 
     #[test]

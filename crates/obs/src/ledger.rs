@@ -22,12 +22,11 @@
 //! record the next index after the records already on disk and never
 //! rewrites an existing line. `ebda ledger <list|show|diff>` renders
 //! ledgers, `ebda explain <hash>` narrates one record, and a `/ledger`
-//! route on [`crate::http::MetricsServer`] serves the file registered
-//! via [`set_global_path`] as a JSON array.
+//! route on [`crate::http::MetricsServer`] serves the file the server
+//! was started with as a JSON array.
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// On-disk ledger format version (the `format` field of every record).
 pub const LEDGER_FORMAT: u64 = 1;
@@ -298,19 +297,6 @@ pub fn render_json(path: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-static GLOBAL_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Registers (or clears, with `None`) the ledger file the `/ledger`
-/// HTTP route serves. Process-global, like the metrics registry.
-pub fn set_global_path(path: Option<PathBuf>) {
-    *GLOBAL_PATH.lock().expect("ledger path lock") = path;
-}
-
-/// The ledger file registered for the `/ledger` route, if any.
-pub fn global_path() -> Option<PathBuf> {
-    GLOBAL_PATH.lock().expect("ledger path lock").clone()
-}
-
 /// The short git revision of the working tree, or `"unknown"` when git
 /// or the checkout is unavailable. Stamped into ledger records and the
 /// `ebda_build_info` gauge.
@@ -328,6 +314,7 @@ pub fn git_rev() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn record(name: &str, verdict: &str) -> LedgerRecord {
         LedgerRecord {

@@ -25,8 +25,7 @@
 //! Determinism: every cycle-derived family is byte-identical across
 //! identical-seed runs. Wall-clock families (suffix `_ns`) are the one
 //! exception; [`RenderOptions::deterministic`] omits them, which is what
-//! the determinism tests and the `EBDA_METRICS_DETERMINISTIC` escape
-//! hatch use.
+//! the determinism tests use.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -461,14 +460,9 @@ pub fn merge_histogram(name: &str, labels: &[(&str, String)], h: &Histogram) {
 }
 
 /// Renders the global registry — the exact body the `/metrics` endpoint
-/// serves.
-///
-/// Honors the `EBDA_METRICS_DETERMINISTIC` environment variable (any
-/// non-empty value) by dropping wall-clock (`_ns`) families.
+/// serves, wall-clock (`_ns`) families included.
 pub fn render_global() -> String {
-    let deterministic =
-        std::env::var_os("EBDA_METRICS_DETERMINISTIC").is_some_and(|v| !v.is_empty());
-    global().render(RenderOptions { deterministic })
+    global().render(RenderOptions::default())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! The differential campaign: generate, cross-check, shrink, replay.
 //!
 //! [`run_campaign`] is the oracle's single entry point, shared by the
-//! `oracle` bench binary, the integration tests and CI: it draws artifacts
+//! `ebda oracle` command, the integration tests and CI: it draws artifacts
 //! from the deterministic [`Generator`](crate::artifact::Generator) stream,
 //! pushes each through all four verdict paths, and stops loudly at the
 //! first cross-check violation — which it then minimizes with
@@ -41,7 +41,7 @@ pub struct CampaignConfig {
     /// Fraction of replayed packets whose journeys are traced, in
     /// `[0, 1]`; replays are small, so tracing everything is the default.
     pub journey_sample_rate: f64,
-    /// Worker threads for artifact checking and shrinking; 0 resolves via
+    /// Worker threads for artifact checking; 0 resolves via
     /// [`ebda_par::threads`] (`--threads` / `EBDA_THREADS` / hardware).
     pub threads: usize,
     /// When set, append one [`ebda_obs::ledger`] record per verdict —
@@ -155,6 +155,9 @@ pub struct CampaignReport {
     pub coverage: Option<ebda_obs::CoverageMap>,
     /// The first cross-check violation, if any.
     pub caught: Option<CaughtDisagreement>,
+    /// Requested ledger or coverage files that could not be written; the
+    /// tallies are complete regardless.
+    pub write_errors: Vec<String>,
 }
 
 impl CampaignReport {
@@ -226,7 +229,7 @@ impl fmt::Display for CampaignReport {
 }
 
 /// Runs a differential campaign (see the module docs). This is the entry
-/// point everything else wraps: the `oracle` binary, the crate's
+/// point everything else wraps: the `ebda oracle` command, the crate's
 /// integration tests and the CI job all call it with different budgets.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let _p = ebda_obs::prof::phase("oracle/campaign");
@@ -332,30 +335,18 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             }
             if let Some(prov) = prov {
                 // Records are assembled in stream order so the ledger's
-                // bytes never depend on the thread count; `index` is
-                // stamped by `ledger::append`.
-                records.push(ebda_obs::LedgerRecord {
-                    index: 0,
-                    source: "oracle".into(),
-                    name: artifact.summary(),
-                    git_rev: git_rev.clone().unwrap_or_default(),
-                    seed: cfg.seed,
-                    verdict: prov.verdict_str().into(),
-                    evidence: if prov.deadlock_free {
-                        "certificate".into()
-                    } else {
-                        "witness".into()
-                    },
-                    hash: prov.hash_hex(),
-                    gfp_sweeps: verdicts.brute.sweeps as u64,
-                    wait_pairs: verdicts.brute.pairs as u64,
-                    coverage: cov.as_ref().map(|c| c.digest()).unwrap_or_default(),
-                    provenance: prov.to_json(),
-                });
+                // bytes never depend on the thread count.
+                records.push(prov.ledger_record(
+                    "oracle",
+                    artifact.summary(),
+                    git_rev.clone().unwrap_or_default(),
+                    cfg.seed,
+                    cov.as_ref(),
+                ));
             }
             if cross_check(artifact, verdicts).is_some() {
                 ebda_obs::metrics::counter_add("ebda_oracle_disagreements_total", &[], 1);
-                report.caught = Some(investigate(artifact, cfg, threads));
+                report.caught = Some(investigate(artifact, cfg));
                 // Later artifacts of this batch were checked speculatively;
                 // they are not tallied, exactly as if never generated.
                 break 'campaign;
@@ -366,7 +357,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         // The break-on-disagreement path lands here too: everything tallied
         // before the disagreement is persisted.
         if let Err(e) = ebda_obs::ledger::append(path, &records) {
-            eprintln!("oracle: ledger append failed: {e}");
+            report.write_errors.push(format!("ledger append: {e}"));
         }
     }
     if let Some(map) = &mut coverage_map {
@@ -378,7 +369,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         map.publish_metrics();
         if let Some(path) = &cfg.coverage {
             if let Err(e) = map.write_file(path) {
-                eprintln!("oracle: coverage write failed: {e}");
+                report.write_errors.push(format!("coverage write: {e}"));
             }
         }
         report.coverage = coverage_map;
@@ -388,13 +379,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 }
 
 /// Shrinks a disagreeing artifact and replays the result.
-fn investigate(artifact: &Artifact, cfg: &CampaignConfig, threads: usize) -> CaughtDisagreement {
+fn investigate(artifact: &Artifact, cfg: &CampaignConfig) -> CaughtDisagreement {
     let shrunk = {
         let _p = ebda_obs::prof::phase("oracle/shrink");
         // Turn/channel-drop candidates are answered by dirty-SCC queries
         // on the parent's CDG; the accepted chain (and every byte
         // downstream) is identical to the full-evaluate predicate.
-        crate::incr::shrink_disagreement(artifact, cfg.mutation, DEFAULT_SHRINK_BUDGET, threads)
+        crate::incr::shrink_disagreement(artifact, cfg.mutation, DEFAULT_SHRINK_BUDGET)
     };
     ebda_obs::metrics::counter_add("ebda_oracle_artifacts_shrunk_total", &[], 1);
     let verdicts = evaluate(&shrunk, cfg.mutation);

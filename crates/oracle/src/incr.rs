@@ -52,8 +52,7 @@ pub struct PathVerdicts {
 }
 
 /// One incremental shrink session: the parent artifact's CDG(s) built
-/// once, queried per candidate. Queries take `&self` and are issued
-/// from parallel shrink waves.
+/// once, queried per candidate.
 pub struct IncrementalSession {
     mutation: Mutation,
     /// Verifier on the Dally topology (diverted under
@@ -155,18 +154,11 @@ impl IncrementalSession {
 
 /// Shrinks a disagreeing artifact with per-pass incremental sessions:
 /// the accepted chain (and therefore the shrunk artifact) is the one
-/// `shrink_with_threads` walks with a full-`evaluate` predicate, at any
-/// thread count.
-pub fn shrink_disagreement(
-    artifact: &Artifact,
-    mutation: Mutation,
-    budget: usize,
-    threads: usize,
-) -> Artifact {
+/// [`crate::shrink`] walks with a full-`evaluate` predicate.
+pub fn shrink_disagreement(artifact: &Artifact, mutation: Mutation, budget: usize) -> Artifact {
     shrink_with_context(
         artifact,
         budget,
-        threads,
         |parent| IncrementalSession::new(parent, mutation),
         |session, candidate, delta| session.still_disagrees(candidate, delta),
     )
@@ -176,11 +168,10 @@ pub fn shrink_disagreement(
 /// CDG-bound shrink workload `bench_report` measures (`shrink/
 /// turn-ring-cdg`): turn/channel drops are dirty-SCC queries on the
 /// parent's CDG, structural candidates rebuild.
-pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize, threads: usize) -> Artifact {
+pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize) -> Artifact {
     shrink_with_context(
         artifact,
         budget,
-        threads,
         |parent| {
             IncrementalVerifier::new(
                 parent.topology(),
@@ -236,7 +227,7 @@ pub fn verify_fault_schedule(
 mod tests {
     use super::*;
     use crate::artifact::ArtifactKind;
-    use crate::shrink::{shrink_with_threads, DEFAULT_SHRINK_BUDGET};
+    use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
     use ebda_core::{parse_channels, PartitionSeq, TurnSet};
 
     fn torus_dimension_order() -> Artifact {
@@ -282,20 +273,19 @@ mod tests {
         // The DallyIgnoresWrap mutation disagrees on a torus; the
         // incremental session (two verifiers, since the Dally topology
         // diverges) must walk the identical accepted chain as the
-        // full-evaluate predicate, at serial and parallel thread counts.
+        // full-evaluate predicate.
         let mutation = Mutation::DallyIgnoresWrap;
         let a = torus_dimension_order();
         assert!(cross_check(&a, &evaluate(&a, mutation)).is_some());
-        let full = shrink_with_threads(
+        let full = shrink(
             &a,
             |c| cross_check(c, &evaluate(c, mutation)).is_some(),
             DEFAULT_SHRINK_BUDGET,
-            1,
         );
-        for threads in [1, 8] {
-            let incr = shrink_disagreement(&a, mutation, DEFAULT_SHRINK_BUDGET, threads);
-            assert_eq!(incr, full, "threads {threads}");
-        }
+        assert_eq!(
+            shrink_disagreement(&a, mutation, DEFAULT_SHRINK_BUDGET),
+            full
+        );
         // The shrunk artifact must still disagree under a fresh full
         // evaluation — the session never keeps a stale acceptance.
         assert!(cross_check(&full, &evaluate(&full, mutation)).is_some());
@@ -307,19 +297,15 @@ mod tests {
         // the same accepted chain as a full rebuild per candidate, and
         // the shrunk artifact's witness cycle must match.
         let a = all_turns_mesh();
-        let full = shrink_with_threads(
+        let full = shrink(
             &a,
             |c| !verify_turn_set(&c.topology(), &c.vcs, &c.universe, &c.turns).is_deadlock_free(),
             DEFAULT_SHRINK_BUDGET,
-            1,
         );
         assert_ne!(full, a, "the all-turns artifact must shrink");
-        for threads in [1, 8] {
-            let incr = shrink_while_cyclic(&a, DEFAULT_SHRINK_BUDGET, threads);
-            assert_eq!(incr, full, "threads {threads}");
-        }
+        let incr = shrink_while_cyclic(&a, DEFAULT_SHRINK_BUDGET);
+        assert_eq!(incr, full);
         let wf = verify_turn_set(&full.topology(), &full.vcs, &full.universe, &full.turns);
-        let incr = shrink_while_cyclic(&a, DEFAULT_SHRINK_BUDGET, 8);
         let wi = verify_turn_set(&incr.topology(), &incr.vcs, &incr.universe, &incr.turns);
         assert_eq!(
             wf.cycle.as_ref().map(|c| format!("{c:?}")),

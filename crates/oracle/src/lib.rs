@@ -22,8 +22,8 @@
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.
-//! * [`differential`] — the campaign entry point shared by the `oracle`
-//!   binary, the integration tests and CI.
+//! * [`differential`] — the campaign entry point shared by the `ebda oracle`
+//!   command, the integration tests and CI.
 //! * [`coverage`] — per-artifact coverage extraction feeding the
 //!   design-space coverage maps of [`ebda_obs::coverage`], plus the
 //!   design-space bin labels coverage-guided generation steers by.

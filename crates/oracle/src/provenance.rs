@@ -352,6 +352,39 @@ impl Provenance {
         }
     }
 
+    /// The run-ledger record of this verdict: who produced it (`source`,
+    /// `name`, `git_rev`, `seed`) is the caller's, everything else is
+    /// read off the evidence. `coverage` is the artifact's own map, when
+    /// the run tracked coverage; `index` is stamped by
+    /// [`ebda_obs::ledger::append`].
+    pub fn ledger_record(
+        &self,
+        source: &str,
+        name: String,
+        git_rev: String,
+        seed: u64,
+        coverage: Option<&ebda_obs::CoverageMap>,
+    ) -> ebda_obs::LedgerRecord {
+        ebda_obs::LedgerRecord {
+            index: 0,
+            source: source.into(),
+            name,
+            git_rev,
+            seed,
+            verdict: self.verdict_str().into(),
+            evidence: if self.deadlock_free {
+                "certificate".into()
+            } else {
+                "witness".into()
+            },
+            hash: self.hash_hex(),
+            gfp_sweeps: self.brute.sweeps as u64,
+            wait_pairs: self.brute.pairs as u64,
+            coverage: coverage.map(|c| c.digest()).unwrap_or_default(),
+            provenance: self.to_json(),
+        }
+    }
+
     /// Serializes the record as one line of fixed-key-order JSON (no
     /// trailing newline). Byte-deterministic: golden tests pin this.
     pub fn to_json(&self) -> String {

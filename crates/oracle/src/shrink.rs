@@ -38,110 +38,57 @@ pub enum ShrinkDelta {
 /// Shrinks `artifact` while `still_failing` holds, spending at most
 /// `budget` predicate evaluations. Returns the smallest artifact reached —
 /// `artifact` itself if nothing smaller kept the property.
-///
-/// Candidates are evaluated in parallel waves on the [`ebda_par`] pool
-/// (see [`shrink_with_threads`]); the result is identical to the serial
-/// greedy loop at every budget and thread count.
 pub fn shrink<F>(artifact: &Artifact, still_failing: F, budget: usize) -> Artifact
 where
-    F: Fn(&Artifact) -> bool + Sync,
+    F: Fn(&Artifact) -> bool,
 {
-    shrink_with_threads(artifact, still_failing, budget, ebda_par::threads())
+    shrink_with_context(artifact, budget, |_| (), |(), c, _| still_failing(c))
 }
 
-/// [`shrink`] with an explicit worker count (1 = strictly serial).
-///
-/// Parallelism is speculative but the *outcome* is not: each pass
-/// evaluates candidates in fixed-size waves and accepts the
-/// lowest-indexed candidate that still fails — exactly the one the
-/// serial loop would have accepted — charging the budget only for the
-/// evaluations that loop would have spent (`j + 1` for a hit at index
-/// `j`). Extra speculative evaluations in the winning wave are free, so
-/// the accepted chain, the final artifact, and the budget cutoff are
-/// byte-identical at any thread count.
-pub fn shrink_with_threads<F>(
-    artifact: &Artifact,
-    still_failing: F,
-    budget: usize,
-    threads: usize,
-) -> Artifact
-where
-    F: Fn(&Artifact) -> bool + Sync,
-{
-    shrink_with_context(
-        artifact,
-        budget,
-        threads,
-        |_| (),
-        |(), c, _| still_failing(c),
-    )
-}
-
-/// The general greedy loop behind [`shrink_with_threads`]: the caller
-/// builds a *context* from each accepted artifact (once per outer pass)
-/// and the predicate sees the candidate together with its
-/// [`ShrinkDelta`].
+/// The greedy loop behind [`shrink`]: the caller builds a *context* from
+/// each accepted artifact (once per outer pass) and the predicate sees
+/// the candidate together with its [`ShrinkDelta`].
 ///
 /// This is the incremental-verification hook: an
 /// [`crate::incr::IncrementalSession`] built on the current artifact
 /// answers `DropTurn`/`DropChannel` candidates via dirty-SCC queries
 /// against the shared base CDG, falling back to a full evaluation only
-/// for `Structural` candidates. Budget accounting and the accepted
-/// chain are the same as [`shrink_with_threads`] — byte-identical at
-/// any thread count.
+/// for `Structural` candidates.
+///
+/// Each pass evaluates candidates in order and restarts from the first
+/// one that still fails; a hit at index `j` costs `j + 1` of the budget,
+/// a pass without a hit ends the run.
 pub fn shrink_with_context<C, B, F>(
     artifact: &Artifact,
     budget: usize,
-    threads: usize,
     build_context: B,
     still_failing: F,
 ) -> Artifact
 where
-    C: Sync,
     B: Fn(&Artifact) -> C,
-    F: Fn(&C, &Artifact, &ShrinkDelta) -> bool + Sync,
+    F: Fn(&C, &Artifact, &ShrinkDelta) -> bool,
 {
     let mut current = artifact.clone();
     let mut evals = 0usize;
-    loop {
-        if evals >= budget {
-            return current;
-        }
+    while evals < budget {
         let context = build_context(&current);
         let mut cands = candidates(&current);
-        // The serial loop would evaluate at most this many candidates
-        // before the budget check stopped it.
         let scan = cands.len().min(budget - evals);
-        let wave = if threads <= 1 { 1 } else { threads * 2 };
-        let mut hit = None;
-        let mut offset = 0;
-        while offset < scan && hit.is_none() {
-            let end = (offset + wave).min(scan);
-            let fails = ebda_par::parallel_map(threads, &cands[offset..end], |_, (c, d)| {
-                still_failing(&context, c, d)
-            });
-            hit = fails.iter().position(|&f| f).map(|j| offset + j);
-            offset = end;
-        }
+        let hit = cands[..scan]
+            .iter()
+            .position(|(c, d)| still_failing(&context, c, d));
+        let spent = hit.map_or(scan, |j| j + 1);
+        evals += spent;
+        ebda_obs::metrics::counter_add("ebda_oracle_shrink_evals_total", &[], spent as u64);
+        ebda_obs::prof::work("oracle/shrink", "shrink_evals", spent as u64);
         match hit {
-            Some(j) => {
-                // Charge what the serial loop would have: candidates
-                // 0..=j. The counter tracks chargeable evaluations, so it
-                // too is thread-count invariant.
-                evals += j + 1;
-                ebda_obs::metrics::counter_add("ebda_oracle_shrink_evals_total", &[], j as u64 + 1);
-                ebda_obs::prof::work("oracle/shrink", "shrink_evals", j as u64 + 1);
-                current = cands.swap_remove(j).0; // restart from the smaller artifact
-            }
-            None => {
-                ebda_obs::metrics::counter_add("ebda_oracle_shrink_evals_total", &[], scan as u64);
-                ebda_obs::prof::work("oracle/shrink", "shrink_evals", scan as u64);
-                // Full pass without improvement (1-minimal) or budget
-                // exhausted mid-pass: either way, this is the answer.
-                return current;
-            }
+            Some(j) => current = cands.swap_remove(j).0, // restart from the smaller artifact
+            // Full pass without improvement (1-minimal) or budget
+            // exhausted mid-pass: either way, this is the answer.
+            None => break,
         }
     }
+    current
 }
 
 /// Proposes one-step reductions of an artifact, biggest first, each
@@ -294,19 +241,17 @@ mod tests {
         // Budget 0: no candidate may even be evaluated.
         let same = shrink(&start, brute_deadlocks, 0);
         assert_eq!(same, start);
-    }
-
-    #[test]
-    fn parallel_shrink_matches_serial_at_every_budget() {
-        let start = torus_rings();
-        // The accepted chain and the budget cutoff must be identical at
-        // any thread count, including budgets that expire mid-pass.
-        for budget in [0, 1, 2, 3, 7, 25, DEFAULT_SHRINK_BUDGET] {
-            let serial = shrink_with_threads(&start, brute_deadlocks, budget, 1);
-            for threads in [2, 4, 8] {
-                let par = shrink_with_threads(&start, brute_deadlocks, budget, threads);
-                assert_eq!(par, serial, "budget {budget}, threads {threads}");
-            }
+        // Budgets that expire mid-pass: the predicate runs exactly as
+        // often as the budget is charged, never more.
+        for budget in [1, 2, 3, 7, 25] {
+            let evals = std::cell::Cell::new(0);
+            let counting = |a: &Artifact| {
+                evals.set(evals.get() + 1);
+                brute_deadlocks(a)
+            };
+            let small = shrink(&start, counting, budget);
+            assert!(evals.get() <= budget, "budget {budget}: {}", evals.get());
+            assert!(brute_deadlocks(&small));
         }
     }
 
@@ -316,11 +261,10 @@ mod tests {
         // walk the identical accepted chain.
         let start = torus_rings();
         for budget in [3, 25, DEFAULT_SHRINK_BUDGET] {
-            let plain = shrink_with_threads(&start, brute_deadlocks, budget, 2);
+            let plain = shrink(&start, brute_deadlocks, budget);
             let ctx = shrink_with_context(
                 &start,
                 budget,
-                2,
                 |parent| parent.clone(),
                 |parent, c, delta| {
                     // Deltas must be consistent with the candidate.

@@ -40,15 +40,17 @@ pub enum Mutation {
     EbdaSkipsTheorem1,
 }
 
-impl Mutation {
-    /// Parses a CLI name (`none`, `dally-ignores-wrap`,
-    /// `ebda-skips-theorem1`).
-    pub fn parse(s: &str) -> Option<Mutation> {
+/// The `--mutate` names (`none`, `dally-ignores-wrap`,
+/// `ebda-skips-theorem1`), the inverse of [`fmt::Display`].
+impl std::str::FromStr for Mutation {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Mutation, String> {
         match s {
-            "none" => Some(Mutation::None),
-            "dally-ignores-wrap" => Some(Mutation::DallyIgnoresWrap),
-            "ebda-skips-theorem1" => Some(Mutation::EbdaSkipsTheorem1),
-            _ => None,
+            "none" => Ok(Mutation::None),
+            "dally-ignores-wrap" => Ok(Mutation::DallyIgnoresWrap),
+            "ebda-skips-theorem1" => Ok(Mutation::EbdaSkipsTheorem1),
+            _ => Err("unknown mutation (try dally-ignores-wrap, ebda-skips-theorem1)".into()),
         }
     }
 }
@@ -374,8 +376,8 @@ mod tests {
             Mutation::DallyIgnoresWrap,
             Mutation::EbdaSkipsTheorem1,
         ] {
-            assert_eq!(Mutation::parse(&m.to_string()), Some(m));
+            assert_eq!(m.to_string().parse(), Ok(m));
         }
-        assert_eq!(Mutation::parse("bogus"), None);
+        assert!("bogus".parse::<Mutation>().is_err());
     }
 }

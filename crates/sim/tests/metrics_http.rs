@@ -51,7 +51,7 @@ fn live_sim_metrics_scrape_end_to_end() {
     assert!(!first.is_empty());
 
     // Scrape the live endpoint over loopback HTTP.
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind loopback");
+    let server = MetricsServer::serve("127.0.0.1:0", None, None).expect("bind loopback");
     let addr = server.local_addr().to_string();
     assert!(http_get(&addr, "/healthz")
         .unwrap()

@@ -1,5 +1,6 @@
-//! The `ebda` command-line tool: design, inspect, verify and simulate
-//! deadlock-free routing algorithms from the shell.
+//! The `ebda` command-line tool — the one executable of this repository:
+//! design, inspect, verify and simulate deadlock-free routing algorithms,
+//! run the campaigns, and regenerate every table and figure of the paper.
 //!
 //! ```text
 //! ebda design   --vcs 3,2,3                     # Algorithm 1
@@ -7,85 +8,158 @@
 //! ebda verify   "X- | X+ Y+ Y-" --mesh 8x8      # Dally check
 //! ebda options  --vcs 1,1                       # Algorithm 2 derivations
 //! ebda simulate "X1+ Y1+ Y1- | X1- Y2+ Y2-" --mesh 8x8 --rate 0.05
+//! ebda repro    table1                          # the paper's Table 1
+//! ebda oracle   --budget 60 --seed 7            # four-path differential campaign
 //! ```
+//!
+//! Exit codes: 0 success; 1 the command ran and its check failed (not
+//! deadlock-free, mismatch, disagreement, rejected certificate) or a file
+//! or socket could not be used; 2 the command line itself is wrong.
 
+use ebda::bench::args::{Args, CliError};
+use ebda::bench::trace::{write_file, write_journey, write_trace, ObsOptions};
 use ebda::core::algorithm1::{partition_network, partition_network_region_covering};
 use ebda::core::algorithm2::derive_all;
 use ebda::core::sets::arrangement1;
 use ebda::core::theorems::analyze;
 use ebda::prelude::catalog;
 use ebda::prelude::*;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            match args.first().and_then(|name| command(name)) {
+                Some((usage, _)) => eprintln!("usage:\n  {usage}"),
+                None => eprintln!("{}", help()),
+            }
+            ExitCode::from(2)
         }
     }
 }
 
-const USAGE: &str = "usage:
-  ebda design   --vcs <a,b[,c...]> [--arrangement region|plain]
-                                             run Algorithm 1 on a VC budget
-  ebda options  --vcs <a,b[,c...]>           enumerate Algorithm 2 derivations
-  ebda turns    \"<design>\" [--dot]            extract all allowable turns
-                                             (--dot: Graphviz output)
-  ebda verify   \"<design>\" [--mesh AxB[xC]] [--torus AxB[xC]] [--ledger FILE]
+/// A subcommand's entry point.
+type Run = fn(Args) -> Result<(), CliError>;
+
+/// Every subcommand: its usage block (also its `help` entry; the second
+/// word is the name it is selected by) and its entry point.
+const COMMANDS: &[(&str, Run)] = &[
+    (
+        "ebda design   --vcs <a,b[,c...]> [--arrangement region|plain]
+                                             run Algorithm 1 on a VC budget",
+        cmd_design,
+    ),
+    (
+        "ebda options  --vcs <a,b[,c...]>           enumerate Algorithm 2 derivations",
+        cmd_options,
+    ),
+    (
+        "ebda turns    \"<design>\" [--dot]            extract all allowable turns
+                                             (--dot: Graphviz output)",
+        cmd_turns,
+    ),
+    (
+        "ebda verify   \"<design>\" [--mesh AxB[xC]] [--torus AxB[xC]] [--ledger FILE]
                                              (--ledger: run all four verdict
                                              paths and append one provenance-
-                                             carrying run-ledger record)
-  ebda certify  --turns \"X1+>Y1+,Y1->X1-,...\"  reconstruct a partitioning
-                                             certificate from raw turns
-  ebda check-cert FILE                       independently re-validate every
+                                             carrying run-ledger record)",
+        cmd_verify,
+    ),
+    (
+        "ebda certify  --turns \"X1+>Y1+,Y1->X1-,...\"  reconstruct a partitioning
+                                             certificate from raw turns",
+        cmd_certify,
+    ),
+    (
+        "ebda check-cert FILE                       independently re-validate every
                                              certificate / witness in a run
                                              ledger (or a single provenance
                                              JSON document) without re-running
-                                             any prover
-  ebda ledger   list FILE [--json]           one summary line per ledger record
+                                             any prover",
+        cmd_check_cert,
+    ),
+    (
+        "ebda ledger   list FILE [--json]           one summary line per ledger record
                                              (--json: one canonical JSON array)
   ebda ledger   show FILE [HASH]             canonical JSON of the records
-  ebda ledger   diff FILE1 FILE2             byte-compare two run ledgers
-  ebda coverage report FILE                  per-family table of a design-space
+  ebda ledger   diff FILE1 FILE2             byte-compare two run ledgers",
+        cmd_ledger,
+    ),
+    (
+        "ebda coverage report FILE                  per-family table of a design-space
                                              coverage map (written by campaigns
                                              run with --coverage-out)
   ebda coverage diff FILE1 FILE2             compare two coverage maps; exit 0
                                              iff they are identical
   ebda coverage merge OUT FILE...            merge coverage maps (associative,
-                                             commutative) into OUT
-  ebda explain  HASH --ledger FILE           human narrative of one verdict's
-                                             proof evidence
-  ebda report   \"<design>\"                    markdown design review
-  ebda simulate \"<design>\" [--mesh AxB] [--rate R] [--traffic uniform|transpose|bitcomp]
+                                             commutative) into OUT",
+        cmd_coverage,
+    ),
+    (
+        "ebda explain  HASH --ledger FILE           human narrative of one verdict's
+                                             proof evidence",
+        cmd_explain,
+    ),
+    (
+        "ebda report   \"<design>\"                    markdown design review",
+        cmd_report,
+    ),
+    (
+        "ebda simulate \"<design>\" [--mesh AxB] [--torus AxB] [--rate R]
+                 [--traffic uniform|transpose|bitcomp]
                  [--policy multi|single] [--switching wh|vct|saf]
                  [--seed N]                  traffic RNG seed
                  [--watchdog-window W]       online stall watchdog: after W
                                              frozen/credit-stalled cycles, dump
                                              a suspected wait cycle (run goes on)
-                 [--trace-out FILE]          flight-recorder trace (.json or
-                                             .csv; EBDA_TRACE env works too)
+                 [--trace-out FILE]          flight-recorder trace (.json or .csv)
                  [--journey-out FILE]        per-packet journey timeline as
                                              Chrome Trace JSON for Perfetto /
-                                             chrome://tracing (EBDA_JOURNEY_OUT;
-                                             --journey-sample-rate P thins it)
+                                             chrome://tracing
+                                             (--journey-sample-rate P thins it)
                  [--metrics-addr HOST:PORT]  serve live Prometheus metrics at
-                                             /metrics (EBDA_METRICS_ADDR too;
-                                             --metrics-linger SECS keeps it up)
+                                             /metrics (--metrics-linger SECS
+                                             keeps it up)
                  [--profile-out FILE]        deterministic self-profiler report:
                                              phase tree + worker timeline as
-                                             Chrome Trace JSON (EBDA_PROFILE_OUT;
-                                             render with `ebda profile FILE`)
+                                             Chrome Trace JSON (render with
+                                             `ebda profile FILE`)
                  [--threads N]               worker threads for parallel helpers
-                                             (EBDA_THREADS; default: hardware
+                                             (else EBDA_THREADS, else hardware
                                              parallelism; results are identical
                                              at every value)
-                 [--heatmap-out FILE]        per-channel utilization heatmap CSV
-  ebda corpus   generate --out DIR           build the labeled seed corpus
+                 [--heatmap-out FILE]        per-channel utilization heatmap CSV",
+        cmd_simulate,
+    ),
+    (
+        "ebda repro    <id> [flags] | list | all    regenerate a table, figure or study
+                                             of the paper (list: the ids; all:
+                                             every one in turn); sweep, explore
+                                             and scalability take the simulate
+                                             observability flags",
+        ebda::bench::repro::run,
+    ),
+    (
+        "ebda oracle   [--budget SECS] [--seed N] [--min-configs N] [--max-configs N]
+                 [--max-nodes N] [--mutate NAME] [--expect-disagreement]
+                 [--coverage-guided] [--ledger FILE] [--coverage-out FILE]
+                                             differential campaign: random
+                                             artifacts through all four verdict
+                                             paths; a disagreement is shrunk
+                                             and replayed in the simulator",
+        ebda::bench::oracle_cli::run,
+    ),
+    (
+        "ebda corpus   generate --out DIR           build the labeled seed corpus
                                              (ten families, labels proven at
                                              generation time)
   ebda corpus   run DIR [--archive-to DIR] [--mutate NAME] [--inject-mismatch]
@@ -95,81 +169,92 @@ const USAGE: &str = "usage:
                                              entry against all four verdict
                                              paths; mismatches are shrunk and
                                              archived as labeled witnesses
-  ebda corpus   stats DIR [--json]           deterministic corpus statistics
-  ebda monitor  --addr HOST:PORT [--once] [--interval SECS] [--interval-ms N]
+  ebda corpus   stats DIR [--json]           deterministic corpus statistics",
+        ebda::bench::corpus_cli::run,
+    ),
+    (
+        "ebda monitor  --addr HOST:PORT [--once] [--interval SECS] [--interval-ms N]
                  [--ledger FILE]             poll a /metrics endpoint and render
                                              a compact terminal snapshot;
                                              --interval re-renders in place;
                                              --ledger adds a recent-verdicts
-                                             section from the run-ledger tail
-  ebda profile  FILE [--counters|--flame]    render a --profile-out report:
+                                             section from the run-ledger tail",
+        cmd_monitor,
+    ),
+    (
+        "ebda profile  FILE [--counters|--flame]    render a --profile-out report:
                                              default is the phase table with
                                              self/total times; --counters prints
                                              the deterministic work-unit tree
                                              (byte-identical at every --threads);
-                                             --flame prints nested flame JSON
+                                             --flame prints nested flame JSON",
+        cmd_profile,
+    ),
+];
 
-a <design> is partitions separated by '|' or '->', channels like X1+, Ye2-
+const DESIGN_HELP: &str =
+    "a <design> is partitions separated by '|' or '->', channels like X1+, Ye2-
 (example: \"X- | X+ Y+ Y-\" is the west-first turn model), or a preset:
 xy, west-first, north-last, negative-first, odd-even, dyxy, fig7c, fig9b,
 fig9c, hamiltonian, table5.";
 
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err("missing subcommand".into());
+fn command(name: &str) -> Option<&'static (&'static str, Run)> {
+    COMMANDS
+        .iter()
+        .find(|(usage, _)| usage.split_whitespace().nth(1) == Some(name))
+}
+
+fn help() -> String {
+    let mut out = String::from("usage:\n");
+    for (usage, _) in COMMANDS {
+        out.push_str("  ");
+        out.push_str(usage);
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(DESIGN_HELP);
+    out
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
+    let mut args = Args::new(args.to_vec());
+    let Some(name) = args.word() else {
+        return Err(CliError::usage("missing subcommand"));
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "design" => cmd_design(rest),
-        "options" => cmd_options(rest),
-        "turns" => cmd_turns(rest),
-        "verify" => cmd_verify(rest),
-        "certify" => cmd_certify(rest),
-        "check-cert" => cmd_check_cert(rest),
-        "ledger" => cmd_ledger(rest),
-        "coverage" => cmd_coverage(rest),
-        "explain" => cmd_explain(rest),
-        "report" => cmd_report(rest),
-        "simulate" => cmd_simulate(rest),
-        "corpus" => match ebda::bench::corpus_cli::run(rest.to_vec()) {
-            0 => Ok(()),
-            code => Err(format!("corpus command failed (exit {code})")),
-        },
-        "monitor" => cmd_monitor(rest),
-        "profile" => cmd_profile(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", help());
+        return Ok(());
+    }
+    match command(&name) {
+        Some((_, run)) => run(args),
+        None => Err(CliError::Usage(format!("unknown subcommand {name:?}"))),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Ends the read of a command whose only input left is the required
+/// `--vcs` budget (a mistyped flag is reported before a missing one).
+fn vcs_budget(mut args: Args) -> Result<Vec<u8>, CliError> {
+    let vcs = args.value_with("--vcs", ebda::bench::parse_vcs)?;
+    args.finish()?;
+    vcs.ok_or_else(|| CliError::usage("missing --vcs a,b[,c...]"))
 }
 
-fn parse_vcs(args: &[String]) -> Result<Vec<u8>, String> {
-    let spec = flag_value(args, "--vcs").ok_or("missing --vcs a,b[,c...]")?;
-    spec.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<u8>()
-                .map_err(|e| format!("bad VC count {t:?}: {e}"))
-        })
-        .collect()
-}
-
+/// `AxB[xC]`: at least one node per dimension, at most 2^20 in all.
 fn parse_radix(spec: &str) -> Result<Vec<usize>, String> {
-    spec.split(['x', 'X'])
-        .map(|t| {
-            t.parse::<usize>()
-                .map_err(|e| format!("bad radix {t:?}: {e}"))
+    let radix = spec
+        .split(['x', 'X'])
+        .map(|t| match t.parse::<usize>() {
+            Ok(0) => Err(format!("bad radix {t:?}: must be at least 1")),
+            Ok(r) => Ok(r),
+            Err(e) => Err(format!("bad radix {t:?}: {e}")),
         })
-        .collect()
+        .collect::<Result<Vec<usize>, String>>()?;
+    radix
+        .iter()
+        .try_fold(1usize, |nodes, &r| nodes.checked_mul(r))
+        .filter(|&nodes| nodes <= 1 << 20)
+        .ok_or("more than 2^20 nodes")?;
+    Ok(radix)
 }
 
 /// Named design presets accepted wherever a design string is.
@@ -190,39 +275,52 @@ fn preset(name: &str) -> Option<PartitionSeq> {
     })
 }
 
-fn parse_design(args: &[String]) -> Result<PartitionSeq, String> {
-    if let Some(seq) = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .find_map(|a| preset(a))
-    {
+/// Ends the read of a command whose one positional is a design: a preset
+/// name or a partition string. A string that does not parse is a usage
+/// error; one that parses but breaks Theorem 1 is a failed check.
+fn design(args: Args) -> Result<PartitionSeq, CliError> {
+    let [spec] = args.exactly("one design (a preset like west-first, or \"X- | X+ Y+ Y-\")")?;
+    if let Some(seq) = preset(&spec) {
         return Ok(seq);
     }
-    let spec = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !a.contains('=') && a.contains(['+', '-']))
-        .ok_or("missing design argument (a preset like west-first, or \"X- | X+ Y+ Y-\")")?;
-    let seq = PartitionSeq::parse(spec).map_err(|e| e.to_string())?;
-    seq.validate().map_err(|e| e.to_string())?;
+    let seq =
+        PartitionSeq::parse(&spec).map_err(|e| CliError::Usage(format!("design {spec:?}: {e}")))?;
+    if seq.channels().is_empty() {
+        return Err(CliError::Usage(format!("design {spec:?} has no channels")));
+    }
+    seq.validate()?;
     Ok(seq)
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let seq = parse_design(args)?;
+fn cmd_report(args: Args) -> Result<(), CliError> {
+    let seq = design(args)?;
     let n = design_dims(&seq);
-    let report = ebda::core::theorems::markdown_report(&seq, n, 3).map_err(|e| e.to_string())?;
+    let report = ebda::core::theorems::markdown_report(&seq, n, 3)?;
     print!("{report}");
     Ok(())
 }
 
-fn topology(args: &[String], default_dims: usize) -> Result<Topology, String> {
-    if let Some(spec) = flag_value(args, "--torus") {
-        return Ok(Topology::torus(&parse_radix(spec)?));
+/// `--torus AxB` / `--mesh AxB`, read before the design is known.
+fn topology_flag(args: &mut Args) -> Result<Option<Topology>, CliError> {
+    if let Some(radix) = args.value_with("--torus", parse_radix)? {
+        return Ok(Some(Topology::torus(&radix)));
     }
-    if let Some(spec) = flag_value(args, "--mesh") {
-        return Ok(Topology::mesh(&parse_radix(spec)?));
+    Ok(args
+        .value_with("--mesh", parse_radix)?
+        .map(|radix| Topology::mesh(&radix)))
+}
+
+/// The requested topology, or a radix-4 mesh of the design's dimensions.
+fn topology_for(flag: Option<Topology>, seq: &PartitionSeq) -> Result<Topology, CliError> {
+    let dims = design_dims(seq);
+    let topo = flag.unwrap_or_else(|| Topology::mesh(&vec![4; dims]));
+    if topo.dims() < dims {
+        return Err(CliError::Usage(format!(
+            "the design uses {dims} dimensions but the topology has {}",
+            topo.dims()
+        )));
     }
-    Ok(Topology::mesh(&vec![4; default_dims.max(1)]))
+    Ok(topo)
 }
 
 fn design_dims(seq: &PartitionSeq) -> usize {
@@ -234,25 +332,29 @@ fn design_dims(seq: &PartitionSeq) -> usize {
         .unwrap_or(1)
 }
 
-fn cmd_design(args: &[String]) -> Result<(), String> {
-    let vcs = parse_vcs(args)?;
-    let seq = match flag_value(args, "--arrangement") {
-        None | Some("region") => {
-            partition_network_region_covering(&vcs).map_err(|e| e.to_string())?
-        }
-        Some("plain") => partition_network(&vcs).map_err(|e| e.to_string())?,
-        Some(other) => return Err(format!("unknown arrangement {other:?}")),
-    };
+fn cmd_design(mut args: Args) -> Result<(), CliError> {
+    let region = args
+        .value_with("--arrangement", |raw| match raw {
+            "region" => Ok(true),
+            "plain" => Ok(false),
+            _ => Err("unknown arrangement (try region, plain)".to_string()),
+        })?
+        .unwrap_or(true);
+    let vcs = vcs_budget(args)?;
+    let seq = if region {
+        partition_network_region_covering(&vcs)
+    } else {
+        partition_network(&vcs)
+    }?;
     println!("{seq}");
-    let report = analyze(&seq, vcs.len()).map_err(|e| e.to_string())?;
+    let report = analyze(&seq, vcs.len())?;
     println!("{report}");
     Ok(())
 }
 
-fn cmd_options(args: &[String]) -> Result<(), String> {
-    let vcs = parse_vcs(args)?;
-    let options =
-        derive_all(arrangement1(&vcs).map_err(|e| e.to_string())?).map_err(|e| e.to_string())?;
+fn cmd_options(args: Args) -> Result<(), CliError> {
+    let vcs = vcs_budget(args)?;
+    let options = derive_all(arrangement1(&vcs)?)?;
     println!("{} derivations from Algorithm 2:", options.len());
     for seq in options {
         println!("  {seq}");
@@ -260,10 +362,11 @@ fn cmd_options(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_turns(args: &[String]) -> Result<(), String> {
-    let seq = parse_design(args)?;
-    let ex = extract_turns(&seq).map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--dot") {
+fn cmd_turns(mut args: Args) -> Result<(), CliError> {
+    let dot = args.switch("--dot");
+    let seq = design(args)?;
+    let ex = extract_turns(&seq)?;
+    if dot {
         print!("{}", ebda::core::dot::extraction_dot(&seq, &ex));
         return Ok(());
     }
@@ -282,25 +385,20 @@ fn cmd_turns(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let seq = parse_design(args)?;
-    let topo = topology(args, design_dims(&seq))?;
-    if topo.dims() < design_dims(&seq) {
-        return Err(format!(
-            "the design uses {} dimensions but the topology has {}",
-            design_dims(&seq),
-            topo.dims()
-        ));
-    }
-    let report = verify_design(&topo, &seq).map_err(|e| e.to_string())?;
+fn cmd_verify(mut args: Args) -> Result<(), CliError> {
+    let topo = topology_flag(&mut args)?;
+    let ledger: Option<PathBuf> = args.value("--ledger")?;
+    let seq = design(args)?;
+    let topo = topology_for(topo, &seq)?;
+    let report = verify_design(&topo, &seq)?;
     println!("{report}");
-    if let Some(path) = flag_value(args, "--ledger") {
+    if let Some(path) = ledger {
         // The ledger record carries full provenance, so the honest
         // four-path evaluation (including brute force) runs here — the
         // Dally verdict above is untouched.
         let universe = seq.channels();
         let dims = topo.dims();
-        let ex = extract_turns(&seq).map_err(|e| e.to_string())?;
+        let ex = extract_turns(&seq)?;
         let artifact = ebda::oracle::artifact::Artifact {
             id: 0,
             kind: ebda::oracle::artifact::ArtifactKind::Partitioning,
@@ -317,25 +415,13 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             ebda::oracle::verdict::evaluate(&artifact, ebda::oracle::verdict::Mutation::None);
         let prov = ebda::oracle::Provenance::from_artifact(&artifact, &verdicts);
         let coverage = ebda::oracle::artifact_coverage(&artifact, &verdicts);
-        let record = ebda_obs::LedgerRecord {
-            index: 0,
-            source: "cli".into(),
-            name: artifact.summary(),
-            git_rev: ebda_obs::ledger::git_rev(),
-            seed: 0,
-            verdict: prov.verdict_str().into(),
-            evidence: if prov.deadlock_free {
-                "certificate".into()
-            } else {
-                "witness".into()
-            },
-            hash: prov.hash_hex(),
-            gfp_sweeps: verdicts.brute.sweeps as u64,
-            wait_pairs: verdicts.brute.pairs as u64,
-            coverage: coverage.digest(),
-            provenance: prov.to_json(),
-        };
-        let path = std::path::PathBuf::from(path);
+        let record = prov.ledger_record(
+            "cli",
+            artifact.summary(),
+            ebda_obs::ledger::git_rev(),
+            0,
+            Some(&coverage),
+        );
         ebda_obs::ledger::append(&path, &[record]).map_err(|e| format!("ledger append: {e}"))?;
         println!(
             "ledger: verdict {} recorded as {} in {}",
@@ -347,36 +433,18 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     if report.is_deadlock_free() {
         Ok(())
     } else {
-        Err("design is NOT deadlock-free on this topology".into())
+        Err(CliError::Failed(
+            "design is NOT deadlock-free on this topology".into(),
+        ))
     }
-}
-
-/// Positional (non-flag) arguments, skipping every `--flag value` pair.
-/// Only valid for subcommands whose flags all take a value.
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    out
 }
 
 /// `ebda check-cert FILE`: the independent certificate checker. Walks a
 /// run-ledger JSONL file (or a file of bare provenance documents) and
 /// re-validates every record's evidence — certificate obligations or
 /// witness cycle — without calling any prover.
-fn cmd_check_cert(args: &[String]) -> Result<(), String> {
-    let path = positionals(args)
-        .first()
-        .copied()
-        .ok_or("missing ledger or provenance file")?
-        .to_string();
+fn cmd_check_cert(args: Args) -> Result<(), CliError> {
+    let [path] = args.exactly("one ledger or provenance file")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let mut checked = 0usize;
     let mut failed = 0usize;
@@ -444,101 +512,85 @@ fn cmd_check_cert(args: &[String]) -> Result<(), String> {
         checked - failed
     );
     if checked == 0 {
-        return Err(format!("{path} holds no records"));
+        return Err(CliError::Failed(format!("{path} holds no records")));
     }
     if failed > 0 {
-        return Err(format!("{failed} record(s) failed the certificate check"));
+        return Err(CliError::Failed(format!(
+            "{failed} record(s) failed the certificate check"
+        )));
     }
     Ok(())
 }
 
 /// `ebda ledger <list|show|diff>`: inspect append-only run ledgers.
-fn cmd_ledger(args: &[String]) -> Result<(), String> {
-    let Some(action) = args.first() else {
-        return Err("missing ledger action (list, show, diff)".into());
-    };
-    // --json is a bare switch: strip it before positional extraction,
-    // which assumes every flag takes a value.
-    let json = args.iter().any(|a| a == "--json");
-    let filtered: Vec<String> = args[1..]
-        .iter()
-        .filter(|a| *a != "--json")
-        .cloned()
-        .collect();
-    let rest = positionals(&filtered);
-    match action.as_str() {
-        "list" => {
-            let path = rest.first().ok_or("ledger list needs a FILE")?;
+fn cmd_ledger(mut args: Args) -> Result<(), CliError> {
+    match args.word().as_deref() {
+        Some("list") => {
+            let json = args.switch("--json");
+            let [path] = args.exactly("ledger list FILE")?;
             if json {
-                print!(
-                    "{}",
-                    ebda_obs::ledger::render_json(std::path::Path::new(path))?
-                );
+                print!("{}", ebda_obs::ledger::render_json(Path::new(&path))?);
                 return Ok(());
             }
-            let records = ebda_obs::ledger::read(std::path::Path::new(path))?;
+            let records = ebda_obs::ledger::read(Path::new(&path))?;
             for r in &records {
                 println!("{}", r.summary());
             }
             println!("{} record(s) in {path}", records.len());
             Ok(())
         }
-        "show" => {
-            let path = rest.first().ok_or("ledger show needs a FILE")?;
-            let hash = rest.get(1);
-            let records = ebda_obs::ledger::read(std::path::Path::new(path))?;
+        Some("show") => {
+            let rest = args.positionals()?;
+            let (path, hash) = match rest.as_slice() {
+                [path] => (path, None),
+                [path, hash] => (path, Some(hash)),
+                _ => return Err(CliError::usage("expected ledger show FILE [HASH]")),
+            };
+            let records = ebda_obs::ledger::read(Path::new(path))?;
             let mut shown = 0;
             for r in &records {
-                if hash.is_none_or(|h| r.hash.starts_with(h)) {
+                if hash.is_none_or(|h| r.hash.starts_with(h.as_str())) {
                     println!("{}", r.to_line());
                     shown += 1;
                 }
             }
             match (shown, hash) {
-                (0, Some(h)) => Err(format!("no record matches hash {h}")),
+                (0, Some(h)) => Err(CliError::Failed(format!("no record matches hash {h}"))),
                 _ => Ok(()),
             }
         }
-        "diff" => {
-            let (Some(a), Some(b)) = (rest.first(), rest.get(1)) else {
-                return Err("ledger diff needs two FILEs".into());
-            };
-            match ebda_obs::ledger::diff(std::path::Path::new(a), std::path::Path::new(b))? {
+        Some("diff") => {
+            let [a, b] = args.exactly("ledger diff FILE1 FILE2")?;
+            match ebda_obs::ledger::diff(Path::new(&a), Path::new(&b))? {
                 None => {
-                    let n = ebda_obs::ledger::read(std::path::Path::new(a))?.len();
+                    let n = ebda_obs::ledger::read(Path::new(&a))?.len();
                     println!("ledgers are byte-identical ({n} record(s))");
                     Ok(())
                 }
-                Some(delta) => Err(format!("ledgers differ: {delta}")),
+                Some(delta) => Err(CliError::Failed(format!("ledgers differ: {delta}"))),
             }
         }
-        other => Err(format!(
-            "unknown ledger action {other:?} (try list, show, diff)"
-        )),
+        other => Err(CliError::Usage(format!(
+            "expected a ledger action (list, show, diff), got {}",
+            other.unwrap_or("none")
+        ))),
     }
 }
 
 /// `ebda coverage <report|diff|merge>`: inspect and combine design-space
 /// coverage maps written by `--coverage-out` campaigns.
-fn cmd_coverage(args: &[String]) -> Result<(), String> {
-    let Some(action) = args.first() else {
-        return Err("missing coverage action (report, diff, merge)".into());
-    };
-    let rest = positionals(&args[1..]);
-    match action.as_str() {
-        "report" => {
-            let path = rest.first().ok_or("coverage report needs a FILE")?;
-            let map = ebda_obs::CoverageMap::read_file(std::path::Path::new(path))?;
-            print!("{}", map.report());
+fn cmd_coverage(mut args: Args) -> Result<(), CliError> {
+    let read = |path: &String| ebda_obs::CoverageMap::read_file(Path::new(path));
+    match args.word().as_deref() {
+        Some("report") => {
+            let [path] = args.exactly("coverage report FILE")?;
+            print!("{}", read(&path)?.report());
             Ok(())
         }
-        "diff" => {
-            let (Some(a), Some(b)) = (rest.first(), rest.get(1)) else {
-                return Err("coverage diff needs two FILEs".into());
-            };
-            let left = ebda_obs::CoverageMap::read_file(std::path::Path::new(a))?;
-            let right = ebda_obs::CoverageMap::read_file(std::path::Path::new(b))?;
-            match left.diff(&right) {
+        Some("diff") => {
+            let [a, b] = args.exactly("coverage diff FILE1 FILE2")?;
+            let left = read(&a)?;
+            match left.diff(&read(&b)?) {
                 None => {
                     println!(
                         "coverage maps are identical ({} points, digest {})",
@@ -547,55 +599,50 @@ fn cmd_coverage(args: &[String]) -> Result<(), String> {
                     );
                     Ok(())
                 }
-                Some(delta) => Err(format!("coverage maps differ: {delta}")),
+                Some(delta) => Err(CliError::Failed(format!("coverage maps differ: {delta}"))),
             }
         }
-        "merge" => {
-            let Some((out, inputs)) = rest.split_first() else {
-                return Err("coverage merge needs OUT FILE...".into());
+        Some("merge") => {
+            let rest = args.positionals()?;
+            let [out, first, others @ ..] = rest.as_slice() else {
+                return Err(CliError::usage(
+                    "expected coverage merge OUT FILE... (at least one input)",
+                ));
             };
-            if inputs.is_empty() {
-                return Err("coverage merge needs at least one input FILE".into());
+            let mut merged = read(first)?;
+            for path in others {
+                merged.merge(&read(path)?);
             }
-            let mut maps = inputs
-                .iter()
-                .map(|p| ebda_obs::CoverageMap::read_file(std::path::Path::new(p)));
-            let mut merged = maps.next().expect("non-empty inputs")?;
-            for map in maps {
-                merged.merge(&map?);
-            }
-            merged.write_file(std::path::Path::new(out))?;
+            merged.write_file(Path::new(out))?;
             println!(
                 "merged {} map(s) into {out}: {} points, digest {}",
-                inputs.len(),
+                1 + others.len(),
                 merged.total_points(),
                 merged.digest()
             );
             Ok(())
         }
-        other => Err(format!(
-            "unknown coverage action {other:?} (try report, diff, merge)"
-        )),
+        other => Err(CliError::Usage(format!(
+            "expected a coverage action (report, diff, merge), got {}",
+            other.unwrap_or("none")
+        ))),
     }
 }
 
 /// `ebda explain HASH --ledger FILE`: render the proof narrative of one
 /// recorded verdict.
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let ledger = flag_value(args, "--ledger").ok_or("missing --ledger FILE")?;
-    let hash = positionals(args)
-        .first()
-        .copied()
-        .ok_or("missing HASH (see `ebda ledger list`)")?
-        .to_string();
-    let records = ebda_obs::ledger::read(std::path::Path::new(ledger))?;
+fn cmd_explain(mut args: Args) -> Result<(), CliError> {
+    let ledger: Option<PathBuf> = args.value("--ledger")?;
+    let [hash] = args.exactly("one HASH (see `ebda ledger list`)")?;
+    let ledger = ledger.ok_or_else(|| CliError::usage("missing --ledger FILE"))?;
+    let records = ebda_obs::ledger::read(&ledger)?;
     // Prefix match, latest record wins — hashes are content addresses, so
     // duplicates describe the same problem.
     let record = records
         .iter()
         .rev()
         .find(|r| r.hash.starts_with(&hash))
-        .ok_or_else(|| format!("no record in {ledger} matches hash {hash}"))?;
+        .ok_or_else(|| format!("no record in {} matches hash {hash}", ledger.display()))?;
     let prov = ebda::oracle::Provenance::from_json(&record.provenance)?;
     println!(
         "record #{} ({}, seed {}, git {}, {} GFP sweeps over {} wait pairs)",
@@ -610,8 +657,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_certify(args: &[String]) -> Result<(), String> {
-    let spec = flag_value(args, "--turns").ok_or("missing --turns \"A>B,C>D,...\"")?;
+/// `X1+>Y1+,Y1->X1-,...` as a turn set and the channels it mentions.
+fn parse_turns(spec: &str) -> Result<(Vec<Channel>, TurnSet), String> {
     let mut turns = TurnSet::new();
     let mut universe: Vec<Channel> = Vec::new();
     for token in spec.split(',').filter(|t| !t.trim().is_empty()) {
@@ -633,6 +680,14 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     if turns.is_empty() {
         return Err("no turns given".into());
     }
+    Ok((universe, turns))
+}
+
+fn cmd_certify(mut args: Args) -> Result<(), CliError> {
+    let turns = args.value_with("--turns", parse_turns)?;
+    args.finish()?;
+    let (universe, turns) =
+        turns.ok_or_else(|| CliError::usage("missing --turns \"A>B,C>D,...\""))?;
     match ebda::core::certify::certify_checked(&universe, &turns) {
         Ok((cert, surplus)) => {
             println!("CERTIFIED deadlock-free by the partitioning:");
@@ -645,78 +700,60 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        Err(e) => Err(format!(
+        Err(e) => Err(CliError::Failed(format!(
             "not certifiable: {e} (this does not prove deadlock; EbDa certificates are sufficient, not necessary)"
-        )),
+        ))),
     }
 }
 
-fn cmd_simulate(raw_args: &[String]) -> Result<(), String> {
-    // The shared observability parser consumes --trace-out/--metrics-addr/
-    // --metrics-linger (and their env fallbacks); everything else stays.
-    let mut argv: Vec<String> = raw_args.to_vec();
-    let mut obs = ebda::bench::trace::ObsOptions::parse(&mut argv);
-    obs.activate();
-    let args: &[String] = &argv;
-    let seq = parse_design(args)?;
-    let topo = topology(args, design_dims(&seq))?;
-    let relation = TurnRouting::from_design("cli", &seq).map_err(|e| e.to_string())?;
+fn cmd_simulate(mut args: Args) -> Result<(), CliError> {
+    use ebda::sim::config::Switching;
+    let mut obs = ObsOptions::parse(&mut args)?;
+    let topo = topology_flag(&mut args)?;
     let mut cfg = SimConfig::default();
-    if let Some(r) = flag_value(args, "--rate") {
-        cfg.injection_rate = r.parse().map_err(|e| format!("bad rate: {e}"))?;
+    cfg.injection_rate = args.value("--rate")?.unwrap_or(cfg.injection_rate);
+    if let Some(traffic) = args.value_with("--traffic", |raw| match raw {
+        "uniform" => Ok(TrafficPattern::Uniform),
+        "transpose" => Ok(TrafficPattern::Transpose),
+        "bitcomp" => Ok(TrafficPattern::BitComplement),
+        _ => Err("not one of uniform, transpose, bitcomp".to_string()),
+    })? {
+        cfg.traffic = traffic;
     }
-    if let Some(t) = flag_value(args, "--traffic") {
-        cfg.traffic = match t {
-            "uniform" => TrafficPattern::Uniform,
-            "transpose" => TrafficPattern::Transpose,
-            "bitcomp" => TrafficPattern::BitComplement,
-            other => return Err(format!("unknown traffic pattern {other:?}")),
-        };
+    if let Some(policy) = args.value_with("--policy", |raw| match raw {
+        "multi" => Ok(BufferPolicy::MultiPacket),
+        "single" => Ok(BufferPolicy::SinglePacket),
+        _ => Err("not one of multi, single".to_string()),
+    })? {
+        cfg.buffer_policy = policy;
     }
-    if let Some(p) = flag_value(args, "--policy") {
-        cfg.buffer_policy = match p {
-            "multi" => BufferPolicy::MultiPacket,
-            "single" => BufferPolicy::SinglePacket,
-            other => return Err(format!("unknown buffer policy {other:?}")),
-        };
-    }
-    if let Some(s) = flag_value(args, "--switching") {
-        cfg.switching = match s {
-            "wh" => ebda::sim::config::Switching::Wormhole,
-            "vct" => ebda::sim::config::Switching::VirtualCutThrough,
-            "saf" => ebda::sim::config::Switching::StoreAndForward,
-            other => return Err(format!("unknown switching {other:?}")),
-        };
-        if cfg.switching != ebda::sim::config::Switching::Wormhole {
+    if let Some(switching) = args.value_with("--switching", |raw| match raw {
+        "wh" => Ok(Switching::Wormhole),
+        "vct" => Ok(Switching::VirtualCutThrough),
+        "saf" => Ok(Switching::StoreAndForward),
+        _ => Err("not one of wh, vct, saf".to_string()),
+    })? {
+        cfg.switching = switching;
+        if switching != Switching::Wormhole {
             cfg.buffer_depth = cfg.buffer_depth.max(cfg.packet_length);
         }
     }
-    if let Some(w) = flag_value(args, "--watchdog-window") {
-        cfg.watchdog_window = w
-            .parse()
-            .map_err(|e| format!("bad --watchdog-window: {e}"))?;
-    }
-    if let Some(seed) = flag_value(args, "--seed") {
-        cfg.seed = seed.parse().map_err(|e| format!("bad --seed: {e}"))?;
-    }
-    let result = match obs.recorder() {
-        Some(mut rec) => {
-            let result = ebda::sim::simulate_traced(&topo, &relation, &cfg, Some(&mut rec));
-            if let Some(path) = &obs.trace {
-                ebda::bench::trace::write_trace(&rec, path);
-            }
-            if let Some(path) = &obs.journey {
-                ebda::bench::trace::write_journey(&rec, "ebda simulate", path);
-            }
-            result
-        }
-        None => simulate(&topo, &relation, &cfg),
-    };
-    if let Some(path) = flag_value(args, "--heatmap-out") {
-        let csv = ebda::sim::channel_heatmap_csv(&topo, &relation, &cfg, &result);
-        std::fs::write(path, csv).map_err(|e| format!("write heatmap {path}: {e}"))?;
-        eprintln!("heatmap written to {path}");
-    }
+    cfg.watchdog_window = args
+        .value("--watchdog-window")?
+        .unwrap_or(cfg.watchdog_window);
+    cfg.seed = args.value("--seed")?.unwrap_or(cfg.seed);
+    let heatmap: Option<PathBuf> = args.value("--heatmap-out")?;
+    let seq = design(args)?;
+    let topo = topology_for(topo, &seq)?;
+    cfg.check().map_err(|e| CliError::Usage(e.to_string()))?;
+    let relation = TurnRouting::from_design("cli", &seq)?;
+
+    // The result is what was asked for: it is printed first, and a
+    // requested endpoint or file that could not be had fails the command
+    // after it.
+    let served = obs.activate();
+    let mut rec = obs.recorder();
+    let result = ebda::sim::simulate_traced(&topo, &relation, &cfg, rec.as_mut());
     println!("{result}");
     if let Some(cv) = result.channel_balance_cv() {
         println!("channel balance (CV, lower is better): {cv:.3}");
@@ -730,44 +767,55 @@ fn cmd_simulate(raw_args: &[String]) -> Result<(), String> {
             println!("  {}", edge.label);
         }
     }
-    obs.finish();
-    Ok(())
+    served?;
+    if let (Some(rec), Some(path)) = (&rec, &obs.trace) {
+        write_trace(rec, path)?;
+    }
+    if let (Some(rec), Some(path)) = (&rec, &obs.journey) {
+        write_journey(rec, "ebda simulate", path)?;
+    }
+    if let Some(path) = &heatmap {
+        let csv = ebda::sim::channel_heatmap_csv(&topo, &relation, &cfg, &result);
+        write_file("heatmap", path, csv)?;
+        eprintln!("heatmap written to {}", path.display());
+    }
+    obs.finish()
 }
 
-fn cmd_monitor(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--addr").ok_or("missing --addr host:port")?;
-    let once = args.iter().any(|a| a == "--once");
+fn cmd_monitor(mut args: Args) -> Result<(), CliError> {
+    let addr: Option<String> = args.value("--addr")?;
+    let once = args.switch("--once");
     // `--interval <secs>` is the watch mode: clear the terminal and
     // re-render the snapshot in place each round, like `watch(1)`.
     // `--interval-ms` keeps the original append-only polling (and wins
     // on cadence when both are given).
-    let watch_secs: Option<u64> = flag_value(args, "--interval")
-        .map(|v| v.parse().map_err(|e| format!("bad --interval: {e}")))
-        .transpose()?;
-    let interval_ms: u64 = match flag_value(args, "--interval-ms") {
-        Some(v) => v.parse().map_err(|e| format!("bad --interval-ms: {e}"))?,
-        None => watch_secs.map_or(2_000, |s| s.max(1) * 1_000),
-    };
-    let ledger = flag_value(args, "--ledger");
+    let watch_secs: Option<u64> = args.value("--interval")?;
+    let interval_ms: u64 = args
+        .value("--interval-ms")?
+        .unwrap_or_else(|| watch_secs.map_or(2_000, |s| s.max(1).saturating_mul(1_000)));
+    let ledger: Option<PathBuf> = args.value("--ledger")?;
+    args.finish()?;
+    let addr = addr.ok_or_else(|| CliError::usage("missing --addr host:port"))?;
     let in_place = watch_secs.is_some() && !once;
     loop {
         // A dead endpoint is an expected condition, not a parse bug:
         // report it as one clean line instead of the raw io error.
-        let body = ebda_obs::http_get(addr, "/metrics")
+        let body = ebda_obs::http_get(&addr, "/metrics")
             .map_err(|_| format!("endpoint unreachable: {addr}"))?;
         let samples = ebda_obs::metrics::parse_exposition(&body)
             .map_err(|e| format!("malformed exposition from {addr}: {e}"))?;
         if in_place {
             print!("\x1b[2J\x1b[H");
         }
-        println!("{}", monitor_snapshot(addr, &samples));
-        if let Some(path) = ledger {
-            match ebda_obs::ledger::tail(std::path::Path::new(path), 5) {
+        println!("{}", monitor_snapshot(&addr, &samples));
+        if let Some(path) = &ledger {
+            let shown = path.display();
+            match ebda_obs::ledger::tail(path, 5) {
                 Ok(records) if records.is_empty() => {
-                    println!("recent verdicts ({path}): none yet");
+                    println!("recent verdicts ({shown}): none yet");
                 }
                 Ok(records) => {
-                    println!("recent verdicts ({path}):");
+                    println!("recent verdicts ({shown}):");
                     for r in &records {
                         println!("  {}", r.summary());
                     }
@@ -786,20 +834,19 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
 /// three views: the human phase table (default), the deterministic
 /// work-unit counter tree (`--counters`), or nested flame-style JSON
 /// (`--flame`).
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("missing profile file (written by --profile-out / EBDA_PROFILE_OUT)")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+fn cmd_profile(mut args: Args) -> Result<(), CliError> {
+    let counters = args.switch("--counters");
+    let flame = args.switch("--flame");
+    let [path] = args.exactly("one profile file (written by --profile-out)")?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = ebda_obs::json::Value::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     // A --profile-out file is a Chrome trace with the snapshot spliced in
     // under "ebdaProfile"; a bare snapshot document works too.
     let snap = ebda_obs::ProfSnapshot::from_value(doc.get("ebdaProfile").unwrap_or(&doc))
         .map_err(|e| format!("{path}: {e}"))?;
-    if args.iter().any(|a| a == "--counters") {
+    if counters {
         print!("{}", snap.counters_text());
-    } else if args.iter().any(|a| a == "--flame") {
+    } else if flame {
         println!("{}", snap.flame_json());
     } else {
         print!("{}", snap.table());
@@ -999,8 +1046,8 @@ mod tests {
             "--turns",
             "X1+>Y1+,Y1+>X1+,X1+>Y1-,Y1->X1+,X1->Y1+,Y1+>X1-,X1->Y1-,Y1->X1-",
         ]));
-        assert!(result.is_err());
-        assert!(result.unwrap_err().contains("not certifiable"));
+        let err = result.unwrap_err();
+        assert!(matches!(&err, CliError::Failed(m) if m.contains("not certifiable")));
     }
 
     // One test for everything touching the process-global metrics
@@ -1031,7 +1078,7 @@ mod tests {
             ],
             0.25,
         );
-        let server = ebda_obs::MetricsServer::serve("127.0.0.1:0").unwrap();
+        let server = ebda_obs::MetricsServer::serve("127.0.0.1:0", None, None).unwrap();
         let addr = server.local_addr().to_string();
         run(&s(&["monitor", "--addr", &addr, "--once"])).unwrap();
         let body = ebda_obs::http_get(&addr, "/metrics").unwrap();
@@ -1128,7 +1175,7 @@ mod tests {
             listener.local_addr().unwrap().to_string()
         };
         let err = run(&s(&["monitor", "--addr", &addr, "--once"])).unwrap_err();
-        assert_eq!(err, format!("endpoint unreachable: {addr}"));
+        assert_eq!(err, format!("endpoint unreachable: {addr}").into());
     }
 
     #[test]
@@ -1169,7 +1216,7 @@ mod tests {
             "--interval",
             "soon",
         ]));
-        assert!(r.unwrap_err().contains("bad --interval"));
+        assert!(matches!(r, Err(CliError::Usage(m)) if m.contains("--interval \"soon\"")));
     }
 
     #[test]
@@ -1231,7 +1278,10 @@ mod tests {
         let bad = path.with_extension("tampered.jsonl");
         std::fs::write(&bad, tampered).unwrap();
         let err = run(&s(&["check-cert", bad.to_str().unwrap()])).unwrap_err();
-        assert!(err.contains("failed the certificate check"), "{err}");
+        assert!(
+            err.to_string().contains("failed the certificate check"),
+            "{err}"
+        );
         assert!(run(&s(&["ledger", "diff", &p, bad.to_str().unwrap()])).is_err());
 
         std::fs::remove_file(&bad).ok();
@@ -1259,6 +1309,9 @@ mod tests {
     fn radix_and_vcs_parsing() {
         assert_eq!(parse_radix("4x4x2").unwrap(), vec![4, 4, 2]);
         assert!(parse_radix("4xq").is_err());
-        assert_eq!(parse_vcs(&s(&["--vcs", "3,2,3"])).unwrap(), vec![3, 2, 3]);
+        assert!(parse_radix("4x0").is_err());
+        assert!(parse_radix("99999999x99999999x99999999").is_err());
+        let args = Args::new(s(&["--vcs", "3,2,3"]));
+        assert_eq!(vcs_budget(args).unwrap(), vec![3, 2, 3]);
     }
 }

@@ -15,7 +15,10 @@ fn help_prints_usage() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("usage:"));
-    assert!(text.contains("ebda verify"));
+    for cmd in ["ebda verify", "ebda repro", "ebda oracle", "ebda corpus"] {
+        assert!(text.contains(cmd), "help lacks {cmd}");
+    }
+    assert!(!text.contains("EBDA_TRACE"), "flags only: {text}");
 }
 
 #[test]
@@ -141,7 +144,156 @@ fn certify_both_ways() {
 #[test]
 fn unknown_flags_do_not_crash() {
     let out = ebda(&["design"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let out = ebda(&["bogus"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// Asserts the exit code and that stderr names `needle` without a panic.
+#[track_caller]
+fn assert_exit(args: &[&str], code: i32, needle: &str) -> std::process::Output {
+    let out = ebda(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?} must name {needle}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    out
+}
+
+/// The command-line contract: whatever is mistyped — an unknown flag, a
+/// flag without its value, a value that does not parse — is exit 2 with
+/// the flag named on stderr, on every subcommand, before any work starts
+/// (none of the files and endpoints below exist).
+#[test]
+fn every_subcommand_rejects_a_malformed_line_with_exit_2() {
+    // A valid line, then its value flags as `--flag` or `--flag=unparsable`.
+    let rows = [
+        ("repro sweep --quick", "--threads=0 --metrics-linger=x"),
+        ("repro explore", "--threads=x --journey-sample-rate=1.5"),
+        ("repro scalability", "--threads=x --trace-out"),
+        ("repro table1", ""),
+        (
+            "oracle",
+            "--budget=x --seed=-1 --mutate=nonsense --max-nodes=1 --ledger",
+        ),
+        ("corpus generate", "--out"),
+        (
+            "corpus run corpus/seed",
+            "--shrink-budget=x --mutate=nonsense --coverage-out",
+        ),
+        ("corpus stats corpus/seed", ""),
+        (
+            "simulate xy",
+            "--rate=x --mesh=4xq --torus=0x4 --traffic=rain --policy=x --switching=x \
+             --seed=x --watchdog-window=x --threads=x --heatmap-out",
+        ),
+        ("verify xy", "--mesh=4xq --torus=x --ledger"),
+        ("certify", "--turns=nonsense"),
+        ("check-cert /nonexistent/l.jsonl", ""),
+        ("ledger list /nonexistent/l.jsonl", ""),
+        ("ledger show /nonexistent/l.jsonl", ""),
+        ("ledger diff /nonexistent/a /nonexistent/b", ""),
+        ("coverage report /nonexistent/c.json", ""),
+        ("coverage diff /nonexistent/a /nonexistent/b", ""),
+        ("coverage merge /nonexistent/out /nonexistent/a", ""),
+        ("explain abcd", "--ledger"),
+        ("report xy", ""),
+        (
+            "monitor --addr 127.0.0.1:1",
+            "--interval=soon --interval-ms=x --ledger",
+        ),
+        ("profile /nonexistent/p.json", ""),
+        ("design", "--vcs=1,x --arrangement=diagonal"),
+        ("options", "--vcs=x"),
+        ("turns xy", ""),
+    ];
+    for (line, flags) in rows {
+        let with = |extra: &[&str]| -> Vec<String> {
+            let words = line.split_whitespace().chain(extra.iter().copied());
+            words.map(String::from).collect()
+        };
+        let rejected = |line: Vec<String>, flag: &str| {
+            assert_exit(
+                &line.iter().map(String::as_str).collect::<Vec<_>>(),
+                2,
+                flag,
+            );
+        };
+        rejected(with(&["--bogus"]), "--bogus");
+        for spec in flags.split_whitespace() {
+            let (flag, bad) = spec.split_once('=').unwrap_or((spec, ""));
+            rejected(with(&[flag]), flag);
+            if !bad.is_empty() {
+                rejected(with(&[flag, bad]), flag);
+            }
+        }
+    }
+    // Arity and names are part of the line too.
+    assert_exit(&["repro", "table9"], 2, "table9");
+    assert_exit(&["repro", "table1", "stray"], 2, "stray");
+    assert_exit(&["repro", "explore", "1,x"], 2, "bad VC count \"x\"");
+    assert_exit(&["repro", "explore", "0,0"], 2, "0, 0");
+    assert_exit(&["corpus"], 2, "corpus action");
+    assert_exit(&["corpus", "frobnicate"], 2, "frobnicate");
+    assert_exit(&["corpus", "generate"], 2, "--out");
+    assert_exit(&["corpus", "run"], 2, "corpus directory");
+    // The full-rebuild switch is gone, not silently accepted.
+    assert_exit(&["oracle", "--incremental", "on"], 2, "--incremental");
+    assert_exit(&["simulate", "fig9b", "--mesh", "4x4"], 2, "dimensions");
+    assert_exit(&["simulate", "xy", "--rate", "5"], 2, "probability");
+    assert_exit(&["simulate", "xy", "X- | X+ Y+ Y-"], 2, "one design");
+    assert_exit(&["simulate", ""], 2, "no channels");
+}
+
+/// A requested file or endpoint that cannot be had is exit 1 — after the
+/// work, whose result still reaches stdout.
+#[test]
+fn unusable_outputs_fail_with_exit_1_after_the_result() {
+    let sim = ["simulate", "xy", "--mesh", "4x4", "--rate", "0.02"];
+    for (flag, target) in [
+        ("--trace-out", "/nonexistent/t.json"),
+        ("--trace-out", "/nonexistent/t.csv"),
+        ("--profile-out", "/nonexistent/p.json"),
+        ("--journey-out", "/nonexistent/j.json"),
+        ("--heatmap-out", "/nonexistent/h.csv"),
+        ("--metrics-addr", "nope"),
+    ] {
+        let out = assert_exit(&[&sim[..], &[flag, target]].concat(), 1, target);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("completed"), "{flag}: result first: {text}");
+    }
+    let oracle = [
+        "oracle",
+        "--budget",
+        "0",
+        "--min-configs",
+        "4",
+        "--max-nodes",
+        "12",
+    ];
+    for (flag, target) in [
+        ("--ledger", "/nonexistent/l.jsonl"),
+        ("--coverage-out", "/nonexistent/c.json"),
+        ("--trace-out", "/nonexistent/p.json"),
+        ("--metrics-addr", "nope"),
+    ] {
+        assert_exit(&[&oracle[..], &[flag, target]].concat(), 1, target);
+    }
+    assert_exit(
+        &["verify", "xy", "--ledger", "/nonexistent/l.jsonl"],
+        1,
+        "/nonexistent/l.jsonl",
+    );
+    assert_exit(
+        &["repro", "explore", "--profile-out", "/nonexistent/p.json"],
+        1,
+        "/nonexistent/p.json",
+    );
+    assert_exit(
+        &["corpus", "run", "/nonexistent/corpus"],
+        1,
+        "/nonexistent/corpus",
+    );
+    // A failed check is exit 1 as well, not a usage error.
+    assert_exit(&["verify", "xy", "--torus", "4x4"], 1, "NOT deadlock-free");
 }

@@ -2,17 +2,15 @@
 //! an `Atomic*` / lock / once-cell type in library or binary source must
 //! be on the list below. The list may shrink — delete the line with the
 //! global — but a new entry needs the argument that a run-owned value
-//! would not do.
+//! would not do. The environment is process-global input too: flags are
+//! the only way in, except for the two variables of [`ALLOWED_ENV`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// `file:NAME`, sorted. Seven run-state globals, then two immutable
-/// caches.
+/// `file:NAME`, sorted. Five run-state globals and two immutable caches.
 const ALLOWED: &[&str] = &[
     "crates/core/src/catalog.rs:SEQ", // cache: parsed catalog designs
-    "crates/obs/src/coverage.rs:GLOBAL_PATH",
-    "crates/obs/src/ledger.rs:GLOBAL_PATH",
     "crates/obs/src/metrics.rs:ENABLED",
     "crates/obs/src/metrics.rs:GLOBAL",
     "crates/obs/src/prof.rs:ENABLED",
@@ -20,6 +18,11 @@ const ALLOWED: &[&str] = &[
     "crates/obs/src/prof.rs:REGISTRY",
     "crates/par/src/lib.rs:THREAD_OVERRIDE",
 ];
+
+/// The variables library and binary source may read: the worker count
+/// (`ebda-par`; CI runs the suite under it) and the per-query oracle of
+/// the incremental verifier.
+const ALLOWED_ENV: &[&str] = &["EBDA_INCR_CHECK", "EBDA_THREADS"];
 
 const SHARED_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"];
 
@@ -64,8 +67,9 @@ fn shared_statics(source: &str) -> Vec<String> {
     found
 }
 
-#[test]
-fn process_global_state_is_on_the_allowlist() {
+/// Every library and binary source file (`src/`, `crates/*/src/`) as
+/// (path relative to the root, text).
+fn sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_files(&root.join("src"), &mut files);
@@ -75,15 +79,22 @@ fn process_global_state_is_on_the_allowlist() {
             &mut files,
         );
     }
-    let mut found: Vec<String> = files
+    files
         .iter()
-        .flat_map(|path| {
-            let rel = path
-                .strip_prefix(root)
-                .expect("under the root")
-                .display()
-                .to_string();
-            shared_statics(&fs::read_to_string(path).expect("readable source"))
+        .map(|path| {
+            let rel = path.strip_prefix(root).expect("under the root").display();
+            let text = fs::read_to_string(path).expect("readable source");
+            (rel.to_string(), text)
+        })
+        .collect()
+}
+
+#[test]
+fn process_global_state_is_on_the_allowlist() {
+    let mut found: Vec<String> = sources()
+        .iter()
+        .flat_map(|(rel, text)| {
+            shared_statics(text)
                 .into_iter()
                 .map(move |name| format!("{rel}:{name}"))
         })
@@ -93,6 +104,35 @@ fn process_global_state_is_on_the_allowlist() {
         found, ALLOWED,
         "process-global statics changed; see the module docs"
     );
+}
+
+/// The names passed to `env::var` / `env::var_os` in one file (test
+/// modules included: a variable only tests set is still a second way in).
+fn env_reads(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for call in ["env::var(", "env::var_os("] {
+        for (at, _) in source.match_indices(call) {
+            let arg = &source[at + call.len()..];
+            let name = arg.strip_prefix('"').and_then(|a| a.split('"').next());
+            found.push(name.unwrap_or("<not a literal>").to_string());
+        }
+    }
+    found
+}
+
+#[test]
+fn the_environment_is_read_for_two_variables_only() {
+    let mut found: Vec<String> = sources()
+        .iter()
+        .flat_map(|(rel, text)| {
+            env_reads(text)
+                .into_iter()
+                .filter(|name| !ALLOWED_ENV.contains(&name.as_str()))
+                .map(move |name| format!("{rel}:{name}"))
+        })
+        .collect();
+    found.sort();
+    assert_eq!(found, [""; 0], "flags only: see crates/bench/src/trace.rs");
 }
 
 #[test]
@@ -113,4 +153,6 @@ mod tests {
 }
 ";
     assert_eq!(shared_statics(source), ["A", "B", "D"]);
+    let source = "let a = std::env::var(\"EBDA_X\"); env::var_os(name); environment::var(1)";
+    assert_eq!(env_reads(source), ["EBDA_X", "<not a literal>"]);
 }

@@ -1,6 +1,6 @@
 //! The differential oracle through the `ebda` facade: a small fixed-seed
 //! campaign must stay clean, and a mutated checker must be caught — the
-//! same invariants CI enforces with the `oracle` binary at a larger budget.
+//! same invariants CI enforces with `ebda oracle` at a larger budget.
 
 use ebda::oracle::differential::{run_campaign, CampaignConfig};
 use ebda::oracle::verdict::Mutation;
