@@ -45,9 +45,13 @@ impl DuatoReport {
         if !self.escape_acyclic {
             return Vec::new();
         }
-        let mut out: Vec<String> = escape_universe.iter().map(ToString::to_string).collect();
+        // Distinct classes have distinct labels: deduplicate first, so
+        // each label is rendered once, then order the labels as text.
+        let mut classes = escape_universe.to_vec();
+        classes.sort_unstable();
+        classes.dedup();
+        let mut out: Vec<String> = classes.iter().map(ToString::to_string).collect();
         out.sort();
-        out.dedup();
         out
     }
 }

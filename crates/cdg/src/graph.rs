@@ -369,10 +369,10 @@ impl Cdg {
         let labels: Vec<String> = reps.iter().map(ConcreteChannel::class_label).collect();
         let mut out: Vec<String> = (0..k * k)
             .filter(|&pair| seen[pair])
-            .map(|pair| format!("{}>{}", labels[pair / k], labels[pair % k]))
+            .map(|pair| [labels[pair / k].as_str(), ">", &labels[pair % k]].concat())
             .collect();
+        // Distinct classes have distinct labels: nothing to deduplicate.
         out.sort();
-        out.dedup();
         out
     }
 

@@ -12,7 +12,8 @@
 //! use to skip re-verifying a design it has already decided.
 
 use crate::{Channel, TurnSet};
-use std::fmt::Write as _;
+use ebda_obs::json::{write_u64, Fnv1a};
+use std::fmt;
 
 /// Version tag folded into every canonical encoding. Bump when the
 /// encoding (not the design) changes, so stale caches cannot alias.
@@ -39,40 +40,74 @@ pub fn canonical_string(
     universe: &[Channel],
     turns: &TurnSet,
 ) -> String {
-    let mut channels: Vec<String> = universe.iter().map(|c| c.to_string()).collect();
-    channels.sort();
-    channels.dedup();
-    // `TurnSet` iterates in sorted order already; render as `from>to`.
-    let turn_text: Vec<String> = turns
-        .iter()
-        .map(|t| format!("{}>{}", t.from, t.to))
-        .collect();
     let mut out = String::new();
-    let _ = write!(out, "ebda-canonical-v{CANONICAL_VERSION}|radix=");
-    join_into(&mut out, radix.iter().map(|r| r.to_string()));
-    out.push_str("|wrap=");
-    join_into(&mut out, wrap.iter().map(|w| if *w { "1" } else { "0" }));
-    out.push_str("|vcs=");
-    join_into(&mut out, vcs.iter().map(|v| v.to_string()));
-    out.push_str("|universe=");
-    join_into(&mut out, channels);
-    out.push_str("|turns=");
-    join_into(&mut out, turn_text);
+    encode(&mut out, radix, wrap, vcs, universe, turns).expect("writing to a String cannot fail");
     out
 }
 
-fn join_into<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = S>) {
-    for (i, item) in items.into_iter().enumerate() {
+/// Writes the canonical encoding into `out`: a `String` for
+/// [`canonical_string`], a hasher for [`canonical_hash`].
+fn encode<W: fmt::Write>(
+    out: &mut W,
+    radix: &[usize],
+    wrap: &[bool],
+    vcs: &[u8],
+    universe: &[Channel],
+    turns: &TurnSet,
+) -> fmt::Result {
+    fn comma<W: fmt::Write>(out: &mut W, i: usize) -> fmt::Result {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
-        out.push_str(item.as_ref());
+        Ok(())
     }
+    out.write_str("ebda-canonical-v")?;
+    write_u64(out, u64::from(CANONICAL_VERSION))?;
+    out.write_str("|radix=")?;
+    for (i, &r) in radix.iter().enumerate() {
+        comma(out, i)?;
+        write_u64(out, r as u64)?;
+    }
+    out.write_str("|wrap=")?;
+    for (i, &w) in wrap.iter().enumerate() {
+        comma(out, i)?;
+        out.write_char(if w { '1' } else { '0' })?;
+    }
+    out.write_str("|vcs=")?;
+    for (i, &v) in vcs.iter().enumerate() {
+        comma(out, i)?;
+        write_u64(out, u64::from(v))?;
+    }
+    out.write_str("|universe=")?;
+    // The channels go in sorted by their *text* and deduplicated: all
+    // renderings share one buffer, and the sort moves spans of it.
+    let mut text = String::new();
+    let mut spans = Vec::with_capacity(universe.len());
+    for c in universe {
+        let start = text.len();
+        c.write_to(&mut text)?;
+        spans.push(start..text.len());
+    }
+    spans.sort_unstable_by(|a, b| text[a.clone()].cmp(&text[b.clone()]));
+    spans.dedup_by(|a, b| text[a.clone()] == text[b.clone()]);
+    for (i, span) in spans.into_iter().enumerate() {
+        comma(out, i)?;
+        out.write_str(&text[span])?;
+    }
+    out.write_str("|turns=")?;
+    // `TurnSet` iterates in sorted order already; render as `from>to`.
+    for (i, t) in turns.iter().enumerate() {
+        comma(out, i)?;
+        t.from.write_to(out)?;
+        out.write_char('>')?;
+        t.to.write_to(out)?;
+    }
+    Ok(())
 }
 
 /// The canonical 64-bit content hash of a verification problem (FNV-1a
-/// over [`canonical_string`]). Deterministic across runs, platforms and
-/// enumeration orders.
+/// over [`canonical_string`], hashed as it is encoded). Deterministic
+/// across runs, platforms and enumeration orders.
 pub fn canonical_hash(
     radix: &[usize],
     wrap: &[bool],
@@ -80,23 +115,15 @@ pub fn canonical_hash(
     universe: &[Channel],
     turns: &TurnSet,
 ) -> u64 {
-    fnv1a(canonical_string(radix, wrap, vcs, universe, turns).as_bytes())
+    let mut hash = Fnv1a::new();
+    encode(&mut hash, radix, wrap, vcs, universe, turns).expect("hashing cannot fail");
+    hash.finish()
 }
 
 /// Renders a canonical hash as the fixed-width lowercase hex used in
 /// corpus file names.
 pub fn hash_hex(hash: u64) -> String {
     format!("{hash:016x}")
-}
-
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -165,6 +192,32 @@ mod tests {
         assert_eq!(hash_hex(0), "0000000000000000");
         assert_eq!(hash_hex(u64::MAX), "ffffffffffffffff");
         assert_eq!(hash_hex(0xabc), "0000000000000abc");
+    }
+
+    #[test]
+    fn the_streamed_hash_is_the_hash_of_the_string() {
+        let seq = catalog::dateline_design(&[4, 4], &[true, true]);
+        let turns = extract_turns(&seq).unwrap().into_turn_set();
+        // Out of order and with a duplicate, so the sort and dedup matter.
+        let mut universe = seq.channels();
+        universe.reverse();
+        universe.push(universe[0]);
+        let args = (&[4usize, 4][..], &[true, true][..], &[2u8, 2][..]);
+        let text = canonical_string(args.0, args.1, args.2, &universe, &turns);
+        let mut whole = Fnv1a::new();
+        whole.update(text.as_bytes());
+        assert_eq!(
+            canonical_hash(args.0, args.1, args.2, &universe, &turns),
+            whole.finish()
+        );
+        assert_eq!(
+            text,
+            canonical_string(args.0, args.1, args.2, &seq.channels(), &turns)
+        );
+        assert!(
+            text.contains("|universe=X1+[X!=3],X1-[X!=0],X2+[X!=3],X2+[X=3],"),
+            "{text}"
+        );
     }
 
     #[test]

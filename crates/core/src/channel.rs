@@ -10,6 +10,7 @@
 //! `ebda-cdg` crate when a design is verified on a real topology.
 
 use crate::error::{EbdaError, Result};
+use ebda_obs::json::write_u64;
 use std::fmt;
 
 /// A network dimension (`X`, `Y`, `Z`, `T`, `D4`, `D5`, …).
@@ -60,15 +61,25 @@ impl Dimension {
     }
 }
 
+impl Dimension {
+    /// Writes the [`fmt::Display`] form into `out`.
+    fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self.0 {
+            0 => out.write_char('X'),
+            1 => out.write_char('Y'),
+            2 => out.write_char('Z'),
+            3 => out.write_char('T'),
+            k => {
+                out.write_char('D')?;
+                write_u64(out, u64::from(k))
+            }
+        }
+    }
+}
+
 impl fmt::Display for Dimension {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            0 => write!(f, "X"),
-            1 => write!(f, "Y"),
-            2 => write!(f, "Z"),
-            3 => write!(f, "T"),
-            k => write!(f, "D{k}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -372,86 +383,78 @@ impl Channel {
             input: s.to_string(),
             reason,
         };
-        let s = s.trim();
-        let mut chars = s.chars().peekable();
+        /// Splits the leading run of ASCII digits off `rest`.
+        fn take_digits<'a>(rest: &mut &'a str) -> &'a str {
+            let end = rest.bytes().take_while(u8::is_ascii_digit).count();
+            let (digits, tail) = rest.split_at(end);
+            *rest = tail;
+            digits
+        }
+        let mut chars = s.trim().chars();
         // Dimension: letter or D<k>.
         let first = chars.next().ok_or_else(|| err("empty input"))?;
-        let dim = if first == 'D' || first == 'd' {
-            let mut digits = String::new();
-            while let Some(c) = chars.peek() {
-                if c.is_ascii_digit() {
-                    digits.push(*c);
-                    chars.next();
-                } else {
-                    break;
+        let mut rest = chars.as_str();
+        let dim = match first {
+            'D' | 'd' => {
+                // "D4" style needs at least one digit; but the digits may
+                // also be the VC number for dimension T... The paper never
+                // uses D<k> with VCs in text form, so treat all digits here
+                // as the index.
+                let digits = take_digits(&mut rest);
+                if digits.is_empty() {
+                    return Err(err("dimension D needs an index, e.g. D4"));
                 }
+                Dimension(
+                    digits
+                        .parse()
+                        .map_err(|_| err("dimension index out of range"))?,
+                )
             }
-            // "D4" style needs at least one digit; but the digits may also be
-            // the VC number for dimension T... The paper never uses D<k> with
-            // VCs in text form, so treat all digits here as the index.
-            if digits.is_empty() {
-                return Err(err("dimension D needs an index, e.g. D4"));
-            }
-            Dimension(
-                digits
-                    .parse::<u8>()
-                    .map_err(|_| err("dimension index out of range"))?,
-            )
-        } else {
-            Dimension::parse(&first.to_string()).ok_or_else(|| err("unknown dimension letter"))?
+            'X' | 'x' => Dimension::X,
+            'Y' | 'y' => Dimension::Y,
+            'Z' | 'z' => Dimension::Z,
+            'T' | 't' => Dimension::T,
+            _ => return Err(err("unknown dimension letter")),
         };
         // Optional parity letter.
         let mut parity = None;
-        if let Some(&c) = chars.peek() {
-            if c == 'e' || c == 'o' {
-                parity = Some(if c == 'e' { Parity::Even } else { Parity::Odd });
-                chars.next();
+        for (letter, p) in [('e', Parity::Even), ('o', Parity::Odd)] {
+            if let Some(tail) = rest.strip_prefix(letter) {
+                (parity, rest) = (Some(p), tail);
+                break;
             }
         }
         // Optional VC digits; `D<k>` channels separate the VC with a colon
         // ("D4:2+") since digits would otherwise extend the index.
-        if chars.peek() == Some(&':') {
-            chars.next();
-        }
-        let mut digits = String::new();
-        while let Some(c) = chars.peek() {
-            if c.is_ascii_digit() {
-                digits.push(*c);
-                chars.next();
-            } else {
-                break;
+        rest = rest.strip_prefix(':').unwrap_or(rest);
+        let vc = match take_digits(&mut rest) {
+            "" => 1,
+            digits => {
+                let v: u8 = digits
+                    .parse()
+                    .map_err(|_| err("virtual-channel number out of range"))?;
+                if v == 0 {
+                    return Err(err("virtual-channel numbers are 1-based"));
+                }
+                v
             }
-        }
-        let vc = if digits.is_empty() {
-            1
-        } else {
-            let v: u8 = digits
-                .parse()
-                .map_err(|_| err("virtual-channel number out of range"))?;
-            if v == 0 {
-                return Err(err("virtual-channel numbers are 1-based"));
-            }
-            v
         };
         // Direction.
+        let mut chars = rest.chars();
         let dir = match chars.next() {
             Some('+') => Direction::Plus,
             Some('-') => Direction::Minus,
             Some(_) => return Err(err("expected '+' or '-' direction suffix")),
             None => return Err(err("missing '+' or '-' direction suffix")),
         };
+        rest = chars.as_str();
         // Optional bracketed coordinate restriction: `[X=3]` / `[X!=3]`.
         let mut coord_class = None;
-        if chars.peek() == Some(&'[') {
-            chars.next();
-            let mut body = String::new();
-            loop {
-                match chars.next() {
-                    Some(']') => break,
-                    Some(c) => body.push(c),
-                    None => return Err(err("unterminated coordinate restriction bracket")),
-                }
-            }
+        if let Some(bracketed) = rest.strip_prefix('[') {
+            let (body, tail) = bracketed
+                .split_once(']')
+                .ok_or_else(|| err("unterminated coordinate restriction bracket"))?;
+            rest = tail;
             // `[Z%2=0]` restricts by parity on a non-conventional axis;
             // it must be recognised before the plain '=' split.
             if let Some((axis_text, bit_text)) = body.split_once("%2=") {
@@ -484,7 +487,7 @@ impl Channel {
                 });
             }
         }
-        if chars.next().is_some() {
+        if !rest.is_empty() {
             return Err(err("trailing characters after direction"));
         }
         let class = match (parity, coord_class) {
@@ -518,38 +521,56 @@ impl Channel {
     }
 }
 
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.dim)?;
+impl Channel {
+    /// Writes the channel in the paper's notation — its [`fmt::Display`]
+    /// form — into `out` without going through a formatter, for the
+    /// writers that render a channel per hop, turn and hash.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.dim.write_to(out)?;
         // The short parity letter only encodes the paper's conventional
         // axis; any other parity axis uses the bracketed suffix below so
         // the rendering stays lossless.
         let conventional = Channel::conventional_parity_axis(self.dim);
         if let ChannelClass::AtParity { axis, parity } = self.class {
             if axis == conventional {
-                write!(f, "{parity}")?;
+                out.write_char(if parity == Parity::Even { 'e' } else { 'o' })?;
             }
         }
         // Beyond T the dimension prints as `D<k>`, so a colon separates the
         // VC number from the index to keep parsing unambiguous.
         if self.dim.0 > 3 {
-            write!(f, ":")?;
+            out.write_char(':')?;
         }
-        write!(f, "{}{}", self.vc, self.dir)?;
+        write_u64(out, u64::from(self.vc))?;
+        out.write_char(if self.dir == Direction::Plus {
+            '+'
+        } else {
+            '-'
+        })?;
         // Coordinate restrictions use a bracketed suffix, accepted back by
         // `parse`.
-        match self.class {
-            ChannelClass::AtCoord { axis, value } => write!(f, "[{axis}={value}]"),
-            ChannelClass::NotAtCoord { axis, value } => write!(f, "[{axis}!={value}]"),
+        let (axis, relation, value) = match self.class {
+            ChannelClass::AtCoord { axis, value } => (axis, "=", value),
+            ChannelClass::NotAtCoord { axis, value } => (axis, "!=", value),
             ChannelClass::AtParity { axis, parity } if axis != conventional => {
-                write!(
-                    f,
-                    "[{axis}%2={}]",
-                    if parity == Parity::Even { 0 } else { 1 }
-                )
+                (axis, "%2=", i64::from(parity == Parity::Odd))
             }
-            _ => Ok(()),
+            _ => return Ok(()),
+        };
+        out.write_char('[')?;
+        axis.write_to(out)?;
+        out.write_str(relation)?;
+        if value < 0 {
+            out.write_char('-')?;
         }
+        write_u64(out, value.unsigned_abs())?;
+        out.write_char(']')
+    }
+}
+
+impl fmt::Display for Channel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

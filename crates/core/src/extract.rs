@@ -94,13 +94,12 @@ impl Extraction {
     /// sorted, deduplicated [`Justification::coverage_key`] labels —
     /// what campaigns feed the `obligation` coverage family.
     pub fn obligation_keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .justified
-            .iter()
-            .map(|(_, j)| j.coverage_key())
-            .collect();
+        // Many turns share a justification: name each distinct one once.
+        let mut distinct: Vec<Justification> = self.justified.iter().map(|(_, j)| *j).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut keys: Vec<String> = distinct.iter().map(Justification::coverage_key).collect();
         keys.sort();
-        keys.dedup();
         keys
     }
 

@@ -3,7 +3,7 @@
 //! expected verdict, provenance, and a canonical content hash.
 
 use ebda_core::{canonical, Channel, Partition, PartitionSeq, Turn, TurnSet};
-use ebda_obs::json::{self, Value};
+use ebda_obs::json::{self, Reader};
 use ebda_oracle::artifact::{Artifact, ArtifactKind};
 use std::fmt;
 
@@ -130,161 +130,157 @@ impl CorpusEntry {
     /// are written in a fixed order and the rendering has no wall-clock
     /// or environment dependence, so the bytes are stable.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"format\": {FORMAT_VERSION},\n"));
-        out.push_str(&format!(
-            "  \"hash\": {},\n",
-            json::escape(&self.hash_hex())
-        ));
-        out.push_str(&format!("  \"name\": {},\n", json::escape(&self.name)));
-        out.push_str(&format!("  \"family\": {},\n", json::escape(&self.family)));
-        out.push_str(&format!(
-            "  \"radix\": [{}],\n",
-            join(self.radix.iter().map(|r| r.to_string()))
-        ));
-        out.push_str(&format!(
-            "  \"wrap\": [{}],\n",
-            join(self.wrap.iter().map(|w| w.to_string()))
-        ));
-        out.push_str(&format!(
-            "  \"vcs\": [{}],\n",
-            join(self.vcs.iter().map(|v| v.to_string()))
-        ));
-        out.push_str(&format!(
-            "  \"universe\": [{}],\n",
-            join(self.universe.iter().map(|c| json::escape(&c.to_string())))
-        ));
-        out.push_str(&format!(
-            "  \"turns\": [{}],\n",
-            join(
-                self.turns
-                    .iter()
-                    .map(|t| json::escape(&format!("{}>{}", t.from, t.to)))
-            )
-        ));
-        match &self.design {
-            Some(seq) => {
-                let parts: Vec<String> = seq
-                    .partitions()
-                    .iter()
-                    .map(|p| format!("[{}]", join(p.iter().map(|c| json::escape(&c.to_string())))))
-                    .collect();
-                out.push_str(&format!("  \"design\": [{}],\n", parts.join(", ")));
-            }
-            None => out.push_str("  \"design\": null,\n"),
-        }
-        out.push_str(&format!(
-            "  \"expected\": {},\n",
-            json::escape(self.expected.name())
-        ));
-        out.push_str(&format!("  \"ebda_certified\": {},\n", self.ebda_certified));
-        out.push_str(&format!(
-            "  \"provenance\": {}\n",
-            json::escape(&self.provenance)
-        ));
-        out.push_str("}\n");
+        let names = 2 * self.universe.len() + 2 * self.turns.len();
+        let mut out = String::with_capacity(512 + self.provenance.len() + 12 * names);
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        fn channels<W: fmt::Write>(out: &mut W, list: &[Channel]) -> fmt::Result {
+            json::write_list(out, ", ", list, |out, c| {
+                out.write_char('"')?;
+                c.write_to(out)?;
+                out.write_char('"')
+            })
+        }
+        out.write_str("{\n  \"format\": ")?;
+        json::write_u64(out, FORMAT_VERSION)?;
+        write!(out, ",\n  \"hash\": \"{:016x}\"", self.content_hash())?;
+        out.write_str(",\n  \"name\": ")?;
+        json::write_str(out, &self.name)?;
+        out.write_str(",\n  \"family\": ")?;
+        json::write_str(out, &self.family)?;
+        out.write_str(",\n  \"radix\": ")?;
+        json::write_list(out, ", ", &self.radix, |out, &r| {
+            json::write_u64(out, r as u64)
+        })?;
+        out.write_str(",\n  \"wrap\": ")?;
+        json::write_list(out, ", ", &self.wrap, |out, &w| {
+            out.write_str(if w { "true" } else { "false" })
+        })?;
+        out.write_str(",\n  \"vcs\": ")?;
+        json::write_list(out, ", ", &self.vcs, |out, &v| {
+            json::write_u64(out, u64::from(v))
+        })?;
+        out.write_str(",\n  \"universe\": ")?;
+        channels(out, &self.universe)?;
+        out.write_str(",\n  \"turns\": ")?;
+        json::write_list(out, ", ", self.turns.iter(), |out, t| {
+            out.write_char('"')?;
+            t.from.write_to(out)?;
+            out.write_char('>')?;
+            t.to.write_to(out)?;
+            out.write_char('"')
+        })?;
+        out.write_str(",\n  \"design\": ")?;
+        match &self.design {
+            Some(seq) => json::write_list(out, ", ", seq.partitions(), |out, p| {
+                channels(out, p.channels())
+            })?,
+            None => out.write_str("null")?,
+        }
+        out.write_str(",\n  \"expected\": ")?;
+        json::write_str(out, self.expected.name())?;
+        out.write_str(",\n  \"ebda_certified\": ")?;
+        out.write_str(if self.ebda_certified { "true" } else { "false" })?;
+        out.write_str(",\n  \"provenance\": ")?;
+        json::write_str(out, &self.provenance)?;
+        out.write_str("\n}\n")
     }
 
     /// Parses the on-disk JSON document, verifying the format version and
     /// that the embedded hash matches the recomputed canonical hash (a
     /// tampered or hand-mangled entry is rejected loudly).
     pub fn from_json(text: &str) -> Result<CorpusEntry, String> {
-        let v = Value::parse(text).map_err(|e| format!("corpus entry: bad JSON: {e}"))?;
-        let format = v
-            .get("format")
-            .and_then(Value::as_u64)
-            .ok_or("corpus entry: missing \"format\"")?;
-        if format != FORMAT_VERSION {
-            return Err(format!(
-                "corpus entry: format v{format} not supported (this build reads v{FORMAT_VERSION})"
-            ));
+        CorpusEntry::parse(text).map(|(entry, _)| entry)
+    }
+
+    /// [`CorpusEntry::from_json`], also returning the content hash it
+    /// verified, so [`crate::store::load_dir`] hashes an entry once.
+    pub(crate) fn parse(text: &str) -> Result<(CorpusEntry, u64), String> {
+        fn channel(r: &mut Reader<'_>) -> Result<Channel, String> {
+            let s = r.str()?;
+            Channel::parse(&s).map_err(|e| format!("channel {s:?}: {e}"))
         }
-        let str_field = |key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("corpus entry: missing \"{key}\""))?
-                .to_string())
-        };
-        let name = str_field("name")?;
-        let family = str_field("family")?;
-        let radix: Vec<usize> = num_array(&v, "radix")?;
-        let wrap: Vec<bool> = v
-            .get("wrap")
-            .and_then(Value::as_arr)
-            .ok_or("corpus entry: missing \"wrap\"")?
-            .iter()
-            .map(|x| match x {
-                Value::Bool(b) => Ok(*b),
-                _ => Err("corpus entry: non-boolean wrap flag".to_string()),
-            })
-            .collect::<Result<_, _>>()?;
-        let vcs: Vec<u8> = num_array(&v, "vcs")?;
-        let universe: Vec<Channel> = str_array(&v, "universe")?
-            .iter()
-            .map(|s| Channel::parse(s).map_err(|e| format!("corpus entry: channel {s:?}: {e}")))
-            .collect::<Result<_, _>>()?;
-        let turns: TurnSet = str_array(&v, "turns")?
-            .iter()
-            .map(|s| parse_turn(s))
-            .collect::<Result<Vec<Turn>, String>>()?
-            .into_iter()
-            .collect();
-        let design = match v.get("design") {
-            None | Some(Value::Null) => None,
-            Some(Value::Arr(parts)) => {
-                let mut partitions = Vec::new();
-                for p in parts {
-                    let channels: Vec<Channel> = p
-                        .as_arr()
-                        .ok_or("corpus entry: design partition must be an array")?
-                        .iter()
-                        .map(|c| {
-                            let s = c
-                                .as_str()
-                                .ok_or("corpus entry: non-string design channel")?;
-                            Channel::parse(s)
-                                .map_err(|e| format!("corpus entry: design channel {s:?}: {e}"))
-                        })
-                        .collect::<Result<_, String>>()?;
-                    partitions.push(
-                        Partition::from_channels(channels)
-                            .map_err(|e| format!("corpus entry: bad design partition: {e}"))?,
-                    );
+        fn need<T>(field: Option<T>, key: &str) -> Result<T, String> {
+            field.ok_or_else(|| format!("missing \"{key}\""))
+        }
+        let (mut format, mut hash, mut name, mut family) = (None, None, None, None);
+        let (mut radix, mut wrap, mut vcs, mut universe, mut turns) =
+            (None, None, None, None, None);
+        let (mut design, mut expected, mut certified, mut provenance) = (None, None, None, None);
+        let mut r = Reader::new(text);
+        let read = r.obj(|r, key| {
+            match key {
+                "format" => {
+                    let version = r.u64()?;
+                    if version != FORMAT_VERSION {
+                        return Err(format!(
+                            "format v{version} not supported (this build reads v{FORMAT_VERSION})"
+                        ));
+                    }
+                    format = Some(version);
                 }
-                Some(PartitionSeq::from_partitions(partitions))
+                "hash" => hash = Some(r.str()?),
+                "name" => name = Some(r.str()?.into_owned()),
+                "family" => family = Some(r.str()?.into_owned()),
+                "radix" => radix = Some(r.arr(Reader::uint::<usize>)?),
+                "wrap" => wrap = Some(r.arr(Reader::bool)?),
+                "vcs" => vcs = Some(r.arr(Reader::uint::<u8>)?),
+                "universe" => universe = Some(r.arr(channel)?),
+                "turns" => {
+                    let list = r.arr(|r| parse_turn(&r.str()?))?;
+                    turns = Some(list.into_iter().collect::<TurnSet>());
+                }
+                "design" => {
+                    let partitions = r.nullable(|r| {
+                        r.arr(|r| {
+                            Partition::from_channels(r.arr(channel)?)
+                                .map_err(|e| format!("bad partition: {e}"))
+                        })
+                    })?;
+                    design = partitions.map(PartitionSeq::from_partitions);
+                }
+                "expected" => {
+                    expected = Some(ExpectedVerdict::parse(&r.str()?).ok_or("bad verdict")?)
+                }
+                "ebda_certified" => certified = Some(r.bool()?),
+                "provenance" => provenance = Some(r.str()?.into_owned()),
+                _ => r.skip_value()?,
             }
-            Some(_) => return Err("corpus entry: \"design\" must be an array or null".into()),
+            Ok(())
+        });
+        read.and_then(|()| r.end())
+            .map_err(|e| format!("corpus entry: {e}"))?;
+        let fields = || -> Result<CorpusEntry, String> {
+            need(format, "format")?;
+            Ok(CorpusEntry {
+                name: need(name, "name")?,
+                family: need(family, "family")?,
+                radix: need(radix, "radix")?,
+                wrap: need(wrap, "wrap")?,
+                vcs: need(vcs, "vcs")?,
+                universe: need(universe, "universe")?,
+                turns: need(turns, "turns")?,
+                design,
+                expected: need(expected, "expected")?,
+                ebda_certified: need(certified, "ebda_certified")?,
+                provenance: need(provenance, "provenance")?,
+            })
         };
-        let expected = ExpectedVerdict::parse(&str_field("expected")?)
-            .ok_or("corpus entry: bad \"expected\" verdict")?;
-        let ebda_certified = match v.get("ebda_certified") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err("corpus entry: missing \"ebda_certified\"".into()),
-        };
-        let provenance = str_field("provenance")?;
-        let entry = CorpusEntry {
-            name,
-            family,
-            radix,
-            wrap,
-            vcs,
-            universe,
-            turns,
-            design,
-            expected,
-            ebda_certified,
-            provenance,
-        };
-        let declared = str_field("hash")?;
-        let actual = entry.hash_hex();
-        if declared != actual {
+        let entry = fields().map_err(|e| format!("corpus entry: {e}"))?;
+        let declared = need(hash, "hash").map_err(|e| format!("corpus entry: {e}"))?;
+        let actual = entry.content_hash();
+        if declared != canonical::hash_hex(actual) {
             return Err(format!(
-                "corpus entry {}: declared hash {declared} but content hashes to {actual}",
-                entry.name
+                "corpus entry {}: declared hash {declared} but content hashes to {}",
+                entry.name,
+                canonical::hash_hex(actual)
             ));
         }
-        Ok(entry)
+        Ok((entry, actual))
     }
 
     /// A compact one-line description for logs and reports.
@@ -308,43 +304,17 @@ impl CorpusEntry {
     }
 }
 
-fn join(items: impl IntoIterator<Item = String>) -> String {
-    items.into_iter().collect::<Vec<_>>().join(", ")
-}
-
-fn num_array<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<Vec<T>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("corpus entry: missing \"{key}\""))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| T::try_from(n).ok())
-                .ok_or_else(|| format!("corpus entry: bad number in \"{key}\""))
-        })
-        .collect()
-}
-
-fn str_array<'a>(v: &'a Value, key: &str) -> Result<Vec<&'a str>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("corpus entry: missing \"{key}\""))?
-        .iter()
-        .map(|x| {
-            x.as_str()
-                .ok_or_else(|| format!("corpus entry: non-string item in \"{key}\""))
-        })
-        .collect()
-}
-
 /// Parses the `from>to` turn rendering (the same notation `ebda certify
 /// --turns` accepts).
 fn parse_turn(s: &str) -> Result<Turn, String> {
     let (from, to) = s
         .split_once('>')
-        .ok_or_else(|| format!("corpus entry: turn {s:?} needs a '>'"))?;
-    let from = Channel::parse(from.trim()).map_err(|e| format!("corpus entry: turn {s:?}: {e}"))?;
-    let to = Channel::parse(to.trim()).map_err(|e| format!("corpus entry: turn {s:?}: {e}"))?;
+        .ok_or_else(|| format!("turn {s:?} needs a '>'"))?;
+    let from = Channel::parse(from).map_err(|e| format!("turn {s:?}: {e}"))?;
+    let to = Channel::parse(to).map_err(|e| format!("turn {s:?}: {e}"))?;
+    if from == to {
+        return Err(format!("turn {s:?} joins a channel class to itself"));
+    }
     Ok(Turn::new(from, to))
 }
 

@@ -49,13 +49,13 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
         let path = dir.join(&name);
         let text = fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let entry =
-            CorpusEntry::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        if entry.file_name() != name {
+        let (entry, hash) =
+            CorpusEntry::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let hash = ebda_core::canonical::hash_hex(hash);
+        if name.strip_suffix(".json") != Some(&hash) {
             return Err(format!(
-                "{}: file name does not match content hash {}",
-                path.display(),
-                entry.hash_hex()
+                "{}: file name does not match content hash {hash}",
+                path.display()
             ));
         }
         entries.push(entry);

@@ -30,8 +30,8 @@
 //! is commutative and associative; campaigns still merge per-artifact
 //! maps on the coordinating thread in stream/entry order (the same
 //! policy as the run ledger) so the persisted file is byte-identical at
-//! every `--threads` value. The canonical JSON form fixes key order via
-//! `BTreeMap` and carries no wall-clock or thread stamp.
+//! every `--threads` value. The canonical JSON form fixes key order (the
+//! tables are kept sorted) and carries no wall-clock or thread stamp.
 //!
 //! Maps persist as single-line canonical JSON (format
 //! [`COVERAGE_FORMAT`]) keyed by a caller-supplied identity — the
@@ -42,7 +42,8 @@
 //! `/coverage` route of [`crate::http::MetricsServer`] serves the file
 //! the server was started with.
 
-use std::collections::BTreeMap;
+use crate::json;
+use std::fmt;
 use std::path::Path;
 
 /// On-disk coverage file format version (the `format` field).
@@ -63,6 +64,146 @@ pub const FAMILIES: &[&str] = &[
     "turn_denied",
 ];
 
+/// Position of `family` in [`FAMILIES`].
+fn family_index(family: &str) -> Option<usize> {
+    FAMILIES.iter().position(|&f| f == family)
+}
+
+/// One family's points with their hit counts, sorted by point and
+/// never holding a zero count. The point names lie end to end in one
+/// string; `entries` says, in point order, where each name is and how
+/// often it was hit. A campaign builds a small table per artifact and
+/// merges it into a large one that already holds nearly every point: a
+/// search compares bytes of one buffer, a new point is appended to it,
+/// and a table costs two allocations however many points it holds.
+#[derive(Debug, Clone, Default)]
+struct Table {
+    names: String,
+    entries: Vec<Entry>,
+}
+
+/// A point of a [`Table`]: `names[start..end]`, hit `hits` times.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// [`head`] of the name: most searches are decided on it, without
+    /// leaving the entries for the names.
+    head: u64,
+    start: usize,
+    end: usize,
+    hits: u64,
+}
+
+/// The first eight bytes of a point name as a big-endian number, a
+/// shorter name padded with zeros: `head(a) < head(b)` implies `a < b`,
+/// and names with equal heads are told apart by comparing them whole.
+fn head(point: &str) -> u64 {
+    let mut bytes = [0u8; 8];
+    let n = point.len().min(8);
+    bytes[..n].copy_from_slice(&point.as_bytes()[..n]);
+    u64::from_be_bytes(bytes)
+}
+
+impl Table {
+    fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.entries
+            .iter()
+            .map(|e| (&self.names[e.start..e.end], e.hits))
+    }
+
+    /// Where `point` is (`Ok`) or belongs (`Err`), at or after `from`.
+    fn find(&self, from: usize, point: &str) -> Result<usize, usize> {
+        let (names, head) = (self.names.as_bytes(), head(point));
+        self.entries[from..]
+            .binary_search_by(|e| {
+                let by_head = e.head.cmp(&head);
+                by_head.then_with(|| names[e.start..e.end].cmp(point.as_bytes()))
+            })
+            .map(|i| from + i)
+            .map_err(|i| from + i)
+    }
+
+    /// A new entry for `point`, whose name goes to the end of `names`.
+    fn named(&mut self, point: &str, hits: u64) -> Entry {
+        let start = self.names.len();
+        self.names.push_str(point);
+        Entry {
+            head: head(point),
+            start,
+            end: self.names.len(),
+            hits,
+        }
+    }
+
+    fn hits(&self, point: &str) -> u64 {
+        self.find(0, point).map_or(0, |i| self.entries[i].hits)
+    }
+
+    /// Sets `point`'s count; zero removes the point.
+    fn set(&mut self, point: &str, hits: u64) {
+        match (self.find(0, point), hits) {
+            (Ok(i), 0) => drop(self.entries.remove(i)),
+            (Ok(i), _) => self.entries[i].hits = hits,
+            (Err(_), 0) => {}
+            (Err(i), _) => {
+                let entry = self.named(point, hits);
+                self.entries.insert(i, entry);
+            }
+        }
+    }
+
+    /// Adds `hits > 0` hits of `point`.
+    fn add(&mut self, point: &str, hits: u64) {
+        match self.find(0, point) {
+            Ok(i) => self.entries[i].hits += hits,
+            Err(i) => {
+                let entry = self.named(point, hits);
+                self.entries.insert(i, entry);
+            }
+        }
+    }
+
+    /// Adds every count of `other`. One pass finds each point, adding to
+    /// those already here; only if some are new does a second pass open
+    /// their gaps from the back, each entry moving once.
+    fn merge(&mut self, other: &Table) {
+        let mut new: Vec<(usize, Entry)> = Vec::new();
+        let mut from = 0;
+        for &entry in &other.entries {
+            // Both sides ascend, so the search window only shrinks.
+            match self.find(from, &other.names[entry.start..entry.end]) {
+                Ok(i) => {
+                    self.entries[i].hits += entry.hits;
+                    from = i + 1;
+                }
+                Err(i) => {
+                    new.push((i, entry));
+                    from = i;
+                }
+            }
+        }
+        let mut read = self.entries.len();
+        let mut write = read + new.len();
+        self.entries.resize(write, Entry::default());
+        for (at, entry) in new.into_iter().rev() {
+            write -= read - at;
+            self.entries.copy_within(at..read, write);
+            read = at;
+            write -= 1;
+            self.entries[write] = self.named(&other.names[entry.start..entry.end], entry.hits);
+        }
+    }
+}
+
+/// Two tables are equal when they hold the same points with the same
+/// counts, wherever the names happen to lie.
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Table {}
+
 /// A mergeable coverage registry: `family → point → hit count`.
 ///
 /// See the module docs for the family vocabulary and the determinism
@@ -70,7 +211,8 @@ pub const FAMILIES: &[&str] = &[
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoverageMap {
     key: String,
-    families: BTreeMap<String, BTreeMap<String, u64>>,
+    /// One point table per entry of [`FAMILIES`], in that order.
+    families: [Table; FAMILIES.len()],
 }
 
 impl CoverageMap {
@@ -79,7 +221,7 @@ impl CoverageMap {
     pub fn new(key: impl Into<String>) -> CoverageMap {
         CoverageMap {
             key: key.into(),
-            families: BTreeMap::new(),
+            families: Default::default(),
         }
     }
 
@@ -99,7 +241,7 @@ impl CoverageMap {
     /// # Panics
     ///
     /// Panics when `family` is not in [`FAMILIES`].
-    pub fn record(&mut self, family: &str, point: impl Into<String>) {
+    pub fn record(&mut self, family: &str, point: impl AsRef<str>) {
         self.record_n(family, point, 1);
     }
 
@@ -108,147 +250,157 @@ impl CoverageMap {
     /// # Panics
     ///
     /// Panics when `family` is not in [`FAMILIES`].
-    pub fn record_n(&mut self, family: &str, point: impl Into<String>, n: u64) {
-        assert!(
-            FAMILIES.contains(&family),
-            "unknown coverage family {family:?}"
-        );
+    pub fn record_n(&mut self, family: &str, point: impl AsRef<str>, n: u64) {
+        let Some(family) = family_index(family) else {
+            panic!("unknown coverage family {family:?}");
+        };
         if n == 0 {
             return;
         }
-        *self
-            .families
-            .entry(family.to_string())
-            .or_default()
-            .entry(point.into())
-            .or_insert(0) += n;
+        self.families[family].add(point.as_ref(), n);
+    }
+
+    /// The table of `family`; `None` for a name not in [`FAMILIES`].
+    fn table(&self, family: &str) -> Option<&Table> {
+        family_index(family).map(|f| &self.families[f])
     }
 
     /// Hit count of `point` under `family` (0 when never recorded).
     pub fn hits(&self, family: &str, point: &str) -> u64 {
-        self.families
-            .get(family)
-            .and_then(|m| m.get(point))
-            .copied()
-            .unwrap_or(0)
+        self.table(family).map_or(0, |t| t.hits(point))
     }
 
     /// Number of distinct points covered under `family`.
     pub fn covered(&self, family: &str) -> usize {
-        self.families.get(family).map_or(0, BTreeMap::len)
+        self.table(family).map_or(0, |t| t.entries.len())
     }
 
     /// Total hits recorded under `family`.
     pub fn family_hits(&self, family: &str) -> u64 {
-        self.families.get(family).map_or(0, |m| m.values().sum())
+        self.points(family).map(|(_, n)| n).sum()
     }
 
     /// Total distinct points across all families.
     pub fn total_points(&self) -> usize {
-        self.families.values().map(BTreeMap::len).sum()
+        self.families.iter().map(|t| t.entries.len()).sum()
     }
 
     /// The points covered under `family`, in canonical (sorted) order.
     pub fn points(&self, family: &str) -> impl Iterator<Item = (&str, u64)> {
-        self.families
-            .get(family)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(k, v)| (k.as_str(), *v)))
+        self.table(family).into_iter().flat_map(Table::iter)
     }
 
     /// True when no hits have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
+        self.families.iter().all(|t| t.entries.is_empty())
     }
 
     /// Adds every hit of `other` into `self`. Addition makes merge
     /// commutative and associative, which the determinism tests check.
+    /// A point `self` already holds costs a search and an addition; a
+    /// merge that brings no new point allocates nothing.
     pub fn merge(&mut self, other: &CoverageMap) {
-        for (family, points) in &other.families {
-            let dst = self.families.entry(family.clone()).or_default();
-            for (point, n) in points {
-                *dst.entry(point.clone()).or_insert(0) += n;
-            }
+        for (dst, src) in self.families.iter_mut().zip(&other.families) {
+            dst.merge(src);
         }
     }
 
-    /// Canonical single-line JSON form (no trailing newline). Key order
-    /// is fixed by the underlying `BTreeMap`s; [`CoverageMap::from_json`]
+    /// Writes the canonical form into `out`: a `String` for
+    /// [`CoverageMap::to_json`], a hasher for [`CoverageMap::digest`].
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("{\"format\":")?;
+        json::write_u64(out, COVERAGE_FORMAT)?;
+        out.write_str(",\"key\":")?;
+        json::write_str(out, &self.key)?;
+        out.write_str(",\"families\":{")?;
+        let covered = FAMILIES.iter().zip(&self.families);
+        let covered = covered.filter(|(_, t)| !t.entries.is_empty());
+        for (i, (family, points)) in covered.enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            json::write_str(out, family)?;
+            out.write_str(":{")?;
+            for (i, (point, n)) in points.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                json::write_str(out, point)?;
+                out.write_char(':')?;
+                json::write_u64(out, n)?;
+            }
+            out.write_char('}')?;
+        }
+        out.write_str("}}")
+    }
+
+    /// Canonical single-line JSON form (no trailing newline): families
+    /// in [`FAMILIES`] order (which is sorted), points in sorted order,
+    /// families without a point left out. [`CoverageMap::from_json`]
     /// round-trips byte-exactly.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"format\":{COVERAGE_FORMAT},\"key\":{},\"families\":{{",
-            crate::json::escape(&self.key)
-        );
-        for (fi, (family, points)) in self.families.iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::json::escape(family));
-            out.push_str(":{");
-            for (pi, (point, n)) in points.iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push_str(&crate::json::escape(point));
-                out.push(':');
-                out.push_str(&n.to_string());
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
+        let names: usize = self.families.iter().map(|t| t.names.len()).sum();
+        let mut out = String::with_capacity(96 + self.key.len() + names + 8 * self.total_points());
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    /// Parses the canonical JSON form.
+    /// Parses the canonical JSON form; keys may come in any order and a
+    /// repeated key keeps its later value. Hit counts are read exactly.
     ///
     /// # Errors
     ///
     /// Returns a message naming the missing or malformed field, or an
     /// unsupported `format` version.
     pub fn from_json(text: &str) -> Result<CoverageMap, String> {
-        let v = crate::json::Value::parse(text)?;
-        let format = v
-            .get("format")
-            .and_then(crate::json::Value::as_u64)
-            .ok_or("missing field format")?;
-        if format != COVERAGE_FORMAT {
-            return Err(format!(
-                "unsupported coverage format {format} (this build reads {COVERAGE_FORMAT})"
-            ));
-        }
-        let key = v
-            .get("key")
-            .and_then(crate::json::Value::as_str)
-            .ok_or("missing field key")?
-            .to_string();
-        let crate::json::Value::Obj(families) =
-            v.get("families").ok_or("missing field families")?
-        else {
-            return Err("field families is not an object".to_string());
-        };
-        let mut map = CoverageMap::new(key);
-        for (family, points) in families {
-            if !FAMILIES.contains(&family.as_str()) {
-                return Err(format!("unknown coverage family {family:?}"));
+        let (mut format, mut key, mut families) = (None, None, None);
+        let mut r = json::Reader::new(text);
+        r.obj(|r, field| {
+            match field {
+                "format" => {
+                    let version = r.u64()?;
+                    if version != COVERAGE_FORMAT {
+                        return Err(format!(
+                            "unsupported coverage format {version} (this build reads {COVERAGE_FORMAT})"
+                        ));
+                    }
+                    format = Some(version);
+                }
+                "key" => key = Some(r.str()?.into_owned()),
+                "families" => {
+                    let mut tables: [Table; FAMILIES.len()] = Default::default();
+                    r.obj(|r, family| {
+                        let Some(family) = family_index(family) else {
+                            return Err(format!("unknown coverage family {family:?}"));
+                        };
+                        tables[family] = Table::default();
+                        r.obj(|r, point| {
+                            tables[family].set(point, r.u64()?);
+                            Ok(())
+                        })
+                    })?;
+                    families = Some(tables);
+                }
+                _ => r.skip_value()?,
             }
-            let crate::json::Value::Obj(points) = points else {
-                return Err(format!("family {family} is not an object"));
-            };
-            for (point, n) in points {
-                let n = n
-                    .as_u64()
-                    .ok_or_else(|| format!("hit count of {family}/{point} is not a u64"))?;
-                map.record_n(family, point.clone(), n);
-            }
-        }
-        Ok(map)
+            Ok(())
+        })?;
+        r.end()?;
+        format.ok_or("missing field format")?;
+        Ok(CoverageMap {
+            key: key.ok_or("missing field key")?,
+            families: families.ok_or("missing field families")?,
+        })
     }
 
     /// A 16-digit lowercase hex FNV-1a digest of the canonical JSON
     /// form — the short coverage identity embedded in ledger records.
+    /// Hashed while written: the form is never built as a string.
     pub fn digest(&self) -> String {
-        format!("{:016x}", fnv1a64(self.to_json().as_bytes()))
+        let mut hash = json::Fnv1a::new();
+        self.write_json(&mut hash).expect("hashing cannot fail");
+        format!("{:016x}", hash.finish())
     }
 
     /// Writes the map to `path` as canonical JSON plus a trailing
@@ -290,7 +442,7 @@ impl CoverageMap {
                 lines.push(format!(
                     "{family}: {a} points/{ha} hits vs {b} points/{hb} hits"
                 ));
-            } else if self.families.get(*family) != other.families.get(*family) {
+            } else if self.table(family) != other.table(family) {
                 lines.push(format!("{family}: same totals, different points"));
             }
         }
@@ -354,24 +506,12 @@ impl CoverageMap {
     }
 }
 
-/// FNV-1a 64-bit. Duplicated from `ebda-core` because `ebda-obs` is the
-/// bottom of the crate graph and cannot depend on it; the constants are
-/// the standard ones, so digests agree with the corpus content hashes'
-/// hash function.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// A 16-digit lowercase hex FNV-1a digest of arbitrary bytes — used by
-/// campaigns to derive a coverage-map identity from corpus entry hashes
-/// without depending on `ebda-core`.
+/// campaigns to derive a coverage-map identity from corpus entry hashes.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(bytes))
+    let mut hash = json::Fnv1a::new();
+    hash.update(bytes);
+    format!("{:016x}", hash.finish())
 }
 
 #[cfg(test)]
@@ -471,6 +611,71 @@ mod tests {
                 .is_err(),
             "unknown family names are rejected"
         );
+    }
+
+    #[test]
+    fn tables_agree_with_a_tree_model_under_random_records_and_merges() {
+        use std::collections::BTreeMap;
+        let mut rng = crate::Rng64::new(19);
+        let mut random_map = |points: usize, span: usize| {
+            let mut map = CoverageMap::new("");
+            let mut model = BTreeMap::new();
+            for _ in 0..points {
+                let point = format!("p{}", rng.gen_index(span));
+                let n = 1 + rng.gen_index(3) as u64;
+                map.record_n("gfp_pair", point.as_str(), n);
+                *model.entry(point).or_insert(0u64) += n;
+            }
+            (map, model)
+        };
+        for round in 0..200 {
+            // Small into large, large into small, disjoint and equal.
+            let (mut a, mut model) = random_map(round % 40, 1 + round % 60);
+            let (b, other) = random_map((round * 7) % 50, 1 + (round * 3) % 90);
+            a.merge(&b);
+            for (point, n) in other {
+                *model.entry(point).or_insert(0) += n;
+            }
+            let got: Vec<(&str, u64)> = a.points("gfp_pair").collect();
+            let want: Vec<(&str, u64)> = model.iter().map(|(p, n)| (p.as_str(), *n)).collect();
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(
+                a.hits("gfp_pair", "p0"),
+                model.get("p0").copied().unwrap_or(0)
+            );
+        }
+    }
+
+    #[test]
+    fn families_are_indexed_in_sorted_order() {
+        // `to_json` walks the tables in `FAMILIES` order and calls that
+        // canonical; `record` finds a table by position in the list.
+        assert!(FAMILIES.windows(2).all(|w| w[0] < w[1]));
+        let mut m = CoverageMap::new("");
+        for family in FAMILIES.iter().rev() {
+            m.record(family, format!("{family}-point"));
+        }
+        let json = m.to_json();
+        let at: Vec<usize> = FAMILIES.iter().map(|f| json.find(f).unwrap()).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
+        for family in FAMILIES {
+            assert_eq!(m.hits(family, &format!("{family}-point")), 1);
+        }
+    }
+
+    #[test]
+    fn parsing_keeps_the_later_of_a_repeated_key_and_reads_counts_exactly() {
+        let text = "{\"families\":{\"cdg_edge\":{\"gone\":1}},\"key\":\"a\",\"extra\":[1,{}],\
+                    \"families\":{\"gfp_pair\":{\"lost\":3},\"gfp_pair\":{\"p\":1,\"p\":18446744073709551615,\
+                    \"q\":2,\"q\":0}},\"key\":\"b\",\"format\":1}";
+        let m = CoverageMap::from_json(text).unwrap();
+        assert_eq!(
+            m.to_json(),
+            "{\"format\":1,\"key\":\"b\",\"families\":{\"gfp_pair\":{\"p\":18446744073709551615}}}"
+        );
+        assert_eq!(CoverageMap::from_json(&m.to_json()).unwrap(), m);
+        let err = CoverageMap::from_json(&m.to_json().replace("615}", "616}")).unwrap_err();
+        assert!(err.contains("does not fit"), "{err}");
     }
 
     #[test]

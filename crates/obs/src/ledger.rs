@@ -25,7 +25,9 @@
 //! route on [`crate::http::MetricsServer`] serves the file the server
 //! was started with as a JSON array.
 
-use std::io::Write as _;
+use crate::json;
+use std::fmt;
+use std::io::{Read as _, Write as _};
 use std::path::Path;
 
 /// On-disk ledger format version (the `format` field of every record).
@@ -72,74 +74,112 @@ impl LedgerRecord {
     /// Renders the record as its canonical single-line JSON form (no
     /// trailing newline). Key order is fixed; [`from_line`] round-trips
     /// byte-exactly.
+    ///
+    /// [`from_line`]: LedgerRecord::from_line
     pub fn to_line(&self) -> String {
-        format!(
-            "{{\"format\":{},\"index\":{},\"source\":{},\"name\":{},\"git_rev\":{},\"seed\":{},\"verdict\":{},\"evidence\":{},\"hash\":{},\"gfp_sweeps\":{},\"wait_pairs\":{},\"coverage\":{},\"provenance\":{}}}",
-            LEDGER_FORMAT,
-            self.index,
-            crate::json::escape(&self.source),
-            crate::json::escape(&self.name),
-            crate::json::escape(&self.git_rev),
-            self.seed,
-            crate::json::escape(&self.verdict),
-            crate::json::escape(&self.evidence),
-            crate::json::escape(&self.hash),
-            self.gfp_sweeps,
-            self.wait_pairs,
-            crate::json::escape(&self.coverage),
-            crate::json::escape(&self.provenance),
-        )
+        let mut out = String::with_capacity(self.provenance.len() * 9 / 8 + 320);
+        self.write_line(self.index, &mut out)
+            .expect("writing to a String cannot fail");
+        out
     }
 
-    /// Parses one ledger line.
+    /// [`LedgerRecord::to_line`] with `index` in place of the record's
+    /// own, so [`append`] stamps positions without cloning records.
+    fn write_line<W: fmt::Write>(&self, index: u64, out: &mut W) -> fmt::Result {
+        out.write_str("{\"format\":")?;
+        json::write_u64(out, LEDGER_FORMAT)?;
+        out.write_str(",\"index\":")?;
+        json::write_u64(out, index)?;
+        for (key, text) in [
+            (",\"source\":", &self.source),
+            (",\"name\":", &self.name),
+            (",\"git_rev\":", &self.git_rev),
+        ] {
+            out.write_str(key)?;
+            json::write_str(out, text)?;
+        }
+        out.write_str(",\"seed\":")?;
+        json::write_u64(out, self.seed)?;
+        for (key, text) in [
+            (",\"verdict\":", &self.verdict),
+            (",\"evidence\":", &self.evidence),
+            (",\"hash\":", &self.hash),
+        ] {
+            out.write_str(key)?;
+            json::write_str(out, text)?;
+        }
+        out.write_str(",\"gfp_sweeps\":")?;
+        json::write_u64(out, self.gfp_sweeps)?;
+        out.write_str(",\"wait_pairs\":")?;
+        json::write_u64(out, self.wait_pairs)?;
+        out.write_str(",\"coverage\":")?;
+        json::write_str(out, &self.coverage)?;
+        out.write_str(",\"provenance\":")?;
+        json::write_str(out, &self.provenance)?;
+        out.write_char('}')
+    }
+
+    /// Parses one ledger line. Keys may come in any order, unknown keys
+    /// are skipped, and every integer is read exactly: a `seed` of
+    /// `u64::MAX` round-trips, a number that does not fit `u64` is an
+    /// error.
     ///
     /// # Errors
     ///
     /// Returns a message naming the missing or malformed field, or an
     /// unsupported `format` version.
     pub fn from_line(line: &str) -> Result<LedgerRecord, String> {
-        let v = crate::json::Value::parse(line)?;
-        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key}"));
-        let str_field = |key: &str| {
-            field(key).and_then(|x| {
-                x.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("field {key} is not a string"))
-            })
-        };
-        let u64_field = |key: &str| {
-            field(key).and_then(|x| {
-                x.as_u64()
-                    .ok_or_else(|| format!("field {key} is not a u64"))
-            })
-        };
-        let format = u64_field("format")?;
-        if format != LEDGER_FORMAT {
-            return Err(format!(
-                "unsupported ledger format {format} (this build reads {LEDGER_FORMAT})"
-            ));
-        }
+        let mut format = None;
+        let (mut index, mut seed, mut gfp_sweeps, mut wait_pairs) = (None, None, None, None);
+        let (mut source, mut name, mut git_rev, mut verdict) = (None, None, None, None);
+        let (mut evidence, mut hash, mut coverage, mut provenance) = (None, None, None, None);
+        let mut r = json::Reader::new(line);
+        r.obj(|r, key| {
+            let text = |r: &mut json::Reader| r.str().map(|s| Some(s.into_owned()));
+            match key {
+                "format" => {
+                    let version = r.u64()?;
+                    if version != LEDGER_FORMAT {
+                        return Err(format!(
+                            "unsupported ledger format {version} (this build reads {LEDGER_FORMAT})"
+                        ));
+                    }
+                    format = Some(version);
+                }
+                "index" => index = Some(r.u64()?),
+                "seed" => seed = Some(r.u64()?),
+                "gfp_sweeps" => gfp_sweeps = Some(r.u64()?),
+                "wait_pairs" => wait_pairs = Some(r.u64()?),
+                "source" => source = text(r)?,
+                "name" => name = text(r)?,
+                "git_rev" => git_rev = text(r)?,
+                "verdict" => verdict = text(r)?,
+                "evidence" => evidence = text(r)?,
+                "hash" => hash = text(r)?,
+                "coverage" => coverage = text(r)?,
+                "provenance" => provenance = text(r)?,
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        r.end()?;
+        let missing = |key: &str| format!("missing field {key}");
+        format.ok_or_else(|| missing("format"))?;
         Ok(LedgerRecord {
-            index: u64_field("index")?,
-            source: str_field("source")?,
-            name: str_field("name")?,
-            git_rev: str_field("git_rev")?,
-            seed: u64_field("seed")?,
-            verdict: str_field("verdict")?,
-            evidence: str_field("evidence")?,
-            hash: str_field("hash")?,
-            gfp_sweeps: u64_field("gfp_sweeps")?,
-            wait_pairs: u64_field("wait_pairs")?,
+            index: index.ok_or_else(|| missing("index"))?,
+            source: source.ok_or_else(|| missing("source"))?,
+            name: name.ok_or_else(|| missing("name"))?,
+            git_rev: git_rev.ok_or_else(|| missing("git_rev"))?,
+            seed: seed.ok_or_else(|| missing("seed"))?,
+            verdict: verdict.ok_or_else(|| missing("verdict"))?,
+            evidence: evidence.ok_or_else(|| missing("evidence"))?,
+            hash: hash.ok_or_else(|| missing("hash"))?,
+            gfp_sweeps: gfp_sweeps.ok_or_else(|| missing("gfp_sweeps"))?,
+            wait_pairs: wait_pairs.ok_or_else(|| missing("wait_pairs"))?,
             // Records from before the coverage subsystem carry no
             // coverage digest; default to empty rather than rejecting.
-            coverage: match v.get("coverage") {
-                Some(x) => x
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or("field coverage is not a string")?,
-                None => String::new(),
-            },
-            provenance: str_field("provenance")?,
+            coverage: coverage.unwrap_or_default(),
+            provenance: provenance.ok_or_else(|| missing("provenance"))?,
         })
     }
 
@@ -163,35 +203,34 @@ impl LedgerRecord {
 ///
 /// # Errors
 ///
-/// Returns I/O failures and pre-existing malformed lines as strings.
+/// Returns I/O failures as strings.
 pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
-    let base = match std::fs::read_to_string(path) {
-        Ok(text) => text.lines().filter(|l| !l.trim().is_empty()).count() as u64,
+    let io_error = |e: std::io::Error| format!("{}: {e}", path.display());
+    let base = match std::fs::File::open(path) {
+        Ok(file) => count_records(file).map_err(io_error)?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(format!("{}: {e}", path.display())),
+        Err(e) => return Err(io_error(e)),
     };
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut out = String::new();
+        .map_err(io_error)?;
+    let bytes: usize = records.iter().map(|r| r.provenance.len() + 320).sum();
+    let mut out = String::with_capacity(bytes + bytes / 8);
     for (i, r) in records.iter().enumerate() {
-        let mut stamped = r.clone();
-        stamped.index = base + i as u64;
-        out.push_str(&stamped.to_line());
+        r.write_line(base + i as u64, &mut out)
+            .expect("writing to a String cannot fail");
         out.push('\n');
-        crate::metrics::counter_add(
-            "ebda_ledger_records_total",
-            &[
-                ("source", stamped.source.clone()),
-                ("verdict", stamped.verdict.clone()),
-            ],
-            1,
-        );
+        if crate::metrics::enabled() {
+            crate::metrics::counter_add(
+                "ebda_ledger_records_total",
+                &[("source", r.source.clone()), ("verdict", r.verdict.clone())],
+                1,
+            );
+        }
     }
-    file.write_all(out.as_bytes())
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    file.write_all(out.as_bytes()).map_err(io_error)?;
     crate::metrics::counter_add("ebda_ledger_appends_total", &[], 1);
     crate::metrics::gauge_set(
         "ebda_ledger_last_index",
@@ -199,6 +238,30 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
         (base + records.len() as u64).saturating_sub(1) as f64,
     );
     Ok(base)
+}
+
+/// Records in a ledger file: its non-blank lines, counted in one pass
+/// over the bytes (what [`read`] would return the length of, without
+/// parsing or even decoding a line).
+fn count_records(mut file: std::fs::File) -> std::io::Result<u64> {
+    let mut chunk = [0u8; 1 << 16];
+    let (mut records, mut line_has_text) = (0u64, false);
+    loop {
+        let n = match file.read(&mut chunk) {
+            Ok(0) => return Ok(records + u64::from(line_has_text)),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        for &b in &chunk[..n] {
+            if b == b'\n' {
+                records += u64::from(line_has_text);
+                line_has_text = false;
+            } else if !matches!(b, b' ' | 0x09..=0x0D) {
+                line_has_text = true;
+            }
+        }
+    }
 }
 
 /// Reads and parses every record in the ledger at `path`.
@@ -405,6 +468,52 @@ mod tests {
         r.name = "quotes \" and \\ backslashes".to_string();
         let line = r.to_line();
         assert_eq!(LedgerRecord::from_line(&line).unwrap().name, r.name);
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_survive_the_ledger() {
+        // Read through an `f64`, 2^53 + 1 came back as 2^53.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let mut r = record("big", "deadlock-free");
+            (r.index, r.seed, r.gfp_sweeps, r.wait_pairs) = (n, n, n, n);
+            let line = r.to_line();
+            assert!(line.contains(&format!("\"seed\":{n},")), "{line}");
+            assert_eq!(LedgerRecord::from_line(&line).unwrap(), r);
+        }
+        // What does not fit is an error, not a rounded value.
+        let line = record("x", "deadlocking").to_line();
+        for bad in ["18446744073709551616", "1e3", "7.0", "-7", "\"7\""] {
+            let err =
+                LedgerRecord::from_line(&line.replace("\"seed\":7", &format!("\"seed\":{bad}")))
+                    .unwrap_err();
+            assert!(err.starts_with("seed: "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn lines_read_in_any_key_order_and_skip_unknown_keys() {
+        let r = record("order", "deadlocking");
+        let line = r.to_line();
+        let body = line.strip_prefix("{\"format\":1,").unwrap();
+        let shuffled = format!(
+            "{{\"later\":[{{\"x\":null}}],{},\"format\":1}}",
+            &body[..body.len() - 1]
+        );
+        assert_eq!(LedgerRecord::from_line(&shuffled).unwrap(), r);
+        let err = LedgerRecord::from_line(&line.replace(",\"hash\":\"499b374294581b24\"", ""))
+            .unwrap_err();
+        assert_eq!(err, "missing field hash");
+        assert!(LedgerRecord::from_line(&format!("{line} x")).is_err());
+    }
+
+    #[test]
+    fn append_counts_the_lines_on_disk_without_parsing_them() {
+        let path = temp_path("count");
+        // Blank lines, a last line without its newline, bytes that are
+        // not UTF-8: three records as far as the index goes.
+        std::fs::write(&path, b"{}\n\n  \r\n\xff\xfe\nlast".as_slice()).unwrap();
+        assert_eq!(append(&path, &[record("a", "deadlocking")]).unwrap(), 3);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

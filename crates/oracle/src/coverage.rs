@@ -18,7 +18,7 @@
 use crate::artifact::Artifact;
 use crate::verdict::Verdicts;
 use ebda_cdg::Cdg;
-use ebda_core::extract_turns;
+use ebda_core::{extract_turns, Turn};
 use ebda_obs::CoverageMap;
 
 /// Buckets a turn-set density (allowed off-diagonal class pairs over
@@ -39,20 +39,44 @@ pub fn density_bucket(allowed: usize, possible: usize) -> &'static str {
     }
 }
 
-fn turn_density(artifact: &Artifact) -> (usize, usize) {
-    let mut allowed = 0usize;
-    let mut possible = 0usize;
-    for &a in &artifact.universe {
-        for &b in &artifact.universe {
-            if a == b {
+/// Calls `visit(i, j, allowed)` for every ordered pair of distinct
+/// classes `universe[i]`, `universe[j]`: whether the relation allows
+/// the turn from the first onto the second.
+///
+/// The turn set iterates sorted by `(from, to)`, so walking the classes
+/// in sorted order beside it answers all n² questions in one pass over
+/// the turns instead of one set lookup per pair. Pairs are therefore
+/// visited in sorted, not universe, order.
+fn for_each_turn_pair(artifact: &Artifact, mut visit: impl FnMut(usize, usize, bool)) {
+    let universe = &artifact.universe;
+    let mut order: Vec<usize> = (0..universe.len()).collect();
+    order.sort_unstable_by_key(|&i| universe[i]);
+    let turns: Vec<Turn> = artifact.turns.iter().collect();
+    let mut run = 0;
+    for &i in &order {
+        let from = universe[i];
+        // The turns leaving `from`; a repeated class finds them again.
+        run += turns[run..].iter().take_while(|t| t.from < from).count();
+        let leaving = turns[run..].iter().take_while(|t| t.from == from);
+        let mut leaving = leaving.peekable();
+        for &j in &order {
+            let to = universe[j];
+            if from == to {
                 continue;
             }
-            possible += 1;
-            if artifact.turns.allows(a, b) {
-                allowed += 1;
-            }
+            while leaving.next_if(|t| t.to < to).is_some() {}
+            visit(i, j, leaving.peek().is_some_and(|t| t.to == to));
         }
     }
+}
+
+/// `(allowed, possible)` turns between distinct classes.
+fn turn_density(artifact: &Artifact) -> (usize, usize) {
+    let (mut allowed, mut possible) = (0, 0);
+    for_each_turn_pair(artifact, |_, _, turn_allowed| {
+        possible += 1;
+        allowed += usize::from(turn_allowed);
+    });
     (allowed, possible)
 }
 
@@ -61,26 +85,35 @@ fn turn_density(artifact: &Artifact) -> (usize, usize) {
 /// coverage-guided generation can see *before* running the verdict
 /// paths, so it steers on shape alone.
 pub fn shape_bin(artifact: &Artifact) -> String {
-    let (allowed, possible) = turn_density(artifact);
-    format!(
+    bin(artifact, turn_density(artifact), None)
+}
+
+/// The full **design-space bin**: the shape bin suffixed with the
+/// ground-truth verdict (`free` or `deadlock`, from the brute path).
+pub fn design_bin(artifact: &Artifact, verdicts: &Verdicts) -> String {
+    bin(artifact, turn_density(artifact), Some(verdicts))
+}
+
+/// The bin label for an artifact whose turn density is already counted.
+fn bin(
+    artifact: &Artifact,
+    (allowed, possible): (usize, usize),
+    verdicts: Option<&Verdicts>,
+) -> String {
+    let mut label = format!(
         "d{}.r{}.w{}.v{}.t{}",
         artifact.radix.len(),
         artifact.radix.iter().copied().max().unwrap_or(0),
         u8::from(artifact.wraps()),
         artifact.vcs.iter().copied().max().unwrap_or(0),
         density_bucket(allowed, possible)
-    )
-}
-
-/// The full **design-space bin**: the shape bin suffixed with the
-/// ground-truth verdict (`free` or `deadlock`, from the brute path).
-pub fn design_bin(artifact: &Artifact, verdicts: &Verdicts) -> String {
-    let verdict = if verdicts.brute.is_deadlock_free() {
-        "free"
-    } else {
-        "deadlock"
-    };
-    format!("{}.{verdict}", shape_bin(artifact))
+    );
+    match verdicts.map(|v| v.brute.is_deadlock_free()) {
+        Some(true) => label.push_str(".free"),
+        Some(false) => label.push_str(".deadlock"),
+        None => {}
+    }
+    label
 }
 
 /// Extracts the coverage contribution of one evaluated artifact as an
@@ -109,19 +142,29 @@ pub fn artifact_coverage(artifact: &Artifact, verdicts: &Verdicts) -> CoverageMa
         map.record("cdg_edge", edge);
     }
 
-    for &a in &artifact.universe {
-        for &b in &artifact.universe {
-            if a == b {
-                continue;
-            }
-            let family = if artifact.turns.allows(a, b) {
-                "turn_admitted"
-            } else {
-                "turn_denied"
-            };
-            map.record(family, format!("{a}>{b}"));
-        }
-    }
+    // Each class is rendered once; the `from>to` points of the n² turn
+    // pairs and of the brute pairs are assembled from those labels in
+    // one reused buffer.
+    let labels: Vec<String> = artifact.universe.iter().map(ToString::to_string).collect();
+    let mut point = String::new();
+    let mut pair = |map: &mut CoverageMap, family: &str, from: usize, to: usize| {
+        point.clear();
+        point.push_str(&labels[from]);
+        point.push('>');
+        point.push_str(&labels[to]);
+        map.record(family, &point);
+    };
+    let (mut allowed, mut possible) = (0, 0);
+    for_each_turn_pair(artifact, |i, j, turn_allowed| {
+        possible += 1;
+        allowed += usize::from(turn_allowed);
+        let family = if turn_allowed {
+            "turn_admitted"
+        } else {
+            "turn_denied"
+        };
+        pair(&mut map, family, i, j);
+    });
 
     if let Some(extraction) = artifact
         .design
@@ -138,16 +181,14 @@ pub fn artifact_coverage(artifact: &Artifact, verdicts: &Verdicts) -> CoverageMa
     }
 
     for &(ca, cb) in &verdicts.brute.pair_classes {
-        map.record(
-            "gfp_pair",
-            format!(
-                "{}>{}",
-                artifact.universe[ca as usize], artifact.universe[cb as usize]
-            ),
-        );
+        pair(&mut map, "gfp_pair", ca as usize, cb as usize);
     }
 
-    map.record("design_bin", design_bin(artifact, verdicts));
+    // The density the bin needs was counted by the pair walk above.
+    map.record(
+        "design_bin",
+        bin(artifact, (allowed, possible), Some(verdicts)),
+    );
     map
 }
 
@@ -192,6 +233,30 @@ mod tests {
             let c1 = artifact_coverage(&a1, &evaluate(&a1, Mutation::None));
             let c2 = artifact_coverage(&a2, &evaluate(&a2, Mutation::None));
             assert_eq!(c1.to_json(), c2.to_json());
+        }
+    }
+
+    #[test]
+    fn the_pair_walk_answers_what_the_turn_set_would() {
+        let mut g = Generator::with_max_nodes(5, 16);
+        for round in 0..40 {
+            let mut a = g.next_artifact();
+            if round % 4 == 0 && !a.universe.is_empty() {
+                // A class listed twice is two rows and two columns.
+                a.universe.push(a.universe[0]);
+            }
+            let mut seen = Vec::new();
+            for_each_turn_pair(&a, |i, j, allowed| {
+                assert_eq!(allowed, a.turns.allows(a.universe[i], a.universe[j]));
+                seen.push((i, j));
+            });
+            seen.sort_unstable();
+            let n = a.universe.len();
+            let want: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| a.universe[i] != a.universe[j])
+                .collect();
+            assert_eq!(seen, want, "every off-diagonal pair exactly once");
         }
     }
 

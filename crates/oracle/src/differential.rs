@@ -329,7 +329,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 // Merged in stream order on the coordinator, so the map
                 // is byte-identical at any thread count.
                 map.merge(cov);
-                if seen_bins.insert(crate::coverage::design_bin(artifact, verdicts)) {
+                // An artifact's map holds its design bin as the one
+                // point of that family.
+                let bin = cov.points("design_bin").next().map(|(bin, _)| bin);
+                if bin.is_some_and(|bin| !seen_bins.contains(bin)) {
+                    seen_bins.extend(bin.map(str::to_string));
                     report.bin_opening_artifacts += 1;
                 }
             }

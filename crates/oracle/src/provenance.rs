@@ -41,7 +41,8 @@ use ebda_cdg::graph::ConcreteChannel;
 use ebda_cdg::topology::Topology;
 use ebda_core::certify::{certify, check_certificate, CertifyFailure};
 use ebda_core::{canonical, Channel, Dimension, Direction, Partition, PartitionSeq, Turn, TurnSet};
-use ebda_obs::json::{self, Value};
+use ebda_obs::json::{self, Reader};
+use std::fmt;
 
 /// Provenance document format version (the `format` field).
 pub const PROVENANCE_FORMAT: u64 = 1;
@@ -83,37 +84,46 @@ impl Hop {
         }
     }
 
-    fn to_json(self) -> String {
-        format!(
-            "{{\"from\":{},\"to\":{},\"dim\":{},\"dir\":\"{}\",\"vc\":{}}}",
-            self.from,
-            self.to,
-            self.dim,
-            match self.dir {
-                Direction::Plus => "+",
-                Direction::Minus => "-",
-            },
-            self.vc
-        )
+    fn write_json<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        out.write_str("{\"from\":")?;
+        json::write_u64(out, self.from as u64)?;
+        out.write_str(",\"to\":")?;
+        json::write_u64(out, self.to as u64)?;
+        out.write_str(",\"dim\":")?;
+        json::write_u64(out, u64::from(self.dim))?;
+        out.write_str(match self.dir {
+            Direction::Plus => ",\"dir\":\"+\",\"vc\":",
+            Direction::Minus => ",\"dir\":\"-\",\"vc\":",
+        })?;
+        json::write_u64(out, u64::from(self.vc))?;
+        out.write_char('}')
     }
 
-    fn from_value(v: &Value) -> Result<Hop, String> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("hop field {key} missing or not a u64"))
-        };
-        let dir = match v.get("dir").and_then(Value::as_str) {
-            Some("+") => Direction::Plus,
-            Some("-") => Direction::Minus,
-            other => return Err(format!("hop dir must be \"+\" or \"-\", got {other:?}")),
-        };
+    fn read(r: &mut Reader<'_>) -> Result<Hop, String> {
+        let (mut from, mut to, mut dim, mut dir, mut vc) = (None, None, None, None, None);
+        r.obj(|r, key| {
+            match key {
+                "from" => from = Some(r.uint()?),
+                "to" => to = Some(r.uint()?),
+                "dim" => dim = Some(r.uint()?),
+                "dir" => {
+                    dir = Some(match &*r.str()? {
+                        "+" => Direction::Plus,
+                        "-" => Direction::Minus,
+                        other => return Err(format!("must be \"+\" or \"-\", got {other:?}")),
+                    })
+                }
+                "vc" => vc = Some(r.uint()?),
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
         Ok(Hop {
-            from: num("from")? as usize,
-            to: num("to")? as usize,
-            dim: num("dim")? as u8,
-            dir,
-            vc: num("vc")? as u8,
+            from: from.ok_or("hop lacks from")?,
+            to: to.ok_or("hop lacks to")?,
+            dim: dim.ok_or("hop lacks dim")?,
+            dir: dir.ok_or("hop lacks dir")?,
+            vc: vc.ok_or("hop lacks vc")?,
         })
     }
 }
@@ -230,6 +240,15 @@ pub struct CheckReport {
     pub methods: Vec<&'static str>,
     /// Total obligations walked across all methods.
     pub obligations: usize,
+}
+
+/// The indices of the set bits of a bit row, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64)
+            .filter(move |bit| word >> bit & 1 == 1)
+            .map(move |bit| w * 64 + bit)
+    })
 }
 
 impl Provenance {
@@ -365,6 +384,8 @@ impl Provenance {
         seed: u64,
         coverage: Option<&ebda_obs::CoverageMap>,
     ) -> ebda_obs::LedgerRecord {
+        // Hashed once: the record's `hash` and the document's are the same.
+        let hash = self.content_hash();
         ebda_obs::LedgerRecord {
             index: 0,
             source: source.into(),
@@ -377,238 +398,306 @@ impl Provenance {
             } else {
                 "witness".into()
             },
-            hash: self.hash_hex(),
+            hash: canonical::hash_hex(hash),
             gfp_sweeps: self.brute.sweeps as u64,
             wait_pairs: self.brute.pairs as u64,
             coverage: coverage.map(|c| c.digest()).unwrap_or_default(),
-            provenance: self.to_json(),
+            provenance: self.json_with_hash(hash),
         }
     }
 
     /// Serializes the record as one line of fixed-key-order JSON (no
     /// trailing newline). Byte-deterministic: golden tests pin this.
     pub fn to_json(&self) -> String {
-        let str_arr = |items: &mut dyn Iterator<Item = String>| {
-            let body: Vec<String> = items.map(|s| json::escape(&s)).collect();
-            format!("[{}]", body.join(","))
-        };
-        let hops = |h: &Option<Vec<Hop>>| match h {
-            None => "null".to_string(),
-            Some(hops) => {
-                let body: Vec<String> = hops.iter().map(|h| h.to_json()).collect();
-                format!("[{}]", body.join(","))
+        self.json_with_hash(self.content_hash())
+    }
+
+    fn json_with_hash(&self, hash: u64) -> String {
+        // A hop is about 45 bytes, a class name about 8.
+        let hops = |h: &Option<Vec<Hop>>| h.as_ref().map_or(0, Vec::len);
+        let hops = hops(&self.ordering)
+            + hops(&self.dally.cycle)
+            + hops(&self.duato.escape_cycle)
+            + hops(&self.brute.witness);
+        let names = 2 * self.universe.len() + 2 * self.turns.len();
+        let mut out = String::with_capacity(512 + 48 * hops + 12 * names);
+        self.write_json(hash, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_json<W: fmt::Write>(&self, hash: u64, out: &mut W) -> fmt::Result {
+        fn channels<W: fmt::Write>(out: &mut W, list: &[Channel]) -> fmt::Result {
+            json::write_list(out, ",", list, |out, c| {
+                out.write_char('"')?;
+                c.write_to(out)?;
+                out.write_char('"')
+            })
+        }
+        fn hops<W: fmt::Write>(out: &mut W, list: &Option<Vec<Hop>>) -> fmt::Result {
+            match list {
+                None => out.write_str("null"),
+                Some(list) => json::write_list(out, ",", list, |out, h| h.write_json(out)),
             }
-        };
-        let universe = str_arr(&mut self.universe.iter().map(|c| c.to_string()));
-        let turns = str_arr(&mut self.turns.iter().map(|t| format!("{}>{}", t.from, t.to)));
-        let ebda = match &self.ebda {
+        }
+        fn flag<W: fmt::Write>(out: &mut W, b: bool) -> fmt::Result {
+            out.write_str(if b { "true" } else { "false" })
+        }
+        out.write_str("{\"format\":")?;
+        json::write_u64(out, PROVENANCE_FORMAT)?;
+        write!(out, ",\"hash\":\"{hash:016x}\",\"verdict\":")?;
+        json::write_str(out, self.verdict_str())?;
+        out.write_str(",\"radix\":")?;
+        json::write_list(out, ",", &self.radix, |out, &r| {
+            json::write_u64(out, r as u64)
+        })?;
+        out.write_str(",\"wrap\":")?;
+        json::write_list(out, ",", &self.wrap, |out, &w| flag(out, w))?;
+        out.write_str(",\"vcs\":")?;
+        json::write_list(out, ",", &self.vcs, |out, &v| {
+            json::write_u64(out, u64::from(v))
+        })?;
+        out.write_str(",\"universe\":")?;
+        channels(out, &self.universe)?;
+        out.write_str(",\"turns\":")?;
+        json::write_list(out, ",", self.turns.iter(), |out, t| {
+            out.write_char('"')?;
+            t.from.write_to(out)?;
+            out.write_char('>')?;
+            t.to.write_to(out)?;
+            out.write_char('"')
+        })?;
+        match &self.ebda {
             EbdaEvidence::Certificate { partitions } => {
-                let parts: Vec<String> = partitions
-                    .iter()
-                    .map(|p| str_arr(&mut p.iter().map(|c| c.to_string())))
-                    .collect();
-                format!("{{\"certificate\":[{}]}}", parts.join(","))
+                out.write_str(",\"ebda\":{\"certificate\":")?;
+                json::write_list(out, ",", partitions, |out, p| channels(out, p))?;
             }
-            EbdaEvidence::Refusal { kind, detail } => format!(
-                "{{\"refusal\":{{\"kind\":{},\"detail\":{}}}}}",
-                json::escape(kind),
-                json::escape(detail)
-            ),
-        };
-        let unreachable = match self.duato.unreachable {
-            None => "null".to_string(),
-            Some((a, b)) => format!("[{a},{b}]"),
-        };
-        format!(
-            "{{\"format\":{PROVENANCE_FORMAT},\"hash\":{},\"verdict\":{},\"radix\":[{}],\"wrap\":[{}],\"vcs\":[{}],\"universe\":{universe},\"turns\":{turns},\"ebda\":{ebda},\"ordering\":{},\"dally\":{{\"channels\":{},\"dependencies\":{},\"cycle\":{}}},\"duato\":{{\"escape_acyclic\":{},\"escape_cycle\":{},\"escape_connected\":{},\"unreachable\":{unreachable}}},\"brute\":{{\"channels\":{},\"pairs\":{},\"surviving\":{},\"sweeps\":{},\"witness\":{}}}}}",
-            json::escape(&self.hash_hex()),
-            json::escape(self.verdict_str()),
-            self.radix.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(","),
-            self.wrap.iter().map(|w| w.to_string()).collect::<Vec<_>>().join(","),
-            self.vcs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(","),
-            hops(&self.ordering),
-            self.dally.channels,
-            self.dally.dependencies,
-            hops(&self.dally.cycle),
-            self.duato.escape_acyclic,
-            hops(&self.duato.escape_cycle),
-            self.duato.escape_connected,
-            self.brute.channels,
-            self.brute.pairs,
-            self.brute.surviving,
-            self.brute.sweeps,
-            hops(&self.brute.witness),
-        )
+            EbdaEvidence::Refusal { kind, detail } => {
+                out.write_str(",\"ebda\":{\"refusal\":{\"kind\":")?;
+                json::write_str(out, kind)?;
+                out.write_str(",\"detail\":")?;
+                json::write_str(out, detail)?;
+                out.write_char('}')?;
+            }
+        }
+        out.write_str("},\"ordering\":")?;
+        hops(out, &self.ordering)?;
+        out.write_str(",\"dally\":{\"channels\":")?;
+        json::write_u64(out, self.dally.channels as u64)?;
+        out.write_str(",\"dependencies\":")?;
+        json::write_u64(out, self.dally.dependencies as u64)?;
+        out.write_str(",\"cycle\":")?;
+        hops(out, &self.dally.cycle)?;
+        out.write_str("},\"duato\":{\"escape_acyclic\":")?;
+        flag(out, self.duato.escape_acyclic)?;
+        out.write_str(",\"escape_cycle\":")?;
+        hops(out, &self.duato.escape_cycle)?;
+        out.write_str(",\"escape_connected\":")?;
+        flag(out, self.duato.escape_connected)?;
+        out.write_str(",\"unreachable\":")?;
+        match self.duato.unreachable {
+            None => out.write_str("null")?,
+            Some((a, b)) => {
+                json::write_list(out, ",", [a, b], |out, n| json::write_u64(out, n as u64))?
+            }
+        }
+        out.write_str("},\"brute\":{\"channels\":")?;
+        json::write_u64(out, self.brute.channels as u64)?;
+        out.write_str(",\"pairs\":")?;
+        json::write_u64(out, self.brute.pairs as u64)?;
+        out.write_str(",\"surviving\":")?;
+        json::write_u64(out, self.brute.surviving as u64)?;
+        out.write_str(",\"sweeps\":")?;
+        json::write_u64(out, self.brute.sweeps as u64)?;
+        out.write_str(",\"witness\":")?;
+        hops(out, &self.brute.witness)?;
+        out.write_str("}}")
     }
 
     /// Parses a provenance document, re-deriving the content hash and
-    /// rejecting a mismatch with the declared one.
+    /// rejecting a mismatch with the declared one. Fields are taken
+    /// straight off the reader: any key order, unknown keys skipped,
+    /// every integer read exactly and required to fit its field.
     ///
     /// # Errors
     ///
     /// Returns a message naming the malformed field, an unsupported
     /// format version, or the hash mismatch.
     pub fn from_json(text: &str) -> Result<Provenance, String> {
-        let v = Value::parse(text)?;
-        let format = v
-            .get("format")
-            .and_then(Value::as_u64)
-            .ok_or("missing format")?;
-        if format != PROVENANCE_FORMAT {
-            return Err(format!(
-                "unsupported provenance format {format} (this build reads {PROVENANCE_FORMAT})"
-            ));
+        fn channel(r: &mut Reader<'_>) -> Result<Channel, String> {
+            let s = r.str()?;
+            Channel::parse(&s).map_err(|e| format!("channel {s}: {e}"))
         }
-        let str_field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key}"))
-        };
-        let arr_field = |obj: &Value, key: &str| -> Result<Vec<Value>, String> {
-            obj.get(key)
-                .and_then(Value::as_arr)
-                .map(<[Value]>::to_vec)
-                .ok_or_else(|| format!("missing array field {key}"))
-        };
-        let u64s = |obj: &Value, key: &str| -> Result<Vec<u64>, String> {
-            arr_field(obj, key)?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| format!("{key} entry not a u64")))
-                .collect()
-        };
-        let bools = |obj: &Value, key: &str| -> Result<Vec<bool>, String> {
-            arr_field(obj, key)?
-                .iter()
-                .map(|x| match x {
-                    Value::Bool(b) => Ok(*b),
-                    _ => Err(format!("{key} entry not a bool")),
-                })
-                .collect()
-        };
-        let bool_field = |obj: &Value, key: &str| -> Result<bool, String> {
-            match obj.get(key) {
-                Some(Value::Bool(b)) => Ok(*b),
-                _ => Err(format!("missing bool field {key}")),
+        fn turn(r: &mut Reader<'_>) -> Result<Turn, String> {
+            let s = r.str()?;
+            let parsed = s.split_once('>').map(|(from, to)| {
+                Ok::<_, ebda_core::EbdaError>((Channel::parse(from)?, Channel::parse(to)?))
+            });
+            match parsed {
+                None => Err(format!("turn {s}: no '>'")),
+                Some(Err(e)) => Err(format!("turn {s}: {e}")),
+                Some(Ok((from, to))) if from == to => Err(format!(
+                    "turn {s}: a turn joins two distinct channel classes"
+                )),
+                Some(Ok((from, to))) => Ok(Turn::new(from, to)),
             }
-        };
-        let usize_field = |obj: &Value, key: &str| -> Result<usize, String> {
-            obj.get(key)
-                .and_then(Value::as_u64)
-                .map(|x| x as usize)
-                .ok_or_else(|| format!("missing u64 field {key}"))
-        };
-        let hops_field = |obj: &Value, key: &str| -> Result<Option<Vec<Hop>>, String> {
-            match obj.get(key) {
-                Some(Value::Null) => Ok(None),
-                Some(Value::Arr(items)) => items
-                    .iter()
-                    .map(Hop::from_value)
-                    .collect::<Result<_, _>>()
-                    .map(Some),
-                _ => Err(format!("field {key} must be null or an array of hops")),
-            }
-        };
-        let channels = |items: &[Value]| -> Result<Vec<Channel>, String> {
-            items
-                .iter()
-                .map(|x| {
-                    let s = x.as_str().ok_or("channel entry not a string")?;
-                    Channel::parse(s).map_err(|e| format!("channel {s}: {e}"))
-                })
-                .collect()
-        };
-
-        let radix: Vec<usize> = u64s(&v, "radix")?.into_iter().map(|x| x as usize).collect();
-        let wrap = bools(&v, "wrap")?;
-        let vcs: Vec<u8> = u64s(&v, "vcs")?.into_iter().map(|x| x as u8).collect();
-        let universe = channels(&arr_field(&v, "universe")?)?;
-        let mut turns = TurnSet::new();
-        for t in arr_field(&v, "turns")? {
-            let s = t.as_str().ok_or("turn entry not a string")?;
-            let (from, to) = s
-                .split_once('>')
-                .ok_or_else(|| format!("turn {s}: no '>'"))?;
-            turns.insert(Turn::new(
-                Channel::parse(from).map_err(|e| format!("turn {s}: {e}"))?,
-                Channel::parse(to).map_err(|e| format!("turn {s}: {e}"))?,
-            ));
+        }
+        fn hops(r: &mut Reader<'_>) -> Result<Option<Vec<Hop>>, String> {
+            r.nullable(|r| r.arr(Hop::read))
+        }
+        /// `Some(field)`, or the complaint that `key` is missing.
+        fn need<T>(field: Option<T>, key: &str) -> Result<T, String> {
+            field.ok_or_else(|| format!("missing field {key}"))
         }
 
-        let ebda_obj = v.get("ebda").ok_or("missing ebda")?;
-        let ebda = if let Some(parts) = ebda_obj.get("certificate") {
-            let parts = parts.as_arr().ok_or("certificate must be an array")?;
-            let partitions = parts
-                .iter()
-                .map(|p| channels(p.as_arr().ok_or("partition must be an array")?))
-                .collect::<Result<_, _>>()?;
-            EbdaEvidence::Certificate { partitions }
-        } else if let Some(refusal) = ebda_obj.get("refusal") {
-            EbdaEvidence::Refusal {
-                kind: refusal
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .ok_or("missing refusal kind")?
-                    .to_string(),
-                detail: refusal
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .ok_or("missing refusal detail")?
-                    .to_string(),
+        let (mut format, mut hash, mut deadlock_free) = (None, None, None);
+        let (mut radix, mut wrap, mut vcs, mut universe, mut turns) =
+            (None, None, None, None, None);
+        let (mut ebda, mut ordering, mut dally, mut duato, mut brute) =
+            (None, None, None, None, None);
+        let mut r = Reader::new(text);
+        r.obj(|r, key| {
+            match key {
+                "format" => {
+                    let version = r.u64()?;
+                    if version != PROVENANCE_FORMAT {
+                        return Err(format!(
+                            "unsupported provenance format {version} (this build reads {PROVENANCE_FORMAT})"
+                        ));
+                    }
+                    format = Some(version);
+                }
+                "hash" => hash = Some(r.str()?),
+                "verdict" => {
+                    deadlock_free = Some(match &*r.str()? {
+                        "deadlock-free" => true,
+                        "deadlocking" => false,
+                        other => return Err(format!("unknown verdict {other:?}")),
+                    })
+                }
+                "radix" => radix = Some(r.arr(Reader::uint::<usize>)?),
+                "wrap" => wrap = Some(r.arr(Reader::bool)?),
+                "vcs" => vcs = Some(r.arr(Reader::uint::<u8>)?),
+                "universe" => universe = Some(r.arr(channel)?),
+                "turns" => turns = Some(r.arr(turn)?.into_iter().collect::<TurnSet>()),
+                "ebda" => {
+                    let (mut certificate, mut refusal) = (None, None);
+                    r.obj(|r, key| {
+                        match key {
+                            "certificate" => certificate = Some(r.arr(|r| r.arr(channel))?),
+                            "refusal" => {
+                                let (mut kind, mut detail) = (None, None);
+                                r.obj(|r, key| {
+                                    match key {
+                                        "kind" => kind = Some(r.str()?.into_owned()),
+                                        "detail" => detail = Some(r.str()?.into_owned()),
+                                        _ => r.skip_value()?,
+                                    }
+                                    Ok(())
+                                })?;
+                                refusal = Some(EbdaEvidence::Refusal {
+                                    kind: need(kind, "kind")?,
+                                    detail: need(detail, "detail")?,
+                                });
+                            }
+                            _ => r.skip_value()?,
+                        }
+                        Ok(())
+                    })?;
+                    ebda = Some(
+                        certificate
+                            .map(|partitions| EbdaEvidence::Certificate { partitions })
+                            .or(refusal)
+                            .ok_or("must carry a certificate or a refusal")?,
+                    );
+                }
+                "ordering" => ordering = Some(hops(r)?),
+                "dally" => {
+                    let (mut channels, mut dependencies, mut cycle) = (None, None, None);
+                    r.obj(|r, key| {
+                        match key {
+                            "channels" => channels = Some(r.uint()?),
+                            "dependencies" => dependencies = Some(r.uint()?),
+                            "cycle" => cycle = Some(hops(r)?),
+                            _ => r.skip_value()?,
+                        }
+                        Ok(())
+                    })?;
+                    dally = Some(DallyEvidence {
+                        channels: need(channels, "channels")?,
+                        dependencies: need(dependencies, "dependencies")?,
+                        cycle: need(cycle, "cycle")?,
+                    });
+                }
+                "duato" => {
+                    let (mut acyclic, mut cycle, mut connected, mut unreachable) =
+                        (None, None, None, None);
+                    r.obj(|r, key| {
+                        match key {
+                            "escape_acyclic" => acyclic = Some(r.bool()?),
+                            "escape_cycle" => cycle = Some(hops(r)?),
+                            "escape_connected" => connected = Some(r.bool()?),
+                            "unreachable" => {
+                                let pair = r.nullable(|r| r.arr(Reader::uint::<usize>))?;
+                                unreachable = Some(match pair.as_deref() {
+                                    None => None,
+                                    Some(&[from, to]) => Some((from, to)),
+                                    Some(_) => return Err("must be null or a [from,to] pair".into()),
+                                });
+                            }
+                            _ => r.skip_value()?,
+                        }
+                        Ok(())
+                    })?;
+                    duato = Some(DuatoEvidence {
+                        escape_acyclic: need(acyclic, "escape_acyclic")?,
+                        escape_cycle: need(cycle, "escape_cycle")?,
+                        escape_connected: need(connected, "escape_connected")?,
+                        unreachable: need(unreachable, "unreachable")?,
+                    });
+                }
+                "brute" => {
+                    let (mut channels, mut pairs, mut surviving, mut sweeps, mut witness) =
+                        (None, None, None, None, None);
+                    r.obj(|r, key| {
+                        match key {
+                            "channels" => channels = Some(r.uint()?),
+                            "pairs" => pairs = Some(r.uint()?),
+                            "surviving" => surviving = Some(r.uint()?),
+                            "sweeps" => sweeps = Some(r.uint()?),
+                            "witness" => witness = Some(hops(r)?),
+                            _ => r.skip_value()?,
+                        }
+                        Ok(())
+                    })?;
+                    brute = Some(BruteEvidence {
+                        channels: need(channels, "channels")?,
+                        pairs: need(pairs, "pairs")?,
+                        surviving: need(surviving, "surviving")?,
+                        sweeps: need(sweeps, "sweeps")?,
+                        witness: need(witness, "witness")?,
+                    });
+                }
+                _ => r.skip_value()?,
             }
-        } else {
-            return Err("ebda must carry a certificate or a refusal".to_string());
-        };
-
-        let dally_obj = v.get("dally").ok_or("missing dally")?;
-        let duato_obj = v.get("duato").ok_or("missing duato")?;
-        let brute_obj = v.get("brute").ok_or("missing brute")?;
-        let unreachable = match duato_obj.get("unreachable") {
-            Some(Value::Null) => None,
-            Some(Value::Arr(pair)) if pair.len() == 2 => {
-                let a = pair[0].as_u64().ok_or("unreachable entry not a u64")?;
-                let b = pair[1].as_u64().ok_or("unreachable entry not a u64")?;
-                Some((a as usize, b as usize))
-            }
-            _ => return Err("unreachable must be null or a [from,to] pair".to_string()),
-        };
-
-        let verdict = str_field("verdict")?;
-        let deadlock_free = match verdict.as_str() {
-            "deadlock-free" => true,
-            "deadlocking" => false,
-            other => return Err(format!("unknown verdict {other:?}")),
-        };
-
+            Ok(())
+        })?;
+        r.end()?;
+        need(format, "format")?;
         let prov = Provenance {
-            radix,
-            wrap,
-            vcs,
-            universe,
-            turns,
-            deadlock_free,
-            ebda,
-            ordering: hops_field(&v, "ordering")?,
-            dally: DallyEvidence {
-                channels: usize_field(dally_obj, "channels")?,
-                dependencies: usize_field(dally_obj, "dependencies")?,
-                cycle: hops_field(dally_obj, "cycle")?,
-            },
-            duato: DuatoEvidence {
-                escape_acyclic: bool_field(duato_obj, "escape_acyclic")?,
-                escape_cycle: hops_field(duato_obj, "escape_cycle")?,
-                escape_connected: bool_field(duato_obj, "escape_connected")?,
-                unreachable,
-            },
-            brute: BruteEvidence {
-                channels: usize_field(brute_obj, "channels")?,
-                pairs: usize_field(brute_obj, "pairs")?,
-                surviving: usize_field(brute_obj, "surviving")?,
-                sweeps: usize_field(brute_obj, "sweeps")?,
-                witness: hops_field(brute_obj, "witness")?,
-            },
+            radix: need(radix, "radix")?,
+            wrap: need(wrap, "wrap")?,
+            vcs: need(vcs, "vcs")?,
+            universe: need(universe, "universe")?,
+            turns: need(turns, "turns")?,
+            deadlock_free: need(deadlock_free, "verdict")?,
+            ebda: need(ebda, "ebda")?,
+            ordering: need(ordering, "ordering")?,
+            dally: need(dally, "dally")?,
+            duato: need(duato, "duato")?,
+            brute: need(brute, "brute")?,
         };
-        let declared = str_field("hash")?;
+        let declared = need(hash, "hash")?;
         let actual = prov.hash_hex();
         if declared != actual {
             return Err(format!(
@@ -635,6 +724,9 @@ impl Provenance {
                 self.wrap.len(),
                 self.vcs.len()
             ));
+        }
+        if self.radix.contains(&0) {
+            return Err("inconsistent shape: a dimension of radix 0".to_string());
         }
         let topo = Topology::mesh(&self.radix).with_wrap(&self.wrap);
         let mut obligations = 0usize;
@@ -686,35 +778,35 @@ impl Provenance {
         })
     }
 
-    /// The universe classes matching a hop at its source node.
-    fn matching_classes(&self, topo: &Topology, hop: Hop) -> Vec<Channel> {
-        let coords = topo.coords(hop.from);
-        self.universe
-            .iter()
-            .copied()
-            .filter(|cl| {
-                cl.dim.index() == hop.dim as usize
-                    && cl.dir == hop.dir
-                    && cl.vc == hop.vc
-                    && cl.class.contains(&coords)
-            })
-            .collect()
+    /// Words in a bit row over the universe's classes.
+    fn class_words(&self) -> usize {
+        self.universe.len().div_ceil(64)
     }
 
-    /// Is the hold→want step `a` → `b` admissible? Adjacent on the
-    /// topology, and some pair of matching classes allows the turn.
-    fn step_allowed(&self, topo: &Topology, a: Hop, b: Hop) -> bool {
-        a.to == b.from
-            && self.matching_classes(topo, a).iter().any(|&ca| {
-                self.matching_classes(topo, b)
-                    .iter()
-                    .any(|&cb| self.turns.allows(ca, cb))
-            })
+    /// Sets in `row` the bit of every universe class that the `(dim,
+    /// dir, vc)` channel leaving the node at `coords` belongs to.
+    fn class_row(&self, coords: &[i64], dim: usize, dir: Direction, vc: u8, row: &mut [u64]) {
+        for (i, class) in self.universe.iter().enumerate() {
+            if class.dim.index() == dim
+                && class.dir == dir
+                && class.vc == vc
+                && class.class.contains(coords)
+            {
+                row[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// Is some class of `from` allowed to continue onto some class of
+    /// `to`? Both are class rows of adjacent channels.
+    fn admits(&self, from: &[u64], to: &[u64]) -> bool {
+        set_bits(from)
+            .any(|a| set_bits(to).any(|b| self.turns.allows(self.universe[a], self.universe[b])))
     }
 
     /// Confirms a hop is a real link of the topology with a live VC and
-    /// at least one matching universe class.
-    fn check_hop(&self, topo: &Topology, hop: Hop) -> Result<(), String> {
+    /// at least one matching universe class, which `row` receives.
+    fn check_hop(&self, topo: &Topology, hop: Hop, row: &mut [u64]) -> Result<(), String> {
         if hop.dim as usize >= self.radix.len() {
             return Err(format!(
                 "hop {hop} names dimension {} of {}",
@@ -728,11 +820,19 @@ impl Provenance {
                 hop.vc, self.vcs[hop.dim as usize]
             ));
         }
-        match topo.neighbor(hop.from, Dimension::new(hop.dim), hop.dir) {
-            Some(to) if to == hop.to => {}
-            _ => return Err(format!("hop {hop} is not a link of the topology")),
+        let far = (hop.from < topo.node_count())
+            .then(|| topo.neighbor(hop.from, Dimension::new(hop.dim), hop.dir));
+        if far != Some(Some(hop.to)) {
+            return Err(format!("hop {hop} is not a link of the topology"));
         }
-        if self.matching_classes(topo, hop).is_empty() {
+        self.class_row(
+            &topo.coords(hop.from),
+            hop.dim as usize,
+            hop.dir,
+            hop.vc,
+            row,
+        );
+        if row.iter().all(|&w| w == 0) {
             return Err(format!(
                 "hop {hop} matches no channel class of the universe"
             ));
@@ -749,14 +849,18 @@ impl Provenance {
                 cycle.len()
             ));
         }
+        let words = self.class_words();
+        let mut rows = vec![0u64; cycle.len() * words];
         let mut obligations = 0usize;
-        for &hop in cycle {
-            self.check_hop(topo, hop)?;
+        for (i, &hop) in cycle.iter().enumerate() {
+            self.check_hop(topo, hop, &mut rows[i * words..][..words])?;
             obligations += 1;
         }
+        let row = |i: usize| &rows[i * words..][..words];
         for i in 0..cycle.len() {
-            let (a, b) = (cycle[i], cycle[(i + 1) % cycle.len()]);
-            if !self.step_allowed(topo, a, b) {
+            let j = (i + 1) % cycle.len();
+            let (a, b) = (cycle[i], cycle[j]);
+            if a.to != b.from || !self.admits(row(i), row(j)) {
                 return Err(format!(
                     "witness step {a} → {b} is not an admissible hold/want pair"
                 ));
@@ -769,59 +873,127 @@ impl Provenance {
     /// Validates a channel ordering: it must cover every concrete
     /// channel exactly once, and every independently enumerated
     /// admissible hold/want pair must ascend in it.
+    ///
+    /// Everything is looked up in tables built here from the record
+    /// alone — no prover's graph. A concrete channel is a *slot*: node,
+    /// dimension, direction (`+` first) and VC, numbered in that order,
+    /// which is also the order the channels are enumerated in. Per slot:
+    /// its rank in the ordering and the bit row of universe classes it
+    /// belongs to. Per class: the bit row of classes it may turn onto.
     fn check_ordering(&self, topo: &Topology, ordering: &[Hop]) -> Result<usize, String> {
-        let mut obligations = 0usize;
+        const UNRANKED: usize = usize::MAX;
+        let dims = self.radix.len();
+        let vcs = usize::from(self.vcs.iter().copied().max().unwrap_or(0));
+        let words = self.class_words();
         // Independent enumeration: every VC of every directed link.
-        let mut expected = Vec::new();
+        // `far[port]` is the node a link leads to; a slot exists when
+        // its port does and its VC is within the dimension's budget.
+        let port = |node: usize, dim: usize, dir: Direction| {
+            (node * dims + dim) * 2 + usize::from(dir == Direction::Minus)
+        };
+        let mut far: Vec<Option<usize>> = vec![None; topo.node_count() * dims * 2];
+        let mut classes = vec![0u64; far.len() * vcs * words];
+        let mut expected = 0usize;
         for node in 0..topo.node_count() {
-            for d in 0..self.radix.len() {
+            let coords = topo.coords(node);
+            for dim in 0..dims {
                 for dir in [Direction::Plus, Direction::Minus] {
-                    if let Some(to) = topo.neighbor(node, Dimension::new(d as u8), dir) {
-                        for vc in 1..=self.vcs[d] {
-                            expected.push(Hop {
-                                from: node,
-                                to,
-                                dim: d as u8,
-                                dir,
-                                vc,
-                            });
-                        }
+                    let port = port(node, dim, dir);
+                    far[port] = topo.neighbor(node, Dimension::new(dim as u8), dir);
+                    if far[port].is_none() {
+                        continue;
+                    }
+                    for vc in 1..=self.vcs[dim] {
+                        let slot = port * vcs + usize::from(vc) - 1;
+                        let row = &mut classes[slot * words..][..words];
+                        self.class_row(&coords, dim, dir, vc, row);
+                        expected += 1;
                     }
                 }
             }
         }
-        let key = |h: Hop| (h.from, h.to, h.dim, h.dir == Direction::Plus, h.vc);
-        let mut rank = std::collections::BTreeMap::new();
+        let hop_at = |slot: usize| {
+            let (port, dim) = (slot / vcs, slot / vcs / 2 % dims);
+            Hop {
+                from: port / 2 / dims,
+                to: far[port].expect("only existing slots are named"),
+                dim: dim as u8,
+                dir: [Direction::Plus, Direction::Minus][port % 2],
+                vc: (slot % vcs + 1) as u8,
+            }
+        };
+        let exists = |slot: usize| {
+            far[slot / vcs].is_some() && slot % vcs < usize::from(self.vcs[slot / vcs / 2 % dims])
+        };
+        let slot_of = |h: Hop| {
+            let dim = h.dim as usize;
+            let real = h.from < topo.node_count()
+                && dim < dims
+                && (1..=self.vcs[dim]).contains(&h.vc)
+                && far[port(h.from, dim, h.dir)] == Some(h.to);
+            real.then(|| port(h.from, dim, h.dir) * vcs + usize::from(h.vc) - 1)
+        };
+
+        // The rank of every listed channel. Entries that are no channel
+        // of this topology can still repeat, so they are remembered too.
+        let mut rank = vec![UNRANKED; far.len() * vcs];
+        let mut strays = std::collections::BTreeSet::new();
         for (i, &h) in ordering.iter().enumerate() {
-            if rank.insert(key(h), i).is_some() {
+            let fresh = match slot_of(h) {
+                Some(slot) => std::mem::replace(&mut rank[slot], i) == UNRANKED,
+                None => strays.insert((h.from, h.to, h.dim, h.dir, h.vc)),
+            };
+            if !fresh {
                 return Err(format!("ordering lists {h} twice"));
             }
         }
-        if ordering.len() != expected.len() {
+        if ordering.len() != expected {
             return Err(format!(
                 "ordering covers {} channels, topology has {}",
                 ordering.len(),
-                expected.len()
+                expected
             ));
         }
-        for &h in &expected {
+        let mut obligations = 0usize;
+        for slot in (0..rank.len()).filter(|&slot| exists(slot)) {
             obligations += 1;
-            if !rank.contains_key(&key(h)) {
-                return Err(format!("ordering misses concrete channel {h}"));
+            if rank[slot] == UNRANKED {
+                return Err(format!("ordering misses concrete channel {}", hop_at(slot)));
             }
         }
-        // Group by source node for the pair sweep.
-        let mut by_from: Vec<Vec<Hop>> = vec![Vec::new(); topo.node_count()];
-        for &h in &expected {
-            by_from[h.from].push(h);
+
+        // The pair sweep. `allow` row `a`: the classes class `a` may
+        // continue onto; `wanted`: the union of those rows over the
+        // classes of one held channel.
+        let mut allow = vec![0u64; self.universe.len() * words];
+        for (a, &from) in self.universe.iter().enumerate() {
+            for (b, &to) in self.universe.iter().enumerate() {
+                if self.turns.allows(from, to) {
+                    allow[a * words + b / 64] |= 1 << (b % 64);
+                }
+            }
         }
-        for &a in &expected {
-            for &b in &by_from[a.to] {
-                if self.step_allowed(topo, a, b) {
+        let mut wanted = vec![0u64; words];
+        let per_node = dims * 2 * vcs;
+        for a in (0..rank.len()).filter(|&slot| exists(slot)) {
+            wanted.fill(0);
+            for class in set_bits(&classes[a * words..][..words]) {
+                for (w, allowed) in wanted.iter_mut().zip(&allow[class * words..][..words]) {
+                    *w |= allowed;
+                }
+            }
+            // A slot that does not exist has an empty class row and
+            // drops out here like a channel no class covers.
+            let next = far[a / vcs].expect("slot exists");
+            for b in next * per_node..(next + 1) * per_node {
+                let row = &classes[b * words..][..words];
+                if row.iter().zip(&wanted).any(|(r, w)| r & w != 0) {
                     obligations += 1;
-                    if rank[&key(a)] >= rank[&key(b)] {
+                    if rank[a] >= rank[b] {
                         return Err(format!(
-                            "dependency {a} → {b} descends in the channel ordering"
+                            "dependency {} → {} descends in the channel ordering",
+                            hop_at(a),
+                            hop_at(b)
                         ));
                     }
                 }
