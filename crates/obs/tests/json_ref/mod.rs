@@ -265,3 +265,143 @@ impl Parser<'_> {
             .map_err(|e| format!("bad number '{text}': {e}"))
     }
 }
+
+// ---------------------------------------------------------------------
+// The document code that sat on the tree parser and `format!`: ledger
+// lines and coverage maps as they were written and read before, kept as
+// free functions over the library's public types.
+// ---------------------------------------------------------------------
+
+use ebda_obs::coverage::{COVERAGE_FORMAT, FAMILIES};
+use ebda_obs::ledger::LEDGER_FORMAT;
+use ebda_obs::{CoverageMap, LedgerRecord};
+
+/// `LedgerRecord::to_line` as one `format!`.
+pub fn ledger_to_line(r: &LedgerRecord) -> String {
+    format!(
+        "{{\"format\":{},\"index\":{},\"source\":{},\"name\":{},\"git_rev\":{},\"seed\":{},\"verdict\":{},\"evidence\":{},\"hash\":{},\"gfp_sweeps\":{},\"wait_pairs\":{},\"coverage\":{},\"provenance\":{}}}",
+        LEDGER_FORMAT,
+        r.index,
+        escape(&r.source),
+        escape(&r.name),
+        escape(&r.git_rev),
+        r.seed,
+        escape(&r.verdict),
+        escape(&r.evidence),
+        escape(&r.hash),
+        r.gfp_sweeps,
+        r.wait_pairs,
+        escape(&r.coverage),
+        escape(&r.provenance),
+    )
+}
+
+/// `LedgerRecord::from_line` over the tree.
+pub fn ledger_from_line(line: &str) -> Result<LedgerRecord, String> {
+    let v = Value::parse(line)?;
+    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key}"));
+    let str_field = |key: &str| {
+        field(key).and_then(|x| {
+            x.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field {key} is not a string"))
+        })
+    };
+    let u64_field = |key: &str| {
+        field(key).and_then(|x| {
+            x.as_u64()
+                .ok_or_else(|| format!("field {key} is not a u64"))
+        })
+    };
+    let format = u64_field("format")?;
+    if format != LEDGER_FORMAT {
+        return Err(format!(
+            "unsupported ledger format {format} (this build reads {LEDGER_FORMAT})"
+        ));
+    }
+    Ok(LedgerRecord {
+        index: u64_field("index")?,
+        source: str_field("source")?,
+        name: str_field("name")?,
+        git_rev: str_field("git_rev")?,
+        seed: u64_field("seed")?,
+        verdict: str_field("verdict")?,
+        evidence: str_field("evidence")?,
+        hash: str_field("hash")?,
+        gfp_sweeps: u64_field("gfp_sweeps")?,
+        wait_pairs: u64_field("wait_pairs")?,
+        coverage: match v.get("coverage") {
+            Some(x) => x
+                .as_str()
+                .map(str::to_string)
+                .ok_or("field coverage is not a string")?,
+            None => String::new(),
+        },
+        provenance: str_field("provenance")?,
+    })
+}
+
+/// `CoverageMap::to_json` with an `escape` and a `to_string` per point.
+pub fn coverage_to_json(map: &CoverageMap) -> String {
+    let mut out = format!(
+        "{{\"format\":{COVERAGE_FORMAT},\"key\":{},\"families\":{{",
+        escape(map.key())
+    );
+    let covered = FAMILIES.iter().filter(|f| map.covered(f) > 0);
+    for (fi, family) in covered.enumerate() {
+        if fi > 0 {
+            out.push(',');
+        }
+        out.push_str(&escape(family));
+        out.push_str(":{");
+        for (pi, (point, n)) in map.points(family).enumerate() {
+            if pi > 0 {
+                out.push(',');
+            }
+            out.push_str(&escape(point));
+            out.push(':');
+            out.push_str(&n.to_string());
+        }
+        out.push('}');
+    }
+    out.push_str("}}");
+    out
+}
+
+/// `CoverageMap::from_json` over the tree.
+pub fn coverage_from_json(text: &str) -> Result<CoverageMap, String> {
+    let v = Value::parse(text)?;
+    let format = v
+        .get("format")
+        .and_then(Value::as_u64)
+        .ok_or("missing field format")?;
+    if format != COVERAGE_FORMAT {
+        return Err(format!(
+            "unsupported coverage format {format} (this build reads {COVERAGE_FORMAT})"
+        ));
+    }
+    let key = v
+        .get("key")
+        .and_then(Value::as_str)
+        .ok_or("missing field key")?
+        .to_string();
+    let Value::Obj(families) = v.get("families").ok_or("missing field families")? else {
+        return Err("field families is not an object".to_string());
+    };
+    let mut map = CoverageMap::new(key);
+    for (family, points) in families {
+        if !FAMILIES.contains(&family.as_str()) {
+            return Err(format!("unknown coverage family {family:?}"));
+        }
+        let Value::Obj(points) = points else {
+            return Err(format!("family {family} is not an object"));
+        };
+        for (point, n) in points {
+            let n = n
+                .as_u64()
+                .ok_or_else(|| format!("hit count of {family}/{point} is not a u64"))?;
+            map.record_n(family, point.clone(), n);
+        }
+    }
+    Ok(map)
+}

@@ -1,0 +1,136 @@
+//! A clock-free ceiling on the churn of the evidence path.
+//!
+//! Twenty artifacts of the seed-7 stream are walked through everything
+//! a campaign and `check-cert` do with evidence — build the provenance,
+//! serialize it, wrap it in a ledger line, read the line and the
+//! document back, check it, extract the artifact's coverage, merge it
+//! into a campaign map, take the digests — and the allocations of the
+//! walk are counted by this thread's allocator.
+//!
+//! * parent of the pull reader and the buffer writers (tree parser,
+//!   `format!` per hop, `Vec` per probe in `check`, a `String` per
+//!   coverage hit): **77 503** allocations for this walk ([`PARENT`]);
+//! * with them: **7 130** ([`MEASURED`]).
+//!
+//! The ceiling is 1.25× the measured figure, and the test also holds it
+//! under a third of the parent's. What is left is mostly the prover
+//! side (`certify`, `channel_ordering`, the CDG inside
+//! `artifact_coverage`) and the owned strings of a `LedgerRecord`.
+
+use ebda_obs::{CoverageMap, LedgerRecord};
+use ebda_oracle::{artifact_coverage, evaluate, Generator, Mutation, Provenance};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts this thread's allocations, delegating to the system allocator.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: delegates verbatim to `System`; the only addition is a
+// const-initialized thread-local counter bump, which cannot allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// This thread's allocations during `f`.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// The walk's allocations at the parent commit (same test, same host).
+const PARENT: u64 = 77_503;
+/// The walk's allocations when the ceiling was set.
+const MEASURED: u64 = 7_130;
+
+#[test]
+fn the_evidence_walk_stays_under_its_allocation_ceiling() {
+    assert!(!ebda_obs::prof::enabled() && !ebda_obs::metrics::enabled());
+    let mut generator = Generator::with_max_nodes(7, 36);
+    let evaluated: Vec<_> = (0..20)
+        .map(|_| {
+            let artifact = generator.next_artifact();
+            let verdicts = evaluate(&artifact, Mutation::None);
+            (artifact, verdicts)
+        })
+        .collect();
+    let mut campaign = CoverageMap::new("oracle-seed-7-mutation-none");
+    let mut obligations = 0;
+    let n = allocs_during(|| {
+        for (artifact, verdicts) in &evaluated {
+            let provenance = Provenance::from_artifact(artifact, verdicts);
+            let json = provenance.to_json();
+            let coverage = artifact_coverage(artifact, verdicts);
+            let record = provenance.ledger_record(
+                "oracle",
+                artifact.summary(),
+                "abc1234".to_string(),
+                7,
+                Some(&coverage),
+            );
+            let line = record.to_line();
+            let read = LedgerRecord::from_line(&line).expect("own line");
+            let back = Provenance::from_json(&read.provenance).expect("own document");
+            assert_eq!((back.hash_hex(), &read.provenance), (read.hash, &json));
+            obligations += back.check().expect("own evidence").obligations;
+            campaign.merge(&coverage);
+            assert_eq!(coverage.digest(), read.coverage);
+        }
+        assert_eq!(campaign.digest().len(), 16);
+    });
+    assert!(obligations > 1000, "{obligations} obligations walked");
+    println!("{n} allocations");
+    assert!(
+        n <= MEASURED + MEASURED / 4,
+        "{n} allocations, measured {MEASURED} when the ceiling was set"
+    );
+    assert!(
+        n * 3 <= PARENT,
+        "{n} allocations against the parent's {PARENT}"
+    );
+}
+
+#[test]
+fn merging_points_a_map_already_holds_allocates_nothing() {
+    let mut generator = Generator::with_max_nodes(7, 36);
+    let maps: Vec<CoverageMap> = (0..20)
+        .map(|_| {
+            let artifact = generator.next_artifact();
+            artifact_coverage(&artifact, &evaluate(&artifact, Mutation::None))
+        })
+        .collect();
+    let mut campaign = CoverageMap::new("k");
+    for map in &maps {
+        campaign.merge(map);
+    }
+    let points = campaign.total_points();
+    let n = allocs_during(|| {
+        for map in &maps {
+            campaign.merge(map);
+        }
+    });
+    assert_eq!(n, 0, "merging known points allocated {n} times");
+    assert_eq!(campaign.total_points(), points);
+    assert_eq!(
+        campaign.family_hits("design_bin"),
+        2 * maps.len() as u64,
+        "the hits were added all the same"
+    );
+}

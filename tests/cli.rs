@@ -297,3 +297,47 @@ fn unusable_outputs_fail_with_exit_1_after_the_result() {
     // A failed check is exit 1 as well, not a usage error.
     assert_exit(&["verify", "xy", "--torus", "4x4"], 1, "NOT deadlock-free");
 }
+
+/// A file nested a million deep is a failed read, not a dead process:
+/// the one JSON reader caps depth, so these exit 1 naming the line where
+/// they used to overflow the stack (SIGABRT, 134).
+#[test]
+fn hostile_nesting_fails_with_exit_1_naming_the_line() {
+    let temp = |tag: &str, text: String| {
+        let name = format!("ebda-cli-deep-{tag}-{}.jsonl", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, text + "\n").unwrap();
+        path
+    };
+    let brackets = temp("brackets", "[".repeat(1_000_000));
+    let objects = temp("objects", "{\"k\":".repeat(1_000_000));
+    let (file, nested) = (brackets.to_str().unwrap(), objects.to_str().unwrap());
+    let capped = "nesting deeper than 128 levels at 1:";
+    let failed = "1 record(s) failed";
+    // A reader that pulls the fields it expects does not even descend
+    // into brackets where an object should be; under a key it skips, it
+    // stops at the cap.
+    let rows = [
+        (&["check-cert", file][..], failed, "FAIL line 1: "),
+        (&["check-cert", nested][..], failed, capped),
+        (&["coverage", "report", file][..], "object at 1:1", ""),
+        (&["coverage", "report", nested][..], capped, ""),
+        (&["ledger", "list", file][..], "line 1: expected", ""),
+        (
+            &["ledger", "list", nested][..],
+            "line 1: k: nesting deeper",
+            "",
+        ),
+    ];
+    for (args, stderr, stdout) in rows {
+        let out = assert_exit(args, 1, stderr);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains(stdout),
+            "{args:?} must print {stdout}: {text}"
+        );
+    }
+    for path in [brackets, objects] {
+        std::fs::remove_file(path).ok();
+    }
+}
