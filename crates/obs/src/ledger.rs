@@ -27,7 +27,7 @@
 
 use crate::json;
 use std::fmt;
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, Write as _};
 use std::path::Path;
 
 /// On-disk ledger format version (the `format` field of every record).
@@ -240,28 +240,18 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
     Ok(base)
 }
 
-/// Records in a ledger file: its non-blank lines, counted in one pass
-/// over the bytes (what [`read`] would return the length of, without
-/// parsing or even decoding a line).
-fn count_records(mut file: std::fs::File) -> std::io::Result<u64> {
-    let mut chunk = [0u8; 1 << 16];
-    let (mut records, mut line_has_text) = (0u64, false);
-    loop {
-        let n = match file.read(&mut chunk) {
-            Ok(0) => return Ok(records + u64::from(line_has_text)),
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        for &b in &chunk[..n] {
-            if b == b'\n' {
-                records += u64::from(line_has_text);
-                line_has_text = false;
-            } else if !matches!(b, b' ' | 0x09..=0x0D) {
-                line_has_text = true;
-            }
-        }
+/// Records in a ledger file: its non-blank lines (what [`read`] would
+/// return the length of), counted a line at a time without decoding,
+/// parsing or keeping any of them.
+fn count_records(file: std::fs::File) -> std::io::Result<u64> {
+    let mut lines = std::io::BufReader::with_capacity(1 << 16, file);
+    let (mut records, mut line) = (0, Vec::new());
+    while lines.read_until(b'\n', &mut line)? > 0 {
+        let blank = line.iter().all(|b| matches!(b, b' ' | 0x09..=0x0D));
+        records += u64::from(!blank);
+        line.clear();
     }
+    Ok(records)
 }
 
 /// Reads and parses every record in the ledger at `path`.

@@ -32,7 +32,11 @@
 //!
 //! None of those walks calls `search`, `verify_turn_set`,
 //! `verify_escape` or `certify`, so a prover bug cannot silently
-//! validate its own output.
+//! validate its own output. What they look things up in — a class bit
+//! row per channel, an allow row per class, a dense rank array — is
+//! built from the record alone, through `Topology::{node_count,
+//! neighbor, coords}` and `TurnSet::allows` and nothing else of the
+//! prover crates (`docs/VERIFICATION.md` §11).
 
 use crate::artifact::Artifact;
 use crate::brute::BruteChannel;
@@ -1296,6 +1300,70 @@ mod tests {
         // not the certificate.
         let report = prov.check().unwrap();
         assert_eq!(report.methods, vec!["witness-cycle"]);
+    }
+
+    #[test]
+    fn checker_refuses_what_used_to_crash_it() {
+        let artifact = ring_artifact();
+        let verdicts = evaluate(&artifact, Mutation::None);
+        let prov = Provenance::from_artifact(&artifact, &verdicts);
+
+        // `Topology::mesh` asserts on a radix of 0.
+        let mut flat = prov.clone();
+        flat.radix = vec![0];
+        let err = flat.check().unwrap_err();
+        assert!(err.contains("radix 0"), "{err}");
+
+        // A hop leaving a node the topology does not have decoded to
+        // coordinates modulo the radix (and tripped a debug assertion):
+        // nodes 4..8 of a 4-ring passed as the ring itself.
+        let mut shifted = prov.clone();
+        for hop in shifted.brute.witness.as_mut().unwrap() {
+            hop.from += 4;
+            hop.to += 4;
+        }
+        let err = shifted.check().unwrap_err();
+        assert!(err.contains("is not a link of the topology"), "{err}");
+
+        // `Turn::new` panics on a turn from a class to itself.
+        let artifact = design_artifact(3, vec![3, 3], catalog::p1_xy());
+        let verdicts = evaluate(&artifact, Mutation::None);
+        let json = Provenance::from_artifact(&artifact, &verdicts).to_json();
+        assert!(json.contains("\"X1+>Y1+\""), "{json}");
+        let err = Provenance::from_json(&json.replace("\"X1+>Y1+\"", "\"X1+>X1+\"")).unwrap_err();
+        assert!(err.contains("two distinct channel classes"), "{err}");
+    }
+
+    #[test]
+    fn documents_read_in_any_key_order_with_exact_integers() {
+        let artifact = ring_artifact();
+        let verdicts = evaluate(&artifact, Mutation::None);
+        let prov = Provenance::from_artifact(&artifact, &verdicts);
+        let json = prov.to_json();
+        // Move the leading `format` and `hash` behind an unknown key at
+        // the end: the same record.
+        let head = format!("{{\"format\":1,\"hash\":\"{}\",", prov.hash_hex());
+        let body = json.strip_prefix(&head).expect("format and hash lead");
+        let moved = format!(
+            "{{{},\"later\":{{\"x\":[1.5,null]}},\"hash\":\"{}\",\"format\":1}}",
+            &body[..body.len() - 1],
+            prov.hash_hex()
+        );
+        assert_eq!(Provenance::from_json(&moved).unwrap(), prov);
+        // A count read through an `f64` rounded; a VC of 256 wrapped to 0.
+        let exact = json.replace("\"pairs\":4,", "\"pairs\":9007199254740993,");
+        assert_eq!(
+            Provenance::from_json(&exact).unwrap().brute.pairs,
+            (1 << 53) + 1
+        );
+        for (from, to) in [
+            ("\"vc\":1}", "\"vc\":256}"),
+            ("\"sweeps\":1,", "\"sweeps\":1.0,"),
+        ] {
+            assert!(json.contains(from), "{json}");
+            let err = Provenance::from_json(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains("integer"), "{err}");
+        }
     }
 
     #[test]
