@@ -36,7 +36,7 @@
 //! row per channel, an allow row per class, a dense rank array — is
 //! built from the record alone, through `Topology::{node_count,
 //! neighbor, coords}` and `TurnSet::allows` and nothing else of the
-//! prover crates (`docs/VERIFICATION.md` §11).
+//! prover crates (`docs/VERIFICATION.md` §7).
 
 use crate::artifact::Artifact;
 use crate::brute::BruteChannel;

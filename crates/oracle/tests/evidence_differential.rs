@@ -143,15 +143,21 @@ fn writers_readers_and_check_agree_with_the_code_they_replaced() {
         for _ in 0..4 {
             let mut forged = p.clone();
             let edit = tamper(&mut forged, &mut rng);
-            // Out-of-range nodes made the old walk trip a debug
-            // assertion in `Topology::coords`; the tables refuse them.
+            // A witness hop leaving a node the topology does not have:
+            // the old walk decoded its coordinates modulo the radix —
+            // tripping a debug assertion in `Topology::coords`, or in a
+            // release build passing nodes 8..12 of an 8-node network as
+            // real ones. The tables refuse it.
+            let nodes: usize = forged.radix.iter().product();
+            let stray_node = !forged.deadlock_free
+                && (forged.brute.witness.iter().flatten()).any(|hop| hop.from >= nodes);
             let old = std::panic::catch_unwind(|| provenance_ref::check(&forged));
             let new = forged.check();
             tampered += 1;
             rejected += usize::from(new.is_err());
             match old {
-                Ok(old) => assert_eq!(new, old, "{name} after {edit}"),
-                Err(_) => assert!(new.is_err(), "{name} after {edit}"),
+                Ok(old) if !stray_node => assert_eq!(new, old, "{name} after {edit}"),
+                _ => assert!(new.is_err(), "{name} after {edit}"),
             }
         }
     }
