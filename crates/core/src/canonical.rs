@@ -11,7 +11,7 @@
 //! (`corpus/seed/<hash>.json`) and the key a persistent verdict cache can
 //! use to skip re-verifying a design it has already decided.
 
-use crate::{Channel, TurnSet};
+use crate::{Channel, Turn, TurnSet};
 use ebda_obs::json::{write_u64, Fnv1a};
 use std::fmt;
 
@@ -98,11 +98,35 @@ fn encode<W: fmt::Write>(
     // `TurnSet` iterates in sorted order already; render as `from>to`.
     for (i, t) in turns.iter().enumerate() {
         comma(out, i)?;
-        t.from.write_to(out)?;
-        out.write_char('>')?;
-        t.to.write_to(out)?;
+        write_turn(out, t)?;
     }
     Ok(())
+}
+
+/// Writes a turn as `from>to`: its rendering in the canonical encoding
+/// and in every document that lists turns (provenance, corpus entries).
+pub fn write_turn<W: fmt::Write>(out: &mut W, turn: Turn) -> fmt::Result {
+    turn.from.write_to(out)?;
+    out.write_char('>')?;
+    turn.to.write_to(out)
+}
+
+/// Parses the `from>to` rendering of [`write_turn`].
+///
+/// # Errors
+///
+/// Says what is wrong with `s`: no `>`, a channel that does not parse,
+/// or the same class on both sides (which [`Turn::new`] would panic on).
+pub fn parse_turn(s: &str) -> Result<Turn, String> {
+    let (from, to) = s
+        .split_once('>')
+        .ok_or_else(|| format!("turn {s:?} must look like X1+>Y1+"))?;
+    let from = Channel::parse(from).map_err(|e| format!("turn {s:?}: {e}"))?;
+    let to = Channel::parse(to).map_err(|e| format!("turn {s:?}: {e}"))?;
+    if from == to {
+        return Err(format!("turn {s:?} joins a channel class to itself"));
+    }
+    Ok(Turn::new(from, to))
 }
 
 /// The canonical 64-bit content hash of a verification problem (FNV-1a
@@ -218,6 +242,20 @@ mod tests {
             text.contains("|universe=X1+[X!=3],X1-[X!=0],X2+[X!=3],X2+[X=3],"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn turns_round_trip_in_the_arrow_notation() {
+        let seq = catalog::dateline_design(&[4, 4], &[true, false]);
+        for turn in extract_turns(&seq).unwrap().into_turn_set().iter() {
+            let mut text = String::new();
+            write_turn(&mut text, turn).unwrap();
+            assert_eq!(text, format!("{}>{}", turn.from, turn.to));
+            assert_eq!(parse_turn(&text), Ok(turn));
+        }
+        for bad in ["X1+", "X1+>", "X1+>Q", "X1+>X1+", " X+ > X1+ "] {
+            assert!(parse_turn(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! partition-sequence design it came from, when there is one), the proven
 //! expected verdict, provenance, and a canonical content hash.
 
-use ebda_core::{canonical, Channel, Partition, PartitionSeq, Turn, TurnSet};
+use ebda_core::{canonical, Channel, Partition, PartitionSeq, TurnSet};
 use ebda_obs::json::{self, Reader};
 use ebda_oracle::artifact::{Artifact, ArtifactKind};
+use std::borrow::Cow;
 use std::fmt;
 
 /// On-disk format version; entries with any other version are rejected.
@@ -157,9 +158,7 @@ impl CorpusEntry {
             json::write_u64(out, r as u64)
         })?;
         out.write_str(",\n  \"wrap\": ")?;
-        json::write_list(out, ", ", &self.wrap, |out, &w| {
-            out.write_str(if w { "true" } else { "false" })
-        })?;
+        json::write_list(out, ", ", &self.wrap, |out, &w| json::write_bool(out, w))?;
         out.write_str(",\n  \"vcs\": ")?;
         json::write_list(out, ", ", &self.vcs, |out, &v| {
             json::write_u64(out, u64::from(v))
@@ -169,9 +168,7 @@ impl CorpusEntry {
         out.write_str(",\n  \"turns\": ")?;
         json::write_list(out, ", ", self.turns.iter(), |out, t| {
             out.write_char('"')?;
-            t.from.write_to(out)?;
-            out.write_char('>')?;
-            t.to.write_to(out)?;
+            canonical::write_turn(out, t)?;
             out.write_char('"')
         })?;
         out.write_str(",\n  \"design\": ")?;
@@ -184,7 +181,7 @@ impl CorpusEntry {
         out.write_str(",\n  \"expected\": ")?;
         json::write_str(out, self.expected.name())?;
         out.write_str(",\n  \"ebda_certified\": ")?;
-        out.write_str(if self.ebda_certified { "true" } else { "false" })?;
+        json::write_bool(out, self.ebda_certified)?;
         out.write_str(",\n  \"provenance\": ")?;
         json::write_str(out, &self.provenance)?;
         out.write_str("\n}\n")
@@ -200,6 +197,21 @@ impl CorpusEntry {
     /// [`CorpusEntry::from_json`], also returning the content hash it
     /// verified, so [`crate::store::load_dir`] hashes an entry once.
     pub(crate) fn parse(text: &str) -> Result<(CorpusEntry, u64), String> {
+        let (entry, declared) =
+            CorpusEntry::read(text).map_err(|e| format!("corpus entry: {e}"))?;
+        let actual = entry.content_hash();
+        if declared != canonical::hash_hex(actual) {
+            return Err(format!(
+                "corpus entry {}: declared hash {declared} but content hashes to {}",
+                entry.name,
+                canonical::hash_hex(actual)
+            ));
+        }
+        Ok((entry, actual))
+    }
+
+    /// The fields of the document and the hash it declares, unverified.
+    fn read(text: &str) -> Result<(CorpusEntry, Cow<'_, str>), String> {
         fn channel(r: &mut Reader<'_>) -> Result<Channel, String> {
             let s = r.str()?;
             Channel::parse(&s).map_err(|e| format!("channel {s:?}: {e}"))
@@ -212,7 +224,7 @@ impl CorpusEntry {
             (None, None, None, None, None);
         let (mut design, mut expected, mut certified, mut provenance) = (None, None, None, None);
         let mut r = Reader::new(text);
-        let read = r.obj(|r, key| {
+        r.obj(|r, key| {
             match key {
                 "format" => {
                     let version = r.u64()?;
@@ -231,7 +243,7 @@ impl CorpusEntry {
                 "vcs" => vcs = Some(r.arr(Reader::uint::<u8>)?),
                 "universe" => universe = Some(r.arr(channel)?),
                 "turns" => {
-                    let list = r.arr(|r| parse_turn(&r.str()?))?;
+                    let list = r.arr(|r| canonical::parse_turn(&r.str()?))?;
                     turns = Some(list.into_iter().collect::<TurnSet>());
                 }
                 "design" => {
@@ -251,36 +263,23 @@ impl CorpusEntry {
                 _ => r.skip_value()?,
             }
             Ok(())
-        });
-        read.and_then(|()| r.end())
-            .map_err(|e| format!("corpus entry: {e}"))?;
-        let fields = || -> Result<CorpusEntry, String> {
-            need(format, "format")?;
-            Ok(CorpusEntry {
-                name: need(name, "name")?,
-                family: need(family, "family")?,
-                radix: need(radix, "radix")?,
-                wrap: need(wrap, "wrap")?,
-                vcs: need(vcs, "vcs")?,
-                universe: need(universe, "universe")?,
-                turns: need(turns, "turns")?,
-                design,
-                expected: need(expected, "expected")?,
-                ebda_certified: need(certified, "ebda_certified")?,
-                provenance: need(provenance, "provenance")?,
-            })
+        })?;
+        r.end()?;
+        need(format, "format")?;
+        let entry = CorpusEntry {
+            name: need(name, "name")?,
+            family: need(family, "family")?,
+            radix: need(radix, "radix")?,
+            wrap: need(wrap, "wrap")?,
+            vcs: need(vcs, "vcs")?,
+            universe: need(universe, "universe")?,
+            turns: need(turns, "turns")?,
+            design,
+            expected: need(expected, "expected")?,
+            ebda_certified: need(certified, "ebda_certified")?,
+            provenance: need(provenance, "provenance")?,
         };
-        let entry = fields().map_err(|e| format!("corpus entry: {e}"))?;
-        let declared = need(hash, "hash").map_err(|e| format!("corpus entry: {e}"))?;
-        let actual = entry.content_hash();
-        if declared != canonical::hash_hex(actual) {
-            return Err(format!(
-                "corpus entry {}: declared hash {declared} but content hashes to {}",
-                entry.name,
-                canonical::hash_hex(actual)
-            ));
-        }
-        Ok((entry, actual))
+        Ok((entry, need(hash, "hash")?))
     }
 
     /// A compact one-line description for logs and reports.
@@ -302,20 +301,6 @@ impl CorpusEntry {
             self.expected,
         )
     }
-}
-
-/// Parses the `from>to` turn rendering (the same notation `ebda certify
-/// --turns` accepts).
-fn parse_turn(s: &str) -> Result<Turn, String> {
-    let (from, to) = s
-        .split_once('>')
-        .ok_or_else(|| format!("turn {s:?} needs a '>'"))?;
-    let from = Channel::parse(from).map_err(|e| format!("turn {s:?}: {e}"))?;
-    let to = Channel::parse(to).map_err(|e| format!("turn {s:?}: {e}"))?;
-    if from == to {
-        return Err(format!("turn {s:?} joins a channel class to itself"));
-    }
-    Ok(Turn::new(from, to))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ fn entries_write_and_read_as_they_did() {
     }
     // Names and provenance notes that need every kind of escape.
     let mut awkward = entries[0].clone();
-    awkward.name = "q\"uote \\back\\ /slash\ttab\nline\r\u{08}\u{0C}\u{01}\u{1f} é ↔ 环".into();
+    awkward.name = hostile::AWKWARD.into();
     awkward.provenance = awkward.name.repeat(3);
     entries.push(awkward);
     for entry in &entries {

@@ -122,6 +122,12 @@ impl Table {
             .map_err(|i| from + i)
     }
 
+    /// Puts `point` where [`Table::find`] said it belongs.
+    fn insert(&mut self, at: usize, point: &str, hits: u64) {
+        let entry = self.named(point, hits);
+        self.entries.insert(at, entry);
+    }
+
     /// A new entry for `point`, whose name goes to the end of `names`.
     fn named(&mut self, point: &str, hits: u64) -> Entry {
         let start = self.names.len();
@@ -144,10 +150,7 @@ impl Table {
             (Ok(i), 0) => drop(self.entries.remove(i)),
             (Ok(i), _) => self.entries[i].hits = hits,
             (Err(_), 0) => {}
-            (Err(i), _) => {
-                let entry = self.named(point, hits);
-                self.entries.insert(i, entry);
-            }
+            (Err(i), _) => self.insert(i, point, hits),
         }
     }
 
@@ -155,10 +158,7 @@ impl Table {
     fn add(&mut self, point: &str, hits: u64) {
         match self.find(0, point) {
             Ok(i) => self.entries[i].hits += hits,
-            Err(i) => {
-                let entry = self.named(point, hits);
-                self.entries.insert(i, entry);
-            }
+            Err(i) => self.insert(i, point, hits),
         }
     }
 

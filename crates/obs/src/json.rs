@@ -74,6 +74,11 @@ pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
     out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
+/// Writes `true` or `false`.
+pub fn write_bool<W: fmt::Write>(out: &mut W, b: bool) -> fmt::Result {
+    out.write_str(if b { "true" } else { "false" })
+}
+
 /// Writes `[a<sep>b<sep>…]`, each item through `item`.
 pub fn write_list<W: fmt::Write, T>(
     out: &mut W,
@@ -283,22 +288,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The next number's text: an optional sign, then every byte a JSON
-    /// number can contain. Whether it *is* a number is the caller's check.
-    fn number_text(&mut self) -> &'a str {
-        let start = self.pos;
-        if self.next_byte() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .next_byte()
-            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(&b))
-        {
-            self.pos += 1;
-        }
-        &self.src[start..self.pos]
-    }
-
     /// Reads a non-negative integer exactly: a plain run of digits that
     /// fits `u64`. Anything else — a sign, a fraction, an exponent, a
     /// value past `u64::MAX` — is an `Err`, never a rounded value.
@@ -335,12 +324,21 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads any JSON number as an `f64`.
+    /// Reads any JSON number as an `f64`: an optional sign, then every
+    /// byte a number can contain, as `f64::from_str` takes them.
     pub fn f64(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
-        let text = self.number_text();
-        text.parse().map_err(|_| {
+        if self.next_byte() == Some(b'-') {
+            self.pos += 1;
+        }
+        while self
+            .next_byte()
+            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(&b))
+        {
+            self.pos += 1;
+        }
+        self.src[start..self.pos].parse().map_err(|_| {
             self.pos = start;
             self.fail("expected a number")
         })

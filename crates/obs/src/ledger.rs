@@ -86,36 +86,28 @@ impl LedgerRecord {
     /// [`LedgerRecord::to_line`] with `index` in place of the record's
     /// own, so [`append`] stamps positions without cloning records.
     fn write_line<W: fmt::Write>(&self, index: u64, out: &mut W) -> fmt::Result {
-        out.write_str("{\"format\":")?;
-        json::write_u64(out, LEDGER_FORMAT)?;
-        out.write_str(",\"index\":")?;
-        json::write_u64(out, index)?;
-        for (key, text) in [
-            (",\"source\":", &self.source),
-            (",\"name\":", &self.name),
-            (",\"git_rev\":", &self.git_rev),
-        ] {
+        // `key` is everything up to the value: `,"seed":`.
+        let number = |out: &mut W, key: &str, n: u64| {
             out.write_str(key)?;
-            json::write_str(out, text)?;
-        }
-        out.write_str(",\"seed\":")?;
-        json::write_u64(out, self.seed)?;
-        for (key, text) in [
-            (",\"verdict\":", &self.verdict),
-            (",\"evidence\":", &self.evidence),
-            (",\"hash\":", &self.hash),
-        ] {
+            json::write_u64(out, n)
+        };
+        let text = |out: &mut W, key: &str, s: &str| {
             out.write_str(key)?;
-            json::write_str(out, text)?;
-        }
-        out.write_str(",\"gfp_sweeps\":")?;
-        json::write_u64(out, self.gfp_sweeps)?;
-        out.write_str(",\"wait_pairs\":")?;
-        json::write_u64(out, self.wait_pairs)?;
-        out.write_str(",\"coverage\":")?;
-        json::write_str(out, &self.coverage)?;
-        out.write_str(",\"provenance\":")?;
-        json::write_str(out, &self.provenance)?;
+            json::write_str(out, s)
+        };
+        number(out, "{\"format\":", LEDGER_FORMAT)?;
+        number(out, ",\"index\":", index)?;
+        text(out, ",\"source\":", &self.source)?;
+        text(out, ",\"name\":", &self.name)?;
+        text(out, ",\"git_rev\":", &self.git_rev)?;
+        number(out, ",\"seed\":", self.seed)?;
+        text(out, ",\"verdict\":", &self.verdict)?;
+        text(out, ",\"evidence\":", &self.evidence)?;
+        text(out, ",\"hash\":", &self.hash)?;
+        number(out, ",\"gfp_sweeps\":", self.gfp_sweeps)?;
+        number(out, ",\"wait_pairs\":", self.wait_pairs)?;
+        text(out, ",\"coverage\":", &self.coverage)?;
+        text(out, ",\"provenance\":", &self.provenance)?;
         out.write_char('}')
     }
 

@@ -28,6 +28,10 @@
 use ebda_obs::json::{Kind, Reader};
 use ebda_obs::Rng64;
 
+/// A name that needs every kind of escape the writers have.
+pub const AWKWARD: &str =
+    "q\"uote \\back\\ /slash\ttab\nline\r\u{08}\u{0C}\u{01}\u{1f} é ↔ 环 \u{10348}";
+
 /// Bytes a flipped position is overwritten with: the structural
 /// characters, what numbers and literals are made of, a control byte.
 const PALETTE: &[u8] = b"{}[]\":,\\ \n0123456789eE.+-tfnux\x01";

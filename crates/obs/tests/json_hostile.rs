@@ -31,9 +31,7 @@ fn same_tree(new: &Value, old: &json_ref::Value) -> bool {
     }
 }
 
-/// Names that need every kind of escape.
-const AWKWARD: &str =
-    "q\"uote \\back\\ /slash\ttab\nline\r\u{08}\u{0C}\u{01}\u{1f} é ↔ 环 \u{10348}";
+use hostile::AWKWARD;
 
 fn records() -> Vec<LedgerRecord> {
     let record = |index: u64, name: &str, seed: u64, provenance: &str| LedgerRecord {

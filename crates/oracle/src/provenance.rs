@@ -44,7 +44,7 @@ use crate::verdict::Verdicts;
 use ebda_cdg::graph::ConcreteChannel;
 use ebda_cdg::topology::Topology;
 use ebda_core::certify::{certify, check_certificate, CertifyFailure};
-use ebda_core::{canonical, Channel, Dimension, Direction, Partition, PartitionSeq, Turn, TurnSet};
+use ebda_core::{canonical, Channel, Dimension, Direction, Partition, PartitionSeq, TurnSet};
 use ebda_obs::json::{self, Reader};
 use std::fmt;
 
@@ -418,11 +418,11 @@ impl Provenance {
 
     fn json_with_hash(&self, hash: u64) -> String {
         // A hop is about 45 bytes, a class name about 8.
-        let hops = |h: &Option<Vec<Hop>>| h.as_ref().map_or(0, Vec::len);
-        let hops = hops(&self.ordering)
-            + hops(&self.dally.cycle)
-            + hops(&self.duato.escape_cycle)
-            + hops(&self.brute.witness);
+        let len = |hops: &Option<Vec<Hop>>| hops.as_ref().map_or(0, Vec::len);
+        let hops = len(&self.ordering)
+            + len(&self.dally.cycle)
+            + len(&self.duato.escape_cycle)
+            + len(&self.brute.witness);
         let names = 2 * self.universe.len() + 2 * self.turns.len();
         let mut out = String::with_capacity(512 + 48 * hops + 12 * names);
         self.write_json(hash, &mut out)
@@ -431,6 +431,22 @@ impl Provenance {
     }
 
     fn write_json<W: fmt::Write>(&self, hash: u64, out: &mut W) -> fmt::Result {
+        // `key` is everything up to the value: `,"pairs":`.
+        fn count<W: fmt::Write>(out: &mut W, key: &str, n: usize) -> fmt::Result {
+            out.write_str(key)?;
+            json::write_u64(out, n as u64)
+        }
+        fn flag<W: fmt::Write>(out: &mut W, key: &str, b: bool) -> fmt::Result {
+            out.write_str(key)?;
+            json::write_bool(out, b)
+        }
+        fn hops<W: fmt::Write>(out: &mut W, key: &str, list: &Option<Vec<Hop>>) -> fmt::Result {
+            out.write_str(key)?;
+            match list {
+                None => out.write_str("null"),
+                Some(list) => json::write_list(out, ",", list, |out, h| h.write_json(out)),
+            }
+        }
         fn channels<W: fmt::Write>(out: &mut W, list: &[Channel]) -> fmt::Result {
             json::write_list(out, ",", list, |out, c| {
                 out.write_char('"')?;
@@ -438,37 +454,21 @@ impl Provenance {
                 out.write_char('"')
             })
         }
-        fn hops<W: fmt::Write>(out: &mut W, list: &Option<Vec<Hop>>) -> fmt::Result {
-            match list {
-                None => out.write_str("null"),
-                Some(list) => json::write_list(out, ",", list, |out, h| h.write_json(out)),
-            }
-        }
-        fn flag<W: fmt::Write>(out: &mut W, b: bool) -> fmt::Result {
-            out.write_str(if b { "true" } else { "false" })
-        }
-        out.write_str("{\"format\":")?;
-        json::write_u64(out, PROVENANCE_FORMAT)?;
+        count(out, "{\"format\":", PROVENANCE_FORMAT as usize)?;
         write!(out, ",\"hash\":\"{hash:016x}\",\"verdict\":")?;
         json::write_str(out, self.verdict_str())?;
         out.write_str(",\"radix\":")?;
-        json::write_list(out, ",", &self.radix, |out, &r| {
-            json::write_u64(out, r as u64)
-        })?;
+        json::write_list(out, ",", &self.radix, |out, &r| count(out, "", r))?;
         out.write_str(",\"wrap\":")?;
-        json::write_list(out, ",", &self.wrap, |out, &w| flag(out, w))?;
+        json::write_list(out, ",", &self.wrap, |out, &w| json::write_bool(out, w))?;
         out.write_str(",\"vcs\":")?;
-        json::write_list(out, ",", &self.vcs, |out, &v| {
-            json::write_u64(out, u64::from(v))
-        })?;
+        json::write_list(out, ",", &self.vcs, |out, &v| count(out, "", v.into()))?;
         out.write_str(",\"universe\":")?;
         channels(out, &self.universe)?;
         out.write_str(",\"turns\":")?;
         json::write_list(out, ",", self.turns.iter(), |out, t| {
             out.write_char('"')?;
-            t.from.write_to(out)?;
-            out.write_char('>')?;
-            t.to.write_to(out)?;
+            canonical::write_turn(out, t)?;
             out.write_char('"')
         })?;
         match &self.ebda {
@@ -484,37 +484,27 @@ impl Provenance {
                 out.write_char('}')?;
             }
         }
-        out.write_str("},\"ordering\":")?;
-        hops(out, &self.ordering)?;
-        out.write_str(",\"dally\":{\"channels\":")?;
-        json::write_u64(out, self.dally.channels as u64)?;
-        out.write_str(",\"dependencies\":")?;
-        json::write_u64(out, self.dally.dependencies as u64)?;
-        out.write_str(",\"cycle\":")?;
-        hops(out, &self.dally.cycle)?;
-        out.write_str("},\"duato\":{\"escape_acyclic\":")?;
-        flag(out, self.duato.escape_acyclic)?;
-        out.write_str(",\"escape_cycle\":")?;
-        hops(out, &self.duato.escape_cycle)?;
-        out.write_str(",\"escape_connected\":")?;
-        flag(out, self.duato.escape_connected)?;
+        hops(out, "},\"ordering\":", &self.ordering)?;
+        count(out, ",\"dally\":{\"channels\":", self.dally.channels)?;
+        count(out, ",\"dependencies\":", self.dally.dependencies)?;
+        hops(out, ",\"cycle\":", &self.dally.cycle)?;
+        flag(
+            out,
+            "},\"duato\":{\"escape_acyclic\":",
+            self.duato.escape_acyclic,
+        )?;
+        hops(out, ",\"escape_cycle\":", &self.duato.escape_cycle)?;
+        flag(out, ",\"escape_connected\":", self.duato.escape_connected)?;
         out.write_str(",\"unreachable\":")?;
         match self.duato.unreachable {
             None => out.write_str("null")?,
-            Some((a, b)) => {
-                json::write_list(out, ",", [a, b], |out, n| json::write_u64(out, n as u64))?
-            }
+            Some((a, b)) => json::write_list(out, ",", [a, b], |out, n| count(out, "", n))?,
         }
-        out.write_str("},\"brute\":{\"channels\":")?;
-        json::write_u64(out, self.brute.channels as u64)?;
-        out.write_str(",\"pairs\":")?;
-        json::write_u64(out, self.brute.pairs as u64)?;
-        out.write_str(",\"surviving\":")?;
-        json::write_u64(out, self.brute.surviving as u64)?;
-        out.write_str(",\"sweeps\":")?;
-        json::write_u64(out, self.brute.sweeps as u64)?;
-        out.write_str(",\"witness\":")?;
-        hops(out, &self.brute.witness)?;
+        count(out, "},\"brute\":{\"channels\":", self.brute.channels)?;
+        count(out, ",\"pairs\":", self.brute.pairs)?;
+        count(out, ",\"surviving\":", self.brute.surviving)?;
+        count(out, ",\"sweeps\":", self.brute.sweeps)?;
+        hops(out, ",\"witness\":", &self.brute.witness)?;
         out.write_str("}}")
     }
 
@@ -531,20 +521,6 @@ impl Provenance {
         fn channel(r: &mut Reader<'_>) -> Result<Channel, String> {
             let s = r.str()?;
             Channel::parse(&s).map_err(|e| format!("channel {s}: {e}"))
-        }
-        fn turn(r: &mut Reader<'_>) -> Result<Turn, String> {
-            let s = r.str()?;
-            let parsed = s.split_once('>').map(|(from, to)| {
-                Ok::<_, ebda_core::EbdaError>((Channel::parse(from)?, Channel::parse(to)?))
-            });
-            match parsed {
-                None => Err(format!("turn {s}: no '>'")),
-                Some(Err(e)) => Err(format!("turn {s}: {e}")),
-                Some(Ok((from, to))) if from == to => Err(format!(
-                    "turn {s}: a turn joins two distinct channel classes"
-                )),
-                Some(Ok((from, to))) => Ok(Turn::new(from, to)),
-            }
         }
         fn hops(r: &mut Reader<'_>) -> Result<Option<Vec<Hop>>, String> {
             r.nullable(|r| r.arr(Hop::read))
@@ -583,7 +559,10 @@ impl Provenance {
                 "wrap" => wrap = Some(r.arr(Reader::bool)?),
                 "vcs" => vcs = Some(r.arr(Reader::uint::<u8>)?),
                 "universe" => universe = Some(r.arr(channel)?),
-                "turns" => turns = Some(r.arr(turn)?.into_iter().collect::<TurnSet>()),
+                "turns" => {
+                    let list = r.arr(|r| canonical::parse_turn(&r.str()?))?;
+                    turns = Some(list.into_iter().collect::<TurnSet>());
+                }
                 "ebda" => {
                     let (mut certificate, mut refusal) = (None, None);
                     r.obj(|r, key| {
@@ -1331,7 +1310,7 @@ mod tests {
         let json = Provenance::from_artifact(&artifact, &verdicts).to_json();
         assert!(json.contains("\"X1+>Y1+\""), "{json}");
         let err = Provenance::from_json(&json.replace("\"X1+>Y1+\"", "\"X1+>X1+\"")).unwrap_err();
-        assert!(err.contains("two distinct channel classes"), "{err}");
+        assert!(err.contains("joins a channel class to itself"), "{err}");
     }
 
     #[test]

@@ -17,43 +17,12 @@
 //! side (`certify`, `channel_ordering`, the CDG inside
 //! `artifact_coverage`) and the owned strings of a `LedgerRecord`.
 
+#[path = "../../cdg/tests/counting_alloc/mod.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocs_during;
 use ebda_obs::{CoverageMap, LedgerRecord};
 use ebda_oracle::{artifact_coverage, evaluate, Generator, Mutation, Provenance};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts this thread's allocations, delegating to the system allocator.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates verbatim to `System`; the only addition is a
-// const-initialized thread-local counter bump, which cannot allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// This thread's allocations during `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
 
 /// The walk's allocations at the parent commit (same test, same host).
 const PARENT: u64 = 77_503;

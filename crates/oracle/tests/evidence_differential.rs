@@ -28,9 +28,7 @@ use ebda_oracle::provenance::{EbdaEvidence, Hop};
 use ebda_oracle::{
     artifact_coverage, evaluate, Artifact, ArtifactKind, Generator, Mutation, Provenance,
 };
-
-/// A name that needs every kind of escape.
-const AWKWARD: &str = "q\"uote \\back\\ /slash\ttab\nline\r\u{08}\u{0C}\u{01}\u{1f} é ↔ 环";
+use hostile::AWKWARD;
 
 struct Record {
     name: String,

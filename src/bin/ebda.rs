@@ -662,20 +662,13 @@ fn parse_turns(spec: &str) -> Result<(Vec<Channel>, TurnSet), String> {
     let mut turns = TurnSet::new();
     let mut universe: Vec<Channel> = Vec::new();
     for token in spec.split(',').filter(|t| !t.trim().is_empty()) {
-        let (a, b) = token
-            .split_once('>')
-            .ok_or_else(|| format!("turn {token:?} must look like X1+>Y1+"))?;
-        let from = Channel::parse(a.trim()).map_err(|e| e.to_string())?;
-        let to = Channel::parse(b.trim()).map_err(|e| e.to_string())?;
-        if from == to {
-            return Err(format!("turn {token:?} repeats one channel"));
-        }
-        for c in [from, to] {
+        let turn = ebda::core::canonical::parse_turn(token)?;
+        for c in [turn.from, turn.to] {
             if !universe.contains(&c) {
                 universe.push(c);
             }
         }
-        turns.insert(Turn::new(from, to));
+        turns.insert(turn);
     }
     if turns.is_empty() {
         return Err("no turns given".into());
