@@ -6,20 +6,22 @@
 //! binary search over a handful of targets. Dally cycle detection
 //! ([`find_cycle`]), the iterative Tarjan SCC pass ([`tarjan`]) and the
 //! Duato escape check (via [`crate::dally::verify_turn_set`]) all walk
-//! this one structure; the incremental engine
+//! this one structure, and the one cycle search behind them also runs
+//! where no CSR was built (`Successors`); the incremental engine
 //! ([`crate::incremental::IncrementalVerifier`]) additionally masks
 //! individual edge slots with an [`EdgeMask`] to answer what-if queries
 //! without rebuilding anything.
 //!
 //! All traversals share one thread-local visitation scratch buffer
-//! (colors, parents, DFS stack, in-degrees, ready-heap), so repeated
+//! (colors, DFS stacks, in-degrees, ready-heap), so repeated
 //! queries on same-sized graphs perform zero allocations in steady
 //! state — the same discipline as the allocation-free engine cycle
 //! loop (see `crates/cdg/tests/scratch_allocs.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 
 /// Compressed-sparse-row adjacency over `u32` node indices.
 ///
@@ -150,7 +152,8 @@ impl SccInfo {
 /// same-sized graphs never touch the allocator.
 struct Scratch {
     color: Vec<u8>,
-    parent: Vec<u32>,
+    /// The search's stack: `(node, next candidate, end of candidates)`.
+    frames: Vec<(u32, u32, u32)>,
     stack: Vec<(u32, u32)>,
     indeg: Vec<u32>,
     heap: BinaryHeap<Reverse<u32>>,
@@ -168,7 +171,7 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
             color: Vec::new(),
-            parent: Vec::new(),
+            frames: Vec::new(),
             stack: Vec::new(),
             indeg: Vec::new(),
             heap: BinaryHeap::new(),
@@ -180,63 +183,113 @@ thread_local! {
     };
 }
 
-/// Finds a directed cycle, returning the node indices along it, or
-/// `None` for acyclic graphs: an iterative three-colour DFS with a
-/// parent back-walk (no recursion — CDGs of large tori can be deep)
-/// over the flat CSR arrays, using the shared scratch buffer instead of
-/// per-call allocations. `tests/kernel_differential.rs` pins the witness
-/// against the adjacency-list kernel this replaced.
-pub fn find_cycle(csr: &Csr) -> Option<Vec<u32>> {
-    let _p = ebda_obs::prof::phase("cdg/cycle");
-    let n = csr.node_count();
+/// What the cycle search walks: per node an ascending range of candidate
+/// cursors, some of which are edges. CSR rows are the case where every
+/// candidate is one; [`has_cycle_within`] filters them by a component
+/// and an [`EdgeMask`], [`crate::graph::Skeleton`] the channels leaving
+/// a link's head node by a class relation.
+pub(crate) trait Successors {
+    /// Called once, when the search first reaches `u`: the cursors of
+    /// its candidate successors.
+    fn open(&mut self, u: u32) -> Range<u32>;
+
+    /// The successor behind candidate `at` of `u`, or `None` when that
+    /// candidate is not an edge.
+    fn successor(&self, u: u32, at: u32) -> Option<u32>;
+}
+
+/// The rows of a [`Csr`] as [`walk`] walks them, keeping the edge
+/// slots `keep(slot, target)` accepts.
+struct Rows<'a, F>(&'a Csr, F);
+
+impl<F: Fn(usize, u32) -> bool> Successors for Rows<'_, F> {
+    fn open(&mut self, u: u32) -> Range<u32> {
+        self.0.row_start[u as usize]..self.0.row_start[u as usize + 1]
+    }
+
+    fn successor(&self, _: u32, at: u32) -> Option<u32> {
+        let v = self.0.col[at as usize];
+        self.1(at as usize, v).then_some(v)
+    }
+}
+
+/// The one cycle search: an iterative three-colour DFS (no recursion —
+/// CDGs of large tori can be deep) from each of `roots` in turn, which
+/// the caller has coloured white in `s`. Candidates are visited in
+/// ascending order, so every view of one graph reports the same cycle.
+/// `cycle` receives the nodes along the cycle found (the stack from the
+/// back edge's target up) and is left empty when there is none; returns
+/// the number of edges visited.
+fn walk<S: Successors>(
+    s: &mut Scratch,
+    view: &mut S,
+    roots: impl Iterator<Item = u32>,
+    cycle: &mut Vec<u32>,
+) -> u64 {
+    cycle.clear();
+    s.frames.clear();
     let mut edges_visited = 0u64;
-    let found = SCRATCH.with(|s| {
+    for start in roots {
+        if s.color[start as usize] != WHITE {
+            continue;
+        }
+        s.color[start as usize] = GRAY;
+        let candidates = view.open(start);
+        s.frames.push((start, candidates.start, candidates.end));
+        while let Some(&mut (node, ref mut next, end)) = s.frames.last_mut() {
+            if *next == end {
+                s.color[node as usize] = BLACK;
+                s.frames.pop();
+                continue;
+            }
+            let at = *next;
+            *next += 1;
+            let Some(v) = view.successor(node, at) else {
+                continue;
+            };
+            edges_visited += 1;
+            match s.color[v as usize] {
+                WHITE => {
+                    s.color[v as usize] = GRAY;
+                    let candidates = view.open(v);
+                    s.frames.push((v, candidates.start, candidates.end));
+                }
+                GRAY => {
+                    // Back edge node -> v: the stack from v up.
+                    let from = s.frames.iter().rposition(|f| f.0 == v);
+                    let from = from.expect("a grey node is on the stack");
+                    cycle.extend(s.frames[from..].iter().map(|f| f.0));
+                    return edges_visited;
+                }
+                _ => {}
+            }
+        }
+    }
+    edges_visited
+}
+
+/// [`walk`] from every one of the view's `n` nodes, over the shared
+/// scratch buffer.
+pub(crate) fn search<S: Successors>(view: &mut S, n: usize, cycle: &mut Vec<u32>) -> u64 {
+    SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         s.color.clear();
         s.color.resize(n, WHITE);
-        s.parent.clear();
-        s.parent.resize(n, u32::MAX);
-        s.stack.clear();
-        for start in 0..n as u32 {
-            if s.color[start as usize] != WHITE {
-                continue;
-            }
-            s.color[start as usize] = GRAY;
-            s.stack.push((start, 0));
-            while let Some(&mut (node, ref mut next)) = s.stack.last_mut() {
-                let succs = csr.row(node as usize);
-                if (*next as usize) < succs.len() {
-                    let v = succs[*next as usize];
-                    *next += 1;
-                    edges_visited += 1;
-                    match s.color[v as usize] {
-                        WHITE => {
-                            s.parent[v as usize] = node;
-                            s.color[v as usize] = GRAY;
-                            s.stack.push((v, 0));
-                        }
-                        GRAY => {
-                            // Back edge node -> v: walk parents back.
-                            let mut cycle = vec![node];
-                            let mut cur = node;
-                            while cur != v {
-                                cur = s.parent[cur as usize];
-                                cycle.push(cur);
-                            }
-                            cycle.reverse();
-                            s.stack.clear();
-                            return Some(cycle);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    s.color[node as usize] = BLACK;
-                    s.stack.pop();
-                }
-            }
-        }
-        None
-    });
+        walk(s, view, 0..n as u32, cycle)
+    })
+}
+
+/// Finds a directed cycle, returning the node indices along it, or
+/// `None` for acyclic graphs: the one cycle search over the flat CSR
+/// arrays — no allocation beyond the witness itself.
+/// `tests/kernel_differential.rs` pins the witness against the
+/// adjacency-list kernel this replaced.
+pub fn find_cycle(csr: &Csr) -> Option<Vec<u32>> {
+    let _p = ebda_obs::prof::phase("cdg/cycle");
+    let n = csr.node_count();
+    let mut cycle = Vec::new();
+    let edges_visited = search(&mut Rows(csr, |_, _| true), n, &mut cycle);
+    let found = (!cycle.is_empty()).then_some(cycle);
     ebda_obs::prof::work("cdg/cycle", "edges_visited", edges_visited);
     ebda_obs::prof::work("cdg/cycle", "cycles_found", u64::from(found.is_some()));
     found
@@ -369,54 +422,58 @@ pub fn has_cycle_within(
     comp: u32,
     skip: &EdgeMask,
 ) -> (bool, u64) {
-    let mut edges_visited = 0u64;
-    let cyclic = SCRATCH.with(|s| {
+    let mut view = Rows(csr, |slot, v| {
+        comp_of[v as usize] == comp && !skip.get(slot)
+    });
+    let mut cycle = Vec::new();
+    let edges_visited = SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
-        s.color.resize(csr.node_count(), BLACK);
+        // The view leads to no node outside `nodes`: only they need a
+        // colour.
+        if s.color.len() < csr.node_count() {
+            s.color.resize(csr.node_count(), BLACK);
+        }
         for &v in nodes {
             s.color[v as usize] = WHITE;
         }
-        s.stack.clear();
-        for &start in nodes {
-            if s.color[start as usize] != WHITE {
+        walk(s, &mut view, nodes.iter().copied(), &mut cycle)
+    });
+    (!cycle.is_empty(), edges_visited)
+}
+
+/// Whether `dst` is reachable from `src` over the CSR's edges plus the
+/// `extra` successors per node — the probe of an edge addition, before
+/// the edges exist anywhere. Returns the answer and the number of edges
+/// visited.
+pub(crate) fn reaches(
+    csr: &Csr,
+    extra: &BTreeMap<u32, Vec<u32>>,
+    src: u32,
+    dst: u32,
+) -> (bool, u64) {
+    let mut edges_visited = 0u64;
+    let hit = SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        let (visited, stack) = (&mut s.on_stack, &mut s.scc_stack);
+        visited.clear();
+        visited.resize(csr.node_count(), false);
+        stack.clear();
+        stack.push(src);
+        while let Some(x) = stack.pop() {
+            if x == dst {
+                return true;
+            }
+            if std::mem::replace(&mut visited[x as usize], true) {
                 continue;
             }
-            s.color[start as usize] = GRAY;
-            s.stack.push((start, 0));
-            while let Some(&mut (node, ref mut next)) = s.stack.last_mut() {
-                let u = node as usize;
-                let succs = csr.row(u);
-                if (*next as usize) < succs.len() {
-                    let k = *next as usize;
-                    let v = succs[k];
-                    *next += 1;
-                    if comp_of[v as usize] != comp || skip.get(csr.edge_base(u) + k) {
-                        continue;
-                    }
-                    edges_visited += 1;
-                    match s.color[v as usize] {
-                        WHITE => {
-                            s.color[v as usize] = GRAY;
-                            s.stack.push((v, 0));
-                        }
-                        GRAY => {
-                            s.stack.clear();
-                            // Leave the touched colors consistent for
-                            // the next borrow (they are re-seeded per
-                            // call anyway).
-                            return true;
-                        }
-                        _ => {}
-                    }
-                } else {
-                    s.color[u] = BLACK;
-                    s.stack.pop();
-                }
-            }
+            let more = extra.get(&x).map_or(&[][..], Vec::as_slice);
+            edges_visited += (csr.row(x as usize).len() + more.len()) as u64;
+            stack.extend_from_slice(csr.row(x as usize));
+            stack.extend_from_slice(more);
         }
         false
     });
-    (cyclic, edges_visited)
+    (hit, edges_visited)
 }
 
 #[cfg(test)]

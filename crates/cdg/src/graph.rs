@@ -6,7 +6,7 @@
 //! criterion says the network is deadlock-free iff this graph is acyclic.
 
 use crate::bitrow;
-use crate::csr::Csr;
+use crate::csr::{self, Csr, Successors};
 use crate::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction, TurnSet};
 use std::cell::RefCell;
@@ -68,8 +68,10 @@ pub struct Cdg {
 /// VC counts and class universe only: the concrete channels, their
 /// by-source-node groups and, per channel, the universe classes it
 /// matches. A caller that checks several turn sets over one network
-/// (the incremental verifier across its rebuilds of one base) builds
-/// this once and calls [`Skeleton::fill`] per turn set.
+/// builds this once and, per turn set, either calls [`Skeleton::fill`]
+/// for the graph or keeps a [`Relation`] and asks
+/// [`Skeleton::is_acyclic`] for the verdict alone (the turn-model
+/// enumerations, the incremental verifier's commits).
 ///
 /// A concrete channel *matches* a channel class when dimension,
 /// direction and VC agree and the class's coordinate restriction holds
@@ -91,6 +93,65 @@ thread_local! {
     /// The allow rows and one reach row of [`Skeleton::fill`], recycled
     /// so that a fill allocates only the CSR arrays it returns.
     static ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A class relation over a [`Skeleton`]'s universe — the allow rows
+/// [`Skeleton::fill`] derives from a turn set, editable one class pair
+/// at a time — with what one verdict after another on that skeleton
+/// shares: the reach rows of the search and the last cycle found.
+#[derive(Debug, Clone)]
+pub struct Relation {
+    words: usize,
+    /// Entry `j` of row `i`: `universe[i] -> universe[j]` is allowed.
+    allow: Vec<u64>,
+    /// One row per channel, valid once the running search reached it.
+    reach: Vec<u64>,
+    cycle: Vec<u32>,
+    searches: u64,
+}
+
+impl Relation {
+    /// Allows or prohibits continuing from `universe[from]` on
+    /// `universe[to]` (indices, so duplicate entries are set one by one).
+    pub fn set(&mut self, from: usize, to: usize, allowed: bool) {
+        let word = &mut self.allow[from * self.words + to / 64];
+        *word = *word & !(1 << (to % 64)) | u64::from(allowed) << (to % 64);
+    }
+
+    /// How many verdicts took a search ([`Skeleton::find_cycle`]).
+    pub(crate) fn searches(&self) -> u64 {
+        self.searches
+    }
+}
+
+/// The dependency graph of a [`Relation`], read off the skeleton edge by
+/// edge: candidates are the channels leaving a link's head node.
+struct Dependencies<'a> {
+    skeleton: &'a Skeleton,
+    words: usize,
+    allow: &'a [u64],
+    reach: &'a mut [u64],
+}
+
+impl Successors for Dependencies<'_> {
+    fn open(&mut self, u: u32) -> Range<u32> {
+        // As in `fill`: the union of the matched classes' allow rows.
+        let reach = &mut self.reach[u as usize * self.words..][..self.words];
+        reach.fill(0);
+        for c in self.skeleton.classes_of(u as usize) {
+            for (r, x) in reach.iter_mut().zip(&self.allow[c * self.words..]) {
+                *r |= x;
+            }
+        }
+        self.skeleton
+            .node_channels(self.skeleton.channels[u as usize].to)
+    }
+
+    fn successor(&self, u: u32, at: u32) -> Option<u32> {
+        let reach = &self.reach[u as usize * self.words..];
+        let classes = &self.skeleton.class_mask[at as usize * self.words..][..self.words];
+        bitrow::intersects(reach, classes).then_some(at)
+    }
 }
 
 impl Skeleton {
@@ -205,6 +266,55 @@ impl Skeleton {
                 );
             })
         })
+    }
+
+    /// The relation `turns` induces over this skeleton's universe.
+    pub fn relation(&self, turns: &TurnSet) -> Relation {
+        let words = bitrow::words_for(self.universe.len());
+        let mut allow = Vec::new();
+        bitrow::allow_rows(&self.universe, turns, &mut allow);
+        Relation {
+            words,
+            allow,
+            reach: vec![0; self.channels.len() * words],
+            // Room for the longest cycle there can be: no verdict allocates.
+            cycle: Vec::with_capacity(self.channels.len()),
+            searches: 0,
+        }
+    }
+
+    /// Dally's verdict for `relation` without materialising its graph.
+    /// A cyclic verdict keeps its cycle, and the next one — the relation
+    /// edited in between — first re-validates every edge of that cycle:
+    /// a walk that changes a turn or two at a time decides most of its
+    /// models that way. Each verdict is still a cycle of the relation's
+    /// own graph or a full search of it.
+    pub fn is_acyclic(&self, relation: &mut Relation) -> bool {
+        let cycle = &relation.cycle;
+        let depends = |i: usize| {
+            let row = self.class_row(cycle[(i + 1) % cycle.len()] as usize);
+            self.classes_of(cycle[i] as usize)
+                .any(|c| bitrow::intersects(&relation.allow[c * relation.words..], row))
+        };
+        let holds = !cycle.is_empty() && (0..cycle.len()).all(depends);
+        !holds && self.find_cycle(relation).is_none()
+    }
+
+    /// A fresh search for `relation`: [`crate::csr::find_cycle`]'s, over
+    /// the candidate ranges in the ascending order [`Skeleton::fill`]
+    /// would lay the rows out, so the cycle (as channel indices) is the
+    /// one `find_cycle` reports on the filled CSR.
+    pub fn find_cycle<'r>(&self, relation: &'r mut Relation) -> Option<&'r [u32]> {
+        let n = self.channels.len();
+        let mut view = Dependencies {
+            skeleton: self,
+            words: relation.words,
+            allow: &relation.allow,
+            reach: &mut relation.reach,
+        };
+        relation.searches += 1;
+        csr::search(&mut view, n, &mut relation.cycle);
+        (!relation.cycle.is_empty()).then_some(&relation.cycle)
     }
 
     /// The one row-assembly loop behind every build. For channel `a`,

@@ -22,27 +22,56 @@
 //!
 //! Additions are the mirror image: a cyclic base stays cyclic, and an
 //! acyclic base gains a cycle iff some added edge `u -> v` has `u`
-//! reachable from `v`. Link failures and VC-mix changes fall back to a
-//! full rebuild (counted under `incr:fallbacks`) for the *apply* path,
-//! while the fail-link *query* is still answered incrementally by
-//! masking all edges incident to the dead channels.
+//! reachable from `v`. A link failure falls back to a full rebuild
+//! (counted under `incr:fallbacks`) for the *apply* path, while the
+//! fail-link *query* is still answered incrementally by masking all
+//! edges incident to the dead channels.
 //!
-//! Queries take `&self` and are safe to issue from parallel shrink
-//! waves; `apply_*` methods commit a delta, maintaining the exact CSR
-//! the full build would produce (asserted structurally in cross-check
-//! mode, enabled via `EBDA_INCR_CHECK=1` or
-//! [`IncrementalVerifier::set_cross_check`]).
+//! Queries take `&self` and are safe to issue from several threads. A
+//! turn commit (`apply_add_turn`, `apply_remove_turn`) edits the base
+//! relation's allow rows and takes its verdict straight off the
+//! skeleton ([`Skeleton::is_acyclic`]) — nothing at all in the two
+//! monotone cases; the CSR, predecessor lists and SCCs that only
+//! queries read are filled again by the first query after it. In
+//! cross-check mode (`EBDA_INCR_CHECK=1` or
+//! [`IncrementalVerifier::set_cross_check`]) every query and commit is
+//! asserted against a full rebuild, rows included.
 
 use crate::csr::{self, Csr, EdgeMask, SccInfo};
-use crate::graph::{Cdg, ConcreteChannel, Skeleton};
+use crate::graph::{Cdg, ConcreteChannel, Relation, Skeleton};
 use crate::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Edges a turn addition creates: the flat `(source, target)` delta
 /// list plus the per-source successor overlay used by the reachability
 /// probe before the edges exist in the CSR.
 type GainedEdges = (Vec<(u32, u32)>, BTreeMap<u32, Vec<u32>>);
+
+/// The base CDG as the queries read it: the rows [`Skeleton::fill`]
+/// gives, their transpose and their SCCs.
+#[derive(Debug, Clone)]
+struct Graph {
+    csr: Csr,
+    /// Predecessor lists per node, ascending.
+    rev: Vec<Vec<u32>>,
+    scc: SccInfo,
+}
+
+impl Graph {
+    fn of(skeleton: &Skeleton, turns: &TurnSet) -> Graph {
+        let csr = skeleton.fill(turns);
+        let mut rev = vec![Vec::new(); csr.node_count()];
+        for u in 0..csr.node_count() {
+            for &v in csr.row(u) {
+                rev[v as usize].push(u as u32);
+            }
+        }
+        let scc = csr::tarjan(&csr);
+        Graph { csr, rev, scc }
+    }
+}
 
 /// Incremental Dally verifier over one base design.
 ///
@@ -57,15 +86,15 @@ pub struct IncrementalVerifier {
     universe: Vec<Channel>,
     turns: TurnSet,
     /// The base's channels, by-source-node groups and class matches —
-    /// rebuilt only when topology or VC mix change, never per turn edit.
+    /// rebuilt only when the topology changes, never per turn edit.
     skeleton: Skeleton,
+    /// `turns` as allow rows, with the cycle the last commit found.
+    relation: Relation,
     /// Concrete channels matching each universe entry (the transpose of
     /// the skeleton's class matches).
     class_members: Vec<Vec<u32>>,
-    csr: Csr,
-    /// Predecessor lists per node, ascending.
-    rev: Vec<Vec<u32>>,
-    scc: SccInfo,
+    /// Emptied by a turn commit, filled by the next query.
+    graph: OnceLock<Graph>,
     acyclic: bool,
     check: bool,
 }
@@ -96,29 +125,30 @@ impl IncrementalVerifier {
         check: bool,
     ) -> IncrementalVerifier {
         let skeleton = Skeleton::new(&topo, &vcs, &universe);
-        let csr = skeleton.fill(&turns);
         let mut class_members = vec![Vec::new(); universe.len()];
         for u in 0..skeleton.channels().len() {
             for ci in skeleton.classes_of(u) {
                 class_members[ci].push(u as u32);
             }
         }
-        let scc = csr::tarjan(&csr);
-        let mut v = IncrementalVerifier {
+        let graph = Graph::of(&skeleton, &turns);
+        IncrementalVerifier {
             topo,
             vcs,
             universe,
+            relation: skeleton.relation(&turns),
             turns,
             skeleton,
             class_members,
-            csr,
-            rev: Vec::new(),
-            acyclic: scc.acyclic(),
-            scc,
+            acyclic: graph.scc.acyclic(),
+            graph: OnceLock::from(graph),
             check,
-        };
-        v.rebuild_rev();
-        v
+        }
+    }
+
+    fn graph(&self) -> &Graph {
+        self.graph
+            .get_or_init(|| Graph::of(&self.skeleton, &self.turns))
     }
 
     /// Forces the debug cross-check mode on or off: every query and
@@ -152,15 +182,15 @@ impl IncrementalVerifier {
     /// the same CSR with the same traversal as [`Cdg::find_cycle`], so
     /// witnesses are byte-identical to the full build's.
     pub fn find_cycle(&self) -> Option<Vec<ConcreteChannel>> {
-        csr::find_cycle(&self.csr).map(|idxs| {
+        csr::find_cycle(&self.graph().csr).map(|idxs| {
             idxs.into_iter()
                 .map(|i| self.channels()[i as usize])
                 .collect()
         })
     }
 
-    /// The full-rebuild fallback: topology or VC mix changed, so the
-    /// skeleton itself is stale.
+    /// The full-rebuild fallback: the topology changed, so the skeleton
+    /// itself is stale.
     fn rebuild(&mut self) {
         *self = IncrementalVerifier::build(
             self.topo.clone(),
@@ -169,11 +199,6 @@ impl IncrementalVerifier {
             std::mem::take(&mut self.turns),
             self.check,
         );
-    }
-
-    fn refresh_scc(&mut self) {
-        self.scc = csr::tarjan(&self.csr);
-        self.acyclic = self.scc.acyclic();
     }
 
     /// Whether the edge `u -> v` survives once turn `t` is removed.
@@ -214,15 +239,16 @@ impl IncrementalVerifier {
     /// `t.to` can change, and each such slot is re-evaluated under the
     /// edited rule.
     fn edges_lost_by_turn(&self, t: Turn) -> (Vec<(u32, u32)>, EdgeMask) {
-        let mut mask = EdgeMask::new(self.csr.edge_count());
+        let csr = &self.graph().csr;
+        let mut mask = EdgeMask::new(csr.edge_count());
         let mut removed = Vec::new();
         for ci in 0..self.universe.len() {
             if self.universe[ci] != t.from {
                 continue;
             }
             for &u in &self.class_members[ci] {
-                let base = self.csr.edge_base(u as usize);
-                for (k, &v) in self.csr.row(u as usize).iter().enumerate() {
+                let base = csr.edge_base(u as usize);
+                for (k, &v) in csr.row(u as usize).iter().enumerate() {
                     if mask.get(base + k) {
                         continue;
                     }
@@ -248,15 +274,16 @@ impl IncrementalVerifier {
     /// dropped: out- and in-edges of its member channels, re-evaluated
     /// without the victim.
     fn edges_lost_by_channel(&self, victim: Channel) -> (Vec<(u32, u32)>, EdgeMask) {
-        let mut mask = EdgeMask::new(self.csr.edge_count());
+        let Graph { csr, rev, .. } = self.graph();
+        let mut mask = EdgeMask::new(csr.edge_count());
         let mut removed = Vec::new();
         for ci in 0..self.universe.len() {
             if self.universe[ci] != victim {
                 continue;
             }
             for &u in &self.class_members[ci] {
-                let base = self.csr.edge_base(u as usize);
-                for (k, &v) in self.csr.row(u as usize).iter().enumerate() {
+                let base = csr.edge_base(u as usize);
+                for (k, &v) in csr.row(u as usize).iter().enumerate() {
                     if !mask.get(base + k)
                         && !self.allowed_without_channel(u as usize, v as usize, victim)
                     {
@@ -264,9 +291,8 @@ impl IncrementalVerifier {
                         removed.push((u, v));
                     }
                 }
-                for &w in &self.rev[u as usize] {
-                    let ei = self
-                        .csr
+                for &w in &rev[u as usize] {
+                    let ei = csr
                         .edge_index(w as usize, u)
                         .expect("reverse adjacency tracks a real edge");
                     if !mask.get(ei)
@@ -285,30 +311,26 @@ impl IncrementalVerifier {
     /// base: a cyclic SCC that lost no internal edge stays cyclic;
     /// every touched cyclic SCC is rechecked in isolation.
     fn removal_verdict(&self, removed: &[(u32, u32)], mask: &EdgeMask) -> bool {
+        let Graph { csr, scc, .. } = self.graph();
         ebda_obs::prof::work("incr", "dirty_edges", removed.len() as u64);
-        let ncomp = self.scc.comp_nodes.len();
+        let ncomp = scc.comp_nodes.len();
         let mut touched = vec![false; ncomp];
         for &(u, v) in removed {
-            let cu = self.scc.comp_of[u as usize];
-            if cu == self.scc.comp_of[v as usize] {
+            let cu = scc.comp_of[u as usize];
+            if cu == scc.comp_of[v as usize] {
                 touched[cu as usize] = true;
             }
         }
-        if (0..ncomp).any(|c| self.scc.cyclic[c] && !touched[c]) {
+        if (0..ncomp).any(|c| scc.cyclic[c] && !touched[c]) {
             return false;
         }
         for (c, &was_touched) in touched.iter().enumerate() {
-            if !(self.scc.cyclic[c] && was_touched) {
+            if !(scc.cyclic[c] && was_touched) {
                 continue;
             }
             ebda_obs::prof::work("incr", "scc_rechecked", 1);
-            let (cyclic, visited) = csr::has_cycle_within(
-                &self.csr,
-                &self.scc.comp_nodes[c],
-                &self.scc.comp_of,
-                c as u32,
-                mask,
-            );
+            let (cyclic, visited) =
+                csr::has_cycle_within(csr, &scc.comp_nodes[c], &scc.comp_of, c as u32, mask);
             ebda_obs::prof::work("incr", "edges_visited", visited);
             if cyclic {
                 return false;
@@ -427,18 +449,18 @@ impl IncrementalVerifier {
         }
         // Masking every edge incident to a dead channel leaves the dead
         // nodes isolated — equivalent, for acyclicity, to deleting them.
-        let mut mask = EdgeMask::new(self.csr.edge_count());
+        let Graph { csr, rev, .. } = self.graph();
+        let mut mask = EdgeMask::new(csr.edge_count());
         let mut removed = Vec::new();
         for &u in &dead {
-            let base = self.csr.edge_base(u as usize);
-            for (k, &v) in self.csr.row(u as usize).iter().enumerate() {
+            let base = csr.edge_base(u as usize);
+            for (k, &v) in csr.row(u as usize).iter().enumerate() {
                 if mask.set(base + k) {
                     removed.push((u, v));
                 }
             }
-            for &w in &self.rev[u as usize] {
-                let ei = self
-                    .csr
+            for &w in &rev[u as usize] {
+                let ei = csr
                     .edge_index(w as usize, u)
                     .expect("reverse adjacency tracks a real edge");
                 if mask.set(ei) {
@@ -453,6 +475,7 @@ impl IncrementalVerifier {
     /// are adjacent pairs whose source matches `t.from` and target
     /// matches `t.to` that had no edge before.
     fn edges_gained_by_turn(&self, t: Turn) -> GainedEdges {
+        let csr = &self.graph().csr;
         let mut added = Vec::new();
         let mut extra: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for ci in 0..self.universe.len() {
@@ -462,7 +485,7 @@ impl IncrementalVerifier {
             for &u in &self.class_members[ci] {
                 let c = self.channels()[u as usize];
                 for v in self.skeleton.node_channels(c.to) {
-                    if self.csr.has_edge(u as usize, v) {
+                    if csr.has_edge(u as usize, v) {
                         continue;
                     }
                     if !self
@@ -514,59 +537,21 @@ impl IncrementalVerifier {
         if added.is_empty() {
             return true;
         }
-        for &(u, v) in &added {
-            if self.reaches(v, u, &extra) {
-                return false;
-            }
-        }
-        true
+        let csr = &self.graph().csr;
+        added.iter().all(|&(u, v)| {
+            let (hit, edges_visited) = csr::reaches(csr, &extra, v, u);
+            ebda_obs::prof::work("incr", "edges_visited", edges_visited);
+            !hit
+        })
     }
 
-    /// DFS reachability `src ->* dst` over base + extra edges.
-    fn reaches(&self, src: u32, dst: u32, extra: &BTreeMap<u32, Vec<u32>>) -> bool {
-        let n = self.csr.node_count();
-        let mut visited = vec![false; n];
-        let mut stack = vec![src];
-        let mut edges_visited = 0u64;
-        let mut hit = false;
-        while let Some(x) = stack.pop() {
-            if x == dst {
-                hit = true;
-                break;
-            }
-            if std::mem::replace(&mut visited[x as usize], true) {
-                continue;
-            }
-            for &y in self.csr.row(x as usize) {
-                edges_visited += 1;
-                stack.push(y);
-            }
-            if let Some(ys) = extra.get(&x) {
-                for &y in ys {
-                    edges_visited += 1;
-                    stack.push(y);
-                }
-            }
-        }
-        ebda_obs::prof::work("incr", "edges_visited", edges_visited);
-        hit
-    }
-
-    /// Commits a turn removal, maintaining the exact CSR a full rebuild
-    /// would produce (row-level edits only — no dependency-rule
-    /// re-evaluation outside the dirty slots). Returns the new verdict.
+    /// Commits a turn removal; returns the new verdict.
     pub fn apply_remove_turn(&mut self, t: Turn) -> bool {
         if t.from == t.to || !self.turns.contains(t) {
             return self.acyclic;
         }
-        let (_, mask) = self.edges_lost_by_turn(t);
         self.turns.remove(t);
-        self.drop_masked_edges(&mask);
-        self.refresh_scc();
-        if self.check {
-            self.assert_matches_full_rebuild();
-        }
-        self.acyclic
+        self.commit(t, false)
     }
 
     /// Commits a turn addition; returns the new verdict.
@@ -574,12 +559,27 @@ impl IncrementalVerifier {
         if t.from == t.to || self.turns.contains(t) {
             return self.acyclic;
         }
-        let (added, extra) = self.edges_gained_by_turn(t);
         self.turns.insert(t);
-        if !added.is_empty() {
-            self.merge_extra_edges(&extra);
+        self.commit(t, true)
+    }
+
+    /// Writes the edit of `t` into the allow rows (value-based, as
+    /// [`Skeleton::fill`] reads a turn set) and takes the new verdict:
+    /// free when the edit is monotone — an acyclic base losing edges, a
+    /// cyclic one gaining them — and otherwise one verdict on the
+    /// skeleton ([`Skeleton::is_acyclic`]).
+    fn commit(&mut self, t: Turn, allowed: bool) -> bool {
+        let universe = &self.universe;
+        let matching = |c: Channel| (0..universe.len()).filter(move |&i| universe[i] == c);
+        for from in matching(t.from) {
+            for to in matching(t.to) {
+                self.relation.set(from, to, allowed);
+            }
         }
-        self.refresh_scc();
+        self.graph = OnceLock::new();
+        if self.acyclic == allowed {
+            self.acyclic = self.skeleton.is_acyclic(&mut self.relation);
+        }
         if self.check {
             self.assert_matches_full_rebuild();
         }
@@ -596,91 +596,30 @@ impl IncrementalVerifier {
         self.acyclic
     }
 
-    /// Commits a VC-mix change — also a full-rebuild fallback, since
-    /// the concrete-channel set itself changes.
-    pub fn apply_set_vcs(&mut self, vcs: Vec<u8>) -> bool {
-        ebda_obs::prof::work("incr", "fallbacks", 1);
-        self.vcs = vcs;
-        self.rebuild();
-        self.acyclic
-    }
-
-    fn drop_masked_edges(&mut self, mask: &EdgeMask) {
-        if mask.count() == 0 {
-            return;
-        }
-        let n = self.csr.node_count();
-        let mut row_start = Vec::with_capacity(n + 1);
-        row_start.push(0u32);
-        let mut col = Vec::with_capacity(self.csr.edge_count() - mask.count());
-        for u in 0..n {
-            let base = self.csr.edge_base(u);
-            for (k, &v) in self.csr.row(u).iter().enumerate() {
-                if !mask.get(base + k) {
-                    col.push(v);
-                }
-            }
-            row_start.push(col.len() as u32);
-        }
-        self.csr = Csr::new(n, row_start, col);
-        self.rebuild_rev();
-    }
-
-    fn merge_extra_edges(&mut self, extra: &BTreeMap<u32, Vec<u32>>) {
-        let n = self.csr.node_count();
-        let total: usize = extra.values().map(Vec::len).sum();
-        let mut row_start = Vec::with_capacity(n + 1);
-        row_start.push(0u32);
-        let mut col = Vec::with_capacity(self.csr.edge_count() + total);
-        let empty: Vec<u32> = Vec::new();
-        for u in 0..n {
-            // Merge two ascending lists to keep the edge-order invariant.
-            let old = self.csr.row(u);
-            let new = extra.get(&(u as u32)).unwrap_or(&empty);
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() || j < new.len() {
-                if j >= new.len() || (i < old.len() && old[i] < new[j]) {
-                    col.push(old[i]);
-                    i += 1;
-                } else {
-                    col.push(new[j]);
-                    j += 1;
-                }
-            }
-            row_start.push(col.len() as u32);
-        }
-        self.csr = Csr::new(n, row_start, col);
-        self.rebuild_rev();
-    }
-
-    fn rebuild_rev(&mut self) {
-        let n = self.csr.node_count();
-        let mut rev = vec![Vec::new(); n];
-        for u in 0..n {
-            for &v in self.csr.row(u) {
-                rev[v as usize].push(u as u32);
-            }
-        }
-        self.rev = rev;
-    }
-
-    /// Cross-check-mode structural assertion: the incrementally
-    /// maintained CSR must be *row-for-row identical* to a fresh full
-    /// build (the edge-order invariant makes this comparison exact).
+    /// Cross-check-mode assertion after a commit: the verdict and the
+    /// rows the next query will read must be those of a fresh full
+    /// build, *row for row* (the edge-order invariant makes this
+    /// comparison exact).
     fn assert_matches_full_rebuild(&self) {
         let cdg = Cdg::from_turn_set(&self.topo, &self.vcs, &self.universe, &self.turns);
+        let csr = &self.graph().csr;
         assert_eq!(
-            self.csr.node_count(),
+            csr.node_count(),
             cdg.node_count(),
             "incremental CSR node count diverged from full rebuild"
         );
-        for u in 0..self.csr.node_count() {
+        for u in 0..csr.node_count() {
             assert_eq!(
-                self.csr.row(u),
+                csr.row(u),
                 cdg.successors(u),
                 "incremental CSR row {u} diverged from full rebuild"
             );
         }
+        assert_eq!(
+            self.acyclic,
+            cdg.is_acyclic(),
+            "committed verdict diverged from full rebuild"
+        );
     }
 }
 

@@ -40,6 +40,6 @@ pub mod witness;
 
 pub use csr::{Csr, EdgeMask, SccInfo};
 pub use dally::{verify_design, verify_turn_set, VerificationReport};
-pub use graph::{Cdg, ConcreteChannel, Skeleton};
+pub use graph::{Cdg, ConcreteChannel, Relation, Skeleton};
 pub use incremental::IncrementalVerifier;
 pub use topology::{Connectivity, NodeId, Topology};

@@ -5,16 +5,23 @@
 //! cycle gives `4^c` combinations to check, where `c` is the number of
 //! abstract cycles (2 per plane per VC pairing). This module implements that
 //! brute-force checker so the scalability comparison can be *measured*:
-//! enumerate combinations, build each CDG on a concrete mesh, test
-//! acyclicity.
+//! enumerate combinations and decide each model's CDG on a concrete
+//! mesh. Every model gets a cycle of its own graph or a full search of
+//! it — the number of checks is the quantity Section 2 counts — but no
+//! model gets a graph: the models of one space share a
+//! [`Skeleton`], a model is the allow rows of its prohibitions, and its
+//! verdict is read off the skeleton (`Enumeration`). The turn set and
+//! CDG per model that this replaced are the reference in
+//! `tests/kernel_differential.rs`.
 //!
 //! For the 2D no-VC case it reproduces the classic Glass & Ni result the
 //! paper cites: of the 16 combinations, 12 are deadlock-free and 3 are
 //! unique up to symmetry (west-first, north-last, negative-first).
 
-use crate::graph::Cdg;
+use crate::graph::{Relation, Skeleton};
 use crate::topology::Topology;
 use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
+use ebda_obs::Rng64;
 
 /// The eight 90° turns of a 2D network, split into the two abstract cycles.
 ///
@@ -58,19 +65,15 @@ pub struct Combination {
 pub fn combinations_2d() -> Vec<Combination> {
     let (cw, ccw) = abstract_cycles_2d();
     let mut out = Vec::with_capacity(16);
-    for i in 0..4 {
-        for j in 0..4 {
-            let mut allowed = TurnSet::new();
-            for (k, &t) in cw.iter().enumerate() {
-                if k != i {
-                    allowed.insert(t);
-                }
-            }
-            for (k, &t) in ccw.iter().enumerate() {
-                if k != j {
-                    allowed.insert(t);
-                }
-            }
+    // A clone and a removal, not six inserts into a fresh set: this is
+    // the whole set-up of the benchmark's `enumerate`.
+    let all: TurnSet = cw.iter().chain(&ccw).copied().collect();
+    for (i, &no_cw) in cw.iter().enumerate() {
+        let mut row = all.clone();
+        row.remove(no_cw);
+        for (j, &no_ccw) in ccw.iter().enumerate() {
+            let mut allowed = row.clone();
+            allowed.remove(no_ccw);
             out.push(Combination {
                 cw: i,
                 ccw: j,
@@ -81,20 +84,97 @@ pub fn combinations_2d() -> Vec<Combination> {
     out
 }
 
+/// The turns a model allows: every turn of `cycles` except turn
+/// `digits[c]` of cycle `c` — the model's prohibition index vector, as
+/// [`deadlock_free_combinations`] returns it.
+pub fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
+    let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
+    for (cycle, &k) in cycles.iter().zip(digits) {
+        allowed.remove(cycle[k]);
+    }
+    allowed
+}
+
+/// The plain class universe of `dims` dimensions with `q` virtual
+/// channels each, VC-major.
+fn plain_universe(dims: usize, q: u8) -> Vec<Channel> {
+    let mut universe = Vec::new();
+    for vc in 1..=q {
+        for d in 0..dims {
+            for dir in [Direction::Plus, Direction::Minus] {
+                universe.push(Channel::with_vc(Dimension::new(d as u8), dir, vc));
+            }
+        }
+    }
+    universe
+}
+
+/// One walk over a model space: the skeleton of the mesh all its models
+/// share, the relation allowing every turn of every cycle, and where in
+/// the relation each cycle turn sits. A model is that relation minus one
+/// turn per cycle; [`Skeleton::is_acyclic`] decides it.
+struct Enumeration {
+    skeleton: Skeleton,
+    relation: Relation,
+    /// Per cycle, the universe index pair of each of its four turns.
+    slots: Vec<[(usize, usize); 4]>,
+    models: u64,
+    _phase: ebda_obs::prof::PhaseGuard,
+}
+
+impl Enumeration {
+    fn new(dims: usize, radix: usize, q: u8, cycles: &[[Turn; 4]]) -> Enumeration {
+        let _phase = ebda_obs::prof::phase("cdg/enumerate");
+        let universe = plain_universe(dims, q);
+        let topo = Topology::mesh(&vec![radix; dims]);
+        let skeleton = Skeleton::new(&topo, &vec![q; dims], &universe);
+        let at = |c: Channel| universe.iter().position(|&u| u == c).expect("plain");
+        let slots = cycles.iter().map(|c| c.map(|t| (at(t.from), at(t.to))));
+        Enumeration {
+            relation: skeleton.relation(&cycles.iter().flatten().copied().collect()),
+            skeleton,
+            slots: slots.collect(),
+            models: 0,
+            _phase,
+        }
+    }
+
+    /// Whether the model prohibiting turn `digit(c)` of each cycle `c`
+    /// is deadlock-free on the mesh.
+    fn is_free(&mut self, digit: impl Fn(usize) -> usize) -> bool {
+        self.models += 1;
+        self.set_prohibited(&digit, false);
+        let free = self.skeleton.is_acyclic(&mut self.relation);
+        self.set_prohibited(&digit, true);
+        free
+    }
+
+    fn set_prohibited(&mut self, digit: &impl Fn(usize) -> usize, allowed: bool) {
+        for (c, turns) in self.slots.iter().enumerate() {
+            let (from, to) = turns[digit(c)];
+            self.relation.set(from, to, allowed);
+        }
+    }
+}
+
+impl Drop for Enumeration {
+    fn drop(&mut self) {
+        let searches = self.relation.searches();
+        ebda_obs::prof::work("cdg/enumerate", "models", self.models);
+        ebda_obs::prof::work("cdg/enumerate", "searches", searches);
+        ebda_obs::prof::work("cdg/enumerate", "witness_hits", self.models - searches);
+    }
+}
+
 /// Checks every 2D combination on a `radix × radix` mesh and returns the
 /// deadlock-free ones. With `radix >= 4` this reproduces the Glass & Ni
 /// count of 12 the paper quotes.
 pub fn deadlock_free_combinations_2d(radix: usize) -> Vec<Combination> {
-    let topo = Topology::mesh(&[radix, radix]);
-    let universe: Vec<Channel> = vec![
-        Channel::new(Dimension::X, Direction::Plus),
-        Channel::new(Dimension::X, Direction::Minus),
-        Channel::new(Dimension::Y, Direction::Plus),
-        Channel::new(Dimension::Y, Direction::Minus),
-    ];
+    let (cw, ccw) = abstract_cycles_2d();
+    let mut models = Enumeration::new(2, radix, 1, &[cw, ccw]);
     combinations_2d()
         .into_iter()
-        .filter(|c| Cdg::from_turn_set(&topo, &[1, 1], &universe, &c.allowed).is_acyclic())
+        .filter(|c| models.is_free(|cycle| [c.cw, c.ccw][cycle]))
         .collect()
 }
 
@@ -246,9 +326,10 @@ pub fn abstract_cycles(n: usize) -> Vec<[Turn; 4]> {
 
 /// Exhaustive brute-force turn-model verification in `n` dimensions with a
 /// single VC: for every way of prohibiting one turn per abstract cycle
-/// (`4^(2·C(n,2))` combinations), build the CDG on a `radix^n` mesh and
-/// test acyclicity. Returns the prohibition index vectors of the
-/// deadlock-free combinations.
+/// (`4^(2·C(n,2))` combinations), decide the CDG on a `radix^n` mesh.
+/// Returns the prohibition index vectors of the deadlock-free
+/// combinations, in index order (cycle 0 is the least significant
+/// base-4 digit).
 ///
 /// This is the computation whose growth Section 2 of the paper uses to
 /// motivate EbDa: 16 checks in 2D, 4 096 in 3D, astronomically more with
@@ -264,48 +345,15 @@ pub fn deadlock_free_combinations(n: usize, radix: usize) -> Vec<Vec<usize>> {
         cycles.len() <= 8,
         "combination space too large to enumerate"
     );
-    let all_turns: Vec<Turn> = {
-        let mut v = Vec::new();
-        for c in &cycles {
-            v.extend_from_slice(c);
+    let mut models = Enumeration::new(n, radix, 1, &cycles);
+    let mut free = Vec::new();
+    for combo in 0..4usize.pow(cycles.len() as u32) {
+        let digit = |c: usize| combo >> (2 * c) & 3;
+        if models.is_free(digit) {
+            free.push((0..cycles.len()).map(digit).collect());
         }
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let topo = Topology::mesh(&vec![radix; n]);
-    let mut universe = Vec::new();
-    for d in 0..n {
-        universe.push(Channel::new(Dimension::new(d as u8), Direction::Plus));
-        universe.push(Channel::new(Dimension::new(d as u8), Direction::Minus));
     }
-    let vcs = vec![1u8; n];
-    let total = 4usize.pow(cycles.len() as u32);
-    // Every combination checks independently; the index-order merge keeps
-    // the result identical at every thread count.
-    let combos: Vec<usize> = (0..total).collect();
-    ebda_par::parallel_map(ebda_par::threads(), &combos, |_, &combo| {
-        let mut prohibited: Vec<Turn> = Vec::with_capacity(cycles.len());
-        let mut idx = Vec::with_capacity(cycles.len());
-        let mut rest = combo;
-        for c in &cycles {
-            let k = rest % 4;
-            rest /= 4;
-            idx.push(k);
-            prohibited.push(c[k]);
-        }
-        let allowed: TurnSet = all_turns
-            .iter()
-            .copied()
-            .filter(|t| !prohibited.contains(t))
-            .collect();
-        Cdg::from_turn_set(&topo, &vcs, &universe, &allowed)
-            .is_acyclic()
-            .then_some(idx)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    free
 }
 
 /// The abstract cycles of a 2D network with `q` virtual channels per
@@ -337,65 +385,58 @@ pub fn abstract_cycles_2d_vc(q: u8) -> Vec<[Turn; 4]> {
     cycles
 }
 
+/// The digit vectors of a walk over a model space, 32 base-4 digits to
+/// a word: drawn from the SplitMix64 stream of [`Rng64`], one word per
+/// 32 cycles, or counted up when the walk is exhaustive.
+struct Digits {
+    rng: Rng64,
+    words: Vec<u64>,
+}
+
+impl Digits {
+    fn new(seed: u64, cycles: usize) -> Digits {
+        Digits {
+            rng: Rng64::new(seed),
+            words: vec![0; cycles.div_ceil(32).max(1)],
+        }
+    }
+
+    fn draw(&mut self) {
+        for word in &mut self.words {
+            *word = self.rng.next_u64();
+        }
+    }
+
+    fn digit(&self, cycle: usize) -> usize {
+        (self.words[cycle / 32] >> (2 * (cycle % 32)) & 3) as usize
+    }
+}
+
 /// Samples the 2D-with-VCs turn-model space: draws `samples`
 /// one-prohibition-per-cycle combinations (deterministically from `seed`)
 /// and CDG-checks each on a `radix x radix` mesh. Returns
 /// `(checked, deadlock_free)`.
 ///
 /// The full space has `4^(2q²)` combinations — 65 536 for `q = 2`, the
-/// number Section 2 quotes; exhaustive checking is possible but slow,
-/// which is exactly the paper's point. Use `samples >= total` to force an
-/// exhaustive sweep.
+/// number Section 2 quotes. With `samples >= total` the sweep is
+/// exhaustive, in index order; a space too large for
+/// [`combination_count`] is only ever sampled.
 pub fn sample_deadlock_free_2d_vc(q: u8, radix: usize, samples: u64, seed: u64) -> (u64, u64) {
     let cycles = abstract_cycles_2d_vc(q);
-    let all_turns: Vec<Turn> = {
-        let mut v: Vec<Turn> = cycles.iter().flatten().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let topo = Topology::mesh(&[radix, radix]);
-    let mut universe = Vec::new();
-    for vc in 1..=q {
-        for dim in [Dimension::X, Dimension::Y] {
-            universe.push(Channel::with_vc(dim, Direction::Plus, vc));
-            universe.push(Channel::with_vc(dim, Direction::Minus, vc));
-        }
-    }
-    let vcs = [q, q];
-    let total: u128 = 1u128 << (2 * cycles.len() as u32);
-    let exhaustive = u128::from(samples) >= total;
-    let count = if exhaustive { total as u64 } else { samples };
-    // Simple SplitMix64 for dependency-free deterministic sampling.
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    let mut models = Enumeration::new(2, radix, q, &cycles);
+    let exhaustive = combination_count(&[q, q])
+        .and_then(|total| u64::try_from(total).ok())
+        .filter(|&total| samples >= total);
+    let mut digits = Digits::new(seed, cycles.len());
+    let count = exhaustive.unwrap_or(samples);
     let mut free = 0u64;
     for i in 0..count {
-        let combo = if exhaustive {
-            i as u128
+        if exhaustive.is_some() {
+            digits.words[0] = i;
         } else {
-            next() as u128 % total
-        };
-        let mut prohibited = Vec::with_capacity(cycles.len());
-        let mut rest = combo;
-        for c in &cycles {
-            prohibited.push(c[(rest % 4) as usize]);
-            rest /= 4;
+            digits.draw();
         }
-        let allowed: TurnSet = all_turns
-            .iter()
-            .copied()
-            .filter(|t| !prohibited.contains(t))
-            .collect();
-        if Cdg::from_turn_set(&topo, &vcs, &universe, &allowed).is_acyclic() {
-            free += 1;
-        }
+        free += u64::from(models.is_free(|c| digits.digit(c)));
     }
     (count, free)
 }
@@ -439,6 +480,7 @@ pub fn combination_count(vcs: &[u8]) -> Option<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cdg;
 
     #[test]
     fn sixteen_combinations() {
@@ -510,23 +552,9 @@ mod tests {
         // symmetry group. The number (9) is this repo's measurement —
         // the 3D analogue of Glass & Ni's "3 unique" result.
         let cycles = abstract_cycles(3);
-        let all_turns: Vec<Turn> = {
-            let mut v: Vec<Turn> = cycles.iter().flatten().copied().collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
         let sets: Vec<TurnSet> = deadlock_free_combinations(3, 3)
-            .into_iter()
-            .map(|idx| {
-                let prohibited: Vec<Turn> =
-                    idx.iter().zip(cycles.iter()).map(|(&k, c)| c[k]).collect();
-                all_turns
-                    .iter()
-                    .copied()
-                    .filter(|t| !prohibited.contains(t))
-                    .collect()
-            })
+            .iter()
+            .map(|idx| allowed_turns(&cycles, idx))
             .collect();
         assert_eq!(sets.len(), 176);
         let unique = unique_turn_sets_up_to_symmetry(3, &sets);
@@ -581,33 +609,36 @@ mod tests {
     #[test]
     fn vc_space_contains_safe_combinations() {
         // The space is not empty: prohibiting the west-first pair (SW, NW)
-        // in every (X-VC, Y-VC) plane is deadlock-free.
+        // in every (X-VC, Y-VC) plane is deadlock-free. cw cycles are at
+        // even indices (prohibit SW = index 1), ccw at odd (prohibit NW =
+        // index 1).
         let q = 2u8;
         let cycles = abstract_cycles_2d_vc(q);
-        let all_turns: Vec<Turn> = {
-            let mut v: Vec<Turn> = cycles.iter().flatten().copied().collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        // cw cycles are at even indices (prohibit SW = index 1), ccw at
-        // odd (prohibit NW = index 1).
-        let prohibited: Vec<Turn> = cycles.iter().map(|c| c[1]).collect();
-        let allowed: TurnSet = all_turns
-            .iter()
-            .copied()
-            .filter(|t| !prohibited.contains(t))
-            .collect();
+        let allowed = allowed_turns(&cycles, &[1; 8]);
         let topo = Topology::mesh(&[5, 5]);
-        let mut universe = Vec::new();
-        for vc in 1..=q {
-            for dim in [Dimension::X, Dimension::Y] {
-                universe.push(Channel::with_vc(dim, Direction::Plus, vc));
-                universe.push(Channel::with_vc(dim, Direction::Minus, vc));
-            }
-        }
-        let cdg = Cdg::from_turn_set(&topo, &[q, q], &universe, &allowed);
+        let cdg = Cdg::from_turn_set(&topo, &[q, q], &plain_universe(2, q), &allowed);
         assert!(cdg.is_acyclic(), "all-plane west-first must be safe");
+    }
+
+    #[test]
+    fn the_draw_reaches_every_cycle_of_a_wide_space() {
+        // q = 5 has 50 cycles and q = 6 has 72: one word covers 32, so a
+        // draw is two and three words, and no digit position is stuck.
+        for (q, words) in [(5u8, 2), (6, 3)] {
+            let cycles = abstract_cycles_2d_vc(q).len();
+            let mut digits = Digits::new(42, cycles);
+            assert_eq!(digits.words.len(), words);
+            let mut seen = vec![[false; 4]; cycles];
+            for _ in 0..64 {
+                digits.draw();
+                for (c, seen) in seen.iter_mut().enumerate() {
+                    seen[digits.digit(c)] = true;
+                }
+            }
+            assert!(seen.iter().all(|s| s == &[true; 4]), "q = {q}: {seen:?}");
+            // A space past `u64` (at q = 6 past `u128`) is only sampled.
+            assert_eq!(sample_deadlock_free_2d_vc(q, 3, 3, 42).0, 3);
+        }
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //!   ([`reference_cdg`]) against `Cdg::from_turn_set` and against one
 //!   `Skeleton` filled for several turn sets: same channels, same rows
 //!   in the same order.
+//! * Verdicts without a graph — `Skeleton::{find_cycle, is_acyclic}`
+//!   over one `Relation` edited from turn set to turn set against
+//!   `fill` + `csr::find_cycle`: same witness from a fresh search, same
+//!   boolean with a kept cycle in play.
+//! * Turn-model enumeration — the `TurnSet` and `Cdg::from_turn_set`
+//!   per model that `turn_model` ran before ([`reference_is_free`])
+//!   against the three enumerations, verdict by verdict: the 4 096 3D
+//!   models, the 16 of Glass and Ni, the sampled stream, and (in
+//!   release) all 65 536 two-VC models with their count and orbits.
 //!
 //! Inputs are seed-pinned random turn relations over random class
 //! universes (parity / `AtCoord` / `NotAtCoord` classes, dropped and
@@ -26,6 +35,12 @@ mod cycle_ref;
 
 use ebda_cdg::csr;
 use ebda_cdg::duato::verify_escape_given;
+use ebda_cdg::graph::Relation;
+use ebda_cdg::turn_model::{
+    abstract_cycles, abstract_cycles_2d, abstract_cycles_2d_vc, allowed_turns,
+    deadlock_free_combinations, deadlock_free_combinations_2d, sample_deadlock_free_2d_vc,
+    unique_turn_sets_up_to_symmetry,
+};
 use ebda_cdg::{Cdg, ConcreteChannel, NodeId, Skeleton, Topology, VerificationReport};
 use ebda_core::{Channel, Dimension, Direction, Parity, Turn, TurnSet};
 use ebda_obs::Rng64;
@@ -442,6 +457,231 @@ fn mask_build_handles_universes_wider_than_one_word() {
         &reference_cdg(&topo, &[1, 1], &universe, &turns),
         "narrow after wide",
     );
+}
+
+// ---------------------------------------------------------------------
+// Verdicts read off the skeleton.
+// ---------------------------------------------------------------------
+
+/// Edits `relation` into the relation of `turns`, one class pair at a
+/// time, and checks both ways of asking: `is_acyclic` (which may reuse
+/// the cycle kept from the turn set before) gives the filled graph's
+/// boolean, a fresh `find_cycle` its witness.
+fn assert_skeleton_verdict(
+    skeleton: &Skeleton,
+    universe: &[Channel],
+    turns: &TurnSet,
+    relation: &mut Relation,
+    context: &str,
+) -> bool {
+    for (i, &a) in universe.iter().enumerate() {
+        for (j, &b) in universe.iter().enumerate() {
+            relation.set(i, j, turns.allows(a, b));
+        }
+    }
+    let want = csr::find_cycle(&skeleton.fill(turns));
+    let acyclic = skeleton.is_acyclic(relation);
+    assert_eq!(acyclic, want.is_none(), "{context}: verdict");
+    let fresh = skeleton.find_cycle(relation).map(<[u32]>::to_vec);
+    assert_eq!(fresh, want, "{context}: witness of a fresh search");
+    let mut from_turns = skeleton.relation(turns);
+    let direct = skeleton.find_cycle(&mut from_turns).map(<[u32]>::to_vec);
+    assert_eq!(direct, want, "{context}: a relation made from the turn set");
+    acyclic
+}
+
+#[test]
+fn skeleton_verdicts_match_the_filled_graph() {
+    let mut rng = Rng64::new(0x00C0_D603);
+    let (mut acyclic, mut cyclic) = (0, 0);
+    let mut tally = |free: bool| *(if free { &mut acyclic } else { &mut cyclic }) += 1;
+    for (name, topo) in topologies() {
+        for round in 0..6 {
+            let vcs = random_vcs(&mut rng, topo.dims());
+            let universe = random_universe(&mut rng, &topo, &vcs);
+            let skeleton = Skeleton::new(&topo, &vcs, &universe);
+            // One relation walks up and down the densities, so a cycle
+            // kept at one turn set meets the next one's edits.
+            let mut relation = skeleton.relation(&TurnSet::new());
+            for p in [0.0, 0.5, 1.0, 0.85, 0.3, 0.85, 0.15, 0.5] {
+                let turns = random_turns(&mut rng, &universe, p);
+                let context = format!("{name} round {round} p {p}: {universe:?} / {turns}");
+                tally(assert_skeleton_verdict(
+                    &skeleton,
+                    &universe,
+                    &turns,
+                    &mut relation,
+                    &context,
+                ));
+            }
+        }
+    }
+    // More than 64 classes: channels matching several of them, bit rows
+    // of two and three words.
+    for (radix, keep) in [(4usize, 65usize), (4, 100), (3, 168)] {
+        for topo in [
+            Topology::mesh(&[radix, radix]),
+            Topology::torus(&[radix, radix]),
+        ] {
+            let universe = big_universe(&mut rng, radix, keep);
+            let skeleton = Skeleton::new(&topo, &[2, 2], &universe);
+            let mut relation = skeleton.relation(&TurnSet::new());
+            for p in [0.0, 0.02, 0.3, 0.02, 0.01] {
+                let turns = random_turns(&mut rng, &universe, p);
+                let context = format!("{keep} classes, radix {radix}, p {p}");
+                tally(assert_skeleton_verdict(
+                    &skeleton,
+                    &universe,
+                    &turns,
+                    &mut relation,
+                    &context,
+                ));
+            }
+        }
+    }
+    assert!(acyclic >= 100, "only {acyclic} acyclic relations");
+    assert!(cyclic >= 100, "only {cyclic} cyclic relations");
+}
+
+// ---------------------------------------------------------------------
+// Turn-model enumeration: a turn set and a graph per model.
+// ---------------------------------------------------------------------
+
+/// A plain mesh, its class universe and its abstract cycles: one of the
+/// model spaces `turn_model` enumerates.
+struct Space {
+    topo: Topology,
+    vcs: Vec<u8>,
+    universe: Vec<Channel>,
+    cycles: Vec<[Turn; 4]>,
+}
+
+impl Space {
+    fn new(dims: usize, radix: usize, q: u8, cycles: Vec<[Turn; 4]>) -> Space {
+        let mut universe = Vec::new();
+        for vc in 1..=q {
+            for d in 0..dims {
+                for dir in [Direction::Plus, Direction::Minus] {
+                    universe.push(Channel::with_vc(Dimension::new(d as u8), dir, vc));
+                }
+            }
+        }
+        Space {
+            topo: Topology::mesh(&vec![radix; dims]),
+            vcs: vec![q; dims],
+            universe,
+            cycles,
+        }
+    }
+
+    fn digits(&self, combo: u128) -> Vec<usize> {
+        (0..self.cycles.len())
+            .map(|c| (combo >> (2 * c) & 3) as usize)
+            .collect()
+    }
+}
+
+/// The per-model body `turn_model` had: the allowed turns as a filtered
+/// list, a `TurnSet` of them, a CDG built for it and searched.
+fn reference_is_free(space: &Space, digits: &[usize]) -> bool {
+    let mut all_turns: Vec<Turn> = space.cycles.iter().flatten().copied().collect();
+    all_turns.sort_unstable();
+    all_turns.dedup();
+    let prohibited: Vec<Turn> = space
+        .cycles
+        .iter()
+        .zip(digits)
+        .map(|(c, &k)| c[k])
+        .collect();
+    let allowed: TurnSet = all_turns
+        .iter()
+        .copied()
+        .filter(|t| !prohibited.contains(t))
+        .collect();
+    assert_eq!(allowed, allowed_turns(&space.cycles, digits));
+    Cdg::from_turn_set(&space.topo, &space.vcs, &space.universe, &allowed).is_acyclic()
+}
+
+/// The sampling loop as it was: one SplitMix64 word per model, reduced
+/// modulo the size of the space.
+fn reference_sample(space: &Space, samples: u64, seed: u64) -> (u64, u64) {
+    let total: u128 = 1u128 << (2 * space.cycles.len() as u32);
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    };
+    let free = (0..samples)
+        .filter(|_| reference_is_free(space, &space.digits(next() as u128 % total)))
+        .count();
+    (samples, free as u64)
+}
+
+#[test]
+fn enumerations_match_the_per_model_build() {
+    // All 4 096 3D models, on both mesh sizes the repository uses.
+    for radix in [3, 4] {
+        let space = Space::new(3, radix, 1, abstract_cycles(3));
+        let want: Vec<Vec<usize>> = (0..4096)
+            .map(|combo| space.digits(combo))
+            .filter(|digits| reference_is_free(&space, digits))
+            .collect();
+        assert_eq!(want.len(), 176);
+        assert_eq!(deadlock_free_combinations(3, radix), want, "radix {radix}");
+    }
+    // The 16 of Glass and Ni, in `(cw, ccw)` order.
+    let (cw, ccw) = abstract_cycles_2d();
+    let space = Space::new(2, 6, 1, vec![cw, ccw]);
+    let got = deadlock_free_combinations_2d(6);
+    let mut at = 0;
+    for combo in 0..16usize {
+        let (i, j) = (combo / 4, combo % 4);
+        let listed = got.get(at).is_some_and(|c| (c.cw, c.ccw) == (i, j));
+        assert_eq!(listed, reference_is_free(&space, &[i, j]), "cw {i} ccw {j}");
+        if listed {
+            assert_eq!(got[at].allowed, allowed_turns(&space.cycles, &[i, j]));
+            at += 1;
+        }
+    }
+    assert_eq!((at, got.len()), (12, 12));
+    // The sampled two-VC stream, at the benchmark's seeds.
+    let space = Space::new(2, 5, 2, abstract_cycles_2d_vc(2));
+    for seed in [7, 11] {
+        let got = sample_deadlock_free_2d_vc(2, 5, 1000, seed);
+        assert_eq!(got, reference_sample(&space, 1000, seed), "seed {seed}");
+    }
+}
+
+/// The paper's 65 536 = 4^8 space, every model of it, in the index order
+/// of the exhaustive sweep: 68 are deadlock-free on a 5x5 mesh, in 12
+/// orbits under the square's eight symmetries (VC labels kept) — this
+/// repository's measurement, like the 9 orbits of the 3D space.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "0.7 s in release; CI runs it there")]
+fn the_two_vc_space_matches_the_per_model_build_exhaustively() {
+    let space = Space::new(2, 5, 2, abstract_cycles_2d_vc(2));
+    let skeleton = Skeleton::new(&space.topo, &space.vcs, &space.universe);
+    let all: TurnSet = space.cycles.iter().flatten().copied().collect();
+    let mut relation = skeleton.relation(&all);
+    let at = |c: Channel| space.universe.iter().position(|&u| u == c).unwrap();
+    let mut free = Vec::new();
+    for combo in 0..1u128 << 16 {
+        let digits = space.digits(combo);
+        let prohibited = || space.cycles.iter().zip(&digits).map(|(c, &k)| c[k]);
+        prohibited().for_each(|t| relation.set(at(t.from), at(t.to), false));
+        let got = skeleton.is_acyclic(&mut relation);
+        prohibited().for_each(|t| relation.set(at(t.from), at(t.to), true));
+        assert_eq!(got, reference_is_free(&space, &digits), "model {combo}");
+        if got {
+            free.push(allowed_turns(&space.cycles, &digits));
+        }
+    }
+    assert_eq!(free.len(), 68);
+    assert_eq!(unique_turn_sets_up_to_symmetry(2, &free), 12);
+    assert_eq!(sample_deadlock_free_2d_vc(2, 5, u64::MAX, 0), (65_536, 68));
 }
 
 // ---------------------------------------------------------------------

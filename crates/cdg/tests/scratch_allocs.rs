@@ -5,8 +5,10 @@
 //!
 //! The two verification kernels get complexity guards that do not depend
 //! on the clock: Duato's connectivity check allocates its tables once
-//! per call, however many nodes there are, and a skeleton's edge fill
-//! allocates only the two CSR arrays it returns.
+//! per call, however many nodes there are, a skeleton's edge fill
+//! allocates only the two CSR arrays it returns, a turn-model
+//! enumeration allocates per *free* model only (the index vector it
+//! returns), and a turn commit of the incremental verifier not at all.
 //!
 //! Each `#[test]` warms and measures on its own thread: the scratch
 //! arenas and the allocation counter are all thread-local.
@@ -15,7 +17,8 @@ mod counting_alloc;
 
 use counting_alloc::allocs_during;
 use ebda_cdg::duato::verify_escape_given;
-use ebda_cdg::{Cdg, Skeleton, Topology, VerificationReport};
+use ebda_cdg::turn_model::deadlock_free_combinations;
+use ebda_cdg::{Cdg, IncrementalVerifier, Skeleton, Topology, VerificationReport};
 use ebda_core::{parse_channels, Channel, Turn, TurnSet};
 
 /// The four plain 2D classes with XY-style turns (acyclic on a mesh) and
@@ -125,4 +128,56 @@ fn skeleton_fill_allocates_only_the_csr_arrays() {
     let n = allocs_during(|| dense_edges = skeleton.fill(&all).edge_count());
     assert!(dense_edges > sparse.edge_count());
     assert_eq!(n, 2, "a fill returns `row_start` and `col`, nothing else");
+}
+
+#[test]
+fn an_enumeration_allocates_per_free_model_only() {
+    // Set-up (cycles, universe, skeleton, relation, the result list as
+    // it doubles) is a fixed number of allocations (45); the 4 096 verdicts
+    // add none, the 176 free models one index vector each. The per-model
+    // build this replaced made 35 per *checked* model.
+    let mut free = 0;
+    let n = allocs_during(|| free = deadlock_free_combinations(3, 3).len() as u64);
+    assert_eq!(free, 176);
+    assert!((free..=free + 64).contains(&n), "{n} allocations");
+}
+
+#[test]
+fn turn_commits_allocate_nothing() {
+    // Eight turns keep the `TurnSet` inside one B-tree leaf, so what is
+    // counted is the commit: allow rows edited in place, a verdict off
+    // the skeleton, the query structures dropped (by the first commit)
+    // and never refilled.
+    let (universe, _, all) = relations();
+    let turns: Vec<Turn> = all.iter().filter(|t| t.from.dim != t.to.dim).collect();
+    assert_eq!(turns.len(), 8);
+    let base: TurnSet = turns.iter().copied().collect();
+    let mut v = IncrementalVerifier::new(Topology::mesh(&[6, 6]), vec![1, 1], universe, base);
+    v.set_cross_check(false);
+    let mut rng = ebda_obs::Rng64::new(7);
+    let mut toggle = |v: &mut IncrementalVerifier| {
+        let t = turns[rng.gen_index(turns.len())];
+        if v.turns().contains(t) {
+            v.apply_remove_turn(t)
+        } else {
+            v.apply_add_turn(t)
+        }
+    };
+    // Warm-up: the first commit drops the query structures, the first
+    // searches size this thread's scratch.
+    for _ in 0..24 {
+        toggle(&mut v);
+    }
+    let (mut free, mut cyclic) = (0, 0);
+    let n = allocs_during(|| {
+        for _ in 0..1000 {
+            *(if toggle(&mut v) {
+                &mut free
+            } else {
+                &mut cyclic
+            }) += 1;
+        }
+    });
+    assert!(free >= 100 && cyclic >= 100, "{free} free, {cyclic} cyclic");
+    assert_eq!(n, 0, "1000 commits allocated {n} times");
 }

@@ -2,7 +2,7 @@
 //! CDG verification, beyond the 2D space (which `paper_claims.rs` shows is
 //! an exact match).
 
-use ebda::cdg::turn_model::{abstract_cycles, deadlock_free_combinations};
+use ebda::cdg::turn_model::{abstract_cycles, allowed_turns, deadlock_free_combinations};
 use ebda::core::certify::certify;
 use ebda::prelude::*;
 
@@ -18,30 +18,12 @@ fn certification_is_sound_but_incomplete_in_3d() {
     let free: std::collections::HashSet<Vec<usize>> =
         deadlock_free_combinations(3, 3).into_iter().collect();
     let universe = parse_channels("X+ X- Y+ Y- Z+ Z-").unwrap();
-    let all_turns: Vec<Turn> = {
-        let mut v: Vec<Turn> = cycles.iter().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    };
     let mut certified_free = 0u32;
     let mut certified_cyclic = 0u32;
     let mut free_uncertified = 0u32;
     for combo in 0..4096usize {
-        let mut idx = Vec::with_capacity(6);
-        let mut prohibited = Vec::with_capacity(6);
-        let mut rest = combo;
-        for c in &cycles {
-            let k = rest % 4;
-            rest /= 4;
-            idx.push(k);
-            prohibited.push(c[k]);
-        }
-        let allowed: TurnSet = all_turns
-            .iter()
-            .copied()
-            .filter(|t| !prohibited.contains(t))
-            .collect();
+        let idx: Vec<usize> = (0..6).map(|c| combo >> (2 * c) & 3).collect();
+        let allowed = allowed_turns(&cycles, &idx);
         let is_free = free.contains(&idx);
         let is_certified = certify(&universe, &allowed).is_ok();
         match (is_free, is_certified) {

@@ -66,6 +66,7 @@ fn figures_print_their_paper_matches() {
                 "deadlock-free        : 12 (paper/Glass & Ni: 12)",
                 "unique under symmetry: 3",
                 "deadlock-free        : 176",
+                "deadlock-free        : 68 (12 unique",
                 "12/16 combinations certifiable",
             ],
         ),
