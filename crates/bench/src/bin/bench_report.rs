@@ -221,6 +221,20 @@ fn parse_baseline(path: &str) -> Result<BaselineMap, String> {
     Ok(out)
 }
 
+/// Baseline counters the tree stopped emitting on purpose, as
+/// `(workload, counter)`: the incremental verifier no longer builds a CSR
+/// or SCCs for `shrink/turn-ring-cdg` (its `incr:searches` and
+/// `incr:witness_hits` are pinned by exact equality in
+/// `crates/oracle/tests/incr_counters.rs`). Any other counter that
+/// disappears fails the gate; the list empties with the next baseline.
+const RETIRED: &[(&str, &str)] = &[
+    ("shrink/turn-ring-cdg", "cdg/csr_build:edges"),
+    ("shrink/turn-ring-cdg", "cdg/scc:nodes"),
+    ("shrink/turn-ring-cdg", "incr:dirty_edges"),
+    ("shrink/turn-ring-cdg", "incr:edges_visited"),
+    ("shrink/turn-ring-cdg", "incr:scc_rechecked"),
+];
+
 /// Applies the gate: every work counter shared with the baseline must
 /// stay within `baseline * gate`. Returns the violations; prints the
 /// full comparison (counters gating, wall-clock informational).
@@ -258,7 +272,12 @@ fn apply_gate(entries: &[Entry], baseline: &BaselineMap, gate: f64) -> Vec<Strin
             }
         }
         for key in base_work.keys() {
-            if !e.work.contains_key(key) {
+            if e.work.contains_key(key) {
+                continue;
+            }
+            if RETIRED.contains(&(e.name, key)) {
+                println!("    {key:<40} retired (baseline only, not gated)");
+            } else {
                 let msg = format!(
                     "{}: counter {key} disappeared from the current tree",
                     e.name
@@ -339,10 +358,9 @@ fn run(mut args: Args) -> Result<bool, CliError> {
     // radix is already at the structural floor (no unwrap/shave/VC
     // candidates) and the six turns form one class-level ring, so every
     // candidate is a channel or turn drop that *breaks* the cycle: the
-    // shrinker scans them all and keeps none. Full-rebuild mode pays a
-    // CDG build plus a whole-graph cycle search per candidate;
-    // incremental mode answers each from the parent's CSR, rechecking
-    // only the one dirty SCC.
+    // shrinker scans them all and keeps none. A full rebuild pays a CDG
+    // build plus a whole-graph cycle search per candidate; the
+    // incremental verifier answers each from the parent's skeleton.
     let u3 = ebda_core::parse_channels("X+ X- Y+ Y- Z+ Z-").unwrap();
     let ring = ["X+", "Y+", "Z+", "X-", "Y-", "Z-"];
     let mut ring_turns = ebda_core::TurnSet::new();

@@ -1,7 +1,9 @@
 //! Bit rows over a channel-class universe: entry `j` of a row is bit
 //! `j % 64` of word `j / 64`, so a universe of any size takes the same
 //! code path (one word up to 64 classes). Shared by the CDG edge fill
-//! ([`crate::graph::Skeleton::fill`]) and Duato's connectivity check.
+//! ([`crate::graph::Skeleton::fill`]) and Duato's connectivity check;
+//! a [`crate::graph::Relation`] also keeps one row over the concrete
+//! channels, for those of failed links.
 
 use ebda_core::{Channel, TurnSet};
 
@@ -13,6 +15,11 @@ pub(crate) fn words_for(k: usize) -> usize {
 /// Sets entry `j` of `row`.
 pub(crate) fn set(row: &mut [u64], j: usize) {
     row[j / 64] |= 1 << (j % 64);
+}
+
+/// Whether entry `j` of `row` is set.
+pub(crate) fn get(row: &[u64], j: usize) -> bool {
+    row[j / 64] >> (j % 64) & 1 == 1
 }
 
 /// Whether two rows share a set entry.

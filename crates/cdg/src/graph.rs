@@ -49,15 +49,15 @@ impl fmt::Display for ConcreteChannel {
 }
 
 /// A channel dependency graph over concrete channels, stored as a flat
-/// [`Csr`] shared by Dally cycle detection, the Tarjan SCC pass, the
-/// Duato escape check and the incremental engine.
+/// [`Csr`] shared by Dally cycle detection, the channel-ordering
+/// certificate and the Duato escape check.
 ///
 /// **Edge-order invariant:** adjacency rows are laid out in channel
 /// index order and every row's successor indices ascend — the build
 /// enumerates candidate successors in channel-enumeration order, never
 /// sorting after the fact. Cycle witnesses, topological orders and DOT
-/// output are byte-stable because of this, and the incremental engine's
-/// delta scans rely on it for binary-searchable rows.
+/// output are byte-stable because of this, and a search of the
+/// [`Skeleton`] visits the same candidates in the same order.
 #[derive(Debug, Clone)]
 pub struct Cdg {
     channels: Vec<ConcreteChannel>,
@@ -71,7 +71,7 @@ pub struct Cdg {
 /// builds this once and, per turn set, either calls [`Skeleton::fill`]
 /// for the graph or keeps a [`Relation`] and asks
 /// [`Skeleton::is_acyclic`] for the verdict alone (the turn-model
-/// enumerations, the incremental verifier's commits).
+/// enumerations, the incremental verifier).
 ///
 /// A concrete channel *matches* a channel class when dimension,
 /// direction and VC agree and the class's coordinate restriction holds
@@ -98,12 +98,16 @@ thread_local! {
 /// A class relation over a [`Skeleton`]'s universe — the allow rows
 /// [`Skeleton::fill`] derives from a turn set, editable one class pair
 /// at a time — with what one verdict after another on that skeleton
-/// shares: the reach rows of the search and the last cycle found.
+/// shares: the reach rows of the search and the last cycle found. A
+/// channel can also be marked dead (its link failed): it keeps its index
+/// and loses every dependency.
 #[derive(Debug, Clone)]
 pub struct Relation {
     words: usize,
     /// Entry `j` of row `i`: `universe[i] -> universe[j]` is allowed.
     allow: Vec<u64>,
+    /// One [`bitrow`] over the channels: those of failed links.
+    dead: Vec<u64>,
     /// One row per channel, valid once the running search reached it.
     reach: Vec<u64>,
     cycle: Vec<u32>,
@@ -118,6 +122,23 @@ impl Relation {
         *word = *word & !(1 << (to % 64)) | u64::from(allowed) << (to % 64);
     }
 
+    /// Marks `channel` dead. A kept cycle through it is forgotten, so
+    /// re-validating one never has to look at the dead.
+    pub(crate) fn kill(&mut self, channel: u32) {
+        bitrow::set(&mut self.dead, channel as usize);
+        if self.cycle.contains(&channel) {
+            self.cycle.clear();
+        }
+    }
+
+    /// Takes `base`'s allow rows, dead channels and kept cycle without
+    /// allocating (both relations are of one skeleton).
+    pub(crate) fn copy_from(&mut self, base: &Relation) {
+        self.allow.clone_from(&base.allow);
+        self.dead.clone_from(&base.dead);
+        self.cycle.clone_from(&base.cycle);
+    }
+
     /// How many verdicts took a search ([`Skeleton::find_cycle`]).
     pub(crate) fn searches(&self) -> u64 {
         self.searches
@@ -130,11 +151,17 @@ struct Dependencies<'a> {
     skeleton: &'a Skeleton,
     words: usize,
     allow: &'a [u64],
+    dead: &'a [u64],
     reach: &'a mut [u64],
 }
 
 impl Successors for Dependencies<'_> {
     fn open(&mut self, u: u32) -> Range<u32> {
+        // A dead channel is a leaf: it may be reached, and nothing
+        // follows from it, so no cycle passes through it.
+        if bitrow::get(self.dead, u as usize) {
+            return 0..0;
+        }
         // As in `fill`: the union of the matched classes' allow rows.
         let reach = &mut self.reach[u as usize * self.words..][..self.words];
         reach.fill(0);
@@ -221,6 +248,11 @@ impl Skeleton {
         &self.channels
     }
 
+    /// The class universe the channels are matched against.
+    pub(crate) fn universe(&self) -> &[Channel] {
+        &self.universe
+    }
+
     /// Indices of the channels leaving `node`.
     pub(crate) fn node_channels(&self, node: NodeId) -> Range<u32> {
         self.node_start[node]..self.node_start[node + 1]
@@ -276,6 +308,7 @@ impl Skeleton {
         Relation {
             words,
             allow,
+            dead: vec![0; bitrow::words_for(self.channels.len())],
             reach: vec![0; self.channels.len() * words],
             // Room for the longest cycle there can be: no verdict allocates.
             cycle: Vec::with_capacity(self.channels.len()),
@@ -310,6 +343,7 @@ impl Skeleton {
             skeleton: self,
             words: relation.words,
             allow: &relation.allow,
+            dead: &relation.dead,
             reach: &mut relation.reach,
         };
         relation.searches += 1;

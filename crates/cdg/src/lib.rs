@@ -38,7 +38,7 @@ pub mod topology;
 pub mod turn_model;
 pub mod witness;
 
-pub use csr::{Csr, EdgeMask, SccInfo};
+pub use csr::Csr;
 pub use dally::{verify_design, verify_turn_set, VerificationReport};
 pub use graph::{Cdg, ConcreteChannel, Relation, Skeleton};
 pub use incremental::IncrementalVerifier;

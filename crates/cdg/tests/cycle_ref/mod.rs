@@ -1,7 +1,7 @@
-//! The `Vec<Vec<u32>>` cycle/SCC kernel `ebda_cdg::csr` replaced, kept as
+//! The `Vec<Vec<u32>>` cycle kernel `ebda_cdg::csr` replaced, kept as
 //! the differential reference (`mod cycle_ref;` in `proptest_cycles.rs`
 //! and `kernel_differential.rs`): iterative three-colour DFS with a cycle
-//! witness, and Tarjan's strongly connected components.
+//! witness.
 
 use ebda_cdg::Csr;
 
@@ -15,17 +15,6 @@ pub fn csr_of(edges: &[Vec<u32>]) -> Csr {
         row_start.push(col.len() as u32);
     }
     Csr::new(edges.len(), row_start, col)
-}
-
-/// The shipping kernel's counterpart of [`cyclic_components`]: the
-/// components `csr::tarjan` flags as able to carry a cycle.
-pub fn csr_knots(csr: &Csr) -> Vec<Vec<u32>> {
-    let scc = ebda_cdg::csr::tarjan(csr);
-    let knots = scc.comp_nodes.into_iter().zip(scc.cyclic);
-    knots
-        .filter(|(_, cyclic)| *cyclic)
-        .map(|(comp, _)| comp)
-        .collect()
 }
 
 /// Finds a directed cycle in an adjacency-list graph, returning the node
@@ -82,75 +71,4 @@ pub fn find_cycle(edges: &[Vec<u32>]) -> Option<Vec<u32>> {
         }
     }
     None
-}
-
-/// Tarjan's strongly connected components (iterative), in reverse
-/// topological order. Singleton components without self-loops are included.
-pub fn tarjan_scc(edges: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let n = edges.len();
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
-    // Explicit DFS state: (node, successor cursor).
-    let mut work: Vec<(u32, usize)> = Vec::new();
-
-    for start in 0..n as u32 {
-        if index[start as usize] != u32::MAX {
-            continue;
-        }
-        work.push((start, 0));
-        index[start as usize] = next_index;
-        low[start as usize] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start as usize] = true;
-
-        while let Some(&mut (node, ref mut cursor)) = work.last_mut() {
-            let succs = &edges[node as usize];
-            if *cursor < succs.len() {
-                let s = succs[*cursor];
-                *cursor += 1;
-                if index[s as usize] == u32::MAX {
-                    index[s as usize] = next_index;
-                    low[s as usize] = next_index;
-                    next_index += 1;
-                    stack.push(s);
-                    on_stack[s as usize] = true;
-                    work.push((s, 0));
-                } else if on_stack[s as usize] {
-                    low[node as usize] = low[node as usize].min(index[s as usize]);
-                }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    low[parent as usize] = low[parent as usize].min(low[node as usize]);
-                }
-                if low[node as usize] == index[node as usize] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let v = stack.pop().expect("tarjan stack underflow");
-                        on_stack[v as usize] = false;
-                        comp.push(v);
-                        if v == node {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// Returns the strongly connected components with more than one node (or a
-/// self-loop) — the deadlock-capable knots of a CDG.
-pub fn cyclic_components(edges: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    tarjan_scc(edges)
-        .into_iter()
-        .filter(|comp| comp.len() > 1 || edges[comp[0] as usize].contains(&comp[0]))
-        .collect()
 }

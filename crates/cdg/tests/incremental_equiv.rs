@@ -1,14 +1,19 @@
 //! Seed-pinned property test: the incremental verifier must agree with a
 //! from-scratch CDG rebuild after *every* delta of a random add-turn /
-//! remove-turn / fail-link sequence — verdicts at each query, and the
-//! witness cycle byte-for-byte after each apply.
+//! remove-turn / drop-class / fail-link sequence — verdicts at each
+//! query, and the witness cycle byte-for-byte after each apply.
 //!
-//! Three topology shapes cover the interesting bases: an all-turns 4x4
-//! mesh (cyclic base, turn churn), the dateline 4x4 torus (acyclic base,
-//! VC-split classes, wrap links), and Table 5's partially connected
-//! 3x3x2 mesh (missing Z columns, so link and channel enumeration is
-//! non-uniform). Cross-check mode is switched on, so every incremental
-//! query also self-asserts against a full rebuild internally.
+//! Four bases cover the interesting shapes: an all-turns 4x4 mesh
+//! (cyclic base, turn churn), the dateline 4x4 torus (acyclic base,
+//! VC-split classes, wrap links), Table 5's partially connected 3x3x2
+//! mesh (missing Z columns, so link and channel enumeration is
+//! non-uniform), and Odd-Even's parity classes next to the plain ones
+//! with one entry listed twice (channels matching several classes).
+//! Each runs once with link failures drawn among the other deltas and
+//! once with six of them stacked first, so that every later verdict is
+//! read past dead channels. Cross-check mode is switched on, so every
+//! incremental query also self-asserts against a full rebuild
+//! internally.
 
 use ebda_cdg::dally::{design_universe, infer_vcs};
 use ebda_cdg::{verify_turn_set, Cdg, IncrementalVerifier, Topology};
@@ -71,19 +76,64 @@ fn scenarios() -> Vec<Scenario> {
         universe,
     });
 
+    // Overlapping classes: every column-parity class of Odd-Even next to
+    // the plain class it splits, the first entry twice, every turn.
+    let mut universe = design_universe(&catalog::odd_even());
+    universe.extend(parse_channels("X+ X- Y+ Y-").unwrap());
+    universe.push(universe[0]);
+    let mut all = TurnSet::new();
+    for &a in &universe {
+        for &b in &universe {
+            if a != b {
+                all.insert(Turn::new(a, b));
+            }
+        }
+    }
+    out.push(Scenario {
+        name: "parity-and-duplicate",
+        topo: Topology::mesh(&[4, 4]),
+        vcs: vec![1, 1],
+        universe,
+        turns: all,
+    });
+
     out
 }
 
+/// Drop-class queries on a cyclic base that came back (cyclic, acyclic).
+type Tally = (u32, u32);
+
 #[test]
 fn random_delta_sequences_match_full_rebuild() {
+    let mut tally = (0, 0);
     for s in scenarios() {
         for seed in 0..4u64 {
-            run_sequence(&s, seed);
+            run_sequence(&s, seed, 0, &mut tally);
         }
     }
+    assert!(
+        tally.0 >= 10 && tally.1 >= 10,
+        "drop-class verdicts: {tally:?}"
+    );
 }
 
-fn run_sequence(s: &Scenario, seed: u64) {
+#[test]
+fn turn_churn_on_top_of_stacked_link_failures_matches_full_rebuild() {
+    let mut tally = (0, 0);
+    for s in scenarios() {
+        for seed in 0..4u64 {
+            run_sequence(&s, seed, 6, &mut tally);
+        }
+    }
+    assert!(
+        tally.0 >= 10 && tally.1 >= 10,
+        "drop-class verdicts: {tally:?}"
+    );
+}
+
+/// Forty random deltas on `s`, after `stacked` link failures made up
+/// front (and then none among the deltas).
+fn run_sequence(s: &Scenario, seed: u64, stacked: u32, tally: &mut Tally) {
     let mut r = Rng64::new(seed * 1000 + 17);
     let mut v = IncrementalVerifier::new(
         s.topo.clone(),
@@ -101,9 +151,10 @@ fn run_sequence(s: &Scenario, seed: u64) {
     let nodes = topo.node_count();
     let k = s.universe.len() as u64;
 
-    for step in 0..40 {
+    for step in 0..40 + stacked {
         let ctx = format!("{} seed {seed} step {step}", s.name);
-        match r.next_u64() % 3 {
+        let delta = if step < stacked { 3 } else { r.next_u64() % 4 };
+        match delta {
             0 | 1 => {
                 // Turn churn: a random (from, to) class pair, removed
                 // when present, added when absent.
@@ -125,10 +176,26 @@ fn run_sequence(s: &Scenario, seed: u64) {
                     assert_eq!(queried, applied, "{ctx}: add query vs apply");
                 }
             }
+            2 => {
+                // Dropping a channel class is a query only (the shrinker
+                // rebuilds on the accepted candidate): every entry equal
+                // to the victim goes, with the turns touching it.
+                let victim = s.universe[(r.next_u64() % k) as usize];
+                let queried = v.query_remove_channel(victim);
+                let universe: Vec<Channel> =
+                    (s.universe.iter().copied().filter(|&c| c != victim)).collect();
+                let kept = |t: &Turn| t.from != victim && t.to != victim;
+                let kept: TurnSet = turns.iter().filter(kept).collect();
+                let full = verify_turn_set(&topo, &s.vcs, &universe, &kept);
+                assert_eq!(queried, full.is_deadlock_free(), "{ctx}: drop {victim}");
+                if !v.is_acyclic() {
+                    *(if queried { &mut tally.1 } else { &mut tally.0 }) += 1;
+                }
+            }
             _ => {
                 // Link failure (cumulative, capped so some topology is
                 // left); a nonexistent link is a legal no-op delta.
-                if fails >= 6 {
+                if fails >= 6.max(stacked) || (stacked > 0 && step >= stacked) {
                     continue;
                 }
                 let node = (r.next_u64() % nodes as u64) as usize;

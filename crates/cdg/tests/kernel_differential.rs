@@ -2,11 +2,9 @@
 //! they replaced, kept here as the reference (a faster checker counts
 //! only if it gives the same answers):
 //!
-//! * Cycle search and SCCs — the adjacency-list DFS / Tarjan in
-//!   `cycle_ref/` against `csr::{find_cycle, tarjan}` on fixed graphs
-//!   with known answers: same witness, same components in the same
-//!   order (`proptest_cycles.rs` repeats the comparison on random
-//!   graphs).
+//! * Cycle search — the adjacency-list DFS in `cycle_ref/` against
+//!   `csr::find_cycle` on fixed graphs with known answers: same witness
+//!   (`proptest_cycles.rs` repeats the comparison on random graphs).
 //! * Duato connectivity — the per-pair BFS over `(node, last class)`
 //!   states ([`reference_connectivity`]) against the per-destination
 //!   dynamic program behind `verify_escape_given`: same
@@ -685,73 +683,46 @@ fn the_two_vc_space_matches_the_per_model_build_exhaustively() {
 }
 
 // ---------------------------------------------------------------------
-// Cycle search and SCCs.
+// Cycle search.
 // ---------------------------------------------------------------------
 
-/// What the CSR kernel reports for `g`, each part already compared
-/// with the reference.
-struct CycleKernels {
-    witness: Option<Vec<u32>>,
-    sccs: Vec<Vec<u32>>,
-    knots: Vec<Vec<u32>>,
-}
-
-fn cycle_kernels(g: &[Vec<u32>]) -> CycleKernels {
-    let graph = cycle_ref::csr_of(g);
-    let witness = csr::find_cycle(&graph);
+/// The CSR kernel's witness for `g`, already compared with the
+/// reference's.
+fn witness(g: &[Vec<u32>]) -> Option<Vec<u32>> {
+    let witness = csr::find_cycle(&cycle_ref::csr_of(g));
     assert_eq!(witness, cycle_ref::find_cycle(g), "{g:?}");
-    let sccs = csr::tarjan(&graph).comp_nodes;
-    assert_eq!(sccs, cycle_ref::tarjan_scc(g), "{g:?}");
-    let knots = cycle_ref::csr_knots(&graph);
-    assert_eq!(knots, cycle_ref::cyclic_components(g), "{g:?}");
-    CycleKernels {
-        witness,
-        sccs,
-        knots,
-    }
+    witness
 }
 
 #[test]
-fn cycle_kernels_match_the_adjacency_list_reference() {
+fn cycle_search_matches_the_adjacency_list_reference() {
     // Empty graph, lone node, self-loop (a cycle of length 1).
-    assert_eq!(cycle_kernels(&[]).witness, None);
-    assert_eq!(cycle_kernels(&[vec![]]).witness, None);
-    let self_loop = cycle_kernels(&[vec![0]]);
-    assert_eq!(self_loop.witness, Some(vec![0]));
-    assert_eq!(self_loop.knots, vec![vec![0]]);
+    assert_eq!(witness(&[]), None);
+    assert_eq!(witness(&[vec![]]), None);
+    assert_eq!(witness(&[vec![0]]), Some(vec![0]));
 
-    // Diamond DAG: four singleton components, no knot.
-    let diamond = cycle_kernels(&[vec![1, 2], vec![3], vec![3], vec![]]);
-    assert_eq!(diamond.witness, None);
-    assert_eq!(diamond.sccs.len(), 4);
-    assert!(diamond.knots.is_empty());
+    // Diamond DAG.
+    assert_eq!(witness(&[vec![1, 2], vec![3], vec![3], vec![]]), None);
 
     // 0 -> 1 -> 2 -> 3 -> 1 plus a tail 4 -> 0: the witness closes.
     let g = vec![vec![1], vec![2], vec![3], vec![1], vec![0]];
-    let cycle = cycle_kernels(&g).witness.expect("embedded cycle");
+    let cycle = witness(&g).expect("embedded cycle");
     assert_eq!(cycle.len(), 3);
     for w in cycle.windows(2) {
         assert!(g[w[0] as usize].contains(&w[1]));
     }
     assert!(g[*cycle.last().unwrap() as usize].contains(&cycle[0]));
 
-    // One three-node knot with a feeder and an isolated node.
-    let knots = cycle_kernels(&[vec![1], vec![2], vec![0], vec![2], vec![]]).knots;
-    assert_eq!(knots.len(), 1);
-    let mut knot = knots[0].clone();
-    knot.sort_unstable();
-    assert_eq!(knot, vec![0, 1, 2]);
-
-    // Two disjoint two-cycles.
-    let pair = cycle_kernels(&[vec![1], vec![0], vec![3], vec![2]]);
-    assert!(pair.witness.is_some());
-    assert_eq!(pair.knots.len(), 2);
+    // A three-node cycle with a feeder and an isolated node; two
+    // disjoint two-cycles (the first one found is reported).
+    let knot = witness(&[vec![1], vec![2], vec![0], vec![2], vec![]]);
+    assert_eq!(knot, Some(vec![0, 1, 2]));
+    let pair = witness(&[vec![1], vec![0], vec![3], vec![2]]);
+    assert_eq!(pair, Some(vec![0, 1]));
 
     // 100k-node path: recursion would overflow; iteration must not.
     let n = 100_000;
     let mut chain: Vec<Vec<u32>> = (0..n - 1).map(|i| vec![i as u32 + 1]).collect();
     chain.push(vec![]);
-    let chain = cycle_kernels(&chain);
-    assert_eq!(chain.witness, None);
-    assert_eq!(chain.sccs.len(), n);
+    assert_eq!(witness(&chain), None);
 }

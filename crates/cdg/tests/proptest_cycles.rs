@@ -9,8 +9,8 @@
 
 mod cycle_ref;
 
-use cycle_ref::{csr_knots, csr_of};
-use ebda_cdg::csr::{find_cycle, tarjan};
+use cycle_ref::csr_of;
+use ebda_cdg::csr::find_cycle;
 use ebda_cdg::{Cdg, Topology};
 use ebda_obs::Rng64;
 
@@ -32,22 +32,6 @@ fn rand_graph(rng: &mut Rng64, max_nodes: usize, max_edges: usize) -> Vec<Vec<u3
     g
 }
 
-/// find_cycle and Tarjan agree: a cycle exists iff some SCC is a knot —
-/// and the knots are the reference's.
-#[test]
-fn dfs_and_tarjan_agree() {
-    let mut rng = Rng64::new(0xCD61);
-    for case in 0..128 {
-        let g = rand_graph(&mut rng, 40, 120);
-        let csr = csr_of(&g);
-        let has_cycle = find_cycle(&csr).is_some();
-        let knots = csr_knots(&csr);
-        assert_eq!(has_cycle, !knots.is_empty(), "case {case}");
-        assert_eq!(has_cycle, !tarjan(&csr).acyclic(), "case {case}");
-        assert_eq!(knots, cycle_ref::cyclic_components(&g), "case {case}");
-    }
-}
-
 /// Any witness returned by find_cycle is a genuine closed walk, and the
 /// same one the reference reports.
 #[test]
@@ -65,27 +49,6 @@ fn witness_is_a_real_cycle() {
             let last = *cycle.last().unwrap();
             assert!(g[last as usize].contains(&cycle[0]), "case {case}");
         }
-    }
-}
-
-/// Tarjan SCCs partition the node set, `comp_of` indexes them, and they
-/// come out in the reference's order.
-#[test]
-fn sccs_partition_nodes() {
-    let mut rng = Rng64::new(0xCD63);
-    for case in 0..128 {
-        let g = rand_graph(&mut rng, 40, 120);
-        let scc = tarjan(&csr_of(&g));
-        let mut seen = vec![false; g.len()];
-        for (id, comp) in scc.comp_nodes.iter().enumerate() {
-            for &v in comp {
-                assert!(!seen[v as usize], "case {case}: node in two SCCs");
-                seen[v as usize] = true;
-                assert_eq!(scc.comp_of[v as usize] as usize, id, "case {case}");
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "case {case}");
-        assert_eq!(scc.comp_nodes, cycle_ref::tarjan_scc(&g), "case {case}");
     }
 }
 
@@ -109,7 +72,6 @@ fn dag_by_construction_is_acyclic() {
         }
         g.iter_mut().for_each(|row| row.sort_unstable());
         assert!(find_cycle(&csr_of(&g)).is_none(), "case {case}");
-        assert!(csr_knots(&csr_of(&g)).is_empty(), "case {case}");
         assert!(cycle_ref::find_cycle(&g).is_none(), "case {case}");
     }
 }

@@ -1,14 +1,15 @@
-//! The CDG query paths must not allocate in steady state: `find_cycle`,
-//! `topological_order` and the Tarjan SCC pass all run out of one
-//! thread-local scratch arena, so after a warmup query on the largest
-//! graph, repeated queries perform **zero** allocations.
+//! The CDG query paths must not allocate in steady state: `find_cycle`
+//! and `topological_order` run out of one thread-local scratch arena, so
+//! after a warmup query on the largest graph, repeated queries perform
+//! **zero** allocations.
 //!
 //! The two verification kernels get complexity guards that do not depend
 //! on the clock: Duato's connectivity check allocates its tables once
 //! per call, however many nodes there are, a skeleton's edge fill
 //! allocates only the two CSR arrays it returns, a turn-model
 //! enumeration allocates per *free* model only (the index vector it
-//! returns), and a turn commit of the incremental verifier not at all.
+//! returns), and neither a query nor a turn commit of the incremental
+//! verifier allocates at all.
 //!
 //! Each `#[test]` warms and measures on its own thread: the scratch
 //! arenas and the allocation counter are all thread-local.
@@ -146,8 +147,7 @@ fn an_enumeration_allocates_per_free_model_only() {
 fn turn_commits_allocate_nothing() {
     // Eight turns keep the `TurnSet` inside one B-tree leaf, so what is
     // counted is the commit: allow rows edited in place, a verdict off
-    // the skeleton, the query structures dropped (by the first commit)
-    // and never refilled.
+    // the skeleton.
     let (universe, _, all) = relations();
     let turns: Vec<Turn> = all.iter().filter(|t| t.from.dim != t.to.dim).collect();
     assert_eq!(turns.len(), 8);
@@ -163,8 +163,7 @@ fn turn_commits_allocate_nothing() {
             v.apply_add_turn(t)
         }
     };
-    // Warm-up: the first commit drops the query structures, the first
-    // searches size this thread's scratch.
+    // Warm-up: the first searches size this thread's scratch.
     for _ in 0..24 {
         toggle(&mut v);
     }
@@ -180,4 +179,49 @@ fn turn_commits_allocate_nothing() {
     });
     assert!(free >= 100 && cyclic >= 100, "{free} free, {cyclic} cyclic");
     assert_eq!(n, 0, "1000 commits allocated {n} times");
+}
+
+#[test]
+fn queries_allocate_nothing() {
+    // All four kinds of query, on a cyclic base — one ring of turns, so
+    // that dropping a turn or a class of it breaks the kept cycle and
+    // the verdict takes a search, while a failed link mostly leaves it
+    // standing — and on an acyclic one (additions search, the rest is
+    // free).
+    let (universe, xy, all) = relations();
+    let turns: Vec<Turn> = all.iter().collect();
+    let ring: TurnSet = [(0, 3), (3, 1), (1, 2), (2, 0)]
+        .map(|(a, b)| Turn::new(universe[a], universe[b]))
+        .into_iter()
+        .collect();
+    let topo = Topology::mesh(&[6, 6]);
+    let mut rng = ebda_obs::Rng64::new(7);
+    let (mut free, mut cyclic) = (0, 0);
+    for base in [ring, xy] {
+        let mut v = IncrementalVerifier::new(topo.clone(), vec![1, 1], universe.clone(), base);
+        v.set_cross_check(false);
+        let mut query = || {
+            let t = turns[rng.gen_index(turns.len())];
+            match rng.gen_index(4) {
+                0 => v.query_remove_turn(t),
+                1 => v.query_add_turn(t),
+                2 => v.query_remove_channel(t.from),
+                _ => {
+                    let node = rng.gen_index(topo.node_count());
+                    v.query_fail_link(node, t.from.dim, t.from.dir)
+                }
+            }
+        };
+        // Warm-up: the first searches size this thread's scratch.
+        for _ in 0..24 {
+            query();
+        }
+        let n = allocs_during(|| {
+            for _ in 0..1000 {
+                *(if query() { &mut free } else { &mut cyclic }) += 1;
+            }
+        });
+        assert_eq!(n, 0, "1000 queries allocated {n} times");
+    }
+    assert!(free >= 100 && cyclic >= 100, "{free} free, {cyclic} cyclic");
 }

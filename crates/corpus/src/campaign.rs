@@ -321,7 +321,7 @@ pub fn run_corpus_campaign(
             let artifact = entry.to_artifact(i as u64);
             // Without a design the label check reduces to the four path
             // booleans, so turn/channel-drop candidates are answered by
-            // the incremental session's dirty-SCC queries; structural
+            // the incremental session's queries; structural
             // candidates take the identical full-evaluate path.
             let want_free = entry.expected.is_free();
             shrink_with_context(

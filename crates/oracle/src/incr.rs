@@ -3,12 +3,12 @@
 //!
 //! A shrink pass proposes hundreds of one-step reductions of the same
 //! parent artifact; evaluating each candidate from scratch rebuilds the
-//! identical CDG over and over. An [`IncrementalSession`] builds the
-//! parent's CDG once (as the shared CSR of
-//! [`ebda_cdg::IncrementalVerifier`]) and answers turn- and
-//! channel-drop candidates with dirty-SCC queries, falling back to a
-//! full [`evaluate`] only for structural candidates (unwrap, radix
-//! shave, VC drop) that renumber concrete channels.
+//! identical CDG over and over. An [`IncrementalSession`] enumerates the
+//! parent's channels once (the skeleton of an
+//! [`ebda_cdg::IncrementalVerifier`]) and reads the verdict of a turn-
+//! or channel-drop candidate off it without building a graph, falling
+//! back to a full [`evaluate`] only for structural candidates (unwrap,
+//! radix shave, VC drop) that renumber concrete channels.
 //!
 //! **Why this is verdict-preserving.** The shrink predicates consult
 //! exactly four booleans: Dally's verdict, Duato's `escape_acyclic`
@@ -166,8 +166,8 @@ pub fn shrink_disagreement(artifact: &Artifact, mutation: Mutation, budget: usiz
 
 /// Shrinks an artifact while its Dally CDG stays cyclic — the
 /// CDG-bound shrink workload `bench_report` measures (`shrink/
-/// turn-ring-cdg`): turn/channel drops are dirty-SCC queries on the
-/// parent's CDG, structural candidates rebuild.
+/// turn-ring-cdg`): turn/channel drops are queries on the parent's
+/// verifier, structural candidates rebuild.
 pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize) -> Artifact {
     shrink_with_context(
         artifact,
@@ -199,10 +199,10 @@ pub fn shrink_while_cyclic(artifact: &Artifact, budget: usize) -> Artifact {
 
 /// Re-verifies Dally's criterion after each fault of a link-failure
 /// schedule (the fault-churn replay pattern): one incremental session
-/// whose `query_fail_link` masks the dead channels' edges and rechecks
-/// only the touched SCCs, then commits via the full-rebuild fallback.
-/// Returns the per-fault verdicts (acyclic after the fault?), identical
-/// to rebuilding the CDG per fault.
+/// whose `query_fail_link` marks the link's channels dead on a scratch
+/// copy and whose `apply_fail_link` marks them in place — faults stack
+/// and nothing is rebuilt. Returns the per-fault verdicts (acyclic
+/// after the fault?), identical to rebuilding the CDG per fault.
 pub fn verify_fault_schedule(
     artifact: &Artifact,
     faults: &[(NodeId, Dimension, Direction)],

@@ -711,6 +711,11 @@ impl Provenance {
         if self.radix.contains(&0) {
             return Err("inconsistent shape: a dimension of radix 0".to_string());
         }
+        // `Topology::node_count` is the unchecked product, from here on.
+        let nodes = self.radix.iter().try_fold(1usize, |n, &r| n.checked_mul(r));
+        if nodes.is_none() {
+            return Err(self.overflows("node"));
+        }
         let topo = Topology::mesh(&self.radix).with_wrap(&self.wrap);
         let mut obligations = 0usize;
         let mut methods = Vec::new();
@@ -759,6 +764,12 @@ impl Provenance {
             methods,
             obligations,
         })
+    }
+
+    /// The refusal of a declared shape too large to count.
+    fn overflows(&self, what: &str) -> String {
+        let radix = &self.radix;
+        format!("inconsistent shape: radix {radix:?} overflows the {what} count")
     }
 
     /// Words in a bit row over the universe's classes.
@@ -832,25 +843,43 @@ impl Provenance {
                 cycle.len()
             ));
         }
+        // Two class rows however long the cycle: the held hop's and the
+        // wanted one's.
         let words = self.class_words();
-        let mut rows = vec![0u64; cycle.len() * words];
-        let mut obligations = 0usize;
-        for (i, &hop) in cycle.iter().enumerate() {
-            self.check_hop(topo, hop, &mut rows[i * words..][..words])?;
-            obligations += 1;
+        let mut rows = vec![0u64; 2 * words];
+        let (mut held, mut wanted) = rows.split_at_mut(words);
+        for &hop in cycle {
+            held.fill(0);
+            self.check_hop(topo, hop, held)?;
         }
-        let row = |i: usize| &rows[i * words..][..words];
-        for i in 0..cycle.len() {
-            let j = (i + 1) % cycle.len();
-            let (a, b) = (cycle[i], cycle[j]);
-            if a.to != b.from || !self.admits(row(i), row(j)) {
+        held.fill(0);
+        self.check_hop(topo, cycle[0], held)?;
+        for (i, &a) in cycle.iter().enumerate() {
+            let b = cycle[(i + 1) % cycle.len()];
+            wanted.fill(0);
+            self.check_hop(topo, b, wanted)?;
+            if a.to != b.from || !self.admits(held, wanted) {
                 return Err(format!(
                     "witness step {a} → {b} is not an admissible hold/want pair"
                 ));
             }
-            obligations += 1;
+            std::mem::swap(&mut held, &mut wanted);
         }
-        Ok(obligations)
+        Ok(2 * cycle.len())
+    }
+
+    /// How many concrete channels the declared shape has, `None` when
+    /// the count overflows: per dimension, `vcs` on every directed link
+    /// of every line of nodes along it — `radix` links each way on a
+    /// ring, one fewer on a mesh line, none at radix 1.
+    fn channel_count(&self, nodes: usize) -> Option<usize> {
+        let mut channels = 0usize;
+        for ((&radix, &wrap), &vcs) in self.radix.iter().zip(&self.wrap).zip(&self.vcs) {
+            let per_line = if wrap && radix > 1 { radix } else { radix - 1 };
+            let links = (nodes / radix).checked_mul(per_line)?.checked_mul(2)?;
+            channels = channels.checked_add(links.checked_mul(usize::from(vcs))?)?;
+        }
+        Some(channels)
     }
 
     /// Validates a channel ordering: it must cover every concrete
@@ -865,6 +894,28 @@ impl Provenance {
     /// belongs to. Per class: the bit row of classes it may turn onto.
     fn check_ordering(&self, topo: &Topology, ordering: &[Hop]) -> Result<usize, String> {
         const UNRANKED: usize = usize::MAX;
+        let nodes = topo.node_count();
+        // Refuse before sizing any table by the declared shape: the
+        // tables below hold a row per node, and a shape with any channel
+        // at all has at least one per node.
+        let expected = self.channel_count(nodes);
+        let expected = expected.ok_or_else(|| self.overflows("channel"))?;
+        if ordering.len() != expected {
+            // A repeated entry is named first, as the table walk would.
+            let mut seen = std::collections::BTreeSet::new();
+            let key = |h: &Hop| (h.from, h.to, h.dim, h.dir, h.vc);
+            if let Some(h) = ordering.iter().find(|h| !seen.insert(key(h))) {
+                return Err(format!("ordering lists {h} twice"));
+            }
+            return Err(format!(
+                "ordering covers {} channels, topology has {}",
+                ordering.len(),
+                expected
+            ));
+        }
+        if expected == 0 {
+            return Ok(0);
+        }
         let dims = self.radix.len();
         let vcs = usize::from(self.vcs.iter().copied().max().unwrap_or(0));
         let words = self.class_words();
@@ -874,10 +925,9 @@ impl Provenance {
         let port = |node: usize, dim: usize, dir: Direction| {
             (node * dims + dim) * 2 + usize::from(dir == Direction::Minus)
         };
-        let mut far: Vec<Option<usize>> = vec![None; topo.node_count() * dims * 2];
+        let mut far: Vec<Option<usize>> = vec![None; nodes * dims * 2];
         let mut classes = vec![0u64; far.len() * vcs * words];
-        let mut expected = 0usize;
-        for node in 0..topo.node_count() {
+        for node in 0..nodes {
             let coords = topo.coords(node);
             for dim in 0..dims {
                 for dir in [Direction::Plus, Direction::Minus] {
@@ -890,7 +940,6 @@ impl Provenance {
                         let slot = port * vcs + usize::from(vc) - 1;
                         let row = &mut classes[slot * words..][..words];
                         self.class_row(&coords, dim, dir, vc, row);
-                        expected += 1;
                     }
                 }
             }
@@ -910,7 +959,7 @@ impl Provenance {
         };
         let slot_of = |h: Hop| {
             let dim = h.dim as usize;
-            let real = h.from < topo.node_count()
+            let real = h.from < nodes
                 && dim < dims
                 && (1..=self.vcs[dim]).contains(&h.vc)
                 && far[port(h.from, dim, h.dir)] == Some(h.to);
@@ -929,13 +978,6 @@ impl Provenance {
             if !fresh {
                 return Err(format!("ordering lists {h} twice"));
             }
-        }
-        if ordering.len() != expected {
-            return Err(format!(
-                "ordering covers {} channels, topology has {}",
-                ordering.len(),
-                expected
-            ));
         }
         let mut obligations = 0usize;
         for slot in (0..rank.len()).filter(|&slot| exists(slot)) {

@@ -20,9 +20,9 @@ pub const DEFAULT_SHRINK_BUDGET: usize = 400;
 /// The one-step delta a shrink candidate applies to its parent.
 ///
 /// Exposed to predicates via [`shrink_with_context`] so an incremental
-/// verifier session built on the parent can answer turn/channel drops by
-/// rechecking only the dirty strongly-connected region, instead of
-/// rebuilding the candidate's CDG from scratch.
+/// verifier session built on the parent can answer turn/channel drops
+/// from the parent's skeleton, instead of rebuilding the candidate's CDG
+/// from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShrinkDelta {
     /// A structural change (unwrap a dimension, shave a radix, drop a VC
@@ -51,9 +51,9 @@ where
 ///
 /// This is the incremental-verification hook: an
 /// [`crate::incr::IncrementalSession`] built on the current artifact
-/// answers `DropTurn`/`DropChannel` candidates via dirty-SCC queries
-/// against the shared base CDG, falling back to a full evaluation only
-/// for `Structural` candidates.
+/// answers `DropTurn`/`DropChannel` candidates with queries on the
+/// parent's verifier, falling back to a full evaluation only for
+/// `Structural` candidates.
 ///
 /// Each pass evaluates candidates in order and restarts from the first
 /// one that still fails; a hit at index `j` costs `j + 1` of the budget,

@@ -300,3 +300,39 @@ fn provenance_documents_survive_hostile_input_and_agree_with_the_tree_reader() {
         assert_eq!((&back, back.to_json()), (p, json));
     });
 }
+
+#[test]
+fn declared_shapes_too_large_to_tabulate_are_refused_on_a_small_stack() {
+    // Well-formed, well-hashed documents whose radix is a lie: what the
+    // check would tabulate per declared node (64 TiB for the first) it
+    // must never ask for — an allocation that size aborts the process.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/seed");
+    let entries = ebda_corpus::store::load_dir(&dir).expect("corpus/seed loads");
+    hostile::on_a_small_stack(move || {
+        // An ordering to walk, and a witness cycle.
+        for name in ["mesh-xy-00", "cyclic-turns-00"] {
+            let entry = entries.iter().find(|e| e.name == name).expect("seed entry");
+            let valid = record(entry.name.clone(), &entry.to_artifact(0)).provenance;
+            assert!(valid.check().is_ok(), "{name}");
+            for (radix, vcs) in [
+                (vec![1 << 20, 1 << 20], vec![1, 1]),
+                (vec![1 << 20, 1 << 20], vec![0, 0]),
+                (vec![1 << 31, 1 << 32], vec![1, 255]),
+                (vec![usize::MAX, usize::MAX], vec![1, 1]),
+            ] {
+                let mut forged = valid.clone();
+                (forged.radix, forged.vcs) = (radix, vcs);
+                let read = Provenance::from_json(&forged.to_json()).expect("well-hashed");
+                assert_eq!(read, forged);
+                let err = read.check().expect_err("the evidence is for a 4x4 mesh");
+                assert!(
+                    ["topology has", "overflows", "not a link", "-vc dimension"]
+                        .iter()
+                        .any(|reason| err.contains(reason)),
+                    "{name} as {:?}: {err}",
+                    read.radix
+                );
+            }
+        }
+    });
+}

@@ -79,7 +79,7 @@ fn faulted_run_is_byte_identical_across_thread_counts() {
 }
 
 /// The fault schedule above, re-verified structurally: after each link
-/// failure the incremental verifier's dirty-SCC verdict must match a
+/// failure the incremental verifier's verdict must match a
 /// from-scratch CDG rebuild on the faulted topology — the same
 /// query/apply pattern `incr::verify_fault_schedule` feeds the churn
 /// replays with.

@@ -91,6 +91,12 @@ const ROWS: &[(&str, &str, Tamper, &str)] = &[
         "inconsistent shape",
     ),
     (
+        "shape: node count overflows",
+        "cyclic-turns-00",
+        |p| p.radix = vec![usize::MAX, 2],
+        "inconsistent shape: radix [18446744073709551615, 2] overflows the node count",
+    ),
+    (
         "verdict against brute summary",
         "mesh-xy-00",
         |p| p.brute.surviving = 1,
@@ -109,6 +115,20 @@ const ROWS: &[(&str, &str, Tamper, &str)] = &[
             ordering(p).pop();
         },
         "ordering covers 47 channels, topology has 48",
+    ),
+    (
+        // Refused by arithmetic on the declared shape: tabulating it
+        // would ask the allocator for 64 TiB.
+        "ordering length (declared shape too large to tabulate)",
+        "mesh-xy-00",
+        |p| p.radix = vec![1 << 20, 1 << 20],
+        "ordering covers 48 channels, topology has 4398042316800",
+    ),
+    (
+        "ordering length (channel count overflows)",
+        "mesh-xy-00",
+        |p| p.radix = vec![1 << 31, 1 << 32],
+        "overflows the channel count",
     ),
     (
         "ordering duplicate",

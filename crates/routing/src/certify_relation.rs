@@ -9,14 +9,12 @@
 //! splits channels by column parity — exactly the classes Section 6.2
 //! chooses by insight.
 
-use crate::relation::{PortVc, RoutingRelation, INJECT};
-use ebda_cdg::topology::{NodeId, Topology};
+use crate::relation::RoutingRelation;
+use crate::verify::{Hop, Hops};
+use ebda_cdg::graph::ConcreteChannel;
+use ebda_cdg::topology::Topology;
 use ebda_core::certify::certify;
 use ebda_core::{Channel, ChannelClass, Dimension, Parity, PartitionSeq, Turn, TurnSet};
-use std::collections::HashSet;
-
-/// BFS visit key: (node, routing state, incoming hop).
-type VisitKey = (NodeId, u16, Option<(PortVc, NodeId)>);
 
 /// How observed channels are lifted to channel classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +60,8 @@ pub struct RelationCertificate {
 /// hides a same-class cycle no turn set records), so the procedure first
 /// checks the **exact** relation-level CDG ([`crate::verify_relation`])
 /// and refuses outright when it is cyclic — the compound verdict is sound
-/// on any topology, wraps included.
+/// on any topology, wraps included. The relation is walked once: the
+/// exact CDG and every scheme's observations are read off the same hops.
 ///
 /// Returns the first scheme that certifies. `None` means the relation is
 /// either genuinely cyclic (exact check failed) or beyond this scheme
@@ -71,7 +70,8 @@ pub fn certify_relation(
     topo: &Topology,
     relation: &dyn RoutingRelation,
 ) -> Option<RelationCertificate> {
-    if crate::verify::verify_relation(topo, relation).is_err() {
+    let hops = Hops::of(topo, relation);
+    if !hops.cdg(topo, relation).is_acyclic() {
         return None; // exactly cyclic: nothing to certify
     }
     let mut schemes = vec![ClassScheme::Plain];
@@ -82,7 +82,7 @@ pub fn certify_relation(
         schemes.push(ClassScheme::CoordOf(Dimension::new(d as u8)));
     }
     for scheme in schemes {
-        let (universe, turns) = observe(topo, relation, scheme);
+        let (universe, turns) = observe(topo, &hops.order, scheme);
         if let Ok(design) = certify(&universe, &turns) {
             return Some(RelationCertificate {
                 design,
@@ -94,58 +94,33 @@ pub fn certify_relation(
     None
 }
 
-/// Collects every (class-level) turn the relation can take on the topology
-/// under the given lifting scheme, plus the class universe it touches.
-fn observe(
-    topo: &Topology,
-    relation: &dyn RoutingRelation,
-    scheme: ClassScheme,
-) -> (Vec<Channel>, TurnSet) {
+/// Lifts the hops a relation takes to the class-level turns among them
+/// under `scheme`, plus the class universe they touch in first-seen
+/// order.
+fn observe(topo: &Topology, hops: &[Hop], scheme: ClassScheme) -> (Vec<Channel>, TurnSet) {
     let mut turns = TurnSet::new();
     let mut universe: Vec<Channel> = Vec::new();
-    let remember = |c: Channel, universe: &mut Vec<Channel>| {
-        if !universe.contains(&c) {
-            universe.push(c);
+    for &(via, out) in hops {
+        let to_class = lift(topo, out, scheme);
+        if !universe.contains(&to_class) {
+            universe.push(to_class);
         }
-    };
-    for src in topo.nodes() {
-        for dst in topo.nodes() {
-            if src == dst {
-                continue;
-            }
-            let mut queue = vec![(src, INJECT, None::<(PortVc, NodeId)>)];
-            let mut seen: HashSet<VisitKey> = HashSet::new();
-            while let Some((node, state, last)) = queue.pop() {
-                for ch in relation.route(topo, node, state, src, dst) {
-                    let Some(next) = topo.neighbor(node, ch.port.dim, ch.port.dir) else {
-                        continue;
-                    };
-                    let to_class = lift(topo, node, ch.port, scheme);
-                    remember(to_class, &mut universe);
-                    if let Some((prev_port, prev_node)) = last {
-                        let from_class = lift(topo, prev_node, prev_port, scheme);
-                        if from_class != to_class {
-                            turns.insert(Turn::new(from_class, to_class));
-                        }
-                    }
-                    let key = (next, ch.state, Some((ch.port, node)));
-                    if seen.insert(key) {
-                        queue.push((next, ch.state, Some((ch.port, node))));
-                    }
-                }
+        if let Some(from_class) = via.map(|held| lift(topo, held, scheme)) {
+            if from_class != to_class {
+                turns.insert(Turn::new(from_class, to_class));
             }
         }
     }
     (universe, turns)
 }
 
-/// Lifts a concrete hop (a port taken at a node) to a channel class.
-fn lift(topo: &Topology, node: NodeId, port: PortVc, scheme: ClassScheme) -> Channel {
-    let base = Channel::with_vc(port.dim, port.dir, port.vc);
+/// Lifts a concrete channel to a channel class.
+fn lift(topo: &Topology, hop: ConcreteChannel, scheme: ClassScheme) -> Channel {
+    let base = Channel::with_vc(hop.dim, hop.dir, hop.vc);
     match scheme {
         ClassScheme::Plain => base,
         ClassScheme::ParityOf(axis) => {
-            let coords = topo.coords(node);
+            let coords = topo.coords(hop.from);
             let parity = Parity::of(coords[axis.index()]);
             Channel {
                 class: ChannelClass::AtParity { axis, parity },
@@ -153,10 +128,10 @@ fn lift(topo: &Topology, node: NodeId, port: PortVc, scheme: ClassScheme) -> Cha
             }
         }
         ClassScheme::CoordOf(axis) => {
-            if port.dim != axis {
+            if hop.dim != axis {
                 return base;
             }
-            let coords = topo.coords(node);
+            let coords = topo.coords(hop.from);
             Channel {
                 class: ebda_core::ChannelClass::AtCoord {
                     axis,
@@ -172,7 +147,9 @@ fn lift(topo: &Topology, node: NodeId, port: PortVc, scheme: ClassScheme) -> Cha
 mod tests {
     use super::*;
     use crate::classic::{DimensionOrder, NegativeFirst, OddEven, WestFirst};
+    use crate::relation::PortVc;
     use crate::turn_based::TurnRouting;
+    use ebda_cdg::topology::NodeId;
     use ebda_core::catalog;
 
     #[test]

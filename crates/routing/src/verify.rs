@@ -13,60 +13,78 @@
 use crate::relation::{RoutingRelation, INJECT};
 use ebda_cdg::graph::{Cdg, ConcreteChannel};
 use ebda_cdg::topology::Topology;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 
-/// Builds the exact CDG of a routing relation on a topology by exploring
-/// every (source, destination) pair's reachable `(node, state)` space and
-/// recording the concrete channel pairs taken consecutively.
-///
-/// Exhaustive in the topology size — intended for verification-scale
-/// networks (hundreds of nodes), like the rest of the CDG machinery.
-pub fn routing_cdg(topo: &Topology, relation: &dyn RoutingRelation) -> Cdg {
-    let vcs = relation.vcs(topo);
-    let mut deps: HashSet<(ConcreteChannel, ConcreteChannel)> = HashSet::new();
+/// A concrete channel some packet takes, after the one it held before
+/// (`None` for a packet's first hop).
+pub(crate) type Hop = (Option<ConcreteChannel>, ConcreteChannel);
 
-    for src in topo.nodes() {
-        for dst in topo.nodes() {
-            if src == dst {
-                continue;
-            }
-            // BFS over (node, state, incoming concrete channel).
-            let mut queue: VecDeque<(usize, u16, Option<ConcreteChannel>)> = VecDeque::new();
-            let mut seen: HashSet<(usize, u16, Option<ConcreteChannel>)> = HashSet::new();
-            queue.push_back((src, INJECT, None));
-            seen.insert((src, INJECT, None));
-            while let Some((node, state, via)) = queue.pop_front() {
-                if node == dst {
+/// Every [`Hop`] `relation` can take on `topo`: the reachable `(node,
+/// state, incoming channel)` space of every (source, destination) pair,
+/// walked once. `order` lists the hops as first seen — the order
+/// [`crate::certify_relation`] lifts them to channel classes in.
+pub(crate) struct Hops {
+    pub(crate) order: Vec<Hop>,
+    seen: HashSet<Hop>,
+}
+
+impl Hops {
+    /// Exhaustive in the topology size — intended for verification-scale
+    /// networks (hundreds of nodes), like the rest of the CDG machinery.
+    pub(crate) fn of(topo: &Topology, relation: &dyn RoutingRelation) -> Hops {
+        let mut hops = Hops {
+            order: Vec::new(),
+            seen: HashSet::new(),
+        };
+        for src in topo.nodes() {
+            for dst in topo.nodes() {
+                if src == dst {
                     continue;
                 }
-                for ch in relation.route(topo, node, state, src, dst) {
-                    let Some(next) = topo.neighbor(node, ch.port.dim, ch.port.dir) else {
+                // Depth-first over (node, state, incoming channel).
+                let mut stack = vec![(src, INJECT, None::<ConcreteChannel>)];
+                let mut visited = HashSet::new();
+                while let Some((node, state, via)) = stack.pop() {
+                    if node == dst {
                         continue;
-                    };
-                    let out = ConcreteChannel {
-                        from: node,
-                        to: next,
-                        dim: ch.port.dim,
-                        dir: ch.port.dir,
-                        vc: ch.port.vc,
-                    };
-                    if let Some(prev) = via {
-                        deps.insert((prev, out));
                     }
-                    let key = (next, ch.state, Some(out));
-                    if seen.insert(key) {
-                        queue.push_back((next, ch.state, Some(out)));
+                    for ch in relation.route(topo, node, state, src, dst) {
+                        let Some(next) = topo.neighbor(node, ch.port.dim, ch.port.dir) else {
+                            continue;
+                        };
+                        let out = ConcreteChannel {
+                            from: node,
+                            to: next,
+                            dim: ch.port.dim,
+                            dir: ch.port.dir,
+                            vc: ch.port.vc,
+                        };
+                        if hops.seen.insert((via, out)) {
+                            hops.order.push((via, out));
+                        }
+                        if visited.insert((next, ch.state, out)) {
+                            stack.push((next, ch.state, Some(out)));
+                        }
                     }
                 }
             }
         }
+        hops
     }
-    // Materialize through the generic rule constructor.
-    let mut by_pair: HashMap<(ConcreteChannel, ConcreteChannel), ()> = HashMap::new();
-    for d in deps {
-        by_pair.insert(d, ());
+
+    /// The exact CDG: a dependency `a → b` wherever `b` was taken after
+    /// `a`.
+    pub(crate) fn cdg(&self, topo: &Topology, relation: &dyn RoutingRelation) -> Cdg {
+        let vcs = relation.vcs(topo);
+        Cdg::from_rule(topo, &vcs, |a, b| self.seen.contains(&(Some(a), b)))
     }
-    Cdg::from_rule(topo, &vcs, move |a, b| by_pair.contains_key(&(a, b)))
+}
+
+/// Builds the exact CDG of a routing relation on a topology by exploring
+/// every (source, destination) pair's reachable `(node, state)` space and
+/// recording the concrete channel pairs taken consecutively.
+pub fn routing_cdg(topo: &Topology, relation: &dyn RoutingRelation) -> Cdg {
+    Hops::of(topo, relation).cdg(topo, relation)
 }
 
 /// Verifies a routing relation exactly: builds [`routing_cdg`] and checks
