@@ -23,6 +23,15 @@ pub struct VerificationReport {
 }
 
 impl VerificationReport {
+    /// Dally's verdict read off an already-built graph.
+    pub fn of(cdg: &Cdg) -> VerificationReport {
+        VerificationReport {
+            channels: cdg.node_count(),
+            dependencies: cdg.edge_count(),
+            cycle: cdg.find_cycle(),
+        }
+    }
+
     /// Returns `true` when the design passed (acyclic CDG).
     pub fn is_deadlock_free(&self) -> bool {
         self.cycle.is_none()
@@ -77,12 +86,7 @@ pub fn verify_turn_set(
     universe: &[Channel],
     turns: &TurnSet,
 ) -> VerificationReport {
-    let cdg = Cdg::from_turn_set(topo, vcs, universe, turns);
-    VerificationReport {
-        channels: cdg.node_count(),
-        dependencies: cdg.edge_count(),
-        cycle: cdg.find_cycle(),
-    }
+    VerificationReport::of(&Cdg::from_turn_set(topo, vcs, universe, turns))
 }
 
 /// The CDG's deterministic channel ordering when it is acyclic — Dally's

@@ -23,7 +23,9 @@ use ebda_oracle::artifact::Artifact;
 use ebda_oracle::incr::IncrementalSession;
 use ebda_oracle::provenance::Provenance;
 use ebda_oracle::shrink::{shrink_with_context, DEFAULT_SHRINK_BUDGET};
-use ebda_oracle::verdict::{cross_check, disagreement_rule, evaluate, Mutation, Verdicts};
+use ebda_oracle::verdict::{
+    cross_check, disagreement_rule, evaluate, Evaluation, Mutation, Verdicts,
+};
 
 use crate::entry::{CorpusEntry, ExpectedVerdict};
 use crate::store;
@@ -230,15 +232,15 @@ pub fn run_corpus_campaign(
         prof::work("corpus/check", "entries", entries.len() as u64);
         ebda_par::parallel_map(cfg.threads, entries, |i, entry| {
             let artifact = entry.to_artifact(i as u64);
-            let verdicts = evaluate(&artifact, cfg.mutation);
+            let evaluation = Evaluation::of(&artifact, cfg.mutation);
             let reason = mismatch_reason(
                 &artifact,
                 entry.expected,
                 Some(entry.ebda_certified),
-                &verdicts,
+                &evaluation.verdicts,
             );
-            let prov = with_ledger.then(|| Provenance::from_artifact(&artifact, &verdicts));
-            let cov = with_coverage.then(|| ebda_oracle::artifact_coverage(&artifact, &verdicts));
+            let prov = with_ledger.then(|| evaluation.provenance());
+            let cov = with_coverage.then(|| evaluation.coverage());
             (reason, prov, cov)
         })
     };

@@ -15,7 +15,8 @@
 //!   was given none)
 //!
 //! It is deliberately tiny: one detached thread, one connection at a
-//! time, HTTP/1.0-style `Connection: close` responses. Scrapes are rare
+//! time (closed after ten seconds whatever the client is doing),
+//! HTTP/1.0-style `Connection: close` responses. Scrapes are rare
 //! (seconds apart) and the body is rendered fresh per request, so there
 //! is nothing to pool or pipeline. Binding port 0 is supported; the
 //! bound address is available via [`MetricsServer::local_addr`] and is
@@ -84,16 +85,29 @@ fn serve_loop(listener: TcpListener, stop: &AtomicBool, started: Instant, files:
             return;
         }
         let Ok(mut stream) = conn else { continue };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
         let _ = handle(&mut stream, started, files);
     }
 }
 
+/// How long one connection may hold the accept loop before it is closed,
+/// counted from accept: there is one loop, so a client that drips its
+/// request a byte at a time would otherwise keep every scrape waiting.
+const CONNECTION_DEADLINE: Duration = Duration::from_secs(10);
+/// The most a single read or write may block.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::Result<()> {
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     // Read until the end of the request head; we only need the first line.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 16 * 1024 {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(remaining.min(IO_TIMEOUT)))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -306,5 +320,40 @@ mod tests {
             "timeout was not honored"
         );
         drop(hold);
+    }
+    #[test]
+    fn a_dripping_client_cannot_hold_the_accept_loop() {
+        // One byte a second keeps every read inside its own timeout; only
+        // the connection deadline ends it. The scrape queued behind it
+        // must be answered once the deadline has passed.
+        let server = MetricsServer::serve("127.0.0.1:0", None, None).expect("bind loopback");
+        let addr = server.local_addr();
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        let start = Instant::now();
+        let drip = std::thread::spawn(move || {
+            // Ends when the server closes the connection (or, the bug,
+            // when the test has long failed).
+            while start.elapsed() < 3 * CONNECTION_DEADLINE && slow.write_all(b"G").is_ok() {
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        });
+        // Let the dripper be the connection the loop is serving.
+        std::thread::sleep(Duration::from_millis(200));
+        let margin = Duration::from_secs(3);
+        let health =
+            http_get_with_timeout(&addr.to_string(), "/healthz", CONNECTION_DEADLINE + margin)
+                .expect("the queued scrape is served");
+        assert!(health.starts_with("ok uptime_seconds="), "{health:?}");
+        let waited = start.elapsed();
+        assert!(
+            waited >= CONNECTION_DEADLINE - Duration::from_secs(1),
+            "served after {waited:?}: the dripper was not holding the loop"
+        );
+        assert!(
+            waited < CONNECTION_DEADLINE + margin,
+            "served after {waited:?}"
+        );
+        server.shutdown();
+        drip.join().expect("dripper");
     }
 }

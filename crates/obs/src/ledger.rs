@@ -342,18 +342,60 @@ pub fn render_json(path: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-/// The short git revision of the working tree, or `"unknown"` when git
-/// or the checkout is unavailable. Stamped into ledger records and the
-/// `ebda_build_info` gauge.
+/// The first seven hex digits of the checkout's `HEAD`, read from `.git`
+/// (the current directory's or the nearest ancestor's), or `"unknown"`
+/// outside a checkout or when anything on the way cannot be read.
+/// Stamped into ledger records and the `ebda_build_info` gauge. A few
+/// small file reads, no process: campaigns stamp every run.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
+    std::env::current_dir()
         .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
+        .and_then(|dir| head_of(&dir))
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// [`git_rev`] for the checkout containing `start`. `HEAD` names a
+/// commit directly (detached) or a ref, which is a file of its own or a
+/// line of `packed-refs`; in a linked worktree `.git` is a file naming
+/// the worktree's directory, whose `commondir` names the directory the
+/// shared refs live in.
+fn head_of(start: &Path) -> Option<String> {
+    let dot_git = start
+        .ancestors()
+        .map(|dir| dir.join(".git"))
+        .find(|path| path.exists())?;
+    let git_dir = if dot_git.is_dir() {
+        dot_git
+    } else {
+        let file = std::fs::read_to_string(&dot_git).ok()?;
+        dot_git.parent()?.join(file.strip_prefix("gitdir:")?.trim())
+    };
+    let head = std::fs::read_to_string(git_dir.join("HEAD")).ok()?;
+    let commit = match head.strip_prefix("ref:") {
+        None => head,
+        Some(name) => {
+            let name = name.trim();
+            let common = match std::fs::read_to_string(git_dir.join("commondir")) {
+                Ok(dir) => git_dir.join(dir.trim()),
+                Err(_) => git_dir.clone(),
+            };
+            let loose = [&git_dir, &common]
+                .into_iter()
+                .find_map(|dir| std::fs::read_to_string(dir.join(name)).ok());
+            match loose {
+                Some(commit) => commit,
+                None => std::fs::read_to_string(common.join("packed-refs"))
+                    .ok()?
+                    .lines()
+                    .find_map(|line| line.strip_suffix(name)?.strip_suffix(' '))?
+                    .to_string(),
+            }
+        }
+    };
+    // A full object name (SHA-1 or SHA-256) or nothing.
+    let commit = commit.trim();
+    let full = matches!(commit.len(), 40 | 64) && commit.bytes().all(|b| b.is_ascii_hexdigit());
+    full.then(|| commit[..7].to_string())
 }
 
 #[cfg(test)]
@@ -507,5 +549,95 @@ mod tests {
             .replace(",\"coverage\":\"feedfacecafebeef\"", "");
         let parsed = LedgerRecord::from_line(&legacy).expect("legacy line parses");
         assert_eq!(parsed.coverage, "");
+    }
+    /// A scratch checkout: `files` are (path under the root, contents).
+    fn checkout(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+        let root = temp_path(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        for (path, contents) in files {
+            let path = root.join(path);
+            std::fs::create_dir_all(path.parent().expect("under the root")).unwrap();
+            std::fs::write(path, contents).unwrap();
+        }
+        root
+    }
+
+    const COMMIT: &str = "0123456789abcdef0123456789abcdef01234567";
+    const OTHER: &str = "fedcba9876543210fedcba9876543210fedcba98";
+
+    #[test]
+    fn git_rev_reads_head_through_every_layout() {
+        let case = |tag: &str, files: &[(&str, &str)], below: &str, want: Option<&str>| {
+            let root = checkout(&format!("git-{tag}"), files);
+            assert_eq!(head_of(&root.join(below)).as_deref(), want, "{tag}");
+            let _ = std::fs::remove_dir_all(&root);
+        };
+        let on_main = "ref: refs/heads/main\n";
+        let (commit, other) = (format!("{COMMIT}\n"), format!("{OTHER}\n"));
+        let rev = Some(&COMMIT[..7]);
+
+        // A loose ref wins over a stale packed line.
+        let stale = format!("{OTHER} refs/heads/main\n");
+        let loose = [
+            (".git/HEAD", on_main),
+            (".git/refs/heads/main", &commit),
+            (".git/packed-refs", &stale),
+        ];
+        case("loose", &loose, "", rev);
+        // `packed-refs` only: the header, refs the name is a suffix of, a
+        // peeled line.
+        let packed = format!(
+            "# pack-refs with: peeled fully-peeled sorted \n\
+             {OTHER} refs/heads/not-main\n\
+             {OTHER} refs/remotes/origin/refs/heads/main\n\
+             {COMMIT} refs/heads/main\n^{OTHER}\n"
+        );
+        let files = [(".git/HEAD", on_main), (".git/packed-refs", &packed)];
+        case("packed", &files, "", rev);
+        case("detached", &[(".git/HEAD", &commit)], "", rev);
+        let sha256 = format!("{COMMIT}{}\n", &COMMIT[..24]);
+        case("sha256", &[(".git/HEAD", &sha256)], "", rev);
+        // A linked worktree: `.git` is a file, HEAD is the worktree's
+        // own, the branch lives in the common directory.
+        let worktree = [
+            ("wt/.git", "gitdir: ../main/.git/worktrees/wt\n"),
+            ("main/.git/worktrees/wt/HEAD", "ref: refs/heads/topic\n"),
+            ("main/.git/worktrees/wt/commondir", "../..\n"),
+            ("main/.git/HEAD", &other),
+            ("main/.git/refs/heads/topic", &commit),
+        ];
+        case("worktree", &worktree, "wt", rev);
+        let nested = [(".git/HEAD", commit.as_str()), ("a/b/c/file", "")];
+        case("nested", &nested, "a/b/c", rev);
+
+        // Everything else is `None`, never a panic.
+        case("empty-head", &[(".git/HEAD", "")], "", None);
+        let non_hex = COMMIT.replace('0', "g");
+        case("non-hex", &[(".git/HEAD", &non_hex)], "", None);
+        case("truncated", &[(".git/HEAD", &COMMIT[..20])], "", None);
+        case("missing-ref", &[(".git/HEAD", on_main)], "", None);
+        let elsewhere = format!("{COMMIT} refs/heads/other\n");
+        let files = [(".git/HEAD", on_main), (".git/packed-refs", &elsewhere)];
+        case("missing-ref-packed-elsewhere", &files, "", None);
+        case("ref-without-a-name", &[(".git/HEAD", "ref:")], "", None);
+        case(
+            "gitdir-naming-nothing",
+            &[(".git", "gitdir: elsewhere\n")],
+            "",
+            None,
+        );
+        case("gitdir-of-noise", &[(".git", "\u{0}\u{1}")], "", None);
+    }
+
+    #[test]
+    fn git_rev_outside_a_checkout_is_unknown() {
+        // No ancestor of the filesystem root holds a `.git` here; and the
+        // public entry point never panics wherever the tests run.
+        assert_eq!(head_of(Path::new("/")), None);
+        let rev = git_rev();
+        assert!(
+            rev == "unknown" || (rev.len() == 7 && rev.bytes().all(|b| b.is_ascii_hexdigit())),
+            "{rev:?}"
+        );
     }
 }

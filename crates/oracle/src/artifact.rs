@@ -15,7 +15,7 @@
 //! * **random turn relations** — each ordered class pair allowed with a
 //!   sampled probability, from sparse to near-complete.
 
-use ebda_cdg::Topology;
+use ebda_cdg::{Cdg, Topology};
 use ebda_core::{
     algorithm1, extract_turns, Channel, ChannelClass, Dimension, Direction, Parity, Partition,
     PartitionSeq, Turn, TurnSet,
@@ -70,6 +70,13 @@ impl Artifact {
     /// Builds the concrete topology instance.
     pub fn topology(&self) -> Topology {
         Topology::mesh(&self.radix).with_wrap(&self.wrap)
+    }
+
+    /// The channel dependency graph of the relation on
+    /// [`Artifact::topology`] — the graph Dally's check, the ordering
+    /// certificate and the `cdg_edge` coverage family all read.
+    pub fn cdg(&self) -> Cdg {
+        Cdg::from_turn_set(&self.topology(), &self.vcs, &self.universe, &self.turns)
     }
 
     /// Returns `true` when any dimension wraps (the EbDa mesh-only

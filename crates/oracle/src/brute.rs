@@ -16,11 +16,21 @@
 //! configuration deadlocks, and a witness circular wait can be read off by
 //! following `want → hold` links until a channel repeats.
 //!
-//! The implementation deliberately shares **nothing** with `ebda-cdg`: it
-//! enumerates concrete channels its own way (per node, not per link list),
-//! represents waits as pairs (not adjacency lists) and converges by fixed
-//! point (not by three-colour DFS). Agreement between the two is therefore
-//! meaningful evidence, which is the whole point of a differential oracle.
+//! The implementation deliberately shares **nothing** with `ebda-cdg`
+//! beyond the topology it is asked about: it enumerates concrete channels
+//! its own way (per node, not per link list), decodes coordinates by its
+//! own arithmetic, represents waits as pairs (not adjacency lists) and
+//! converges by fixed point (not by three-colour DFS). Agreement between
+//! the two is therefore meaningful evidence, which is the whole point of
+//! a differential oracle.
+//!
+//! The fixed point is reached by support counting — each channel knows
+//! how many surviving pairs hold it, and the channel whose last holder is
+//! discarded releases the pairs wanting it — so every pair is touched
+//! once, not once per sweep. [`BruteReport::sweeps`] still reports the
+//! number of passes the sweep formulation makes (see [`search`]'s body for
+//! the rule); `tests/brute_differential.rs` holds every field equal to
+//! that formulation, kept as `tests/brute_ref`.
 
 use ebda_cdg::topology::{NodeId, Topology};
 use ebda_core::{Channel, Dimension, Direction, TurnSet};
@@ -105,9 +115,12 @@ impl fmt::Display for BruteReport {
 /// Enumerates the concrete channels of `topo` under the per-dimension VC
 /// budget — walking nodes and ports directly rather than using the
 /// topology's link list, so the enumeration is independent of `ebda-cdg`.
+/// Node-major: the channels leaving one node are one index range.
 fn enumerate_channels(topo: &Topology, vcs: &[u8]) -> Vec<BruteChannel> {
     assert_eq!(vcs.len(), topo.dims(), "one VC count per dimension");
-    let mut out = Vec::new();
+    // Every node has at most two links per dimension.
+    let per_node: usize = vcs.iter().map(|&v| 2 * v as usize).sum();
+    let mut out = Vec::with_capacity(topo.node_count() * per_node);
     for node in 0..topo.node_count() {
         for (d, &dim_vcs) in vcs.iter().enumerate() {
             let dim = Dimension::new(d as u8);
@@ -129,6 +142,20 @@ fn enumerate_channels(topo: &Topology, vcs: &[u8]) -> Vec<BruteChannel> {
     out
 }
 
+/// The indices of the set bits of a bit row, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 /// Decides deadlock-freedom of a class-level turn set on a concrete
 /// topology by greatest-fixed-point search over channel-wait
 /// configurations (see the module docs for the model).
@@ -145,21 +172,60 @@ fn enumerate_channels(topo: &Topology, vcs: &[u8]) -> Vec<BruteChannel> {
 ///
 /// Panics if `vcs.len()` differs from the topology's dimension count.
 pub fn search(topo: &Topology, vcs: &[u8], universe: &[Channel], turns: &TurnSet) -> BruteReport {
+    search_rounds(topo, vcs, universe, turns, u32::MAX)
+}
+
+/// [`search`] with the pruning cut off after `rounds` rounds: a pair the
+/// fixed point would discard in a later round is kept alive. Anything
+/// but `u32::MAX` is a broken searcher
+/// ([`crate::verdict::Mutation::BruteStopsAfterFirstRound`]).
+pub(crate) fn search_rounds(
+    topo: &Topology,
+    vcs: &[u8],
+    universe: &[Channel],
+    turns: &TurnSet,
+    rounds: u32,
+) -> BruteReport {
     let channels = enumerate_channels(topo, vcs);
     let n = channels.len();
     let nu = universe.len();
     let uw = nu.div_ceil(64); // words per class bitmask
 
+    // The channels leaving node `v` are `source_start[v]..source_start[v + 1]`.
+    let mut source_start = vec![0u32; topo.node_count() + 1];
+    for c in &channels {
+        source_start[c.from + 1] += 1;
+    }
+    for v in 0..topo.node_count() {
+        source_start[v + 1] += source_start[v];
+    }
+
     // Class matches per concrete channel, evaluated at the source node —
     // one bitmask over the universe per channel, so the admissibility test
-    // below is word-wise AND instead of nested set membership.
+    // below is word-wise AND instead of nested set membership — and their
+    // union per node: the classes some channel leaving the node matches.
+    // Node ids are row-major, so the coordinates advance like an odometer:
+    // decoded once per node, by this module's own arithmetic.
     let mut match_mask = vec![0u64; n * uw];
-    for (i, c) in channels.iter().enumerate() {
-        let coords = topo.coords(c.from);
-        for (k, cl) in universe.iter().enumerate() {
-            if cl.dim == c.dim && cl.dir == c.dir && cl.vc == c.vc && cl.class.contains(&coords) {
-                match_mask[i * uw + k / 64] |= 1 << (k % 64);
+    let mut leaving = vec![0u64; topo.node_count() * uw];
+    let mut coords = vec![0i64; topo.dims()];
+    for node in 0..topo.node_count() {
+        for i in source_start[node] as usize..source_start[node + 1] as usize {
+            let c = &channels[i];
+            for (k, cl) in universe.iter().enumerate() {
+                if cl.dim == c.dim && cl.dir == c.dir && cl.vc == c.vc && cl.class.contains(&coords)
+                {
+                    match_mask[i * uw + k / 64] |= 1 << (k % 64);
+                    leaving[node * uw + k / 64] |= 1 << (k % 64);
+                }
             }
+        }
+        for (coord, &radix) in coords.iter_mut().zip(topo.radix()).rev() {
+            *coord += 1;
+            if (*coord as usize) < radix {
+                break;
+            }
+            *coord = 0;
         }
     }
 
@@ -175,131 +241,125 @@ pub fn search(topo: &Topology, vcs: &[u8], universe: &[Channel], turns: &TurnSet
         }
     }
 
-    // Channels grouped by source node, to find the wants of each hold.
-    let mut by_source: Vec<Vec<usize>> = vec![Vec::new(); topo.node_count()];
-    for (i, c) in channels.iter().enumerate() {
-        by_source[c.from].push(i);
-    }
-
-    // All admissible (hold, want) pairs, in hold-major order: some matched
-    // class of `hold` must be allowed to continue on some matched class of
-    // `want`, i.e. some hold-class row of `allow` intersects `want`'s mask.
+    // All admissible (hold, want) pairs, in hold-major order — the pairs
+    // holding channel `c` are `hold_start[c]..hold_start[c + 1]`: some
+    // matched class of `hold` must be allowed to continue on some matched
+    // class of `want`, i.e. `reach`, the union of the hold classes' rows of
+    // `allow`, intersects `want`'s mask. Each row's intersection with the
+    // masks of the channels leaving `hold.to` is the class-level (hold,
+    // want) combinations the concrete pairs realize (the gfp_pair coverage
+    // family), OR-ed into row `hold class` of `realized`.
     let mut pair_hold: Vec<u32> = Vec::new();
     let mut pair_want: Vec<u32> = Vec::new();
-    let mut class_pairs: std::collections::BTreeSet<(u16, u16)> = std::collections::BTreeSet::new();
+    let mut hold_start: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut realized = vec![0u64; nu * uw];
+    let mut reach = vec![0u64; uw];
     for hold in 0..n {
-        let hm = &match_mask[hold * uw..(hold + 1) * uw];
-        for &want in &by_source[channels[hold].to] {
-            let wm = &match_mask[want * uw..(want + 1) * uw];
-            let admissible = hm.iter().enumerate().any(|(wi, &hword)| {
-                let mut bits = hword;
-                while bits != 0 {
-                    let ca = wi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let row = &allow[ca * uw..(ca + 1) * uw];
-                    if row.iter().zip(wm).any(|(&r, &w)| r & w != 0) {
-                        return true;
-                    }
-                }
-                false
-            });
-            if admissible {
+        hold_start.push(pair_hold.len() as u32);
+        let to = channels[hold].to;
+        reach.fill(0);
+        for ca in set_bits(&match_mask[hold * uw..(hold + 1) * uw]) {
+            for w in 0..uw {
+                let row = allow[ca * uw + w];
+                reach[w] |= row;
+                realized[ca * uw + w] |= row & leaving[to * uw + w];
+            }
+        }
+        for want in source_start[to]..source_start[to + 1] {
+            let wm = &match_mask[want as usize * uw..(want as usize + 1) * uw];
+            if reach.iter().zip(wm).any(|(&r, &w)| r & w != 0) {
                 pair_hold.push(hold as u32);
-                pair_want.push(want as u32);
-                // Record every class-level (hold, want) combination this
-                // concrete pair realizes — the gfp_pair coverage family.
-                // The class sets are tiny, so this second walk stays off
-                // the admissibility fast path above.
-                for (wi, &hword) in hm.iter().enumerate() {
-                    let mut bits = hword;
-                    while bits != 0 {
-                        let ca = wi * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let row = &allow[ca * uw..(ca + 1) * uw];
-                        for (wj, (&r, &w)) in row.iter().zip(wm).enumerate() {
-                            let mut both = r & w;
-                            while both != 0 {
-                                let cb = wj * 64 + both.trailing_zeros() as usize;
-                                both &= both - 1;
-                                class_pairs.insert((ca as u16, cb as u16));
-                            }
-                        }
-                    }
-                }
+                pair_want.push(want);
             }
         }
     }
+    hold_start.push(pair_hold.len() as u32);
     let pair_count = pair_hold.len();
+    let pair_classes = (0..nu)
+        .flat_map(|ca| {
+            set_bits(&realized[ca * uw..(ca + 1) * uw]).map(move |cb| (ca as u16, cb as u16))
+        })
+        .collect();
 
-    // Greatest fixed point: discard pairs whose wanted channel is not held
-    // by any surviving pair, until a sweep removes nothing. Liveness is a
-    // bitset over pairs; sweeps walk set bits in index order, so removals
-    // cascade within a sweep exactly like the element-wise loop did.
-    let pw = pair_count.div_ceil(64);
-    let mut alive = vec![u64::MAX; pw];
-    if !pair_count.is_multiple_of(64) {
-        alive[pw - 1] = (1u64 << (pair_count % 64)) - 1;
+    // The pairs wanting channel `c` are `by_want[want_start[c]..want_start[c + 1]]`
+    // (a counting sort, filled from the back so the ends become the starts).
+    let mut want_start = vec![0u32; n + 1];
+    for &w in &pair_want {
+        want_start[w as usize] += 1;
     }
-    let mut holds = vec![0u32; n]; // surviving pairs holding each channel
-    for &h in &pair_hold {
-        holds[h as usize] += 1;
+    for c in 0..n {
+        want_start[c + 1] += want_start[c];
     }
-    let mut sweeps = 0usize;
-    loop {
-        sweeps += 1;
-        ebda_obs::metrics::counter_add("ebda_oracle_brute_sweeps_total", &[], 1);
-        let mut removed = false;
-        for (w, word) in alive.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                let i = w * 64 + b as usize;
-                if holds[pair_want[i] as usize] == 0 {
-                    *word &= !(1u64 << b);
-                    holds[pair_hold[i] as usize] -= 1;
-                    removed = true;
-                }
+    let mut by_want = vec![0u32; pair_count];
+    for (j, &w) in pair_want.iter().enumerate().rev() {
+        want_start[w as usize] -= 1;
+        by_want[want_start[w as usize] as usize] = j as u32;
+    }
+
+    // Greatest fixed point by support counting: `holders[c]` surviving
+    // pairs hold channel `c`; the channel whose last holder dies releases,
+    // once, the pairs wanting it — every pair is discarded at most once.
+    //
+    // `sweeps` keeps the meaning it has in the sweep formulation (walk the
+    // surviving pairs in index order, discard a pair whose wanted channel
+    // nobody holds any more, repeat until a sweep discards nothing) by
+    // carrying that formulation's clock: a pair dies at `(round, index)`;
+    // a channel runs out of holders at the latest death among them, kept
+    // in `dry` as `round << 32 | index + 1` — round 1, before every index,
+    // if nobody ever held it; and a pair wanting it dies in that same
+    // round when the sweep reaches it after that index, one round later
+    // otherwise.
+    let mut holders: Vec<u32> = hold_start.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut dry = vec![1u64 << 32; n];
+    let mut death = vec![0u32; pair_count]; // round a pair dies in; 0 = survives
+    let mut released: Vec<u32> = (0..n as u32)
+        .filter(|&c| holders[c as usize] == 0)
+        .collect();
+    let mut last_round = 0u32;
+    while let Some(c) = released.pop() {
+        let (round, after) = ((dry[c as usize] >> 32) as u32, dry[c as usize] as u32);
+        for &j in &by_want[want_start[c as usize] as usize..want_start[c as usize + 1] as usize] {
+            let dies = round + u32::from(j < after);
+            if dies > rounds {
+                continue;
+            }
+            death[j as usize] = dies;
+            last_round = last_round.max(dies);
+            let hold = pair_hold[j as usize] as usize;
+            dry[hold] = dry[hold].max(u64::from(dies) << 32 | u64::from(j + 1));
+            holders[hold] -= 1;
+            if holders[hold] == 0 {
+                released.push(hold as u32);
             }
         }
-        if !removed {
-            break;
-        }
     }
-    let surviving: usize = alive.iter().map(|w| w.count_ones() as usize).sum();
+    // The sweep that discards nothing is counted too.
+    let sweeps = 1 + last_round as usize;
+    ebda_obs::metrics::counter_add("ebda_oracle_brute_sweeps_total", &[], sweeps as u64);
+    let surviving = death.iter().filter(|&&round| round == 0).count();
 
     // Read a circular wait off the fixed point: follow want → hold links
     // (each wanted channel is held by a surviving pair, by construction)
     // until a channel repeats.
-    let first_alive =
-        (0..pw).find_map(|w| (alive[w] != 0).then(|| w * 64 + alive[w].trailing_zeros() as usize));
-    let witness = first_alive.map(|p0| {
-        // Pairs are hold-major, so each hold's pairs form one contiguous
-        // run; CSR offsets replace the full-array scan per witness hop.
-        let mut hold_start = vec![0u32; n + 1];
-        for &h in &pair_hold {
-            hold_start[h as usize + 1] += 1;
-        }
-        for i in 0..n {
-            hold_start[i + 1] += hold_start[i];
-        }
-        let alive_bit = |i: usize| alive[i / 64] >> (i % 64) & 1 == 1;
-        let next_of = |ch: usize| -> usize {
+    let witness = death.iter().position(|&round| round == 0).map(|p0| {
+        let next_of = |ch: usize| {
             (hold_start[ch] as usize..hold_start[ch + 1] as usize)
-                .find(|&i| alive_bit(i))
+                .find(|&i| death[i] == 0)
                 .map(|i| pair_want[i] as usize)
-                .expect("fixed point: every surviving channel has a request")
         };
-        let start = pair_hold[p0] as usize;
-        let mut seen: Vec<usize> = vec![start];
-        let mut cur = start;
-        loop {
-            cur = next_of(cur);
-            if let Some(pos) = seen.iter().position(|&c| c == cur) {
-                return seen[pos..].iter().map(|&i| channels[i]).collect();
+        let mut cur = pair_hold[p0] as usize;
+        let mut seen: Vec<usize> = vec![cur];
+        // A search cut short leaves pairs waiting on a channel nobody
+        // holds; the chain so far is all the witness it can give.
+        while let Some(next) = next_of(cur) {
+            if let Some(pos) = seen.iter().position(|&c| c == next) {
+                seen.drain(..pos);
+                break;
             }
-            seen.push(cur);
+            seen.push(next);
+            cur = next;
         }
+        seen.iter().map(|&i| channels[i]).collect()
     });
 
     BruteReport {
@@ -307,7 +367,7 @@ pub fn search(topo: &Topology, vcs: &[u8], universe: &[Channel], turns: &TurnSet
         pairs: pair_count,
         surviving,
         sweeps,
-        pair_classes: class_pairs.into_iter().collect(),
+        pair_classes,
         witness,
     }
 }

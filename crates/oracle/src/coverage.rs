@@ -129,15 +129,19 @@ fn bin(
 /// * `escape_drain` — escape classes Duato's report proves drainable
 /// * `gfp_pair` — class-level hold/want pairs the brute search realized
 /// * `design_bin` — the artifact's design-space bin, once
+///
+/// Builds the artifact's CDG for the first family; a caller holding the
+/// [`crate::verdict::Evaluation`] asks it instead
+/// ([`crate::verdict::Evaluation::coverage`]) and builds nothing.
 pub fn artifact_coverage(artifact: &Artifact, verdicts: &Verdicts) -> CoverageMap {
+    extract(artifact, verdicts, &artifact.cdg())
+}
+
+/// [`artifact_coverage`] reading the `cdg_edge` family off `cdg`, the
+/// artifact's already-built [`Artifact::cdg`].
+pub(crate) fn extract(artifact: &Artifact, verdicts: &Verdicts, cdg: &Cdg) -> CoverageMap {
     let mut map = CoverageMap::new("");
 
-    let cdg = Cdg::from_turn_set(
-        &artifact.topology(),
-        &artifact.vcs,
-        &artifact.universe,
-        &artifact.turns,
-    );
     for edge in cdg.class_edges() {
         map.record("cdg_edge", edge);
     }

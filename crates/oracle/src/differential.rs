@@ -11,9 +11,8 @@
 
 use crate::artifact::{Artifact, ArtifactKind, Generator};
 use crate::brute::BruteChannel;
-use crate::provenance::Provenance;
 use crate::shrink::DEFAULT_SHRINK_BUDGET;
-use crate::verdict::{cross_check, evaluate, Disagreement, Mutation};
+use crate::verdict::{cross_check, evaluate, Disagreement, Evaluation, Mutation};
 use ebda_obs::{JourneyConfig, Rng64, TraceBuilder};
 use ebda_routing::{PortVc, RouteChoice, RouteState, RoutingRelation, TurnRouting, INJECT};
 use noc_sim::{
@@ -300,10 +299,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         };
         let with_provenance = cfg.ledger.is_some();
         let batch = ebda_par::parallel_map(threads, &artifacts, |_, a| {
-            let v = evaluate(a, cfg.mutation);
-            let prov = with_provenance.then(|| Provenance::from_artifact(a, &v));
-            let cov = with_coverage.then(|| crate::coverage::artifact_coverage(a, &v));
-            (v, prov, cov)
+            let e = Evaluation::of(a, cfg.mutation);
+            let prov = with_provenance.then(|| e.provenance());
+            let cov = with_coverage.then(|| e.coverage());
+            (e.verdicts, prov, cov)
         });
         for (artifact, (verdicts, prov, cov)) in artifacts.iter().zip(&batch) {
             report.configs += 1;
@@ -386,9 +385,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 fn investigate(artifact: &Artifact, cfg: &CampaignConfig) -> CaughtDisagreement {
     let shrunk = {
         let _p = ebda_obs::prof::phase("oracle/shrink");
-        // Turn/channel-drop candidates are answered by dirty-SCC queries
-        // on the parent's CDG; the accepted chain (and every byte
-        // downstream) is identical to the full-evaluate predicate.
+        // Turn/channel-drop candidates are read off the parent's
+        // skeleton by the incremental verifier, no graph built; the
+        // accepted chain (and every byte downstream) is identical to
+        // the full-evaluate predicate.
         crate::incr::shrink_disagreement(artifact, cfg.mutation, DEFAULT_SHRINK_BUDGET)
     };
     ebda_obs::metrics::counter_add("ebda_oracle_artifacts_shrunk_total", &[], 1);

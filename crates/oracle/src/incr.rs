@@ -30,9 +30,8 @@
 //! compare each entry point against an explicit full-`evaluate` chain.
 
 use crate::artifact::Artifact;
-use crate::brute;
 use crate::shrink::{shrink_with_context, ShrinkDelta};
-use crate::verdict::{cross_check, disagreement_rule, evaluate, Mutation};
+use crate::verdict::{brute_path, cross_check, disagreement_rule, evaluate, Mutation};
 use ebda_cdg::{verify_turn_set, IncrementalVerifier, NodeId, Topology};
 use ebda_core::{design_verdict, Dimension, Direction};
 
@@ -114,12 +113,7 @@ impl IncrementalSession {
             Some(v) => query(v)?,
             None => dally_free,
         };
-        let brute = brute::search(
-            &candidate.topology(),
-            &candidate.vcs,
-            &candidate.universe,
-            &candidate.turns,
-        );
+        let brute = brute_path(&candidate.topology(), candidate, self.mutation);
         let ebda_free = match self.mutation {
             Mutation::EbdaSkipsTheorem1 => candidate.design.as_ref().map(|_| true),
             _ => candidate

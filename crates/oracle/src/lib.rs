@@ -16,9 +16,10 @@
 //!   a checker to prove the oracle notices.
 //! * [`shrink`] — greedy 1-minimal counterexample reduction.
 //! * [`incr`] — incremental re-verification sessions: turn/channel-drop
-//!   shrink candidates answered by dirty-SCC queries on a shared CSR CDG
-//!   instead of full rebuilds; `EBDA_INCR_CHECK=1` re-derives every
-//!   query from a full rebuild and panics on a difference.
+//!   shrink candidates read off the parent's skeleton by
+//!   [`ebda_cdg::IncrementalVerifier`], no graph built;
+//!   `EBDA_INCR_CHECK=1` re-derives every query from a full rebuild and
+//!   panics on a difference.
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.
@@ -60,4 +61,4 @@ pub use differential::{run_campaign, CampaignConfig, CampaignReport};
 pub use incr::{IncrementalSession, PathVerdicts};
 pub use provenance::{CheckReport, Provenance};
 pub use shrink::shrink;
-pub use verdict::{cross_check, evaluate, Disagreement, Mutation, Verdicts};
+pub use verdict::{cross_check, evaluate, Disagreement, Evaluation, Mutation, Verdicts};

@@ -41,7 +41,7 @@
 use crate::artifact::Artifact;
 use crate::brute::BruteChannel;
 use crate::verdict::Verdicts;
-use ebda_cdg::graph::ConcreteChannel;
+use ebda_cdg::graph::{Cdg, ConcreteChannel};
 use ebda_cdg::topology::Topology;
 use ebda_core::certify::{certify, check_certificate, CertifyFailure};
 use ebda_core::{canonical, Channel, Dimension, Direction, Partition, PartitionSeq, TurnSet};
@@ -219,7 +219,8 @@ pub struct Provenance {
     pub universe: Vec<Channel>,
     /// The turn relation under verdict.
     pub turns: TurnSet,
-    /// The (brute-force, never-mutated) verdict this record justifies.
+    /// The brute-force verdict this record justifies — honest under
+    /// every mutation but the one that sabotages the brute path itself.
     pub deadlock_free: bool,
     /// EbDa certificate or refusal.
     pub ebda: EbdaEvidence,
@@ -259,31 +260,19 @@ impl Provenance {
     /// Builds the provenance for an artifact's verdicts.
     ///
     /// The EbDa certificate and the channel ordering are re-derived
-    /// honestly here (mutations in [`crate::verdict::evaluate`] affect
-    /// only the campaign's cross-check inputs, never the evidence this
-    /// record archives); the Dally/Duato/brute summaries are copied
-    /// from the verdicts.
+    /// honestly here, whatever mutation [`crate::verdict::evaluate`] ran
+    /// under; the verdict and the Dally/Duato/brute summaries are copied
+    /// from the verdicts. Builds the artifact's CDG for the ordering; a
+    /// caller holding the [`crate::verdict::Evaluation`] asks it instead
+    /// ([`crate::verdict::Evaluation::provenance`]) and builds nothing.
     pub fn from_artifact(artifact: &Artifact, verdicts: &Verdicts) -> Provenance {
-        Provenance::build(
-            &artifact.radix,
-            &artifact.wrap,
-            &artifact.vcs,
-            &artifact.universe,
-            &artifact.turns,
-            verdicts,
-        )
+        Provenance::build(artifact, verdicts, &artifact.cdg())
     }
 
-    /// Builds the provenance for a (topology, turn-set) pair's verdicts.
-    /// See [`Provenance::from_artifact`].
-    pub fn build(
-        radix: &[usize],
-        wrap: &[bool],
-        vcs: &[u8],
-        universe: &[Channel],
-        turns: &TurnSet,
-        verdicts: &Verdicts,
-    ) -> Provenance {
+    /// [`Provenance::from_artifact`] reading the ordering certificate off
+    /// `cdg`, the artifact's already-built [`Artifact::cdg`].
+    pub(crate) fn build(artifact: &Artifact, verdicts: &Verdicts, cdg: &Cdg) -> Provenance {
+        let (universe, turns) = (&artifact.universe, &artifact.turns);
         let deadlock_free = verdicts.brute.is_deadlock_free();
         let ebda = match certify(universe, turns) {
             Ok(seq) => EbdaEvidence::Certificate {
@@ -303,9 +292,8 @@ impl Provenance {
                 detail: e.to_string(),
             },
         };
-        let topo = Topology::mesh(radix).with_wrap(wrap);
         let ordering = if deadlock_free {
-            ebda_cdg::dally::channel_ordering(&topo, vcs, universe, turns)
+            cdg.topological_order()
                 .map(|o| o.into_iter().map(Hop::from_concrete).collect())
         } else {
             None
@@ -316,10 +304,10 @@ impl Provenance {
                 .map(|c| c.iter().copied().map(Hop::from_concrete).collect())
         };
         Provenance {
-            radix: radix.to_vec(),
-            wrap: wrap.to_vec(),
-            vcs: vcs.to_vec(),
-            universe: universe.to_vec(),
+            radix: artifact.radix.clone(),
+            wrap: artifact.wrap.clone(),
+            vcs: artifact.vcs.clone(),
+            universe: universe.clone(),
             turns: turns.clone(),
             deadlock_free,
             ebda,

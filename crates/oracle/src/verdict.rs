@@ -4,11 +4,11 @@
 //!
 //! 1. **EbDa theorems** (`ebda-core`): [`ebda_core::design_verdict`] on the
 //!    partition sequence — partitioning artifacts only.
-//! 2. **Dally** (`ebda-cdg`): CDG construction + cycle search via
-//!    [`ebda_cdg::verify_turn_set`].
+//! 2. **Dally** (`ebda-cdg`): cycle search on the artifact's CDG
+//!    ([`ebda_cdg::VerificationReport::of`]).
 //! 3. **Duato** (`ebda-cdg`): escape-subnetwork acyclicity + connectivity
-//!    via [`ebda_cdg::duato::verify_escape`], treating the whole relation
-//!    as its own escape network.
+//!    via [`ebda_cdg::duato::verify_escape_given`], treating the whole
+//!    relation as its own escape network.
 //! 4. **Brute force** ([`crate::brute`]): greatest-fixed-point search over
 //!    channel-wait configurations, sharing no code with the CDG.
 //!
@@ -16,12 +16,19 @@
 //! promises; any violation is a [`Disagreement`] and means one of the four
 //! implementations is wrong. [`Mutation`] deliberately breaks one path so
 //! the campaign can prove it would notice.
+//!
+//! An [`Evaluation`] builds the artifact's CDG once and keeps it beside
+//! the [`Verdicts`]: Dally's report, Duato's acyclicity half, the
+//! ordering certificate of the provenance and the `cdg_edge` coverage
+//! family all read that one graph. The brute path takes nothing from it.
 
 use crate::artifact::Artifact;
 use crate::brute::{self, BruteReport};
-use ebda_cdg::duato::{verify_escape, verify_escape_given, DuatoReport};
-use ebda_cdg::{verify_turn_set, Topology, VerificationReport};
+use crate::provenance::Provenance;
+use ebda_cdg::duato::{verify_escape_given, DuatoReport};
+use ebda_cdg::{verify_turn_set, Cdg, Topology, VerificationReport};
 use ebda_core::{design_verdict, DesignVerdict};
+use ebda_obs::CoverageMap;
 use std::fmt;
 
 /// A deliberately-broken checker, for proving the oracle catches bugs.
@@ -38,10 +45,16 @@ pub enum Mutation {
     /// The EbDa path reports every design as valid, skipping the Theorem 1
     /// check — an unsound constructive verifier.
     EbdaSkipsTheorem1,
+    /// The brute path stops pruning after its first round: a pair the
+    /// fixed point discards in a later round is kept alive, so designs
+    /// that drain in more than one round are reported deadlocked — a
+    /// searcher that mistakes one sweep for convergence.
+    BruteStopsAfterFirstRound,
 }
 
 /// The `--mutate` names (`none`, `dally-ignores-wrap`,
-/// `ebda-skips-theorem1`), the inverse of [`fmt::Display`].
+/// `ebda-skips-theorem1`, `brute-stops-after-first-round`), the inverse
+/// of [`fmt::Display`].
 impl std::str::FromStr for Mutation {
     type Err = String;
 
@@ -50,7 +63,12 @@ impl std::str::FromStr for Mutation {
             "none" => Ok(Mutation::None),
             "dally-ignores-wrap" => Ok(Mutation::DallyIgnoresWrap),
             "ebda-skips-theorem1" => Ok(Mutation::EbdaSkipsTheorem1),
-            _ => Err("unknown mutation (try dally-ignores-wrap, ebda-skips-theorem1)".into()),
+            "brute-stops-after-first-round" => Ok(Mutation::BruteStopsAfterFirstRound),
+            _ => Err(
+                "unknown mutation (try dally-ignores-wrap, ebda-skips-theorem1, \
+                      brute-stops-after-first-round)"
+                    .into(),
+            ),
         }
     }
 }
@@ -61,6 +79,7 @@ impl fmt::Display for Mutation {
             Mutation::None => write!(f, "none"),
             Mutation::DallyIgnoresWrap => write!(f, "dally-ignores-wrap"),
             Mutation::EbdaSkipsTheorem1 => write!(f, "ebda-skips-theorem1"),
+            Mutation::BruteStopsAfterFirstRound => write!(f, "brute-stops-after-first-round"),
         }
     }
 }
@@ -93,62 +112,115 @@ impl fmt::Display for Disagreement {
     }
 }
 
-/// Runs all four verdict paths on an artifact, with `mutation` optionally
-/// sabotaging one of them.
-pub fn evaluate(artifact: &Artifact, mutation: Mutation) -> Verdicts {
-    use ebda_obs::prof;
-    let _p = prof::phase("oracle/evaluate");
-    prof::work("oracle/evaluate", "artifacts", 1);
-    let topo = artifact.topology();
-    let ebda = {
-        let _p = prof::phase("oracle/evaluate/ebda");
-        artifact.design.as_ref().map(|seq| match mutation {
-            Mutation::EbdaSkipsTheorem1 => DesignVerdict::DeadlockFree {
-                partitions: seq.len(),
-                channels: seq.channel_count(),
-                turns: artifact.turns.counts(),
-            },
-            _ => design_verdict(seq),
-        })
-    };
-    let dally_topo = match mutation {
-        Mutation::DallyIgnoresWrap => Topology::mesh(&artifact.radix),
-        _ => topo.clone(),
-    };
-    let dally = {
-        let _p = prof::phase("oracle/evaluate/dally");
-        verify_turn_set(
-            &dally_topo,
-            &artifact.vcs,
-            &artifact.universe,
-            &artifact.turns,
-        )
-    };
-    let duato = {
-        let _p = prof::phase("oracle/evaluate/duato");
-        if dally_topo == topo {
+/// One evaluated artifact: its four verdicts and the one CDG the
+/// CDG-side paths read them off, kept for the evidence that reads the
+/// same graph ([`Evaluation::provenance`], [`Evaluation::coverage`]).
+#[derive(Debug, Clone)]
+pub struct Evaluation<'a> {
+    artifact: &'a Artifact,
+    /// The four verdicts.
+    pub verdicts: Verdicts,
+    /// The relation's graph on the artifact's own topology — never the
+    /// one a mutation diverts Dally to.
+    cdg: Cdg,
+}
+
+impl<'a> Evaluation<'a> {
+    /// Runs all four verdict paths on an artifact, with `mutation`
+    /// optionally sabotaging one of them. The artifact's CDG is built
+    /// once; [`Mutation::DallyIgnoresWrap`] on a wrapped artifact builds
+    /// Dally's diverted graph beside it.
+    pub fn of(artifact: &'a Artifact, mutation: Mutation) -> Evaluation<'a> {
+        use ebda_obs::prof;
+        let _p = prof::phase("oracle/evaluate");
+        prof::work("oracle/evaluate", "artifacts", 1);
+        let topo = artifact.topology();
+        let ebda = {
+            let _p = prof::phase("oracle/evaluate/ebda");
+            artifact.design.as_ref().map(|seq| match mutation {
+                Mutation::EbdaSkipsTheorem1 => DesignVerdict::DeadlockFree {
+                    partitions: seq.len(),
+                    channels: seq.channel_count(),
+                    turns: artifact.turns.counts(),
+                },
+                _ => design_verdict(seq),
+            })
+        };
+        let (cdg, honest, diverted) = {
+            let _p = prof::phase("oracle/evaluate/dally");
+            let cdg = artifact.cdg();
+            let honest = VerificationReport::of(&cdg);
+            let diverted = match mutation {
+                Mutation::DallyIgnoresWrap if artifact.wraps() => Some(verify_turn_set(
+                    &Topology::mesh(&artifact.radix),
+                    &artifact.vcs,
+                    &artifact.universe,
+                    &artifact.turns,
+                )),
+                _ => None,
+            };
+            (cdg, honest, diverted)
+        };
+        let duato = {
+            let _p = prof::phase("oracle/evaluate/duato");
             // The acyclicity half of Duato's check is Dally's check on
-            // the same inputs — share the report instead of rebuilding
-            // the identical CDG. Under a mutation that diverts the
-            // Dally topology, the paths must stay independent.
-            verify_escape_given(&dally, &topo, &artifact.universe, &artifact.turns)
-        } else {
-            verify_escape(&topo, &artifact.vcs, &artifact.universe, &artifact.turns)
+            // the real topology: the honest report, whatever graph a
+            // mutation has Dally look at.
+            verify_escape_given(&honest, &topo, &artifact.universe, &artifact.turns)
+        };
+        let brute = {
+            let _p = prof::phase("oracle/evaluate/brute");
+            brute_path(&topo, artifact, mutation)
+        };
+        // The brute report carries the deterministic work behind its verdict.
+        prof::work("oracle/evaluate/brute", "gfp_sweeps", brute.sweeps as u64);
+        prof::work("oracle/evaluate/brute", "wait_pairs", brute.pairs as u64);
+        Evaluation {
+            artifact,
+            verdicts: Verdicts {
+                ebda,
+                dally: diverted.unwrap_or(honest),
+                duato,
+                brute,
+            },
+            cdg,
         }
-    };
-    let brute = {
-        let _p = prof::phase("oracle/evaluate/brute");
-        brute::search(&topo, &artifact.vcs, &artifact.universe, &artifact.turns)
-    };
-    // The brute report carries the deterministic work behind its verdict.
-    prof::work("oracle/evaluate/brute", "gfp_sweeps", brute.sweeps as u64);
-    prof::work("oracle/evaluate/brute", "wait_pairs", brute.pairs as u64);
-    Verdicts {
-        ebda,
-        dally,
-        duato,
-        brute,
     }
+
+    /// The provenance of these verdicts, its ordering certificate read
+    /// off the evaluation's graph.
+    pub fn provenance(&self) -> Provenance {
+        Provenance::build(self.artifact, &self.verdicts, &self.cdg)
+    }
+
+    /// The artifact's coverage contribution, its `cdg_edge` family read
+    /// off the evaluation's graph.
+    pub fn coverage(&self) -> CoverageMap {
+        crate::coverage::extract(self.artifact, &self.verdicts, &self.cdg)
+    }
+}
+
+/// Runs all four verdict paths on an artifact, with `mutation` optionally
+/// sabotaging one of them. Callers that go on to build evidence keep the
+/// [`Evaluation`] instead, and its graph with it.
+pub fn evaluate(artifact: &Artifact, mutation: Mutation) -> Verdicts {
+    Evaluation::of(artifact, mutation).verdicts
+}
+
+/// The brute path under `mutation` on `topo`, the artifact's topology,
+/// for [`Evaluation::of`] and the incremental shrink sessions.
+pub(crate) fn brute_path(topo: &Topology, artifact: &Artifact, mutation: Mutation) -> BruteReport {
+    let rounds = match mutation {
+        Mutation::BruteStopsAfterFirstRound => 1,
+        _ => u32::MAX,
+    };
+    brute::search_rounds(
+        topo,
+        &artifact.vcs,
+        &artifact.universe,
+        &artifact.turns,
+        rounds,
+    )
 }
 
 /// Applies the cross-checking rules. Returns the first violated rule, or
@@ -375,6 +447,7 @@ mod tests {
             Mutation::None,
             Mutation::DallyIgnoresWrap,
             Mutation::EbdaSkipsTheorem1,
+            Mutation::BruteStopsAfterFirstRound,
         ] {
             assert_eq!(m.to_string().parse(), Ok(m));
         }

@@ -10,43 +10,44 @@
 //! * parent of the pull reader and the buffer writers (tree parser,
 //!   `format!` per hop, `Vec` per probe in `check`, a `String` per
 //!   coverage hit): **77 503** allocations for this walk ([`PARENT`]);
-//! * with them: **7 130** ([`MEASURED`]).
+//! * with them, provenance and coverage each building the artifact's
+//!   CDG again: 7 321;
+//! * with both read off the `Evaluation`'s graph: **6 541**
+//!   ([`MEASURED`]).
 //!
 //! The ceiling is 1.25× the measured figure, and the test also holds it
 //! under a third of the parent's. What is left is mostly the prover
-//! side (`certify`, `channel_ordering`, the CDG inside
-//! `artifact_coverage`) and the owned strings of a `LedgerRecord`.
+//! side (`certify`, the topological order, the class-edge labels) and
+//! the owned strings of a `LedgerRecord`.
 
 #[path = "../../cdg/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
 
 use counting_alloc::allocs_during;
 use ebda_obs::{CoverageMap, LedgerRecord};
-use ebda_oracle::{artifact_coverage, evaluate, Generator, Mutation, Provenance};
+use ebda_oracle::{artifact_coverage, evaluate, Evaluation, Generator, Mutation, Provenance};
 
 /// The walk's allocations at the parent commit (same test, same host).
 const PARENT: u64 = 77_503;
 /// The walk's allocations when the ceiling was set.
-const MEASURED: u64 = 7_130;
+const MEASURED: u64 = 6_541;
 
 #[test]
 fn the_evidence_walk_stays_under_its_allocation_ceiling() {
     assert!(!ebda_obs::prof::enabled() && !ebda_obs::metrics::enabled());
     let mut generator = Generator::with_max_nodes(7, 36);
-    let evaluated: Vec<_> = (0..20)
-        .map(|_| {
-            let artifact = generator.next_artifact();
-            let verdicts = evaluate(&artifact, Mutation::None);
-            (artifact, verdicts)
-        })
+    let artifacts: Vec<_> = (0..20).map(|_| generator.next_artifact()).collect();
+    let evaluated: Vec<_> = artifacts
+        .iter()
+        .map(|artifact| (artifact, Evaluation::of(artifact, Mutation::None)))
         .collect();
     let mut campaign = CoverageMap::new("oracle-seed-7-mutation-none");
     let mut obligations = 0;
     let n = allocs_during(|| {
-        for (artifact, verdicts) in &evaluated {
-            let provenance = Provenance::from_artifact(artifact, verdicts);
+        for (artifact, evaluation) in &evaluated {
+            let provenance = evaluation.provenance();
             let json = provenance.to_json();
-            let coverage = artifact_coverage(artifact, verdicts);
+            let coverage = evaluation.coverage();
             let record = provenance.ledger_record(
                 "oracle",
                 artifact.summary(),

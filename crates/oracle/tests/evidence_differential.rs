@@ -26,7 +26,8 @@ use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
 use ebda_obs::{CoverageMap, LedgerRecord, Rng64};
 use ebda_oracle::provenance::{EbdaEvidence, Hop};
 use ebda_oracle::{
-    artifact_coverage, evaluate, Artifact, ArtifactKind, Generator, Mutation, Provenance,
+    artifact_coverage, evaluate, Artifact, ArtifactKind, Evaluation, Generator, Mutation,
+    Provenance,
 };
 use hostile::AWKWARD;
 
@@ -76,24 +77,33 @@ fn wide_universe(all_turns: bool) -> Artifact {
     }
 }
 
-fn records() -> Vec<Record> {
+/// The artifacts every comparison in this file runs over, named.
+fn artifacts() -> Vec<(String, Artifact)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/seed");
     let entries = ebda_corpus::store::load_dir(&dir).expect("corpus/seed loads");
     assert_eq!(entries.len(), 50);
-    let mut out: Vec<Record> = entries
+    let mut out: Vec<(String, Artifact)> = entries
         .iter()
         .enumerate()
-        .map(|(i, e)| record(e.name.clone(), &e.to_artifact(i as u64)))
+        .map(|(i, e)| (e.name.clone(), e.to_artifact(i as u64)))
         .collect();
     for seed in [7, 11] {
         let mut generator = Generator::with_max_nodes(seed, 36);
         out.extend((0..200).map(|_| {
             let artifact = generator.next_artifact();
-            record(artifact.summary(), &artifact)
+            (artifact.summary(), artifact)
         }));
     }
-    out.push(record(AWKWARD.to_string(), &wide_universe(false)));
-    out.push(record(format!("wide {AWKWARD}"), &wide_universe(true)));
+    out.push((AWKWARD.to_string(), wide_universe(false)));
+    out.push((format!("wide {AWKWARD}"), wide_universe(true)));
+    out
+}
+
+fn records() -> Vec<Record> {
+    let out: Vec<Record> = artifacts()
+        .into_iter()
+        .map(|(name, artifact)| record(name, &artifact))
+        .collect();
     // The stream really has what the comparison is claimed over.
     let count = |pred: fn(&Provenance) -> bool| out.iter().filter(|r| pred(&r.provenance)).count();
     assert!(count(|p| p.wrap.iter().any(|&w| w) && p.deadlock_free) >= 5);
@@ -163,6 +173,46 @@ fn writers_readers_and_check_agree_with_the_code_they_replaced() {
         rejected * 2 > tampered && rejected < tampered,
         "{rejected} of {tampered} tampered records rejected"
     );
+}
+
+#[test]
+fn the_evaluation_and_the_wrappers_write_the_same_bytes() {
+    // `Evaluation::{provenance, coverage}` read the graph the evaluation
+    // built; `Provenance::from_artifact` and `artifact_coverage` build
+    // their own. Same documents, whichever graph a mutation shows Dally.
+    let mutations = [
+        Mutation::None,
+        Mutation::DallyIgnoresWrap,
+        Mutation::EbdaSkipsTheorem1,
+        Mutation::BruteStopsAfterFirstRound,
+    ];
+    let mut diverted = 0;
+    for (name, artifact) in artifacts() {
+        for mutation in mutations {
+            let evaluation = Evaluation::of(&artifact, mutation);
+            let verdicts = evaluate(&artifact, mutation);
+            assert_eq!(
+                format!("{verdicts:?}"),
+                format!("{:?}", evaluation.verdicts),
+                "{name} under {mutation}"
+            );
+            assert_eq!(
+                evaluation.provenance().to_json(),
+                Provenance::from_artifact(&artifact, &verdicts).to_json(),
+                "{name} under {mutation}"
+            );
+            assert_eq!(
+                evaluation.coverage().to_json(),
+                artifact_coverage(&artifact, &verdicts).to_json(),
+                "{name} under {mutation}"
+            );
+            diverted += usize::from(
+                mutation == Mutation::DallyIgnoresWrap
+                    && verdicts.dally.is_deadlock_free() != verdicts.duato.escape_acyclic,
+            );
+        }
+    }
+    assert!(diverted > 10, "{diverted} artifacts whose Dally was misled");
 }
 
 /// One random edit of a record's evidence; returns what it did.

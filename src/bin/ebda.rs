@@ -411,10 +411,10 @@ fn cmd_verify(mut args: Args) -> Result<(), CliError> {
             turns: ex.turn_set().clone(),
             design: Some(seq.clone()),
         };
-        let verdicts =
-            ebda::oracle::verdict::evaluate(&artifact, ebda::oracle::verdict::Mutation::None);
-        let prov = ebda::oracle::Provenance::from_artifact(&artifact, &verdicts);
-        let coverage = ebda::oracle::artifact_coverage(&artifact, &verdicts);
+        let evaluation =
+            ebda::oracle::Evaluation::of(&artifact, ebda::oracle::verdict::Mutation::None);
+        let prov = evaluation.provenance();
+        let coverage = evaluation.coverage();
         let record = prov.ledger_record(
             "cli",
             artifact.summary(),

@@ -341,3 +341,43 @@ fn hostile_nesting_fails_with_exit_1_naming_the_line() {
         std::fs::remove_file(path).ok();
     }
 }
+
+#[test]
+fn verify_ledger_stamps_the_revision_git_prints() {
+    // `git_rev` reads `.git` itself; where git is installed the two must
+    // agree, checkout or not.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let Ok(git) = Command::new("git")
+        .args(["rev-parse", "--short=7", "HEAD"])
+        .current_dir(root)
+        .output()
+    else {
+        eprintln!("skipped: git is not on PATH");
+        return;
+    };
+    let want = if git.status.success() {
+        String::from_utf8(git.stdout).unwrap().trim().to_string()
+    } else {
+        "unknown".to_string()
+    };
+    let ledger = std::env::temp_dir().join(format!("ebda-cli-git-rev-{}", std::process::id()));
+    let _ = std::fs::remove_file(&ledger);
+    let out = Command::new(env!("CARGO_BIN_EXE_ebda"))
+        .args(["verify", "X- | X+ Y+ Y-", "--mesh", "3x3", "--ledger"])
+        .arg(&ledger)
+        .current_dir(root)
+        .output()
+        .expect("spawn ebda binary");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = std::fs::read_to_string(&ledger).expect("ledger written");
+    let _ = std::fs::remove_file(&ledger);
+    assert!(
+        line.contains(&format!("\"git_rev\":\"{want}\"")),
+        "want {want}: {}",
+        &line[..line.len().min(200)]
+    );
+}

@@ -44,3 +44,19 @@ fn facade_campaign_catches_a_broken_checker() {
     let replay = caught.replay.expect("shrunk witness must replay");
     assert!(replay.deadlocked);
 }
+
+#[test]
+fn a_brute_searcher_that_stops_after_one_round_is_caught_at_once() {
+    // The rewritten searcher shown catchable: cut off after its first
+    // pruning round it keeps pairs a later round discards, calls a free
+    // design deadlocked, and collides with Dally on the very first
+    // artifact of the seed-7 stream (a 3x5 mesh partitioning that takes
+    // 32 sweeps to drain). The pinned size is where the rule first fires.
+    let report = run_campaign(&quick(Mutation::BruteStopsAfterFirstRound));
+    assert_eq!(report.configs, 1, "{report}");
+    let caught = report.caught.expect("the broken searcher must be caught");
+    assert_eq!(caught.disagreement.rule, "dally-vs-brute");
+    // The shrunk artifact is honestly deadlock-free, so the replay — which
+    // floods it through the real searcher's eyes — drains.
+    assert!(!caught.replay.expect("a free relation replays").deadlocked);
+}
