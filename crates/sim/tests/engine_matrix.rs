@@ -8,7 +8,8 @@
 //! digest of the recorder's JSON export (totals, every retained event,
 //! every sample). The table was generated on the commit *before* the
 //! event-driven core (PR 16, `7fc0816`) and has to pass unchanged on
-//! every engine that claims to be the same simulator, only faster.
+//! every engine that claims to be the same simulator, only faster. Rows
+//! added later are generated on the parent of the change that adds them.
 //!
 //! On a mismatch the test prints the whole table as it comes out now, in
 //! the source form of `PINNED`, so a deliberate behaviour change is one
@@ -58,6 +59,14 @@ const PINNED: &[(&str, u64, Option<u64>)] = &[
     ("partial-3d-elevator-first", 0x8003e712ae2d5823, Some(0xa5771260aebcee41)),
     ("partial-3d-table5-design", 0x505ac53fd9fb421b, None),
     ("watchdog-trips-on-congestion", 0x163642098f54ac7d, Some(0x313dcde1dd1c2321)),
+    // Saturated rows, generated on `71b9b39` (the engine that repeats every
+    // blocked head's selection each cycle) before blocked heads slept.
+    ("saturation-16x16-west-first", 0x7b57c585144d4eb2, None),
+    ("dateline-torus-most-credits-saturated", 0xaa4cff4f016244e5, None),
+    ("west-first-vct-saturated", 0x2cd3f773af504d8a, Some(0xc52a3920ec5fdff2)),
+    ("dyxy-2vc-single-packet-saturated", 0xb0eb7b97e0d01610, Some(0x666a6682f589aed7)),
+    ("dyxy-2vc-cut-at-saturation", 0x1b94aa70e6feb535, Some(0x574486793c74a2f0)),
+    ("partial-3d-elevator-first-saturated", 0xc6b40a34310a1f82, None),
 ];
 
 #[test]

@@ -499,5 +499,74 @@ pub fn cases() -> Vec<Case> {
         },
         true,
     );
+
+    // Saturation with blocked heads everywhere: the configurations where
+    // a head waits many cycles on output VCs (or an ejection port) that
+    // stay taken, on each way a candidate can be infeasible — owned
+    // (wormhole), not empty downstream (SinglePacket), no room for the
+    // whole packet (VCT) — and with the routes dropped mid-wait (a cut).
+    add(
+        "saturation-16x16-west-first",
+        mesh(&[16, 16]),
+        west_first(),
+        SimConfig {
+            injection_rate: 0.035,
+            warmup: 500,
+            measurement: 1_500,
+            drain: 500,
+            seed: 7,
+            ..SimConfig::default()
+        },
+        false,
+    );
+    add(
+        "dateline-torus-most-credits-saturated",
+        Topology::torus(&[6, 6]),
+        Box::new(TorusDateline::new(2)),
+        SimConfig {
+            selection: Selection::MostCredits,
+            measurement: 1_200,
+            ..deadlock_cfg(0.3, 33)
+        },
+        false,
+    );
+    add(
+        "west-first-vct-saturated",
+        mesh(&[5, 5]),
+        west_first(),
+        deep(Switching::VirtualCutThrough, 0.25, 34),
+        true,
+    );
+    add(
+        "dyxy-2vc-single-packet-saturated",
+        mesh(&[5, 5]),
+        dyxy(),
+        SimConfig {
+            buffer_policy: BufferPolicy::SinglePacket,
+            ..cfg(0.25, 35)
+        },
+        true,
+    );
+    add(
+        "dyxy-2vc-cut-at-saturation",
+        m5.clone(),
+        dyxy(),
+        SimConfig {
+            fault_schedule: vec![
+                (350, m5.node_at(&[2, 2]), Dimension::X, Direction::Plus),
+                (500, m5.node_at(&[1, 3]), Dimension::Y, Direction::Plus),
+            ],
+            watchdog_window: 60,
+            ..cfg(0.3, 36)
+        },
+        true,
+    );
+    add(
+        "partial-3d-elevator-first-saturated",
+        partial_3d(),
+        Box::new(ElevatorFirst::new([vec![0, 0], vec![2, 2]])),
+        cfg(0.3, 37),
+        false,
+    );
     v
 }
