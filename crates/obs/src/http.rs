@@ -95,6 +95,10 @@ fn serve_loop(listener: TcpListener, stop: &AtomicBool, started: Instant, files:
 const CONNECTION_DEADLINE: Duration = Duration::from_secs(10);
 /// The most a single read or write may block.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// A request head ends (`\r\n\r\n` included) within this many bytes or
+/// is refused.
+const MAX_HEAD: usize = 16 * 1024;
+const HEAD_END: &[u8] = b"\r\n\r\n";
 
 fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::Result<()> {
     let deadline = Instant::now() + CONNECTION_DEADLINE;
@@ -102,7 +106,7 @@ fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::R
     // Read until the end of the request head; we only need the first line.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 16 * 1024 {
+    while !buf.windows(HEAD_END.len()).any(|w| w == HEAD_END) && buf.len() < MAX_HEAD {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(std::io::ErrorKind::TimedOut.into());
@@ -114,6 +118,7 @@ fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::R
         }
         buf.extend_from_slice(&chunk[..n]);
     }
+    let head_end = buf.windows(HEAD_END.len()).position(|w| w == HEAD_END);
     let head = String::from_utf8_lossy(&buf);
     let path = head
         .lines()
@@ -121,6 +126,13 @@ fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::R
         .and_then(|l| l.split_whitespace().nth(1))
         .unwrap_or("/");
     let (status, ctype, body) = match path {
+        // Cut short by the client, or longer than a head may be: whatever
+        // its first line says, this is not a request.
+        _ if head_end.is_none_or(|at| at + HEAD_END.len() > MAX_HEAD) => (
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            format!("request head does not end within {MAX_HEAD} bytes\n"),
+        ),
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",

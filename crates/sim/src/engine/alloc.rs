@@ -14,11 +14,11 @@ pub(super) fn rotation_start(turn: usize, n: usize) -> usize {
 
 impl<'a> Simulator<'a> {
     /// VC allocation: heads at buffer fronts claim output VCs or the
-    /// ejection port. Visits the in-slots whose `heads` bit is set, in
-    /// ascending (node, local slot) order.
+    /// ejection port. Visits the in-slots whose `heads` bit is set and
+    /// whose `asleep` bit is not, in ascending (node, local slot) order.
     pub(super) fn allocate(&mut self, cycle: u64) {
         let mut from = 0;
-        while let Some(slot) = next_set_bit(&self.heads, from) {
+        while let Some(slot) = next_set_bit_except(&self.heads, &self.asleep, from) {
             from = slot + 1;
             let node = self.in_node[slot] as usize;
             if self.in_vcs[slot].alloc != Alloc::None {
@@ -46,6 +46,9 @@ impl<'a> Simulator<'a> {
                     if self.prof_on {
                         self.prof.vc_allocs += 1;
                     }
+                } else {
+                    self.wait_on(self.eject_row(node), node, slot);
+                    self.sleep(slot);
                 }
                 continue;
             }
@@ -63,8 +66,8 @@ impl<'a> Simulator<'a> {
                 }
             }
             // Route computation: once per head per hop. A head that
-            // finds no free output VC keeps its candidates and only
-            // repeats the selection below.
+            // finds no free output VC keeps its candidates and repeats
+            // the selection below when one of them is released.
             if !self.head_routes[slot].routed {
                 let cands = &mut self.head_routes[slot].cands;
                 if self.prof_on {
@@ -82,6 +85,11 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             let Some((oslot, ch)) = self.select(cycle, node, &self.head_routes[slot].cands) else {
+                for k in 0..self.head_routes[slot].cands.len() {
+                    let row = self.cand_out_slot(node, self.head_routes[slot].cands[k]);
+                    self.wait_on(row, node, slot);
+                }
+                self.sleep(slot);
                 continue;
             };
             self.head_routes[slot].routed = false;
@@ -108,10 +116,32 @@ impl<'a> Simulator<'a> {
         }
     }
 
+    /// The head at the front of `slot` has registered on every resource
+    /// it could claim and is not looked at again until one is released.
+    fn sleep(&mut self, slot: usize) {
+        set_bit(&mut self.asleep, slot);
+        if self.prof_on {
+            self.prof.head_sleeps += 1;
+        }
+    }
+
+    /// The out-slot behind route candidate `ch` of a head at `node`.
+    pub(super) fn cand_out_slot(&self, node: NodeId, ch: RouteChoice) -> usize {
+        let vc0 = ch.port.vc as usize - 1;
+        debug_assert!(
+            vc0 < self.layout.vcs[ch.port.dim.index()] as usize,
+            "relation requested VC beyond its declared budget"
+        );
+        let port = Layout::port(ch.port.dim.index(), ch.port.dir);
+        self.layout.out_slot(node, port, vc0)
+    }
+
     /// Picks the output VC a head at `node` claims this cycle among its
     /// route candidates: the out-slot and the candidate behind it, or
-    /// `None` when no candidate is free.
-    fn select(
+    /// `None` when no candidate is free. Which one depends on the cycle;
+    /// whether there is one depends only on owners and, iff
+    /// `claim_credits > 0`, on credits.
+    pub(super) fn select(
         &self,
         cycle: u64,
         node: NodeId,
@@ -119,29 +149,9 @@ impl<'a> Simulator<'a> {
     ) -> Option<(usize, RouteChoice)> {
         let feasible = |oslot: usize| {
             let out = &self.out_vcs[oslot];
-            if out.owner.is_some() {
-                return false;
-            }
-            if self.cfg.buffer_policy == BufferPolicy::SinglePacket
-                && out.credits < self.cfg.buffer_depth
-            {
-                return false; // downstream buffer not empty: Duato mode
-            }
-            if self.cfg.switching != Switching::Wormhole && out.credits < self.cfg.packet_length {
-                return false; // VCT/SAF: room for the whole packet
-            }
-            true
+            out.owner.is_none() && out.credits >= self.claim_credits
         };
-        let oslot_of = |k: usize| {
-            let ch = cands[k];
-            let vc0 = ch.port.vc as usize - 1;
-            debug_assert!(
-                vc0 < self.layout.vcs[ch.port.dim.index()] as usize,
-                "relation requested VC beyond its declared budget"
-            );
-            let port = Layout::port(ch.port.dim.index(), ch.port.dir);
-            self.layout.out_slot(node, port, vc0)
-        };
+        let oslot_of = |k: usize| self.cand_out_slot(node, cands[k]);
         let chosen = match self.cfg.selection {
             Selection::RotatingFirstFit => {
                 let mut next = rotation_start(cycle as usize + node, cands.len());

@@ -195,6 +195,7 @@ impl<'a> Simulator<'a> {
             }
         };
 
+        let mut unrouted: Vec<RouteChoice> = Vec::new();
         for (slot, vc) in self.in_vcs.iter().enumerate() {
             let Some(&front) = vc.buf.front() else {
                 continue;
@@ -256,15 +257,23 @@ impl<'a> Simulator<'a> {
                 }
                 Alloc::None if front.idx == 0 => {
                     // A head that could not allocate: waits on the owners
-                    // of every candidate output VC.
+                    // of every candidate output VC — the list the engine
+                    // kept for it (and its sleep is registered on), or the
+                    // bound relation's answer when it has none yet.
                     let p = &self.packets[front.pid as usize];
                     if p.dst != node {
-                        for ch in self
-                            .relation
-                            .route(&self.topo, node, p.route_state, p.src, p.dst)
-                        {
-                            let oport = Layout::port(ch.port.dim.index(), ch.port.dir);
-                            let oslot = self.layout.out_slot(node, oport, ch.port.vc as usize - 1);
+                        let route = &self.head_routes[slot];
+                        if !route.routed {
+                            self.bound
+                                .route_into(node, p.route_state, p.src, p.dst, &mut unrouted);
+                        }
+                        let cands = if route.routed {
+                            &route.cands
+                        } else {
+                            &unrouted
+                        };
+                        for &ch in cands {
+                            let oslot = self.cand_out_slot(node, ch);
                             if let Some(owner) = self.out_vcs[oslot].owner {
                                 if owner != front.pid {
                                     let qi = intern(&mut pids, &mut index, owner);

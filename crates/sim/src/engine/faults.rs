@@ -67,6 +67,7 @@ impl<'a> Simulator<'a> {
         }
         self.recompute_credits();
         self.assign_masks(|on| on);
+        self.wake_all();
     }
 
     /// Removes every trace of a packet from the network and counts it as

@@ -117,6 +117,8 @@ impl<'a> Simulator<'a> {
         );
         prof::work("sim/run/vc_alloc", "vc_grants", p.vc_allocs);
         prof::work("sim/run/vc_alloc", "head_visits", p.head_visits);
+        prof::work("sim/run/vc_alloc", "head_sleeps", p.head_sleeps);
+        prof::work("sim/run/vc_alloc", "head_wakes", p.head_wakes);
         prof::record(
             "sim/run/switch",
             p.link_flits,

@@ -154,6 +154,7 @@ impl<'a> Simulator<'a> {
             #[cfg(test)]
             if self.full_visit {
                 self.assign_masks(|_| true);
+                self.wake_all();
             }
             let moved = if self.prof_on {
                 let t0 = Instant::now();
@@ -182,6 +183,10 @@ impl<'a> Simulator<'a> {
             debug_assert!(
                 self.masks_match_state(),
                 "event masks drifted from the state they summarise"
+            );
+            debug_assert!(
+                self.sleepers_are_blocked(cycle),
+                "a sleeping head could allocate or is not registered where it waits"
             );
             let in_flight = !self.in_transit.is_empty() || self.buffered_flits > 0;
             if self.cfg.watchdog_window > 0 {
@@ -252,9 +257,10 @@ impl<'a> Simulator<'a> {
             self.eject_owner.iter().all(Option::is_none),
             "an ejection port kept an owner"
         );
+        let masks = [&self.heads, &self.owned, &self.asleep, &self.waiters];
         assert!(
-            self.heads.iter().chain(&self.owned).all(|&w| w == 0),
-            "an event mask kept a bit"
+            masks.iter().all(|mask| mask.iter().all(|&w| w == 0)),
+            "an event mask kept a bit or a waiter row a registration"
         );
         assert_eq!(
             self.delivered + self.dropped,

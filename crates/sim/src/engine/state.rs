@@ -1,5 +1,5 @@
-//! Router, packet and run state of one simulation, and the two event
-//! masks that summarise it for the per-cycle passes.
+//! Router, packet and run state of one simulation, and the three event
+//! structures that summarise it for the per-cycle passes.
 
 use super::*;
 
@@ -46,11 +46,15 @@ pub(super) struct ProfAcc {
     pub(super) alloc_ns: u64,
     /// Output-VC grants (plus ejection-port claims).
     pub(super) vc_allocs: u64,
-    /// Waiting heads `allocate()` looked at (one per head per cycle it
-    /// waits), and routers `arbitrate_and_move()` entered: the work the
-    /// event masks leave, against `nodes x cycles` for a full scan.
+    /// Waiting heads `allocate()` looked at (one per head each time it
+    /// arrives or is woken), and routers `arbitrate_and_move()` entered:
+    /// the work the event masks leave, against `nodes x cycles` for a
+    /// full scan.
     pub(super) head_visits: u64,
     pub(super) router_visits: u64,
+    /// `asleep` bits set, and `asleep` bits a release actually cleared.
+    pub(super) head_sleeps: u64,
+    pub(super) head_wakes: u64,
     /// Wall ns of whole `arbitrate_and_move()` calls; switch-traversal
     /// time is this minus credit-return and ejection time.
     pub(super) arb_ns: u64,
@@ -99,15 +103,26 @@ pub(super) fn test_bit(bits: &[u64], i: usize) -> bool {
     bits[i >> 6] >> (i & 63) & 1 != 0
 }
 
-/// The lowest set bit at or above `from`.
-pub(super) fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+/// The lowest set bit at or above `from` in the words `word_at` yields.
+fn next_bit(from: usize, word_at: impl Fn(usize) -> Option<u64>) -> Option<usize> {
     let mut word = from >> 6;
-    let mut rest = *bits.get(word)? & (!0 << (from & 63));
+    let mut rest = word_at(word)? & (!0 << (from & 63));
     while rest == 0 {
         word += 1;
-        rest = *bits.get(word)?;
+        rest = word_at(word)?;
     }
     Some(word * 64 + rest.trailing_zeros() as usize)
+}
+
+/// The lowest set bit at or above `from`.
+pub(super) fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+    next_bit(from, |word| bits.get(word).copied())
+}
+
+/// The lowest bit at or above `from` set in `bits` and clear in `except`
+/// (which is as long as `bits`).
+pub(super) fn next_set_bit_except(bits: &[u64], except: &[u64], from: usize) -> Option<usize> {
+    next_bit(from, |word| Some(*bits.get(word)? & !except[word]))
 }
 
 /// Reorder detector: the highest injection cycle delivered so far per
@@ -187,8 +202,36 @@ pub(super) struct Simulator<'a> {
     pub(super) heads: Vec<u64>,
     pub(super) owned: Vec<u64>,
     pub(super) owned_shift: u32,
-    /// Test-only reference mode: every mask bit is forced on before the
-    /// two passes, which then visit every slot as the full scan did.
+    /// The third event structure: the waiting heads VC allocation need
+    /// not look at. `asleep` has a bit per in-slot; `allocate` walks
+    /// `heads & !asleep`. `waiters` has a row of `waiter_words` words per
+    /// output resource — out-slot `o` is row `o`, the ejection port of
+    /// router `n` is row `out_vcs.len() + n` — with a bit per local
+    /// in-slot of the resource's router. Set in `allocate`: a head whose
+    /// routed, non-empty candidate list has no feasible member registers
+    /// on every candidate's row and sleeps; a head at its destination
+    /// whose ejection port is taken registers on that row and sleeps.
+    /// Cleared by `wake`, which takes a row and clears `asleep` for every
+    /// slot on it: when a tail releases the output VC or the ejection
+    /// port, and on a credit return iff feasibility reads credits
+    /// (`claim_credits > 0`); a fault wakes everyone, the routes being
+    /// dropped with it. Waking is conservative — a bit a since-granted
+    /// head left on another row costs one failed selection — and sleeping
+    /// is exact: nothing else can make a failed selection succeed, which
+    /// `sleepers_are_blocked` checks every cycle in debug builds. Heads
+    /// with an empty candidate list (a routing fault is counted on every
+    /// cycle one is seen) and store-and-forward heads still waiting for
+    /// their whole packet never sleep.
+    pub(super) asleep: Vec<u64>,
+    pub(super) waiters: Vec<u64>,
+    pub(super) waiter_words: usize,
+    /// The credits an unowned output VC must hold before a head may claim
+    /// it: the whole buffer under `SinglePacket`, room for the packet
+    /// under VCT/SAF, 0 when feasibility does not read credits.
+    pub(super) claim_credits: usize,
+    /// Test-only reference mode: every mask bit is forced on and every
+    /// sleeper woken before the two passes, which then visit every slot
+    /// as the full scan did.
     #[cfg(test)]
     pub(super) full_visit: bool,
     pub(super) packets: Vec<Packet>,
@@ -306,6 +349,15 @@ impl<'a> Simulator<'a> {
             })
             .collect();
         let channel_flits = vec![0u64; n * layout.out_per_node];
+        let waiter_words = layout.in_per_node.div_ceil(64);
+        let waiters = vec![0; n * (layout.out_per_node + 1) * waiter_words];
+        let mut claim_credits = 0;
+        if cfg.buffer_policy == BufferPolicy::SinglePacket {
+            claim_credits = cfg.buffer_depth; // downstream buffer empty: Duato mode
+        }
+        if cfg.switching != Switching::Wormhole {
+            claim_credits = claim_credits.max(cfg.packet_length); // VCT/SAF: the whole packet fits
+        }
         let mut faults_sorted = cfg.fault_schedule.clone();
         faults_sorted.sort_by_key(|&(c, ..)| c);
         Simulator {
@@ -322,6 +374,10 @@ impl<'a> Simulator<'a> {
             head_routes,
             out_vcs,
             eject_owner: vec![None; n],
+            asleep: vec![0; heads.len()],
+            waiters,
+            waiter_words,
+            claim_credits,
             heads,
             owned: vec![0; (n << owned_shift).div_ceil(64)],
             owned_shift,
@@ -383,6 +439,56 @@ impl<'a> Simulator<'a> {
         (node << self.owned_shift) + local
     }
 
+    /// The `waiters` row of `node`'s ejection port (an out-slot's row is
+    /// the out-slot).
+    pub(super) fn eject_row(&self, node: NodeId) -> usize {
+        self.out_vcs.len() + node
+    }
+
+    /// The head at the front of `slot` (an in-slot of `node`) cannot
+    /// advance until the resource of `row` is released.
+    pub(super) fn wait_on(&mut self, row: usize, node: NodeId, slot: usize) {
+        let local = slot - node * self.layout.in_per_node;
+        set_bit(&mut self.waiters[row * self.waiter_words..], local);
+    }
+
+    /// The resource of `row`, at `node`, was released (or gained a credit
+    /// that feasibility reads): whoever waited on it looks again. One
+    /// load and one branch per row word when nobody did.
+    pub(super) fn wake(&mut self, row: usize, node: NodeId) {
+        for word in 0..self.waiter_words {
+            let at = row * self.waiter_words + word;
+            let mut bits = self.waiters[at];
+            if bits == 0 {
+                continue;
+            }
+            self.waiters[at] = 0;
+            let base = node * self.layout.in_per_node + word * 64;
+            while bits != 0 {
+                let slot = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if test_bit(&self.asleep, slot) {
+                    clear_bit(&mut self.asleep, slot);
+                    if self.prof_on {
+                        self.prof.head_wakes += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Nobody sleeps and nobody is registered: after a fault, which drops
+    /// the routes the registrations were made on, and before each pass of
+    /// the tests' full scan.
+    pub(super) fn wake_all(&mut self) {
+        if self.prof_on {
+            let sleepers = self.asleep.iter().map(|w| u64::from(w.count_ones()));
+            self.prof.head_wakes += sleepers.sum::<u64>();
+        }
+        self.asleep.fill(0);
+        self.waiters.fill(0);
+    }
+
     /// Calls `f(is_head, bit, on)` for every bit of `heads`, then of
     /// `owned`, with the value the state implies for it.
     fn expected_mask_bits(&self, mut f: impl FnMut(bool, usize, bool)) {
@@ -425,6 +531,37 @@ impl<'a> Simulator<'a> {
         self.expected_mask_bits(|is_head, bit, on| {
             ok &= test_bit(if is_head { &self.heads } else { &self.owned }, bit) == on;
         });
+        ok
+    }
+
+    /// Whether every sleeper is an unallocated head that would fail again
+    /// right now and is registered wherever a release could change that —
+    /// a sleeper that is not would be a lost wake-up, which freezes a worm
+    /// as a routing deadlock does. Runs every cycle in debug builds, so
+    /// it must not allocate.
+    pub(super) fn sleepers_are_blocked(&self, cycle: u64) -> bool {
+        let mut ok = true;
+        let mut from = 0;
+        while let Some(slot) = next_set_bit(&self.asleep, from) {
+            from = slot + 1;
+            let node = self.in_node[slot] as usize;
+            let vc = &self.in_vcs[slot];
+            let Some(front) = vc.buf.front().filter(|f| f.idx == 0) else {
+                return false;
+            };
+            ok &= test_bit(&self.heads, slot) && vc.alloc == Alloc::None;
+            let local = slot - node * self.layout.in_per_node;
+            let registered = |row: usize| test_bit(&self.waiters[row * self.waiter_words..], local);
+            if self.packets[front.pid as usize].dst == node {
+                ok &= self.eject_owner[node].is_some() && registered(self.eject_row(node));
+            } else {
+                let route = &self.head_routes[slot];
+                ok &= route.routed
+                    && !route.cands.is_empty()
+                    && self.select(cycle, node, &route.cands).is_none()
+                    && (route.cands.iter()).all(|&ch| registered(self.cand_out_slot(node, ch)));
+            }
+        }
         ok
     }
 }

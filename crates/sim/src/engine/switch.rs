@@ -137,6 +137,7 @@ impl<'a> Simulator<'a> {
                         self.out_vcs[oslot].owner = None;
                         let bit = self.owned_bit(node, oslot - node * self.layout.out_per_node);
                         clear_bit(&mut self.owned, bit);
+                        self.wake(oslot, node);
                     }
                     let dslot = self.links.down_in[oslot];
                     assert_ne!(dslot, NO_SLOT, "allocated output must have a link");
@@ -168,6 +169,7 @@ impl<'a> Simulator<'a> {
                         self.eject_owner[node] = None;
                         let bit = self.owned_bit(node, self.layout.out_per_node);
                         clear_bit(&mut self.owned, bit);
+                        self.wake(self.eject_row(node), node);
                         self.complete_packet(flit.pid, cycle, node);
                     }
                     if let Some(t0) = t0 {
@@ -199,6 +201,9 @@ impl<'a> Simulator<'a> {
         }
         self.out_vcs[oslot].credits += 1;
         debug_assert!(self.out_vcs[oslot].credits <= self.cfg.buffer_depth);
+        if self.claim_credits > 0 {
+            self.wake(oslot, oslot / self.layout.out_per_node);
+        }
     }
 
     fn complete_packet(&mut self, pid: Pid, cycle: u64, node: NodeId) {

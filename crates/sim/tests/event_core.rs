@@ -4,7 +4,11 @@
 //! every slot; two deterministic profiler work units say how many that
 //! was. Idle routers must cost nothing (`router_visits` a small share of
 //! `nodes x cycles` at low load, zero in an idle run) and the counter
-//! must still count (most router-cycles at saturation).
+//! must still count (most router-cycles at saturation). A head that
+//! cannot allocate sleeps until one of its candidates is released, so
+//! past saturation too a head is looked at little more than once per
+//! grant (`head_visits`), every sleep is counted (`head_sleeps`) and no
+//! sleeper is left behind (`head_wakes`).
 //!
 //! One test function: the profiler and the metrics registry are
 //! process-global, so the scenarios run one after another.
@@ -44,6 +48,22 @@ fn bench_cfg(rate: f64, phases: (u64, u64, u64)) -> SimConfig {
     }
 }
 
+/// The pins of a saturated run, which ends with heads still waiting.
+fn blocked_heads_sleep(work: impl Fn(&str, &str) -> u64) {
+    let heads = work("sim/run/vc_alloc", "head_visits");
+    let grants = work("sim/run/vc_alloc", "vc_grants");
+    assert!(
+        heads >= grants && heads * 2 <= grants * 3,
+        "{heads} head visits for {grants} grants"
+    );
+    let sleeps = work("sim/run/vc_alloc", "head_sleeps");
+    let wakes = work("sim/run/vc_alloc", "head_wakes");
+    assert!(
+        sleeps >= 1 && wakes <= sleeps,
+        "{wakes} wakes, {sleeps} sleeps"
+    );
+}
+
 #[test]
 fn visit_counters_and_the_sparse_fallback_are_counted() {
     // 16x16 at 0.002 packets/node/cycle: about one router-cycle in nine
@@ -64,6 +84,10 @@ fn visit_counters_and_the_sparse_fallback_are_counted() {
         "{heads} head visits for {grants} grants"
     );
     assert_eq!(work("sim/run", "delivered_log_sparse_fallbacks"), 0);
+    // The run drains and has no fault: whoever slept was woken by a release.
+    let sleeps = work("sim/run/vc_alloc", "head_sleeps");
+    assert!(sleeps >= 1, "nobody slept at low load");
+    assert_eq!(work("sim/run/vc_alloc", "head_wakes"), sleeps);
 
     // Nothing injected: nothing visited.
     let idle = SimConfig {
@@ -74,6 +98,8 @@ fn visit_counters_and_the_sparse_fallback_are_counted() {
     assert!(cycles > 1_000);
     assert_eq!(work("sim/run/switch", "router_visits"), 0);
     assert_eq!(work("sim/run/vc_alloc", "head_visits"), 0);
+    assert_eq!(work("sim/run/vc_alloc", "head_sleeps"), 0);
+    assert_eq!(work("sim/run/vc_alloc", "head_wakes"), 0);
 
     // 8x8 past the knee: the counter still counts.
     let topo = Topology::mesh(&[8, 8]);
@@ -84,6 +110,13 @@ fn visit_counters_and_the_sparse_fallback_are_counted() {
         visits * 2 >= router_cycles && visits <= router_cycles,
         "{visits} router visits in {router_cycles} router-cycles"
     );
+
+    // Past the knee, there and on 16x16, blocked heads sleep: a head is
+    // looked at when it arrives and when a candidate of its is released,
+    // not every cycle it waits (3.8 and 5.5 visits per grant before).
+    blocked_heads_sleep(work);
+    let topo = Topology::mesh(&[16, 16]);
+    blocked_heads_sleep(profiled(&topo, &bench_cfg(0.035, (500, 1_500, 500))).1);
 
     // 46x46 = 2116 nodes is past the dense reorder table's 2^22 pairs:
     // the hash-map fallback is chosen, and counted both ways.
