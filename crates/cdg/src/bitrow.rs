@@ -13,16 +13,19 @@ pub(crate) fn words_for(k: usize) -> usize {
 }
 
 /// Sets entry `j` of `row`.
+#[inline]
 pub(crate) fn set(row: &mut [u64], j: usize) {
     row[j / 64] |= 1 << (j % 64);
 }
 
 /// Whether entry `j` of `row` is set.
+#[inline]
 pub(crate) fn get(row: &[u64], j: usize) -> bool {
     row[j / 64] >> (j % 64) & 1 == 1
 }
 
 /// Whether two rows share a set entry.
+#[inline]
 pub(crate) fn intersects(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }

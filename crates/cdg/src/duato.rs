@@ -14,6 +14,7 @@ use crate::bitrow;
 use crate::dally::verify_turn_set;
 use crate::graph::ConcreteChannel;
 use crate::topology::{NodeId, Topology};
+use crate::walk::{ClassBuckets, Walk};
 use ebda_core::{Channel, Dimension, Direction, TurnSet};
 use std::fmt;
 
@@ -154,18 +155,30 @@ fn check_connectivity(
         .collect();
 
     // Per node: its coordinates and, per class, the node one hop along
-    // it (`NONE` where the class or the link is absent).
+    // it (`NONE` where the class or the link is absent). Connectivity
+    // asks where a class leads, not on which VC: a slot per direction
+    // of a dimension.
+    let slot = |d: usize, dir: Direction| 2 * d + usize::from(dir == Direction::Minus);
+    let classes = ClassBuckets::new(universe, 2 * dims, |cl| {
+        (cl.dim.index() < dims).then(|| slot(cl.dim.index(), cl.dir))
+    });
     let mut coords = vec![0i64; n * dims];
     let mut hop = vec![NONE; n * k];
-    for v in 0..n {
-        let at = &mut coords[v * dims..][..dims];
-        topo.coords_into(v, at);
-        for (c, cl) in universe.iter().enumerate() {
-            if cl.class.contains(at) {
-                if let Some(next) = topo.neighbor_from(v, at, cl.dim, cl.dir) {
-                    hop[v * k + c] = next as u32;
+    let mut walk = Walk::new(topo);
+    loop {
+        let v = walk.node();
+        coords[v * dims..][..dims].copy_from_slice(walk.coords());
+        for d in 0..dims {
+            for dir in [Direction::Plus, Direction::Minus] {
+                if let Some(next) = walk.neighbor(d, dir) {
+                    for c in classes.matched(slot(d, dir), walk.coords()) {
+                        hop[v * k + c] = next as u32;
+                    }
                 }
             }
+        }
+        if !walk.advance() {
+            break;
         }
     }
 

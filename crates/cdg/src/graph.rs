@@ -8,7 +8,8 @@
 use crate::bitrow;
 use crate::csr::{self, Csr, Successors};
 use crate::topology::{NodeId, Topology};
-use ebda_core::{Channel, Dimension, Direction, TurnSet};
+use crate::walk::{ClassBuckets, Walk};
+use ebda_core::{Channel, ChannelClass, Dimension, Direction, TurnSet};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
@@ -66,16 +67,19 @@ pub struct Cdg {
 
 /// The turn-independent part of a CDG build — a function of topology,
 /// VC counts and class universe only: the concrete channels, their
-/// by-source-node groups and, per channel, the universe classes it
-/// matches. A caller that checks several turn sets over one network
-/// builds this once and, per turn set, either calls [`Skeleton::fill`]
-/// for the graph or keeps a [`Relation`] and asks
-/// [`Skeleton::is_acyclic`] for the verdict alone (the turn-model
-/// enumerations, the incremental verifier).
+/// by-source-node groups and each channel's **kind**. A caller that
+/// checks several turn sets over one network builds this once and, per
+/// turn set, either calls [`Skeleton::fill`] for the graph or keeps a
+/// [`Relation`] and asks [`Skeleton::is_acyclic`] for the verdict alone
+/// (the turn-model enumerations, the incremental verifier).
 ///
 /// A concrete channel *matches* a channel class when dimension,
 /// direction and VC agree and the class's coordinate restriction holds
-/// at the link's source node.
+/// at the link's source node. Two channels are of one kind when they
+/// agree in dimension, direction and VC and match the same universe
+/// entries: no dependency rule over classes can tell them apart. A
+/// network has few kinds — four on an XY mesh, about a dozen on the
+/// dateline torus — however many channels it has.
 #[derive(Debug, Clone)]
 pub struct Skeleton {
     channels: Vec<ConcreteChannel>,
@@ -83,22 +87,28 @@ pub struct Skeleton {
     /// are exactly `node_start[n]..node_start[n + 1]`.
     node_start: Vec<u32>,
     universe: Vec<Channel>,
-    /// One [`bitrow`] per channel over `universe`: the classes it matches.
-    class_mask: Vec<u64>,
-    /// Adjacent channel pairs (`a.to == b.from`): the edge-count bound.
-    pairs: usize,
+    /// Per channel, its kind: a row of `kind_mask`. As wide as a channel
+    /// index, so there is no network whose kinds it cannot number.
+    kind: Vec<u32>,
+    /// One [`bitrow`] per kind over `universe`: the classes its channels
+    /// match.
+    kind_mask: Vec<u64>,
+    kinds: usize,
+    /// The most channels that leave one node: a row's length bound.
+    fanout: usize,
 }
 
 thread_local! {
-    /// The allow rows and one reach row of [`Skeleton::fill`], recycled
-    /// so that a fill allocates only the CSR arrays it returns.
+    /// The allow rows, one reach row and the kind table of
+    /// [`Skeleton::fill`], recycled so that a fill allocates only the
+    /// CSR arrays it returns.
     static ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A class relation over a [`Skeleton`]'s universe — the allow rows
 /// [`Skeleton::fill`] derives from a turn set, editable one class pair
 /// at a time — with what one verdict after another on that skeleton
-/// shares: the reach rows of the search and the last cycle found. A
+/// shares: the kind table of the search and the last cycle found. A
 /// channel can also be marked dead (its link failed): it keeps its index
 /// and loses every dependency.
 #[derive(Debug, Clone)]
@@ -108,8 +118,13 @@ pub struct Relation {
     allow: Vec<u64>,
     /// One [`bitrow`] over the channels: those of failed links.
     dead: Vec<u64>,
-    /// One row per channel, valid once the running search reached it.
+    /// Scratch for [`Skeleton::table_row`].
     reach: Vec<u64>,
+    /// The rows of the kind table of `allow` the running search has
+    /// computed — one [`bitrow`] over the kinds per kind — and which
+    /// ones those are.
+    table: Vec<u64>,
+    ready: Vec<u64>,
     cycle: Vec<u32>,
     searches: u64,
 }
@@ -146,13 +161,16 @@ impl Relation {
 }
 
 /// The dependency graph of a [`Relation`], read off the skeleton edge by
-/// edge: candidates are the channels leaving a link's head node.
+/// edge: candidates are the channels leaving a link's head node, and a
+/// candidate is an edge when the kind table says so. A row of the table
+/// is computed when the search first reaches a channel of its kind.
 struct Dependencies<'a> {
     skeleton: &'a Skeleton,
-    words: usize,
     allow: &'a [u64],
     dead: &'a [u64],
     reach: &'a mut [u64],
+    table: &'a mut [u64],
+    ready: &'a mut [u64],
 }
 
 impl Successors for Dependencies<'_> {
@@ -162,29 +180,66 @@ impl Successors for Dependencies<'_> {
         if bitrow::get(self.dead, u as usize) {
             return 0..0;
         }
-        // As in `fill`: the union of the matched classes' allow rows.
-        let reach = &mut self.reach[u as usize * self.words..][..self.words];
-        reach.fill(0);
-        for c in self.skeleton.classes_of(u as usize) {
-            for (r, x) in reach.iter_mut().zip(&self.allow[c * self.words..]) {
-                *r |= x;
-            }
+        let kind = self.skeleton.kind[u as usize] as usize;
+        if !bitrow::get(self.ready, kind) {
+            bitrow::set(self.ready, kind);
+            let words = self.ready.len();
+            let row = &mut self.table[kind * words..][..words];
+            self.skeleton.table_row(self.allow, kind, self.reach, row);
         }
         self.skeleton
             .node_channels(self.skeleton.channels[u as usize].to)
     }
 
     fn successor(&self, u: u32, at: u32) -> Option<u32> {
-        let reach = &self.reach[u as usize * self.words..];
-        let classes = &self.skeleton.class_mask[at as usize * self.words..][..self.words];
-        bitrow::intersects(reach, classes).then_some(at)
+        let kind = |channel: u32| self.skeleton.kind[channel as usize] as usize;
+        let words = self.ready.len();
+        let row = &self.table[kind(u) * words..][..words];
+        bitrow::get(row, kind(at)).then_some(at)
+    }
+}
+
+const NO_KIND: u32 = u32::MAX;
+
+/// The kinds met so far while a skeleton's channels are enumerated.
+/// A kind belongs to one link kind `(dim, dir, vc)`, so each link kind
+/// keeps a chain of its own, newest first: interning never searches the
+/// kinds of the whole network.
+struct Kinds {
+    /// One row per kind: [`Skeleton::kind_mask`] in the making.
+    mask: Vec<u64>,
+    /// Per kind, the kind of its link kind interned before it.
+    older: Vec<u32>,
+    /// Per link kind, the kind interned last.
+    newest: Vec<u32>,
+}
+
+impl Kinds {
+    /// The kind of a channel of `link_kind` that matches the classes in
+    /// `row`.
+    fn intern(&mut self, link_kind: usize, row: &[u64]) -> u32 {
+        let is = |kind: u32| self.mask[kind as usize * row.len()..][..row.len()] == *row;
+        let mut kind = self.newest[link_kind];
+        while kind != NO_KIND && !is(kind) {
+            kind = self.older[kind as usize];
+        }
+        if kind == NO_KIND {
+            // At most one kind per channel, and channels are `u32`s too.
+            assert!(self.older.len() < NO_KIND as usize, "kind index overflow");
+            kind = self.older.len() as u32;
+            self.mask.extend_from_slice(row);
+            self.older.push(self.newest[link_kind]);
+            self.newest[link_kind] = kind;
+        }
+        kind
     }
 }
 
 impl Skeleton {
     /// Enumerates every concrete channel of `topo` (`vcs[d]` virtual
-    /// channels along dimension `d`), decoding each node's coordinates
-    /// once, and matches the channels against `universe`.
+    /// channels along dimension `d`) in one walk over the nodes and
+    /// interns each one's kind, matching it only against the universe
+    /// entries of its own dimension, direction and VC.
     ///
     /// # Panics
     ///
@@ -193,17 +248,66 @@ impl Skeleton {
         assert_eq!(vcs.len(), topo.dims(), "one VC count per dimension");
         let words = bitrow::words_for(universe.len());
         let nodes = topo.node_count();
-        let mut channels = Vec::new();
+        // Link kinds `(dim, dir, vc)` number in the order a node's
+        // channels are enumerated: dimension, then direction, then VC.
+        let mut first = Vec::with_capacity(vcs.len());
+        let mut link_kinds = 0;
+        for &v in vcs {
+            first.push(link_kinds);
+            link_kinds += 2 * v as usize;
+        }
+        let link_kind_of = |cl: &Channel| {
+            let v = *vcs.get(cl.dim.index())?;
+            let above = usize::from(cl.dir == Direction::Minus) * v as usize;
+            (1..=v)
+                .contains(&cl.vc)
+                .then(|| first[cl.dim.index()] + above + cl.vc as usize - 1)
+        };
+        let classes = ClassBuckets::new(universe, link_kinds, link_kind_of);
+        // The classes whose answer depends on the node, with their link
+        // kind and the answer at the node before.
+        let mut restricted: Vec<(usize, usize, bool)> = universe
+            .iter()
+            .enumerate()
+            .filter(|(_, cl)| cl.class != ChannelClass::All)
+            .filter_map(|(class, cl)| Some((class, link_kind_of(cl)?, false)))
+            .collect();
+
+        // Sized before they are filled: no array grows, whatever the
+        // topology leaves out (mesh edges, missing columns, failed links).
+        let mut channels = Vec::with_capacity(nodes * link_kinds);
+        let mut kind = Vec::with_capacity(nodes * link_kinds);
         let mut node_start = Vec::with_capacity(nodes + 1);
-        let mut class_mask = Vec::new();
-        let mut coords = vec![0i64; topo.dims()];
-        for from in 0..nodes {
+        // A first guess of one kind per link kind: unrestricted classes.
+        let mut kinds = Kinds {
+            mask: Vec::with_capacity(link_kinds * words),
+            older: Vec::with_capacity(link_kinds),
+            newest: vec![NO_KIND; link_kinds],
+        };
+        // Per link kind, the kind of its channels for as long as none of
+        // its restricted classes changes its answer: along a line of a
+        // regular network, nearly always.
+        let mut current = vec![NO_KIND; link_kinds];
+        let mut row = vec![0u64; words];
+        let mut walk = Walk::new(topo);
+        loop {
             node_start.push(channels.len() as u32);
-            topo.coords_into(from, &mut coords);
+            let from = walk.node();
+            for (class, link_kind, held) in &mut restricted {
+                let holds = universe[*class].class.contains(walk.coords());
+                if holds != *held {
+                    *held = holds;
+                    current[*link_kind] = NO_KIND;
+                }
+            }
             for (d, &vcs_along) in vcs.iter().enumerate() {
                 let dim = Dimension::new(d as u8);
-                for dir in [Direction::Plus, Direction::Minus] {
-                    let Some(to) = topo.neighbor_from(from, &coords, dim, dir) else {
+                let links = [
+                    (first[d], Direction::Plus),
+                    (first[d] + vcs_along as usize, Direction::Minus),
+                ];
+                for (link_kind, dir) in links {
+                    let Some(to) = walk.neighbor(d, dir) else {
                         continue;
                     };
                     for vc in 1..=vcs_along {
@@ -214,38 +318,42 @@ impl Skeleton {
                             dir,
                             vc,
                         });
-                        let row = class_mask.len();
-                        class_mask.resize(row + words, 0);
-                        for (ci, cl) in universe.iter().enumerate() {
-                            if cl.dim == dim
-                                && cl.dir == dir
-                                && cl.vc == vc
-                                && cl.class.contains(&coords)
-                            {
-                                bitrow::set(&mut class_mask[row..], ci);
+                        let link_kind = link_kind + vc as usize - 1;
+                        if current[link_kind] == NO_KIND {
+                            row.fill(0);
+                            for class in classes.matched(link_kind, walk.coords()) {
+                                bitrow::set(&mut row, class);
                             }
+                            current[link_kind] = kinds.intern(link_kind, &row);
                         }
+                        kind.push(current[link_kind]);
                     }
                 }
             }
+            if !walk.advance() {
+                break;
+            }
         }
         node_start.push(channels.len() as u32);
-        let pairs = channels
-            .iter()
-            .map(|c| (node_start[c.to + 1] - node_start[c.to]) as usize)
-            .sum();
         Skeleton {
             channels,
             node_start,
             universe: universe.to_vec(),
-            class_mask,
-            pairs,
+            kind,
+            kinds: kinds.older.len(),
+            kind_mask: kinds.mask,
+            fanout: link_kinds,
         }
     }
 
     /// The concrete channels, in graph-node order.
     pub fn channels(&self) -> &[ConcreteChannel] {
         &self.channels
+    }
+
+    /// How many kinds of channel the network has.
+    pub fn kinds(&self) -> usize {
+        self.kinds
     }
 
     /// The class universe the channels are matched against.
@@ -258,14 +366,32 @@ impl Skeleton {
         self.node_start[node]..self.node_start[node + 1]
     }
 
-    fn class_row(&self, channel: usize) -> &[u64] {
+    /// The classes the channels of `kind` match, as a row over the universe.
+    fn mask(&self, kind: usize) -> &[u64] {
         let words = bitrow::words_for(self.universe.len());
-        &self.class_mask[channel * words..][..words]
+        &self.kind_mask[kind * words..][..words]
     }
 
-    /// Universe indices of the classes `channel` matches, ascending.
-    pub(crate) fn classes_of(&self, channel: usize) -> impl Iterator<Item = usize> + '_ {
-        bitrow::ones(self.class_row(channel))
+    /// Row `ka` of the kind table of the class relation `allow`, written
+    /// into `row`: entry `kb` says whether a channel of kind `ka` depends
+    /// on an adjacent channel of kind `kb`. The dependency rule in kind
+    /// terms: `reach(ka)` — the union of the allow rows of the classes
+    /// kind `ka` matches, built in `reach` — shares an entry with
+    /// `mask(kb)`.
+    fn table_row(&self, allow: &[u64], ka: usize, reach: &mut [u64], row: &mut [u64]) {
+        let words = reach.len();
+        reach.fill(0);
+        for c in bitrow::ones(self.mask(ka)) {
+            for (r, x) in reach.iter_mut().zip(&allow[c * words..]) {
+                *r |= x;
+            }
+        }
+        row.fill(0);
+        for kb in 0..self.kinds {
+            if bitrow::intersects(reach, self.mask(kb)) {
+                bitrow::set(row, kb);
+            }
+        }
     }
 
     /// The dependency edges `turns` induces: `a -> b` when the links are
@@ -275,27 +401,36 @@ impl Skeleton {
     /// matching no class are unused by the routing function and get no
     /// edges.
     ///
-    /// The class relation becomes one bit row per class, each channel's
-    /// `reach` is the union of its classes' rows, and a dependency is
-    /// `reach(a) & classes(b) != 0`.
+    /// The rule is evaluated once per pair of kinds, not of channels:
+    /// the class relation becomes one bit row per class, `reach(ka)` is
+    /// the union of the rows of the classes kind `ka` matches, and entry
+    /// `kb` of row `ka` of the kind table is `reach(ka) & mask(kb) != 0`.
+    /// A CSR row is then one table lookup per channel leaving the head
+    /// node: `O(channels + pairs + kinds² · words)` for a universe of any
+    /// width.
     pub fn fill(&self, turns: &TurnSet) -> Csr {
+        let _p = ebda_obs::prof::phase("cdg/csr_build");
         let classes = self.universe.len();
         let words = bitrow::words_for(classes);
+        let table_words = bitrow::words_for(self.kinds);
         ROWS.with(|rows| {
             let rows = &mut *rows.borrow_mut();
             bitrow::allow_rows(&self.universe, turns, rows);
-            rows.resize((classes + 1) * words, 0);
-            let (allow, reach) = rows.split_at_mut(classes * words);
+            rows.resize((classes + 1) * words + self.kinds * table_words, 0);
+            let (allow, rest) = rows.split_at_mut(classes * words);
+            let (reach, table) = rest.split_at_mut(words);
+            for ka in 0..self.kinds {
+                let row = &mut table[ka * table_words..][..table_words];
+                self.table_row(allow, ka, reach, row);
+            }
             self.assemble(|a, group, col| {
-                reach.fill(0);
-                for c in self.classes_of(a) {
-                    for (r, x) in reach.iter_mut().zip(&allow[c * words..]) {
-                        *r |= x;
+                let depends = &table[self.kind[a] as usize * table_words..][..table_words];
+                let kinds = &self.kind[group.start as usize..group.end as usize];
+                for (b, &kb) in group.zip(kinds) {
+                    if bitrow::get(depends, kb as usize) {
+                        col.push(b);
                     }
                 }
-                col.extend(
-                    group.filter(|&b| bitrow::intersects(reach, self.class_row(b as usize))),
-                );
             })
         })
     }
@@ -309,7 +444,9 @@ impl Skeleton {
             words,
             allow,
             dead: vec![0; bitrow::words_for(self.channels.len())],
-            reach: vec![0; self.channels.len() * words],
+            reach: vec![0; words],
+            table: vec![0; self.kinds * bitrow::words_for(self.kinds)],
+            ready: vec![0; bitrow::words_for(self.kinds)],
             // Room for the longest cycle there can be: no verdict allocates.
             cycle: Vec::with_capacity(self.channels.len()),
             searches: 0,
@@ -324,10 +461,15 @@ impl Skeleton {
     /// own graph or a full search of it.
     pub fn is_acyclic(&self, relation: &mut Relation) -> bool {
         let cycle = &relation.cycle;
+        // One table entry per edge of the cycle, computed on its own.
         let depends = |i: usize| {
-            let row = self.class_row(cycle[(i + 1) % cycle.len()] as usize);
-            self.classes_of(cycle[i] as usize)
-                .any(|c| bitrow::intersects(&relation.allow[c * relation.words..], row))
+            let kind = |at: usize| self.kind[cycle[at % cycle.len()] as usize] as usize;
+            bitrow::ones(self.mask(kind(i))).any(|c| {
+                bitrow::intersects(
+                    &relation.allow[c * relation.words..],
+                    self.mask(kind(i + 1)),
+                )
+            })
         };
         let holds = !cycle.is_empty() && (0..cycle.len()).all(depends);
         !holds && self.find_cycle(relation).is_none()
@@ -339,12 +481,14 @@ impl Skeleton {
     /// one `find_cycle` reports on the filled CSR.
     pub fn find_cycle<'r>(&self, relation: &'r mut Relation) -> Option<&'r [u32]> {
         let n = self.channels.len();
+        relation.ready.fill(0);
         let mut view = Dependencies {
             skeleton: self,
-            words: relation.words,
             allow: &relation.allow,
             dead: &relation.dead,
             reach: &mut relation.reach,
+            table: &mut relation.table,
+            ready: &mut relation.ready,
         };
         relation.searches += 1;
         csr::search(&mut view, n, &mut relation.cycle);
@@ -357,17 +501,17 @@ impl Skeleton {
     /// `a` depends on — groups ascend, so rows do: the documented
     /// edge-order invariant.
     fn assemble(&self, mut successors: impl FnMut(usize, Range<u32>, &mut Vec<u32>)) -> Csr {
-        let _p = ebda_obs::prof::phase("cdg/csr_build");
         let n = self.channels.len();
         let mut row_start = Vec::with_capacity(n + 1);
         row_start.push(0u32);
-        let mut col: Vec<u32> = Vec::with_capacity(self.pairs);
+        let mut col: Vec<u32> = Vec::with_capacity(n * self.fanout);
         for (ai, a) in self.channels.iter().enumerate() {
             successors(ai, self.node_channels(a.to), &mut col);
             row_start.push(col.len() as u32);
         }
         let edge_count = col.len();
         ebda_obs::prof::work("cdg/csr_build", "nodes", n as u64);
+        ebda_obs::prof::work("cdg/csr_build", "kinds", self.kinds as u64);
         ebda_obs::prof::work("cdg/csr_build", "edges", edge_count as u64);
         Csr::new(n, row_start, col)
     }
@@ -415,6 +559,7 @@ impl Cdg {
     {
         let skeleton = Skeleton::new(topo, vcs, &[]);
         let chans = &skeleton.channels;
+        let _p = ebda_obs::prof::phase("cdg/csr_build");
         let csr = skeleton.assemble(|a, group, col| {
             col.extend(group.filter(|&b| rule(chans[a], chans[b as usize])));
         });

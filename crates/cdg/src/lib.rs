@@ -36,6 +36,7 @@ pub mod graph;
 pub mod incremental;
 pub mod topology;
 pub mod turn_model;
+mod walk;
 pub mod witness;
 
 pub use csr::Csr;

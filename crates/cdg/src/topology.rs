@@ -3,6 +3,7 @@
 
 use ebda_core::{Dimension, Direction};
 use std::collections::BTreeSet;
+use std::ops::Bound;
 
 /// A node index, row-major over the topology's radices.
 pub type NodeId = usize;
@@ -146,19 +147,13 @@ impl Topology {
     /// Coordinates of a node (row-major decoding).
     pub fn coords(&self, node: NodeId) -> Vec<i64> {
         let mut coords = vec![0i64; self.radix.len()];
-        self.coords_into(node, &mut coords);
-        coords
-    }
-
-    /// [`Topology::coords`] into a caller-owned buffer of `dims()`
-    /// entries, for kernels that decode every node of the network.
-    pub(crate) fn coords_into(&self, node: NodeId, coords: &mut [i64]) {
         let mut rest = node;
         for d in (0..self.radix.len()).rev() {
             coords[d] = (rest % self.radix[d]) as i64;
             rest /= self.radix[d];
         }
         debug_assert_eq!(rest, 0, "node index out of range");
+        coords
     }
 
     /// Node id from coordinates.
@@ -205,20 +200,68 @@ impl Topology {
         if d >= self.radix.len() {
             return None;
         }
+        // Row-major ids: one step along `d` moves by the product of the
+        // radices after it.
+        let stride: usize = self.radix[d + 1..].iter().product();
         if self.connectivity != Connectivity::Full {
             // A partial dimension is keyed by the full base coordinate.
-            return self.neighbor_from(node, &self.coords(node), dim, dir);
+            return self.step(node, &self.coords(node), d, dir, stride);
         }
         if self.failed.contains(&(node, d, dir)) {
             return None;
         }
         // Only coordinate `d` matters on a regular network: decode it
-        // from the stride (row-major ids: one step along `d` moves by the
-        // product of the radices after it) without building the
-        // coordinate vector.
-        let stride: usize = self.radix[d + 1..].iter().product();
+        // from the stride without building the coordinate vector.
+        self.moved(node, node / stride % self.radix[d], d, dir, stride)
+    }
+
+    /// [`Topology::neighbor`] for a pass that already holds `node`'s
+    /// decoded `coords` and the `stride` of dimension `d` (see
+    /// [`crate::walk::Walk`]): every link of a node is probed without
+    /// allocating, on a partial dimension too.
+    #[inline]
+    pub(crate) fn step(
+        &self,
+        node: NodeId,
+        coords: &[i64],
+        d: usize,
+        dir: Direction,
+        stride: usize,
+    ) -> Option<NodeId> {
+        if self.failed.contains(&(node, d, dir)) {
+            return None;
+        }
+        if let Connectivity::Partial { dim, columns } = &self.connectivity {
+            if dim.index() == d {
+                // The base coordinate is `coords` without entry `d`. The
+                // columns starting with `coords[..d]` are contiguous in
+                // the set's order and start at that prefix itself.
+                let (before, after) = (&coords[..d], &coords[d + 1..]);
+                let from_prefix = (Bound::Included(before), Bound::Unbounded);
+                let listed = columns
+                    .range::<[i64], _>(from_prefix)
+                    .take_while(|c| c.starts_with(before))
+                    .any(|c| c[d..] == *after);
+                if !listed {
+                    return None;
+                }
+            }
+        }
+        self.moved(node, coords[d] as usize, d, dir, stride)
+    }
+
+    /// The node one step from `node` — whose coordinate along `d` is
+    /// `here` — with the mesh edges and the wrap-around applied.
+    #[inline]
+    fn moved(
+        &self,
+        node: NodeId,
+        here: usize,
+        d: usize,
+        dir: Direction,
+        stride: usize,
+    ) -> Option<NodeId> {
         let r = self.radix[d];
-        let here = node / stride % r;
         let next = match dir {
             Direction::Plus if here + 1 < r => here + 1,
             Direction::Minus if here > 0 => here - 1,
@@ -228,48 +271,6 @@ impl Topology {
         };
         // Radix-1 dimensions have no distinct neighbour.
         (next != here).then(|| node - here * stride + next * stride)
-    }
-
-    /// [`Topology::neighbor`] for a caller that already holds `node`'s
-    /// decoded `coords`: the per-node kernels decode once and probe
-    /// every dimension and direction without allocating.
-    pub(crate) fn neighbor_from(
-        &self,
-        node: NodeId,
-        coords: &[i64],
-        dim: Dimension,
-        dir: Direction,
-    ) -> Option<NodeId> {
-        let d = dim.index();
-        if d >= self.radix.len() || self.failed.contains(&(node, d, dir)) {
-            return None;
-        }
-        if let Connectivity::Partial { dim: pdim, columns } = &self.connectivity {
-            if *pdim == dim {
-                let mut base = coords.to_vec();
-                base.remove(d);
-                if !columns.contains(&base) {
-                    return None;
-                }
-            }
-        }
-        let r = self.radix[d] as i64;
-        let next = coords[d] + dir.sign();
-        let next = if self.wrap[d] {
-            (next % r + r) % r
-        } else if next < 0 || next >= r {
-            return None;
-        } else {
-            next
-        };
-        if next == coords[d] {
-            // Radix-1 dimensions have no distinct neighbour.
-            return None;
-        }
-        // Row-major ids: one step along `d` moves by the product of the
-        // radices after it.
-        let stride: usize = self.radix[d + 1..].iter().product();
-        Some(node - coords[d] as usize * stride + next as usize * stride)
     }
 
     /// Iterates over every node id.
@@ -393,14 +394,36 @@ mod tests {
         assert_eq!(t2.failed_link_count(), 0);
     }
 
+    /// `neighbor` from the definitions: coordinates re-encoded with
+    /// `node_at`, the base coordinate built as a `Vec`.
+    fn reference_neighbor(t: &Topology, node: NodeId, d: usize, dir: Direction) -> Option<NodeId> {
+        if d >= t.dims() || t.failed.contains(&(node, d, dir)) {
+            return None;
+        }
+        let mut coords = t.coords(node);
+        if let Connectivity::Partial { dim, columns } = &t.connectivity {
+            let mut base = coords.clone();
+            base.remove(d);
+            if dim.index() == d && !columns.contains(&base) {
+                return None;
+            }
+        }
+        let r = t.radix[d] as i64;
+        let next = coords[d] + dir.sign();
+        if !t.wrap[d] && !(0..r).contains(&next) {
+            return None;
+        }
+        coords[d] = next.rem_euclid(r);
+        Some(t.node_at(&coords)).filter(|&to| to != node)
+    }
+
     #[test]
-    fn neighbor_agrees_with_the_coordinate_path() {
-        // `neighbor` decodes one coordinate on regular networks;
-        // `neighbor_from` steps through the full coordinate vector.
+    fn neighbor_agrees_with_the_definitions() {
         let cut = |t: Topology| {
             let n = t.node_count() / 2;
             t.with_failed_link(n, Dimension::X, Direction::Plus)
         };
+        let (x, y, z) = (Dimension::X, Dimension::Y, Dimension::Z);
         let topos = [
             Topology::mesh(&[3, 4, 5]),
             Topology::torus(&[4, 4]),
@@ -411,18 +434,25 @@ mod tests {
             Topology::hypercube(4),
             cut(Topology::mesh(&[4, 4])),
             cut(Topology::torus(&[2, 5])),
-            Topology::mesh(&[3, 3, 2]).with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 2]]),
+            Topology::mesh(&[3, 3, 2]).with_partial_dim(z, [vec![0, 0], vec![2, 2]]),
+            // A partial dimension in the middle and in front: the base
+            // coordinate is not a contiguous part of the node's. Columns
+            // of the wrong arity name no node.
+            Topology::torus(&[3, 3, 3]).with_partial_dim(
+                y,
+                [vec![0, 0], vec![0, 2], vec![1, 1], vec![2], vec![2, 0, 0]],
+            ),
+            cut(Topology::mesh(&[3, 2, 3]).with_partial_dim(x, [vec![1, 2], vec![0, 0]])),
+            Topology::mesh(&[3, 3]).with_partial_dim(x, []),
         ];
         for t in &topos {
             for node in t.nodes() {
-                let coords = t.coords(node);
                 for d in 0..=t.dims() {
-                    let dim = Dimension::new(d as u8);
                     for dir in [Direction::Plus, Direction::Minus] {
                         assert_eq!(
-                            t.neighbor(node, dim, dir),
-                            t.neighbor_from(node, &coords, dim, dir),
-                            "{t:?}: node {node} {dim}{dir}"
+                            t.neighbor(node, Dimension::new(d as u8), dir),
+                            reference_neighbor(t, node, d, dir),
+                            "{t:?}: node {node} dimension {d} {dir}"
                         );
                     }
                 }

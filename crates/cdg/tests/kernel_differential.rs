@@ -9,8 +9,10 @@
 //!   states ([`reference_connectivity`]) against the per-destination
 //!   dynamic program behind `verify_escape_given`: same
 //!   `escape_connected`, same `unreachable` pair.
-//! * CDG build — `Cdg::from_rule` with the literal class-match rule
-//!   ([`reference_cdg`]) against `Cdg::from_turn_set` and against one
+//! * CDG build — the dependency rule asked of every adjacent channel
+//!   pair ([`reference_cdg`]: `Cdg::from_rule` with the literal
+//!   class-match rule, itself checked against a double loop over the
+//!   links) against the kind table of `Cdg::from_turn_set` and of one
 //!   `Skeleton` filled for several turn sets: same channels, same rows
 //!   in the same order.
 //! * Verdicts without a graph — `Skeleton::{find_cycle, is_acyclic}`
@@ -27,7 +29,9 @@
 //! universes (parity / `AtCoord` / `NotAtCoord` classes, dropped and
 //! duplicated entries, more than 64 classes) on meshes, tori (radix 1,
 //! 2, odd, even), a mixed mesh/torus, partially connected 3D meshes and
-//! topologies with failed links.
+//! topologies with failed links, and hand-made universes aimed at the
+//! kind table: one link kind split into many kinds, entries no channel
+//! can match, no entries at all, more kinds than link kinds or a byte.
 
 mod cycle_ref;
 
@@ -455,6 +459,146 @@ fn mask_build_handles_universes_wider_than_one_word() {
         &reference_cdg(&topo, &[1, 1], &universe, &turns),
         "narrow after wide",
     );
+}
+
+/// Universes made to strain the kind table rather than drawn at random,
+/// each with the least number of kinds it must produce on `topo` (0:
+/// whatever comes).
+fn kind_universes(topo: &Topology, vcs: &[u8]) -> Vec<(&'static str, Vec<Channel>, usize)> {
+    let (x, y) = (Dimension::X, Dimension::Y);
+    let (plus, minus) = (Direction::Plus, Direction::Minus);
+    let xp = Channel::new(x, plus);
+
+    // One link kind, seven classes that differ in their restriction
+    // only: its channels fall into several kinds.
+    let mut restriction_only = vec![
+        xp,
+        xp.at_parity(y, Parity::Even),
+        xp.at_parity(y, Parity::Odd),
+        xp.at_coord(x, 0),
+        xp.not_at_coord(x, 0),
+        xp.at_coord(y, 1),
+        xp.not_at_coord(y, 1),
+        Channel::new(y, minus).at_parity(x, Parity::Odd),
+        Channel::new(y, plus),
+    ];
+    // A restriction along a dimension the network does not have never
+    // holds.
+    restriction_only.push(Channel::new(x, minus).at_coord(Dimension::new(7), 0));
+
+    // Equal entries, next to each other and apart.
+    let half = xp.at_parity(x, Parity::Even);
+    let duplicates = vec![xp, xp, Channel::new(y, plus), half, xp, half, half];
+
+    // Entries no channel matches — a VC above the budget, VC 0, a
+    // dimension past the last — between entries that are matched.
+    let beyond = vec![
+        Channel::with_vc(x, plus, vcs[0] + 1),
+        xp,
+        Channel::with_vc(x, minus, 0),
+        Channel::with_vc(y, minus, vcs[1] + 1).at_parity(x, Parity::Odd),
+        Channel::new(Dimension::new(topo.dims() as u8), plus),
+        Channel::new(y, minus),
+        Channel::with_vc(x, plus, u8::MAX).at_coord(x, 0),
+    ];
+
+    // A class per coordinate along X and Y: on a 2D network every
+    // `X1+` channel matches a pair of its own — a kind per channel.
+    let mut per_node = vec![Channel::new(y, plus)];
+    for value in 0..topo.radix()[0] as i64 {
+        per_node.push(xp.at_coord(x, value));
+    }
+    for value in 0..topo.radix()[1] as i64 {
+        per_node.push(xp.at_coord(y, value));
+    }
+    let links = topo.links();
+    let xp_links = links.iter().filter(|l| (l.2, l.3) == (x, plus)).count();
+    let a_kind_each = if topo.dims() == 2 { xp_links } else { 0 };
+
+    vec![
+        ("restriction only", restriction_only, 0),
+        ("duplicates", duplicates, 0),
+        ("beyond the budget", beyond, 0),
+        ("empty", Vec::new(), 0),
+        ("a kind per channel", per_node, a_kind_each),
+    ]
+}
+
+#[test]
+fn kind_table_matches_the_class_match_rule_on_universes_made_for_it() {
+    let mut rng = Rng64::new(0x00C0_D604);
+    let (mut edges, mut split) = (0, 0);
+    for (name, topo) in topologies() {
+        let vcs = random_vcs(&mut rng, topo.dims());
+        let link_kinds: usize = vcs.iter().map(|&v| 2 * v as usize).sum();
+        for (what, universe, least) in kind_universes(&topo, &vcs) {
+            let skeleton = Skeleton::new(&topo, &vcs, &universe);
+            assert_eq!(skeleton.channels(), reference_channels(&topo, &vcs));
+            let kinds = skeleton.kinds();
+            assert!(kinds >= least, "{name} / {what}: {kinds} kinds < {least}");
+            assert!(kinds <= skeleton.channels().len(), "{name} / {what}");
+            split += usize::from(kinds > link_kinds);
+            let mut relation = skeleton.relation(&TurnSet::new());
+            for p in [0.0, 0.3, 1.0, 0.6] {
+                let turns = random_turns(&mut rng, &universe, p);
+                let context = format!("{name} / {what}, p {p}: {universe:?} / {turns}");
+                let want = reference_cdg(&topo, &vcs, &universe, &turns);
+                let got = Cdg::from_turn_set(&topo, &vcs, &universe, &turns);
+                assert_same_graph(&got, &want, &context);
+                let filled = skeleton.fill(&turns);
+                for i in 0..want.node_count() {
+                    assert_eq!(filled.row(i), want.successors(i), "{context}: fill row {i}");
+                }
+                assert_skeleton_verdict(&skeleton, &universe, &turns, &mut relation, &context);
+                edges += want.edge_count();
+            }
+        }
+    }
+    assert!(edges > 5_000, "the graphs are not empty: {edges}");
+    assert!(split >= 20, "only {split} universes split a link kind");
+
+    // More kinds than a byte numbers, and than the skeleton's first
+    // guess of one per link kind: the index must not wrap.
+    let topo = Topology::mesh(&[17, 17]);
+    let (_, universe, least) = kind_universes(&topo, &[1, 1]).pop().unwrap();
+    let skeleton = Skeleton::new(&topo, &[1, 1], &universe);
+    assert!(least > 256 && skeleton.kinds() >= least, "{least} kinds");
+    let turns = random_turns(&mut rng, &universe, 0.4);
+    let want = reference_cdg(&topo, &[1, 1], &universe, &turns);
+    let got = Cdg::from_turn_set(&topo, &[1, 1], &universe, &turns);
+    assert!(want.edge_count() > 0);
+    assert_same_graph(&got, &want, "a kind per channel on 17x17");
+}
+
+#[test]
+fn from_rule_asks_the_rule_of_every_adjacent_pair() {
+    // `reference_cdg` stands on `from_rule` (a skeleton over the empty
+    // universe): pin that against the definition, a double loop over
+    // the channels.
+    let mut rng = Rng64::new(0x00C0_D605);
+    for (name, topo) in topologies() {
+        let vcs = random_vcs(&mut rng, topo.dims());
+        let channels = reference_channels(&topo, &vcs);
+        let coin: Vec<bool> = (0..channels.len()).map(|_| rng.gen_bool(0.5)).collect();
+        let at = |c: ConcreteChannel| channels.iter().position(|&x| x == c).unwrap();
+        let rule = |a: ConcreteChannel, b: ConcreteChannel| {
+            assert_eq!(
+                a.to, b.from,
+                "{name}: the rule is asked of adjacent pairs only"
+            );
+            coin[at(a)] != coin[at(b)] || a.vc < b.vc
+        };
+        let got = Cdg::from_rule(&topo, &vcs, rule);
+        assert_eq!(got.channels(), channels, "{name}");
+        for (i, &a) in channels.iter().enumerate() {
+            let adjacent = channels.iter().enumerate().filter(|(_, b)| a.to == b.from);
+            let want: Vec<u32> = adjacent
+                .filter(|&(_, &b)| rule(a, b))
+                .map(|(j, _)| j as u32)
+                .collect();
+            assert_eq!(got.successors(i), want, "{name}: row {i}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

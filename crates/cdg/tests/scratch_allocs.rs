@@ -5,8 +5,10 @@
 //!
 //! The two verification kernels get complexity guards that do not depend
 //! on the clock: Duato's connectivity check allocates its tables once
-//! per call, however many nodes there are, a skeleton's edge fill
-//! allocates only the two CSR arrays it returns, a turn-model
+//! per call, however many nodes there are, a skeleton sizes its arrays
+//! before it fills them (the same number of allocations for a small
+//! network and a large one, and for a partially connected one), its edge
+//! fill allocates only the two CSR arrays it returns, a turn-model
 //! enumeration allocates per *free* model only (the index vector it
 //! returns), and neither a query nor a turn commit of the incremental
 //! verifier allocates at all.
@@ -20,7 +22,7 @@ use counting_alloc::allocs_during;
 use ebda_cdg::duato::verify_escape_given;
 use ebda_cdg::turn_model::deadlock_free_combinations;
 use ebda_cdg::{Cdg, IncrementalVerifier, Skeleton, Topology, VerificationReport};
-use ebda_core::{parse_channels, Channel, Turn, TurnSet};
+use ebda_core::{parse_channels, Channel, Dimension, Direction, Turn, TurnSet};
 
 /// The four plain 2D classes with XY-style turns (acyclic on a mesh) and
 /// with every turn (cyclic).
@@ -117,6 +119,40 @@ fn duato_connectivity_allocations_do_not_grow_with_the_network() {
     let (small, large) = (allocs_at(4), allocs_at(8));
     assert_eq!(small, large, "16 nodes: {small} allocations, 64: {large}");
     assert!((1..=16).contains(&large), "{large} allocations per check");
+}
+
+#[test]
+fn a_skeleton_sizes_its_arrays_before_filling_them() {
+    // Channels, kinds and node groups are sized up front and a link
+    // probe allocates nothing, on a partial dimension either: the count
+    // depends neither on how large the network is nor on which links
+    // the topology leaves out.
+    let (universe, _, _) = relations();
+    let allocs_on = |topo: &Topology, vcs: &[u8], universe: &[Channel]| {
+        let mut channels = 0;
+        let n = allocs_during(|| channels = Skeleton::new(topo, vcs, universe).channels().len());
+        assert!(channels > 0);
+        n
+    };
+    let small = allocs_on(&Topology::mesh(&[8, 8]), &[1, 1], &universe);
+    let large = allocs_on(&Topology::mesh(&[32, 32]), &[1, 1], &universe);
+    assert_eq!(small, large, "8x8: {small} allocations, 32x32: {large}");
+
+    // Table 5's design: the elevators it is meant for, every column, and
+    // a link failed on top.
+    let universe = ebda_core::catalog::table5_partial3d().channels();
+    let full = Topology::mesh(&[3, 3, 2]);
+    let partial = full
+        .clone()
+        .with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 2]]);
+    let failed = partial
+        .clone()
+        .with_failed_link(4, Dimension::X, Direction::Plus);
+    let on_full = allocs_on(&full, &[1, 2, 1], &universe);
+    for topo in [&partial, &failed] {
+        assert_eq!(allocs_on(topo, &[1, 2, 1], &universe), on_full, "{topo:?}");
+    }
+    assert!((1..=16).contains(&on_full), "{on_full} allocations");
 }
 
 #[test]
