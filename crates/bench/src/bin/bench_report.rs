@@ -39,7 +39,6 @@ use ebda_obs::ledger::git_rev;
 use ebda_oracle::artifact::{Artifact, ArtifactKind};
 use ebda_oracle::brute;
 use ebda_oracle::differential::{run_campaign, CampaignConfig};
-use ebda_oracle::incr;
 use ebda_oracle::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
 use ebda_routing::classic::DimensionOrder;
 use ebda_routing::Topology;
@@ -221,20 +220,6 @@ fn parse_baseline(path: &str) -> Result<BaselineMap, String> {
     Ok(out)
 }
 
-/// Baseline counters the tree stopped emitting on purpose, as
-/// `(workload, counter)`: the incremental verifier no longer builds a CSR
-/// or SCCs for `shrink/turn-ring-cdg` (its `incr:searches` and
-/// `incr:witness_hits` are pinned by exact equality in
-/// `crates/oracle/tests/incr_counters.rs`). Any other counter that
-/// disappears fails the gate; the list empties with the next baseline.
-const RETIRED: &[(&str, &str)] = &[
-    ("shrink/turn-ring-cdg", "cdg/csr_build:edges"),
-    ("shrink/turn-ring-cdg", "cdg/scc:nodes"),
-    ("shrink/turn-ring-cdg", "incr:dirty_edges"),
-    ("shrink/turn-ring-cdg", "incr:edges_visited"),
-    ("shrink/turn-ring-cdg", "incr:scc_rechecked"),
-];
-
 /// Applies the gate: every work counter shared with the baseline must
 /// stay within `baseline * gate`. Returns the violations; prints the
 /// full comparison (counters gating, wall-clock informational).
@@ -271,20 +256,13 @@ fn apply_gate(entries: &[Entry], baseline: &BaselineMap, gate: f64) -> Vec<Strin
                 ));
             }
         }
-        for key in base_work.keys() {
-            if e.work.contains_key(key) {
-                continue;
-            }
-            if RETIRED.contains(&(e.name, key)) {
-                println!("    {key:<40} retired (baseline only, not gated)");
-            } else {
-                let msg = format!(
-                    "{}: counter {key} disappeared from the current tree",
-                    e.name
-                );
-                println!("    {msg}");
-                violations.push(msg);
-            }
+        for key in base_work.keys().filter(|&key| !e.work.contains_key(key)) {
+            let msg = format!(
+                "{}: counter {key} disappeared from the current tree",
+                e.name
+            );
+            println!("    {msg}");
+            violations.push(msg);
         }
     }
     violations
@@ -353,34 +331,6 @@ fn run(mut args: Args) -> Result<bool, CliError> {
     let deadlocks = |a: &Artifact| {
         !brute::search(&a.topology(), &a.vcs, &a.universe, &a.turns).is_deadlock_free()
     };
-    // The CDG-bound shrink workload: a near-1-minimal turn-cycle on a
-    // 3D mesh, shrunk while its Dally CDG stays cyclic. The 2x2x2
-    // radix is already at the structural floor (no unwrap/shave/VC
-    // candidates) and the six turns form one class-level ring, so every
-    // candidate is a channel or turn drop that *breaks* the cycle: the
-    // shrinker scans them all and keeps none. A full rebuild pays a CDG
-    // build plus a whole-graph cycle search per candidate; the
-    // incremental verifier answers each from the parent's skeleton.
-    let u3 = ebda_core::parse_channels("X+ X- Y+ Y- Z+ Z-").unwrap();
-    let ring = ["X+", "Y+", "Z+", "X-", "Y-", "Z-"];
-    let mut ring_turns = ebda_core::TurnSet::new();
-    for w in ring.windows(2).chain(std::iter::once(&["Z-", "X+"][..])) {
-        ring_turns.insert(ebda_core::Turn::new(
-            w[0].parse().unwrap(),
-            w[1].parse().unwrap(),
-        ));
-    }
-    let cdg_start = Artifact {
-        id: 0,
-        kind: ArtifactKind::RandomTurns,
-        radix: vec![2, 2, 2],
-        wrap: vec![false, false, false],
-        vcs: vec![1, 1, 1],
-        universe: u3,
-        turns: ring_turns,
-        design: None,
-    };
-
     // Work-unit capture: one profiled execution per workload, before any
     // timing, then the profiler goes back off so the timed passes run the
     // same disabled fast path the baseline did. The brute searcher is a
@@ -406,10 +356,6 @@ fn run(mut args: Args) -> Result<bool, CliError> {
     let work_shrink = counted_run(|| {
         let small = shrink(&start, deadlocks, DEFAULT_SHRINK_BUDGET);
         assert_eq!(small.universe.len(), 1);
-    });
-    let work_cdg_shrink = counted_run(|| {
-        let small = incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET);
-        assert_eq!(small, cdg_start, "the turn ring is already 1-minimal");
     });
     let work_sweep = counted_run(|| {
         sweep_workload();
@@ -468,16 +414,6 @@ fn run(mut args: Args) -> Result<bool, CliError> {
         ns,
         mode: "harness",
         work: work_shrink,
-    });
-
-    let ns = bench("shrink/turn-ring-cdg", || {
-        incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET)
-    });
-    entries.push(Entry {
-        name: "shrink/turn-ring-cdg",
-        ns,
-        mode: "harness",
-        work: work_cdg_shrink,
     });
 
     // Macro workloads, timed once.

@@ -1,9 +1,8 @@
 //! Bit rows over a channel-class universe: entry `j` of a row is bit
 //! `j % 64` of word `j / 64`, so a universe of any size takes the same
 //! code path (one word up to 64 classes). Shared by the CDG edge fill
-//! ([`crate::graph::Skeleton::fill`]) and Duato's connectivity check;
-//! a [`crate::graph::Relation`] also keeps one row over the concrete
-//! channels, for those of failed links.
+//! ([`crate::graph::Skeleton::fill`]), the skeleton search and Duato's
+//! connectivity check.
 
 use ebda_core::{Channel, TurnSet};
 

@@ -108,16 +108,12 @@ thread_local! {
 /// A class relation over a [`Skeleton`]'s universe — the allow rows
 /// [`Skeleton::fill`] derives from a turn set, editable one class pair
 /// at a time — with what one verdict after another on that skeleton
-/// shares: the kind table of the search and the last cycle found. A
-/// channel can also be marked dead (its link failed): it keeps its index
-/// and loses every dependency.
+/// shares: the kind table of the search and the last cycle found.
 #[derive(Debug, Clone)]
 pub struct Relation {
     words: usize,
     /// Entry `j` of row `i`: `universe[i] -> universe[j]` is allowed.
     allow: Vec<u64>,
-    /// One [`bitrow`] over the channels: those of failed links.
-    dead: Vec<u64>,
     /// Scratch for [`Skeleton::table_row`].
     reach: Vec<u64>,
     /// The rows of the kind table of `allow` the running search has
@@ -137,20 +133,10 @@ impl Relation {
         *word = *word & !(1 << (to % 64)) | u64::from(allowed) << (to % 64);
     }
 
-    /// Marks `channel` dead. A kept cycle through it is forgotten, so
-    /// re-validating one never has to look at the dead.
-    pub(crate) fn kill(&mut self, channel: u32) {
-        bitrow::set(&mut self.dead, channel as usize);
-        if self.cycle.contains(&channel) {
-            self.cycle.clear();
-        }
-    }
-
-    /// Takes `base`'s allow rows, dead channels and kept cycle without
+    /// Takes `base`'s allow rows and kept cycle without
     /// allocating (both relations are of one skeleton).
     pub(crate) fn copy_from(&mut self, base: &Relation) {
         self.allow.clone_from(&base.allow);
-        self.dead.clone_from(&base.dead);
         self.cycle.clone_from(&base.cycle);
     }
 
@@ -167,7 +153,6 @@ impl Relation {
 struct Dependencies<'a> {
     skeleton: &'a Skeleton,
     allow: &'a [u64],
-    dead: &'a [u64],
     reach: &'a mut [u64],
     table: &'a mut [u64],
     ready: &'a mut [u64],
@@ -175,11 +160,6 @@ struct Dependencies<'a> {
 
 impl Successors for Dependencies<'_> {
     fn open(&mut self, u: u32) -> Range<u32> {
-        // A dead channel is a leaf: it may be reached, and nothing
-        // follows from it, so no cycle passes through it.
-        if bitrow::get(self.dead, u as usize) {
-            return 0..0;
-        }
         let kind = self.skeleton.kind[u as usize] as usize;
         if !bitrow::get(self.ready, kind) {
             bitrow::set(self.ready, kind);
@@ -362,7 +342,7 @@ impl Skeleton {
     }
 
     /// Indices of the channels leaving `node`.
-    pub(crate) fn node_channels(&self, node: NodeId) -> Range<u32> {
+    fn node_channels(&self, node: NodeId) -> Range<u32> {
         self.node_start[node]..self.node_start[node + 1]
     }
 
@@ -443,7 +423,6 @@ impl Skeleton {
         Relation {
             words,
             allow,
-            dead: vec![0; bitrow::words_for(self.channels.len())],
             reach: vec![0; words],
             table: vec![0; self.kinds * bitrow::words_for(self.kinds)],
             ready: vec![0; bitrow::words_for(self.kinds)],
@@ -485,7 +464,6 @@ impl Skeleton {
         let mut view = Dependencies {
             skeleton: self,
             allow: &relation.allow,
-            dead: &relation.dead,
             reach: &mut relation.reach,
             table: &mut relation.table,
             ready: &mut relation.ready,

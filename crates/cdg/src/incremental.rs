@@ -2,18 +2,11 @@
 //! one skeleton, never a rebuilt CDG.
 //!
 //! The design loop the paper motivates — enumerate, verify, fix — edits
-//! a design one turn, one channel class, or one link at a time. An
-//! [`IncrementalVerifier`] keeps what such an edit cannot change — the
-//! base's concrete channels and the classes they match, a [`Skeleton`] —
-//! and what it does change as a [`Relation`]: one allow row per class and
-//! a bit per channel of a failed link. Every edit is a few bit writes:
-//!
-//! * a turn sets or clears the allow entries of its class pair;
-//! * a dropped channel class loses its row and its column, diagonal
-//!   included, so a channel matching nothing else keeps no dependency;
-//! * a failed link marks its channels (both traversal directions) dead.
-//!   They keep their indices, so nothing renumbers, and the search
-//!   treats them as leaves.
+//! a design one turn at a time. An [`IncrementalVerifier`] keeps what
+//! such an edit cannot change — the base's concrete channels and the
+//! classes they match, a [`Skeleton`] — and what it does change as a
+//! [`Relation`], one allow row per class: a turn sets or clears the
+//! allow entries of its class pair, a few bit writes.
 //!
 //! A *query* makes the edit on a scratch copy of the relation, a
 //! *commit* in place, and both take the same verdict:
@@ -24,14 +17,15 @@
 //! cyclic.
 //!
 //! Queries take `&self` (they share one scratch relation behind a lock)
-//! and allocate nothing. In cross-check mode (`EBDA_INCR_CHECK=1` or
-//! [`IncrementalVerifier::set_cross_check`]) every query and commit is
-//! asserted against the full rebuild, [`Cdg::from_turn_set`] on the
-//! edited design: the verdict, and after a commit the witness too.
+//! and allocate nothing. In cross-check mode
+//! ([`IncrementalVerifier::set_cross_check`], the tests' reference) every
+//! query and commit is asserted against the full rebuild,
+//! [`Cdg::from_turn_set`] on the edited design: the verdict, and after a
+//! commit the witness too.
 
 use crate::graph::{Cdg, ConcreteChannel, Relation, Skeleton};
-use crate::topology::{NodeId, Topology};
-use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
+use crate::topology::Topology;
+use ebda_core::{Channel, Turn, TurnSet};
 use std::sync::{Mutex, MutexGuard};
 
 /// Incremental Dally verifier over one base design.
@@ -45,11 +39,10 @@ pub struct IncrementalVerifier {
     topo: Topology,
     vcs: Vec<u8>,
     turns: TurnSet,
-    /// The channels of the topology the verifier was built on, matched
-    /// against the universe. Failed links do not rebuild it.
+    /// The channels of the topology, matched against the universe.
     skeleton: Skeleton,
-    /// `turns` as allow rows, the channels of failed links marked dead,
-    /// and a cycle of the base for as long as it is cyclic.
+    /// `turns` as allow rows and a cycle of the base for as long as it
+    /// is cyclic.
     relation: Relation,
     /// The copy of `relation` a query edits.
     scratch: Mutex<Relation>,
@@ -99,50 +92,14 @@ fn set_turn(skeleton: &Skeleton, relation: &mut Relation, t: Turn, allowed: bool
     }
 }
 
-/// Drops channel class `victim` from `relation`: its row and its column
-/// go, going straight on it included.
-fn drop_class(skeleton: &Skeleton, relation: &mut Relation, victim: Channel) {
-    for i in matching(skeleton, victim) {
-        for j in 0..skeleton.universe().len() {
-            relation.set(i, j, false);
-            relation.set(j, i, false);
-        }
-    }
-}
-
-/// Marks dead the channels of the physical link between `node` and
-/// `other`, its neighbour along `dim`/`dir`: both traversal directions.
-fn kill_link(
-    skeleton: &Skeleton,
-    relation: &mut Relation,
-    (node, other): (NodeId, NodeId),
-    dim: Dimension,
-    dir: Direction,
-) {
-    for (end, dir) in [(node, dir), (other, dir.opposite())] {
-        for u in skeleton.node_channels(end) {
-            let c = skeleton.channels()[u as usize];
-            if c.dim == dim && c.dir == dir {
-                relation.kill(u);
-            }
-        }
-    }
-}
-
 impl IncrementalVerifier {
-    /// Builds the verifier for a base design. Cross-check mode starts
-    /// from the `EBDA_INCR_CHECK` environment variable (`1`/`on`/
-    /// `true` enable it).
+    /// Builds the verifier for a base design, cross-check mode off.
     pub fn new(
         topo: Topology,
         vcs: Vec<u8>,
         universe: Vec<Channel>,
         turns: TurnSet,
     ) -> IncrementalVerifier {
-        let check = matches!(
-            std::env::var("EBDA_INCR_CHECK").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        );
         let skeleton = Skeleton::new(&topo, &vcs, &universe);
         let mut relation = skeleton.relation(&turns);
         let acyclic = verdict(&skeleton, &mut relation);
@@ -154,11 +111,11 @@ impl IncrementalVerifier {
             scratch: Mutex::new(relation.clone()),
             relation,
             acyclic,
-            check,
+            check: false,
         }
     }
 
-    /// Forces the debug cross-check mode on or off: every query and
+    /// Switches the cross-check mode on or off: every query and
     /// apply re-verifies against a full rebuild and panics on any
     /// divergence.
     pub fn set_cross_check(&mut self, on: bool) {
@@ -168,11 +125,6 @@ impl IncrementalVerifier {
     /// Whether the base design's CDG is acyclic (Dally-deadlock-free).
     pub fn is_acyclic(&self) -> bool {
         self.acyclic
-    }
-
-    /// The base topology, committed link failures included.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// The base turn set.
@@ -199,14 +151,10 @@ impl IncrementalVerifier {
     }
 
     /// Cross-check mode's reference: the witness of the full rebuild of
-    /// an edited design, `None` when it is acyclic.
-    fn reference(
-        &self,
-        topo: &Topology,
-        universe: &[Channel],
-        turns: &TurnSet,
-    ) -> Option<Vec<ConcreteChannel>> {
-        Cdg::from_turn_set(topo, &self.vcs, universe, turns).find_cycle()
+    /// the base with `turns`, `None` when it is acyclic.
+    fn reference(&self, turns: &TurnSet) -> Option<Vec<ConcreteChannel>> {
+        let universe = self.skeleton.universe();
+        Cdg::from_turn_set(&self.topo, &self.vcs, universe, turns).find_cycle()
     }
 
     /// Would the CDG be acyclic with turn `t` removed?
@@ -221,8 +169,7 @@ impl IncrementalVerifier {
         };
         if self.check {
             let turns: TurnSet = self.turns.iter().filter(|&x| x != t).collect();
-            let universe = self.skeleton.universe();
-            let want = self.reference(&self.topo, universe, &turns).is_none();
+            let want = self.reference(&turns).is_none();
             assert_eq!(got, want, "incremental remove-turn verdict diverged: {t:?}");
         }
         got
@@ -241,60 +188,8 @@ impl IncrementalVerifier {
         if self.check {
             let mut turns = self.turns.clone();
             turns.insert(t);
-            let universe = self.skeleton.universe();
-            let want = self.reference(&self.topo, universe, &turns).is_none();
+            let want = self.reference(&turns).is_none();
             assert_eq!(got, want, "incremental add-turn verdict diverged: {t:?}");
-        }
-        got
-    }
-
-    /// Would the CDG be acyclic with channel class `victim` dropped
-    /// from the universe (all occurrences, plus the turns touching it —
-    /// the shrinker's drop-channel delta)?
-    pub fn query_remove_channel(&self, victim: Channel) -> bool {
-        ebda_obs::prof::work("incr", "queries", 1);
-        let universe = self.skeleton.universe();
-        let got = if !universe.contains(&victim) || self.acyclic {
-            self.acyclic
-        } else {
-            let edit = |r: &mut Relation| drop_class(&self.skeleton, r, victim);
-            verdict(&self.skeleton, &mut self.edited(edit))
-        };
-        if self.check {
-            let universe: Vec<Channel> =
-                universe.iter().copied().filter(|&c| c != victim).collect();
-            let kept = |x: &Turn| x.from != victim && x.to != victim;
-            let turns: TurnSet = self.turns.iter().filter(kept).collect();
-            let want = self.reference(&self.topo, &universe, &turns).is_none();
-            assert_eq!(
-                got, want,
-                "incremental remove-channel verdict diverged: {victim:?}"
-            );
-        }
-        got
-    }
-
-    /// Would the CDG be acyclic with the link `node --dim/dir-->`
-    /// failed (both traversal directions die, as in
-    /// [`Topology::with_failed_link`])?
-    pub fn query_fail_link(&self, node: NodeId, dim: Dimension, dir: Direction) -> bool {
-        ebda_obs::prof::work("incr", "queries", 1);
-        let got = match self.topo.neighbor(node, dim, dir) {
-            Some(other) if !self.acyclic => {
-                let edit = |r: &mut Relation| kill_link(&self.skeleton, r, (node, other), dim, dir);
-                verdict(&self.skeleton, &mut self.edited(edit))
-            }
-            // No such link, or an acyclic base losing dependencies.
-            _ => self.acyclic,
-        };
-        if self.check {
-            let failed = self.topo.clone().with_failed_link(node, dim, dir);
-            let universe = self.skeleton.universe();
-            let want = self.reference(&failed, universe, &self.turns).is_none();
-            assert_eq!(
-                got, want,
-                "incremental fail-link verdict diverged: {node} {dim:?} {dir:?}"
-            );
         }
         got
     }
@@ -319,17 +214,6 @@ impl IncrementalVerifier {
         self.commit(true)
     }
 
-    /// Commits a link failure; returns the new verdict. The dead
-    /// channels keep their indices: nothing is rebuilt.
-    pub fn apply_fail_link(&mut self, node: NodeId, dim: Dimension, dir: Direction) -> bool {
-        let Some(other) = self.topo.neighbor(node, dim, dir) else {
-            return self.acyclic;
-        };
-        self.topo = self.topo.clone().with_failed_link(node, dim, dir);
-        kill_link(&self.skeleton, &mut self.relation, (node, other), dim, dir);
-        self.commit(false)
-    }
-
     /// The verdict after an edit of `self.relation` that only added
     /// dependencies (`grew`) or only removed them: free when the edit is
     /// monotone — an acyclic base losing dependencies, a cyclic one
@@ -339,9 +223,7 @@ impl IncrementalVerifier {
             self.acyclic = verdict(&self.skeleton, &mut self.relation);
         }
         if self.check {
-            // Verdict and witness, as concrete channels: the dead ones
-            // of this skeleton are the ones the rebuild never had.
-            let want = self.reference(&self.topo, self.skeleton.universe(), &self.turns);
+            let want = self.reference(&self.turns);
             assert_eq!(
                 self.acyclic,
                 want.is_none(),
@@ -414,83 +296,6 @@ mod tests {
             v.apply_add_turn(t);
         }
         assert!(!v.is_acyclic());
-    }
-
-    #[test]
-    fn remove_channel_matches_full_rebuild() {
-        let topo = Topology::mesh(&[4, 4]);
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        let turns = all_turns(&universe);
-        let mut v =
-            IncrementalVerifier::new(topo.clone(), vec![1, 1], universe.clone(), turns.clone());
-        v.set_cross_check(true);
-        for &victim in &universe {
-            v.query_remove_channel(victim);
-        }
-    }
-
-    #[test]
-    fn fail_link_query_matches_full_rebuild() {
-        let topo = Topology::torus(&[4, 4]);
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        // No turns: straight rings deadlock on a torus; failing an
-        // X-link on a ring breaks that ring's cycle but not the others.
-        let turns = TurnSet::new();
-        let mut v =
-            IncrementalVerifier::new(topo.clone(), vec![1, 1], universe.clone(), turns.clone());
-        v.set_cross_check(true);
-        assert!(!v.is_acyclic());
-        for node in 0..topo.node_count() {
-            for dir in [Direction::Plus, Direction::Minus] {
-                v.query_fail_link(node, Dimension::X, dir);
-            }
-        }
-        // Committing marks the link's channels dead in place; a second
-        // failure of the same link is a no-op.
-        let after = v.apply_fail_link(0, Dimension::X, Direction::Plus);
-        let failed = topo.with_failed_link(0, Dimension::X, Direction::Plus);
-        assert_eq!(after, full_acyclic(&failed, &universe, &turns));
-        assert_eq!(v.topology(), &failed);
-        assert_eq!(v.apply_fail_link(0, Dimension::X, Direction::Plus), after);
-    }
-
-    #[test]
-    fn the_only_cycle_dies_with_its_link_or_its_class() {
-        // One ring, one class: the kept cycle is the ring itself, so a
-        // failed link must forget it and a dropped class must take the
-        // straight-through diagonal with it.
-        let universe = parse_channels("X+").unwrap();
-        let mut v =
-            IncrementalVerifier::new(Topology::torus(&[4]), vec![1], universe, TurnSet::new());
-        v.set_cross_check(true);
-        assert!(!v.is_acyclic());
-        assert!(v.query_remove_channel(v.skeleton.universe()[0]));
-        assert!(v.query_fail_link(2, Dimension::X, Direction::Minus));
-        assert!(v.apply_fail_link(2, Dimension::X, Direction::Minus));
-        assert_eq!(v.find_cycle(), None);
-    }
-
-    #[test]
-    fn a_dropped_class_loses_its_column_too() {
-        // A ring of two channels: `e` leaves node 0 and matches class A,
-        // `o` leaves node 1 and matches V and W. A may turn onto V and W
-        // onto A, so `e -> o` exists through V's column alone and
-        // `o -> e` through W's row: dropping V breaks the ring only if
-        // the column goes with the row.
-        let x = Channel::parse("X+").unwrap();
-        let (a, v, w) = (
-            x.at_coord(Dimension::X, 0),
-            x.at_coord(Dimension::X, 1),
-            x.at_parity(Dimension::X, ebda_core::Parity::Odd),
-        );
-        let turns: TurnSet = [Turn::new(a, v), Turn::new(w, a)].into_iter().collect();
-        let mut ring =
-            IncrementalVerifier::new(Topology::torus(&[2]), vec![1], vec![a, v, w], turns);
-        ring.set_cross_check(true);
-        assert!(!ring.is_acyclic());
-        assert!(ring.query_remove_channel(v));
-        assert!(ring.query_remove_channel(a));
-        assert!(ring.query_remove_channel(w));
     }
 
     #[test]

@@ -20,12 +20,9 @@ use std::time::Instant;
 
 use ebda_obs::prof;
 use ebda_oracle::artifact::Artifact;
-use ebda_oracle::incr::IncrementalSession;
 use ebda_oracle::provenance::Provenance;
-use ebda_oracle::shrink::{shrink_with_context, DEFAULT_SHRINK_BUDGET};
-use ebda_oracle::verdict::{
-    cross_check, disagreement_rule, evaluate, Evaluation, Mutation, Verdicts,
-};
+use ebda_oracle::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
+use ebda_oracle::verdict::{cross_check, evaluate, Evaluation, Mutation, Verdicts};
 
 use crate::entry::{CorpusEntry, ExpectedVerdict};
 use crate::store;
@@ -321,35 +318,11 @@ pub fn run_corpus_campaign(
             let _shrink = prof::phase("corpus/shrink");
             prof::work("corpus/shrink", "mismatches", 1);
             let artifact = entry.to_artifact(i as u64);
-            // Without a design the label check reduces to the four path
-            // booleans, so turn/channel-drop candidates are answered by
-            // the incremental session's queries; structural
-            // candidates take the identical full-evaluate path.
-            let want_free = entry.expected.is_free();
-            shrink_with_context(
-                &artifact,
-                cfg.shrink_budget,
-                |parent| IncrementalSession::new(parent, cfg.mutation),
-                |session, candidate, delta| match session.path_verdicts(candidate, delta) {
-                    Some(p) => {
-                        disagreement_rule(
-                            candidate,
-                            p.ebda_free,
-                            p.dally_free,
-                            p.duato_acyclic,
-                            p.brute_free,
-                        )
-                        .is_some()
-                            || p.brute_free != want_free
-                            || p.dally_free != want_free
-                            || p.duato_acyclic != want_free
-                    }
-                    None => {
-                        let verdicts = evaluate(candidate, cfg.mutation);
-                        mismatch_reason(candidate, entry.expected, None, &verdicts).is_some()
-                    }
-                },
-            )
+            let still_mismatches = |candidate: &Artifact| {
+                let verdicts = evaluate(candidate, cfg.mutation);
+                mismatch_reason(candidate, entry.expected, None, &verdicts).is_some()
+            };
+            shrink(&artifact, still_mismatches, cfg.shrink_budget)
         };
         let witness = witness_entry(entry, &reason, &shrunk);
         let mut archived = None;

@@ -11,7 +11,7 @@
 
 use crate::artifact::{Artifact, ArtifactKind, Generator};
 use crate::brute::BruteChannel;
-use crate::shrink::DEFAULT_SHRINK_BUDGET;
+use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
 use crate::verdict::{cross_check, evaluate, Disagreement, Evaluation, Mutation};
 use ebda_obs::{JourneyConfig, Rng64, TraceBuilder};
 use ebda_routing::{PortVc, RouteChoice, RouteState, RoutingRelation, TurnRouting, INJECT};
@@ -385,11 +385,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 fn investigate(artifact: &Artifact, cfg: &CampaignConfig) -> CaughtDisagreement {
     let shrunk = {
         let _p = ebda_obs::prof::phase("oracle/shrink");
-        // Turn/channel-drop candidates are read off the parent's
-        // skeleton by the incremental verifier, no graph built; the
-        // accepted chain (and every byte downstream) is identical to
-        // the full-evaluate predicate.
-        crate::incr::shrink_disagreement(artifact, cfg.mutation, DEFAULT_SHRINK_BUDGET)
+        let still_disagrees = |c: &Artifact| cross_check(c, &evaluate(c, cfg.mutation)).is_some();
+        shrink(artifact, still_disagrees, DEFAULT_SHRINK_BUDGET)
     };
     ebda_obs::metrics::counter_add("ebda_oracle_artifacts_shrunk_total", &[], 1);
     let verdicts = evaluate(&shrunk, cfg.mutation);

@@ -15,11 +15,6 @@
 //!   the cross-checking rules, plus mutation hooks that deliberately break
 //!   a checker to prove the oracle notices.
 //! * [`shrink`] — greedy 1-minimal counterexample reduction.
-//! * [`incr`] — incremental re-verification sessions: turn/channel-drop
-//!   shrink candidates read off the parent's skeleton by
-//!   [`ebda_cdg::IncrementalVerifier`], no graph built;
-//!   `EBDA_INCR_CHECK=1` re-derives every query from a full rebuild and
-//!   panics on a difference.
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.
@@ -49,7 +44,6 @@ pub mod artifact;
 pub mod brute;
 pub mod coverage;
 pub mod differential;
-pub mod incr;
 pub mod provenance;
 pub mod shrink;
 pub mod verdict;
@@ -58,7 +52,6 @@ pub use artifact::{Artifact, ArtifactKind, Generator};
 pub use brute::{search as brute_search, BruteReport};
 pub use coverage::{artifact_coverage, design_bin, shape_bin};
 pub use differential::{run_campaign, CampaignConfig, CampaignReport};
-pub use incr::{IncrementalSession, PathVerdicts};
 pub use provenance::{CheckReport, Provenance};
 pub use shrink::shrink;
 pub use verdict::{cross_check, evaluate, Disagreement, Evaluation, Mutation, Verdicts};

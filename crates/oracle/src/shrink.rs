@@ -11,78 +11,35 @@
 //! self-contained counterexample.
 
 use crate::artifact::Artifact;
-use ebda_core::{Channel, Partition, PartitionSeq, Turn, TurnSet};
+use ebda_core::{Channel, Partition, PartitionSeq, TurnSet};
 
 /// How many predicate evaluations a shrink run may spend before settling
 /// for the best artifact found so far.
 pub const DEFAULT_SHRINK_BUDGET: usize = 400;
 
-/// The one-step delta a shrink candidate applies to its parent.
-///
-/// Exposed to predicates via [`shrink_with_context`] so an incremental
-/// verifier session built on the parent can answer turn/channel drops
-/// from the parent's skeleton, instead of rebuilding the candidate's CDG
-/// from scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShrinkDelta {
-    /// A structural change (unwrap a dimension, shave a radix, drop a VC
-    /// level) that renumbers concrete channels — incremental sessions
-    /// fall back to a full evaluation for these.
-    Structural,
-    /// One turn dropped from the relation.
-    DropTurn(Turn),
-    /// One channel class dropped, with every turn touching it.
-    DropChannel(Channel),
-}
-
 /// Shrinks `artifact` while `still_failing` holds, spending at most
 /// `budget` predicate evaluations. Returns the smallest artifact reached —
 /// `artifact` itself if nothing smaller kept the property.
-pub fn shrink<F>(artifact: &Artifact, still_failing: F, budget: usize) -> Artifact
-where
-    F: Fn(&Artifact) -> bool,
-{
-    shrink_with_context(artifact, budget, |_| (), |(), c, _| still_failing(c))
-}
-
-/// The greedy loop behind [`shrink`]: the caller builds a *context* from
-/// each accepted artifact (once per outer pass) and the predicate sees
-/// the candidate together with its [`ShrinkDelta`].
-///
-/// This is the incremental-verification hook: an
-/// [`crate::incr::IncrementalSession`] built on the current artifact
-/// answers `DropTurn`/`DropChannel` candidates with queries on the
-/// parent's verifier, falling back to a full evaluation only for
-/// `Structural` candidates.
 ///
 /// Each pass evaluates candidates in order and restarts from the first
 /// one that still fails; a hit at index `j` costs `j + 1` of the budget,
 /// a pass without a hit ends the run.
-pub fn shrink_with_context<C, B, F>(
-    artifact: &Artifact,
-    budget: usize,
-    build_context: B,
-    still_failing: F,
-) -> Artifact
+pub fn shrink<F>(artifact: &Artifact, still_failing: F, budget: usize) -> Artifact
 where
-    B: Fn(&Artifact) -> C,
-    F: Fn(&C, &Artifact, &ShrinkDelta) -> bool,
+    F: Fn(&Artifact) -> bool,
 {
     let mut current = artifact.clone();
     let mut evals = 0usize;
     while evals < budget {
-        let context = build_context(&current);
         let mut cands = candidates(&current);
         let scan = cands.len().min(budget - evals);
-        let hit = cands[..scan]
-            .iter()
-            .position(|(c, d)| still_failing(&context, c, d));
+        let hit = cands[..scan].iter().position(&still_failing);
         let spent = hit.map_or(scan, |j| j + 1);
         evals += spent;
         ebda_obs::metrics::counter_add("ebda_oracle_shrink_evals_total", &[], spent as u64);
         ebda_obs::prof::work("oracle/shrink", "shrink_evals", spent as u64);
         match hit {
-            Some(j) => current = cands.swap_remove(j).0, // restart from the smaller artifact
+            Some(j) => current = cands.swap_remove(j), // restart from the smaller artifact
             // Full pass without improvement (1-minimal) or budget
             // exhausted mid-pass: either way, this is the answer.
             None => break,
@@ -91,16 +48,15 @@ where
     current
 }
 
-/// Proposes one-step reductions of an artifact, biggest first, each
-/// tagged with the delta it applies.
-fn candidates(a: &Artifact) -> Vec<(Artifact, ShrinkDelta)> {
+/// Proposes one-step reductions of an artifact, biggest first.
+fn candidates(a: &Artifact) -> Vec<Artifact> {
     let mut out = Vec::new();
     // 1. Unwrap a torus dimension.
     for d in 0..a.wrap.len() {
         if a.wrap[d] {
             let mut c = a.clone();
             c.wrap[d] = false;
-            out.push((c, ShrinkDelta::Structural));
+            out.push(c);
         }
     }
     // 2. Shave one off a radix (wrapped dimensions stay >= 3, unwrapped >= 2).
@@ -109,7 +65,7 @@ fn candidates(a: &Artifact) -> Vec<(Artifact, ShrinkDelta)> {
         if a.radix[d] > floor {
             let mut c = a.clone();
             c.radix[d] -= 1;
-            out.push((c, ShrinkDelta::Structural));
+            out.push(c);
         }
     }
     // 3. Drop the top VC level of a dimension.
@@ -120,7 +76,7 @@ fn candidates(a: &Artifact) -> Vec<(Artifact, ShrinkDelta)> {
             let mut c = keep_channels(a, |ch| ch.dim != dim || ch.vc < top);
             c.vcs[d] = top - 1;
             if !c.universe.is_empty() {
-                out.push((c, ShrinkDelta::Structural));
+                out.push(c);
             }
         }
     }
@@ -128,10 +84,7 @@ fn candidates(a: &Artifact) -> Vec<(Artifact, ShrinkDelta)> {
     if a.universe.len() > 1 {
         for i in 0..a.universe.len() {
             let victim = a.universe[i];
-            out.push((
-                keep_channels(a, |ch| *ch != victim),
-                ShrinkDelta::DropChannel(victim),
-            ));
+            out.push(keep_channels(a, |ch| *ch != victim));
         }
     }
     // 5. Drop one turn.
@@ -142,7 +95,7 @@ fn candidates(a: &Artifact) -> Vec<(Artifact, ShrinkDelta)> {
             turns.insert(keep);
         }
         c.turns = turns;
-        out.push((c, ShrinkDelta::DropTurn(t)));
+        out.push(c);
     }
     out
 }
@@ -252,37 +205,6 @@ mod tests {
             let small = shrink(&start, counting, budget);
             assert!(evals.get() <= budget, "budget {budget}: {}", evals.get());
             assert!(brute_deadlocks(&small));
-        }
-    }
-
-    #[test]
-    fn context_shrink_matches_plain_shrink() {
-        // The unit-context wrapper and an explicit context run must
-        // walk the identical accepted chain.
-        let start = torus_rings();
-        for budget in [3, 25, DEFAULT_SHRINK_BUDGET] {
-            let plain = shrink(&start, brute_deadlocks, budget);
-            let ctx = shrink_with_context(
-                &start,
-                budget,
-                |parent| parent.clone(),
-                |parent, c, delta| {
-                    // Deltas must be consistent with the candidate.
-                    match delta {
-                        ShrinkDelta::DropTurn(t) => {
-                            assert!(parent.turns.contains(*t));
-                            assert!(!c.turns.contains(*t));
-                        }
-                        ShrinkDelta::DropChannel(ch) => {
-                            assert!(parent.universe.contains(ch));
-                            assert!(!c.universe.contains(ch));
-                        }
-                        ShrinkDelta::Structural => {}
-                    }
-                    brute_deadlocks(c)
-                },
-            );
-            assert_eq!(plain, ctx, "budget {budget}");
         }
     }
 

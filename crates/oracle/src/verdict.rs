@@ -170,7 +170,12 @@ impl<'a> Evaluation<'a> {
         };
         let brute = {
             let _p = prof::phase("oracle/evaluate/brute");
-            brute_path(&topo, artifact, mutation)
+            let rounds = match mutation {
+                Mutation::BruteStopsAfterFirstRound => 1,
+                _ => u32::MAX,
+            };
+            let (vcs, universe, turns) = (&artifact.vcs, &artifact.universe, &artifact.turns);
+            brute::search_rounds(&topo, vcs, universe, turns, rounds)
         };
         // The brute report carries the deterministic work behind its verdict.
         prof::work("oracle/evaluate/brute", "gfp_sweeps", brute.sweeps as u64);
@@ -207,22 +212,6 @@ pub fn evaluate(artifact: &Artifact, mutation: Mutation) -> Verdicts {
     Evaluation::of(artifact, mutation).verdicts
 }
 
-/// The brute path under `mutation` on `topo`, the artifact's topology,
-/// for [`Evaluation::of`] and the incremental shrink sessions.
-pub(crate) fn brute_path(topo: &Topology, artifact: &Artifact, mutation: Mutation) -> BruteReport {
-    let rounds = match mutation {
-        Mutation::BruteStopsAfterFirstRound => 1,
-        _ => u32::MAX,
-    };
-    brute::search_rounds(
-        topo,
-        &artifact.vcs,
-        &artifact.universe,
-        &artifact.turns,
-        rounds,
-    )
-}
-
 /// Applies the cross-checking rules. Returns the first violated rule, or
 /// `None` when all paths agree.
 ///
@@ -238,61 +227,26 @@ pub(crate) fn brute_path(topo: &Topology, artifact: &Artifact, mutation: Mutatio
 ///   dateline classes), so on unwrapped topologies the brute searcher must
 ///   find it free.
 pub fn cross_check(artifact: &Artifact, verdicts: &Verdicts) -> Option<Disagreement> {
-    let rule = disagreement_rule(
-        artifact,
-        verdicts.ebda.as_ref().map(DesignVerdict::is_deadlock_free),
-        verdicts.dally.is_deadlock_free(),
-        verdicts.duato.escape_acyclic,
-        verdicts.brute.is_deadlock_free(),
-    )?;
-    let detail = match rule {
-        "dally-vs-brute" => format!(
-            "{}: dally says {} but brute says {}",
-            artifact.summary(),
-            verdicts.dally,
-            verdicts.brute
-        ),
-        "duato-vs-dally" => format!(
-            "{}: duato escape-acyclic={} but dally says {}",
-            artifact.summary(),
-            verdicts.duato.escape_acyclic,
-            verdicts.dally
-        ),
-        _ => format!(
-            "{}: EbDa accepts ({}) on a mesh but brute says {}",
-            artifact.summary(),
-            verdicts
-                .ebda
-                .as_ref()
-                .expect("ebda-vs-brute fires only with an EbDa verdict"),
-            verdicts.brute
-        ),
+    let (dally, duato, brute) = (&verdicts.dally, &verdicts.duato, &verdicts.brute);
+    let (dally_free, brute_free) = (dally.is_deadlock_free(), brute.is_deadlock_free());
+    let (rule, detail) = if dally_free != brute_free {
+        let detail = format!("dally says {dally} but brute says {brute}");
+        ("dally-vs-brute", detail)
+    } else if duato.escape_acyclic != dally_free {
+        let acyclic = duato.escape_acyclic;
+        let detail = format!("duato escape-acyclic={acyclic} but dally says {dally}");
+        ("duato-vs-dally", detail)
+    } else {
+        let mesh_deadlocks = !artifact.wraps() && !brute_free;
+        let ebda = verdicts
+            .ebda
+            .as_ref()
+            .filter(|v| mesh_deadlocks && v.is_deadlock_free())?;
+        let detail = format!("EbDa accepts ({ebda}) on a mesh but brute says {brute}");
+        ("ebda-vs-brute", detail)
     };
+    let detail = format!("{}: {detail}", artifact.summary());
     Some(Disagreement { rule, detail })
-}
-
-/// The boolean core of [`cross_check`]: which rule (if any) the four
-/// per-path verdicts violate. Shared with the incremental shrink paths
-/// ([`crate::incr`]), which compute the same booleans without full
-/// reports — keeping the disagreement predicate identical by
-/// construction between a full evaluation and an incremental query.
-pub fn disagreement_rule(
-    artifact: &Artifact,
-    ebda_free: Option<bool>,
-    dally_free: bool,
-    duato_escape_acyclic: bool,
-    brute_free: bool,
-) -> Option<&'static str> {
-    if dally_free != brute_free {
-        return Some("dally-vs-brute");
-    }
-    if duato_escape_acyclic != dally_free {
-        return Some("duato-vs-dally");
-    }
-    if ebda_free == Some(true) && !artifact.wraps() && !brute_free {
-        return Some("ebda-vs-brute");
-    }
-    None
 }
 
 #[cfg(test)]
@@ -409,36 +363,16 @@ mod tests {
     }
 
     #[test]
-    fn disagreement_rule_matches_cross_check() {
+    fn a_duato_verdict_apart_from_dally_breaks_its_rule() {
+        // No mutation separates Duato's acyclicity from Dally's on a
+        // mesh, so flip it by hand: the rule must fire, and only then.
         let a = design_artifact(catalog::fig7b_dyxy(), vec![4, 4], vec![false, false]);
-        let v = evaluate(&a, Mutation::None);
-        let booleans = disagreement_rule(
-            &a,
-            v.ebda.as_ref().map(DesignVerdict::is_deadlock_free),
-            v.dally.is_deadlock_free(),
-            v.duato.escape_acyclic,
-            v.brute.is_deadlock_free(),
-        );
-        assert_eq!(booleans, cross_check(&a, &v).map(|d| d.rule));
-        // And a violated case: a free dally against a deadlocked brute.
-        assert_eq!(
-            disagreement_rule(&a, None, true, true, false),
-            Some("dally-vs-brute")
-        );
-        assert_eq!(
-            disagreement_rule(&a, None, true, false, true),
-            Some("duato-vs-dally")
-        );
-        assert_eq!(
-            disagreement_rule(&a, Some(true), false, false, false),
-            Some("ebda-vs-brute"),
-            "EbDa accepting a brute-deadlocked mesh design is the EbDa rule"
-        );
-        assert_eq!(
-            disagreement_rule(&a, Some(false), false, false, false),
-            None,
-            "all paths agreeing on deadlock is consistent"
-        );
+        let mut v = evaluate(&a, Mutation::None);
+        assert!(cross_check(&a, &v).is_none());
+        v.duato.escape_acyclic = !v.duato.escape_acyclic;
+        let d = cross_check(&a, &v).expect("duato apart from dally");
+        assert_eq!(d.rule, "duato-vs-dally");
+        assert!(d.detail.contains("duato escape-acyclic=false"), "{d}");
     }
 
     #[test]

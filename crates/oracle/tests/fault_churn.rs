@@ -78,61 +78,6 @@ fn faulted_run_is_byte_identical_across_thread_counts() {
     assert_eq!(serial, parallel, "thread count leaked into the simulation");
 }
 
-/// The fault schedule above, re-verified structurally: after each link
-/// failure the incremental verifier's verdict must match a
-/// from-scratch CDG rebuild on the faulted topology — the same
-/// query/apply pattern `incr::verify_fault_schedule` feeds the churn
-/// replays with.
-#[test]
-fn fault_schedule_verdicts_match_full_rebuild() {
-    use ebda_oracle::incr::verify_fault_schedule;
-
-    // Single-VC torus rings (cyclic base, like the wrap-ring artifact
-    // below) and the empty-turn dateline-free mesh (acyclic base).
-    let cyclic = Artifact {
-        id: 0,
-        kind: ArtifactKind::RandomTurns,
-        radix: vec![4, 4],
-        wrap: vec![true, true],
-        vcs: vec![1, 1],
-        universe: ebda_core::parse_channels("X+ X- Y+ Y-").unwrap(),
-        turns: ebda_core::extract_turns(&catalog::dateline_design(&[4, 4], &[false, false]))
-            .unwrap()
-            .into_turn_set(),
-        design: None,
-    };
-    let acyclic = Artifact {
-        wrap: vec![false, false],
-        ..cyclic.clone()
-    };
-    let faults = [
-        (5usize, Dimension::X, Direction::Plus),
-        (10, Dimension::Y, Direction::Minus),
-        (0, Dimension::X, Direction::Minus),
-        (1, Dimension::X, Direction::Plus),
-        (2, Dimension::X, Direction::Plus),
-        (3, Dimension::X, Direction::Plus),
-    ];
-    for artifact in [&cyclic, &acyclic] {
-        let incr = verify_fault_schedule(artifact, &faults);
-        let mut topo = artifact.topology();
-        let full: Vec<bool> = faults
-            .iter()
-            .map(|&(node, dim, dir)| {
-                topo = topo.clone().with_failed_link(node, dim, dir);
-                ebda_cdg::verify_turn_set(&topo, &artifact.vcs, &artifact.universe, &artifact.turns)
-                    .is_deadlock_free()
-            })
-            .collect();
-        assert_eq!(incr, full, "artifact wrap={:?}", artifact.wrap);
-    }
-    // The cyclic torus chain must actually flip: knocking out every X+
-    // link of row 0's ring plus the X- link at node 0 breaks that wrap
-    // ring; earlier verdicts stay deadlocked thanks to the other rings.
-    let verdicts = verify_fault_schedule(&cyclic, &faults);
-    assert!(!verdicts[0], "two faults leave other wrap rings cyclic");
-}
-
 /// Replay of a wrap-ring deadlock artifact: the online watchdog's
 /// suspected wait cycle must agree with the brute-force witness.
 #[test]

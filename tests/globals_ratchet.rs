@@ -3,7 +3,7 @@
 //! be on the list below. The list may shrink — delete the line with the
 //! global — but a new entry needs the argument that a run-owned value
 //! would not do. The environment is process-global input too: flags are
-//! the only way in, except for the two variables of [`ALLOWED_ENV`].
+//! the only way in, except for the one variable of [`ALLOWED_ENV`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,9 +20,8 @@ const ALLOWED: &[&str] = &[
 ];
 
 /// The variables library and binary source may read: the worker count
-/// (`ebda-par`; CI runs the suite under it) and the per-query oracle of
-/// the incremental verifier.
-const ALLOWED_ENV: &[&str] = &["EBDA_INCR_CHECK", "EBDA_THREADS"];
+/// (`ebda-par`; CI runs the suite under it).
+const ALLOWED_ENV: &[&str] = &["EBDA_THREADS"];
 
 const SHARED_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"];
 
@@ -121,7 +120,7 @@ fn env_reads(source: &str) -> Vec<String> {
 }
 
 #[test]
-fn the_environment_is_read_for_two_variables_only() {
+fn the_environment_is_read_for_one_variable_only() {
     let mut found: Vec<String> = sources()
         .iter()
         .flat_map(|(rel, text)| {
