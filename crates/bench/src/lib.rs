@@ -13,7 +13,7 @@ pub mod args;
 pub mod corpus_cli;
 pub mod oracle_cli;
 pub mod repro;
-pub mod sweep_matrix;
+pub(crate) mod sweep_matrix;
 pub mod trace;
 
 use ebda_core::extract::{Extraction, Justification};
@@ -37,7 +37,7 @@ pub fn parse_vcs(spec: &str) -> Result<Vec<u8>, String> {
 /// Renders a channel in the paper's compact direction notation: `X1+` →
 /// `E1`, `Y2-` → `S2`, `Z1+` → `U1`; parity classes keep their `e`/`o`
 /// mark (`Ye1+` → `Ne1`).
-pub fn compass(c: ebda_core::Channel) -> String {
+pub(crate) fn compass(c: ebda_core::Channel) -> String {
     use ebda_core::{ChannelClass, Dimension, Direction};
     let letter = match (c.dim, c.dir) {
         (Dimension::X, Direction::Plus) => "E",
@@ -60,13 +60,13 @@ pub fn compass(c: ebda_core::Channel) -> String {
 }
 
 /// Renders a turn as the paper writes them: `E1N1`, `U4D4`, `NeNo`, ….
-pub fn compass_turn(t: ebda_core::Turn) -> String {
+pub(crate) fn compass_turn(t: ebda_core::Turn) -> String {
     format!("{}{}", compass(t.from), compass(t.to))
 }
 
 /// Prints one partition sequence in the `PA[..] → PB[..]` style of the
 /// paper's tables.
-pub fn table_entry(seq: &PartitionSeq) -> String {
+pub(crate) fn table_entry(seq: &PartitionSeq) -> String {
     seq.partitions()
         .iter()
         .map(|p| {
@@ -82,7 +82,7 @@ pub fn table_entry(seq: &PartitionSeq) -> String {
 
 /// Prints the grouped per-theorem turn extraction of a design, mirroring
 /// the layout of Figure 8 and Tables 4–5.
-pub fn print_extraction(seq: &PartitionSeq, ex: &Extraction) {
+pub(crate) fn print_extraction(seq: &PartitionSeq, ex: &Extraction) {
     for (pi, _) in seq.partitions().iter().enumerate() {
         println!("Partition P{pi}: {}", seq.partitions()[pi]);
         let th1 = ex.turns_for(Justification::Theorem1 { partition: pi });

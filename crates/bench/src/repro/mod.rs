@@ -1,5 +1,5 @@
 //! `ebda repro <id>`: every table, figure and study EXPERIMENTS.md
-//! reports, as one row of [`EXPERIMENTS`]. Each body prints the artefact
+//! reports, as one row of `EXPERIMENTS`. Each body prints the artefact
 //! and asserts the paper's claims about it as it goes.
 
 mod figures;
@@ -12,7 +12,7 @@ use crate::args::{Args, CliError};
 /// What an experiment runs: most regenerate one fixed artefact, a few
 /// read flags of their own.
 #[derive(Clone, Copy)]
-pub enum Body {
+pub(crate) enum Body {
     /// Takes no arguments.
     Fixed(fn()),
     /// Reads its own flags and positionals from the rest of the line.
@@ -32,7 +32,7 @@ impl Body {
 /// Every experiment — the id `ebda repro` selects it by, and its body —
 /// in EXPERIMENTS.md order, which says what the paper shows there and
 /// what we measure.
-pub const EXPERIMENTS: [(&str, Body); 19] = [
+pub(crate) const EXPERIMENTS: [(&str, Body); 19] = [
     ("table1", Fixed(tables::table1)),
     ("table2", Fixed(tables::table2)),
     ("table3", Fixed(tables::table3)),

@@ -16,12 +16,13 @@ use noc_sim::{simulate, simulate_traced, BufferPolicy, SimConfig, TrafficPattern
 use std::fmt::Write as _;
 
 /// The CSV header every sweep emits.
-pub const CSV_HEADER: &str = "design,traffic,rate,policy,avg_latency,p50_latency,p99_latency,\
-                              p999_latency,throughput,balance_cv,outcome";
+pub(crate) const CSV_HEADER: &str =
+    "design,traffic,rate,policy,avg_latency,p50_latency,p99_latency,\
+     p999_latency,throughput,balance_cv,outcome";
 
 /// The rendered sweep: CSV text plus the merged journey timeline when one
 /// was requested.
-pub struct SweepOutput {
+pub(crate) struct SweepOutput {
     /// Header plus one row per point, in matrix order.
     pub csv: String,
     /// One Chrome-trace run per point, in matrix order, when journey
@@ -43,7 +44,11 @@ struct Point<'a> {
 /// Runs the full (or `--quick`) sweep matrix on `threads` workers and
 /// renders the CSV. Pass the journey configuration to also collect a
 /// per-point packet-journey timeline.
-pub fn run_sweep(quick: bool, threads: usize, journeys: Option<JourneyConfig>) -> SweepOutput {
+pub(crate) fn run_sweep(
+    quick: bool,
+    threads: usize,
+    journeys: Option<JourneyConfig>,
+) -> SweepOutput {
     let _p = ebda_obs::prof::phase("sweep/run");
     let topo = if quick {
         Topology::mesh(&[4, 4])

@@ -5,8 +5,8 @@
 //! `<stem>.samples.csv` sibling with the time series; any other extension
 //! gets the recorder's JSON document (meta + totals + events + samples)
 //! and nothing else. Commands that aggregate many runs have no single
-//! event log and write the [`write_profile`] document to the trace path
-//! instead ([`ObsOptions::activate_aggregate`]). Flags are the only
+//! event log and write the `write_profile` document to the trace path
+//! instead (`ObsOptions::activate_aggregate`). Flags are the only
 //! input: nothing here reads the environment (`EBDA_THREADS` is resolved
 //! inside `ebda-par`).
 
@@ -165,7 +165,7 @@ impl ObsOptions {
     /// # Errors
     ///
     /// See [`ObsOptions::activate`].
-    pub fn activate_aggregate(&mut self) -> Result<(), CliError> {
+    pub(crate) fn activate_aggregate(&mut self) -> Result<(), CliError> {
         self.activate()?;
         if self.trace.is_some() {
             ebda_obs::prof::set_enabled(true);
@@ -177,7 +177,7 @@ impl ObsOptions {
     /// requested: `Some` iff [`ObsOptions::trace`] or
     /// [`ObsOptions::journey`] is. When journeys were requested the
     /// recorder comes back with a journey tracer already attached
-    /// (see [`ObsOptions::journey_config`]).
+    /// (see `ObsOptions::journey_config`).
     pub fn recorder(&self) -> Option<Recorder> {
         let mut rec =
             (self.trace.is_some() || self.journey.is_some()).then(Recorder::with_defaults)?;
@@ -189,7 +189,7 @@ impl ObsOptions {
 
     /// The journey-tracer configuration implied by the flags: `Some`
     /// iff [`ObsOptions::journey`] is, carrying the sample rate.
-    pub fn journey_config(&self) -> Option<JourneyConfig> {
+    pub(crate) fn journey_config(&self) -> Option<JourneyConfig> {
         self.journey.as_ref().map(|_| JourneyConfig {
             sample_rate: self.journey_sample_rate,
             ..JourneyConfig::default()
@@ -198,7 +198,7 @@ impl ObsOptions {
 
     /// Tells stderr where a campaign's evidence went (`records` ledger
     /// lines, the merged coverage `map`), for the files that were asked for.
-    pub fn note_evidence(&self, records: usize, map: Option<&ebda_obs::CoverageMap>) {
+    pub(crate) fn note_evidence(&self, records: usize, map: Option<&ebda_obs::CoverageMap>) {
         if let Some(path) = &self.ledger {
             eprintln!(
                 "ledger: {records} verdicts appended to {} ({} threads)",
@@ -214,11 +214,6 @@ impl ObsOptions {
                 map.digest()
             );
         }
-    }
-
-    /// The bound metrics address, once [`ObsOptions::activate`] ran.
-    pub fn bound_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(MetricsServer::local_addr)
     }
 
     /// Ends the observability session: writes the self-profiler report
@@ -284,7 +279,7 @@ pub fn write_trace(rec: &Recorder, path: &Path) -> Result<(), CliError> {
 /// the sweep attaches to each simulated point when `--journey-out` is
 /// set: a modest event ring (journeys themselves are never evicted) and
 /// no periodic samples.
-pub fn journey_recorder(cfg: JourneyConfig) -> Recorder {
+pub(crate) fn journey_recorder(cfg: JourneyConfig) -> Recorder {
     let mut rec = Recorder::new(RecorderConfig {
         capacity: 1024,
         sample_every: 0,
@@ -334,7 +329,7 @@ pub fn write_journey(rec: &Recorder, label: &str, path: &Path) -> Result<(), Cli
 /// # Errors
 ///
 /// See [`write_file`].
-pub fn write_profile(path: &Path) -> Result<(), CliError> {
+pub(crate) fn write_profile(path: &Path) -> Result<(), CliError> {
     let snap = ebda_obs::prof::snapshot();
     let mut builder = TraceBuilder::new();
     builder.add_worker_timeline("workers", &snap.workers);
@@ -371,9 +366,10 @@ mod tests {
         assert_eq!(obs.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(obs.metrics_linger, 0);
-        assert!(obs.bound_addr().is_none());
+        assert!(obs.server.is_none());
         obs.activate().unwrap();
-        let addr = obs.bound_addr().expect("bound after activate");
+        let server = obs.server.as_ref().expect("bound after activate");
+        let addr = server.local_addr();
         let body = ebda_obs::http_get(&addr.to_string(), "/healthz").unwrap();
         assert!(body.starts_with("ok uptime_seconds="), "body {body:?}");
         obs.finish().unwrap();

@@ -4,7 +4,7 @@
 //! A [`Csr`] stores a channel-indexed dependency graph as two flat
 //! arrays (`row_start`, `col`) with ascending rows. Dally cycle
 //! detection ([`find_cycle`]), the channel-ordering certificate
-//! ([`topological_order`]) and the Duato escape check (via
+//! (`topological_order`) and the Duato escape check (via
 //! [`crate::dally::verify_turn_set`]) all walk this one structure, and
 //! the one cycle search behind them also runs where no CSR was built
 //! (`Successors`): the turn-model enumerations and the incremental
@@ -52,7 +52,7 @@ impl Csr {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.n
     }
 
@@ -198,7 +198,7 @@ pub fn find_cycle(csr: &Csr) -> Option<Vec<u32>> {
 /// when the graph is cyclic. Among ready nodes the lowest index goes
 /// first — identical output to the `BTreeSet`-based order the CDG used
 /// before, but via the scratch min-heap.
-pub fn topological_order(csr: &Csr) -> Option<Vec<u32>> {
+pub(crate) fn topological_order(csr: &Csr) -> Option<Vec<u32>> {
     let n = csr.node_count();
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();

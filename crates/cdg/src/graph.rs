@@ -34,7 +34,7 @@ impl ConcreteChannel {
     /// direction (e.g. `X1+`), dropping the node coordinates. Coverage
     /// maps key CDG edges at this granularity so maps stay comparable
     /// across topology sizes.
-    pub fn class_label(&self) -> String {
+    pub(crate) fn class_label(&self) -> String {
         format!("{}{}{}", self.dim, self.vc, self.dir)
     }
 }
@@ -496,16 +496,6 @@ impl Skeleton {
 }
 
 impl Cdg {
-    /// Enumerates every concrete channel of `topo` given per-dimension VC
-    /// counts (`vcs[d]` virtual channels along dimension `d`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vcs.len()` differs from the topology's dimension count.
-    pub fn channels_of(topo: &Topology, vcs: &[u8]) -> Vec<ConcreteChannel> {
-        Skeleton::new(topo, vcs, &[]).channels
-    }
-
     /// Builds the CDG induced by a class-level turn set: one
     /// [`Skeleton`], one [`Skeleton::fill`] (which states the dependency
     /// rule).
@@ -550,11 +540,6 @@ impl Cdg {
     /// The concrete channels (graph nodes).
     pub fn channels(&self) -> &[ConcreteChannel] {
         &self.channels
-    }
-
-    /// The flat CSR adjacency backing this graph.
-    pub fn csr(&self) -> &Csr {
-        &self.csr
     }
 
     /// Number of graph nodes.
@@ -642,24 +627,6 @@ impl Cdg {
         out.sort();
         out
     }
-
-    /// Renders the concrete CDG in Graphviz DOT form (one node per
-    /// concrete channel, one edge per dependency). Intended for small
-    /// verification topologies; the output grows with links × VCs.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph cdg {\n  node [shape=ellipse];\n");
-        for (i, c) in self.channels.iter().enumerate() {
-            let _ = writeln!(out, "  n{i} [label=\"{c}\"];");
-        }
-        for i in 0..self.channels.len() {
-            for &j in self.csr.row(i) {
-                let _ = writeln!(out, "  n{i} -> n{j};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -674,10 +641,9 @@ mod tests {
     #[test]
     fn channel_enumeration_counts() {
         let topo = Topology::mesh(&[3, 3]);
-        let chans = Cdg::channels_of(&topo, &[1, 1]);
-        assert_eq!(chans.len(), 24);
-        let chans = Cdg::channels_of(&topo, &[2, 1]);
-        assert_eq!(chans.len(), 36); // 12 X-links doubled + 12 Y-links
+        let chans = |vcs: &[u8]| Skeleton::new(&topo, vcs, &[]).channels().len();
+        assert_eq!(chans(&[1, 1]), 24);
+        assert_eq!(chans(&[2, 1]), 36); // 12 X-links doubled + 12 Y-links
     }
 
     #[test]
@@ -739,18 +705,6 @@ mod tests {
                 "odd-even must be acyclic on {radix}x{radix}"
             );
         }
-    }
-
-    #[test]
-    fn dot_export_counts_nodes_and_edges() {
-        let seq = PartitionSeq::parse("X+ X- Y- | Y+").unwrap();
-        let ex = extract_turns(&seq).unwrap();
-        let topo = Topology::mesh(&[3, 3]);
-        let cdg = Cdg::from_turn_set(&topo, &[1, 1], &design_universe(&seq), ex.turn_set());
-        let dot = cdg.to_dot();
-        assert!(dot.starts_with("digraph cdg"));
-        assert_eq!(dot.matches("label=").count(), cdg.node_count());
-        assert_eq!(dot.matches(" -> ").count(), cdg.edge_count());
     }
 
     #[test]

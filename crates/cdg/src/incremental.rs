@@ -17,27 +17,22 @@
 //! cyclic.
 //!
 //! Queries take `&self` (they share one scratch relation behind a lock)
-//! and allocate nothing. In cross-check mode
-//! ([`IncrementalVerifier::set_cross_check`], the tests' reference) every
-//! query and commit is asserted against the full rebuild,
-//! [`Cdg::from_turn_set`] on the edited design: the verdict, and after a
-//! commit the witness too.
+//! and allocate nothing. `tests/incremental_equiv.rs` asserts every query
+//! and commit against the full rebuild, [`crate::Cdg::from_turn_set`] on
+//! the edited design: the verdict, and after a commit the witness too.
 
-use crate::graph::{Cdg, ConcreteChannel, Relation, Skeleton};
+use crate::graph::{ConcreteChannel, Relation, Skeleton};
 use crate::topology::Topology;
 use ebda_core::{Channel, Turn, TurnSet};
 use std::sync::{Mutex, MutexGuard};
 
 /// Incremental Dally verifier over one base design.
 ///
-/// Holds the base `(topology, vcs, universe, turns)`, its skeleton and
-/// its class relation. Query methods answer "would this one-step edit
-/// leave the CDG acyclic?" without mutating the base; apply methods
-/// commit the edit.
+/// Holds the base turn set, its skeleton and its class relation. Query
+/// methods answer "would this one-step edit leave the CDG acyclic?"
+/// without mutating the base; apply methods commit the edit.
 #[derive(Debug)]
 pub struct IncrementalVerifier {
-    topo: Topology,
-    vcs: Vec<u8>,
     turns: TurnSet,
     /// The channels of the topology, matched against the universe.
     skeleton: Skeleton,
@@ -47,20 +42,16 @@ pub struct IncrementalVerifier {
     /// The copy of `relation` a query edits.
     scratch: Mutex<Relation>,
     acyclic: bool,
-    check: bool,
 }
 
 impl Clone for IncrementalVerifier {
     fn clone(&self) -> IncrementalVerifier {
         IncrementalVerifier {
-            topo: self.topo.clone(),
-            vcs: self.vcs.clone(),
             turns: self.turns.clone(),
             skeleton: self.skeleton.clone(),
             relation: self.relation.clone(),
             scratch: Mutex::new(self.relation.clone()),
             acyclic: self.acyclic,
-            check: self.check,
         }
     }
 }
@@ -93,7 +84,7 @@ fn set_turn(skeleton: &Skeleton, relation: &mut Relation, t: Turn, allowed: bool
 }
 
 impl IncrementalVerifier {
-    /// Builds the verifier for a base design, cross-check mode off.
+    /// Builds the verifier for a base design.
     pub fn new(
         topo: Topology,
         vcs: Vec<u8>,
@@ -104,22 +95,12 @@ impl IncrementalVerifier {
         let mut relation = skeleton.relation(&turns);
         let acyclic = verdict(&skeleton, &mut relation);
         IncrementalVerifier {
-            topo,
-            vcs,
             turns,
             skeleton,
             scratch: Mutex::new(relation.clone()),
             relation,
             acyclic,
-            check: false,
         }
-    }
-
-    /// Switches the cross-check mode on or off: every query and
-    /// apply re-verifies against a full rebuild and panics on any
-    /// divergence.
-    pub fn set_cross_check(&mut self, on: bool) {
-        self.check = on;
     }
 
     /// Whether the base design's CDG is acyclic (Dally-deadlock-free).
@@ -141,7 +122,7 @@ impl IncrementalVerifier {
     }
 
     /// A cycle witness of the base CDG, or `None` when acyclic: a fresh
-    /// search in the order [`Cdg::find_cycle`] visits the full build, so
+    /// search in the order [`crate::Cdg::find_cycle`] visits the full build, so
     /// the witnesses are the same concrete channels.
     pub fn find_cycle(&self) -> Option<Vec<ConcreteChannel>> {
         let channels = self.skeleton.channels();
@@ -150,48 +131,26 @@ impl IncrementalVerifier {
         Some(cycle.iter().map(|&i| channels[i as usize]).collect())
     }
 
-    /// Cross-check mode's reference: the witness of the full rebuild of
-    /// the base with `turns`, `None` when it is acyclic.
-    fn reference(&self, turns: &TurnSet) -> Option<Vec<ConcreteChannel>> {
-        let universe = self.skeleton.universe();
-        Cdg::from_turn_set(&self.topo, &self.vcs, universe, turns).find_cycle()
-    }
-
     /// Would the CDG be acyclic with turn `t` removed?
     pub fn query_remove_turn(&self, t: Turn) -> bool {
         ebda_obs::prof::work("incr", "queries", 1);
         // Nothing to remove, or an acyclic base losing dependencies.
-        let got = if t.from == t.to || !self.turns.contains(t) || self.acyclic {
-            self.acyclic
-        } else {
-            let edit = |r: &mut Relation| set_turn(&self.skeleton, r, t, false);
-            verdict(&self.skeleton, &mut self.edited(edit))
-        };
-        if self.check {
-            let turns: TurnSet = self.turns.iter().filter(|&x| x != t).collect();
-            let want = self.reference(&turns).is_none();
-            assert_eq!(got, want, "incremental remove-turn verdict diverged: {t:?}");
+        if t.from == t.to || !self.turns.contains(t) || self.acyclic {
+            return self.acyclic;
         }
-        got
+        let edit = |r: &mut Relation| set_turn(&self.skeleton, r, t, false);
+        verdict(&self.skeleton, &mut self.edited(edit))
     }
 
     /// Would the CDG be acyclic with turn `t` added?
     pub fn query_add_turn(&self, t: Turn) -> bool {
         ebda_obs::prof::work("incr", "queries", 1);
         // Nothing to add, or a cyclic base gaining dependencies.
-        let got = if t.from == t.to || self.turns.contains(t) || !self.acyclic {
-            self.acyclic
-        } else {
-            let edit = |r: &mut Relation| set_turn(&self.skeleton, r, t, true);
-            verdict(&self.skeleton, &mut self.edited(edit))
-        };
-        if self.check {
-            let mut turns = self.turns.clone();
-            turns.insert(t);
-            let want = self.reference(&turns).is_none();
-            assert_eq!(got, want, "incremental add-turn verdict diverged: {t:?}");
+        if t.from == t.to || self.turns.contains(t) || !self.acyclic {
+            return self.acyclic;
         }
-        got
+        let edit = |r: &mut Relation| set_turn(&self.skeleton, r, t, true);
+        verdict(&self.skeleton, &mut self.edited(edit))
     }
 
     /// Commits a turn removal; returns the new verdict.
@@ -222,19 +181,6 @@ impl IncrementalVerifier {
         if self.acyclic == grew {
             self.acyclic = verdict(&self.skeleton, &mut self.relation);
         }
-        if self.check {
-            let want = self.reference(&self.turns);
-            assert_eq!(
-                self.acyclic,
-                want.is_none(),
-                "committed verdict diverged from full rebuild"
-            );
-            assert_eq!(
-                self.find_cycle(),
-                want,
-                "committed witness diverged from full rebuild"
-            );
-        }
         self.acyclic
     }
 }
@@ -242,77 +188,8 @@ impl IncrementalVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Cdg;
     use ebda_core::parse_channels;
-
-    fn all_turns(universe: &[Channel]) -> TurnSet {
-        let mut turns = TurnSet::new();
-        for &a in universe {
-            for &b in universe {
-                if a != b {
-                    turns.insert(Turn::new(a, b));
-                }
-            }
-        }
-        turns
-    }
-
-    fn full_acyclic(topo: &Topology, universe: &[Channel], turns: &TurnSet) -> bool {
-        Cdg::from_turn_set(topo, &[1, 1], universe, turns).is_acyclic()
-    }
-
-    #[test]
-    fn remove_turn_queries_match_full_rebuild() {
-        let topo = Topology::mesh(&[4, 4]);
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        let turns = all_turns(&universe);
-        let mut v =
-            IncrementalVerifier::new(topo.clone(), vec![1, 1], universe.clone(), turns.clone());
-        v.set_cross_check(true);
-        assert!(!v.is_acyclic());
-        for t in turns.iter() {
-            // Cross-check mode asserts equivalence internally.
-            v.query_remove_turn(t);
-        }
-    }
-
-    #[test]
-    fn apply_chain_drains_to_acyclic() {
-        // Remove turns one at a time until the CDG goes acyclic; at
-        // every step the incremental verdict must match a full rebuild
-        // (and in check mode, the witness must).
-        let topo = Topology::mesh(&[3, 3]);
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        let turns = all_turns(&universe);
-        let mut v =
-            IncrementalVerifier::new(topo.clone(), vec![1, 1], universe.clone(), turns.clone());
-        v.set_cross_check(true);
-        for t in turns.iter() {
-            let got = v.apply_remove_turn(t);
-            assert_eq!(got, full_acyclic(&topo, &universe, v.turns()));
-        }
-        assert!(v.is_acyclic(), "no turns left: straight-only mesh CDG");
-        // And back up: re-adding every turn must land on the original.
-        for t in turns.iter() {
-            v.apply_add_turn(t);
-        }
-        assert!(!v.is_acyclic());
-    }
-
-    #[test]
-    fn acyclic_base_answers_removals_for_free() {
-        // North-last is acyclic: every removal query must return true
-        // without a verdict (monotonicity early-exit).
-        let seq = ebda_core::PartitionSeq::parse("X+ X- Y- | Y+").unwrap();
-        let ex = ebda_core::extract_turns(&seq).unwrap();
-        let topo = Topology::mesh(&[4, 4]);
-        let mut v =
-            IncrementalVerifier::new(topo, vec![1, 1], seq.channels(), ex.turn_set().clone());
-        v.set_cross_check(true);
-        assert!(v.is_acyclic());
-        for t in ex.turn_set().clone().iter() {
-            assert!(v.query_remove_turn(t));
-        }
-    }
 
     #[test]
     fn witness_matches_full_build_exactly() {

@@ -33,11 +33,10 @@ pub mod csr;
 pub mod dally;
 pub mod duato;
 pub mod graph;
-pub mod incremental;
+pub(crate) mod incremental;
 pub mod topology;
 pub mod turn_model;
 mod walk;
-pub mod witness;
 
 pub use csr::Csr;
 pub use dally::{verify_design, verify_turn_set, VerificationReport};

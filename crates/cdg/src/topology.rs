@@ -71,24 +71,6 @@ impl Topology {
         t
     }
 
-    /// An `n`-dimensional hypercube — the radix-2 mesh (each dimension has
-    /// coordinates 0/1, so every mesh link *is* the hypercube link).
-    ///
-    /// ```
-    /// use ebda_cdg::Topology;
-    /// let h = Topology::hypercube(4);
-    /// assert_eq!(h.node_count(), 16);
-    /// assert_eq!(h.links().len(), 4 * 16); // n links per node, directed
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn hypercube(n: usize) -> Topology {
-        assert!(n >= 1, "a hypercube needs at least one dimension");
-        Topology::mesh(&vec![2; n])
-    }
-
     /// Makes individual dimensions wrap.
     ///
     /// # Panics
@@ -186,11 +168,6 @@ impl Topology {
             self.failed.insert((other, dim.index(), dir.opposite()));
         }
         self
-    }
-
-    /// Number of failed directed links.
-    pub fn failed_link_count(&self) -> usize {
-        self.failed.len()
     }
 
     /// The neighbour of `node` along `dim` in direction `dir`, or `None`
@@ -388,10 +365,10 @@ mod tests {
         assert_eq!(t.neighbor(b, Dimension::X, Direction::Minus), None);
         // Other links unaffected.
         assert!(t.neighbor(a, Dimension::Y, Direction::Plus).is_some());
-        assert_eq!(t.failed_link_count(), 2);
+        assert_eq!(t.failed.len(), 2);
         // Failing a nonexistent (edge) link is a no-op.
         let t2 = Topology::mesh(&[3, 3]).with_failed_link(0, Dimension::X, Direction::Minus);
-        assert_eq!(t2.failed_link_count(), 0);
+        assert_eq!(t2.failed.len(), 0);
     }
 
     /// `neighbor` from the definitions: coordinates re-encoded with
@@ -431,7 +408,7 @@ mod tests {
             Topology::torus(&[1, 2, 3]),
             Topology::mesh(&[1, 1]),
             Topology::mesh(&[4, 3]).with_wrap(&[false, true]),
-            Topology::hypercube(4),
+            Topology::mesh(&[2; 4]),
             cut(Topology::mesh(&[4, 4])),
             cut(Topology::torus(&[2, 5])),
             Topology::mesh(&[3, 3, 2]).with_partial_dim(z, [vec![0, 0], vec![2, 2]]),

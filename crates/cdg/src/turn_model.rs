@@ -84,17 +84,6 @@ pub fn combinations_2d() -> Vec<Combination> {
     out
 }
 
-/// The turns a model allows: every turn of `cycles` except turn
-/// `digits[c]` of cycle `c` — the model's prohibition index vector, as
-/// [`deadlock_free_combinations`] returns it.
-pub fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
-    let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
-    for (cycle, &k) in cycles.iter().zip(digits) {
-        allowed.remove(cycle[k]);
-    }
-    allowed
-}
-
 /// The plain class universe of `dims` dimensions with `q` virtual
 /// channels each, VC-major.
 fn plain_universe(dims: usize, q: u8) -> Vec<Channel> {
@@ -481,6 +470,17 @@ pub fn combination_count(vcs: &[u8]) -> Option<u128> {
 mod tests {
     use super::*;
     use crate::Cdg;
+
+    /// The turns a model allows: every turn of `cycles` except turn
+    /// `digits[c]` of cycle `c` — the model's prohibition index vector, as
+    /// [`deadlock_free_combinations`] returns it.
+    fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
+        let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
+        for (cycle, &k) in cycles.iter().zip(digits) {
+            allowed.remove(cycle[k]);
+        }
+        allowed
+    }
 
     #[test]
     fn sixteen_combinations() {

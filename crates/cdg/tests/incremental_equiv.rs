@@ -9,13 +9,152 @@
 //! mesh (missing Z columns, so link and channel enumeration is
 //! non-uniform), and Odd-Even's parity classes next to the plain ones
 //! with one entry listed twice (channels matching several classes).
-//! Cross-check mode is switched on, so every incremental query also
-//! self-asserts against a full rebuild internally.
+//! The verifier runs inside [`Checked`], so every incremental query and
+//! commit also asserts itself against a full rebuild.
 
 use ebda_cdg::dally::{design_universe, infer_vcs};
-use ebda_cdg::{verify_turn_set, Cdg, IncrementalVerifier, Topology};
+use ebda_cdg::{verify_turn_set, Cdg, ConcreteChannel, IncrementalVerifier, Topology};
 use ebda_core::{catalog, extract_turns, parse_channels, Channel, Dimension, Turn, TurnSet};
 use ebda_obs::Rng64;
+use std::ops::Deref;
+
+/// An [`IncrementalVerifier`] whose every verdict is asserted against
+/// the full rebuild of the edited design, `Cdg::from_turn_set(..)
+/// .find_cycle()`, and after a commit its witness too.
+struct Checked {
+    verifier: IncrementalVerifier,
+    topo: Topology,
+    vcs: Vec<u8>,
+    universe: Vec<Channel>,
+}
+
+impl Deref for Checked {
+    type Target = IncrementalVerifier;
+
+    fn deref(&self) -> &IncrementalVerifier {
+        &self.verifier
+    }
+}
+
+impl Checked {
+    fn new(topo: Topology, vcs: Vec<u8>, universe: Vec<Channel>, turns: TurnSet) -> Checked {
+        let verifier = IncrementalVerifier::new(topo.clone(), vcs.clone(), universe.clone(), turns);
+        Checked {
+            verifier,
+            topo,
+            vcs,
+            universe,
+        }
+    }
+
+    /// The witness of the full rebuild with `turns`, `None` when acyclic.
+    fn reference(&self, turns: &TurnSet) -> Option<Vec<ConcreteChannel>> {
+        Cdg::from_turn_set(&self.topo, &self.vcs, &self.universe, turns).find_cycle()
+    }
+
+    fn query_remove_turn(&self, t: Turn) -> bool {
+        let got = self.verifier.query_remove_turn(t);
+        let turns: TurnSet = self.turns().iter().filter(|&x| x != t).collect();
+        let want = self.reference(&turns).is_none();
+        assert_eq!(got, want, "incremental remove-turn verdict diverged: {t:?}");
+        got
+    }
+
+    fn query_add_turn(&self, t: Turn) -> bool {
+        let got = self.verifier.query_add_turn(t);
+        let mut turns = self.turns().clone();
+        turns.insert(t);
+        let want = self.reference(&turns).is_none();
+        assert_eq!(got, want, "incremental add-turn verdict diverged: {t:?}");
+        got
+    }
+
+    fn apply_remove_turn(&mut self, t: Turn) -> bool {
+        let got = self.verifier.apply_remove_turn(t);
+        self.check_commit();
+        got
+    }
+
+    fn apply_add_turn(&mut self, t: Turn) -> bool {
+        let got = self.verifier.apply_add_turn(t);
+        self.check_commit();
+        got
+    }
+
+    fn check_commit(&self) {
+        let want = self.reference(self.turns());
+        assert_eq!(
+            self.is_acyclic(),
+            want.is_none(),
+            "committed verdict diverged from full rebuild"
+        );
+        assert_eq!(
+            self.find_cycle(),
+            want,
+            "committed witness diverged from full rebuild"
+        );
+    }
+}
+
+fn all_turns(universe: &[Channel]) -> TurnSet {
+    let mut turns = TurnSet::new();
+    for &a in universe {
+        for &b in universe {
+            if a != b {
+                turns.insert(Turn::new(a, b));
+            }
+        }
+    }
+    turns
+}
+
+#[test]
+fn remove_turn_queries_match_full_rebuild() {
+    let topo = Topology::mesh(&[4, 4]);
+    let universe = parse_channels("X+ X- Y+ Y-").unwrap();
+    let turns = all_turns(&universe);
+    let v = Checked::new(topo, vec![1, 1], universe, turns.clone());
+    assert!(!v.is_acyclic());
+    for t in turns.iter() {
+        // The wrapper asserts equivalence.
+        v.query_remove_turn(t);
+    }
+}
+
+#[test]
+fn apply_chain_drains_to_acyclic() {
+    // Remove turns one at a time until the CDG goes acyclic; at every
+    // step the incremental verdict and witness must match a full rebuild.
+    let topo = Topology::mesh(&[3, 3]);
+    let universe = parse_channels("X+ X- Y+ Y-").unwrap();
+    let turns = all_turns(&universe);
+    let mut v = Checked::new(topo.clone(), vec![1, 1], universe.clone(), turns.clone());
+    for t in turns.iter() {
+        let got = v.apply_remove_turn(t);
+        let full = Cdg::from_turn_set(&topo, &[1, 1], &universe, v.turns()).is_acyclic();
+        assert_eq!(got, full);
+    }
+    assert!(v.is_acyclic(), "no turns left: straight-only mesh CDG");
+    // And back up: re-adding every turn must land on the original.
+    for t in turns.iter() {
+        v.apply_add_turn(t);
+    }
+    assert!(!v.is_acyclic());
+}
+
+#[test]
+fn acyclic_base_answers_removals_for_free() {
+    // North-last is acyclic: every removal query must return true
+    // without a verdict (monotonicity early-exit).
+    let seq = ebda_core::PartitionSeq::parse("X+ X- Y- | Y+").unwrap();
+    let ex = extract_turns(&seq).unwrap();
+    let topo = Topology::mesh(&[4, 4]);
+    let v = Checked::new(topo, vec![1, 1], seq.channels(), ex.turn_set().clone());
+    assert!(v.is_acyclic());
+    for t in ex.turn_set().clone().iter() {
+        assert!(v.query_remove_turn(t));
+    }
+}
 
 struct Scenario {
     name: &'static str,
@@ -30,20 +169,12 @@ fn scenarios() -> Vec<Scenario> {
 
     // All class-to-class turns on a mesh: cyclic base.
     let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-    let mut all = TurnSet::new();
-    for &a in &universe {
-        for &b in &universe {
-            if a != b {
-                all.insert(Turn::new(a, b));
-            }
-        }
-    }
     out.push(Scenario {
         name: "mesh-all-turns",
         topo: Topology::mesh(&[4, 4]),
         vcs: vec![1, 1],
+        turns: all_turns(&universe),
         universe,
-        turns: all,
     });
 
     // The dateline torus: acyclic base with VC-split channel classes.
@@ -76,20 +207,12 @@ fn scenarios() -> Vec<Scenario> {
     let mut universe = design_universe(&catalog::odd_even());
     universe.extend(parse_channels("X+ X- Y+ Y-").unwrap());
     universe.push(universe[0]);
-    let mut all = TurnSet::new();
-    for &a in &universe {
-        for &b in &universe {
-            if a != b {
-                all.insert(Turn::new(a, b));
-            }
-        }
-    }
     out.push(Scenario {
         name: "parity-and-duplicate",
         topo: Topology::mesh(&[4, 4]),
         vcs: vec![1, 1],
+        turns: all_turns(&universe),
         universe,
-        turns: all,
     });
 
     out
@@ -110,13 +233,12 @@ fn random_delta_sequences_match_full_rebuild() {
 /// Forty random turn deltas on `s`.
 fn run_sequence(s: &Scenario, seed: u64, tally: &mut (u32, u32)) {
     let mut r = Rng64::new(seed * 1000 + 17);
-    let mut v = IncrementalVerifier::new(
+    let mut v = Checked::new(
         s.topo.clone(),
         s.vcs.clone(),
         s.universe.clone(),
         s.turns.clone(),
     );
-    v.set_cross_check(true);
 
     // Shadow state, rebuilt from scratch at every step.
     let mut turns = s.turns.clone();

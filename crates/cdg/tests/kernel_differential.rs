@@ -39,9 +39,8 @@ use ebda_cdg::csr;
 use ebda_cdg::duato::verify_escape_given;
 use ebda_cdg::graph::Relation;
 use ebda_cdg::turn_model::{
-    abstract_cycles, abstract_cycles_2d, abstract_cycles_2d_vc, allowed_turns,
-    deadlock_free_combinations, deadlock_free_combinations_2d, sample_deadlock_free_2d_vc,
-    unique_turn_sets_up_to_symmetry,
+    abstract_cycles, abstract_cycles_2d, abstract_cycles_2d_vc, deadlock_free_combinations,
+    deadlock_free_combinations_2d, sample_deadlock_free_2d_vc, unique_turn_sets_up_to_symmetry,
 };
 use ebda_cdg::{Cdg, ConcreteChannel, NodeId, Skeleton, Topology, VerificationReport};
 use ebda_core::{Channel, Dimension, Direction, Parity, Turn, TurnSet};
@@ -401,7 +400,7 @@ fn mask_build_matches_the_class_match_rule() {
             let vcs = random_vcs(&mut rng, topo.dims());
             let universe = random_universe(&mut rng, &topo, &vcs);
             assert_eq!(
-                Cdg::channels_of(&topo, &vcs),
+                Skeleton::new(&topo, &vcs, &[]).channels(),
                 reference_channels(&topo, &vcs),
                 "{name}: channel enumeration"
             );
@@ -723,9 +722,9 @@ impl Space {
     }
 }
 
-/// The per-model body `turn_model` had: the allowed turns as a filtered
-/// list, a `TurnSet` of them, a CDG built for it and searched.
-fn reference_is_free(space: &Space, digits: &[usize]) -> bool {
+/// The turns a model allows, as `turn_model` listed them: every turn of
+/// the space's cycles but turn `digits[c]` of cycle `c`.
+fn reference_allowed(space: &Space, digits: &[usize]) -> TurnSet {
     let mut all_turns: Vec<Turn> = space.cycles.iter().flatten().copied().collect();
     all_turns.sort_unstable();
     all_turns.dedup();
@@ -735,12 +734,17 @@ fn reference_is_free(space: &Space, digits: &[usize]) -> bool {
         .zip(digits)
         .map(|(c, &k)| c[k])
         .collect();
-    let allowed: TurnSet = all_turns
+    all_turns
         .iter()
         .copied()
         .filter(|t| !prohibited.contains(t))
-        .collect();
-    assert_eq!(allowed, allowed_turns(&space.cycles, digits));
+        .collect()
+}
+
+/// The per-model body `turn_model` had: the allowed turns as a filtered
+/// list, a `TurnSet` of them, a CDG built for it and searched.
+fn reference_is_free(space: &Space, digits: &[usize]) -> bool {
+    let allowed = reference_allowed(space, digits);
     Cdg::from_turn_set(&space.topo, &space.vcs, &space.universe, &allowed).is_acyclic()
 }
 
@@ -784,7 +788,7 @@ fn enumerations_match_the_per_model_build() {
         let listed = got.get(at).is_some_and(|c| (c.cw, c.ccw) == (i, j));
         assert_eq!(listed, reference_is_free(&space, &[i, j]), "cw {i} ccw {j}");
         if listed {
-            assert_eq!(got[at].allowed, allowed_turns(&space.cycles, &[i, j]));
+            assert_eq!(got[at].allowed, reference_allowed(&space, &[i, j]));
             at += 1;
         }
     }
@@ -818,7 +822,7 @@ fn the_two_vc_space_matches_the_per_model_build_exhaustively() {
         prohibited().for_each(|t| relation.set(at(t.from), at(t.to), true));
         assert_eq!(got, reference_is_free(&space, &digits), "model {combo}");
         if got {
-            free.push(allowed_turns(&space.cycles, &digits));
+            free.push(reference_allowed(&space, &digits));
         }
     }
     assert_eq!(free.len(), 68);

@@ -11,7 +11,7 @@ mod cycle_ref;
 
 use cycle_ref::csr_of;
 use ebda_cdg::csr::find_cycle;
-use ebda_cdg::{Cdg, Topology};
+use ebda_cdg::{Skeleton, Topology};
 use ebda_obs::Rng64;
 
 /// A random directed graph as an adjacency list with up to `max_nodes`
@@ -87,7 +87,7 @@ fn cdg_channel_enumeration_is_consistent() {
         let vx = 1 + rng.gen_index(2) as u8;
         let vy = 1 + rng.gen_index(2) as u8;
         let topo = Topology::mesh(&[rx, ry]);
-        let chans = Cdg::channels_of(&topo, &[vx, vy]);
+        let chans = Skeleton::new(&topo, &[vx, vy], &[]).channels().to_vec();
         let expected: usize = topo
             .links()
             .iter()

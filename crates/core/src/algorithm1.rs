@@ -169,7 +169,7 @@ pub fn partition_network(vcs_per_dim: &[u8]) -> Result<PartitionSeq> {
 }
 
 /// Runs Algorithm 1 on the region-covering arrangement
-/// ([`crate::sets::region_covering`]): consecutive partitions enumerate
+/// (`crate::sets::region_covering`): consecutive partitions enumerate
 /// complementary sign regions, reproducing the Figure 7b/9b designs and
 /// reaching full adaptiveness whenever the VC budget allows.
 ///

@@ -1,7 +1,6 @@
 //! A fluent builder for partition sequences — ergonomic construction of
 //! designs with validation at the end.
 
-use crate::channel::Channel;
 use crate::error::Result;
 use crate::partition::Partition;
 use crate::sequence::PartitionSeq;
@@ -46,19 +45,6 @@ impl DesignBuilder {
         Ok(self)
     }
 
-    /// Appends a partition from already-built channels.
-    ///
-    /// # Errors
-    ///
-    /// Returns an overlap error for non-disjoint channels.
-    pub fn partition_channels<I>(mut self, channels: I) -> Result<DesignBuilder>
-    where
-        I: IntoIterator<Item = Channel>,
-    {
-        self.partitions.push(Partition::from_channels(channels)?);
-        Ok(self)
-    }
-
     /// Finishes the design, validating Theorem 1 and partition
     /// disjointness.
     ///
@@ -75,7 +61,6 @@ impl DesignBuilder {
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::channel::{Channel, Dimension, Direction};
 
     #[test]
     fn builds_the_catalog_classics() {
@@ -123,24 +108,6 @@ mod tests {
             .unwrap()
             .build();
         assert!(err.is_err(), "overlapping partitions must be rejected");
-    }
-
-    #[test]
-    fn channel_variant_works() {
-        let seq = DesignBuilder::new()
-            .partition_channels([
-                Channel::new(Dimension::X, Direction::Plus),
-                Channel::new(Dimension::Y, Direction::Plus),
-            ])
-            .unwrap()
-            .partition_channels([
-                Channel::new(Dimension::X, Direction::Minus),
-                Channel::new(Dimension::Y, Direction::Minus),
-            ])
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(seq.to_string(), "[X1+ Y1+] -> [X1- Y1-]");
     }
 
     #[test]

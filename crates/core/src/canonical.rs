@@ -17,36 +17,10 @@ use std::fmt;
 
 /// Version tag folded into every canonical encoding. Bump when the
 /// encoding (not the design) changes, so stale caches cannot alias.
-pub const CANONICAL_VERSION: u32 = 1;
+pub(crate) const CANONICAL_VERSION: u32 = 1;
 
-/// The canonical text encoding of a verification problem: a single line
-/// with sorted channel and turn renderings, suitable for hashing or
-/// golden-file comparison.
-///
-/// ```
-/// use ebda_core::{canonical, parse_channels, TurnSet};
-/// let a = canonical::canonical_string(
-///     &[4, 4], &[false, false], &[1, 1],
-///     &parse_channels("X+ Y+").unwrap(), &TurnSet::new());
-/// let b = canonical::canonical_string(
-///     &[4, 4], &[false, false], &[1, 1],
-///     &parse_channels("Y+ X+").unwrap(), &TurnSet::new());
-/// assert_eq!(a, b); // enumeration order does not matter
-/// ```
-pub fn canonical_string(
-    radix: &[usize],
-    wrap: &[bool],
-    vcs: &[u8],
-    universe: &[Channel],
-    turns: &TurnSet,
-) -> String {
-    let mut out = String::new();
-    encode(&mut out, radix, wrap, vcs, universe, turns).expect("writing to a String cannot fail");
-    out
-}
-
-/// Writes the canonical encoding into `out`: a `String` for
-/// [`canonical_string`], a hasher for [`canonical_hash`].
+/// Writes the canonical encoding into `out`: a hasher for
+/// [`canonical_hash`], a `String` for the tests that pin its text.
 fn encode<W: fmt::Write>(
     out: &mut W,
     radix: &[usize],
@@ -129,9 +103,10 @@ pub fn parse_turn(s: &str) -> Result<Turn, String> {
     Ok(Turn::new(from, to))
 }
 
-/// The canonical 64-bit content hash of a verification problem (FNV-1a
-/// over [`canonical_string`], hashed as it is encoded). Deterministic
-/// across runs, platforms and enumeration orders.
+/// The canonical 64-bit content hash of a verification problem: FNV-1a
+/// over its canonical text encoding (a single line with sorted channel
+/// and turn renderings), hashed as it is encoded. Deterministic across
+/// runs, platforms and enumeration orders.
 pub fn canonical_hash(
     radix: &[usize],
     wrap: &[bool],
@@ -154,6 +129,20 @@ pub fn hash_hex(hash: u64) -> String {
 mod tests {
     use super::*;
     use crate::{catalog, extract_turns, parse_channels};
+
+    /// The canonical text encoding [`canonical_hash`] hashes.
+    fn canonical_string(
+        radix: &[usize],
+        wrap: &[bool],
+        vcs: &[u8],
+        universe: &[Channel],
+        turns: &TurnSet,
+    ) -> String {
+        let mut out = String::new();
+        encode(&mut out, radix, wrap, vcs, universe, turns)
+            .expect("writing to a String cannot fail");
+        out
+    }
 
     #[test]
     fn hash_ignores_universe_order() {

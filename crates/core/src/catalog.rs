@@ -152,47 +152,6 @@ pub fn table5_partial3d() -> PartitionSeq {
     parse!("X1+ Y1+ Y1- Z1+ | X1- Y2+ Y2- Z1-")
 }
 
-/// Planar-adaptive routing (Chien & Kim, the paper's reference 2) as an
-/// EbDa partition sequence: the packet resolves dimensions through a chain
-/// of adaptive 2D planes `(d0,d1), (d1,d2), …`; each plane is the Fig. 7b
-/// double-channel pattern, and the plane order is the Theorem 3 partition
-/// order. For `n = 2` this is exactly [`fig7b_dyxy`].
-///
-/// Channel budget: 1 VC on the first dimension, 2 on the last, 3 on the
-/// middle dimensions — `6(n-1)` channels for `n ≥ 2`, linear in `n` and
-/// far under the `(n+1)·2^(n-1)` needed for *full* adaptiveness
-/// (planar-adaptive is partially adaptive by design).
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn planar_adaptive(n: usize) -> PartitionSeq {
-    assert!(n >= 2, "planar-adaptive needs at least two dimensions");
-    let mut partitions = Vec::with_capacity(2 * (n - 1));
-    for i in 0..(n - 1) {
-        let first = Dimension::new(i as u8);
-        let second = Dimension::new((i + 1) as u8);
-        // Middle dimensions already used VCs 1/2 as a second dimension;
-        // their first-dimension role uses VC 3.
-        let first_vc = if i == 0 { 1 } else { 3 };
-        let mut pa = Partition::new();
-        pa.push(Channel::with_vc(first, Direction::Plus, first_vc))
-            .expect("fresh partition");
-        pa.push_star(Channel::with_vc(second, Direction::Plus, 1))
-            .expect("disjoint channels");
-        let mut pb = Partition::new();
-        pb.push(Channel::with_vc(first, Direction::Minus, first_vc))
-            .expect("fresh partition");
-        pb.push_star(Channel::with_vc(second, Direction::Plus, 2))
-            .expect("disjoint channels");
-        partitions.push(pa);
-        partitions.push(pb);
-    }
-    let seq = PartitionSeq::from_partitions(partitions);
-    seq.validate().expect("planar-adaptive design is valid");
-    seq
-}
-
 /// The torus dateline design as an EbDa partition sequence, using
 /// coordinate-restricted channel classes (the Theorem 2 note: "each
 /// wraparound channel … can be seen as two unidirectional channels and two
@@ -307,33 +266,11 @@ pub fn dateline_design(radix: &[usize], wrap: &[bool]) -> PartitionSeq {
     seq
 }
 
-/// All catalog designs with their paper names, for exhaustive verification
-/// sweeps.
-pub fn all_designs() -> Vec<(&'static str, PartitionSeq)> {
-    vec![
-        ("P1 (XY)", p1_xy()),
-        ("P2 (partially adaptive)", p2_partially_adaptive()),
-        ("P3 (west-first)", p3_west_first()),
-        ("P4 (negative-first)", p4_negative_first()),
-        ("P5 (west-first + VCs)", p5_west_first_vcs()),
-        ("north-last (Fig. 5)", north_last()),
-        ("Fig. 7a (2D naive)", fig7a()),
-        ("Fig. 7b (DyXY)", fig7b_dyxy()),
-        ("Fig. 7c", fig7c()),
-        ("Fig. 9a (3D naive)", fig9a()),
-        ("Fig. 9b", fig9b()),
-        ("Fig. 9c", fig9c()),
-        ("Odd-Even", odd_even()),
-        ("Hamiltonian", hamiltonian()),
-        ("Table 5 (partial 3D)", table5_partial3d()),
-        ("planar-adaptive 3D", planar_adaptive(3)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adaptiveness::is_fully_adaptive;
+    use crate::designs::all_designs;
     use crate::extract::extract_turns;
     use crate::min_channels::{min_channels, vcs_per_dimension};
 
@@ -435,23 +372,6 @@ mod tests {
         // paper counts. See EXPERIMENTS.md.
         assert_eq!(c.u_turns + c.i_turns, 8);
         assert_eq!(vcs_per_dimension(&table5_partial3d(), 3), vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn planar_adaptive_construction() {
-        // n = 2 degenerates to the Fig. 7b design.
-        assert_eq!(planar_adaptive(2), fig7b_dyxy());
-        for n in 2..=5usize {
-            let seq = planar_adaptive(n);
-            assert!(seq.validate().is_ok(), "n={n}");
-            assert_eq!(seq.len(), 2 * (n - 1));
-            assert_eq!(seq.channel_count(), 6 * (n - 1));
-            // Partially adaptive for n >= 3: cheaper than full adaptiveness.
-            if n >= 3 {
-                assert!((seq.channel_count() as u64) < crate::min_channels::min_channels(n as u32));
-                assert!(!is_fully_adaptive(&seq, n));
-            }
-        }
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! `ebda_routing::certify_relation` does.
 
 use crate::channel::Channel;
-use crate::error::{EbdaError, Result};
 use crate::extract::extract_turns;
 use crate::partition::Partition;
 use crate::sequence::PartitionSeq;
@@ -158,8 +157,7 @@ pub fn certify(
 ///
 /// # Errors
 ///
-/// Propagates [`certify`] failures as [`EbdaError`]-style strings inside
-/// [`CertifyFailure`]; returns an internal-consistency error if the
+/// Propagates [`certify`] failures; returns an internal-consistency error if the
 /// certificate fails to cover the input (which would be a bug).
 pub fn certify_checked(
     universe: &[Channel],
@@ -428,30 +426,6 @@ fn scc_ids(adj: &[Vec<u32>]) -> Vec<usize> {
     comp
 }
 
-impl From<CertifyFailure> for EbdaError {
-    fn from(f: CertifyFailure) -> EbdaError {
-        EbdaError::MalformedPairSet {
-            reason: match f {
-                CertifyFailure::TooManyPairs { .. } => {
-                    "turn set forces two complete pairs into one partition"
-                }
-                CertifyFailure::UnorderableChannels { .. } => {
-                    "turn set has cyclic same-dimension transitions"
-                }
-            },
-        }
-    }
-}
-
-/// Convenience: certify returning [`crate::error::Result`].
-///
-/// # Errors
-///
-/// See [`certify`].
-pub fn certify_to_result(universe: &[Channel], turns: &TurnSet) -> Result<PartitionSeq> {
-    certify(universe, turns).map_err(EbdaError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,7 +441,7 @@ mod tests {
 
     #[test]
     fn certifies_every_catalog_design_from_its_own_turns() {
-        for (name, seq) in catalog::all_designs() {
+        for (name, seq) in crate::designs::all_designs() {
             let (universe, turns) = design_turns(&seq);
             let (cert, _surplus) =
                 certify_checked(&universe, &turns).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -558,7 +532,7 @@ mod tests {
 
     #[test]
     fn checker_accepts_every_catalog_certificate() {
-        for (name, seq) in catalog::all_designs() {
+        for (name, seq) in crate::designs::all_designs() {
             let (universe, turns) = design_turns(&seq);
             let cert = certify(&universe, &turns).unwrap_or_else(|e| panic!("{name}: {e}"));
             let obligations = check_certificate(&cert, &universe, &turns)
@@ -574,7 +548,7 @@ mod tests {
 
         // Reversing the partition order flips cross-partition turns
         // backwards (Theorem 3).
-        let reversed = cert.reversed();
+        let reversed = cert.permuted(&[1, 0]);
         let err = check_certificate(&reversed, &universe, &turns).unwrap_err();
         assert!(err.contains("Theorem 3"), "{err}");
 

@@ -142,14 +142,6 @@ impl Parity {
             Parity::Odd
         }
     }
-
-    /// The opposite parity.
-    pub fn opposite(self) -> Parity {
-        match self {
-            Parity::Even => Parity::Odd,
-            Parity::Odd => Parity::Even,
-        }
-    }
 }
 
 impl fmt::Display for Parity {
@@ -205,7 +197,7 @@ impl ChannelClass {
     /// their node sets intersect. Conservative for combinations whose
     /// emptiness depends on the network size (treated as overlapping,
     /// which only makes the disjointness checks stricter, never unsound).
-    pub fn overlaps(self, other: ChannelClass) -> bool {
+    pub(crate) fn overlaps(self, other: ChannelClass) -> bool {
         use ChannelClass::*;
         match (self, other) {
             (All, _) | (_, All) => true,
@@ -345,7 +337,7 @@ impl Channel {
     }
 
     /// Returns the channel moving the opposite way on the same VC and class.
-    pub fn reversed(mut self) -> Channel {
+    pub(crate) fn reversed(mut self) -> Channel {
         self.dir = self.dir.opposite();
         self
     }
@@ -847,6 +839,5 @@ mod tests {
         assert_eq!(Direction::Minus.opposite(), Direction::Plus);
         assert_eq!(Parity::of(-2), Parity::Even);
         assert_eq!(Parity::of(-1), Parity::Odd);
-        assert_eq!(Parity::Even.opposite(), Parity::Odd);
     }
 }

@@ -1,39 +1,8 @@
-//! Graphviz DOT export of turn graphs — the channel-class-level dependency
-//! structure a design allows, ready for `dot -Tsvg`.
+//! Graphviz DOT export of a turn extraction — the channel-class-level
+//! dependency structure a design allows, ready for `dot -Tsvg`.
 
-use crate::channel::Channel;
 use crate::extract::{Extraction, Justification};
-use crate::turn::TurnSet;
 use std::fmt::Write;
-
-/// Renders the turn graph of a turn set over a channel universe: one node
-/// per channel class, one edge per allowed turn.
-///
-/// ```
-/// use ebda_core::{catalog, dot::turn_graph_dot, extract_turns};
-/// let seq = catalog::p3_west_first();
-/// let ex = extract_turns(&seq)?;
-/// let dot = turn_graph_dot(&seq.partitions().iter().flat_map(|p| p.channels().iter().copied()).collect::<Vec<_>>(), ex.turn_set());
-/// assert!(dot.starts_with("digraph turns"));
-/// assert!(dot.contains("\"X1-\" -> \"Y1+\""));
-/// # Ok::<(), ebda_core::EbdaError>(())
-/// ```
-pub fn turn_graph_dot(universe: &[Channel], turns: &TurnSet) -> String {
-    let mut out = String::from("digraph turns {\n  rankdir=LR;\n  node [shape=box];\n");
-    for c in universe {
-        let _ = writeln!(out, "  \"{c}\";");
-    }
-    for t in turns.iter() {
-        let style = match t.kind() {
-            crate::turn::TurnKind::Ninety => "solid",
-            crate::turn::TurnKind::UTurn => "dashed",
-            crate::turn::TurnKind::ITurn => "dotted",
-        };
-        let _ = writeln!(out, "  \"{}\" -> \"{}\" [style={style}];", t.from, t.to);
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders an extraction with partitions as clusters and edges coloured by
 /// the theorem that justifies them (Theorem 1 black, Theorem 2 blue,
@@ -64,27 +33,6 @@ mod tests {
     use super::*;
     use crate::catalog;
     use crate::extract::extract_turns;
-
-    fn universe(seq: &crate::sequence::PartitionSeq) -> Vec<Channel> {
-        seq.partitions()
-            .iter()
-            .flat_map(|p| p.channels().iter().copied())
-            .collect()
-    }
-
-    #[test]
-    fn turn_graph_dot_is_well_formed() {
-        let seq = catalog::north_last();
-        let ex = extract_turns(&seq).unwrap();
-        let dot = turn_graph_dot(&universe(&seq), ex.turn_set());
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.ends_with("}\n"));
-        // One edge line per turn.
-        let edges = dot.matches(" -> ").count();
-        assert_eq!(edges, ex.turn_set().len());
-        // U-turns are dashed.
-        assert!(dot.contains("[style=dashed]"));
-    }
 
     #[test]
     fn extraction_dot_clusters_partitions() {

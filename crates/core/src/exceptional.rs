@@ -155,6 +155,6 @@ mod tests {
         assert!(err.to_string().contains("Theorem 1"), "{err}");
         let verdict = crate::theorems::design_verdict(&seq);
         assert!(!verdict.is_deadlock_free());
-        assert!(verdict.reason().unwrap().contains("Theorem 1"));
+        assert!(verdict.to_string().contains("Theorem 1"), "{verdict}");
     }
 }

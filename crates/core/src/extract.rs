@@ -46,7 +46,7 @@ impl Justification {
     /// Coverage-map label of the proof obligation this justification
     /// discharges: `theorem1/p0`, `theorem2/p1`, `theorem3/p0>p2`.
     /// Recorded under the `obligation` coverage family.
-    pub fn coverage_key(&self) -> String {
+    pub(crate) fn coverage_key(&self) -> String {
         match self {
             Justification::Theorem1 { partition } => format!("theorem1/p{partition}"),
             Justification::Theorem2 { partition } => format!("theorem2/p{partition}"),
@@ -91,7 +91,7 @@ impl Extraction {
     }
 
     /// The distinct theorem obligations this extraction discharged, as
-    /// sorted, deduplicated [`Justification::coverage_key`] labels —
+    /// sorted, deduplicated `Justification::coverage_key` labels —
     /// what campaigns feed the `obligation` coverage family.
     pub fn obligation_keys(&self) -> Vec<String> {
         // Many turns share a justification: name each distinct one once.
@@ -237,7 +237,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert!(ninety.same_as(&expected), "got {ninety}");
+        assert_eq!(ninety, expected, "got {ninety}");
         // Theorem 2: one U-turn for the X pair, fixed by insertion order.
         let u: Vec<Turn> = ex.turn_set().of_kind(TurnKind::UTurn).collect();
         assert_eq!(u, vec![turn("X1+", "X1-")]);

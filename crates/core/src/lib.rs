@@ -29,9 +29,9 @@
 //!
 //! ## Crate map
 //!
-//! * [`channel`] — dimensions, directions, VCs, parity classes
+//! * `channel` — dimensions, directions, VCs, parity classes
 //!   (Definitions 1, 4–6).
-//! * [`partition`] / [`sequence`] — partitions and partition sequences with
+//! * `partition` / `sequence` — partitions and partition sequences with
 //!   the Theorem 1 and disjointness checks (Definitions 2–3, 6).
 //! * [`extract`] — the turn-extraction engine (Theorems 1–3; Figure 8).
 //! * [`sets`], [`algorithm1`], [`algorithm2`], [`exceptional`] — the
@@ -55,6 +55,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The catalog list the unit tests iterate, shared with the integration
+/// suites (`tests/designs/mod.rs`, which names this crate `ebda_core`).
+#[cfg(test)]
+#[path = "../tests/designs/mod.rs"]
+mod designs;
+#[cfg(test)]
+extern crate self as ebda_core;
+
 pub mod adaptiveness;
 pub mod algorithm1;
 pub mod algorithm2;
@@ -62,17 +70,17 @@ pub mod builder;
 pub mod canonical;
 pub mod catalog;
 pub mod certify;
-pub mod channel;
+pub(crate) mod channel;
 pub mod dot;
-pub mod error;
+pub(crate) mod error;
 pub mod exceptional;
 pub mod extract;
 pub mod min_channels;
-pub mod partition;
-pub mod sequence;
+pub(crate) mod partition;
+pub(crate) mod sequence;
 pub mod sets;
 pub mod theorems;
-pub mod turn;
+pub(crate) mod turn;
 
 pub use channel::{parse_channels, Channel, ChannelClass, Dimension, Direction, Parity};
 pub use error::{EbdaError, Result};

@@ -31,13 +31,6 @@ pub fn min_channels(n: u32) -> u64 {
     (n as u64 + 1) * (1u64 << (n - 1))
 }
 
-/// Number of regions (orthants) an `n`-dimensional space divides into:
-/// `2^n`.
-pub fn region_count(n: u32) -> u64 {
-    assert!(n < 64, "region count overflows u64");
-    1u64 << n
-}
-
 /// The naive fully adaptive design: one partition per region, `n` dedicated
 /// channels each, `n·2^n` channels in total (Fig. 7a for `n = 2`,
 /// Fig. 9a for `n = 3`).
@@ -167,7 +160,6 @@ mod tests {
         assert_eq!(min_channels(3), 16);
         assert_eq!(min_channels(4), 40);
         assert_eq!(min_channels(5), 96);
-        assert_eq!(region_count(3), 8);
     }
 
     #[test]

@@ -100,13 +100,8 @@ impl Partition {
     }
 
     /// Number of channels.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.channels.len()
-    }
-
-    /// Returns `true` if the partition has no channels.
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
     }
 
     /// Returns `true` if the partition covers the given channel exactly.
@@ -162,7 +157,7 @@ impl Partition {
     ///
     /// Returns [`EbdaError::TooManyPairs`] listing every dimension with a
     /// complete pair when there is more than one.
-    pub fn check_theorem1(&self) -> Result<()> {
+    pub(crate) fn check_theorem1(&self) -> Result<()> {
         if self.theorem1_holds() {
             Ok(())
         } else {
@@ -176,15 +171,9 @@ impl Partition {
         }
     }
 
-    /// Definition 6: two partitions are disjoint if no channel of one
-    /// overlaps a channel of the other.
-    pub fn is_disjoint_from(&self, other: &Partition) -> bool {
-        self.shared_channel(other).is_none()
-    }
-
     /// Returns a pair of overlapping channels across the two partitions, if
     /// any — useful for error messages.
-    pub fn shared_channel(&self, other: &Partition) -> Option<(Channel, Channel)> {
+    pub(crate) fn shared_channel(&self, other: &Partition) -> Option<(Channel, Channel)> {
         for &a in &self.channels {
             for &b in &other.channels {
                 if a.overlaps(b) {
@@ -196,7 +185,7 @@ impl Partition {
     }
 
     /// The distinct dimensions this partition touches, ascending.
-    pub fn dims(&self) -> Vec<Dimension> {
+    pub(crate) fn dims(&self) -> Vec<Dimension> {
         let mut dims: Vec<Dimension> = self.channels.iter().map(|c| c.dim).collect();
         dims.sort_unstable();
         dims.dedup();
@@ -211,7 +200,7 @@ impl Partition {
     ///
     /// See [`Partition::covers_region`] for the quadrant/octant test used by
     /// the minimum-channel constructions of Section 4.
-    pub fn direction_profile(&self, n: usize) -> Vec<DirectionCoverage> {
+    pub(crate) fn direction_profile(&self, n: usize) -> Vec<DirectionCoverage> {
         (0..n)
             .map(|i| {
                 let d = Dimension::new(i as u8);
@@ -240,7 +229,7 @@ impl Partition {
     ///
     /// This is the Section 4 notion: "channels grouped into a partition can
     /// be translated as a fully adaptive routing for the region they cover".
-    pub fn covers_region(&self, region: &[Option<Direction>]) -> bool {
+    pub(crate) fn covers_region(&self, region: &[Option<Direction>]) -> bool {
         let profile = self.direction_profile(region.len());
         region.iter().enumerate().all(|(i, need)| match need {
             None => true,
@@ -393,9 +382,8 @@ mod tests {
     fn disjointness_across_partitions() {
         let pa = Partition::parse("X+ X- Y-").unwrap();
         let pb = Partition::parse("Y+").unwrap();
-        assert!(pa.is_disjoint_from(&pb));
+        assert!(pa.shared_channel(&pb).is_none());
         let pc = Partition::parse("Y- Z+").unwrap();
-        assert!(!pa.is_disjoint_from(&pc));
         let (a, b) = pa.shared_channel(&pc).unwrap();
         assert_eq!(a.to_string(), "Y1-");
         assert_eq!(b.to_string(), "Y1-");
@@ -416,7 +404,7 @@ mod tests {
         .unwrap();
         assert!(pa.theorem1_holds());
         assert!(pb.theorem1_holds());
-        assert!(pa.is_disjoint_from(&pb));
+        assert!(pa.shared_channel(&pb).is_none());
         assert_eq!(pa.complete_pair_dims(), vec![Dimension::Y]);
     }
 

@@ -24,11 +24,6 @@ pub struct PartitionSeq {
 }
 
 impl PartitionSeq {
-    /// Creates an empty sequence.
-    pub fn new() -> PartitionSeq {
-        PartitionSeq::default()
-    }
-
     /// Builds a sequence from partitions *without* validating; call
     /// [`PartitionSeq::validate`] to check Theorem 1 and disjointness.
     pub fn from_partitions(partitions: Vec<Partition>) -> PartitionSeq {
@@ -41,7 +36,7 @@ impl PartitionSeq {
     ///
     /// Returns the first violation found, as documented on
     /// [`PartitionSeq::validate`].
-    pub fn try_from_partitions(partitions: Vec<Partition>) -> Result<PartitionSeq> {
+    pub(crate) fn try_from_partitions(partitions: Vec<Partition>) -> Result<PartitionSeq> {
         let seq = PartitionSeq { partitions };
         seq.validate()?;
         Ok(seq)
@@ -72,12 +67,6 @@ impl PartitionSeq {
             partitions.push(Partition::parse(part)?);
         }
         Ok(PartitionSeq { partitions })
-    }
-
-    /// Appends a partition at the end (the latest position in the Theorem 3
-    /// order).
-    pub fn push(&mut self, p: Partition) {
-        self.partitions.push(p);
     }
 
     /// The partitions in ascending (Theorem 3) order.
@@ -142,15 +131,6 @@ impl PartitionSeq {
             }
         }
         Ok(())
-    }
-
-    /// Returns a copy with the partition order reversed — the Section 5.3.3
-    /// "tracing partitions in different orders" derivation in its simplest
-    /// form.
-    pub fn reversed(&self) -> PartitionSeq {
-        PartitionSeq {
-            partitions: self.partitions.iter().rev().cloned().collect(),
-        }
     }
 
     /// Returns a copy with the partitions permuted by `order` (indices into
@@ -261,7 +241,10 @@ mod tests {
     #[test]
     fn reversal_and_permutation() {
         let seq = PartitionSeq::parse("X+ | Y+ | X-").unwrap();
-        assert_eq!(seq.reversed().to_string(), "[X1-] -> [Y1+] -> [X1+]");
+        assert_eq!(
+            seq.permuted(&[2, 1, 0]).to_string(),
+            "[X1-] -> [Y1+] -> [X1+]"
+        );
         assert_eq!(
             seq.permuted(&[1, 0, 2]).to_string(),
             "[Y1+] -> [X1+] -> [X1-]"

@@ -24,7 +24,7 @@ impl DimensionSet {
     ///
     /// Returns [`EbdaError::MalformedPairSet`] if the channels are not all in
     /// one dimension.
-    pub fn from_channels(channels: Vec<Channel>) -> Result<DimensionSet> {
+    pub(crate) fn from_channels(channels: Vec<Channel>) -> Result<DimensionSet> {
         let Some(first) = channels.first() else {
             return Err(EbdaError::MalformedPairSet {
                 reason: "a dimension set needs at least one channel",
@@ -77,29 +77,24 @@ impl DimensionSet {
     }
 
     /// The dimension all channels share.
-    pub fn dim(&self) -> Dimension {
+    pub(crate) fn dim(&self) -> Dimension {
         self.dim
     }
 
-    /// The remaining channels in order.
-    pub fn channels(&self) -> &[Channel] {
-        &self.channels
-    }
-
     /// Number of remaining channels.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.channels.len()
     }
 
     /// Returns `true` when no channels remain.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.channels.is_empty()
     }
 
     /// Number of complete D-pairs the remaining channels can form:
     /// `min(#positive, #negative)` (Definition 3 lets any positive channel
     /// pair with any negative one).
-    pub fn pair_count(&self) -> usize {
+    pub(crate) fn pair_count(&self) -> usize {
         let plus = self
             .channels
             .iter()
@@ -110,7 +105,7 @@ impl DimensionSet {
     }
 
     /// Removes and returns the first channel ("channel-wise left shift").
-    pub fn take_one(&mut self) -> Option<Channel> {
+    pub(crate) fn take_one(&mut self) -> Option<Channel> {
         if self.channels.is_empty() {
             None
         } else {
@@ -120,7 +115,7 @@ impl DimensionSet {
 
     /// Returns `true` if the first two channels form a complete D-pair
     /// (opposite directions, any VC numbers).
-    pub fn front_is_pair(&self) -> bool {
+    pub(crate) fn front_is_pair(&self) -> bool {
         matches!(&self.channels[..], [a, b, ..] if a.dir != b.dir)
     }
 
@@ -128,7 +123,7 @@ impl DimensionSet {
     ///
     /// Returns `None` when fewer than two channels remain or the first two
     /// do not have opposite directions.
-    pub fn take_pair(&mut self) -> Option<(Channel, Channel)> {
+    pub(crate) fn take_pair(&mut self) -> Option<(Channel, Channel)> {
         if self.front_is_pair() {
             let a = self.channels.remove(0);
             let b = self.channels.remove(0);
@@ -140,7 +135,7 @@ impl DimensionSet {
 
     /// Circularly left-shifts the channels by one position (Algorithm 2's
     /// "channel-wise left-circular-shift").
-    pub fn rotate_channels(&mut self) {
+    pub(crate) fn rotate_channels(&mut self) {
         if !self.channels.is_empty() {
             self.channels.rotate_left(1);
         }
@@ -148,7 +143,7 @@ impl DimensionSet {
 
     /// Circularly left-shifts by two positions (Algorithm 2's "pair-wise
     /// left-circular-shift" for Set1).
-    pub fn rotate_pairs(&mut self) {
+    pub(crate) fn rotate_pairs(&mut self) {
         if self.channels.len() >= 2 {
             self.channels.rotate_left(2);
         }
@@ -169,7 +164,7 @@ impl fmt::Display for DimensionSet {
 }
 
 /// An ordered collection of dimension sets — the input of Algorithm 1.
-pub type SetArrangement = Vec<DimensionSet>;
+pub(crate) type SetArrangement = Vec<DimensionSet>;
 
 /// Arrangement 1 (Section 5.1): one set per dimension, ordered by
 /// descending D-pair count; the leading (pair-role) set is interleaved, the
@@ -181,9 +176,9 @@ pub type SetArrangement = Vec<DimensionSet>;
 /// ```
 /// use ebda_core::sets::arrangement1;
 /// let sets = arrangement1(&[3, 2, 3]).unwrap();
-/// assert_eq!(sets[0].dim().to_string(), "X"); // 3 pairs
-/// assert_eq!(sets[1].dim().to_string(), "Z"); // 3 pairs, after X (stable)
-/// assert_eq!(sets[2].dim().to_string(), "Y"); // 2 pairs last
+/// assert!(sets[0].to_string().starts_with("D_X")); // 3 pairs
+/// assert!(sets[1].to_string().starts_with("D_Z")); // 3 pairs, after X (stable)
+/// assert!(sets[2].to_string().starts_with("D_Y")); // 2 pairs last
 /// ```
 ///
 /// # Errors
@@ -293,22 +288,11 @@ pub fn arrangement3(vcs_per_dim: &[u8]) -> Result<Vec<SetArrangement>> {
 /// Concretely, the `i`-th channel-role dimension flips its sign every
 /// `2^i` rounds; VC numbers are assigned ordinally per sign.
 ///
-/// ```
-/// use ebda_core::sets::region_covering;
-/// // The Fig. 9b budget: 2, 2, 4 VCs along X, Y, Z.
-/// let sets = region_covering(&[2, 2, 4]).unwrap();
-/// assert_eq!(sets[0].dim().to_string(), "Z"); // pair role
-/// let x: Vec<String> = sets[1].channels().iter().map(|c| c.to_string()).collect();
-/// assert_eq!(x, ["X1+", "X1-", "X2+", "X2-"]); // flips every round
-/// let y: Vec<String> = sets[2].channels().iter().map(|c| c.to_string()).collect();
-/// assert_eq!(y, ["Y1+", "Y2+", "Y1-", "Y2-"]); // flips every 2 rounds
-/// ```
-///
 /// # Errors
 ///
 /// Returns [`EbdaError::BadDimension`] under the same conditions as
 /// [`arrangement1`].
-pub fn region_covering(vcs_per_dim: &[u8]) -> Result<SetArrangement> {
+pub(crate) fn region_covering(vcs_per_dim: &[u8]) -> Result<SetArrangement> {
     let base = arrangement1(vcs_per_dim)?;
     let rounds = base[0].pair_count();
     let mut out = vec![base[0].clone()];
@@ -344,7 +328,7 @@ pub fn region_covering(vcs_per_dim: &[u8]) -> Result<SetArrangement> {
 
 /// All permutations of `0..n` in lexicographic order (helper for
 /// Arrangement 3 and the derivation machinery).
-pub fn permutations(n: usize) -> Vec<Vec<usize>> {
+pub(crate) fn permutations(n: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut current: Vec<usize> = (0..n).collect();
     let mut used = vec![false; n];
@@ -379,7 +363,7 @@ mod tests {
     #[test]
     fn interleaved_matches_paper_set1() {
         let s = DimensionSet::interleaved(Dimension::Z, 3);
-        let printed: Vec<String> = s.channels().iter().map(|c| c.to_string()).collect();
+        let printed: Vec<String> = s.channels.iter().map(|c| c.to_string()).collect();
         assert_eq!(printed, ["Z1+", "Z1-", "Z2+", "Z2-", "Z3+", "Z3-"]);
         assert_eq!(s.pair_count(), 3);
         assert!(s.front_is_pair());
@@ -388,7 +372,7 @@ mod tests {
     #[test]
     fn grouped_orders_positives_first() {
         let s = DimensionSet::grouped(Dimension::Y, 2);
-        let printed: Vec<String> = s.channels().iter().map(|c| c.to_string()).collect();
+        let printed: Vec<String> = s.channels.iter().map(|c| c.to_string()).collect();
         assert_eq!(printed, ["Y1+", "Y2+", "Y1-", "Y2-"]);
         assert!(!s.front_is_pair());
     }
@@ -418,10 +402,10 @@ mod tests {
     fn rotations() {
         let mut s = DimensionSet::interleaved(Dimension::X, 2);
         s.rotate_channels();
-        assert_eq!(s.channels()[0].to_string(), "X1-");
+        assert_eq!(s.channels[0].to_string(), "X1-");
         let mut s = DimensionSet::interleaved(Dimension::X, 2);
         s.rotate_pairs();
-        assert_eq!(s.channels()[0].to_string(), "X2+");
+        assert_eq!(s.channels[0].to_string(), "X2+");
     }
 
     #[test]
@@ -454,12 +438,19 @@ mod tests {
         let arrs = arrangement3(&[2, 1]).unwrap();
         assert_eq!(arrs.len(), 2); // 2! pairings of Set1's VCs
                                    // The second pairing crosses VC numbers: X1+ with X2-.
-        let second: Vec<String> = arrs[1][0]
-            .channels()
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
+        let second: Vec<String> = arrs[1][0].channels.iter().map(|c| c.to_string()).collect();
         assert_eq!(second, ["X1+", "X2-", "X2+", "X1-"]);
+    }
+
+    #[test]
+    fn region_covering_flips_signs_in_binary_order() {
+        // The Fig. 9b budget: 2, 2, 4 VCs along X, Y, Z.
+        let sets = region_covering(&[2, 2, 4]).unwrap();
+        assert_eq!(sets[0].dim().to_string(), "Z"); // pair role
+        let x: Vec<String> = sets[1].channels.iter().map(|c| c.to_string()).collect();
+        assert_eq!(x, ["X1+", "X1-", "X2+", "X2-"]); // flips every round
+        let y: Vec<String> = sets[2].channels.iter().map(|c| c.to_string()).collect();
+        assert_eq!(y, ["Y1+", "Y2+", "Y1-", "Y2-"]); // flips every 2 rounds
     }
 
     #[test]

@@ -111,14 +111,6 @@ impl DesignVerdict {
     pub fn is_deadlock_free(&self) -> bool {
         matches!(self, DesignVerdict::DeadlockFree { .. })
     }
-
-    /// The rejection reason, or `None` for accepted designs.
-    pub fn reason(&self) -> Option<&str> {
-        match self {
-            DesignVerdict::DeadlockFree { .. } => None,
-            DesignVerdict::Rejected { reason } => Some(reason),
-        }
-    }
 }
 
 impl fmt::Display for DesignVerdict {
@@ -146,7 +138,7 @@ impl fmt::Display for DesignVerdict {
 /// let ok = design_verdict(&PartitionSeq::parse("X- | X+ Y+ Y-").unwrap());
 /// assert!(ok.is_deadlock_free());
 /// let bad = design_verdict(&PartitionSeq::parse("X+ X- Y+ Y-").unwrap());
-/// assert!(bad.reason().unwrap().contains("Theorem 1"));
+/// assert!(bad.to_string().contains("Theorem 1"));
 /// ```
 pub fn design_verdict(seq: &PartitionSeq) -> DesignVerdict {
     match extract_turns(seq) {
@@ -318,7 +310,6 @@ mod tests {
             other => panic!("expected acceptance, got {other}"),
         }
         assert!(v.is_deadlock_free());
-        assert!(v.reason().is_none());
         assert!(v.to_string().contains("deadlock-free by construction"));
     }
 
@@ -327,7 +318,9 @@ mod tests {
         let bad = PartitionSeq::parse("X+ X- Y+ Y-").unwrap();
         let v = design_verdict(&bad);
         assert!(!v.is_deadlock_free());
-        let reason = v.reason().unwrap();
+        let DesignVerdict::Rejected { reason } = &v else {
+            panic!("expected rejection, got {v}");
+        };
         assert!(reason.contains("Theorem 1"), "reason was: {reason}");
         assert!(v.to_string().starts_with("rejected: "));
     }

@@ -157,31 +157,16 @@ impl TurnSet {
         c
     }
 
-    /// The distinct channel classes mentioned by any turn.
-    pub fn channels(&self) -> Vec<Channel> {
-        let mut set: BTreeSet<Channel> = BTreeSet::new();
-        for t in &self.turns {
-            set.insert(t.from);
-            set.insert(t.to);
-        }
-        set.into_iter().collect()
-    }
-
     /// Set union, consuming `other`.
     pub fn merge(&mut self, other: TurnSet) {
         self.turns.extend(other.turns);
     }
 
     /// Returns the turns present in `self` but not `other`.
-    pub fn difference(&self, other: &TurnSet) -> TurnSet {
+    pub(crate) fn difference(&self, other: &TurnSet) -> TurnSet {
         TurnSet {
             turns: self.turns.difference(&other.turns).copied().collect(),
         }
-    }
-
-    /// Returns `true` when both sets allow exactly the same turns.
-    pub fn same_as(&self, other: &TurnSet) -> bool {
-        self.turns == other.turns
     }
 }
 
@@ -300,19 +285,7 @@ mod tests {
         b.merge(a.clone());
         assert_eq!(b.len(), 2);
         assert_eq!(b.difference(&a).len(), 1);
-        assert!(!b.same_as(&a));
-    }
-
-    #[test]
-    fn channels_lists_endpoints() {
-        let ts: TurnSet = [
-            Turn::new(ch("X1+"), ch("Y1+")),
-            Turn::new(ch("Y1+"), ch("Z1-")),
-        ]
-        .into_iter()
-        .collect();
-        let chans = ts.channels();
-        assert_eq!(chans.len(), 3);
+        assert_ne!(b, a);
     }
 
     #[test]

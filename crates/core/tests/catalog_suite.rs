@@ -2,8 +2,14 @@
 //! profiles, turn inventories and region splits pinned so behavioural
 //! drift is caught immediately.
 
-use ebda_core::adaptiveness::{adaptiveness_profile, region_classes, RegionClass};
+use ebda_core::adaptiveness::{
+    adaptiveness_profile, is_fully_adaptive, region_classes, RegionClass,
+};
+use ebda_core::min_channels::min_channels;
 use ebda_core::{catalog, extract_turns, PartitionSeq};
+
+mod designs;
+use designs::{all_designs, planar_adaptive};
 
 fn profile(seq: &PartitionSeq) -> ebda_core::adaptiveness::AdaptivenessProfile {
     let ex = extract_turns(seq).unwrap();
@@ -90,13 +96,30 @@ fn region_splits_locked() {
 
 #[test]
 fn every_catalog_design_round_trips_through_display() {
-    for (name, seq) in catalog::all_designs() {
+    for (name, seq) in all_designs() {
         // Designs without parity/coordinate classes round-trip textually.
         let text = seq.to_string();
         if text.contains('[') && !text.contains('=') {
             let spec = text.replace(['[', ']'], " ").replace(" -> ", "|");
             let reparsed = PartitionSeq::parse(&spec).unwrap();
             assert_eq!(reparsed, seq, "{name} failed textual round-trip");
+        }
+    }
+}
+
+#[test]
+fn planar_adaptive_construction() {
+    // n = 2 degenerates to the Fig. 7b design.
+    assert_eq!(planar_adaptive(2), catalog::fig7b_dyxy());
+    for n in 2..=5usize {
+        let seq = planar_adaptive(n);
+        assert!(seq.validate().is_ok(), "n={n}");
+        assert_eq!(seq.len(), 2 * (n - 1));
+        assert_eq!(seq.channel_count(), 6 * (n - 1));
+        // Partially adaptive for n >= 3: cheaper than full adaptiveness.
+        if n >= 3 {
+            assert!((seq.channel_count() as u64) < min_channels(n as u32));
+            assert!(!is_fully_adaptive(&seq, n));
         }
     }
 }

@@ -283,7 +283,7 @@ impl CorpusEntry {
     }
 
     /// A compact one-line description for logs and reports.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let shape: Vec<String> = self
             .radix
             .iter()

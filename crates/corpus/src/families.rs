@@ -24,7 +24,7 @@ use ebda_oracle::brute;
 use ebda_oracle::verdict::Mutation;
 
 /// The family slugs, deadlock-free first, in generation order.
-pub const FAMILIES: [&str; 10] = [
+pub(crate) const FAMILIES: [&str; 10] = [
     "mesh-xy",
     "torus-dateline",
     "turn-model",

@@ -21,7 +21,6 @@
 //! in µs), so cycle numbers read directly off the Perfetto ruler.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use crate::journey::{Journey, JourneyEnd, JourneyTracer};
 use crate::json::{self, Value};
@@ -38,11 +37,6 @@ impl TraceBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         TraceBuilder::default()
-    }
-
-    /// Number of runs added so far.
-    pub fn runs(&self) -> usize {
-        self.runs
     }
 
     /// Appends one run's journeys as a new trace process named `label`.
@@ -340,17 +334,6 @@ pub fn validate(text: &str) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-/// Renders a one-line human summary (for CLI stderr notes).
-pub fn describe(summary: &TraceSummary) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{} events ({} spans, {} flow, {} instant) on {} tracks",
-        summary.total, summary.complete, summary.flows, summary.instants, summary.tracks
-    );
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,7 +439,6 @@ mod tests {
         assert!(summary.tracks >= 4);
         assert!(text.contains("\"ph\":\"s\""));
         assert!(text.contains("\"bp\":\"e\""));
-        assert!(!describe(&summary).is_empty());
     }
 
     #[test]
@@ -464,7 +446,7 @@ mod tests {
         let mut b = TraceBuilder::new();
         b.add_run("run a", &sample_tracer());
         b.add_run("run b", &sample_tracer());
-        assert_eq!(b.runs(), 2);
+        assert_eq!(b.runs, 2);
         let text = b.finish();
         let doc = Value::parse(&text).unwrap();
         let pids: std::collections::BTreeSet<u64> = doc
@@ -526,7 +508,7 @@ mod tests {
         // No segments → no process either.
         let mut empty = TraceBuilder::new();
         empty.add_worker_timeline("workers", &[]);
-        assert_eq!(empty.runs(), 0);
+        assert_eq!(empty.runs, 0);
     }
 
     #[test]

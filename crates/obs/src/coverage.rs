@@ -140,10 +140,6 @@ impl Table {
         }
     }
 
-    fn hits(&self, point: &str) -> u64 {
-        self.find(0, point).map_or(0, |i| self.entries[i].hits)
-    }
-
     /// Sets `point`'s count; zero removes the point.
     fn set(&mut self, point: &str, hits: u64) {
         match (self.find(0, point), hits) {
@@ -230,12 +226,6 @@ impl CoverageMap {
         &self.key
     }
 
-    /// Replaces the map identity (used when a campaign key is only
-    /// known after the per-artifact maps were produced).
-    pub fn set_key(&mut self, key: impl Into<String>) {
-        self.key = key.into();
-    }
-
     /// Records one hit of `point` under `family`.
     ///
     /// # Panics
@@ -265,11 +255,6 @@ impl CoverageMap {
         family_index(family).map(|f| &self.families[f])
     }
 
-    /// Hit count of `point` under `family` (0 when never recorded).
-    pub fn hits(&self, family: &str, point: &str) -> u64 {
-        self.table(family).map_or(0, |t| t.hits(point))
-    }
-
     /// Number of distinct points covered under `family`.
     pub fn covered(&self, family: &str) -> usize {
         self.table(family).map_or(0, |t| t.entries.len())
@@ -288,11 +273,6 @@ impl CoverageMap {
     /// The points covered under `family`, in canonical (sorted) order.
     pub fn points(&self, family: &str) -> impl Iterator<Item = (&str, u64)> {
         self.table(family).into_iter().flat_map(Table::iter)
-    }
-
-    /// True when no hits have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.families.iter().all(|t| t.entries.is_empty())
     }
 
     /// Adds every hit of `other` into `self`. Addition makes merge
@@ -518,6 +498,13 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
 
+    /// Hit count of `point` under `family` (0 when never recorded).
+    fn hits(m: &CoverageMap, family: &str, point: &str) -> u64 {
+        m.points(family)
+            .find(|&(p, _)| p == point)
+            .map_or(0, |(_, n)| n)
+    }
+
     fn sample(tag: &str) -> CoverageMap {
         let mut m = CoverageMap::new(format!("test-{tag}"));
         m.record("cdg_edge", "X1+>Y1+");
@@ -530,7 +517,7 @@ mod tests {
     #[test]
     fn records_merges_and_round_trips_canonically() {
         let m = sample("rt");
-        assert_eq!(m.hits("cdg_edge", "Y1+>X1-"), 3);
+        assert_eq!(hits(&m, "cdg_edge", "Y1+>X1-"), 3);
         assert_eq!(m.covered("cdg_edge"), 2);
         assert_eq!(m.family_hits("cdg_edge"), 4);
         assert_eq!(m.total_points(), 4);
@@ -545,7 +532,7 @@ mod tests {
 
         let mut a = sample("rt");
         a.merge(&sample("rt"));
-        assert_eq!(a.hits("cdg_edge", "Y1+>X1-"), 6);
+        assert_eq!(hits(&a, "cdg_edge", "Y1+>X1-"), 6);
         assert_eq!(a.total_points(), 4, "merge adds counts, not points");
     }
 
@@ -568,7 +555,7 @@ mod tests {
         let mut right = a.clone();
         right.merge(&bc);
         assert_eq!(left.to_json(), right.to_json());
-        assert_eq!(left.hits("cdg_edge", "X1+>Y1+"), 2);
+        assert_eq!(hits(&left, "cdg_edge", "X1+>Y1+"), 2);
 
         // Commutativity too: c ∪ a == a ∪ c.
         let mut ca = c.clone();
@@ -587,7 +574,7 @@ mod tests {
         let d = m.diff(&other).expect("maps differ");
         assert!(d.contains("gfp_pair"), "{d}");
         let mut renamed = sample("diff");
-        renamed.set_key("elsewhere");
+        renamed.key = "elsewhere".into();
         let d = m.diff(&renamed).expect("keys differ");
         assert!(d.contains("key differs"), "{d}");
     }
@@ -640,7 +627,7 @@ mod tests {
             let want: Vec<(&str, u64)> = model.iter().map(|(p, n)| (p.as_str(), *n)).collect();
             assert_eq!(got, want, "round {round}");
             assert_eq!(
-                a.hits("gfp_pair", "p0"),
+                hits(&a, "gfp_pair", "p0"),
                 model.get("p0").copied().unwrap_or(0)
             );
         }
@@ -659,7 +646,7 @@ mod tests {
         let at: Vec<usize> = FAMILIES.iter().map(|f| json.find(f).unwrap()).collect();
         assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
         for family in FAMILIES {
-            assert_eq!(m.hits(family, &format!("{family}-point")), 1);
+            assert_eq!(hits(&m, family, &format!("{family}-point")), 1);
         }
     }
 

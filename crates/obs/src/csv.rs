@@ -1,11 +1,11 @@
-//! Hand-rolled CSV writing and parsing (RFC 4180 subset).
+//! Hand-rolled CSV writing (RFC 4180 subset).
 //!
 //! Fields containing commas, quotes or newlines are quoted with `"`
-//! doubling; everything else is written bare. The parser accepts exactly
-//! what the writer emits, which is all the round-trip tests need.
+//! doubling; everything else is written bare. The round-trip tests read
+//! rows back with `tests/csv_reader/mod.rs`.
 
 /// Escapes one field for CSV output.
-pub fn field(s: &str) -> String {
+pub(crate) fn field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
         let mut out = String::with_capacity(s.len() + 2);
         out.push('"');
@@ -23,7 +23,7 @@ pub fn field(s: &str) -> String {
 }
 
 /// Joins fields into one CSV row (no trailing newline).
-pub fn row(fields: &[String]) -> String {
+pub(crate) fn row(fields: &[String]) -> String {
     fields
         .iter()
         .map(|f| field(f))
@@ -31,44 +31,10 @@ pub fn row(fields: &[String]) -> String {
         .join(",")
 }
 
-/// Splits one CSV line into fields, undoing the quoting of [`field`].
-///
-/// Returns an error on an unterminated quote.
-pub fn parse_line(line: &str) -> Result<Vec<String>, String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cur.push(c);
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
-                c => cur.push(c),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(format!("unterminated quote in CSV line: {line}"));
-    }
-    fields.push(cur);
-    Ok(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv_reader::parse_line;
 
     #[test]
     fn plain_fields_pass_through() {
@@ -88,10 +54,5 @@ mod tests {
                 assert_eq!(back, vec![s.to_string(), "tail".to_string()]);
             }
         }
-    }
-
-    #[test]
-    fn rejects_unterminated_quotes() {
-        assert!(parse_line("\"oops").is_err());
     }
 }

@@ -195,7 +195,7 @@ impl Event {
     }
 
     /// Serializes the event as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let kind = json::escape(self.kind().name());
         match self {
             Event::Inject {
@@ -269,12 +269,12 @@ impl Event {
     }
 
     /// Header for [`Event::csv_row`] exports.
-    pub const CSV_HEADER: &'static str =
+    pub(crate) const CSV_HEADER: &'static str =
         "kind,cycle,pid,src,dst,len,node,dim,dir,vc,flit,from,to,latency,blocked,waiter,waits_on,label";
 
     /// Serializes the event as one CSV row matching [`Event::CSV_HEADER`];
     /// fields that do not apply to this kind are left empty.
-    pub fn csv_row(&self) -> String {
+    pub(crate) fn csv_row(&self) -> String {
         let mut cols: Vec<String> = vec![String::new(); 18];
         cols[0] = self.kind().name().to_string();
         cols[1] = self.cycle().to_string();
@@ -419,7 +419,7 @@ mod tests {
             assert_eq!(v.get("kind").unwrap().as_str().unwrap(), e.kind().name());
             assert_eq!(v.get("cycle").unwrap().as_u64().unwrap(), e.cycle());
             // Same number of CSV columns for every kind.
-            let parsed = crate::csv::parse_line(&e.csv_row()).unwrap();
+            let parsed = crate::csv_reader::parse_line(&e.csv_row()).unwrap();
             assert_eq!(parsed.len(), Event::CSV_HEADER.split(',').count());
             assert_eq!(parsed[0], e.kind().name());
         }
@@ -433,7 +433,7 @@ mod tests {
             waits_on: 11,
             label: "credits on X+, vc 1 \"owned\"".into(),
         };
-        let parsed = crate::csv::parse_line(&e.csv_row()).unwrap();
+        let parsed = crate::csv_reader::parse_line(&e.csv_row()).unwrap();
         assert_eq!(parsed[17], "credits on X+, vc 1 \"owned\"");
     }
 }

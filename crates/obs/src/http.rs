@@ -193,13 +193,17 @@ fn handle(stream: &mut TcpStream, started: Instant, files: &Files) -> std::io::R
 /// Performs a one-shot `GET path` against `addr` and returns the response
 /// body, failing on connection errors or non-200 statuses. Connect and
 /// read are both bounded by a 5 s timeout so a hung scrape cannot wedge
-/// a test run; use [`http_get_with_timeout`] to tighten or loosen it.
+/// a test run.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
     http_get_with_timeout(addr, path, Duration::from_secs(5))
 }
 
 /// [`http_get`] with an explicit connect/read timeout.
-pub fn http_get_with_timeout(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
+pub(crate) fn http_get_with_timeout(
+    addr: &str,
+    path: &str,
+    timeout: Duration,
+) -> std::io::Result<String> {
     let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
     })?;

@@ -50,20 +50,22 @@ impl Default for JourneyConfig {
     }
 }
 
-/// A physical channel endpoint: output VC `(dim, dir, vc)` at `node`.
+/// A physical channel coordinate: output VC `(dim, dir, vc)` at `node`,
+/// with `vc` 0-based. A journey hop's channel, and the structured form
+/// of the channel names inside the simulator's wait-cycle labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ChannelId {
-    /// Node that owns the output channel.
+pub struct ChannelCoord {
+    /// Node owning the output channel.
     pub node: usize,
     /// Dimension index.
     pub dim: u8,
     /// Direction, `+` or `-`.
     pub dir: char,
-    /// Virtual-channel index (0-based).
+    /// Virtual-channel index, 0-based.
     pub vc: u8,
 }
 
-impl fmt::Display for ChannelId {
+impl fmt::Display for ChannelCoord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{} d{}{} vc{}", self.node, self.dim, self.dir, self.vc)
     }
@@ -74,7 +76,7 @@ impl fmt::Display for ChannelId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// The output channel this hop allocated and held.
-    pub channel: ChannelId,
+    pub channel: ChannelCoord,
     /// Downstream node, known once the first flit traverses the link.
     pub to: Option<usize>,
     /// Cycle the VC was won.
@@ -132,7 +134,7 @@ pub struct Journey {
 impl Journey {
     /// The cycle this journey's timeline closes at: ejection/drop cycle,
     /// or `horizon` while still in flight.
-    pub fn end_cycle(&self, horizon: u64) -> u64 {
+    pub(crate) fn end_cycle(&self, horizon: u64) -> u64 {
         match self.end {
             JourneyEnd::Ejected { cycle, .. } | JourneyEnd::Dropped { cycle } => cycle,
             JourneyEnd::InFlight => horizon.max(self.inject_cycle),
@@ -156,7 +158,7 @@ pub struct WaitNote {
 
 /// One watchdog firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TripNote {
+pub(crate) struct TripNote {
     /// Cycle the watchdog fired.
     pub cycle: u64,
     /// Packets still in flight at that point.
@@ -172,35 +174,28 @@ pub struct JourneyTracer {
     journeys: Vec<Journey>,
     skipped: u64,
     wait_notes: Vec<WaitNote>,
-    notes_dropped: u64,
     trips: Vec<TripNote>,
     last_cycle: u64,
 }
 
 impl JourneyTracer {
     /// Creates a tracer with the given configuration.
-    pub fn new(cfg: JourneyConfig) -> Self {
+    pub(crate) fn new(cfg: JourneyConfig) -> Self {
         JourneyTracer {
             cfg,
             open: HashMap::new(),
             journeys: Vec::new(),
             skipped: 0,
             wait_notes: Vec::new(),
-            notes_dropped: 0,
             trips: Vec::new(),
             last_cycle: 0,
         }
     }
 
-    /// This tracer's configuration.
-    pub fn config(&self) -> &JourneyConfig {
-        &self.cfg
-    }
-
     /// Whether packet `pid` is in the sampled set. Stateless: one
     /// splitmix64 draw keyed on `seed ^ hash(pid)`, so the answer never
     /// depends on how many packets were seen before.
-    pub fn sampled(&self, pid: u64) -> bool {
+    pub(crate) fn sampled(&self, pid: u64) -> bool {
         if self.cfg.sample_rate >= 1.0 {
             return true;
         }
@@ -212,7 +207,7 @@ impl JourneyTracer {
     }
 
     /// Folds one event into the journey set.
-    pub fn observe(&mut self, event: &Event) {
+    pub(crate) fn observe(&mut self, event: &Event) {
         self.last_cycle = self.last_cycle.max(event.cycle());
         match event {
             Event::Inject {
@@ -251,7 +246,7 @@ impl JourneyTracer {
             } => {
                 if let Some(j) = self.open_mut(*pid) {
                     j.hops.push(Hop {
-                        channel: ChannelId {
+                        channel: ChannelCoord {
                             node: *node,
                             dim: *dim,
                             dir: *dir,
@@ -273,7 +268,7 @@ impl JourneyTracer {
                 vc,
                 ..
             } => {
-                let ch = ChannelId {
+                let ch = ChannelCoord {
                     node: *node,
                     dim: *dim,
                     dir: *dir,
@@ -295,7 +290,7 @@ impl JourneyTracer {
                 vc,
                 ..
             } => {
-                let ch = ChannelId {
+                let ch = ChannelCoord {
                     node: *from,
                     dim: *dim,
                     dir: *dir,
@@ -353,8 +348,6 @@ impl JourneyTracer {
                         waits_on: *waits_on,
                         label: label.clone(),
                     });
-                } else {
-                    self.notes_dropped += 1;
                 }
             }
         }
@@ -380,19 +373,14 @@ impl JourneyTracer {
         &self.wait_notes
     }
 
-    /// Wait-for edges discarded past [`MAX_WAIT_NOTES`].
-    pub fn notes_dropped(&self) -> u64 {
-        self.notes_dropped
-    }
-
     /// Watchdog firings, in order.
-    pub fn trips(&self) -> &[TripNote] {
+    pub(crate) fn trips(&self) -> &[TripNote] {
         &self.trips
     }
 
     /// The largest cycle seen in any event — the timeline horizon used to
     /// close spans of packets still in flight.
-    pub fn last_cycle(&self) -> u64 {
+    pub(crate) fn last_cycle(&self) -> u64 {
         self.last_cycle
     }
 }

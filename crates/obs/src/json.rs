@@ -12,7 +12,7 @@
 //! fields straight off the reader: strings are borrowed from the input
 //! unless they contain an escape, integers are read exactly (no detour
 //! through `f64`), unknown keys are skipped with [`Reader::skip_value`],
-//! and nesting is capped at [`MAX_DEPTH`] so hostile input is an `Err`,
+//! and nesting is capped at `MAX_DEPTH` so hostile input is an `Err`,
 //! never a stack overflow. The writers' second sink is [`Fnv1a`]: a
 //! digest of a document is hashed while it is written, without the
 //! document ever existing as a string.
@@ -24,7 +24,7 @@ use std::fmt;
 /// Deepest nesting the reader accepts. The deepest document any writer
 /// in the workspace emits is the profile's phase tree (10 levels for
 /// `repro sweep --quick`); provenance nests 4 deep, coverage maps 3.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Writes `s` as a JSON string, quotes included.
 pub fn write_str<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
@@ -267,7 +267,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `null`.
-    pub fn null(&mut self) -> Result<(), String> {
+    pub(crate) fn null(&mut self) -> Result<(), String> {
         self.skip_ws();
         if self.literal("null") {
             Ok(())
@@ -326,7 +326,7 @@ impl<'a> Reader<'a> {
 
     /// Reads any JSON number as an `f64`: an optional sign, then every
     /// byte a number can contain, as `f64::from_str` takes them.
-    pub fn f64(&mut self) -> Result<f64, String> {
+    pub(crate) fn f64(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
         if self.next_byte() == Some(b'-') {
@@ -582,7 +582,7 @@ pub enum Value {
 
 impl Value {
     /// Parses a complete JSON document, rejecting trailing garbage and
-    /// nesting past [`MAX_DEPTH`].
+    /// nesting past `MAX_DEPTH`.
     pub fn parse(input: &str) -> Result<Value, String> {
         let mut r = Reader::new(input);
         let v = Value::read(&mut r)?;

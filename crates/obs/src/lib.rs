@@ -19,16 +19,16 @@
 //!   nanoseconds *and* deterministic work-unit counters, plus per-worker
 //!   busy timelines, exported as a phase table / flame JSON / Perfetto
 //!   worker tracks and gated on by `bench_report --baseline`.
-//! * [`json`] / [`csv`] — hand-rolled writers *and* parsers, so traces can
-//!   be exported and round-tripped without pulling in serde (the build
-//!   environment has no registry access).
+//! * [`json`] / `csv` — hand-rolled writers (and a JSON parser), so
+//!   traces can be exported and read back without pulling in serde (the
+//!   build environment has no registry access).
 //! * [`rng::Rng64`] — a splitmix64 PRNG giving the workspace deterministic
 //!   randomness without the `rand` crate.
 //! * [`coverage`] — deterministic, mergeable **design-space coverage
 //!   maps** fed by the verdict paths and the simulator: obligations
 //!   discharged, turn pairs admitted/denied, CDG edges visited, escape
 //!   channels drained, GFP pairs enumerated and design-space bins hit.
-//! * [`journey`] — **per-packet journey tracing**: a deterministic
+//! * `journey` — **per-packet journey tracing**: a deterministic
 //!   splitmix64 sampler picks packets whose full causal span tree
 //!   (injection → per-hop VC allocation → channel hold → ejection/drop)
 //!   is reconstructed from the recorder's event stream, and [`chrome`]
@@ -41,28 +41,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The CSV reader of the round-trip tests, shared with the integration
+/// suites (`tests/csv_reader/mod.rs`).
+#[cfg(test)]
+#[path = "../tests/csv_reader/mod.rs"]
+mod csv_reader;
+
 pub mod chrome;
 pub mod coverage;
-pub mod csv;
-pub mod event;
+pub(crate) mod csv;
+pub(crate) mod event;
 pub mod http;
-pub mod journey;
+pub(crate) mod journey;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod prof;
-pub mod recorder;
-pub mod ring;
-pub mod rng;
+pub(crate) mod recorder;
+pub(crate) mod ring;
+pub(crate) mod rng;
 
 pub use chrome::{TraceBuilder, TraceSummary};
 pub use coverage::CoverageMap;
 pub use event::{Event, EventKind};
 pub use http::{http_get, MetricsServer};
-pub use journey::{ChannelId, Journey, JourneyConfig, JourneyEnd, JourneyTracer};
+pub use journey::{ChannelCoord, Journey, JourneyConfig, JourneyEnd, JourneyTracer};
 pub use ledger::LedgerRecord;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use prof::{PhaseStat, ProfSnapshot, WorkerSegment};
 pub use recorder::{Recorder, RecorderConfig, Sample};
-pub use ring::RingBuffer;
 pub use rng::Rng64;

@@ -3,7 +3,7 @@
 //! exposition format (version 0.0.4) for the `/metrics` endpoint in
 //! [`crate::http`].
 //!
-//! The registry complements the flight recorder ([`crate::recorder`]) and
+//! The registry complements the flight recorder (`crate::recorder`) and
 //! the self-profiler ([`crate::prof`]): the recorder is a post-mortem
 //! event log of *one* run, the profiler aggregates phase timings and work
 //! units (and mirrors them here as the `ebda_prof_*` families when both
@@ -40,7 +40,7 @@ const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 /// Returns the bucket index of a value under the log-linear scheme:
 /// values below 16 get exact singleton buckets; every power-of-two range
 /// `[2^k, 2^(k+1))` above is split into 16 equal linear sub-buckets.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS {
         return v as usize;
     }
@@ -50,7 +50,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (the inverse of [`bucket_index`]).
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     let i = i as u64;
     if i < SUB_BUCKETS {
         return i;
@@ -86,7 +86,7 @@ impl Histogram {
     }
 
     /// Records `n` identical observations.
-    pub fn observe_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn observe_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -107,7 +107,7 @@ impl Histogram {
     }
 
     /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -129,28 +129,13 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Smallest observation, `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of observations, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// Value at quantile `q` in `[0, 1]` by nearest rank over bucket upper
@@ -175,21 +160,9 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// The standard latency digest: (p50, p90, p99, p999, max).
-    /// `None` when empty.
-    pub fn digest(&self) -> Option<(u64, u64, u64, u64, u64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.90)?,
-            self.quantile(0.99)?,
-            self.quantile(0.999)?,
-            self.max,
-        ))
-    }
-
     /// Non-empty buckets as `(inclusive upper bound, count)` pairs in
     /// ascending order — the raw material of the exposition format.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -277,21 +250,6 @@ impl MetricsRegistry {
             .entry(key(name, labels))
             .or_default()
             .merge(h);
-    }
-
-    /// Reads a counter series back (0 when absent) — for tests and the
-    /// terminal monitor.
-    pub fn counter_value(&self, name: &str, labels: &[(&str, String)]) -> u64 {
-        self.lock()
-            .counters
-            .get(&key(name, labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Clones a histogram series, `None` when absent.
-    pub fn histogram(&self, name: &str, labels: &[(&str, String)]) -> Option<Histogram> {
-        self.lock().histograms.get(&key(name, labels)).cloned()
     }
 
     /// Clears every series (for tests and phase boundaries).
@@ -673,8 +631,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 1000);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(1000));
+        assert_eq!((h.min, h.max), (1, 1000));
         let p50 = h.quantile(0.5).unwrap();
         assert!((468..=532).contains(&p50), "p50={p50}"); // 6.25% band
         assert_eq!(h.quantile(1.0), Some(1000));

@@ -51,11 +51,11 @@ impl Sample {
     /// Header for [`Sample::csv_row`] exports. `occupancy` is the full
     /// space-separated per-channel vector; the mean/max columns summarize
     /// it for quick plotting.
-    pub const CSV_HEADER: &'static str =
+    pub(crate) const CSV_HEADER: &'static str =
         "cycle,in_flight,buffered_flits,credit_stalls,occupancy_mean,occupancy_max,occupancy";
 
     /// Serializes the sample as one CSV row matching [`Sample::CSV_HEADER`].
-    pub fn csv_row(&self) -> String {
+    pub(crate) fn csv_row(&self) -> String {
         let n = self.occupancy.len().max(1);
         let sum: u64 = self.occupancy.iter().map(|&x| x as u64).sum();
         let max = self.occupancy.iter().copied().max().unwrap_or(0);
@@ -77,7 +77,7 @@ impl Sample {
     }
 
     /// Serializes the sample as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let occ = self
             .occupancy
             .iter()
@@ -120,7 +120,7 @@ impl Recorder {
     }
 
     /// Attaches a journey tracer: from now on every recorded event is
-    /// also folded into per-packet journeys (see [`crate::journey`]).
+    /// also folded into per-packet journeys (see `crate::journey`).
     /// Unlike ring events, journeys of sampled packets are never
     /// evicted, so attach with a sane `sample_rate`/`max_journeys`.
     pub fn enable_journeys(&mut self, cfg: JourneyConfig) {
@@ -179,11 +179,6 @@ impl Recorder {
     /// Total events ever recorded of `kind`, eviction-proof.
     pub fn total(&self, kind: EventKind) -> u64 {
         self.totals[Self::slot(kind)]
-    }
-
-    /// Total events ever recorded across all kinds.
-    pub fn total_events(&self) -> u64 {
-        self.totals.iter().sum()
     }
 
     fn slot(kind: EventKind) -> usize {
@@ -285,7 +280,7 @@ mod tests {
         assert_eq!(r.retained(), 4);
         assert_eq!(r.evicted(), 6);
         assert_eq!(r.total(EventKind::Inject), 10);
-        assert_eq!(r.total_events(), 10);
+        assert_eq!(r.totals.iter().sum::<u64>(), 10);
         let cycles: Vec<u64> = r.events().map(|e| e.cycle()).collect();
         assert_eq!(cycles, vec![6, 7, 8, 9]);
     }
@@ -406,13 +401,19 @@ mod tests {
         let mut lines = events.lines();
         let header_cols = lines.next().unwrap().split(',').count();
         for line in lines {
-            assert_eq!(crate::csv::parse_line(line).unwrap().len(), header_cols);
+            assert_eq!(
+                crate::csv_reader::parse_line(line).unwrap().len(),
+                header_cols
+            );
         }
         let samples = r.samples_csv();
         let mut lines = samples.lines();
         let header_cols = lines.next().unwrap().split(',').count();
         for line in lines {
-            assert_eq!(crate::csv::parse_line(line).unwrap().len(), header_cols);
+            assert_eq!(
+                crate::csv_reader::parse_line(line).unwrap().len(),
+                header_cols
+            );
         }
     }
 }

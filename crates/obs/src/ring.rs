@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 /// Fixed-capacity FIFO that evicts its oldest element when full.
 #[derive(Debug, Clone)]
-pub struct RingBuffer<T> {
+pub(crate) struct RingBuffer<T> {
     buf: VecDeque<T>,
     capacity: usize,
     dropped: u64,
@@ -17,7 +17,7 @@ pub struct RingBuffer<T> {
 
 impl<T> RingBuffer<T> {
     /// Creates a ring holding at most `capacity` items (min 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingBuffer {
             buf: VecDeque::with_capacity(capacity),
@@ -27,7 +27,7 @@ impl<T> RingBuffer<T> {
     }
 
     /// Appends an item, evicting the oldest if the ring is full.
-    pub fn push(&mut self, item: T) {
+    pub(crate) fn push(&mut self, item: T) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -36,33 +36,23 @@ impl<T> RingBuffer<T> {
     }
 
     /// Items currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// How many items have been evicted to make room.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Iterates oldest-to-newest over the retained items.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf.iter()
-    }
-
-    /// Removes all items (the dropped counter is kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 }
 

@@ -75,7 +75,7 @@ impl Artifact {
     /// The channel dependency graph of the relation on
     /// [`Artifact::topology`] — the graph Dally's check, the ordering
     /// certificate and the `cdg_edge` coverage family all read.
-    pub fn cdg(&self) -> Cdg {
+    pub(crate) fn cdg(&self) -> Cdg {
         Cdg::from_turn_set(&self.topology(), &self.vcs, &self.universe, &self.turns)
     }
 
@@ -157,11 +157,6 @@ pub struct Generator {
 }
 
 impl Generator {
-    /// A generator with the default size ceiling (36 nodes).
-    pub fn new(seed: u64) -> Generator {
-        Generator::with_max_nodes(seed, 36)
-    }
-
     /// A generator whose topologies stay at or below `max_nodes` nodes —
     /// small ceilings keep debug-build campaigns fast.
     ///
@@ -373,12 +368,12 @@ mod tests {
 
     #[test]
     fn streams_are_seed_reproducible() {
-        let mut a = Generator::new(42);
-        let mut b = Generator::new(42);
+        let mut a = Generator::with_max_nodes(42, 36);
+        let mut b = Generator::with_max_nodes(42, 36);
         for _ in 0..30 {
             assert_eq!(a.next_artifact(), b.next_artifact());
         }
-        let mut c = Generator::new(43);
+        let mut c = Generator::with_max_nodes(43, 36);
         let differs = (0..30).any(|_| a.next_artifact() != c.next_artifact());
         assert!(differs, "different seeds should diverge");
     }
@@ -414,7 +409,7 @@ mod tests {
     fn valid_partitionings_get_extracted_turns() {
         // A valid design's artifact turns must match the Theorem 1–3
         // extraction, not the naive over-approximation.
-        let mut g = Generator::new(5);
+        let mut g = Generator::with_max_nodes(5, 36);
         let mut checked = 0;
         for _ in 0..120 {
             let a = g.next_artifact();

@@ -25,7 +25,7 @@ use ebda_obs::CoverageMap;
 /// all off-diagonal class pairs) into the coarse labels used in
 /// design-space bins: `z` (no turns), `lo` (< 0.25), `mid` (< 0.6),
 /// `hi` (≥ 0.6).
-pub fn density_bucket(allowed: usize, possible: usize) -> &'static str {
+pub(crate) fn density_bucket(allowed: usize, possible: usize) -> &'static str {
     if allowed == 0 || possible == 0 {
         return "z";
     }

@@ -466,7 +466,7 @@ impl RoutingRelation for WitnessWalker {
 
 /// Replays an artifact through the wormhole simulator with a flight
 /// recorder attached. When the brute searcher finds a witness cycle, the
-/// replay drives packets along it (see [`WitnessWalker`]); otherwise it
+/// replay drives packets along it (see `WitnessWalker`); otherwise it
 /// floods the artifact's own relation with burst traffic, which a
 /// deadlock-free design drains cleanly. The run carries a journey tracer
 /// (`journeys` controls its sampling) and an online stall watchdog whose

@@ -20,7 +20,7 @@
 //!   independent checker `ebda check-cert` runs.
 //! * [`differential`] — the campaign entry point shared by the `ebda oracle`
 //!   command, the integration tests and CI.
-//! * [`coverage`] — per-artifact coverage extraction feeding the
+//! * `coverage` — per-artifact coverage extraction feeding the
 //!   design-space coverage maps of [`ebda_obs::coverage`], plus the
 //!   design-space bin labels coverage-guided generation steers by.
 //!
@@ -42,7 +42,7 @@
 
 pub mod artifact;
 pub mod brute;
-pub mod coverage;
+pub(crate) mod coverage;
 pub mod differential;
 pub mod provenance;
 pub mod shrink;

@@ -339,7 +339,7 @@ impl Provenance {
 
     /// The canonical content hash of the record's (topology, turn-set)
     /// pair — the corpus keying scheme.
-    pub fn content_hash(&self) -> u64 {
+    pub(crate) fn content_hash(&self) -> u64 {
         canonical::canonical_hash(
             &self.radix,
             &self.wrap,
@@ -349,7 +349,7 @@ impl Provenance {
         )
     }
 
-    /// [`Provenance::content_hash`] in 16-digit lowercase hex.
+    /// `Provenance::content_hash` in 16-digit lowercase hex.
     pub fn hash_hex(&self) -> String {
         canonical::hash_hex(self.content_hash())
     }

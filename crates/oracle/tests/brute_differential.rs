@@ -6,7 +6,8 @@
 //! radix-2 dimensions, mixed wrap, a failed link, a class listed twice, a
 //! universe wider than one mask word, and dateline tori of radix 4, 6, 8
 //! and 16, whose 14 / 22 / 30 / 62 sweeps are the long pruning chains the
-//! round arithmetic has to reproduce.
+//! round arithmetic has to reproduce. Every catalog design is free on a
+//! mesh by the searcher and by Dally alike.
 //!
 //! `sweeps` is derived, not counted (see `brute::search`): a channel runs
 //! out of holders at the latest `(round, index)` any holder dies at, and a
@@ -22,6 +23,8 @@
 //!   report survivors and a witness.
 
 mod brute_ref;
+#[path = "../../core/tests/designs/mod.rs"]
+mod designs;
 
 use ebda_cdg::dally::{design_universe, infer_vcs};
 use ebda_cdg::Topology;
@@ -215,4 +218,23 @@ fn hand_built_shapes_agree() {
         &all_turns(&wide),
     );
     assert!(!stuck.is_deadlock_free());
+}
+
+#[test]
+fn agrees_with_dally_on_every_catalog_design() {
+    for (name, seq) in designs::all_designs() {
+        let universe = design_universe(&seq);
+        let dims = universe.iter().map(|c| c.dim.index() + 1).max().unwrap();
+        let vcs = infer_vcs(&universe, dims);
+        let turns = extract_turns(&seq).unwrap().into_turn_set();
+        let topo = Topology::mesh(&vec![3; dims]);
+        let dally = ebda_cdg::verify_turn_set(&topo, &vcs, &universe, &turns);
+        let brute = brute::search(&topo, &vcs, &universe, &turns);
+        assert_eq!(
+            dally.is_deadlock_free(),
+            brute.is_deadlock_free(),
+            "{name}: dally and brute must agree ({dally} vs {brute})"
+        );
+        assert!(brute.is_deadlock_free(), "{name} must be free on a mesh");
+    }
 }

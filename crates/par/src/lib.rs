@@ -303,10 +303,16 @@ mod tests {
     fn pool_metrics_are_emitted() {
         let _pool = pool_guard();
         ebda_obs::metrics::set_enabled(true);
-        let before = ebda_obs::metrics::global().counter_value("ebda_par_tasks_total", &[]);
+        let tasks = || {
+            let text = ebda_obs::metrics::render_global();
+            let samples = ebda_obs::metrics::parse_exposition(&text).expect("exposition parses");
+            let total = samples.iter().find(|s| s.name == "ebda_par_tasks_total");
+            total.map_or(0, |s| s.value as u64)
+        };
+        let before = tasks();
         let items: Vec<u32> = (0..12).collect();
         parallel_map(4, &items, |_, &x| x);
-        let after = ebda_obs::metrics::global().counter_value("ebda_par_tasks_total", &[]);
+        let after = tasks();
         ebda_obs::metrics::set_enabled(false);
         assert_eq!(after - before, 12);
     }

@@ -45,34 +45,6 @@ impl DuatoFullyAdaptive {
         }
         DuatoFullyAdaptive { universe, dims: n }
     }
-
-    /// The escape sub-universe (VC 2 channels) for Duato verification.
-    pub fn escape_universe(&self) -> Vec<Channel> {
-        self.universe
-            .iter()
-            .copied()
-            .filter(|c| c.vc == 2)
-            .collect()
-    }
-
-    /// The escape turn set: dimension-order (lowest dimension first) over
-    /// the VC 2 channels.
-    pub fn escape_turns(&self) -> ebda_core::TurnSet {
-        let mut ts = ebda_core::TurnSet::new();
-        for i in 0..self.dims {
-            for j in (i + 1)..self.dims {
-                for da in [Direction::Plus, Direction::Minus] {
-                    for db in [Direction::Plus, Direction::Minus] {
-                        ts.insert(ebda_core::Turn::new(
-                            Channel::with_vc(Dimension::new(i as u8), da, 2),
-                            Channel::with_vc(Dimension::new(j as u8), db, 2),
-                        ));
-                    }
-                }
-            }
-        }
-        ts
-    }
 }
 
 impl RoutingRelation for DuatoFullyAdaptive {
@@ -130,6 +102,30 @@ mod tests {
     use crate::relation::{find_delivery_failure, INJECT};
     use ebda_cdg::duato::verify_escape;
 
+    /// The escape sub-universe (VC 2 channels) for Duato verification.
+    fn escape_universe(r: &DuatoFullyAdaptive) -> Vec<Channel> {
+        r.universe.iter().copied().filter(|c| c.vc == 2).collect()
+    }
+
+    /// The escape turn set: dimension-order (lowest dimension first) over
+    /// the VC 2 channels.
+    fn escape_turns(r: &DuatoFullyAdaptive) -> ebda_core::TurnSet {
+        let mut ts = ebda_core::TurnSet::new();
+        for i in 0..r.dims {
+            for j in (i + 1)..r.dims {
+                for da in [Direction::Plus, Direction::Minus] {
+                    for db in [Direction::Plus, Direction::Minus] {
+                        ts.insert(ebda_core::Turn::new(
+                            Channel::with_vc(Dimension::new(i as u8), da, 2),
+                            Channel::with_vc(Dimension::new(j as u8), db, 2),
+                        ));
+                    }
+                }
+            }
+        }
+        ts
+    }
+
     #[test]
     fn offers_all_minimal_hops_plus_escape() {
         let topo = Topology::mesh(&[5, 5]);
@@ -145,7 +141,7 @@ mod tests {
     fn escape_subnetwork_satisfies_duato_conditions() {
         let topo = Topology::mesh(&[4, 4]);
         let r = DuatoFullyAdaptive::new(2);
-        let report = verify_escape(&topo, &[2, 2], &r.escape_universe(), &r.escape_turns());
+        let report = verify_escape(&topo, &[2, 2], &escape_universe(&r), &escape_turns(&r));
         assert!(report.is_deadlock_free(), "{report}");
     }
 
@@ -164,7 +160,7 @@ mod tests {
                 }
             }
         }
-        all_turns.merge(r.escape_turns());
+        all_turns.merge(escape_turns(&r));
         let report = ebda_cdg::verify_turn_set(&topo, &[2, 2], r.universe(), &all_turns);
         assert!(!report.is_deadlock_free());
     }

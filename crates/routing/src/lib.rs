@@ -29,11 +29,10 @@
 pub mod certify_relation;
 pub mod classic;
 pub mod multicast;
-pub mod relation;
-pub mod turn_based;
-pub mod verify;
+pub(crate) mod relation;
+pub(crate) mod turn_based;
+pub(crate) mod verify;
 
-pub use certify_relation::{certify_relation, ClassScheme, RelationCertificate};
 pub use ebda_cdg::topology::{NodeId, Topology};
 pub use relation::{
     bind, find_delivery_failure, walk_first_choice, BoundRelation, PortVc, RouteChoice, RouteState,

@@ -357,23 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn three_d_designs_deliver() {
-        let topo = Topology::mesh(&[3, 3, 3]);
-        for (name, seq) in [
-            ("fig9b", catalog::fig9b()),
-            ("fig9c", catalog::fig9c()),
-            ("planar-adaptive", catalog::planar_adaptive(3)),
-        ] {
-            let r = TurnRouting::from_design(name, &seq).unwrap();
-            assert_eq!(
-                find_delivery_failure(&r, &topo, 30),
-                None,
-                "{name} failed to deliver"
-            );
-        }
-    }
-
-    #[test]
     fn routes_are_minimal_on_full_meshes() {
         let topo = Topology::mesh(&[6, 6]);
         let r = TurnRouting::from_design("north-last", &catalog::north_last()).unwrap();

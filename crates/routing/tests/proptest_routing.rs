@@ -1,16 +1,38 @@
 //! Randomized tests of the turn-based routing bridge: for random valid
 //! EbDa designs, the derived relation must deliver, stay minimal on full
-//! meshes, and never take a turn outside its turn set.
+//! meshes, and never take a turn outside its turn set. The 3D designs
+//! are checked for delivery one by one.
 //!
 //! Driven by a seeded [`Rng64`] instead of a property-testing framework
 //! so the suite is fully deterministic and dependency-free; every assert
 //! message carries the case index for replay.
 
-use ebda_core::{parse_channels, Channel, Partition, PartitionSeq};
+use ebda_core::{catalog, parse_channels, Channel, Partition, PartitionSeq};
 use ebda_obs::Rng64;
 use ebda_routing::{
     find_delivery_failure, verify_relation, RoutingRelation, Topology, TurnRouting, INJECT,
 };
+
+#[path = "../../core/tests/designs/mod.rs"]
+#[allow(dead_code)]
+mod designs;
+
+#[test]
+fn three_d_designs_deliver() {
+    let topo = Topology::mesh(&[3, 3, 3]);
+    for (name, seq) in [
+        ("fig9b", catalog::fig9b()),
+        ("fig9c", catalog::fig9c()),
+        ("planar-adaptive", designs::planar_adaptive(3)),
+    ] {
+        let r = TurnRouting::from_design(name, &seq).unwrap();
+        assert_eq!(
+            find_delivery_failure(&r, &topo, 30),
+            None,
+            "{name} failed to deliver"
+        );
+    }
+}
 
 /// Builds a random two-partition 2D design over the 8-channel universe.
 fn build(mask_a: u8, mask_b: u8) -> Option<PartitionSeq> {

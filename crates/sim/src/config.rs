@@ -128,7 +128,7 @@ impl Default for SimConfig {
 }
 
 /// A rejected [`SimConfig`]. The [`std::fmt::Display`] text doubles as
-/// the panic message of [`SimConfig::validate`], so callers matching on
+/// the panic message of `SimConfig::validate`, so callers matching on
 /// either form see the same words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -219,7 +219,7 @@ impl SimConfig {
     /// Panics with the [`ConfigError`] message on any violation — zero
     /// buffers/packets, an injection rate outside `[0, 1]`, shallow VCT/SAF
     /// buffers, or an unsatisfiable traffic pattern.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("{e}");
         }

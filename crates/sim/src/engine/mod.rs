@@ -26,8 +26,8 @@ mod state;
 mod switch;
 
 use crate::config::{BufferPolicy, Selection, SimConfig, Switching};
-use crate::metrics::{ChannelCoord, Outcome, SimResult, SuspectedEdge};
-use ebda_obs::{Event, Recorder, Rng64, Sample};
+use crate::metrics::{Outcome, SimResult, SuspectedEdge};
+use ebda_obs::{ChannelCoord, Event, Recorder, Rng64, Sample};
 use ebda_routing::{
     BoundRelation, NodeId, RouteChoice, RouteState, RoutingRelation, Topology, INJECT,
 };
@@ -44,7 +44,7 @@ use state::*;
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration (see [`SimConfig::validate`]) or when
+/// Panics on invalid configuration (see `SimConfig::validate`) or when
 /// the relation requests more VCs than its universe declares.
 pub fn simulate(topo: &Topology, relation: &dyn RoutingRelation, cfg: &SimConfig) -> SimResult {
     simulate_traced(topo, relation, cfg, None)
@@ -62,7 +62,7 @@ pub fn simulate(topo: &Topology, relation: &dyn RoutingRelation, cfg: &SimConfig
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration (see [`SimConfig::validate`]) or when
+/// Panics on invalid configuration (see `SimConfig::validate`) or when
 /// the relation requests more VCs than its universe declares.
 pub fn simulate_traced(
     topo: &Topology,

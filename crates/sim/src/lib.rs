@@ -2,7 +2,7 @@
 //!
 //! The empirical substrate of the EbDa reproduction: a deterministic,
 //! credit-based, virtual-channel wormhole simulator that runs any
-//! [`ebda_routing::RoutingRelation`] on any [`Topology`] and reports
+//! [`ebda_routing::RoutingRelation`] on any [`ebda_routing::Topology`] and reports
 //! latency, throughput, per-channel load and — crucially — deadlocks, via a
 //! progress watchdog.
 //!
@@ -40,16 +40,16 @@ mod matrix;
 extern crate self as noc_sim;
 
 pub mod config;
-pub mod engine;
-pub mod metrics;
-pub mod replay;
+pub(crate) mod engine;
+pub(crate) mod metrics;
+pub(crate) mod replay;
 pub mod sweep;
-pub mod traffic;
+pub(crate) mod traffic;
 
 pub use config::{BufferPolicy, ConfigError, Selection, SimConfig, Switching};
-pub use ebda_routing::Topology;
+pub use ebda_obs::ChannelCoord;
 pub use engine::{channel_heatmap_csv, simulate, simulate_traced};
-pub use metrics::{ChannelCoord, EnergyModel, Outcome, SimResult, SuspectedEdge};
+pub use metrics::{Outcome, SimResult, SuspectedEdge};
 pub use replay::{replay_coverage, replay_traced, replay_with_recorder, wait_edge_count};
 pub use sweep::{latency_curve, saturation_rate, SweepPoint};
 pub use traffic::TrafficPattern;

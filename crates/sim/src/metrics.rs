@@ -1,5 +1,6 @@
 //! Measurement results of a simulation run.
 
+use ebda_obs::ChannelCoord;
 use std::fmt;
 
 /// Why a simulation run ended.
@@ -25,27 +26,6 @@ impl Outcome {
     /// Returns `true` for a deadlock-free run.
     pub fn is_deadlock_free(&self) -> bool {
         matches!(self, Outcome::Completed)
-    }
-}
-
-/// A physical channel coordinate: output VC `(dim, dir, vc)` at `node`,
-/// with `vc` 0-based. The structured form of the channel names that
-/// appear inside wait-cycle labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ChannelCoord {
-    /// Node owning the output channel.
-    pub node: usize,
-    /// Dimension index.
-    pub dim: u8,
-    /// Direction, `+` or `-`.
-    pub dir: char,
-    /// Virtual-channel index, 0-based.
-    pub vc: u8,
-}
-
-impl fmt::Display for ChannelCoord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{} d{}{} vc{}", self.node, self.dim, self.dir, self.vc)
     }
 }
 
@@ -140,38 +120,7 @@ pub struct SimResult {
     pub final_wait_edges: Vec<SuspectedEdge>,
 }
 
-/// A simple Orion-style additive energy model (the paper's reference 45):
-/// each flit pays a router traversal cost (buffering + arbitration +
-/// crossbar) and a link traversal cost. Values are in arbitrary energy
-/// units; the defaults reflect the usual ~2:1 router:link ratio of
-/// published NoC power breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Energy per flit per router traversal.
-    pub router_flit: f64,
-    /// Energy per flit per link traversal.
-    pub link_flit: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            router_flit: 2.0,
-            link_flit: 1.0,
-        }
-    }
-}
-
 impl SimResult {
-    /// Estimated dynamic energy spent in the measurement window under the
-    /// given model: every recorded channel traversal pays one router + one
-    /// link cost, every ejected flit one final router cost.
-    pub fn energy_estimate(&self, model: &EnergyModel) -> f64 {
-        let link_traversals: u64 = self.channel_flits.iter().sum();
-        link_traversals as f64 * (model.router_flit + model.link_flit)
-            + self.window_ejected as f64 * model.router_flit
-    }
-
     /// Latency at the given percentile (0–100) over measured, delivered
     /// packets, using nearest-rank; `None` when nothing was delivered.
     ///
@@ -284,18 +233,6 @@ mod tests {
             suspected_at_cycle: 0,
             final_wait_edges: Vec::new(),
         }
-    }
-
-    #[test]
-    fn energy_model_is_additive() {
-        let r = base();
-        // 40 link traversals * (2 + 1) + 40 ejections * 2 = 200.
-        assert_eq!(r.energy_estimate(&EnergyModel::default()), 200.0);
-        let free_links = EnergyModel {
-            router_flit: 2.0,
-            link_flit: 0.0,
-        };
-        assert_eq!(r.energy_estimate(&free_links), 160.0);
     }
 
     #[test]

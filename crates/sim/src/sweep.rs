@@ -55,8 +55,7 @@ impl SweepPoint {
 ///
 /// Points run in parallel on the [`ebda_par`] pool (thread count from
 /// `--threads` / `EBDA_THREADS` / hardware) and merge in rate order, so
-/// the curve is identical at any thread count. Use
-/// [`latency_curve_with_threads`] to pin the count explicitly.
+/// the curve is identical at any thread count.
 pub fn latency_curve(
     topo: &Topology,
     relation: &dyn RoutingRelation,
@@ -67,7 +66,7 @@ pub fn latency_curve(
 }
 
 /// [`latency_curve`] with an explicit worker count (1 = strictly serial).
-pub fn latency_curve_with_threads(
+pub(crate) fn latency_curve_with_threads(
     topo: &Topology,
     relation: &dyn RoutingRelation,
     base: &SimConfig,

@@ -10,6 +10,9 @@ use ebda_routing::classic::{DimensionOrder, TorusDateline};
 use ebda_routing::Topology;
 use noc_sim::{simulate, simulate_traced, Outcome, SimConfig};
 
+#[path = "../../obs/tests/csv_reader/mod.rs"]
+mod csv_reader;
+
 fn small_cfg() -> SimConfig {
     SimConfig {
         injection_rate: 0.05,
@@ -107,7 +110,6 @@ fn ring_wraparound_keeps_totals_exact() {
     simulate_traced(&topo, &DimensionOrder::xy(), &cfg, Some(&mut tiny));
     assert_eq!(tiny.retained(), 64);
     assert!(tiny.evicted() > 0);
-    assert_eq!(tiny.total_events(), full.total_events());
     for kind in EventKind::ALL {
         assert_eq!(tiny.total(kind), full.total(kind), "{}", kind.name());
     }
@@ -150,7 +152,7 @@ fn exports_roundtrip_through_own_parsers() {
     let cols = header.split(',').count();
     let mut rows = 0;
     for line in lines {
-        let fields = ebda_obs::csv::parse_line(line).expect("CSV row parses");
+        let fields = csv_reader::parse_line(line).expect("CSV row parses");
         assert_eq!(fields.len(), cols);
         rows += 1;
     }

@@ -1192,8 +1192,12 @@ mod tests {
         assert!(run(&s(&["coverage", "diff", &arg(&pa), &arg(&pb)])).is_err());
         run(&s(&["coverage", "merge", &arg(&pm), &arg(&pa), &arg(&pb)])).unwrap();
         let merged = ebda_obs::CoverageMap::read_file(&pm).unwrap();
-        assert_eq!(merged.hits("design_bin", "d2.r4.w0.v1.tlo.free"), 2);
-        assert_eq!(merged.hits("gfp_pair", "X1+>Y1+"), 1);
+        let hits = |family: &str, point: &str| {
+            let mut points = merged.points(family);
+            points.find(|&(p, _)| p == point).map_or(0, |(_, n)| n)
+        };
+        assert_eq!(hits("design_bin", "d2.r4.w0.v1.tlo.free"), 2);
+        assert_eq!(hits("gfp_pair", "X1+>Y1+"), 1);
         assert!(run(&s(&["coverage"])).is_err());
         assert!(run(&s(&["coverage", "frobnicate"])).is_err());
         assert!(run(&s(&["coverage", "merge", &arg(&pm)])).is_err());

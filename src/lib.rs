@@ -2,7 +2,8 @@
 //!
 //! A comprehensive reproduction of *EbDa: A New Theory on Design and
 //! Verification of Deadlock-free Interconnection Networks* (Ebrahimi &
-//! Daneshtalab, ISCA 2017), as a facade over four crates:
+//! Daneshtalab, ISCA 2017), as a facade that re-exports eight of the
+//! workspace's crates (`ebda-par`, the thread pool, is used through them):
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -11,6 +12,9 @@
 //! | [`routing`] | `ebda-routing` | turn-set-driven routing + classic algorithms (XY, West-First, Odd-Even, Elevator-First, Duato, …) |
 //! | [`sim`] | `noc-sim` | cycle-driven wormhole simulator with deadlock watchdog |
 //! | [`oracle`] | `ebda-oracle` | differential verification: brute-force deadlock search, verdict cross-checking, counterexample shrinking |
+//! | [`corpus`] | `ebda-corpus` | labeled ground-truth scenario corpus and its regression campaign |
+//! | [`obs`] | `ebda-obs` | observability: event recorder, metrics, self-profiler, journeys, coverage maps, run ledger, JSON/CSV export |
+//! | [`bench`](mod@bench) | `ebda-bench` | everything behind the `ebda` executable: the `repro` tables and figures, campaign drivers, flags |
 //!
 //! ## The whole pipeline in one example
 //!

@@ -1,8 +1,7 @@
 //! API-guideline conformance checks: iteration conventions, conversion
-//! traits, Display/FromStr pairs, builder ergonomics and witness
-//! reporting — the small contracts that make the crate pleasant to embed.
+//! traits, Display/FromStr pairs, builder ergonomics and error values —
+//! the small contracts that make the crate pleasant to embed.
 
-use ebda::cdg::verify_turn_set;
 use ebda::core::builder::DesignBuilder;
 use ebda::prelude::*;
 use std::str::FromStr;
@@ -42,29 +41,6 @@ fn builder_and_parser_agree() {
         .build()
         .unwrap();
     assert_eq!(built, PartitionSeq::from_str("X+ X- Y- | Y+").unwrap());
-}
-
-#[test]
-fn witness_scenarios_read_as_blocked_packets() {
-    // A deliberately cyclic turn set produces a report whose scenario
-    // rendering names packets and the channels they hold/await.
-    let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-    let mut turns = TurnSet::new();
-    for &a in &universe {
-        for &b in &universe {
-            if a != b && a.dim != b.dim {
-                turns.insert(Turn::new(a, b));
-            }
-        }
-    }
-    let report = verify_turn_set(&Topology::mesh(&[4, 4]), &[1, 1], &universe, &turns);
-    assert!(!report.is_deadlock_free());
-    let scenario = report.witness_scenario().expect("cyclic report");
-    assert!(scenario.contains("packet A holds"));
-    assert!(scenario.contains("no packet can advance"));
-    // Deadlock-free reports have no scenario.
-    let clean = ebda::cdg::verify_design(&Topology::mesh(&[4, 4]), &catalog::p1_xy()).unwrap();
-    assert_eq!(clean.witness_scenario(), None);
 }
 
 #[test]

@@ -2,6 +2,9 @@
 
 use std::process::Command;
 
+#[path = "../crates/obs/tests/csv_reader/mod.rs"]
+mod csv_reader;
+
 fn ebda(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_ebda"))
         .args(args)
@@ -119,7 +122,7 @@ fn simulate_trace_out_roundtrips_through_obs_parser() {
     let header = lines.next().unwrap();
     let cols = header.split(',').count();
     for line in lines {
-        let fields = ebda::obs::csv::parse_line(line).expect("CSV row parses");
+        let fields = csv_reader::parse_line(line).expect("CSV row parses");
         assert_eq!(fields.len(), cols);
     }
 }

@@ -1,39 +1,9 @@
-//! Structural checks of the Graphviz exports: every DOT document is
-//! well-formed, node/edge counts match the underlying objects, and the
-//! styling conventions hold.
+//! Structural checks of the Graphviz export `ebda turns --dot` prints:
+//! the DOT document is well-formed, its edge count matches the
+//! extraction, and the styling conventions hold.
 
-use ebda::cdg::Cdg;
-use ebda::core::dot::{extraction_dot, turn_graph_dot};
+use ebda::core::dot::extraction_dot;
 use ebda::prelude::*;
-
-fn design_cdg(seq: &PartitionSeq, radix: usize) -> Cdg {
-    let ex = extract_turns(seq).unwrap();
-    let universe = seq.channels();
-    let vcs = ebda::cdg::dally::infer_vcs(&universe, 2);
-    Cdg::from_turn_set(
-        &Topology::mesh(&[radix, radix]),
-        &vcs,
-        &universe,
-        ex.turn_set(),
-    )
-}
-
-#[test]
-fn turn_graphs_for_all_catalog_designs_are_well_formed() {
-    for (name, seq) in catalog::all_designs() {
-        let ex = extract_turns(&seq).unwrap();
-        let dot = turn_graph_dot(&seq.channels(), ex.turn_set());
-        assert!(dot.starts_with("digraph turns {"), "{name}");
-        assert!(dot.ends_with("}\n"), "{name}");
-        assert_eq!(
-            dot.matches(" -> ").count(),
-            ex.turn_set().len(),
-            "{name}: one edge per turn"
-        );
-        // Balanced braces.
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count(), "{name}");
-    }
-}
 
 #[test]
 fn extraction_dot_carries_theorem_colors() {
@@ -49,14 +19,4 @@ fn extraction_dot_carries_theorem_colors() {
         assert!(dot.contains(color), "missing {color}");
     }
     assert_eq!(dot.matches(" -> ").count(), ex.turn_set().len());
-}
-
-#[test]
-fn cdg_dot_matches_graph_dimensions() {
-    let seq = catalog::north_last();
-    let cdg = design_cdg(&seq, 3);
-    let dot = cdg.to_dot();
-    assert!(dot.starts_with("digraph cdg {"));
-    assert_eq!(dot.matches("label=").count(), cdg.node_count());
-    assert_eq!(dot.matches(" -> ").count(), cdg.edge_count());
 }

@@ -147,7 +147,7 @@ fn table1_contains_the_three_named_turn_models() {
                 .turn_set()
                 .of_kind(TurnKind::Ninety)
                 .collect();
-            got.same_as(&want)
+            got == want
         });
         assert!(found, "{name} missing from the Table 1 options");
     }

@@ -145,8 +145,9 @@ fn four_dimensional_and_hypercube_coverage() {
         assert_eq!(path.len() as u64 - 1, topo.distance(src, dst));
     }
 
-    // Hypercube: e-cube (dimension order) and negative-first both deliver.
-    let cube = Topology::hypercube(4);
+    // Hypercube (the radix-2 mesh): e-cube (dimension order) and
+    // negative-first both deliver.
+    let cube = Topology::mesh(&[2; 4]);
     let ecube =
         classic::DimensionOrder::new("ecube", (0..4).map(|i| Dimension::new(i as u8)).collect());
     assert_eq!(find_delivery_failure(&ecube, &cube, 8), None);

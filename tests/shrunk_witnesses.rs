@@ -2,8 +2,9 @@
 //! `ebda` binary: the seed-7 oracle campaign under each mutation and the
 //! corpus campaign over `corpus/seed` with an injected mismatch must
 //! reduce what they catch to exactly these artifacts, and the corpus run
-//! must archive the same witness file. How the shrinker gets there is its
-//! own business; where it lands is pinned here.
+//! must archive the same witness file, which `corpus stats` lists and
+//! `corpus run` re-checks clean. How the shrinker gets there is its own
+//! business; where it lands is pinned here.
 
 use std::process::Command;
 
@@ -87,5 +88,14 @@ fn injected_corpus_mismatch_shrinks_to_its_pinned_witness() {
         file.contains("\"name\": \"witness-a5b61fdcb9e88069\""),
         "{file}"
     );
+    // The archive is a corpus of its own: listed, and re-checked clean.
+    let dir = archive.to_str().expect("utf-8 temp dir");
+    let stats = ebda(&["corpus", "stats", dir]);
+    assert!(
+        stats.starts_with("corpus: 1 entries (0 deadlock-free, 1 deadlocking)\n"),
+        "{stats}"
+    );
+    let rerun = ebda(&["corpus", "run", dir]);
+    assert!(rerun.contains("\nmismatches: 0\n"), "{rerun}");
     std::fs::remove_dir_all(&archive).unwrap();
 }
