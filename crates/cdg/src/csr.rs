@@ -9,7 +9,8 @@
 //! the one cycle search behind them also runs where no CSR was built
 //! (`Successors`): the turn-model enumerations and the incremental
 //! verifier ([`crate::incremental::IncrementalVerifier`]) read their
-//! verdicts off a [`crate::graph::Skeleton`] with it.
+//! verdicts off a [`crate::graph::Skeleton`] with it. The simulator's
+//! deadlock post-mortem runs [`find_cycle`] on its wait-for graph.
 //!
 //! All traversals share one thread-local visitation scratch buffer
 //! (colors, the DFS stack, in-degrees, ready-heap), so repeated
@@ -24,16 +25,16 @@ use std::ops::Range;
 
 /// Compressed-sparse-row adjacency over `u32` node indices.
 ///
-/// Construction invariant (documented, relied upon for byte-identical
-/// witnesses): rows are laid out in node-index order and every row's
-/// successor list ascends. The CDG build guarantees this by enumerating
-/// candidate successors in channel-enumeration order.
+/// Rows are laid out in node-index order, and traversals walk a row in
+/// the order stored, which decides the witness: the CDG build stores
+/// every row ascending (channel-enumeration order), the simulator's
+/// wait-for graph in the order the waits were found.
 #[derive(Debug, Clone)]
 pub struct Csr {
     n: usize,
     /// `row_start[i]..row_start[i + 1]` indexes `col` for node `i`.
     row_start: Vec<u32>,
-    /// Successor node indices, ascending within each row.
+    /// Successor node indices, row by row.
     col: Vec<u32>,
 }
 
@@ -61,7 +62,7 @@ impl Csr {
         self.col.len()
     }
 
-    /// Successors of node `u`, ascending.
+    /// Successors of node `u`, in stored order.
     pub fn row(&self, u: usize) -> &[u32] {
         &self.col[self.row_start[u] as usize..self.row_start[u + 1] as usize]
     }

@@ -82,8 +82,9 @@ impl fmt::Display for DuatoReport {
 /// Connectivity is checked with minimal-path reachability: every source
 /// must reach every other node over escape classes while strictly
 /// decreasing distance and respecting the escape turns (escape channels
-/// in Duato-style designs are dimension-ordered and minimal) — one
-/// distance-ordered pass per destination, see `check_connectivity`.
+/// in Duato-style designs are dimension-ordered and minimal) — one pass
+/// per destination that reaches every node after its next hops, see
+/// `check_connectivity`.
 pub fn verify_escape(
     topo: &Topology,
     vcs: &[u8],
@@ -91,14 +92,7 @@ pub fn verify_escape(
     escape_turns: &TurnSet,
 ) -> DuatoReport {
     let dally = verify_turn_set(topo, vcs, escape_universe, escape_turns);
-    let escape_acyclic = dally.is_deadlock_free();
-    let (escape_connected, unreachable) = check_connectivity(topo, escape_universe, escape_turns);
-    DuatoReport {
-        escape_acyclic,
-        escape_cycle: dally.cycle,
-        escape_connected,
-        unreachable,
-    }
+    verify_escape_given(&dally, topo, escape_universe, escape_turns)
 }
 
 /// Checks Duato's conditions reusing an already-computed Dally report
@@ -108,8 +102,8 @@ pub fn verify_escape(
 /// [`verify_turn_set`] on the same CDG, so a caller that has already run
 /// Dally (the differential oracle's `evaluate`) can share that report
 /// and pay only for the connectivity check — halving the CDG build and
-/// cycle-search work per artifact. The returned report is byte-identical
-/// to what [`verify_escape`] would produce.
+/// cycle-search work per artifact. [`verify_escape`] is this function
+/// on a report of its own.
 pub fn verify_escape_given(
     dally: &crate::dally::VerificationReport,
     topo: &Topology,
@@ -131,12 +125,22 @@ pub fn verify_escape_given(
 /// A legal move follows an escape class present at the node, along an
 /// existing link, towards the destination (on a torus dimension, the
 /// rotation that shortens the ring distance, `Plus` on a tie), so it
-/// shortens the distance to `dst` by exactly one. Visiting nodes by
-/// ascending distance, `good[v]` is the set of classes usable at `v`
-/// whose next hop is `dst` or has a class in `good` that the turn set
-/// lets follow; `src` reaches `dst` iff `good[src]` is non-empty.
-/// O(N² · k) for N nodes and k classes, with every table (allow rows,
-/// coordinates, next hops) built once per call.
+/// shortens the distance to `dst` by exactly one. `good[v]` is the set
+/// of classes usable at `v` whose next hop is `dst` or has a class in
+/// `good` that the turn set lets follow; `src` reaches `dst` iff
+/// `good[src]` is non-empty.
+///
+/// Per node and link slot `(dim, dir)` one pass records the next node
+/// and the mask of classes the link matches. A visited node `w` keeps
+/// `pred[w]`, the OR of the transposed allow rows over `good[w]`: the
+/// classes that may turn onto one of its good classes (every class for
+/// `dst`). Then `good[v]` is the OR, over the at most `dims` slots that
+/// shorten a coordinate, of `mask & pred[next]`. Nodes are visited
+/// without sorting: per dimension and destination coordinate, a list of
+/// the coordinates by steps to it (built once per call), walked as a
+/// lexicographic odometer, reaches a node's next hop — one step fewer in
+/// one coordinate, the others equal — before the node.
+/// O(N · (dims + |good|) · words) per destination for N nodes.
 ///
 /// The reported pair is the first failing `(src, dst)` in src-major
 /// order.
@@ -145,34 +149,30 @@ fn check_connectivity(
     universe: &[Channel],
     turns: &TurnSet,
 ) -> (bool, Option<(NodeId, NodeId)>) {
-    const NONE: u32 = u32::MAX;
-    let (n, dims, k) = (topo.node_count(), topo.dims(), universe.len());
-    let words = bitrow::words_for(k);
-    let mut allow = Vec::new();
-    bitrow::allow_rows(universe, turns, &mut allow);
-    let wrap: Vec<bool> = (0..dims)
-        .map(|d| topo.wraps(Dimension::new(d as u8)))
-        .collect();
-
-    // Per node: its coordinates and, per class, the node one hop along
-    // it (`NONE` where the class or the link is absent). Connectivity
-    // asks where a class leads, not on which VC: a slot per direction
-    // of a dimension.
+    let (n, dims, radix) = (topo.node_count(), topo.dims(), topo.radix());
+    // Connectivity asks where a class leads, not on which VC: a slot per
+    // direction of a dimension, and `stay`, never matched, for a
+    // coordinate already at the destination's.
+    let (words, stay) = (bitrow::words_for(universe.len()), 2 * dims);
+    let slots = stay + 1;
     let slot = |d: usize, dir: Direction| 2 * d + usize::from(dir == Direction::Minus);
-    let classes = ClassBuckets::new(universe, 2 * dims, |cl| {
+    let classes = ClassBuckets::new(universe, stay, |cl| {
         (cl.dim.index() < dims).then(|| slot(cl.dim.index(), cl.dir))
     });
-    let mut coords = vec![0i64; n * dims];
-    let mut hop = vec![NONE; n * k];
+    // Per node and slot: the next node and the classes the link matches.
+    // Where there is no link the mask is empty, so `next` may stay 0.
+    let mut next = vec![0u32; n * slots];
+    let mut mask = vec![0u64; n * slots * words];
     let mut walk = Walk::new(topo);
     loop {
         let v = walk.node();
-        coords[v * dims..][..dims].copy_from_slice(walk.coords());
         for d in 0..dims {
             for dir in [Direction::Plus, Direction::Minus] {
-                if let Some(next) = walk.neighbor(d, dir) {
+                if let Some(to) = walk.neighbor(d, dir) {
+                    let at = v * slots + slot(d, dir);
+                    next[at] = to as u32;
                     for c in classes.matched(slot(d, dir), walk.coords()) {
-                        hop[v * k + c] = next as u32;
+                        bitrow::set(&mut mask[at * words..][..words], c);
                     }
                 }
             }
@@ -182,77 +182,61 @@ fn check_connectivity(
         }
     }
 
-    let max_dist: usize = topo.radix().iter().map(|r| r - 1).sum();
-    let mut toward: Vec<Option<Direction>> = vec![None; n * dims];
-    let mut dist = vec![0usize; n];
-    let mut bucket = vec![0usize; max_dist + 2];
-    let mut order = vec![0usize; n];
-    let mut good = vec![0u64; n * words];
+    // Per dimension `d` and target coordinate `t`: the `r` coordinates
+    // by steps to `t`, `t` first, each as its share of the node id and
+    // the slot that shortens it. `t - s` reaches `t` going `Plus` and
+    // `t + s` going `Minus`; a ring goes the shorter way, `Plus` on a tie.
+    let mut lists = Vec::with_capacity(radix.iter().map(|r| r * r).sum());
+    let mut stride = n;
+    for (d, &r) in radix.iter().enumerate() {
+        stride /= r;
+        let wrap = topo.wraps(Dimension::new(d as u8));
+        for t in 0..r {
+            lists.push((t * stride, stay));
+            for s in 1..r {
+                let plus = if wrap { 2 * s <= r } else { s <= t }.then(|| (t + r - s) % r);
+                let minus = if wrap { 2 * s < r } else { t + s < r }.then(|| (t + s) % r);
+                lists.extend(plus.map(|x| (x * stride, slot(d, Direction::Plus))));
+                lists.extend(minus.map(|x| (x * stride, slot(d, Direction::Minus))));
+            }
+        }
+    }
+
+    let mut into = Vec::new();
+    bitrow::allow_rows(universe, turns, true, &mut into);
+    let mut start = vec![0usize; dims];
+    let (mut pred, mut good) = (vec![0u64; n * words], vec![0u64; words]);
     let mut first: Option<(NodeId, NodeId)> = None;
     for dst in 0..n {
-        // Distance to `dst` and the shortening direction per dimension,
-        // then a counting sort of the nodes by distance.
-        bucket.fill(0);
-        for v in 0..n {
-            let mut total = 0;
-            for d in 0..dims {
-                let r = topo.radix()[d] as i64;
-                let (here, want) = (coords[v * dims + d], coords[dst * dims + d]);
-                let (steps, dir) = if wrap[d] {
-                    let fwd = if want >= here {
-                        want - here
-                    } else {
-                        want - here + r
-                    };
-                    if fwd <= r / 2 {
-                        (fwd, Direction::Plus)
-                    } else {
-                        (r - fwd, Direction::Minus)
-                    }
-                } else if want >= here {
-                    (want - here, Direction::Plus)
-                } else {
-                    (here - want, Direction::Minus)
-                };
-                toward[v * dims + d] = (steps != 0).then_some(dir);
-                total += steps as usize;
+        // Where each dimension's list for the destination starts.
+        let (mut rest, mut end) = (dst, lists.len());
+        for d in (0..dims).rev() {
+            end -= radix[d] * radix[d];
+            start[d] = end + rest % radix[d] * radix[d];
+            rest /= radix[d];
+        }
+        pred[dst * words..][..words].fill(!0);
+        // The walk goes round once more, its coordinates now positions
+        // in the lists: all zero, where it stands, is `dst` itself.
+        while walk.advance() {
+            let entry = |d: usize| lists[start[d] + walk.coords()[d] as usize];
+            let v: usize = (0..dims).map(|d| entry(d).0).sum();
+            for (w, g) in good.iter_mut().enumerate() {
+                let hop = |at: usize| mask[at * words + w] & pred[next[at] as usize * words + w];
+                *g = (0..dims).fold(0, |g, d| g | hop(v * slots + entry(d).1));
             }
-            dist[v] = total;
-            bucket[total + 1] += 1;
-        }
-        for i in 1..bucket.len() {
-            bucket[i] += bucket[i - 1];
-        }
-        for v in 0..n {
-            order[bucket[dist[v]]] = v;
-            bucket[dist[v]] += 1;
-        }
-
-        // `order[0]` is `dst` itself, the only node at distance zero.
-        for &v in &order[1..] {
-            good[v * words..][..words].fill(0);
-            for (c, cl) in universe.iter().enumerate() {
-                let next = hop[v * k + c];
-                if next == NONE || toward[v * dims + cl.dim.index()] != Some(cl.dir) {
-                    continue;
-                }
-                let next = next as usize;
-                if next == dst
-                    || bitrow::intersects(
-                        &allow[c * words..][..words],
-                        &good[next * words..][..words],
-                    )
-                {
-                    bitrow::set(&mut good[v * words..][..words], c);
-                }
+            for w in 0..words {
+                pred[v * words + w] = bitrow::ones(&good).fold(0, |p, c| p | into[c * words + w]);
             }
         }
 
-        // Only a smaller `src` precedes the pair already found; `dst`
-        // ascends, so ties keep the earlier one.
+        // Going straight is always allowed, so `pred[v]` holds `good[v]`
+        // and is empty exactly when `good[v]` is. Only a smaller `src`
+        // precedes the pair already found; `dst` ascends, so ties keep
+        // the earlier one.
         let below = first.map_or(n, |(src, _)| src);
         let stuck =
-            |src: &NodeId| *src != dst && good[src * words..][..words].iter().all(|&w| w == 0);
+            |src: &NodeId| *src != dst && pred[src * words..][..words].iter().all(|&w| w == 0);
         if let Some(src) = (0..below).find(stuck) {
             first = Some((src, dst));
             if src == 0 {
@@ -276,6 +260,18 @@ mod tests {
         (universe, ex.into_turn_set())
     }
 
+    /// Every turn among the four plain 2D classes: connected but cyclic.
+    fn all_turns() -> (Vec<Channel>, TurnSet) {
+        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
+        let mut turns = TurnSet::new();
+        for &a in &universe {
+            for &b in universe.iter().filter(|&&b| b != a) {
+                turns.insert(ebda_core::Turn::new(a, b));
+            }
+        }
+        (universe, turns)
+    }
+
     #[test]
     fn xy_escape_satisfies_duato() {
         let (universe, turns) = xy_escape();
@@ -285,16 +281,7 @@ mod tests {
 
     #[test]
     fn cyclic_escape_rejected() {
-        // All-turns-allowed escape: connected but cyclic.
-        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in &universe {
-                if a != b {
-                    turns.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (universe, turns) = all_turns();
         let report = verify_escape(&Topology::mesh(&[4, 4]), &[1, 1], &universe, &turns);
         assert!(!report.is_deadlock_free());
         assert!(!report.escape_acyclic);
@@ -320,48 +307,9 @@ mod tests {
         assert_eq!(drained.len(), universe.len());
         assert!(drained.windows(2).all(|w| w[0] < w[1]), "{drained:?}");
 
-        let cyclic_universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut all = TurnSet::new();
-        for &a in &cyclic_universe {
-            for &b in &cyclic_universe {
-                if a != b {
-                    all.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (cyclic_universe, all) = all_turns();
         let cyclic = verify_escape(&Topology::mesh(&[4, 4]), &[1, 1], &cyclic_universe, &all);
         assert!(cyclic.drained_classes(&cyclic_universe).is_empty());
-    }
-
-    #[test]
-    fn given_report_matches_standalone_check() {
-        // Sharing the Dally report must not change any field of the
-        // Duato verdict — cyclic and acyclic cases both.
-        let cases = [xy_escape(), {
-            let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-            let mut turns = TurnSet::new();
-            for &a in &universe {
-                for &b in &universe {
-                    if a != b {
-                        turns.insert(ebda_core::Turn::new(a, b));
-                    }
-                }
-            }
-            (universe, turns)
-        }];
-        for (universe, turns) in cases {
-            for topo in [Topology::mesh(&[4, 4]), Topology::torus(&[4, 4])] {
-                let standalone = verify_escape(&topo, &[1, 1], &universe, &turns);
-                let dally = verify_turn_set(&topo, &[1, 1], &universe, &turns);
-                let shared = verify_escape_given(&dally, &topo, &universe, &turns);
-                assert_eq!(standalone.escape_acyclic, shared.escape_acyclic);
-                assert_eq!(standalone.escape_connected, shared.escape_connected);
-                assert_eq!(standalone.unreachable, shared.unreachable);
-                let a = standalone.escape_cycle.map(|c| format!("{c:?}"));
-                let b = shared.escape_cycle.map(|c| format!("{c:?}"));
-                assert_eq!(a, b, "witness cycles must be byte-identical");
-            }
-        }
     }
 
     #[test]

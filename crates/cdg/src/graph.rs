@@ -395,7 +395,7 @@ impl Skeleton {
         let table_words = bitrow::words_for(self.kinds);
         ROWS.with(|rows| {
             let rows = &mut *rows.borrow_mut();
-            bitrow::allow_rows(&self.universe, turns, rows);
+            bitrow::allow_rows(&self.universe, turns, false, rows);
             rows.resize((classes + 1) * words + self.kinds * table_words, 0);
             let (allow, rest) = rows.split_at_mut(classes * words);
             let (reach, table) = rest.split_at_mut(words);
@@ -419,7 +419,7 @@ impl Skeleton {
     pub fn relation(&self, turns: &TurnSet) -> Relation {
         let words = bitrow::words_for(self.universe.len());
         let mut allow = Vec::new();
-        bitrow::allow_rows(&self.universe, turns, &mut allow);
+        bitrow::allow_rows(&self.universe, turns, false, &mut allow);
         Relation {
             words,
             allow,

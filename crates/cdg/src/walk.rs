@@ -54,7 +54,8 @@ impl<'a> Walk<'a> {
             .step(self.node, &self.coords, d, dir, self.stride[d])
     }
 
-    /// Moves to the next node; `false` once every node has been visited.
+    /// Moves to the next node; `false` once every node has been visited,
+    /// with the walk back on node 0, ready for another round.
     #[inline]
     pub(crate) fn advance(&mut self) -> bool {
         self.node += 1;
@@ -65,6 +66,7 @@ impl<'a> Walk<'a> {
             }
             *c = 0;
         }
+        self.node = 0;
         false
     }
 }

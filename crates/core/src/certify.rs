@@ -95,36 +95,50 @@ pub fn certify(
     universe: &[Channel],
     turns: &TurnSet,
 ) -> std::result::Result<PartitionSeq, CertifyFailure> {
-    // Index the universe (including any turn endpoints not listed).
+    // Index the universe (including any turn endpoints not listed, in
+    // the order the turns name them). `known` is sorted by channel and
+    // holds the index a channel is looked up as: a repeated universe
+    // entry's last listing.
     let mut channels: Vec<Channel> = universe.to_vec();
-    for t in turns.iter() {
-        if !channels.contains(&t.from) {
-            channels.push(t.from);
+    let mut known: Vec<(Channel, usize)> = channels.iter().copied().zip(0..).collect();
+    known.sort_unstable_by_key(|&(c, i)| (c, std::cmp::Reverse(i)));
+    known.dedup_by_key(|&mut (c, _)| c);
+    let mut index = |c: Channel| match known.binary_search_by_key(&c, |&(k, _)| k) {
+        Ok(at) => known[at].1,
+        Err(at) => {
+            known.insert(at, (c, channels.len()));
+            channels.push(c);
+            channels.len() - 1
         }
-        if !channels.contains(&t.to) {
-            channels.push(t.to);
-        }
-    }
-    let idx: BTreeMap<Channel, usize> = channels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    };
+    let edges: Vec<(usize, usize)> = turns.iter().map(|t| (index(t.from), index(t.to))).collect();
     let n = channels.len();
 
     // SCCs of the turn relation = forced partitions.
     let mut adj = vec![Vec::new(); n];
-    for t in turns.iter() {
-        adj[idx[&t.from]].push(idx[&t.to] as u32);
+    for &(a, b) in &edges {
+        adj[a].push(b as u32);
     }
     let comp_of = scc_ids(&adj);
     let comp_count = comp_of.iter().map(|&c| c + 1).max().unwrap_or(0);
 
     // Build each component; check Theorem 1 and Theorem 2 orderability.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); comp_count];
+    let mut local = vec![0u32; n];
     for (i, &c) in comp_of.iter().enumerate() {
+        local[i] = members[c].len() as u32;
         members[c].push(i);
+    }
+    // From here on a row keeps the turns inside its component, each as
+    // the target's position in the component.
+    for (i, row) in adj.iter_mut().enumerate() {
+        row.retain(|&j| comp_of[j as usize] == comp_of[i]);
+        row.iter_mut().for_each(|j| *j = local[*j as usize]);
     }
     let mut parts: Vec<Partition> = Vec::with_capacity(comp_count);
     for comp in &members {
         let chans: Vec<Channel> = comp.iter().map(|&i| channels[i]).collect();
-        let ordered = order_component(&chans, turns)?;
+        let ordered = order_component(&chans, comp, &adj)?;
         let part = Partition::from_channels(ordered).map_err(|_| CertifyFailure::TooManyPairs {
             component: chans.iter().map(|c| c.to_string()).collect(),
         })?;
@@ -139,8 +153,8 @@ pub fn certify(
     // Order the components by the one-way cross turns (always acyclic:
     // SCC condensation is a DAG).
     let mut comp_adj = vec![Vec::new(); comp_count];
-    for t in turns.iter() {
-        let (a, b) = (comp_of[idx[&t.from]], comp_of[idx[&t.to]]);
+    for &(a, b) in &edges {
+        let (a, b) = (comp_of[a], comp_of[b]);
         if a != b && !comp_adj[a].contains(&(b as u32)) {
             comp_adj[a].push(b as u32);
         }
@@ -297,40 +311,28 @@ pub fn check_certificate(
 }
 
 /// Produces a channel order for one component realizing its
-/// same-dimension turns as ascending transitions.
+/// same-dimension turns as ascending transitions. `chans[i]` is channel
+/// `members[i]`, and `inner[members[i]]` lists the positions in `chans`
+/// its turns lead to.
 fn order_component(
     chans: &[Channel],
-    turns: &TurnSet,
+    members: &[usize],
+    inner: &[Vec<u32>],
 ) -> std::result::Result<Vec<Channel>, CertifyFailure> {
     // Ordering constraints only bind in dimensions with a complete pair:
     // elsewhere the corollary of Theorem 2 grants every I-turn, mutual
     // ones included.
-    let paired: Vec<_> = {
-        let mut dims = Vec::new();
-        for &c in chans {
-            let plus = chans
-                .iter()
-                .any(|o| o.dim == c.dim && o.dir == crate::channel::Direction::Plus);
-            let minus = chans
-                .iter()
-                .any(|o| o.dim == c.dim && o.dir == crate::channel::Direction::Minus);
-            if plus && minus && !dims.contains(&c.dim) {
-                dims.push(c.dim);
-            }
-        }
-        dims
+    let paired = |c: Channel| {
+        let has = |dir| chans.iter().any(|o| o.dim == c.dim && o.dir == dir);
+        has(crate::channel::Direction::Plus) && has(crate::channel::Direction::Minus)
     };
-    let n = chans.len();
-    let mut adj = vec![Vec::new(); n];
+    let mut adj = vec![Vec::new(); chans.len()];
     for (i, &a) in chans.iter().enumerate() {
-        for (j, &b) in chans.iter().enumerate() {
-            if i != j
-                && a.dim == b.dim
-                && paired.contains(&a.dim)
-                && turns.contains(crate::turn::Turn::new(a, b))
-            {
-                adj[i].push(j as u32);
-            }
+        if paired(a) {
+            let targets = inner[members[i]].iter().copied();
+            adj[i].extend(targets.filter(|&j| chans[j as usize].dim == a.dim));
+            // Kahn's order depends on the row order: ascending positions.
+            adj[i].sort_unstable();
         }
     }
     match topological_order(&adj) {

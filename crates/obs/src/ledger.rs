@@ -232,6 +232,13 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
     Ok(base)
 }
 
+/// Whether a ledger line holds no record: nothing but ASCII blanks
+/// (space and 0x09–0x0D). [`append`]'s count and [`read`] share it, so
+/// a line of any other bytes — U+00A0 included — is a record to both.
+fn blank(line: &[u8]) -> bool {
+    line.iter().all(|b| matches!(b, b' ' | 0x09..=0x0D))
+}
+
 /// Records in a ledger file: its non-blank lines (what [`read`] would
 /// return the length of), counted a line at a time without decoding,
 /// parsing or keeping any of them.
@@ -239,8 +246,7 @@ fn count_records(file: std::fs::File) -> std::io::Result<u64> {
     let mut lines = std::io::BufReader::with_capacity(1 << 16, file);
     let (mut records, mut line) = (0, Vec::new());
     while lines.read_until(b'\n', &mut line)? > 0 {
-        let blank = line.iter().all(|b| matches!(b, b' ' | 0x09..=0x0D));
-        records += u64::from(!blank);
+        records += u64::from(!blank(&line));
         line.clear();
     }
     Ok(records)
@@ -254,7 +260,7 @@ fn count_records(file: std::fs::File) -> std::io::Result<u64> {
 pub fn read(path: &Path) -> Result<Vec<LedgerRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     text.lines()
-        .filter(|l| !l.trim().is_empty())
+        .filter(|l| !blank(l.as_bytes()))
         .enumerate()
         .map(|(i, l)| LedgerRecord::from_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
@@ -537,6 +543,22 @@ mod tests {
         // not UTF-8: three records as far as the index goes.
         std::fs::write(&path, b"{}\n\n  \r\n\xff\xfe\nlast".as_slice()).unwrap();
         assert_eq!(append(&path, &[record("a", "deadlocking")]).unwrap(), 3);
+        // A record, then a line of one character after it. VT is an
+        // ASCII blank and skipped by all three readers; U+00A0 and U+0085
+        // are not, so they are a record `read` and `tail` reject.
+        let line = record("first", "deadlock-free").to_line();
+        for (after, base) in [("\u{0B}", 1), ("\u{A0}", 2), ("\u{85}", 2)] {
+            std::fs::write(&path, format!("{line}\n{after}\n")).unwrap();
+            assert_eq!(append(&path, &[record("a", "deadlocking")]).unwrap(), base);
+            let indices = read(&path).map(|r| r.iter().map(|r| r.index).collect::<Vec<_>>());
+            let last = tail(&path, 1).map(|r| r[0].index);
+            if base == 1 {
+                assert_eq!((indices, last), (Ok(vec![0, 1]), Ok(1)), "{after:?}");
+            } else {
+                assert!(indices.unwrap_err().starts_with("line 2: "), "{after:?}");
+                assert!(last.is_err(), "{after:?}");
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -322,7 +322,6 @@ impl<'a> Simulator<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::diagnose::find_cycle_indices;
     use super::*;
     use crate::config::SimConfig;
     use ebda_core::catalog;
@@ -404,14 +403,6 @@ mod tests {
                 assert!(!step.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn find_cycle_indices_helper() {
-        assert!(find_cycle_indices(&[vec![1], vec![2], vec![]]).is_none());
-        let c = find_cycle_indices(&[vec![1], vec![2], vec![0]]).unwrap();
-        assert_eq!(c.len(), 3);
-        assert!(find_cycle_indices(&[]).is_none());
     }
 
     #[test]
