@@ -1,7 +1,8 @@
 //! End-to-end run-ledger guarantees: both campaign kinds write
 //! byte-identical ledgers at every thread count, and every appended
-//! record's certificate or witness passes the independent checker —
-//! the library-level half of CI's `ledger-smoke` job.
+//! record's certificate or witness passes the independent checker. The
+//! process half (`check-cert`, `ledger list`, `explain`, a tampered
+//! verdict) is `tests/cli.rs::verify_ledger_stamps_the_revision_git_prints`.
 
 use ebda_corpus::{families, run_corpus_campaign, CorpusCampaignConfig, CorpusEntry};
 use ebda_obs::ledger;

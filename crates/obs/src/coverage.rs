@@ -405,8 +405,7 @@ impl CoverageMap {
 
     /// Compares two maps. Returns `None` when identical (key and all
     /// hit counts), otherwise a description of every family whose
-    /// point sets or counts diverge — the check the cross-thread
-    /// determinism tests and the CI coverage-smoke job run.
+    /// point sets or counts diverge.
     pub fn diff(&self, other: &CoverageMap) -> Option<String> {
         if self == other {
             return None;

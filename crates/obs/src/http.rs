@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP server exposing the global metrics registry,
 //! plus the matching one-shot client used by `ebda monitor`, the
-//! loopback tests and the CI smoke job.
+//! loopback tests and the process tests of the binary.
 //!
 //! The server handles exactly four routes:
 //!

@@ -280,8 +280,7 @@ pub fn tail(path: &Path, n: usize) -> Result<Vec<LedgerRecord>, String> {
 
 /// Byte-compares two ledgers line by line. Returns `None` when they are
 /// identical, otherwise a description of the first divergence — the
-/// check the cross-thread determinism tests and the CI `ledger-smoke`
-/// job run.
+/// check the cross-thread determinism tests run.
 ///
 /// # Errors
 ///

@@ -18,7 +18,7 @@
 //!   `sim/run/route` or `core/algorithm1`) each recording wall
 //!   nanoseconds *and* deterministic work-unit counters, plus per-worker
 //!   busy timelines, exported as a phase table / flame JSON / Perfetto
-//!   worker tracks and gated on by `bench_report --baseline`.
+//!   worker tracks, the counters pinned by `tests/work_counters.rs`.
 //! * [`json`] / `csv` — hand-rolled writers (and a JSON parser), so
 //!   traces can be exported and read back without pulling in serde (the
 //!   build environment has no registry access).

@@ -13,9 +13,8 @@
 //! * **work units** — deterministic counters of the algorithmic work
 //!   done (cycles simulated, GFP sweeps, CDG edges visited, shrink
 //!   evaluations, artifacts checked). These are *byte-identical at any
-//!   thread count* for run-to-completion workloads, which is what the
-//!   `bench_report --baseline --gate` regression gate compares on a
-//!   noisy CI host.
+//!   thread count* for run-to-completion workloads, which is what lets
+//!   `tests/work_counters.rs` pin them by equality on any host.
 //!
 //! Phases form a **static hierarchy through their names**: a phase is a
 //! slash path like `sim/run/route` or `oracle/evaluate/dally`. Using

@@ -198,7 +198,7 @@ mod tests {
     /// switches and the counters behind them are process-global, so a
     /// sibling's `parallel_map` would otherwise land in the window where
     /// `pool_metrics_are_emitted` has them enabled. (The root fix is a
-    /// registry owned by the run, ROADMAP item 6.)
+    /// registry owned by the run, ROADMAP item 2.)
     fn pool_guard() -> MutexGuard<'static, ()> {
         static POOL: Mutex<()> = Mutex::new(());
         // `worker_panic_propagates` unwinds while holding the guard; the

@@ -162,22 +162,13 @@ pub fn replicate_seed(base_seed: u64, i: usize) -> u64 {
 
 /// Runs `cfg` under `replicates` different seeds (derived from `cfg.seed`
 /// via [`replicate_seed`]) and aggregates latency and throughput.
-/// Replicates run on the [`ebda_par`] pool and aggregate in index order;
-/// [`replicate_with_threads`] pins the worker count.
+/// Replicates run on up to `threads` workers of the [`ebda_par`] pool (0
+/// resolves via [`ebda_par::threads`], 1 is strictly serial) and
+/// aggregate in index order.
 ///
 /// # Panics
 ///
 /// Panics if `replicates == 0`.
-pub fn replicate(
-    topo: &Topology,
-    relation: &dyn RoutingRelation,
-    cfg: &SimConfig,
-    replicates: usize,
-) -> Replication {
-    replicate_with_threads(topo, relation, cfg, replicates, ebda_par::threads())
-}
-
-/// [`replicate`] with an explicit worker count (1 = strictly serial).
 pub fn replicate_with_threads(
     topo: &Topology,
     relation: &dyn RoutingRelation,
@@ -284,7 +275,7 @@ mod tests {
             injection_rate: 0.03,
             ..base()
         };
-        let rep = replicate(&topo, &xy, &cfg, 5);
+        let rep = replicate_with_threads(&topo, &xy, &cfg, 5, 0);
         assert_eq!(rep.replicates, 5);
         assert_eq!(rep.clean_runs, 5);
         assert!(rep.latency.mean > 5.0);
@@ -292,7 +283,7 @@ mod tests {
         assert!(rep.latency.std >= 0.0);
         assert!(rep.throughput.mean > 0.0);
         // Single replicate has zero std by definition.
-        let one = replicate(&topo, &xy, &cfg, 1);
+        let one = replicate_with_threads(&topo, &xy, &cfg, 1, 0);
         assert_eq!(one.latency.std, 0.0);
     }
 

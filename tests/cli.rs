@@ -1,6 +1,9 @@
 //! Process-level tests of the `ebda` CLI binary.
 
-use std::process::Command;
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 #[path = "../crates/obs/tests/csv_reader/mod.rs"]
 mod csv_reader;
@@ -345,25 +348,15 @@ fn hostile_nesting_fails_with_exit_1_naming_the_line() {
     }
 }
 
+/// A `verify --ledger` record stamps the revision, passes `check-cert`,
+/// is listed and explained, and fails `check-cert` (exit 1) once its
+/// verdict is tampered with.
 #[test]
 fn verify_ledger_stamps_the_revision_git_prints() {
-    // `git_rev` reads `.git` itself; where git is installed the two must
-    // agree, checkout or not.
     let root = env!("CARGO_MANIFEST_DIR");
-    let Ok(git) = Command::new("git")
-        .args(["rev-parse", "--short=7", "HEAD"])
-        .current_dir(root)
-        .output()
-    else {
-        eprintln!("skipped: git is not on PATH");
-        return;
-    };
-    let want = if git.status.success() {
-        String::from_utf8(git.stdout).unwrap().trim().to_string()
-    } else {
-        "unknown".to_string()
-    };
-    let ledger = std::env::temp_dir().join(format!("ebda-cli-git-rev-{}", std::process::id()));
+    let temp =
+        |tag: &str| std::env::temp_dir().join(format!("ebda-cli-{tag}-{}", std::process::id()));
+    let (ledger, tampered) = (temp("ledger"), temp("tampered"));
     let _ = std::fs::remove_file(&ledger);
     let out = Command::new(env!("CARGO_BIN_EXE_ebda"))
         .args(["verify", "X- | X+ Y+ Y-", "--mesh", "3x3", "--ledger"])
@@ -377,10 +370,153 @@ fn verify_ledger_stamps_the_revision_git_prints() {
         String::from_utf8_lossy(&out.stderr)
     );
     let line = std::fs::read_to_string(&ledger).expect("ledger written");
-    let _ = std::fs::remove_file(&ledger);
-    assert!(
-        line.contains(&format!("\"git_rev\":\"{want}\"")),
-        "want {want}: {}",
-        &line[..line.len().min(200)]
+    // `git_rev` reads `.git` itself; where git is installed the two must
+    // agree, checkout or not.
+    let git = Command::new("git")
+        .args(["rev-parse", "--short=7", "HEAD"])
+        .current_dir(root)
+        .output();
+    match git {
+        Ok(git) => {
+            let want = if git.status.success() {
+                String::from_utf8(git.stdout).unwrap().trim().to_string()
+            } else {
+                "unknown".to_string()
+            };
+            assert!(
+                line.contains(&format!("\"git_rev\":\"{want}\"")),
+                "want {want}: {}",
+                &line[..line.len().min(200)]
+            );
+        }
+        Err(_) => eprintln!("git_rev not compared: git is not on PATH"),
+    }
+
+    let file = ledger.to_str().unwrap();
+    let stdout = |args: &[&str]| String::from_utf8(assert_exit(args, 0, "").stdout).unwrap();
+    assert!(stdout(&["check-cert", file]).contains("1 passed, 0 failed"));
+    let list = stdout(&["ledger", "list", file]);
+    let is_hash = |w: &&str| w.len() == 16 && w.bytes().all(|b| b.is_ascii_hexdigit());
+    let hash = list
+        .split_whitespace()
+        .find(is_hash)
+        .expect("a record hash");
+    assert!(stdout(&["explain", hash, "--ledger", file]).contains(hash));
+
+    let forged = line.replacen(
+        "\"verdict\":\"deadlock-free\"",
+        "\"verdict\":\"deadlocking\"",
+        1,
     );
+    assert_ne!(forged, line, "the record states its verdict");
+    std::fs::write(&tampered, forged).unwrap();
+    assert_exit(
+        &["check-cert", tampered.to_str().unwrap()],
+        1,
+        "1 record(s) failed",
+    );
+    for path in [ledger, tampered] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// The checked-in seed corpus is exactly what `corpus generate` writes,
+/// file for file and byte for byte; its campaign prints the same at one
+/// and two threads; and a broken Dally checker is caught by it.
+#[test]
+fn the_seed_corpus_regenerates_and_catches_a_broken_checker() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let seed = root.join("corpus/seed");
+    let regen = std::env::temp_dir().join(format!("ebda-cli-corpus-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&regen);
+    assert_exit(
+        &["corpus", "generate", "--out", regen.to_str().unwrap()],
+        0,
+        "",
+    );
+    let files = |dir: &Path| -> BTreeMap<String, Vec<u8>> {
+        let entries = std::fs::read_dir(dir).expect("corpus directory");
+        let entries = entries.map(|e| e.expect("directory entry").path());
+        let file = |path: PathBuf| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("corpus file"))
+        };
+        entries.map(file).collect()
+    };
+    let (want, got) = (files(&seed), files(&regen));
+    std::fs::remove_dir_all(&regen).ok();
+    assert!(want.keys().eq(got.keys()), "file names differ");
+    for (name, bytes) in &want {
+        assert!(got[name] == *bytes, "{name} differs from corpus/seed");
+    }
+
+    let seed = seed.to_str().unwrap();
+    let run = |threads: &str| assert_exit(&["corpus", "run", seed, "--threads", threads], 0, "");
+    assert_eq!(
+        run("1").stdout,
+        run("2").stdout,
+        "output depends on threads"
+    );
+    let mutated = ["--mutate", "dally-ignores-wrap", "--expect-mismatch"];
+    assert_exit(&[&["corpus", "run", seed][..], &mutated].concat(), 0, "");
+}
+
+/// A sweep with a live endpoint: `/healthz` answers, `/metrics` carries
+/// the core families once points complete, and `ebda monitor` renders a
+/// snapshot from it. The port is 0; the bound address comes from the
+/// `metrics: serving http://ADDR/metrics` line, the documented way to
+/// find it.
+#[test]
+fn a_sweep_serves_live_metrics_that_monitor_renders() {
+    let temp =
+        |name: &str| std::env::temp_dir().join(format!("ebda-cli-{}-{name}", std::process::id()));
+    let (profile, csv) = (temp("sweep-profile.json"), temp("sweep.csv"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ebda"))
+        .args(["repro", "sweep", "--quick", "--metrics-addr", "127.0.0.1:0"])
+        .args(["--metrics-linger", "30", "--profile-out"])
+        .args([&profile, &csv])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ebda binary");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap()).lines();
+    let addr = stderr.by_ref().map_while(Result::ok).find_map(|line| {
+        let addr = line.strip_prefix("metrics: serving http://")?;
+        addr.strip_suffix("/metrics").map(String::from)
+    });
+    // Keep reading, so the child never blocks on a full pipe.
+    let drain = std::thread::spawn(move || stderr.for_each(drop));
+    let addr = addr.expect("the metrics address is announced");
+
+    assert!(ebda::obs::http_get(&addr, "/healthz")
+        .unwrap()
+        .starts_with("ok"));
+    let has = |text: &str, family: &str| text.lines().any(|l| l.starts_with(family));
+    let mut exposition = String::new();
+    for _ in 0..150 {
+        exposition = ebda::obs::http_get(&addr, "/metrics").unwrap_or_default();
+        if has(&exposition, "ebda_sweep_points_total") {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
+    }
+    for family in [
+        "ebda_sim_runs_total",
+        "ebda_sim_packet_latency_cycles_bucket",
+        "ebda_sim_channel_utilization",
+        "ebda_prof_phase_calls_total",
+        "ebda_sweep_points_total",
+    ] {
+        assert!(has(&exposition, family), "missing {family}:\n{exposition}");
+    }
+    let monitor = assert_exit(&["monitor", "--addr", &addr, "--once"], 0, "");
+    let monitor = String::from_utf8(monitor.stdout).unwrap();
+    assert!(monitor.lines().any(|l| l.starts_with("sim")), "{monitor}");
+
+    child.kill().ok();
+    child.wait().ok();
+    drain.join().ok();
+    for path in [profile, csv] {
+        std::fs::remove_file(path).ok();
+    }
 }

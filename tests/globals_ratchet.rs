@@ -3,7 +3,8 @@
 //! be on the list below. The list may shrink — delete the line with the
 //! global — but a new entry needs the argument that a run-owned value
 //! would not do. The environment is process-global input too: flags are
-//! the only way in, except for the one variable of [`ALLOWED_ENV`].
+//! the only way in, except for the one variable of [`ALLOWED_ENV`]. And
+//! there is one process to run: the `ebda` binary.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -132,6 +133,45 @@ fn the_environment_is_read_for_one_variable_only() {
         .collect();
     found.sort();
     assert_eq!(found, [""; 0], "flags only: see crates/bench/src/trace.rs");
+}
+
+/// One front door: `src/bin/ebda.rs` is the only executable source of
+/// any package, and no package has a `cargo bench` target.
+#[test]
+fn ebda_is_the_only_executable() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.to_path_buf()];
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        packages.push(krate.expect("crate directory").path());
+    }
+    let mut executables = Vec::new();
+    for package in &packages {
+        let main = package.join("src/main.rs");
+        executables.extend(main.exists().then_some(main));
+        if package.join("src/bin").is_dir() {
+            rust_files(&package.join("src/bin"), &mut executables);
+        }
+        let benches = package.join("benches");
+        assert!(!benches.exists(), "{} exists", benches.display());
+        let manifest = fs::read_to_string(package.join("Cargo.toml")).expect("Cargo.toml");
+        for target in ["[[bin]]", "[[bench]]"] {
+            assert!(
+                !manifest.contains(target),
+                "{target} in {}",
+                package.display()
+            );
+        }
+    }
+    let executables: Vec<_> = executables
+        .iter()
+        .map(|path| {
+            path.strip_prefix(root)
+                .expect("under the root")
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(executables, ["src/bin/ebda.rs"]);
 }
 
 #[test]

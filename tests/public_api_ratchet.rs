@@ -10,7 +10,9 @@
 //! EBDA_BLESS=1 cargo test --test public_api_ratchet
 //! ```
 
-use std::collections::BTreeMap;
+mod list_diff;
+
+use list_diff::compare;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -172,28 +174,6 @@ fn surface() -> Vec<String> {
         .collect();
     found.sort();
     found
-}
-
-/// `Err` naming every entry `got` adds to the list `want` (`+`) and
-/// every one it drops (`-`).
-fn compare(got: &[String], want: &[String]) -> Result<(), String> {
-    let mut count: BTreeMap<&str, i64> = BTreeMap::new();
-    for item in got {
-        *count.entry(item).or_default() += 1;
-    }
-    for item in want {
-        *count.entry(item).or_default() -= 1;
-    }
-    let diff: Vec<String> = count
-        .iter()
-        .filter(|&(_, &n)| n != 0)
-        .map(|(item, &n)| format!("{} {item}", if n > 0 { '+' } else { '-' }))
-        .collect();
-    if diff.is_empty() {
-        Ok(())
-    } else {
-        Err(diff.join("\n"))
-    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! reduce what they catch to exactly these artifacts, and the corpus run
 //! must archive the same witness file, which `corpus stats` lists and
 //! `corpus run` re-checks clean. How the shrinker gets there is its own
-//! business; where it lands is pinned here.
+//! business; where it lands is pinned here. The `dally-ignores-wrap` run
+//! also exports the journeys of its replay, which must be a valid trace.
 
 use std::process::Command;
 
@@ -38,8 +39,10 @@ fn oracle_mutations_shrink_to_their_pinned_artifacts() {
             "#0 partitioning on 2x2 (vcs [1, 1], 3 classes, 2 turns, design [Y1- X1+] -> [X1-])",
         ),
     ];
+    let journeys = std::env::temp_dir().join(format!("ebda-journeys-{}.json", std::process::id()));
+    let journeys_arg = journeys.to_str().expect("utf-8 temp dir");
     for (mutation, shrunk) in pins {
-        let text = ebda(&[
+        let mut args = vec![
             "oracle",
             "--budget",
             "0",
@@ -52,12 +55,23 @@ fn oracle_mutations_shrink_to_their_pinned_artifacts() {
             "--mutate",
             mutation,
             "--expect-disagreement",
-        ]);
+        ];
+        if mutation == "dally-ignores-wrap" {
+            args.extend(["--journey-out", journeys_arg]);
+        }
+        let text = ebda(&args);
         assert!(
             text.lines().any(|l| l == format!("  shrunk:   {shrunk}")),
             "{mutation}:\n{text}"
         );
     }
+    // The replay of the caught witness exports its packet journeys as
+    // Trace Event Format: hop spans, and flow chains linking the hops (a
+    // chain has at least a start and a finish).
+    let trace = std::fs::read_to_string(&journeys).expect("journeys written");
+    std::fs::remove_file(&journeys).ok();
+    let summary = ebda::obs::chrome::validate(&trace).unwrap_or_else(|e| panic!("{e}"));
+    assert!(summary.complete >= 1 && summary.flows >= 2, "{summary:?}");
 }
 
 #[test]
