@@ -198,8 +198,8 @@ pub struct Reader<'a> {
     pos: usize,
     /// Containers currently open.
     depth: usize,
-    /// Bit `d - 1`: the container at depth `d` has yielded an element,
-    /// so a comma must precede its next one.
+    /// A stack of one bit per open container, the innermost in bit 0:
+    /// it has yielded an element, so a comma must precede its next one.
     started: u128,
 }
 
@@ -214,7 +214,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `what`, located.
+    /// `what`, located. Off the hot paths: only a rejected document
+    /// gets here.
+    #[cold]
+    #[inline(never)]
     fn fail(&self, what: impl fmt::Display) -> String {
         let before = &self.src.as_bytes()[..self.pos.min(self.src.len())];
         let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
@@ -299,7 +302,8 @@ impl<'a> Reader<'a> {
             value = value.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
-        let plain = self.pos > start && !self.next_byte().is_some_and(|b| b"+-.eE".contains(&b));
+        let plain =
+            self.pos > start && !matches!(self.next_byte(), Some(b'+' | b'-' | b'.' | b'e' | b'E'));
         match value {
             Some(n) if plain => Ok(n),
             _ => {
@@ -324,24 +328,44 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads any JSON number as an `f64`: an optional sign, then every
-    /// byte a number can contain, as `f64::from_str` takes them.
+    /// Reads any JSON number as an `f64`.
     pub(crate) fn f64(&mut self) -> Result<f64, String> {
+        let text = self.number()?;
+        text.parse().map_err(|_| self.fail("expected a number"))
+    }
+
+    /// Reads past a number and returns its text. The one number grammar
+    /// of the reader: an optional `-`, digits with at most one `.` and a
+    /// digit on some side of it, then optionally `e` or `E`, a sign and
+    /// digits — and no further digit, sign, `.`, `e` or `E` after it.
+    /// That is exactly the runs of those bytes `f64::from_str` accepts,
+    /// which is what the tree reader once handed it.
+    fn number(&mut self) -> Result<&'a str, String> {
         self.skip_ws();
-        let start = self.pos;
-        if self.next_byte() == Some(b'-') {
-            self.pos += 1;
+        let (bytes, start) = (self.src.as_bytes(), self.pos);
+        let digits = |at: &mut usize| {
+            let from = *at;
+            while bytes.get(*at).is_some_and(u8::is_ascii_digit) {
+                *at += 1;
+            }
+            *at > from
+        };
+        let mut at = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let mut valid = digits(&mut at);
+        if bytes.get(at) == Some(&b'.') {
+            at += 1;
+            valid |= digits(&mut at);
         }
-        while self
-            .next_byte()
-            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(&b))
-        {
-            self.pos += 1;
+        if valid && matches!(bytes.get(at), Some(b'e' | b'E')) {
+            at += 1;
+            at += usize::from(matches!(bytes.get(at), Some(b'+' | b'-')));
+            valid = digits(&mut at);
         }
-        self.src[start..self.pos].parse().map_err(|_| {
-            self.pos = start;
-            self.fail("expected a number")
-        })
+        if !valid || matches!(bytes.get(at), Some(b'+' | b'-' | b'.' | b'e' | b'E')) {
+            return Err(self.fail("expected a number"));
+        }
+        self.pos = at;
+        Ok(&self.src[start..at])
     }
 
     /// Reads a string: a slice of the input, or an owned copy when it
@@ -441,7 +465,7 @@ impl<'a> Reader<'a> {
         }
         self.pos += 1;
         self.depth += 1;
-        self.started &= !(1 << (self.depth - 1));
+        self.started <<= 1;
         Ok(())
     }
 
@@ -452,13 +476,13 @@ impl<'a> Reader<'a> {
         if self.next_byte() == Some(close) {
             self.pos += 1;
             self.depth -= 1;
+            self.started >>= 1;
             return Ok(false);
         }
-        let bit = 1 << (self.depth - 1);
-        if self.started & bit != 0 {
+        if self.started & 1 != 0 {
             self.expect(b',')?;
         }
-        self.started |= bit;
+        self.started |= 1;
         Ok(true)
     }
 
@@ -515,22 +539,23 @@ impl<'a> Reader<'a> {
     /// and collecting nothing.
     pub fn skip_value(&mut self) -> Result<(), String> {
         let base = self.depth;
-        // Bit `d - 1`: the container this call opened at depth `d` is an
-        // object. A loop, not recursion: depth costs no stack here.
+        // A stack of one bit per container this call opened, the innermost
+        // in bit 0: it is an object. A loop, not recursion: depth costs no
+        // stack here.
         let mut objects: u128 = 0;
         loop {
             match self.peek()? {
                 Kind::Null => self.null()?,
                 Kind::Bool => self.bool().map(drop)?,
-                Kind::Num => self.f64().map(drop)?,
+                Kind::Num => self.number().map(drop)?,
                 Kind::Str => self.string(false).map(drop)?,
                 Kind::Arr => {
                     self.open(b'[', "an array")?;
-                    objects &= !(1 << (self.depth - 1));
+                    objects <<= 1;
                 }
                 Kind::Obj => {
                     self.open(b'{', "an object")?;
-                    objects |= 1 << (self.depth - 1);
+                    objects = objects << 1 | 1;
                 }
             }
             // On to the next value, closing every container that ends.
@@ -538,16 +563,31 @@ impl<'a> Reader<'a> {
                 if self.depth == base {
                     return Ok(());
                 }
-                let more = if objects & (1 << (self.depth - 1)) != 0 {
-                    self.next_key()?.is_some()
-                } else {
-                    self.advance(b']')?
-                };
-                if more {
+                let object = objects & 1 != 0;
+                if self.advance(if object { b'}' } else { b']' })? {
+                    if object {
+                        // A key is a string like any other, never kept.
+                        self.string(false)?;
+                        self.skip_ws();
+                        self.expect(b':')?;
+                    }
                     break;
                 }
+                objects >>= 1;
             }
         }
+    }
+
+    /// Reads past one object and returns its text as it stands in the
+    /// input: a document embedded in another, taken without a copy.
+    pub(crate) fn object_text(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let start = self.pos;
+        if self.next_byte() != Some(b'{') {
+            return Err(self.fail("expected an object"));
+        }
+        self.skip_value()?;
+        Ok(&self.src[start..self.pos])
     }
 
     /// Confirms the document is over: nothing but whitespace is left.
@@ -559,6 +599,19 @@ impl<'a> Reader<'a> {
             Err(self.fail("trailing input"))
         }
     }
+}
+
+/// Whether `text` can be written as the value of a field of a top-level
+/// object and read back by [`Reader::object_text`] as the same text:
+/// exactly one object with nothing around it, nested at most one level
+/// short of `MAX_DEPTH`, and no control byte, so that it stays on one
+/// line and inside what strict JSON parsers accept of whitespace.
+pub(crate) fn embeddable_object(text: &str) -> bool {
+    let mut r = Reader {
+        depth: 1,
+        ..Reader::new(text)
+    };
+    !text.bytes().any(|b| b < 0x20) && r.object_text().is_ok_and(|o| o.len() == text.len())
 }
 
 /// A parsed JSON value: the owned tree for small documents (profiles,
@@ -772,6 +825,70 @@ mod tests {
             written.clear();
             write_u64(&mut written, n).unwrap();
             assert_eq!(written, n.to_string());
+        }
+    }
+
+    #[test]
+    fn skipping_and_reading_share_one_number_grammar() {
+        // Every run of up to six bytes a number is made of: the runs
+        // `f64::from_str` takes (of those starting as a number does) are
+        // the numbers, however the reader meets them.
+        const BYTES: &[u8] = b"01-+.eE";
+        let (mut runs, mut numbers) = (0, 0);
+        for len in 1..=6 {
+            for code in 0..BYTES.len().pow(len) {
+                let run: String = (0..len)
+                    .scan(code, |rest, _| {
+                        let b = BYTES[*rest % BYTES.len()];
+                        *rest /= BYTES.len();
+                        Some(char::from(b))
+                    })
+                    .collect();
+                let want = (run.starts_with('-') || run.starts_with(|c: char| c.is_ascii_digit()))
+                    && run.parse::<f64>().is_ok();
+                let field = format!("{{\"k\":{run},\"n\":1}}");
+                let skipped = Reader::new(&field).obj(|r, _| r.skip_value()).is_ok();
+                let tree = Value::parse(&field).is_ok();
+                assert_eq!((skipped, tree), (want, want), "{run}");
+                runs += 1;
+                numbers += usize::from(want);
+            }
+        }
+        assert!(
+            runs > 100_000 && numbers > 1000,
+            "{runs} runs, {numbers} numbers"
+        );
+    }
+
+    #[test]
+    fn an_embeddable_object_reads_back_as_itself() {
+        let nested = |depth: usize| "{\"k\":".repeat(depth) + "0" + &"}".repeat(depth);
+        for (text, embeddable) in [
+            ("{}", true),
+            (r#"{"a":[1,{"b":"\n"}],"c":-0.5e3}"#, true),
+            (&nested(MAX_DEPTH - 1), true),
+            (&nested(MAX_DEPTH), false),
+            (" {}", false),
+            ("{} ", false),
+            ("{}{}", false),
+            ("{\n}", false),
+            ("{\"a\":\"\u{1}\"}", false),
+            ("[]", false),
+            ("\"{}\"", false),
+            ("{\"a\":}", false),
+            ("", false),
+        ] {
+            assert_eq!(embeddable_object(text), embeddable, "{text:?}");
+            let doc = format!("{{\"x\":{text},\"y\":true}}");
+            let mut r = Reader::new(&doc);
+            let mut read = None;
+            let whole = r.obj(|r, key| match key {
+                "x" => r.object_text().map(|o| read = Some(o)),
+                _ => r.skip_value(),
+            });
+            if embeddable {
+                assert_eq!((whole, read), (Ok(()), Some(text)), "{text:?}");
+            }
         }
     }
 

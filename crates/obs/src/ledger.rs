@@ -5,9 +5,15 @@
 //! Each line is a self-contained JSON object carrying the run metadata
 //! (source, git revision, seed), the verdict, the deterministic work
 //! counters of the brute-force path (`gfp_sweeps`, `wait_pairs`) and —
-//! embedded verbatim as an escaped string — the full provenance document
+//! embedded verbatim as a JSON object — the full provenance document
 //! whose certificate or witness `ebda check-cert` re-validates without
 //! re-running the prover.
+//!
+//! **Formats.** Format 2 writes the provenance inline, as the object it
+//! is, whenever its text is exactly one object on one line; any other
+//! text (and every format-1 record) is an escaped string. Reading takes
+//! an inline object as a slice of the line, with nothing to unescape,
+//! and reads format 1 as before.
 //!
 //! **Byte determinism.** Campaigns assemble records in stream/entry
 //! order on the coordinating thread, so ledger bytes are identical at
@@ -31,7 +37,8 @@ use std::io::{BufRead as _, Write as _};
 use std::path::Path;
 
 /// On-disk ledger format version (the `format` field of every record).
-pub const LEDGER_FORMAT: u64 = 1;
+/// Lines of format 1, which always escape the provenance, still read.
+pub const LEDGER_FORMAT: u64 = 2;
 
 /// One verdict in the run ledger. See the module docs for the field
 /// policy (no thread stamp, no wall clock).
@@ -66,7 +73,8 @@ pub struct LedgerRecord {
     /// [`crate::coverage::CoverageMap::digest`] of the coverage this
     /// verdict contributed, or `""` when the run did not track coverage.
     pub coverage: String,
-    /// The single-line provenance JSON document, embedded verbatim.
+    /// The single-line provenance JSON document, embedded verbatim: as
+    /// an object when it is one (see the module docs), else as a string.
     pub provenance: String,
 }
 
@@ -77,7 +85,7 @@ impl LedgerRecord {
     ///
     /// [`from_line`]: LedgerRecord::from_line
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(self.provenance.len() * 9 / 8 + 320);
+        let mut out = String::with_capacity(self.provenance.len() + 320);
         self.write_line(self.index, &mut out)
             .expect("writing to a String cannot fail");
         out
@@ -107,14 +115,20 @@ impl LedgerRecord {
         number(out, ",\"gfp_sweeps\":", self.gfp_sweeps)?;
         number(out, ",\"wait_pairs\":", self.wait_pairs)?;
         text(out, ",\"coverage\":", &self.coverage)?;
-        text(out, ",\"provenance\":", &self.provenance)?;
+        if json::embeddable_object(&self.provenance) {
+            out.write_str(",\"provenance\":")?;
+            out.write_str(&self.provenance)?;
+        } else {
+            text(out, ",\"provenance\":", &self.provenance)?;
+        }
         out.write_char('}')
     }
 
-    /// Parses one ledger line. Keys may come in any order, unknown keys
-    /// are skipped, and every integer is read exactly: a `seed` of
-    /// `u64::MAX` round-trips, a number that does not fit `u64` is an
-    /// error.
+    /// Parses one ledger line of either format. Keys may come in any
+    /// order, unknown keys are skipped, and every integer is read
+    /// exactly: a `seed` of `u64::MAX` round-trips, a number that does
+    /// not fit `u64` is an error. The provenance is an object, kept as
+    /// its text, or a string.
     ///
     /// # Errors
     ///
@@ -131,9 +145,9 @@ impl LedgerRecord {
             match key {
                 "format" => {
                     let version = r.u64()?;
-                    if version != LEDGER_FORMAT {
+                    if !(1..=LEDGER_FORMAT).contains(&version) {
                         return Err(format!(
-                            "unsupported ledger format {version} (this build reads {LEDGER_FORMAT})"
+                            "unsupported ledger format {version} (this build reads 1 to {LEDGER_FORMAT})"
                         ));
                     }
                     format = Some(version);
@@ -149,7 +163,12 @@ impl LedgerRecord {
                 "evidence" => evidence = text(r)?,
                 "hash" => hash = text(r)?,
                 "coverage" => coverage = text(r)?,
-                "provenance" => provenance = text(r)?,
+                "provenance" => {
+                    provenance = match r.peek()? {
+                        json::Kind::Obj => Some(r.object_text()?.to_owned()),
+                        _ => text(r)?,
+                    }
+                }
                 _ => r.skip_value()?,
             }
             Ok(())
@@ -209,7 +228,7 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
         .open(path)
         .map_err(io_error)?;
     let bytes: usize = records.iter().map(|r| r.provenance.len() + 320).sum();
-    let mut out = String::with_capacity(bytes + bytes / 8);
+    let mut out = String::with_capacity(bytes);
     for (i, r) in records.iter().enumerate() {
         r.write_line(base + i as u64, &mut out)
             .expect("writing to a String cannot fail");
@@ -233,9 +252,10 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
 }
 
 /// Whether a ledger line holds no record: nothing but ASCII blanks
-/// (space and 0x09–0x0D). [`append`]'s count and [`read`] share it, so
-/// a line of any other bytes — U+00A0 included — is a record to both.
-fn blank(line: &[u8]) -> bool {
+/// (space and 0x09–0x0D). [`append`]'s count, [`read`] and `ebda
+/// check-cert` share it, so a line of any other bytes — U+00A0 and
+/// U+0085 included — is a record to all three.
+pub fn blank(line: &[u8]) -> bool {
     line.iter().all(|b| matches!(b, b' ' | 0x09..=0x0D))
 }
 
@@ -327,8 +347,9 @@ pub fn diff(a: &Path, b: &Path) -> Result<Option<String>, String> {
 }
 
 /// Renders the ledger at `path` as a JSON array of record objects (the
-/// `/ledger` endpoint body). The embedded provenance stays an escaped
-/// string, exactly as on disk.
+/// `/ledger` endpoint body), each as [`LedgerRecord::to_line`] writes it:
+/// format 2, the provenance an object a client reads without a second
+/// parse — format-1 records on disk included.
 ///
 /// # Errors
 ///
@@ -500,6 +521,50 @@ mod tests {
     }
 
     #[test]
+    fn provenance_is_inline_when_it_is_one_object_and_format_1_still_reads() {
+        let mut r = record("inline", "deadlock-free");
+        for (provenance, inline) in [
+            ("{\"format\":1,\"hash\":\"499b374294581b24\"}", true),
+            ("{ \"a\" : [1, {}, \"}\"] }", true),
+            ("{\"a\":1}\n", false),
+            ("{\"a\":\n1}", false),
+            (" {}", false),
+            ("{\"a\":1} {}", false),
+            ("{\"a\":", false),
+            ("[{}]", false),
+            ("plain \" text", false),
+            ("", false),
+        ] {
+            r.provenance = provenance.to_string();
+            let line = r.to_line();
+            let (head, tail) = line.split_once(",\"provenance\":").expect("last field");
+            let want = if inline {
+                format!("{provenance}}}")
+            } else {
+                format!("{}}}", json::escape(provenance))
+            };
+            assert_eq!(tail, want, "{provenance:?}");
+            assert_eq!(LedgerRecord::from_line(&line).as_ref(), Ok(&r));
+            // Format 1 escaped every provenance; such lines still read.
+            let v1 = format!(
+                "{},\"provenance\":{}}}",
+                head.replacen("{\"format\":2,", "{\"format\":1,", 1),
+                json::escape(provenance)
+            );
+            assert_eq!(LedgerRecord::from_line(&v1).as_ref(), Ok(&r), "{v1}");
+        }
+        // An inline provenance is a value like any other: checked, and
+        // refused when it is not an object or a string.
+        let line = record("x", "deadlocking").to_line();
+        for bad in ["{\"format\":1,", "{\"a\":}", "[1]", "7"] {
+            let at = line.find(",\"provenance\":").unwrap() + 14;
+            let broken = format!("{}{bad}}}", &line[..at]);
+            let err = LedgerRecord::from_line(&broken).unwrap_err();
+            assert!(err.starts_with("provenance: "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn integers_above_two_to_the_53_survive_the_ledger() {
         // Read through an `f64`, 2^53 + 1 came back as 2^53.
         for n in [(1u64 << 53) + 1, u64::MAX] {
@@ -523,9 +588,9 @@ mod tests {
     fn lines_read_in_any_key_order_and_skip_unknown_keys() {
         let r = record("order", "deadlocking");
         let line = r.to_line();
-        let body = line.strip_prefix("{\"format\":1,").unwrap();
+        let body = line.strip_prefix("{\"format\":2,").unwrap();
         let shuffled = format!(
-            "{{\"later\":[{{\"x\":null}}],{},\"format\":1}}",
+            "{{\"later\":[{{\"x\":null}}],{},\"format\":2}}",
             &body[..body.len() - 1]
         );
         assert_eq!(LedgerRecord::from_line(&shuffled).unwrap(), r);

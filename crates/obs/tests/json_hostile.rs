@@ -87,6 +87,10 @@ fn the_writers_produce_the_bytes_the_format_writers_did() {
         assert_eq!(line, json_ref::ledger_to_line(&r));
         assert_eq!(json_ref::ledger_from_line(&line).unwrap(), r);
         assert_eq!(LedgerRecord::from_line(&line).unwrap(), r);
+        // Format 1 lines read to the same record.
+        let v1 = format_1_line(&r);
+        assert_eq!(json_ref::ledger_from_line(&v1).unwrap(), r);
+        assert_eq!(LedgerRecord::from_line(&v1).unwrap(), r);
     }
     for m in maps() {
         let json = m.to_json();
@@ -99,10 +103,68 @@ fn the_writers_produce_the_bytes_the_format_writers_did() {
     }
 }
 
+/// `r` as format 1 wrote it: the provenance always an escaped string.
+fn format_1_line(r: &LedgerRecord) -> String {
+    let line = r.to_line();
+    let (head, _) = line.split_once(",\"provenance\":").expect("the last field");
+    format!(
+        "{},\"provenance\":{}}}",
+        head.replacen("{\"format\":2,", "{\"format\":1,", 1),
+        json_ref::escape(&r.provenance)
+    )
+}
+
+#[test]
+fn hostile_numbers_under_an_unknown_key_are_judged_alike() {
+    // The reader skips a number by scanning it against its grammar; the
+    // tree parser hands the run to `f64::from_str`. Same verdicts, at the
+    // top of a document and inside an inline provenance.
+    let line = records()[0].to_line();
+    let map = maps()[0].to_json();
+    assert!(line.contains(",\"provenance\":{"), "{line}");
+    let rows = [
+        ("-", false),
+        ("01", true),
+        ("1.", true),
+        ("1e", false),
+        ("1e+", false),
+        ("1.5.2", false),
+        ("--1", false),
+        ("-0.5E+3", true),
+    ];
+    for (number, accepted) in rows {
+        let later = format!("\"later\":{number},");
+        let top = |doc: &str| doc.replacen('{', &format!("{{{later}"), 1);
+        let inner = line.replacen(
+            ",\"provenance\":{",
+            &format!(",\"provenance\":{{{later}"),
+            1,
+        );
+        for doc in [top(&line), inner.clone()] {
+            let got = LedgerRecord::from_line(&doc).map(drop);
+            let want = json_ref::ledger_from_line(&doc).map(drop);
+            assert_eq!((got.is_ok(), want.is_ok()), (accepted, accepted), "{doc}");
+        }
+        let got = CoverageMap::from_json(&top(&map)).map(drop);
+        let want = json_ref::coverage_from_json(&top(&map)).map(drop);
+        assert_eq!(
+            (got.is_ok(), want.is_ok()),
+            (accepted, accepted),
+            "{number}"
+        );
+        for doc in [top(&line), inner, top(&map)] {
+            let (got, want) = (Value::parse(&doc), json_ref::Value::parse(&doc));
+            assert_eq!((got.is_ok(), want.is_ok()), (accepted, accepted), "{doc}");
+        }
+    }
+}
+
 #[test]
 fn ledger_lines_survive_hostile_input_and_agree_with_the_tree_parser() {
+    let mut lines: Vec<String> = records().iter().map(LedgerRecord::to_line).collect();
+    lines.push(format_1_line(&records()[0]));
     hostile::differential(
-        records().iter().map(LedgerRecord::to_line).collect(),
+        lines,
         1500,
         LedgerRecord::from_line,
         json_ref::ledger_from_line,

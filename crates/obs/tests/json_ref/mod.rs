@@ -5,6 +5,11 @@
 //! here, and the document-level references in `crates/oracle/tests/` and
 //! `crates/corpus/tests/`, which include this file by path).
 //!
+//! Changed since with the ledger format: `ledger_to_line` writes format
+//! 2 (the provenance inline when it is one object on one line) and
+//! `ledger_from_line` reads both formats, taking an inline provenance's
+//! text with `field_text`.
+//!
 //! Known, intended differences of the library reader: nesting is capped
 //! (this parser recurses per level and overflows the stack on hostile
 //! input), and integer fields are read exactly (this parser reads every
@@ -278,6 +283,11 @@ use ebda_obs::{CoverageMap, LedgerRecord};
 
 /// `LedgerRecord::to_line` as one `format!`.
 pub fn ledger_to_line(r: &LedgerRecord) -> String {
+    let p = &r.provenance;
+    let inline = p.starts_with('{')
+        && p.ends_with('}')
+        && !p.bytes().any(|b| b < 0x20)
+        && matches!(Value::parse(p), Ok(Value::Obj(_)));
     format!(
         "{{\"format\":{},\"index\":{},\"source\":{},\"name\":{},\"git_rev\":{},\"seed\":{},\"verdict\":{},\"evidence\":{},\"hash\":{},\"gfp_sweeps\":{},\"wait_pairs\":{},\"coverage\":{},\"provenance\":{}}}",
         LEDGER_FORMAT,
@@ -292,8 +302,39 @@ pub fn ledger_to_line(r: &LedgerRecord) -> String {
         r.gfp_sweeps,
         r.wait_pairs,
         escape(&r.coverage),
-        escape(&r.provenance),
+        if inline { p.clone() } else { escape(p) },
     )
+}
+
+/// The text of the value of `key` in the top-level object `doc` (the
+/// last one, if `key` repeats), which the tree parser accepts.
+fn field_text(doc: &str, key: &str) -> String {
+    let chars: Vec<char> = doc.chars().collect();
+    let mut p = Parser {
+        chars: &chars,
+        pos: 0,
+    };
+    let mut text = String::new();
+    p.skip_ws();
+    p.expect('{').expect("an object");
+    p.skip_ws();
+    while p.peek() != Some('}') {
+        p.skip_ws();
+        let k = p.string().expect("a key");
+        p.skip_ws();
+        p.expect(':').expect("a colon");
+        p.skip_ws();
+        let start = p.pos;
+        p.value().expect("a value");
+        if k == key {
+            text = chars[start..p.pos].iter().collect();
+        }
+        p.skip_ws();
+        if p.bump() == Ok('}') {
+            break;
+        }
+    }
+    text
 }
 
 /// `LedgerRecord::from_line` over the tree.
@@ -314,9 +355,9 @@ pub fn ledger_from_line(line: &str) -> Result<LedgerRecord, String> {
         })
     };
     let format = u64_field("format")?;
-    if format != LEDGER_FORMAT {
+    if !(1..=LEDGER_FORMAT).contains(&format) {
         return Err(format!(
-            "unsupported ledger format {format} (this build reads {LEDGER_FORMAT})"
+            "unsupported ledger format {format} (this build reads 1 to {LEDGER_FORMAT})"
         ));
     }
     Ok(LedgerRecord {
@@ -337,7 +378,13 @@ pub fn ledger_from_line(line: &str) -> Result<LedgerRecord, String> {
                 .ok_or("field coverage is not a string")?,
             None => String::new(),
         },
-        provenance: str_field("provenance")?,
+        provenance: match field("provenance")? {
+            Value::Obj(_) => field_text(line, "provenance"),
+            x => x
+                .as_str()
+                .map(str::to_string)
+                .ok_or("field provenance is neither an object nor a string")?,
+        },
     })
 }
 

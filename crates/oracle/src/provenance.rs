@@ -48,8 +48,11 @@ use ebda_core::{canonical, Channel, Dimension, Direction, Partition, PartitionSe
 use ebda_obs::json::{self, Reader};
 use std::fmt;
 
-/// Provenance document format version (the `format` field).
-pub const PROVENANCE_FORMAT: u64 = 1;
+/// Provenance document format version (the `format` field). Format 2
+/// writes a hop as the tuple `[from,to,dim,"+",vc]`; format-1 documents,
+/// whose hops are `{"from":..,"to":..,"dim":..,"dir":..,"vc":..}`
+/// objects, still read. Each format uses its own hop form only.
+pub const PROVENANCE_FORMAT: u64 = 2;
 
 /// One concrete channel of a cycle, ordering or witness — a directed
 /// link's virtual channel, in topology-independent coordinates.
@@ -88,24 +91,27 @@ impl Hop {
         }
     }
 
+    /// Writes the format-2 tuple `[from,to,dim,"+",vc]`.
     fn write_json<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
-        out.write_str("{\"from\":")?;
+        out.write_char('[')?;
         json::write_u64(out, self.from as u64)?;
-        out.write_str(",\"to\":")?;
+        out.write_char(',')?;
         json::write_u64(out, self.to as u64)?;
-        out.write_str(",\"dim\":")?;
+        out.write_char(',')?;
         json::write_u64(out, u64::from(self.dim))?;
         out.write_str(match self.dir {
-            Direction::Plus => ",\"dir\":\"+\",\"vc\":",
-            Direction::Minus => ",\"dir\":\"-\",\"vc\":",
+            Direction::Plus => ",\"+\",",
+            Direction::Minus => ",\"-\",",
         })?;
         json::write_u64(out, u64::from(self.vc))?;
-        out.write_char('}')
+        out.write_char(']')
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Hop, String> {
+    /// Reads a hop in either form, setting bit `f` of `formats` for the
+    /// format `f` whose form it has.
+    fn read(r: &mut Reader<'_>, formats: &mut u64) -> Result<Hop, String> {
         let (mut from, mut to, mut dim, mut dir, mut vc) = (None, None, None, None, None);
-        r.obj(|r, key| {
+        let mut field = |r: &mut Reader<'_>, key: &str| {
             match key {
                 "from" => from = Some(r.uint()?),
                 "to" => to = Some(r.uint()?),
@@ -121,7 +127,20 @@ impl Hop {
                 _ => r.skip_value()?,
             }
             Ok(())
-        })?;
+        };
+        if r.peek()? == json::Kind::Arr {
+            *formats |= 1 << 2;
+            let mut at = 0;
+            // Elements of type `()`: the list never allocates.
+            r.arr(|r| {
+                let key = ["from", "to", "dim", "dir", "vc"].get(at);
+                at += 1;
+                field(r, key.ok_or("a hop is [from,to,dim,dir,vc]")?)
+            })?;
+        } else {
+            *formats |= 1 << 1;
+            r.obj(field)?;
+        }
         Ok(Hop {
             from: from.ok_or("hop lacks from")?,
             to: to.ok_or("hop lacks to")?,
@@ -405,14 +424,14 @@ impl Provenance {
     }
 
     fn json_with_hash(&self, hash: u64) -> String {
-        // A hop is about 45 bytes, a class name about 8.
+        // A hop is about 16 bytes, a class name about 8.
         let len = |hops: &Option<Vec<Hop>>| hops.as_ref().map_or(0, Vec::len);
         let hops = len(&self.ordering)
             + len(&self.dally.cycle)
             + len(&self.duato.escape_cycle)
             + len(&self.brute.witness);
         let names = 2 * self.universe.len() + 2 * self.turns.len();
-        let mut out = String::with_capacity(512 + 48 * hops + 12 * names);
+        let mut out = String::with_capacity(512 + 18 * hops + 12 * names);
         self.write_json(hash, &mut out)
             .expect("writing to a String cannot fail");
         out
@@ -496,10 +515,11 @@ impl Provenance {
         out.write_str("}}")
     }
 
-    /// Parses a provenance document, re-deriving the content hash and
-    /// rejecting a mismatch with the declared one. Fields are taken
-    /// straight off the reader: any key order, unknown keys skipped,
-    /// every integer read exactly and required to fit its field.
+    /// Parses a provenance document of either format, re-deriving the
+    /// content hash and rejecting a mismatch with the declared one.
+    /// Fields are taken straight off the reader: any key order, unknown
+    /// keys skipped, every integer read exactly and required to fit its
+    /// field, every hop in the form of the declared format.
     ///
     /// # Errors
     ///
@@ -510,8 +530,8 @@ impl Provenance {
             let s = r.str()?;
             Channel::parse(&s).map_err(|e| format!("channel {s}: {e}"))
         }
-        fn hops(r: &mut Reader<'_>) -> Result<Option<Vec<Hop>>, String> {
-            r.nullable(|r| r.arr(Hop::read))
+        fn hops(r: &mut Reader<'_>, formats: &mut u64) -> Result<Option<Vec<Hop>>, String> {
+            r.nullable(|r| r.arr(|r| Hop::read(r, formats)))
         }
         /// `Some(field)`, or the complaint that `key` is missing.
         fn need<T>(field: Option<T>, key: &str) -> Result<T, String> {
@@ -519,6 +539,8 @@ impl Provenance {
         }
 
         let (mut format, mut hash, mut deadlock_free) = (None, None, None);
+        // Bit `f`: a hop in the form of format `f`.
+        let mut hop_formats = 0u64;
         let (mut radix, mut wrap, mut vcs, mut universe, mut turns) =
             (None, None, None, None, None);
         let (mut ebda, mut ordering, mut dally, mut duato, mut brute) =
@@ -528,9 +550,9 @@ impl Provenance {
             match key {
                 "format" => {
                     let version = r.u64()?;
-                    if version != PROVENANCE_FORMAT {
+                    if !(1..=PROVENANCE_FORMAT).contains(&version) {
                         return Err(format!(
-                            "unsupported provenance format {version} (this build reads {PROVENANCE_FORMAT})"
+                            "unsupported provenance format {version} (this build reads 1 to {PROVENANCE_FORMAT})"
                         ));
                     }
                     format = Some(version);
@@ -582,14 +604,14 @@ impl Provenance {
                             .ok_or("must carry a certificate or a refusal")?,
                     );
                 }
-                "ordering" => ordering = Some(hops(r)?),
+                "ordering" => ordering = Some(hops(r, &mut hop_formats)?),
                 "dally" => {
                     let (mut channels, mut dependencies, mut cycle) = (None, None, None);
                     r.obj(|r, key| {
                         match key {
                             "channels" => channels = Some(r.uint()?),
                             "dependencies" => dependencies = Some(r.uint()?),
-                            "cycle" => cycle = Some(hops(r)?),
+                            "cycle" => cycle = Some(hops(r, &mut hop_formats)?),
                             _ => r.skip_value()?,
                         }
                         Ok(())
@@ -606,7 +628,7 @@ impl Provenance {
                     r.obj(|r, key| {
                         match key {
                             "escape_acyclic" => acyclic = Some(r.bool()?),
-                            "escape_cycle" => cycle = Some(hops(r)?),
+                            "escape_cycle" => cycle = Some(hops(r, &mut hop_formats)?),
                             "escape_connected" => connected = Some(r.bool()?),
                             "unreachable" => {
                                 let pair = r.nullable(|r| r.arr(Reader::uint::<usize>))?;
@@ -636,7 +658,7 @@ impl Provenance {
                             "pairs" => pairs = Some(r.uint()?),
                             "surviving" => surviving = Some(r.uint()?),
                             "sweeps" => sweeps = Some(r.uint()?),
-                            "witness" => witness = Some(hops(r)?),
+                            "witness" => witness = Some(hops(r, &mut hop_formats)?),
                             _ => r.skip_value()?,
                         }
                         Ok(())
@@ -654,7 +676,14 @@ impl Provenance {
             Ok(())
         })?;
         r.end()?;
-        need(format, "format")?;
+        let version = need(format, "format")?;
+        let stray = hop_formats & !(1 << version);
+        if stray != 0 {
+            return Err(format!(
+                "a format-{version} document with a format-{} hop",
+                stray.trailing_zeros()
+            ));
+        }
         let prov = Provenance {
             radix: need(radix, "radix")?,
             wrap: need(wrap, "wrap")?,
@@ -1351,10 +1380,10 @@ mod tests {
         let json = prov.to_json();
         // Move the leading `format` and `hash` behind an unknown key at
         // the end: the same record.
-        let head = format!("{{\"format\":1,\"hash\":\"{}\",", prov.hash_hex());
+        let head = format!("{{\"format\":2,\"hash\":\"{}\",", prov.hash_hex());
         let body = json.strip_prefix(&head).expect("format and hash lead");
         let moved = format!(
-            "{{{},\"later\":{{\"x\":[1.5,null]}},\"hash\":\"{}\",\"format\":1}}",
+            "{{{},\"later\":{{\"x\":[1.5,null]}},\"hash\":\"{}\",\"format\":2}}",
             &body[..body.len() - 1],
             prov.hash_hex()
         );
@@ -1366,12 +1395,91 @@ mod tests {
             (1 << 53) + 1
         );
         for (from, to) in [
-            ("\"vc\":1}", "\"vc\":256}"),
+            ("\"+\",1]", "\"+\",256]"),
             ("\"sweeps\":1,", "\"sweeps\":1.0,"),
         ] {
             assert!(json.contains(from), "{json}");
             let err = Provenance::from_json(&json.replacen(from, to, 1)).unwrap_err();
             assert!(err.contains("integer"), "{err}");
+        }
+    }
+
+    #[test]
+    fn each_format_reads_its_own_hop_form_only() {
+        let artifact = ring_artifact();
+        let prov = Provenance::from_artifact(&artifact, &evaluate(&artifact, Mutation::None));
+        let v2 = prov.to_json();
+        let tuple = |h: &Hop| {
+            let mut out = String::new();
+            h.write_json(&mut out).unwrap();
+            out
+        };
+        let object = |h: &Hop| {
+            format!(
+                "{{\"from\":{},\"to\":{},\"dim\":{},\"dir\":\"{}\",\"vc\":{}}}",
+                h.from, h.to, h.dim, h.dir, h.vc
+            )
+        };
+        // The document as format 1 wrote it: every hop an object.
+        let hops: Vec<Hop> = [
+            &prov.ordering,
+            &prov.dally.cycle,
+            &prov.duato.escape_cycle,
+            &prov.brute.witness,
+        ]
+        .into_iter()
+        .flatten()
+        .flatten()
+        .copied()
+        .collect();
+        assert!(hops.len() >= 8, "{v2}");
+        let objects = hops
+            .iter()
+            .fold(v2.clone(), |doc, h| doc.replace(&tuple(h), &object(h)));
+        let v1 = objects.replacen("{\"format\":2,", "{\"format\":1,", 1);
+        let (first, last) = (tuple(&hops[0]), tuple(&hops[hops.len() - 1]));
+        let rows = [
+            (v2.clone(), None),
+            (v1.clone(), None),
+            // A whole document in the other format's hop form.
+            (objects, Some("a format-2 document with a format-1 hop")),
+            (
+                v2.replacen("{\"format\":2,", "{\"format\":1,", 1),
+                Some("a format-1 document with a format-2 hop"),
+            ),
+            // One hop of the other form among its own.
+            (
+                v2.replacen(&first, &object(&hops[0]), 1),
+                Some("a format-2 document with a format-1 hop"),
+            ),
+            (
+                v1.replacen(&object(&hops[0]), &first, 1),
+                Some("a format-1 document with a format-2 hop"),
+            ),
+            // A tuple has five fields, a direction is a sign.
+            (
+                v2.replacen(&last, &last.replacen(",1]", "]", 1), 1),
+                Some("hop lacks vc"),
+            ),
+            (
+                v2.replacen(&last, &last.replacen(",1]", ",1,1]", 1), 1),
+                Some("a hop is [from,to,dim,dir,vc]"),
+            ),
+            (
+                v2.replacen(&last, &last.replacen("\"+\"", "\"x\"", 1), 1),
+                Some("must be \"+\" or \"-\""),
+            ),
+            (
+                v2.replacen("{\"format\":2,", "{\"format\":3,", 1),
+                Some("unsupported provenance format 3"),
+            ),
+        ];
+        for (doc, refusal) in rows {
+            match (Provenance::from_json(&doc), refusal) {
+                (Ok(read), None) => assert_eq!(read, prov),
+                (Err(err), Some(want)) => assert!(err.contains(want), "{want}: {err}"),
+                (got, want) => panic!("{got:?} where {want:?}: {doc}"),
+            }
         }
     }
 

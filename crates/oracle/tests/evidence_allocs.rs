@@ -12,8 +12,10 @@
 //!   coverage hit): **77 503** allocations for this walk ([`PARENT`]);
 //! * with them, provenance and coverage each building the artifact's
 //!   CDG again: 7 321;
-//! * with both read off the `Evaluation`'s graph: **6 541**
-//!   ([`MEASURED`]).
+//! * with both read off the `Evaluation`'s graph: 6 541;
+//! * with evidence format 2 — the provenance an object in the ledger
+//!   line, copied out rather than unescaped, hops as tuples: **6 359**
+//!   ([`MEASURED`]; 6 546 for the format-1 build on the same host).
 //!
 //! The ceiling is 1.25× the measured figure, and the test also holds it
 //! under a third of the parent's. What is left is mostly the prover
@@ -30,7 +32,7 @@ use ebda_oracle::{artifact_coverage, evaluate, Evaluation, Generator, Mutation, 
 /// The walk's allocations at the parent commit (same test, same host).
 const PARENT: u64 = 77_503;
 /// The walk's allocations when the ceiling was set.
-const MEASURED: u64 = 6_541;
+const MEASURED: u64 = 6_359;
 
 #[test]
 fn the_evidence_walk_stays_under_its_allocation_ceiling() {

@@ -332,7 +332,7 @@ fn provenance_documents_survive_hostile_input_and_agree_with_the_tree_reader() {
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/seed");
     let entries = ebda_corpus::store::load_dir(&dir).expect("corpus/seed loads");
-    let valid: Vec<String> = wanted
+    let mut valid: Vec<String> = wanted
         .iter()
         .map(|name| {
             let entry = entries
@@ -344,6 +344,8 @@ fn provenance_documents_survive_hostile_input_and_agree_with_the_tree_reader() {
                 .to_json()
         })
         .collect();
+    // A format-1 document: hops as objects.
+    valid.push(include_str!("golden/provenance_xy_mesh3x3_v1.json").to_string());
     hostile::differential(valid, 700, Provenance::from_json, old_from_json, |p| {
         let json = p.to_json();
         let back = Provenance::from_json(&json).expect("own bytes parse");

@@ -10,6 +10,10 @@
 //! ```text
 //! EBDA_BLESS=1 cargo test -p ebda-oracle --test provenance_golden
 //! ```
+//!
+//! The `*_v1.*` files are the ledger and provenance goldens as format 1
+//! wrote them. They are never re-blessed: they pin that this build still
+//! reads what older builds wrote.
 
 use ebda_cdg::dally::infer_vcs;
 use ebda_core::{catalog, extract_turns, Channel, TurnSet};
@@ -143,4 +147,50 @@ fn explain_narratives_are_pinned() {
         negative().narrative()
     );
     golden("explain.txt", &got, include_str!("golden/explain.txt"));
+}
+
+#[test]
+fn format_1_goldens_read_as_the_format_2_ones() {
+    // `*_v1.*` are the goldens as format 1 wrote them: the provenance an
+    // escaped string in the ledger, every hop an object.
+    let summary = |prov: &Provenance| {
+        let report = prov.check().unwrap();
+        let verdict = prov.verdict_str();
+        (prov.hash_hex(), verdict, report.methods, report.obligations)
+    };
+    let v1 = include_str!("golden/provenance_xy_mesh3x3_v1.json");
+    let v2 = include_str!("golden/provenance_xy_mesh3x3.json");
+    let (v1, v2) = (
+        Provenance::from_json(v1).unwrap(),
+        Provenance::from_json(v2).unwrap(),
+    );
+    assert_eq!(v1, v2);
+    assert_eq!(summary(&v1), summary(&v2));
+
+    let v1 = include_str!("golden/ledger_v1.jsonl").lines();
+    let v2 = include_str!("golden/ledger.jsonl").lines();
+    assert_eq!(v1.clone().count(), 2);
+    for (old, new) in v1.zip(v2) {
+        let (old, new) = (
+            LedgerRecord::from_line(old).unwrap(),
+            LedgerRecord::from_line(new).unwrap(),
+        );
+        let (p1, p2) = (
+            Provenance::from_json(&old.provenance).unwrap(),
+            Provenance::from_json(&new.provenance).unwrap(),
+        );
+        assert_eq!(p1, p2);
+        assert_eq!(summary(&p1), summary(&p2));
+        assert_eq!(
+            (&old.hash, &old.verdict),
+            (&p1.hash_hex(), &p1.verdict_str().to_string())
+        );
+        // Rewritten by this build, the old record is the new golden line.
+        let rewritten = LedgerRecord {
+            provenance: p1.to_json(),
+            ..old
+        };
+        assert_eq!(rewritten, new);
+        assert_eq!(rewritten.to_line(), new.to_line());
+    }
 }

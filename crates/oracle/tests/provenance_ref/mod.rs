@@ -11,6 +11,10 @@
 //! One deliberate deviation: a turn `a>a` makes `Turn::new` panic in
 //! `from_json`, as it did in the library; the differential treats that
 //! panic as this reader's way of refusing the document.
+//!
+//! Changed since with the format: format 2 writes a hop as the tuple
+//! `[from,to,dim,"+",vc]` (`hop_to_json`, `hop_from_tuple`), and a
+//! document is read in the hop form of the format it declares.
 
 #![allow(dead_code)]
 
@@ -25,7 +29,7 @@ use ebda_oracle::provenance::{
 
 fn hop_to_json(hop: Hop) -> String {
     format!(
-        "{{\"from\":{},\"to\":{},\"dim\":{},\"dir\":\"{}\",\"vc\":{}}}",
+        "[{},{},{},\"{}\",{}]",
         hop.from,
         hop.to,
         hop.dim,
@@ -35,6 +39,25 @@ fn hop_to_json(hop: Hop) -> String {
         },
         hop.vc
     )
+}
+
+fn hop_from_tuple(v: &Value) -> Result<Hop, String> {
+    let Some([from, to, dim, dir, vc]) = v.as_arr() else {
+        return Err("a hop is [from,to,dim,dir,vc]".to_string());
+    };
+    let num = |x: &Value| x.as_u64().ok_or("hop field not a u64");
+    let dir = match dir.as_str() {
+        Some("+") => Direction::Plus,
+        Some("-") => Direction::Minus,
+        other => return Err(format!("hop dir must be \"+\" or \"-\", got {other:?}")),
+    };
+    Ok(Hop {
+        from: num(from)? as usize,
+        to: num(to)? as usize,
+        dim: num(dim)? as u8,
+        dir,
+        vc: num(vc)? as u8,
+    })
 }
 
 fn hop_from_value(v: &Value) -> Result<Hop, String> {
@@ -126,11 +149,16 @@ pub fn from_json(text: &str) -> Result<Provenance, String> {
         .get("format")
         .and_then(Value::as_u64)
         .ok_or("missing format")?;
-    if format != PROVENANCE_FORMAT {
+    if !(1..=PROVENANCE_FORMAT).contains(&format) {
         return Err(format!(
-            "unsupported provenance format {format} (this build reads {PROVENANCE_FORMAT})"
+            "unsupported provenance format {format} (this build reads 1 to {PROVENANCE_FORMAT})"
         ));
     }
+    let hop = if format == 1 {
+        hop_from_value
+    } else {
+        hop_from_tuple
+    };
     let str_field = |key: &str| {
         v.get(key)
             .and_then(Value::as_str)
@@ -173,11 +201,7 @@ pub fn from_json(text: &str) -> Result<Provenance, String> {
     let hops_field = |obj: &Value, key: &str| -> Result<Option<Vec<Hop>>, String> {
         match obj.get(key) {
             Some(Value::Null) => Ok(None),
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(hop_from_value)
-                .collect::<Result<_, _>>()
-                .map(Some),
+            Some(Value::Arr(items)) => items.iter().map(hop).collect::<Result<_, _>>().map(Some),
             _ => Err(format!("field {key} must be null or an array of hops")),
         }
     };

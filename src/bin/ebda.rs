@@ -449,7 +449,7 @@ fn cmd_check_cert(args: Args) -> Result<(), CliError> {
     let mut checked = 0usize;
     let mut failed = 0usize;
     for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+        if ebda_obs::ledger::blank(line.as_bytes()) {
             continue;
         }
         checked += 1;

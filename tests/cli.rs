@@ -402,6 +402,26 @@ fn verify_ledger_stamps_the_revision_git_prints() {
         .find(is_hash)
         .expect("a record hash");
     assert!(stdout(&["explain", hash, "--ledger", file]).contains(hash));
+    // What format-1 builds wrote still checks.
+    for (golden, records) in [("ledger_v1.jsonl", 2), ("provenance_xy_mesh3x3_v1.json", 1)] {
+        let path = format!("{root}/crates/oracle/tests/golden/{golden}");
+        let passed = format!("{records} passed, 0 failed");
+        assert!(stdout(&["check-cert", &path]).contains(&passed), "{golden}");
+    }
+
+    // `check-cert` skips the lines the ledger's own readers skip: a VT
+    // line is blank, a U+00A0 or U+0085 line is a record it cannot read.
+    let rows = [
+        ("\u{0B}", 0, "1 passed, 0 failed"),
+        ("\u{A0}", 1, "FAIL line 2: "),
+        ("\u{85}", 1, "FAIL line 2: "),
+    ];
+    for (after, code, want) in rows {
+        std::fs::write(&tampered, format!("{line}{after}\n")).unwrap();
+        let out = assert_exit(&["check-cert", tampered.to_str().unwrap()], code, "");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(want), "{after:?} must print {want}: {text}");
+    }
 
     let forged = line.replacen(
         "\"verdict\":\"deadlock-free\"",
