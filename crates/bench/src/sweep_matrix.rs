@@ -110,7 +110,6 @@ pub(crate) fn run_sweep(
         }
     }
 
-    ebda_obs::prof::work("sweep/run", "points", points.len() as u64);
     // Each point simulates independently and renders its own row; the
     // index-order merge below makes the CSV thread-count invariant.
     let rows: Vec<(String, Option<(String, Recorder)>)> =
@@ -141,7 +140,7 @@ pub(crate) fn run_sweep(
                 }
                 None => (simulate(&topo, p.relation, &cfg), None),
             };
-            ebda_obs::metrics::counter_add("ebda_sweep_points_total", &[], 1);
+            ebda_obs::prof::work("sweep/run", "points", 1);
             let outcome = if r.outcome.is_deadlock_free() {
                 if r.measured_delivered == r.measured_injected {
                     "ok"

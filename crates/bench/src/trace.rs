@@ -117,12 +117,13 @@ impl ObsOptions {
     }
 
     /// Enables the requested observability layers: the self-profiler
-    /// when a profile was asked for (a trace alone does not switch it
-    /// on — it costs 1.2–1.3× on the simulator), the global metrics
-    /// registry and the HTTP endpoint when a metrics address was given
-    /// (with both, `/metrics` carries the `ebda_prof_*` families). Prints the
-    /// bound address to stderr (`metrics: serving http://...`), which is
-    /// how scripts discover a port-0 binding.
+    /// when a profile or a metrics address was asked for (a trace alone
+    /// does not switch it on — it costs 1.2–1.3× on the simulator), and
+    /// the global metrics registry and the HTTP endpoint when a metrics
+    /// address was given. The profiler is where every count is kept, so
+    /// `/metrics` renders its counters from it. Prints the bound address
+    /// to stderr (`metrics: serving http://...`), which is how scripts
+    /// discover a port-0 binding.
     ///
     /// # Errors
     ///
@@ -132,7 +133,7 @@ impl ObsOptions {
         // Install the thread count process-wide so library entry points
         // that resolve via ebda_par::threads() see the flag too.
         ebda_par::set_threads(self.threads);
-        if self.profile.is_some() {
+        if self.profile.is_some() || self.metrics_addr.is_some() {
             ebda_obs::prof::set_enabled(true);
         }
         if let Some(addr) = &self.metrics_addr {

@@ -274,17 +274,8 @@ pub fn run_corpus_campaign(
     for entry in entries {
         *report.families.entry(entry.family.clone()).or_insert(0) += 1;
     }
-    ebda_obs::metrics::counter_add(
-        "ebda_corpus_entries_checked_total",
-        &[],
-        entries.len() as u64,
-    );
-    ebda_obs::metrics::counter_add("ebda_corpus_deadlock_free_total", &[], report.free as u64);
-    ebda_obs::metrics::counter_add(
-        "ebda_corpus_deadlocking_total",
-        &[],
-        report.deadlocking as u64,
-    );
+    prof::work("corpus/check", "deadlock_free", report.free as u64);
+    prof::work("corpus/check", "deadlocking", report.deadlocking as u64);
 
     if let Some(path) = &cfg.ledger {
         // Parallel checks were merged in index order, so the records —
@@ -313,7 +304,6 @@ pub fn run_corpus_campaign(
     for (i, (reason, _, _)) in checks.into_iter().enumerate() {
         let Some(reason) = reason else { continue };
         let entry = &entries[i];
-        ebda_obs::metrics::counter_add("ebda_corpus_mismatches_total", &[], 1);
         let shrunk = {
             let _shrink = prof::phase("corpus/shrink");
             prof::work("corpus/shrink", "mismatches", 1);
@@ -327,11 +317,11 @@ pub fn run_corpus_campaign(
         let witness = witness_entry(entry, &reason, &shrunk);
         let mut archived = None;
         if let Some(dir) = &cfg.archive_dir {
+            // Calls count attempts, `witnesses` the entries saved.
             let _archive = prof::phase("corpus/archive");
-            prof::work("corpus/archive", "witnesses", 1);
             match store::save_entry(dir, &witness) {
                 Ok(file) => {
-                    ebda_obs::metrics::counter_add("ebda_corpus_witnesses_archived_total", &[], 1);
+                    prof::work("corpus/archive", "witnesses", 1);
                     report.archived.push(file.clone());
                     archived = Some(file);
                 }

@@ -234,7 +234,7 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
             .expect("writing to a String cannot fail");
         out.push('\n');
         if crate::metrics::enabled() {
-            crate::metrics::counter_add(
+            crate::metrics::global().counter_add(
                 "ebda_ledger_records_total",
                 &[("source", r.source.clone()), ("verdict", r.verdict.clone())],
                 1,
@@ -242,7 +242,7 @@ pub fn append(path: &Path, records: &[LedgerRecord]) -> Result<u64, String> {
         }
     }
     file.write_all(out.as_bytes()).map_err(io_error)?;
-    crate::metrics::counter_add("ebda_ledger_appends_total", &[], 1);
+    crate::prof::work("obs/ledger/append", "appends", 1);
     crate::metrics::gauge_set(
         "ebda_ledger_last_index",
         &[],

@@ -5,17 +5,20 @@
 //!
 //! The registry complements the flight recorder (`crate::recorder`) and
 //! the self-profiler ([`crate::prof`]): the recorder is a post-mortem
-//! event log of *one* run, the profiler aggregates phase timings and work
-//! units (and mirrors them here as the `ebda_prof_*` families when both
-//! are on), and this module is the *live*, scrapeable view of a whole
-//! campaign — thousands of simulations, sweep points or oracle artifacts
-//! — while it executes.
+//! event log of *one* run, the profiler is where every count is kept,
+//! and this module is the *live*, scrapeable view of a whole campaign —
+//! thousands of simulations, sweep points or oracle artifacts — while it
+//! executes.
 //!
-//! Like the profiler, the global registry is off by default: until
-//! [`set_enabled`] is called every emission is a single relaxed atomic
-//! load. Instrumented code batches locally (e.g. the sim engine fills one
-//! [`Histogram`] per run) and flushes under one lock, so hot paths never
-//! contend.
+//! There is one counter system: every unlabelled counter family is a
+//! profiler phase's calls, wall time or work unit, named by one table
+//! ([`counter_family`]), and [`render_global`] reads them — with the
+//! `ebda_prof_*` families — off the profiler at scrape time. The
+//! registry holds gauges, histograms and the two counter families
+//! labelled by run data (`ebda_sim_channel_flits_total`,
+//! `ebda_ledger_records_total`). It is off by default: until
+//! [`set_enabled`] every emission is a single relaxed atomic load, and
+//! instrumented code batches locally and flushes under one lock.
 //!
 //! Metric names follow Prometheus conventions:
 //! `ebda_<area>_<thing>_<unit>[_total]`, lowercase, with labels for
@@ -82,19 +85,11 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: u64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `n` identical observations.
-    pub(crate) fn observe_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let i = bucket_index(v);
         if self.buckets.len() <= i {
             self.buckets.resize(i + 1, 0);
         }
-        self.buckets[i] += n;
+        self.buckets[i] += 1;
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -102,8 +97,8 @@ impl Histogram {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
     }
 
     /// Folds another histogram into this one.
@@ -261,68 +256,57 @@ impl MetricsRegistry {
     /// one `# TYPE` line per family, series sorted by name then labels, so
     /// identical registry contents produce byte-identical text.
     pub fn render(&self, opts: RenderOptions) -> String {
+        self.render_with(opts, BTreeMap::new())
+    }
+
+    /// [`Self::render`] with `counters` rendered among the registry's own
+    /// (a series in both is summed).
+    fn render_with(&self, opts: RenderOptions, mut counters: BTreeMap<Key, u64>) -> String {
         let inner = self.lock();
+        for (key, value) in &inner.counters {
+            *counters.entry(key.clone()).or_insert(0) += value;
+        }
         let mut out = String::new();
         let skip =
             |name: &str| opts.deterministic && (name.ends_with("_ns") || name == "ebda_build_info");
-
-        let mut last_family = String::new();
-        for ((name, labels), value) in &inner.counters {
-            if skip(name) {
-                continue;
+        // Whether a series of `name` is rendered; writes the `# TYPE`
+        // line before the first series of each family.
+        let mut last = ("", String::new());
+        let mut family = |out: &mut String, name: &str, kind: &'static str| {
+            if !skip(name) && (kind, name) != (last.0, last.1.as_str()) {
+                let _ = writeln!(out, "# TYPE {name} {kind}");
+                last = (kind, name.to_string());
             }
-            if *name != last_family {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                last_family.clone_from(name);
+            !skip(name)
+        };
+        for ((name, labels), value) in &counters {
+            if family(&mut out, name, "counter") {
+                let _ = writeln!(out, "{name}{} {value}", render_labels(labels, None));
             }
-            let _ = writeln!(out, "{name}{} {value}", render_labels(labels, None));
         }
-        last_family.clear();
         for ((name, labels), value) in &inner.gauges {
-            if skip(name) {
-                continue;
+            if family(&mut out, name, "gauge") {
+                let (labels, value) = (render_labels(labels, None), render_f64(*value));
+                let _ = writeln!(out, "{name}{labels} {value}");
             }
-            if *name != last_family {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                last_family.clone_from(name);
-            }
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                render_labels(labels, None),
-                render_f64(*value)
-            );
         }
-        last_family.clear();
         for ((name, labels), h) in &inner.histograms {
-            if skip(name) {
+            if !family(&mut out, name, "histogram") {
                 continue;
-            }
-            if *name != last_family {
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                last_family.clone_from(name);
             }
             let mut cum = 0u64;
             for (upper, count) in h.nonzero_buckets() {
                 cum += count;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{} {cum}",
-                    render_labels(labels, Some(&upper.to_string()))
-                );
+                let le = render_labels(labels, Some(&upper.to_string()));
+                let _ = writeln!(out, "{name}_bucket{le} {cum}");
             }
-            let _ = writeln!(
-                out,
-                "{name}_bucket{} {cum}",
-                render_labels(labels, Some("+Inf"))
-            );
-            let _ = writeln!(out, "{name}_sum{} {}", render_labels(labels, None), h.sum());
-            let _ = writeln!(
-                out,
-                "{name}_count{} {}",
+            let (inf, plain) = (
+                render_labels(labels, Some("+Inf")),
                 render_labels(labels, None),
-                h.count()
             );
+            let _ = writeln!(out, "{name}_bucket{inf} {cum}");
+            let _ = writeln!(out, "{name}_sum{plain} {}", h.sum());
+            let _ = writeln!(out, "{name}_count{plain} {}", h.count());
         }
         out
     }
@@ -377,9 +361,9 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// Globally enables or disables metrics collection. The profiler is
-/// switched separately ([`crate::prof::set_enabled`]); its `ebda_prof_*`
-/// families appear only when both are on.
+/// Globally enables or disables the registry: gauges, histograms and
+/// the two labelled counter families. The counters read off the
+/// profiler move when the profiler is on ([`crate::prof::set_enabled`]).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -389,13 +373,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Adds `delta` to a global counter (no-op when disabled).
-pub fn counter_add(name: &str, labels: &[(&str, String)], delta: u64) {
-    if enabled() {
-        global().counter_add(name, labels, delta);
-    }
-}
-
 /// Sets a global gauge (no-op when disabled).
 pub fn gauge_set(name: &str, labels: &[(&str, String)], value: f64) {
     if enabled() {
@@ -403,24 +380,93 @@ pub fn gauge_set(name: &str, labels: &[(&str, String)], value: f64) {
     }
 }
 
-/// Records one observation into a global histogram (no-op when disabled).
-pub fn observe(name: &str, labels: &[(&str, String)], value: u64) {
-    if enabled() {
-        global().observe(name, labels, value);
-    }
+// ---------------------------------------------------------------------------
+// Counter families read off the profiler.
+// ---------------------------------------------------------------------------
+
+/// Every unlabelled counter family and the profiler count it renders:
+/// `(family, phase, count)`, where a count is the phase's `calls`, its
+/// `wall_ns` or one of its work units (no unit is named either) — the
+/// one place that knows these names. Sorted by family.
+#[rustfmt::skip]
+const COUNTERS: &[(&str, &str, &str)] = &[
+    ("ebda_corpus_deadlock_free_total",               "corpus/check",          "deadlock_free"),
+    ("ebda_corpus_deadlocking_total",                 "corpus/check",          "deadlocking"),
+    ("ebda_corpus_entries_checked_total",             "corpus/check",          "entries"),
+    ("ebda_corpus_mismatches_total",                  "corpus/shrink",         "mismatches"),
+    ("ebda_corpus_witnesses_archived_total",          "corpus/archive",        "witnesses"),
+    ("ebda_ledger_appends_total",                     "obs/ledger/append",     "appends"),
+    ("ebda_oracle_artifacts_checked_total",           "oracle/campaign",       "artifacts_checked"),
+    ("ebda_oracle_artifacts_shrunk_total",            "oracle/shrink",         "calls"),
+    ("ebda_oracle_brute_sweeps_total",                "oracle/evaluate/brute", "gfp_sweeps"),
+    ("ebda_oracle_deadlocking_artifacts_total",       "oracle/campaign",       "deadlocking"),
+    ("ebda_oracle_disagreements_total",               "oracle/campaign",       "disagreements"),
+    ("ebda_oracle_shrink_evals_total",                "oracle/shrink",         "shrink_evals"),
+    ("ebda_par_jobs_total",                           "par/map",               "calls"),
+    ("ebda_par_tasks_total",                          "par/map",               "tasks"),
+    ("ebda_par_worker_busy_ns_total",                 "par/busy",              "wall_ns"),
+    ("ebda_par_worker_idle_ns_total",                 "par/idle",              "wall_ns"),
+    ("ebda_sim_credit_stalls_total",                  "sim/run",               "credit_stalls"),
+    ("ebda_sim_cycles_total",                         "sim/run",               "cycles"),
+    ("ebda_sim_deadlocks_total",                      "sim/run",               "deadlocks"),
+    ("ebda_sim_delivered_log_sparse_fallbacks_total", "sim/run",               "delivered_log_sparse_fallbacks"),
+    ("ebda_sim_packets_delivered_total",              "sim/run",               "packets_delivered"),
+    ("ebda_sim_packets_dropped_total",                "sim/run",               "packets_dropped"),
+    ("ebda_sim_packets_injected_total",               "sim/run",               "packets_injected"),
+    ("ebda_sim_packets_reordered_total",              "sim/run",               "packets_reordered"),
+    ("ebda_sim_routing_faults_total",                 "sim/run",               "routing_faults"),
+    ("ebda_sim_runs_total",                           "sim/run",               "calls"),
+    ("ebda_sweep_points_total",                       "sweep/run",             "points"),
+    ("ebda_watchdog_suspected_cycles_total",          "sim/run",               "suspected_cycles"),
+    ("ebda_watchdog_trips_total",                     "sim/run",               "watchdog_trips"),
+];
+
+/// The counter family that renders `count` of `phase` (its `calls`, its
+/// `wall_ns` or a work unit), if one does — `ebda monitor` reads the
+/// scraped counters through here.
+pub fn counter_family(phase: &str, count: &str) -> Option<&'static str> {
+    COUNTERS
+        .iter()
+        .find(|&&(_, p, c)| p == phase && c == count)
+        .map(|&(name, _, _)| name)
 }
 
-/// Folds a local histogram into a global one (no-op when disabled).
-pub fn merge_histogram(name: &str, labels: &[(&str, String)], h: &Histogram) {
-    if enabled() {
-        global().merge_histogram(name, labels, h);
-    }
+/// The profiler's counters as series: every nonzero [`COUNTERS`] row,
+/// and each phase's calls, wall time and work units as the
+/// `ebda_prof_*` families. Read under the profiler's lock alone.
+fn profiler_counters() -> BTreeMap<Key, u64> {
+    let phase_label = |phase: &str| ("phase".to_string(), phase.to_string());
+    crate::prof::with_phases(|phases| {
+        let mut out = BTreeMap::new();
+        for &(name, phase, count) in COUNTERS {
+            let value = phases.get(phase).map_or(0, |stat| match count {
+                "calls" => stat.calls,
+                "wall_ns" => stat.wall_ns,
+                unit => stat.work.get(unit).copied().unwrap_or(0),
+            });
+            if value > 0 {
+                out.insert((name.to_string(), Vec::new()), value);
+            }
+        }
+        for (phase, stat) in phases {
+            let labels = || vec![phase_label(phase)];
+            out.insert(("ebda_prof_phase_calls_total".into(), labels()), stat.calls);
+            out.insert(("ebda_prof_phase_wall_ns".into(), labels()), stat.wall_ns);
+            for (unit, &n) in &stat.work {
+                let labels = vec![phase_label(phase), ("unit".to_string(), unit.clone())];
+                out.insert(("ebda_prof_work_units_total".into(), labels), n);
+            }
+        }
+        out
+    })
 }
 
-/// Renders the global registry — the exact body the `/metrics` endpoint
-/// serves, wall-clock (`_ns`) families included.
+/// Renders the global registry and the profiler's counters — the exact
+/// body the `/metrics` endpoint serves, wall-clock (`_ns`) families
+/// included. The profiler is read first and released before the
+/// registry is locked, so a scrape never holds both locks.
 pub fn render_global() -> String {
-    global().render(RenderOptions::default())
+    global().render_with(RenderOptions::default(), profiler_counters())
 }
 
 // ---------------------------------------------------------------------------
@@ -537,8 +583,9 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
 /// spilled past every finite edge into the `+Inf` bucket clamps to the
 /// largest finite `le`, the tightest bound the exposition still holds.
 pub fn quantile_from_buckets(buckets: &[(f64, f64)], q: f64) -> Option<f64> {
-    let mut sorted: Vec<(f64, f64)> = buckets.to_vec();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le labels are ordered"));
+    // A `NaN` edge bounds nothing (and has no place in the order).
+    let mut sorted: Vec<(f64, f64)> = buckets.iter().copied().filter(|b| !b.0.is_nan()).collect();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
     let total = sorted.last().map(|&(_, c)| c)?;
     if total <= 0.0 {
         return None;
@@ -693,5 +740,19 @@ mod tests {
         // panic in the rank computation.
         let frac = [(1.0, 0.25), (f64::INFINITY, 0.25)];
         assert_eq!(quantile_from_buckets(&frac, 0.5), Some(1.0));
+        // `le="NaN"` parses; the edge is ignored, not sorted (or panicked on).
+        let nan = [(4.0, 1.0), (f64::NAN, 2.0), (f64::INFINITY, 1.0)];
+        assert_eq!(quantile_from_buckets(&nan, 1.0), Some(4.0));
+        assert_eq!(quantile_from_buckets(&[(f64::NAN, 1.0)], 0.5), None);
+    }
+
+    #[test]
+    fn every_counter_family_has_one_source() {
+        // Sorted and unique by family, and one family per source.
+        assert!(COUNTERS.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        for &(name, phase, count) in COUNTERS {
+            assert_eq!(counter_family(phase, count), Some(name), "{phase} {count}");
+        }
+        assert_eq!(counter_family("sim/run", "no_such_unit"), None);
     }
 }

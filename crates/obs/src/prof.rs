@@ -2,11 +2,12 @@
 //! accounting for the tool's own hot paths, plus per-worker busy
 //! timelines for the `ebda-par` pool.
 //!
-//! Where [`crate::metrics`] counts *simulated traffic* and campaign
-//! tallies, this module answers "where does the tool itself spend its
-//! time, and how much algorithmic work did each phase do?" — it is the
-//! only timing-span facility in the workspace. Every phase records two
-//! kinds of numbers:
+//! This module is the one place a count is kept. It answers "where does
+//! the tool itself spend its time, and how much algorithmic work did
+//! each phase do?" — it is the only timing-span facility in the
+//! workspace, and the unlabelled counter families of `/metrics` are
+//! rendered from it ([`crate::metrics`]). Every phase records two kinds
+//! of numbers:
 //!
 //! * **wall nanoseconds** — honest but noisy, never compared across
 //!   runs by machines;
@@ -26,12 +27,10 @@
 //! Off by default: until [`set_enabled`] every instrumentation site is
 //! a single relaxed atomic load and **zero allocations** (pinned by
 //! `crates/sim/tests/prof_overhead.rs`). Hot loops batch locally and
-//! flush once per run through [`record`]/[`work`], mirroring the
-//! engine's metrics pattern. When the metrics registry is also enabled,
-//! recording mirrors into the `ebda_prof_phase_calls_total`,
-//! `ebda_prof_phase_wall_ns` and `ebda_prof_work_units_total` families
-//! (the wall family ends in `_ns`, so deterministic rendering omits it
-//! like every other wall-clock family).
+//! flush once per run through [`record`]/[`work`]; a [`work`] charge to
+//! a unit the phase already has allocates nothing either. A `/metrics`
+//! scrape reads the phases under this registry's lock
+//! (`with_phases`), so live counters move while a campaign runs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -137,17 +136,10 @@ pub fn record(path: &'static str, calls: u64, wall_ns: u64) {
     if !enabled() || (calls == 0 && wall_ns == 0) {
         return;
     }
-    {
-        let mut r = lock();
-        let p = r.phases.entry(path).or_default();
-        p.calls += calls;
-        p.wall_ns += wall_ns;
-    }
-    if crate::metrics::enabled() {
-        let labels = [("phase", path.to_string())];
-        crate::metrics::counter_add("ebda_prof_phase_calls_total", &labels, calls);
-        crate::metrics::counter_add("ebda_prof_phase_wall_ns", &labels, wall_ns);
-    }
+    let mut r = lock();
+    let p = r.phases.entry(path).or_default();
+    p.calls += calls;
+    p.wall_ns += wall_ns;
 }
 
 /// Charges `amount` deterministic work units of kind `unit` to `path`.
@@ -155,27 +147,38 @@ pub fn work(path: &'static str, unit: &'static str, amount: u64) {
     if !enabled() || amount == 0 {
         return;
     }
-    {
-        let mut r = lock();
-        let p = r.phases.entry(path).or_default();
-        *p.work.entry(unit.to_string()).or_insert(0) += amount;
-    }
-    if crate::metrics::enabled() {
-        crate::metrics::counter_add(
-            "ebda_prof_work_units_total",
-            &[("phase", path.to_string()), ("unit", unit.to_string())],
-            amount,
-        );
+    let mut r = lock();
+    let p = r.phases.entry(path).or_default();
+    // Look the unit up first: only its first charge allocates its name.
+    match p.work.get_mut(unit) {
+        Some(total) => *total += amount,
+        None => {
+            p.work.insert(unit.to_string(), amount);
+        }
     }
 }
 
+/// Most worker segments the registry keeps: a long campaign profiled
+/// for its `/metrics` counters must not grow without bound.
+const MAX_SEGMENTS: usize = 1 << 18;
+
 /// Appends a batch of worker busy segments (one lock for the whole
-/// batch; workers push once at exit, not per task).
+/// batch; workers push once at exit, not per task), up to
+/// `MAX_SEGMENTS` in all.
 pub fn push_worker_segments(segments: Vec<WorkerSegment>) {
     if !enabled() || segments.is_empty() {
         return;
     }
-    lock().workers.extend(segments);
+    let mut r = lock();
+    let room = MAX_SEGMENTS.saturating_sub(r.workers.len());
+    r.workers.extend(segments.into_iter().take(room));
+}
+
+/// Runs `f` over the recorded phases under the registry lock — no copy,
+/// and worker segments untouched. `/metrics` renders its counters
+/// through here at scrape time.
+pub(crate) fn with_phases<R>(f: impl FnOnce(&BTreeMap<&'static str, PhaseStat>) -> R) -> R {
+    f(&lock().phases)
 }
 
 /// Clears all recorded phases and worker segments.
@@ -240,10 +243,15 @@ impl ProfSnapshot {
 
     /// Renders the **deterministic** side of the snapshot — one line per
     /// phase with its call count and work units, *no wall-clock* — the
-    /// artifact that must be byte-identical at every thread count.
+    /// artifact that must be byte-identical at every thread count. A
+    /// phase with wall time only (no calls, no work, such as the pool's
+    /// `par/idle`) has no line.
     pub fn counters_text(&self) -> String {
         let mut out = String::new();
         for (path, stat) in &self.phases {
+            if stat.calls == 0 && stat.work.is_empty() {
+                continue;
+            }
             let _ = write!(out, "{path} calls={}", stat.calls);
             for (unit, v) in &stat.work {
                 let _ = write!(out, " {unit}={v}");
@@ -263,11 +271,7 @@ impl ProfSnapshot {
             "phase", "calls", "total", "self"
         );
         for (path, stat) in &self.phases {
-            let work: Vec<String> = stat
-                .work
-                .iter()
-                .map(|(unit, v)| format!("{unit}={v}"))
-                .collect();
+            let work: Vec<String> = stat.work.iter().map(|(u, v)| format!("{u}={v}")).collect();
             let _ = writeln!(
                 out,
                 "{:<34} {:>10} {:>12} {:>12}  {}",
@@ -295,43 +299,28 @@ impl ProfSnapshot {
     /// `phases` array, a nested flame-style `flame` tree over the slash
     /// hierarchy, and the raw worker segments.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"phases\":[");
-        for (i, (path, stat)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        let mut out = String::from("{\"phases\":");
+        let _ = json::write_list(&mut out, ",", &self.phases, |out, (path, stat)| {
+            let (path, calls, wall_ns) = (json::escape(path), stat.calls, stat.wall_ns);
+            write!(
                 out,
-                "{{\"path\":{},\"calls\":{},\"wall_ns\":{},\"work\":{{",
-                json::escape(path),
-                stat.calls,
-                stat.wall_ns
-            );
+                "{{\"path\":{path},\"calls\":{calls},\"wall_ns\":{wall_ns},\"work\":{{"
+            )?;
             for (j, (unit, v)) in stat.work.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{v}", json::escape(unit));
+                let sep = if j > 0 { "," } else { "" };
+                write!(out, "{sep}{}:{v}", json::escape(unit))?;
             }
-            out.push_str("}}");
-        }
-        out.push_str("],\"flame\":");
+            out.write_str("}}")
+        });
+        out.push_str(",\"flame\":");
         out.push_str(&self.flame_json());
-        out.push_str(",\"workers\":[");
-        for (i, s) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"label\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                s.worker,
-                json::escape(&s.label),
-                s.start_ns,
-                s.dur_ns
-            );
-        }
-        out.push_str("]}");
+        out.push_str(",\"workers\":");
+        let _ = json::write_list(&mut out, ",", &self.workers, |out, s| {
+            let (worker, label) = (s.worker, json::escape(&s.label));
+            let (start_ns, dur_ns) = (s.start_ns, s.dur_ns);
+            write!(out, "{{\"worker\":{worker},\"label\":{label},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}")
+        });
+        out.push('}');
         out
     }
 
@@ -376,62 +365,48 @@ impl ProfSnapshot {
     /// Parses a snapshot back from the `ebdaProfile` JSON object (the
     /// inverse of [`Self::to_json`], used by `ebda profile`).
     pub fn from_value(v: &Value) -> Result<ProfSnapshot, String> {
+        let fail = |what: &str, key: &str| format!("ebdaProfile {what}: missing {key}");
+        let num = |v: &Value, what: &str, key: &str| {
+            v.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| fail(what, key))
+        };
+        let text = |v: &Value, what: &str, key: &str| {
+            let text = v.get(key).and_then(Value::as_str).map(str::to_string);
+            text.ok_or_else(|| fail(what, key))
+        };
         let mut snap = ProfSnapshot::default();
         let phases = v
             .get("phases")
             .and_then(Value::as_arr)
             .ok_or("ebdaProfile: missing phases array")?;
         for (i, p) in phases.iter().enumerate() {
-            let fail = |what: &str| format!("ebdaProfile phase {i}: {what}");
-            let path = p
-                .get("path")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("missing path"))?;
+            let what = &format!("phase {i}");
+            let path = text(p, what, "path")?;
             let mut stat = PhaseStat {
-                calls: p
-                    .get("calls")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| fail("missing calls"))?,
-                wall_ns: p
-                    .get("wall_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| fail("missing wall_ns"))?,
+                calls: num(p, what, "calls")?,
+                wall_ns: num(p, what, "wall_ns")?,
                 work: BTreeMap::new(),
             };
             if let Some(Value::Obj(work)) = p.get("work") {
                 for (unit, amount) in work {
+                    let amount = amount.as_u64();
                     let amount = amount
-                        .as_u64()
-                        .ok_or_else(|| fail("non-integer work unit"))?;
+                        .ok_or_else(|| format!("ebdaProfile {what}: non-integer work unit"))?;
                     stat.work.insert(unit.clone(), amount);
                 }
             }
-            snap.phases.insert(path.to_string(), stat);
+            snap.phases.insert(path, stat);
         }
-        if let Some(workers) = v.get("workers").and_then(Value::as_arr) {
-            for (i, w) in workers.iter().enumerate() {
-                let fail = |what: &str| format!("ebdaProfile worker segment {i}: {what}");
-                snap.workers.push(WorkerSegment {
-                    worker: w
-                        .get("worker")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("missing worker"))?
-                        as usize,
-                    label: w
-                        .get("label")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| fail("missing label"))?
-                        .to_string(),
-                    start_ns: w
-                        .get("start_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("missing start_ns"))?,
-                    dur_ns: w
-                        .get("dur_ns")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("missing dur_ns"))?,
-                });
-            }
+        let workers = v.get("workers").and_then(Value::as_arr).unwrap_or_default();
+        for (i, w) in workers.iter().enumerate() {
+            let what = &format!("worker segment {i}");
+            snap.workers.push(WorkerSegment {
+                worker: num(w, what, "worker")? as usize,
+                label: text(w, what, "label")?,
+                start_ns: num(w, what, "start_ns")?,
+                dur_ns: num(w, what, "dur_ns")?,
+            });
         }
         Ok(snap)
     }
@@ -502,6 +477,7 @@ mod tests {
         work("a/one", "zz", 9);
         work("a/one", "aa", 1);
         record("a/one", 5, 123_456);
+        record("c/wall", 0, 99);
         set_enabled(false);
         let text = snapshot().counters_text();
         assert_eq!(text, "a/one calls=5 aa=1 zz=9\nb/two calls=0 units=2\n");

@@ -333,9 +333,12 @@ pub(crate) fn search_rounds(
             }
         }
     }
-    // The sweep that discards nothing is counted too.
+    // The sweep that discards nothing is counted too. Every search
+    // charges its work to the evaluation's brute phase, whoever asked
+    // (a replay or a shrink predicate too).
     let sweeps = 1 + last_round as usize;
-    ebda_obs::metrics::counter_add("ebda_oracle_brute_sweeps_total", &[], sweeps as u64);
+    ebda_obs::prof::work("oracle/evaluate/brute", "gfp_sweeps", sweeps as u64);
+    ebda_obs::prof::work("oracle/evaluate/brute", "wait_pairs", pair_count as u64);
     let surviving = death.iter().filter(|&&round| round == 0).count();
 
     // Read a circular wait off the fixed point: follow want → hold links

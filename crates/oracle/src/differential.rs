@@ -306,7 +306,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         });
         for (artifact, (verdicts, prov, cov)) in artifacts.iter().zip(&batch) {
             report.configs += 1;
-            ebda_obs::metrics::counter_add("ebda_oracle_artifacts_checked_total", &[], 1);
+            ebda_obs::prof::work("oracle/campaign", "artifacts_checked", 1);
             match artifact.kind {
                 ArtifactKind::Partitioning => report.partitionings += 1,
                 ArtifactKind::ChannelOrdering => report.orderings += 1,
@@ -316,7 +316,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 report.deadlock_free += 1;
             } else {
                 report.deadlocking += 1;
-                ebda_obs::metrics::counter_add("ebda_oracle_deadlocking_artifacts_total", &[], 1);
+                ebda_obs::prof::work("oracle/campaign", "deadlocking", 1);
             }
             if verdicts.ebda.as_ref().is_some_and(|e| e.is_deadlock_free()) {
                 report.ebda_accepted += 1;
@@ -348,7 +348,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 ));
             }
             if cross_check(artifact, verdicts).is_some() {
-                ebda_obs::metrics::counter_add("ebda_oracle_disagreements_total", &[], 1);
+                ebda_obs::prof::work("oracle/campaign", "disagreements", 1);
                 report.caught = Some(investigate(artifact, cfg));
                 // Later artifacts of this batch were checked speculatively;
                 // they are not tallied, exactly as if never generated.
@@ -388,7 +388,6 @@ fn investigate(artifact: &Artifact, cfg: &CampaignConfig) -> CaughtDisagreement 
         let still_disagrees = |c: &Artifact| cross_check(c, &evaluate(c, cfg.mutation)).is_some();
         shrink(artifact, still_disagrees, DEFAULT_SHRINK_BUDGET)
     };
-    ebda_obs::metrics::counter_add("ebda_oracle_artifacts_shrunk_total", &[], 1);
     let verdicts = evaluate(&shrunk, cfg.mutation);
     let disagreement = cross_check(&shrunk, &verdicts)
         .expect("the shrinker only keeps artifacts that still disagree");

@@ -36,7 +36,6 @@ where
         let hit = cands[..scan].iter().position(&still_failing);
         let spent = hit.map_or(scan, |j| j + 1);
         evals += spent;
-        ebda_obs::metrics::counter_add("ebda_oracle_shrink_evals_total", &[], spent as u64);
         ebda_obs::prof::work("oracle/shrink", "shrink_evals", spent as u64);
         match hit {
             Some(j) => current = cands.swap_remove(j), // restart from the smaller artifact

@@ -177,9 +177,6 @@ impl<'a> Evaluation<'a> {
             let (vcs, universe, turns) = (&artifact.vcs, &artifact.universe, &artifact.turns);
             brute::search_rounds(&topo, vcs, universe, turns, rounds)
         };
-        // The brute report carries the deterministic work behind its verdict.
-        prof::work("oracle/evaluate/brute", "gfp_sweeps", brute.sweeps as u64);
-        prof::work("oracle/evaluate/brute", "wait_pairs", brute.pairs as u64);
         Evaluation {
             artifact,
             verdicts: Verdicts {

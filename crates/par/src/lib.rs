@@ -20,18 +20,18 @@
 //! in-place path: no threads are spawned, no channel exists, and
 //! execution is exactly today's sequential loop.
 //!
-//! When the metrics registry is enabled the pool reports
-//! `ebda_par_tasks_total`, `ebda_par_jobs_total`,
-//! `ebda_par_worker_busy_ns_total`, `ebda_par_worker_idle_ns_total` and
-//! an `ebda_par_queue_depth` gauge, so `/metrics` and `ebda monitor`
-//! show pool health next to the simulator counters.
-//!
-//! When the self-profiler (`ebda_obs::prof`) is enabled each worker
-//! additionally records one busy segment per task — batched locally and
-//! pushed once at worker exit — which the profile export renders as one
-//! Perfetto track per worker (gaps between slices are the idle time).
-//! The serial path records its tasks as worker 0, so a `--threads 1`
-//! profile still shows the timeline.
+//! When the self-profiler (`ebda_obs::prof`) is enabled every job is one
+//! call of the `par/map` phase with its items as `tasks` work units, and
+//! each pool worker adds its busy and idle wall time to the `par/busy`
+//! and `par/idle` phases (wall time only, so the counter tree stays the
+//! same at every thread count); `/metrics` renders these as the
+//! `ebda_par_*` counters. Each worker also records one busy segment per
+//! task — batched locally and pushed once at worker exit — which the
+//! profile export renders as one Perfetto track per worker (gaps between
+//! slices are the idle time). The serial path records its tasks as
+//! worker 0, so a `--threads 1` profile still shows the timeline. When
+//! the metrics registry is enabled the pool also sets an
+//! `ebda_par_queue_depth` gauge.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -89,37 +89,21 @@ where
     };
     let metrics_on = ebda_obs::metrics::enabled();
     let prof_on = ebda_obs::prof::enabled();
-    if metrics_on {
-        ebda_obs::metrics::counter_add("ebda_par_jobs_total", &[], 1);
-        ebda_obs::metrics::counter_add("ebda_par_tasks_total", &[], items.len() as u64);
-    }
+    let _job = ebda_obs::prof::phase("par/map");
+    ebda_obs::prof::work("par/map", "tasks", items.len() as u64);
     if threads <= 1 || items.len() <= 1 {
-        if prof_on {
-            // Same sequential loop, with each task recorded as a busy
-            // segment of "worker 0" so serial profiles show a timeline.
-            let mut segments = Vec::with_capacity(items.len());
-            let out = items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let start_ns = ebda_obs::prof::now_ns();
-                    let t0 = Instant::now();
-                    let r = f(i, t);
-                    segments.push(ebda_obs::prof::WorkerSegment {
-                        worker: 0,
-                        label: format!("task {i}"),
-                        start_ns,
-                        dur_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                    r
-                })
-                .collect();
-            ebda_obs::prof::push_worker_segments(segments);
-            return out;
-        }
-        // Serial path: today's sequential loop, verbatim. No pool, no
-        // channel, no reordering — `--threads 1` means this code.
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        // Serial path: the sequential loop. No pool, no channel, no
+        // reordering — `--threads 1` means this code. Profiled, each task
+        // is a busy segment of "worker 0" so serial profiles show a
+        // timeline.
+        let mut segments = Vec::new();
+        let out = items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| timed(0, i, prof_on.then_some(&mut segments), || f(i, t)))
+            .collect();
+        ebda_obs::prof::push_worker_segments(segments);
+        return out;
     }
 
     let workers = threads.min(items.len());
@@ -135,8 +119,7 @@ where
             let f = &f;
             scope.spawn(move || {
                 let spawned = Instant::now();
-                let mut busy_ns: u64 = 0;
-                let mut segments: Vec<ebda_obs::prof::WorkerSegment> = Vec::new();
+                let mut segments = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
@@ -146,33 +129,18 @@ where
                         let depth = items.len().saturating_sub(i + 1);
                         ebda_obs::metrics::gauge_set("ebda_par_queue_depth", &[], depth as f64);
                     }
-                    let start_ns = if prof_on { ebda_obs::prof::now_ns() } else { 0 };
-                    let t0 = Instant::now();
-                    let r = f(i, &items[i]);
-                    let task_ns = t0.elapsed().as_nanos() as u64;
-                    busy_ns += task_ns;
-                    if prof_on {
-                        segments.push(ebda_obs::prof::WorkerSegment {
-                            worker: w,
-                            label: format!("task {i}"),
-                            start_ns,
-                            dur_ns: task_ns,
-                        });
-                    }
+                    let r = timed(w, i, prof_on.then_some(&mut segments), || f(i, &items[i]));
                     // The receiver outlives the scope; send only fails if
                     // the parent panicked, and then we are unwinding anyway.
                     let _ = tx.send((i, r));
                 }
-                if metrics_on {
+                if prof_on {
+                    let busy_ns: u64 = segments.iter().map(|s| s.dur_ns).sum();
                     let alive_ns = spawned.elapsed().as_nanos() as u64;
-                    ebda_obs::metrics::counter_add("ebda_par_worker_busy_ns_total", &[], busy_ns);
-                    ebda_obs::metrics::counter_add(
-                        "ebda_par_worker_idle_ns_total",
-                        &[],
-                        alive_ns.saturating_sub(busy_ns),
-                    );
+                    ebda_obs::prof::record("par/busy", 0, busy_ns);
+                    ebda_obs::prof::record("par/idle", 0, alive_ns.saturating_sub(busy_ns));
+                    ebda_obs::prof::push_worker_segments(segments);
                 }
-                ebda_obs::prof::push_worker_segments(segments);
             });
         }
         drop(tx);
@@ -187,6 +155,29 @@ where
     out.into_iter()
         .map(|r| r.expect("every index produced a result"))
         .collect()
+}
+
+/// Runs task `i` of `worker`; with `segments` (the profiler is on),
+/// records the task's busy segment there.
+fn timed<R>(
+    worker: usize,
+    i: usize,
+    segments: Option<&mut Vec<ebda_obs::prof::WorkerSegment>>,
+    task: impl FnOnce() -> R,
+) -> R {
+    let Some(segments) = segments else {
+        return task();
+    };
+    let start_ns = ebda_obs::prof::now_ns();
+    let t0 = Instant::now();
+    let r = task();
+    segments.push(ebda_obs::prof::WorkerSegment {
+        worker,
+        label: format!("task {i}"),
+        start_ns,
+        dur_ns: t0.elapsed().as_nanos() as u64,
+    });
+    r
 }
 
 #[cfg(test)]
@@ -302,7 +293,7 @@ mod tests {
     #[test]
     fn pool_metrics_are_emitted() {
         let _pool = pool_guard();
-        ebda_obs::metrics::set_enabled(true);
+        ebda_obs::prof::set_enabled(true);
         let tasks = || {
             let text = ebda_obs::metrics::render_global();
             let samples = ebda_obs::metrics::parse_exposition(&text).expect("exposition parses");
@@ -313,7 +304,7 @@ mod tests {
         let items: Vec<u32> = (0..12).collect();
         parallel_map(4, &items, |_, &x| x);
         let after = tasks();
-        ebda_obs::metrics::set_enabled(false);
+        ebda_obs::prof::set_enabled(false);
         assert_eq!(after - before, 12);
     }
 }

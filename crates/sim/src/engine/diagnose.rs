@@ -77,12 +77,13 @@ impl<'a> Simulator<'a> {
         self.watchdog_trips += 1;
         let blocked = self.blocked_packet_count();
         let edges = self.diagnose_deadlock();
+        if self.prof_on && !edges.is_empty() {
+            ebda_obs::prof::work("sim/run", "suspected_cycles", 1);
+        }
         if self.metrics_on {
             use ebda_obs::metrics as m;
-            m::counter_add("ebda_watchdog_trips_total", &[], 1);
-            m::observe("ebda_watchdog_stall_streak_cycles", &[], self.stall_streak);
+            m::global().observe("ebda_watchdog_stall_streak_cycles", &[], self.stall_streak);
             if !edges.is_empty() {
-                m::counter_add("ebda_watchdog_suspected_cycles_total", &[], 1);
                 m::gauge_set("ebda_watchdog_suspected_cycle_len", &[], edges.len() as f64);
             }
         }

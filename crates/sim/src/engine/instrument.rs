@@ -46,32 +46,19 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Flushes the run's aggregates into the global metrics registry —
-    /// one lock acquisition per family, after the hot loop is done.
-    pub(super) fn flush_metrics(&self, outcome: &Outcome, cycles: u64) {
+    /// Flushes the run's histograms, gauges and per-channel flit counts
+    /// into the global metrics registry — one lock acquisition per
+    /// family, after the hot loop is done. The run totals are profiler
+    /// work units ([`Self::flush_prof`]).
+    pub(super) fn flush_metrics(&self) {
         use ebda_obs::metrics as m;
-        m::counter_add("ebda_sim_runs_total", &[], 1);
-        m::counter_add("ebda_sim_cycles_total", &[], cycles);
-        m::counter_add("ebda_sim_packets_injected_total", &[], self.injected);
-        m::counter_add("ebda_sim_packets_delivered_total", &[], self.delivered);
-        m::counter_add("ebda_sim_packets_dropped_total", &[], self.dropped);
-        m::counter_add("ebda_sim_packets_reordered_total", &[], self.reordered);
-        m::counter_add("ebda_sim_routing_faults_total", &[], self.routing_faults);
-        m::counter_add("ebda_sim_credit_stalls_total", &[], self.credit_stalls);
-        if !matches!(outcome, Outcome::Completed) {
-            m::counter_add("ebda_sim_deadlocks_total", &[], 1);
+        for (name, h) in [
+            ("ebda_sim_packet_latency_cycles", &self.latency_hist),
+            ("ebda_sim_injection_queue_cycles", &self.inject_queue_hist),
+            ("ebda_sim_channel_occupancy_flits", &self.occupancy_hist),
+        ] {
+            m::global().merge_histogram(name, &[], h);
         }
-        m::merge_histogram("ebda_sim_packet_latency_cycles", &[], &self.latency_hist);
-        m::merge_histogram(
-            "ebda_sim_injection_queue_cycles",
-            &[],
-            &self.inject_queue_hist,
-        );
-        m::merge_histogram(
-            "ebda_sim_channel_occupancy_flits",
-            &[],
-            &self.occupancy_hist,
-        );
         // Per-channel load: a flit counter (accumulates across runs) and a
         // utilization gauge (flits per measurement cycle, last run wins).
         let window = self.cfg.measurement.max(1) as f64;
@@ -83,7 +70,7 @@ impl<'a> Simulator<'a> {
                 ("dir", dir_char(Layout::port_dir(port)).to_string()),
                 ("vc", vc0.to_string()),
             ];
-            m::counter_add("ebda_sim_channel_flits_total", &labels, flits);
+            m::global().counter_add("ebda_sim_channel_flits_total", &labels, flits);
             m::gauge_set(
                 "ebda_sim_channel_utilization",
                 &labels,
@@ -92,43 +79,54 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Flushes the run's phase accumulator into the global self-profiler
-    /// after the hot loop is done. The `calls` and work units of every
-    /// phase are deterministic functions of the seeded run; only the
-    /// wall-ns totals vary between hosts. Phase wall times are
-    /// accounted so the five cycle-loop phases are disjoint children of
-    /// `sim/run`: VC allocation is `allocate()` minus routing, switch
+    /// Flushes the run's phase accumulator and totals into the global
+    /// self-profiler after the hot loop is done. The `calls` and work
+    /// units of every phase are deterministic functions of the seeded
+    /// run; only the wall-ns totals vary between hosts. Phase wall times
+    /// are accounted so the five cycle-loop phases are disjoint children
+    /// of `sim/run`: VC allocation is `allocate()` minus routing, switch
     /// traversal is `arbitrate_and_move()` minus credit return and
     /// ejection.
-    pub(super) fn flush_prof(&self, cycles: u64) {
+    pub(super) fn flush_prof(&self, outcome: &Outcome, cycles: u64) {
         use ebda_obs::prof;
         let p = &self.prof;
         let run_ns = self
             .prof_run_t0
             .map_or(0, |t| t.elapsed().as_nanos() as u64);
         prof::record("sim/run", 1, run_ns);
-        prof::work("sim/run", "cycles", cycles);
-        prof::record("sim/run/route", p.routes, p.route_ns);
-        prof::work("sim/run/route", "route_queries", p.routes);
-        prof::record(
-            "sim/run/vc_alloc",
-            p.vc_allocs,
-            p.alloc_ns.saturating_sub(p.route_ns),
-        );
-        prof::work("sim/run/vc_alloc", "vc_grants", p.vc_allocs);
-        prof::work("sim/run/vc_alloc", "head_visits", p.head_visits);
-        prof::work("sim/run/vc_alloc", "head_sleeps", p.head_sleeps);
-        prof::work("sim/run/vc_alloc", "head_wakes", p.head_wakes);
-        prof::record(
-            "sim/run/switch",
-            p.link_flits,
-            p.arb_ns.saturating_sub(p.credit_ns + p.eject_ns),
-        );
-        prof::work("sim/run/switch", "link_flits", p.link_flits);
-        prof::work("sim/run/switch", "router_visits", p.router_visits);
-        prof::record("sim/run/credit", p.credits, p.credit_ns);
-        prof::work("sim/run/credit", "credits_returned", p.credits);
-        prof::record("sim/run/eject", p.eject_flits, p.eject_ns);
-        prof::work("sim/run/eject", "flits_ejected", p.eject_flits);
+        let vc_alloc_ns = p.alloc_ns.saturating_sub(p.route_ns);
+        let switch_ns = p.arb_ns.saturating_sub(p.credit_ns + p.eject_ns);
+        for (path, calls, ns) in [
+            ("sim/run/route", p.routes, p.route_ns),
+            ("sim/run/vc_alloc", p.vc_allocs, vc_alloc_ns),
+            ("sim/run/switch", p.link_flits, switch_ns),
+            ("sim/run/credit", p.credits, p.credit_ns),
+            ("sim/run/eject", p.eject_flits, p.eject_ns),
+        ] {
+            prof::record(path, calls, ns);
+        }
+        let deadlocked = !matches!(outcome, Outcome::Completed);
+        for (path, unit, n) in [
+            ("sim/run", "cycles", cycles),
+            ("sim/run", "packets_injected", self.injected),
+            ("sim/run", "packets_delivered", self.delivered),
+            ("sim/run", "packets_dropped", self.dropped),
+            ("sim/run", "packets_reordered", self.reordered),
+            ("sim/run", "routing_faults", self.routing_faults),
+            ("sim/run", "credit_stalls", self.credit_stalls),
+            ("sim/run", "deadlocks", u64::from(deadlocked)),
+            ("sim/run", "watchdog_trips", self.watchdog_trips),
+            ("sim/run/route", "route_queries", p.routes),
+            ("sim/run/vc_alloc", "vc_grants", p.vc_allocs),
+            ("sim/run/vc_alloc", "head_visits", p.head_visits),
+            ("sim/run/vc_alloc", "head_sleeps", p.head_sleeps),
+            ("sim/run/vc_alloc", "head_wakes", p.head_wakes),
+            ("sim/run/switch", "link_flits", p.link_flits),
+            ("sim/run/switch", "router_visits", p.router_visits),
+            ("sim/run/credit", "credits_returned", p.credits),
+            ("sim/run/eject", "flits_ejected", p.eject_flits),
+        ] {
+            prof::work(path, unit, n);
+        }
     }
 }

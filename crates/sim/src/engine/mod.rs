@@ -281,10 +281,10 @@ impl<'a> Simulator<'a> {
 
     fn finish(mut self, outcome: Outcome, cycles: u64) -> SimResult {
         if self.metrics_on {
-            self.flush_metrics(&outcome, cycles);
+            self.flush_metrics();
         }
         if self.prof_on {
-            self.flush_prof(cycles);
+            self.flush_prof(&outcome, cycles);
         }
         let delivered = self.measured_delivered.max(1);
         self.latencies.sort_unstable();

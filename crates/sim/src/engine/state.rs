@@ -147,9 +147,7 @@ impl DeliveredLog {
                 last: vec![0; n * n],
             }
         } else {
-            const COUNTER: &str = "ebda_sim_delivered_log_sparse_fallbacks_total";
             ebda_obs::prof::work("sim/run", "delivered_log_sparse_fallbacks", 1);
-            ebda_obs::metrics::counter_add(COUNTER, &[], 1);
             DeliveredLog::Sparse(std::collections::HashMap::new())
         }
     }

@@ -35,7 +35,7 @@ impl SweepPoint {
         // Quantiles come from the log-bucketed histogram, not the raw
         // vector — sweeps run with `collect_latencies: false` and skip the
         // per-point O(n log n) sort entirely.
-        ebda_obs::metrics::counter_add("ebda_sweep_points_total", &[], 1);
+        ebda_obs::prof::work("sweep/run", "points", 1);
         SweepPoint {
             rate,
             avg_latency: r.avg_latency,

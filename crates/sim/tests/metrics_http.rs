@@ -1,11 +1,11 @@
 //! Loopback integration test: run real simulations with live metrics
-//! enabled, assert the deterministic render is byte-identical across
-//! identical-seed runs, then scrape `/metrics` over HTTP and validate the
-//! exposition end to end.
+//! and the profiler enabled, assert the deterministic side of both is
+//! byte-identical across identical-seed runs, then scrape `/metrics` over
+//! HTTP and validate the exposition end to end.
 //!
-//! Everything lives in ONE test function: the metrics registry is
-//! process-global, and the default parallel test runner would otherwise
-//! interleave flushes from concurrent tests.
+//! Everything lives in ONE test function: the metrics registry and the
+//! profiler are process-global, and the default parallel test runner
+//! would otherwise interleave flushes from concurrent tests.
 
 use ebda_obs::metrics::{self, parse_exposition, quantile_from_buckets, RenderOptions, Sample};
 use ebda_obs::{http_get, MetricsServer};
@@ -38,17 +38,25 @@ fn live_sim_metrics_scrape_end_to_end() {
         deterministic: true,
     };
 
-    // Identical-seed runs against a clean registry render byte-identically
-    // (wall-clock `_ns` families excluded, everything else included).
+    // Identical-seed runs against clean registries render byte-identically:
+    // the registry's gauges, histograms and channel counters (wall-clock
+    // `_ns` families excluded) and the profiler's counts behind every
+    // other counter family.
+    let deterministic = || {
+        let counts = ebda_obs::prof::snapshot().counters_text();
+        (metrics::global().render(det), counts)
+    };
     metrics::global().reset();
+    ebda_obs::prof::reset();
     let r1 = simulate(&topo, &DimensionOrder::xy(), &cfg);
-    let first = metrics::global().render(det);
+    let first = deterministic();
     metrics::global().reset();
+    ebda_obs::prof::reset();
     let r2 = simulate(&topo, &DimensionOrder::xy(), &cfg);
-    let second = metrics::global().render(det);
+    let second = deterministic();
     assert_eq!(first, second, "identical-seed expositions diverged");
     assert_eq!(r1.delivered_packets, r2.delivered_packets);
-    assert!(!first.is_empty());
+    assert!(!first.0.is_empty() && !first.1.is_empty());
 
     // Scrape the live endpoint over loopback HTTP.
     let server = MetricsServer::serve("127.0.0.1:0", None, None).expect("bind loopback");
@@ -127,8 +135,8 @@ fn live_sim_metrics_scrape_end_to_end() {
         .sum();
     assert_eq!(scraped_flits, total_flits as f64);
 
-    // With the profiler on too, its phases are mirrored into the
-    // exposition: one `sim/run` call since the last reset.
+    // The profiler's phases are in the exposition too: one `sim/run`
+    // call since the last reset.
     assert!(
         samples.iter().any(|s| {
             s.name == "ebda_prof_phase_calls_total"

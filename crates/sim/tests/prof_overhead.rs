@@ -7,8 +7,13 @@
 //! allocations are set-up plus buffers growing to their working size, a
 //! fixed budget that simulating twice as long does not double.
 //!
+//! And an enabled `prof::work` charge to a unit its phase already has
+//! allocates nothing either: every counter family of `/metrics` is such
+//! a charge, some of them per sweep point or per artifact.
+//!
 //! The counter is thread-local, so neither the harness's own threads nor
-//! the sibling test ever show up in a count.
+//! a sibling test ever show up in a count. The profiler switch is
+//! process-global, so the tests take turns ([`one_at_a_time`]).
 
 use ebda_core::catalog;
 use ebda_routing::classic::DimensionOrder;
@@ -16,6 +21,7 @@ use ebda_routing::{Topology, TurnRouting};
 use noc_sim::{simulate, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts this thread's allocations, delegating to the system allocator.
 struct CountingAlloc;
@@ -43,6 +49,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests: one of them switches the profiler on.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// This thread's allocations during `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
@@ -52,6 +64,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn disabled_profiler_adds_zero_allocations() {
+    let _turn = one_at_a_time();
     assert!(
         !ebda_obs::prof::enabled(),
         "this test needs the profiler off"
@@ -100,6 +113,7 @@ fn disabled_profiler_adds_zero_allocations() {
 /// every route query built coordinate vectors.
 #[test]
 fn saturated_run_stays_within_a_fixed_allocation_budget() {
+    let _turn = one_at_a_time();
     let topo = Topology::mesh(&[8, 8]);
     let relation = TurnRouting::from_design("west-first", &catalog::p3_west_first()).unwrap();
     let cfg = |measurement| SimConfig {
@@ -134,5 +148,28 @@ fn saturated_run_stays_within_a_fixed_allocation_budget() {
     assert!(
         long < short * 3 / 2,
         "allocations grow with simulated time: {short} for 1500 cycles, {long} for 3000"
+    );
+}
+
+#[test]
+fn enabled_work_on_a_known_unit_allocates_nothing() {
+    let _turn = one_at_a_time();
+    ebda_obs::prof::set_enabled(true);
+    // The first charge names the phase and the unit; the rest find them.
+    ebda_obs::prof::work("overhead/known", "units", 1);
+    let n = allocs_during(|| {
+        for i in 1..=10_000u64 {
+            ebda_obs::prof::work("overhead/known", "units", i);
+        }
+    });
+    ebda_obs::prof::set_enabled(false);
+    assert_eq!(
+        n, 0,
+        "enabled prof::work on a known unit allocated {n} times"
+    );
+    let snap = ebda_obs::prof::snapshot();
+    assert_eq!(
+        snap.phases["overhead/known"].work["units"],
+        1 + 10_000 * 10_001 / 2
     );
 }

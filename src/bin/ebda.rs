@@ -852,36 +852,32 @@ fn cmd_profile(mut args: Args) -> Result<(), CliError> {
 /// buckets, sweep/oracle campaign progress, worker-pool and stall-watchdog
 /// state, and the busiest channels.
 fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String {
-    use ebda_obs::metrics::quantile_from_buckets;
+    use ebda_obs::metrics::{counter_family, quantile_from_buckets};
     use std::fmt::Write as _;
     let value =
         |name: &str| -> Option<f64> { samples.iter().find(|s| s.name == name).map(|s| s.value) };
-    let count = |name: &str| value(name).unwrap_or(0.0) as u64;
+    // A counter is named after the profiler count it renders.
+    let counter = |phase: &str, count: &str| counter_family(phase, count).and_then(value);
+    let count = |v: Option<f64>| v.unwrap_or(0.0) as u64;
+    let sim = |unit: &str| count(counter("sim/run", unit));
     let mut out = String::new();
     let _ = writeln!(out, "=== {addr} ({} samples) ===", samples.len());
-    if value("ebda_sim_runs_total").is_some() {
+    if let Some(runs) = counter("sim/run", "calls") {
         let _ = writeln!(
             out,
             "sim    : {} runs, {} injected, {} delivered, {} deadlocks, {} credit stalls",
-            count("ebda_sim_runs_total"),
-            count("ebda_sim_packets_injected_total"),
-            count("ebda_sim_packets_delivered_total"),
-            count("ebda_sim_deadlocks_total"),
-            count("ebda_sim_credit_stalls_total"),
+            runs as u64,
+            sim("packets_injected"),
+            sim("packets_delivered"),
+            sim("deadlocks"),
+            sim("credit_stalls"),
         );
     }
+    // `le` is a float; Rust reads `+Inf` (and `NaN`) as one.
     let latency_buckets: Vec<(f64, f64)> = samples
         .iter()
         .filter(|s| s.name == "ebda_sim_packet_latency_cycles_bucket")
-        .filter_map(|s| {
-            let le = s.label("le")?;
-            let le = if le == "+Inf" {
-                f64::INFINITY
-            } else {
-                le.parse().ok()?
-            };
-            Some((le, s.value))
-        })
+        .filter_map(|s| Some((s.label("le")?.parse().ok()?, s.value)))
         .collect();
     if !latency_buckets.is_empty() {
         let q = |p: f64| {
@@ -897,49 +893,47 @@ fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String
             q(0.999),
         );
     }
-    if value("ebda_sweep_points_total").is_some() {
-        let _ = writeln!(out, "sweep  : {} points", count("ebda_sweep_points_total"));
+    if let Some(points) = counter("sweep/run", "points") {
+        let _ = writeln!(out, "sweep  : {} points", points as u64);
     }
-    if value("ebda_par_jobs_total").is_some() {
-        let busy = value("ebda_par_worker_busy_ns_total").unwrap_or(0.0);
-        let idle = value("ebda_par_worker_idle_ns_total").unwrap_or(0.0);
-        let util = if busy + idle > 0.0 {
-            100.0 * busy / (busy + idle)
-        } else {
-            0.0
-        };
+    if let Some(jobs) = counter("par/map", "calls") {
+        let busy = counter("par/busy", "wall_ns").unwrap_or(0.0);
+        let idle = counter("par/idle", "wall_ns").unwrap_or(0.0);
+        let util = 100.0 * busy / (busy + idle).max(1.0);
         let _ = writeln!(
             out,
             "par    : {} jobs, {} tasks, queue depth {}, workers {util:.0}% busy",
-            count("ebda_par_jobs_total"),
-            count("ebda_par_tasks_total"),
-            count("ebda_par_queue_depth"),
+            jobs as u64,
+            count(counter("par/map", "tasks")),
+            count(value("ebda_par_queue_depth")),
         );
     }
-    if value("ebda_watchdog_trips_total").is_some() {
+    if let Some(trips) = counter("sim/run", "watchdog_trips") {
         let _ = writeln!(
             out,
             "watchdog: {} trips, {} suspected cycles (last len {})",
-            count("ebda_watchdog_trips_total"),
-            count("ebda_watchdog_suspected_cycles_total"),
-            count("ebda_watchdog_suspected_cycle_len"),
+            trips as u64,
+            sim("suspected_cycles"),
+            count(value("ebda_watchdog_suspected_cycle_len")),
         );
     }
-    if value("ebda_oracle_artifacts_checked_total").is_some() {
+    if let Some(checked) = counter("oracle/campaign", "artifacts_checked") {
+        let campaign = |unit: &str| count(counter("oracle/campaign", unit));
         let _ = writeln!(
             out,
             "oracle : {} artifacts checked, {} deadlocking, {} disagreements, {} shrunk",
-            count("ebda_oracle_artifacts_checked_total"),
-            count("ebda_oracle_deadlocking_artifacts_total"),
-            count("ebda_oracle_disagreements_total"),
-            count("ebda_oracle_artifacts_shrunk_total"),
+            checked as u64,
+            campaign("deadlocking"),
+            campaign("disagreements"),
+            count(counter("oracle/shrink", "calls")),
         );
     }
+    // NaN is a valid exposition value, but not a load to rank.
     let mut hot: Vec<&ebda_obs::metrics::Sample> = samples
         .iter()
-        .filter(|s| s.name == "ebda_sim_channel_utilization")
+        .filter(|s| s.name == "ebda_sim_channel_utilization" && !s.value.is_nan())
         .collect();
-    hot.sort_by(|a, b| b.value.partial_cmp(&a.value).expect("finite gauges"));
+    hot.sort_by(|a, b| b.value.total_cmp(&a.value));
     if !hot.is_empty() {
         let top: Vec<String> = hot
             .iter()
@@ -957,12 +951,11 @@ fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String
             .collect();
         let _ = writeln!(out, "hottest channels: {}", top.join(" | "));
     }
-    let phases = samples
-        .iter()
-        .filter(|s| s.name == "ebda_prof_phase_calls_total")
-        .count();
-    if phases > 0 {
-        let _ = writeln!(out, "profile: {phases} phases");
+    // The profiler's own families label every series by its phase.
+    let phases: std::collections::BTreeSet<&str> =
+        samples.iter().filter_map(|s| s.label("phase")).collect();
+    if !phases.is_empty() {
+        let _ = writeln!(out, "profile: {} phases", phases.len());
     }
     out.trim_end().to_string()
 }
@@ -1043,56 +1036,45 @@ mod tests {
         assert!(matches!(&err, CliError::Failed(m) if m.contains("not certifiable")));
     }
 
-    // One test for everything touching the process-global metrics
-    // registry and a live endpoint, to avoid parallel-runner interference.
+    // The snapshot is rendered from a fixed exposition: the global
+    // registry and the profiler are shared with every other test. NaN is
+    // a valid value; a `le="NaN"` bucket and NaN gauges must not panic.
     #[test]
     fn monitor_scrapes_and_renders_a_live_endpoint() {
-        let reg = ebda_obs::metrics::global();
-        reg.counter_add("ebda_sim_runs_total", &[], 2);
-        reg.counter_add("ebda_sim_packets_injected_total", &[], 10);
-        reg.observe("ebda_sim_packet_latency_cycles", &[], 12);
-        reg.counter_add("ebda_par_jobs_total", &[], 3);
-        reg.counter_add("ebda_par_tasks_total", &[], 24);
-        reg.counter_add("ebda_par_worker_busy_ns_total", &[], 900);
-        reg.counter_add("ebda_par_worker_idle_ns_total", &[], 100);
-        reg.counter_add("ebda_watchdog_trips_total", &[], 1);
-        reg.counter_add("ebda_watchdog_suspected_cycles_total", &[], 1);
-        reg.gauge_set("ebda_watchdog_suspected_cycle_len", &[], 4.0);
-        for phase in ["sim/run", "sim/run/route"] {
-            reg.counter_add("ebda_prof_phase_calls_total", &[("phase", phase.into())], 1);
-        }
-        reg.gauge_set(
-            "ebda_sim_channel_utilization",
-            &[
-                ("node", "3".into()),
-                ("dim", "0".into()),
-                ("dir", "+".into()),
-                ("vc", "0".into()),
-            ],
-            0.25,
-        );
         let server = ebda_obs::MetricsServer::serve("127.0.0.1:0", None, None).unwrap();
         let addr = server.local_addr().to_string();
         run(&s(&["monitor", "--addr", &addr, "--once"])).unwrap();
-        let body = ebda_obs::http_get(&addr, "/metrics").unwrap();
-        let samples = ebda_obs::metrics::parse_exposition(&body).unwrap();
-        let snap = monitor_snapshot(&addr, &samples);
-        assert!(snap.contains("sim    : 2 runs"), "{snap}");
-        assert!(snap.contains("latency: p50 12"), "{snap}");
-        assert!(
-            snap.contains("par    : 3 jobs, 24 tasks, queue depth 0, workers 90% busy"),
-            "{snap}"
-        );
-        assert!(
-            snap.contains("watchdog: 1 trips, 1 suspected cycles (last len 4)"),
-            "{snap}"
-        );
-        assert!(
-            snap.contains("hottest channels: n3 d0+ vc0 0.250"),
-            "{snap}"
-        );
-        assert!(snap.contains("profile: 2 phases"), "{snap}");
         server.shutdown();
+        let text = r#"ebda_sim_runs_total 2
+            ebda_sim_packets_injected_total 10
+            ebda_sim_packet_latency_cycles_bucket{le="12"} 1
+            ebda_sim_packet_latency_cycles_bucket{le="NaN"} 1
+            ebda_sim_packet_latency_cycles_bucket{le="+Inf"} 1
+            ebda_par_jobs_total 3
+            ebda_par_tasks_total 24
+            ebda_par_worker_busy_ns_total 900
+            ebda_par_worker_idle_ns_total 100
+            ebda_watchdog_trips_total 1
+            ebda_watchdog_suspected_cycles_total 1
+            ebda_watchdog_suspected_cycle_len 4
+            ebda_prof_phase_calls_total{phase="sim/run"} 1
+            ebda_prof_work_units_total{phase="sim/run",unit="cycles"} 9
+            ebda_prof_phase_calls_total{phase="sim/run/route"} 1
+            ebda_sim_channel_utilization{node="1",dim="0",dir="+",vc="0"} NaN
+            ebda_sim_channel_utilization{node="3",dim="0",dir="+",vc="0"} 0.25
+            ebda_sim_channel_utilization{node="2",dim="0",dir="+",vc="0"} NaN"#;
+        let samples = ebda_obs::metrics::parse_exposition(text).unwrap();
+        let snap = monitor_snapshot(&addr, &samples);
+        for line in [
+            "sim    : 2 runs",
+            "latency: p50 12",
+            "par    : 3 jobs, 24 tasks, queue depth 0, workers 90% busy",
+            "watchdog: 1 trips, 1 suspected cycles (last len 4)",
+            "hottest channels: n3 d0+ vc0 0.250\n",
+            "profile: 2 phases",
+        ] {
+            assert!(snap.contains(line), "{line:?} missing from\n{snap}");
+        }
     }
 
     #[test]

@@ -488,25 +488,12 @@ fn the_seed_corpus_regenerates_and_catches_a_broken_checker() {
 /// find it.
 #[test]
 fn a_sweep_serves_live_metrics_that_monitor_renders() {
-    let temp =
-        |name: &str| std::env::temp_dir().join(format!("ebda-cli-{}-{name}", std::process::id()));
     let (profile, csv) = (temp("sweep-profile.json"), temp("sweep.csv"));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ebda"))
-        .args(["repro", "sweep", "--quick", "--metrics-addr", "127.0.0.1:0"])
-        .args(["--metrics-linger", "30", "--profile-out"])
-        .args([&profile, &csv])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ebda binary");
-    let mut stderr = BufReader::new(child.stderr.take().unwrap()).lines();
-    let addr = stderr.by_ref().map_while(Result::ok).find_map(|line| {
-        let addr = line.strip_prefix("metrics: serving http://")?;
-        addr.strip_suffix("/metrics").map(String::from)
-    });
-    // Keep reading, so the child never blocks on a full pipe.
-    let drain = std::thread::spawn(move || stderr.for_each(drop));
-    let addr = addr.expect("the metrics address is announced");
+    let (mut child, addr, drain) = serving(&[
+        "--profile-out".as_ref(),
+        profile.as_os_str(),
+        csv.as_os_str(),
+    ]);
 
     assert!(ebda::obs::http_get(&addr, "/healthz")
         .unwrap()
@@ -538,5 +525,68 @@ fn a_sweep_serves_live_metrics_that_monitor_renders() {
     drain.join().ok();
     for path in [profile, csv] {
         std::fs::remove_file(path).ok();
+    }
+}
+
+/// A file name under the temp directory private to this test process.
+fn temp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ebda-cli-{}-{name}", std::process::id()))
+}
+
+/// Spawns `ebda repro sweep --quick` serving metrics on port 0 (and
+/// lingering 30 s) with `extra` arguments; returns the child, the bound
+/// address read off stderr, and the thread draining the rest of stderr.
+fn serving(
+    extra: &[&std::ffi::OsStr],
+) -> (std::process::Child, String, std::thread::JoinHandle<()>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ebda"))
+        .args(["repro", "sweep", "--quick", "--metrics-addr", "127.0.0.1:0"])
+        .args(["--metrics-linger", "30"])
+        .args(extra)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ebda binary");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap()).lines();
+    let addr = stderr.by_ref().map_while(Result::ok).find_map(|line| {
+        let addr = line.strip_prefix("metrics: serving http://")?;
+        addr.strip_suffix("/metrics").map(String::from)
+    });
+    // Keep reading, so the child never blocks on a full pipe.
+    let drain = std::thread::spawn(move || stderr.for_each(drop));
+    (
+        child,
+        addr.expect("the metrics address is announced"),
+        drain,
+    )
+}
+
+/// `--metrics-addr` alone switches on the profiler the counters are read
+/// from: no `--profile-out`, and the run and point counters still move.
+#[test]
+fn metrics_alone_serve_the_run_counters() {
+    let csv = temp("metrics-only.csv");
+    let (mut child, addr, drain) = serving(&[csv.as_os_str()]);
+    let nonzero = |text: &str, family: &str| {
+        let samples = ebda::obs::metrics::parse_exposition(text).unwrap_or_default();
+        samples.iter().any(|s| s.name == family && s.value > 0.0)
+    };
+    let mut exposition = String::new();
+    for _ in 0..150 {
+        exposition = ebda::obs::http_get(&addr, "/metrics").unwrap_or_default();
+        if nonzero(&exposition, "ebda_sweep_points_total") {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
+    }
+    child.kill().ok();
+    child.wait().ok();
+    drain.join().ok();
+    std::fs::remove_file(csv).ok();
+    for family in ["ebda_sim_runs_total", "ebda_sweep_points_total"] {
+        assert!(
+            nonzero(&exposition, family),
+            "{family} not nonzero:\n{exposition}"
+        );
     }
 }

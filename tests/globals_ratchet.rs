@@ -3,8 +3,10 @@
 //! be on the list below. The list may shrink — delete the line with the
 //! global — but a new entry needs the argument that a run-owned value
 //! would not do. The environment is process-global input too: flags are
-//! the only way in, except for the one variable of [`ALLOWED_ENV`]. And
-//! there is one process to run: the `ebda` binary.
+//! the only way in, except for the one variable of [`ALLOWED_ENV`]. There
+//! is one process to run: the `ebda` binary. And there is one counter
+//! system: outside `crates/obs` a count is a profiler count, except the
+//! family of [`LABELLED_COUNTERS`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -26,6 +28,13 @@ const ALLOWED_ENV: &[&str] = &["EBDA_THREADS"];
 
 const SHARED_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"];
 
+/// `file:family` of the counters library and binary source outside
+/// `crates/obs` may add to: the one family labelled by run data there.
+/// Every other counter family is named by the table in
+/// `crates/obs/src/metrics.rs` and rendered from the profiler.
+const LABELLED_COUNTERS: &[&str] =
+    &["crates/sim/src/engine/instrument.rs:ebda_sim_channel_flits_total"];
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
     for path in entries.map(|e| e.expect("directory entry").path()) {
@@ -37,10 +46,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The shared-state statics of one file, skipping `thread_local!` blocks
-/// and `#[cfg(test)]` items (brace-balanced from their opening line).
-fn shared_statics(source: &str) -> Vec<String> {
-    let mut found = Vec::new();
+/// The trimmed lines of one file outside `thread_local!` blocks and
+/// `#[cfg(test)]` items (brace-balanced from their opening line).
+fn outside_tests(source: &str) -> Vec<&str> {
+    let mut kept = Vec::new();
     let mut skipping = false;
     let mut depth = 0i64;
     for line in source.lines() {
@@ -55,6 +64,15 @@ fn shared_statics(source: &str) -> Vec<String> {
             skipping = depth > 0 || !code.contains(['{', '}']);
             continue;
         }
+        kept.push(code);
+    }
+    kept
+}
+
+/// The shared-state statics of one file, outside tests.
+fn shared_statics(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for code in outside_tests(source) {
         let decl = ["static ", "pub static ", "pub(crate) static "]
             .iter()
             .find_map(|prefix| code.strip_prefix(prefix));
@@ -118,6 +136,50 @@ fn env_reads(source: &str) -> Vec<String> {
         }
     }
     found
+}
+
+/// What one file does with counters outside tests: a `counter_add` call
+/// as `counter_add`, and a counter family spelled as a string literal
+/// (`"ebda_…_total"` or `"ebda_…_ns"`) as its name.
+fn counter_uses(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for code in outside_tests(source) {
+        found.extend(
+            code.contains("counter_add(")
+                .then(|| "counter_add".to_string()),
+        );
+        for (at, _) in code.match_indices("\"ebda_") {
+            let name = code[at + 1..].split('"').next().unwrap_or_default();
+            if name.ends_with("_total") || name.ends_with("_ns") {
+                found.push(name.to_string());
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn counters_outside_obs_are_profiler_counts() {
+    let mut found: Vec<String> = sources()
+        .iter()
+        .filter(|(rel, _)| !rel.starts_with("crates/obs/"))
+        .flat_map(|(rel, text)| {
+            counter_uses(text)
+                .into_iter()
+                .map(move |use_| format!("{rel}:{use_}"))
+        })
+        .collect();
+    found.sort();
+    let mut allowed: Vec<String> = LABELLED_COUNTERS.iter().map(|c| c.to_string()).collect();
+    allowed.extend(LABELLED_COUNTERS.iter().map(|c| {
+        let (file, _) = c.split_once(':').expect("file:family");
+        format!("{file}:counter_add")
+    }));
+    allowed.sort();
+    assert_eq!(
+        found, allowed,
+        "a count outside crates/obs is a prof::work or prof::phase; see crates/obs/src/metrics.rs"
+    );
 }
 
 #[test]
@@ -192,6 +254,18 @@ mod tests {
 }
 ";
     assert_eq!(shared_statics(source), ["A", "B", "D"]);
+    let source = "\
+m::global().counter_add(\"ebda_x_flits_total\", &l, 1);
+gauge_set(\"ebda_x_depth\", &[], 0.0); // \"ebda_x_wall_ns\"
+#[cfg(test)]
+mod tests {
+    reg.counter_add(\"ebda_x_runs_total\", &[], 2);
+}
+";
+    assert_eq!(
+        counter_uses(source),
+        ["counter_add", "ebda_x_flits_total", "ebda_x_wall_ns"]
+    );
     let source = "let a = std::env::var(\"EBDA_X\"); env::var_os(name); environment::var(1)";
     assert_eq!(env_reads(source), ["EBDA_X", "<not a literal>"]);
 }
