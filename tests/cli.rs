@@ -7,6 +7,7 @@ use std::process::{Command, Stdio};
 
 #[path = "../crates/obs/tests/csv_reader/mod.rs"]
 mod csv_reader;
+mod list_diff;
 
 fn ebda(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_ebda"))
@@ -589,4 +590,124 @@ fn metrics_alone_serve_the_run_counters() {
             "{family} not nonzero:\n{exposition}"
         );
     }
+}
+
+/// Compares `got` with the checked-in list `tests/<name>` line by line
+/// (`EBDA_BLESS=1` rewrites it instead).
+#[track_caller]
+fn assert_checked_in(name: &str, got: &[String]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(name);
+    if std::env::var_os("EBDA_BLESS").is_some() {
+        std::fs::write(&path, got.join("\n") + "\n").expect("write the checked-in list");
+        return;
+    }
+    let text = std::fs::read_to_string(&path).expect("the checked-in list");
+    let want: Vec<String> = text.lines().map(String::from).collect();
+    if let Err(diff) = list_diff::compare(got, &want) {
+        panic!("tests/{name} changed (+ now, - pinned); after a deliberate change rerun with EBDA_BLESS=1:\n{diff}");
+    }
+}
+
+/// The `ebda profile FILE --counters` tree of a profile: phases, calls
+/// and work units, no clock.
+fn counters(profile: &Path) -> String {
+    let out = assert_exit(&["profile", profile.to_str().unwrap(), "--counters"], 0, "");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// FNV-1a 64 of a file's bytes, as 16 hex digits.
+fn fnv1a64(path: &Path) -> String {
+    let bytes = std::fs::read(path).expect("readable output");
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// Every output the six many-flag commands write, pinned in
+/// `tests/session_outputs.txt`: which files each run leaves, the counter
+/// tree of every profile among them (a `--trace-out` that holds the
+/// profile included), and the digests of the ledger and the coverage map.
+/// The runs are small, serial and started outside any git checkout, so
+/// the ledger stamps `git_rev` as `unknown` and every line is the same on
+/// every host.
+#[test]
+fn session_outputs_are_pinned() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let seed = format!("{root}/corpus/seed");
+    let all = "--trace-out trace.json --journey-out journeys.json --profile-out profile.json";
+    let evidence = "--ledger ledger.jsonl --coverage-out coverage.json";
+    let rows = [
+        (
+            "simulate",
+            format!("simulate xy --mesh 4x4 --rate 0.02 {all} --heatmap-out heatmap.csv"),
+        ),
+        (
+            "oracle",
+            format!("oracle --budget 0 --min-configs 20 --max-configs 20 --max-nodes 16 {all} {evidence}"),
+        ),
+        (
+            "oracle-caught",
+            format!(
+                "oracle --budget 0 --min-configs 400 --max-configs 400 --max-nodes 16 \
+                 --mutate dally-ignores-wrap --expect-disagreement {all} {evidence}"
+            ),
+        ),
+        (
+            "corpus-run",
+            format!("corpus run {seed} --trace-out trace.json --profile-out profile.json {evidence}"),
+        ),
+        ("repro-sweep", format!("repro sweep --quick {all} sweep.csv")),
+        (
+            "repro-explore",
+            "repro explore --trace-out trace.json --profile-out profile.json".into(),
+        ),
+        (
+            "repro-scalability",
+            "repro scalability --trace-out trace.json --profile-out profile.json".into(),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, line) in &rows {
+        let dir = temp(&format!("session-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ebda"))
+            .args(line.split_whitespace())
+            .args(["--threads", "1"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn ebda binary");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {err}");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        got.push(format!("{name} files {}", files.join(" ")));
+        for file in &files {
+            let path = dir.join(file);
+            let text = std::fs::read_to_string(&path).unwrap();
+            if file.ends_with(".json") && text.contains("\"ebdaProfile\"") {
+                got.extend(
+                    counters(&path)
+                        .lines()
+                        .map(|l| format!("{name} {file} {l}")),
+                );
+            }
+            match file.as_str() {
+                "ledger.jsonl" => got.push(format!("{name} {file} fnv1a64 {}", fnv1a64(&path))),
+                "coverage.json" => {
+                    let map = ebda::obs::CoverageMap::read_file(&path).unwrap();
+                    got.push(format!("{name} {file} digest {}", map.digest()));
+                }
+                _ => {}
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_checked_in("session_outputs.txt", &got);
 }
