@@ -21,22 +21,23 @@ use std::path::{Path, PathBuf};
 
 use crate::args::{Args, CliError};
 use crate::oracle_cli::expectation;
-use crate::trace::{write_profile, ObsOptions};
+use crate::trace::{ObsOptions, Traces};
 use ebda_corpus::{families, store, CorpusCampaignConfig};
 use ebda_oracle::shrink::DEFAULT_SHRINK_BUDGET;
 use ebda_oracle::verdict::Mutation;
 
-/// Parses `args` (after `ebda corpus`) and runs the requested action.
+/// Parses `args` (after `ebda corpus`) and runs the requested action in
+/// the session `obs`; none hands back traces.
 ///
 /// # Errors
 ///
 /// Usage errors from the command line; a failure when the corpus cannot
 /// be read or written, or the campaign outcome does not match the
 /// expectation.
-pub fn run(mut args: Args) -> Result<(), CliError> {
+pub fn run(mut args: Args, obs: &ObsOptions, _: &mut Traces) -> Result<(), CliError> {
     match args.word().as_deref() {
         Some("generate") => generate(args),
-        Some("run") => campaign(args),
+        Some("run") => campaign(args, obs),
         Some("stats") => stats(args),
         other => Err(CliError::Usage(format!(
             "expected a corpus action (generate, run, stats), got {}",
@@ -61,8 +62,7 @@ fn generate(mut args: Args) -> Result<(), CliError> {
 }
 
 /// `ebda corpus run <dir> [flags]`: the regression campaign.
-fn campaign(mut args: Args) -> Result<(), CliError> {
-    let mut obs = ObsOptions::parse_with_evidence(&mut args)?;
+fn campaign(mut args: Args, obs: &ObsOptions) -> Result<(), CliError> {
     let mutation: Mutation = args.value("--mutate")?.unwrap_or(Mutation::None);
     let cfg = CorpusCampaignConfig {
         threads: obs.threads,
@@ -77,7 +77,6 @@ fn campaign(mut args: Args) -> Result<(), CliError> {
     let inject_mismatch = args.switch("--inject-mismatch");
     let expect_mismatch = args.switch("--expect-mismatch");
     let [dir] = args.exactly("one corpus directory")?;
-    obs.activate_aggregate()?;
 
     let mut entries = store::load_dir(Path::new(&dir))?;
     if inject_mismatch {
@@ -107,11 +106,6 @@ fn campaign(mut args: Args) -> Result<(), CliError> {
     }
     eprintln!("campaign finished in {} ms", report.elapsed_ms);
     obs.note_evidence(report.entries, report.coverage.as_ref());
-    if let Some(path) = &obs.trace {
-        write_profile(path)?;
-    }
-    obs.finish()?;
-
     expectation(!report.is_clean(), expect_mismatch, "mismatch")
 }
 
@@ -132,9 +126,12 @@ fn stats(mut args: Args) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Output;
 
     fn run_line(s: &str) -> Result<(), CliError> {
-        run(Args::new(s.split_whitespace().map(String::from).collect()))
+        let mut args = Args::new(s.split_whitespace().map(String::from).collect());
+        let obs = ObsOptions::parse(&mut args, &[Output::Coverage])?;
+        run(args, &obs, &mut Traces::default())
     }
 
     fn seeded_dir(tag: &str) -> PathBuf {

@@ -4,7 +4,7 @@
 //! [`repro`] regenerates each published table and figure (EXPERIMENTS.md
 //! records paper-vs-measured for each), [`oracle_cli`] and [`corpus_cli`]
 //! drive the campaigns, [`args`] is the one command-line reader and
-//! [`trace`] the observability flags every run-producing command shares.
+//! [`trace`] the one observability session every command runs in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

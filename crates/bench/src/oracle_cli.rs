@@ -10,19 +10,20 @@
 //! one invocation. A malformed command line is exit 2.
 
 use crate::args::{Args, CliError};
-use crate::trace::{write_file, write_profile, ObsOptions};
+use crate::trace::{Document, ObsOptions, Traces};
 use ebda_oracle::differential::{run_campaign, CampaignConfig};
 use ebda_oracle::verdict::Mutation;
 use std::time::Duration;
 
-/// Parses `args`, runs the campaign and prints the report.
+/// Parses `args`, runs the campaign in the session `obs` and prints the
+/// report; a caught disagreement hands its replay's trace and journeys
+/// back in `traces`.
 ///
 /// # Errors
 ///
 /// Usage errors from the flags; a failure when the outcome does not match
-/// the expectation or a requested file cannot be written.
-pub fn run(mut args: Args) -> Result<(), CliError> {
-    let mut obs = ObsOptions::parse_with_evidence(&mut args)?;
+/// the expectation or the evidence cannot be written.
+pub fn run(mut args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), CliError> {
     let mutation: Mutation = args.value("--mutate")?.unwrap_or(Mutation::None);
     let cfg = CampaignConfig {
         seed: args.value("--seed")?.unwrap_or(7),
@@ -47,44 +48,22 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     };
     let expect_disagreement = args.switch("--expect-disagreement");
     args.finish()?;
-    // A clean campaign has no replay to trace and writes the profile.
-    obs.activate_aggregate()?;
 
     if mutation != Mutation::None {
         println!("running with mutated checker: {mutation}");
     }
     let report = run_campaign(&cfg);
     println!("{report}");
+    let found = !report.is_clean();
+    if let Some(replay) = report.caught.and_then(|caught| caught.replay) {
+        traces.trace = Some(Document::Text(replay.trace_json));
+        traces.journeys = Some(Document::Text(replay.journey_json));
+    }
     if let Some(e) = report.write_errors.first() {
         return Err(CliError::Failed(e.clone()));
     }
     obs.note_evidence(report.configs, report.coverage.as_ref());
-
-    let replay = report.caught.as_ref().and_then(|c| c.replay.as_ref());
-    if let Some(path) = &obs.trace {
-        match replay {
-            Some(replay) => {
-                write_file("trace", path, &replay.trace_json)?;
-                eprintln!("replay trace written to {}", path.display());
-            }
-            None => write_profile(path)?,
-        }
-    }
-    if let Some(path) = &obs.journey {
-        match replay {
-            Some(replay) => {
-                write_file("journey", path, &replay.journey_json)?;
-                eprintln!("replay journeys written to {}", path.display());
-            }
-            None => eprintln!(
-                "journeys: campaign was clean, nothing replayed, {} not written",
-                path.display()
-            ),
-        }
-    }
-    obs.finish()?;
-
-    expectation(!report.is_clean(), expect_disagreement, "disagreement")
+    expectation(found, expect_disagreement, "disagreement")
 }
 
 /// The verdict of a self-checking campaign: it succeeds when what it
@@ -110,9 +89,12 @@ pub(crate) fn expectation(found: bool, expected: bool, what: &str) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Output;
 
     fn run_line(s: &str) -> Result<(), CliError> {
-        run(Args::new(s.split_whitespace().map(String::from).collect()))
+        let mut args = Args::new(s.split_whitespace().map(String::from).collect());
+        let obs = ObsOptions::parse(&mut args, &[Output::Coverage])?;
+        run(args, &obs, &mut Traces::default())
     }
 
     #[test]

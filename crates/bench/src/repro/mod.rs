@@ -8,6 +8,8 @@ mod studies;
 mod tables;
 
 use crate::args::{Args, CliError};
+use crate::trace::{ObsOptions, Traces};
+use std::panic::AssertUnwindSafe;
 
 /// What an experiment runs: most regenerate one fixed artefact, a few
 /// read flags of their own.
@@ -15,16 +17,17 @@ use crate::args::{Args, CliError};
 pub(crate) enum Body {
     /// Takes no arguments.
     Fixed(fn()),
-    /// Reads its own flags and positionals from the rest of the line.
-    Flags(fn(Args) -> Result<(), CliError>),
+    /// Reads its own flags and positionals from the rest of the line,
+    /// and may hand traces back to the session.
+    Flags(fn(Args, &ObsOptions, &mut Traces) -> Result<(), CliError>),
 }
 use Body::{Fixed, Flags};
 
 impl Body {
-    fn run(self, args: Args) -> Result<(), CliError> {
+    fn run(self, args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), CliError> {
         match self {
             Fixed(body) => args.finish().map(|()| body()),
-            Flags(body) => body(args),
+            Flags(body) => body(args, obs, traces),
         }
     }
 }
@@ -45,7 +48,7 @@ pub(crate) const EXPERIMENTS: [(&str, Body); 19] = [
     ("fig7", Fixed(figures::fig7)),
     ("fig8", Fixed(figures::fig8)),
     ("fig9", Fixed(figures::fig9)),
-    ("scalability", Flags(studies::scalability)),
+    ("scalability", Fixed(studies::scalability)),
     ("census", Fixed(studies::census)),
     ("vc_study", Fixed(studies::vc_study)),
     ("ablation", Fixed(studies::ablation)),
@@ -54,14 +57,14 @@ pub(crate) const EXPERIMENTS: [(&str, Body); 19] = [
     ("explore", Flags(studies::explore)),
 ];
 
-/// `ebda repro <id> [flags] | list | all`.
+/// `ebda repro <id> [flags] | list | all`, in the session `obs`.
 ///
 /// # Errors
 ///
 /// A usage error for an unknown id or a malformed rest of the line; a
 /// failure when `all` saw an experiment fail or an output cannot be
 /// written.
-pub fn run(mut args: Args) -> Result<(), CliError> {
+pub fn run(mut args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), CliError> {
     let Some(id) = args.word() else {
         return Err(CliError::usage(
             "missing experiment id (try `ebda repro list`)",
@@ -77,10 +80,10 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
         }
         "all" => {
             args.finish()?;
-            all(&EXPERIMENTS)
+            all(&EXPERIMENTS, obs)
         }
         id => match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
-            Some((_, body)) => body.run(args),
+            Some((_, body)) => body.run(args, obs, traces),
             None => Err(CliError::Usage(format!(
                 "unknown experiment {id:?} (try `ebda repro list`)"
             ))),
@@ -88,14 +91,16 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     }
 }
 
-/// Runs every experiment with no arguments, in table order.
-fn all(experiments: &[(&'static str, Body)]) -> Result<(), CliError> {
+/// Runs every experiment with no arguments, in table order; what they
+/// hand back is not asked for (`repro all` writes no run outputs).
+fn all(experiments: &[(&'static str, Body)], obs: &ObsOptions) -> Result<(), CliError> {
     let mut failed = Vec::new();
     for &(id, body) in experiments {
         println!("\n=============== {id} ===============");
         // A claim that does not reproduce is a failed assertion inside
         // that experiment; the ones after it still run.
-        match std::panic::catch_unwind(|| body.run(Args::new(Vec::new()))) {
+        let ran = || body.run(Args::new(Vec::new()), obs, &mut Traces::default());
+        match std::panic::catch_unwind(AssertUnwindSafe(ran)) {
             Ok(Ok(())) => {}
             Ok(Err(err)) => {
                 eprintln!("error: {err}");
@@ -135,14 +140,15 @@ mod tests {
             ("fine", Fixed(|| RAN.store(1, Ordering::SeqCst))),
             (
                 "unwritable",
-                Flags(|_| Err(CliError::Failed("disk full".into()))),
+                Flags(|_, _, _| Err(CliError::Failed("disk full".into()))),
             ),
         ];
+        let obs = ObsOptions::parse(&mut Args::new(Vec::new()), &[]).unwrap();
         assert_eq!(
-            all(&table),
+            all(&table, &obs),
             Err(CliError::Failed("2 of 3 experiments failed".into()))
         );
         assert_eq!(RAN.load(Ordering::SeqCst), 1, "the one after the panic ran");
-        assert!(all(&table[1..2]).is_ok());
+        assert!(all(&table[1..2], &obs).is_ok());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::args::{Args, CliError};
 use crate::sweep_matrix::run_sweep;
-use crate::trace::{write_file, write_profile, ObsOptions};
+use crate::trace::{write_file, Document, ObsOptions, Traces};
 use ebda_routing::classic::{DimensionOrder, DuatoFullyAdaptive};
 use ebda_routing::{RoutingRelation, Topology, TurnRouting};
 use noc_sim::{simulate, BufferPolicy, SimConfig, TrafficPattern};
@@ -182,13 +182,10 @@ pub(super) fn e1e2() {
 /// hardware parallelism) and the CSV is byte-identical at every thread
 /// count — rows merge in matrix order, not completion order.
 ///
-/// `--quick` shrinks the matrix to a smoke-test size. Of the shared
-/// observability flags (docs/OBSERVABILITY.md §3), `--trace-out` is a
-/// synonym of `--profile-out` here and `--journey-out` merges the
-/// per-packet journeys of every point into one timeline, one Chrome-trace
-/// "process" per point.
-pub(super) fn sweep(mut args: Args) -> Result<(), CliError> {
-    let mut obs = ObsOptions::parse(&mut args)?;
+/// `--quick` shrinks the matrix to a smoke-test size. With
+/// `--journey-out` it hands back the per-packet journeys of every point,
+/// merged into one timeline with one Chrome-trace "process" per point.
+pub(super) fn sweep(mut args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), CliError> {
     let quick = args.switch("--quick");
     let out = match args.positionals()?.as_slice() {
         [] => None,
@@ -199,7 +196,6 @@ pub(super) fn sweep(mut args: Args) -> Result<(), CliError> {
             )))
         }
     };
-    obs.activate_aggregate()?;
 
     let result = run_sweep(quick, obs.threads, obs.journey_config());
 
@@ -210,20 +206,6 @@ pub(super) fn sweep(mut args: Args) -> Result<(), CliError> {
             .write_all(result.csv.as_bytes())
             .map_err(|e| CliError::Failed(format!("write csv: {e}")))?,
     }
-    if let Some(path) = &obs.trace {
-        write_profile(path)?;
-    }
-    if let (Some(mut builder), Some(path)) = (result.journeys, &obs.journey) {
-        // With the profiler on, the worker busy timeline renders next to
-        // the per-point packet journeys in the same Perfetto tab.
-        if ebda_obs::prof::enabled() {
-            builder.add_worker_timeline("workers", &ebda_obs::prof::snapshot().workers);
-        }
-        write_file("journey", path, builder.finish())?;
-        eprintln!(
-            "journeys: merged sweep timeline written to {}",
-            path.display()
-        );
-    }
-    obs.finish()
+    traces.journeys = result.journeys.map(Document::Timeline);
+    Ok(())
 }

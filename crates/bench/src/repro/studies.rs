@@ -3,7 +3,7 @@
 //! census, the VC-budget study and the ablations.
 
 use crate::args::{Args, CliError};
-use crate::trace::{write_profile, ObsOptions};
+use crate::trace::{ObsOptions, Traces};
 use ebda_cdg::turn_model::{
     abstract_cycle_count, combination_count, deadlock_free_combinations,
     deadlock_free_combinations_2d, unique_up_to_symmetry,
@@ -34,13 +34,7 @@ use std::time::Instant;
 /// 12 deadlock-free, 3 unique under symmetry), (b) the combination-count
 /// table (with the paper's quoted values for comparison), and (c) a wall-
 /// clock comparison of brute force vs EbDa construction.
-pub(super) fn scalability(mut args: Args) -> Result<(), CliError> {
-    // `--trace-out <path>`: export the verification-path profile (CDG
-    // build / cycle / SCC phases, partition counters).
-    let mut obs = ObsOptions::parse(&mut args)?;
-    args.finish()?;
-    obs.activate_aggregate()?;
-
+pub(super) fn scalability() {
     // (a) The exhaustive 2D check.
     let t0 = Instant::now();
     let free = deadlock_free_combinations_2d(6);
@@ -154,11 +148,6 @@ pub(super) fn scalability(mut args: Args) -> Result<(), CliError> {
              tests/certification.rs and EXPERIMENTS.md)"
     );
     assert_eq!(certified2, 12);
-
-    if let Some(path) = &obs.trace {
-        write_profile(path)?;
-    }
-    obs.finish()
 }
 
 /// Design-space exploration (Section 5.3 operationalized): enumerate the
@@ -166,11 +155,7 @@ pub(super) fn scalability(mut args: Args) -> Result<(), CliError> {
 /// and rank by adaptiveness — the table a designer would actually consult.
 ///
 /// Usage: `ebda repro explore [<vcs like 1,2>]`
-///
-/// `--trace-out <path>` additionally writes the profile (Algorithm 1/2 +
-/// CDG phases and work units), exactly like `--profile-out`.
-pub(super) fn explore(mut args: Args) -> Result<(), CliError> {
-    let mut obs = ObsOptions::parse(&mut args)?;
+pub(super) fn explore(args: Args, _: &ObsOptions, _: &mut Traces) -> Result<(), CliError> {
     let vcs = match args.positionals()?.as_slice() {
         [] => vec![1, 1],
         [spec] => crate::parse_vcs(spec).map_err(CliError::Usage)?,
@@ -189,7 +174,6 @@ pub(super) fn explore(mut args: Args) -> Result<(), CliError> {
         vec![arrangement1(&vcs).map_err(|e| CliError::Usage(format!("VC budget {vcs:?}: {e}")))?];
     arrangements.extend(arrangement2(&vcs).expect("validated by arrangement1"));
     arrangements.extend(arrangement3(&vcs).expect("validated by arrangement1"));
-    obs.activate_aggregate()?;
     println!("exploring 2D designs with {vcs:?} VCs per dimension\n");
 
     // Collect candidates from every arrangement + derivation + reordering.
@@ -251,10 +235,7 @@ pub(super) fn explore(mut args: Args) -> Result<(), CliError> {
          (Section 5.3's knob, ranked)",
         rows.len()
     );
-    if let Some(path) = &obs.trace {
-        write_profile(path)?;
-    }
-    obs.finish()
+    Ok(())
 }
 
 fn census_report(name: &str, topo: &Topology, relation: &dyn RoutingRelation) {

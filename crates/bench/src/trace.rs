@@ -1,39 +1,99 @@
-//! The observability flags every run-producing `ebda` subcommand shares.
+//! One observability session per `ebda` command: the dispatcher (`run`
+//! in `src/bin/ebda.rs`) reads an [`ObsOptions`] off every command line,
+//! [activates](ObsOptions::activate) it, hands it to the command and
+//! [finishes](ObsOptions::finish) it after. The process flags reach every
+//! command; a run output's flag only the commands whose [`Output`]s
+//! declare it (docs/OBSERVABILITY.md §3).
 //!
-//! `--trace-out <path>` runs with a flight recorder attached and writes
-//! the trace there on exit: `.csv` paths get the event log as CSV plus a
-//! `<stem>.samples.csv` sibling with the time series; any other extension
-//! gets the recorder's JSON document (meta + totals + events + samples)
-//! and nothing else. Commands that aggregate many runs have no single
-//! event log and write the `write_profile` document to the trace path
-//! instead (`ObsOptions::activate_aggregate`). Flags are the only
-//! input: nothing here reads the environment (`EBDA_THREADS` is resolved
-//! inside `ebda-par`).
+//! Two rules are decided here and nowhere else. `--trace-out` and
+//! `--journey-out` write what the command handed back in its [`Traces`]:
+//! with no trace, `--trace-out` gets the profile; with no journeys,
+//! `--journey-out` is not written and stderr says so. And an output or
+//! endpoint that cannot be had fails the command (exit 1) after its
+//! result is printed, while a usage error writes nothing and does not
+//! linger. Flags are the only input: nothing here reads the environment
+//! (`EBDA_THREADS` is resolved inside `ebda-par`).
 
 use crate::args::{Args, CliError};
 use ebda_obs::{JourneyConfig, MetricsServer, Recorder, RecorderConfig, TraceBuilder};
 use std::path::{Path, PathBuf};
 
-/// The observability options of one run, one field per flag (tabulated
-/// in docs/OBSERVABILITY.md §3). Campaigns additionally read where their
-/// evidence goes ([`ObsOptions::parse_with_evidence`]).
-///
-/// Typical command shape:
-///
-/// ```no_run
-/// # fn main() -> Result<(), ebda_bench::args::CliError> {
-/// let mut args = ebda_bench::args::Args::new(std::env::args().skip(2).collect());
-/// let mut obs = ebda_bench::trace::ObsOptions::parse(&mut args)?;
-/// args.finish()?;
-/// obs.activate()?;
-/// // ... the actual work ...
-/// obs.finish()
-/// # }
-/// ```
+/// A run output a command writes: it accepts that output's flag.
+/// `ebda` declares the outputs of each command beside its command table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Output {
+    /// `--trace-out`, which switches the profiler on like `--profile-out`:
+    /// when the run hands back no trace, the profile is written there.
+    Trace,
+    /// `--trace-out` as the flight recorder's event log, which leaves the
+    /// profiler off (it costs 1.2–1.3× on the simulator).
+    RecorderTrace,
+    /// `--journey-out` and `--journey-sample-rate`.
+    Journeys,
+    /// `--ledger`.
+    Ledger,
+    /// `--coverage-out`.
+    Coverage,
+}
+
+/// What a command hands back to its session: the documents
+/// `--trace-out` and `--journey-out` write, where the run has them.
+#[derive(Default)]
+pub struct Traces {
+    /// The run's own trace; without one, `--trace-out` gets the profile.
+    pub trace: Option<Document>,
+    /// The run's packet journeys; without them, `--journey-out` is not
+    /// written.
+    pub journeys: Option<Document>,
+}
+
+/// One document a command hands back.
+pub enum Document {
+    /// A flight recorder's event log: for a `.csv` path the events as
+    /// CSV plus a `<stem>.samples.csv` sibling with the time series, for
+    /// any other path the recorder's JSON document (meta + totals +
+    /// events + samples) and nothing else.
+    Recorder(Box<Recorder>),
+    /// Packet journeys as a Chrome trace (Perfetto, `chrome://tracing`).
+    /// With the profiler on, the worker busy timeline joins them, so one
+    /// Perfetto tab shows both.
+    Timeline(TraceBuilder),
+    /// A document already rendered, written as it is.
+    Text(String),
+}
+
+impl Document {
+    /// Writes the document to `path`; `what` names it on stderr.
+    fn write(self, what: &str, path: &Path) -> Result<(), CliError> {
+        let csv = path
+            .extension()
+            .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
+        let (text, samples) = match self {
+            Document::Recorder(rec) if csv => (rec.events_csv(), Some(rec.samples_csv())),
+            Document::Recorder(rec) => (rec.write_json(), None),
+            Document::Timeline(mut builder) => {
+                if ebda_obs::prof::enabled() {
+                    builder.add_worker_timeline("workers", &ebda_obs::prof::snapshot().workers);
+                }
+                (builder.finish(), None)
+            }
+            Document::Text(text) => (text, None),
+        };
+        write_file(what, path, text)?;
+        if let Some(samples) = samples {
+            write_file(what, &path.with_extension("samples.csv"), samples)?;
+        }
+        eprintln!("{what} written to {}", path.display());
+        Ok(())
+    }
+}
+
+/// The observability session of one command, one field per flag
+/// (tabulated in docs/OBSERVABILITY.md §3).
 #[derive(Debug)]
 pub struct ObsOptions {
-    /// Where to write the trace (single-run commands) or the profile
-    /// (aggregate commands), when requested.
+    /// Where to write the trace (or the profile, when the run hands back
+    /// no trace), when requested (`--trace-out`).
     pub trace: Option<PathBuf>,
     /// Where to write the Chrome-trace packet-journey timeline, when
     /// requested (`--journey-out`).
@@ -50,35 +110,56 @@ pub struct ObsOptions {
     pub profile: Option<PathBuf>,
     /// Address to serve `/metrics` on, when requested (port 0 allowed).
     pub metrics_addr: Option<String>,
-    /// Seconds to keep the metrics endpoint up after [`ObsOptions::finish`].
+    /// Seconds to keep the metrics endpoint up after the command.
     pub metrics_linger: u64,
     /// Worker threads for the parallel layers (`--threads N`, else
     /// [`ebda_par::threads`]). 1 means strictly serial execution;
     /// results are identical at every value.
     pub threads: usize,
-    /// The run ledger a campaign appends to (`--ledger`); the endpoint
+    /// The run ledger the command appends to (`--ledger`); the endpoint
     /// serves it at `/ledger`.
     pub ledger: Option<PathBuf>,
-    /// The coverage map a campaign writes (`--coverage-out`); the
+    /// The coverage map the command writes (`--coverage-out`); the
     /// endpoint serves it at `/coverage`.
     pub coverage: Option<PathBuf>,
-    server: Option<MetricsServer>,
+    /// The endpoint once activated: serving, or why it could not bind.
+    server: Option<Result<MetricsServer, String>>,
 }
 
 impl ObsOptions {
-    /// Reads the observability flags out of `args`.
+    /// Reads the process flags and the run `outputs` out of `args`;
+    /// every other flag stays there for the command.
     ///
     /// # Errors
     ///
     /// A usage error naming the flag given without a value or with a
     /// malformed one.
-    pub fn parse(args: &mut Args) -> Result<ObsOptions, CliError> {
-        let journey_sample_rate = args.value_with("--journey-sample-rate", |raw| {
-            raw.parse()
-                .ok()
-                .filter(|rate| (0.0..=1.0).contains(rate))
-                .ok_or_else(|| "needs a number in [0, 1]".to_string())
-        })?;
+    pub fn parse(args: &mut Args, outputs: &[Output]) -> Result<ObsOptions, CliError> {
+        let writes = |output| outputs.contains(&output);
+        let mut path = |accepted: bool, flag: &str| {
+            if accepted {
+                args.value::<PathBuf>(flag)
+            } else {
+                Ok(None)
+            }
+        };
+        let trace = path(
+            writes(Output::Trace) || writes(Output::RecorderTrace),
+            "--trace-out",
+        )?;
+        let journey = path(writes(Output::Journeys), "--journey-out")?;
+        let ledger = path(writes(Output::Ledger), "--ledger")?;
+        let coverage = path(writes(Output::Coverage), "--coverage-out")?;
+        let journey_sample_rate = if writes(Output::Journeys) {
+            args.value_with("--journey-sample-rate", |raw| {
+                raw.parse()
+                    .ok()
+                    .filter(|rate| (0.0..=1.0).contains(rate))
+                    .ok_or_else(|| "needs a number in [0, 1]".to_string())
+            })?
+        } else {
+            None
+        };
         let threads = args.value_with("--threads", |raw| {
             raw.parse()
                 .ok()
@@ -86,8 +167,8 @@ impl ObsOptions {
                 .ok_or_else(|| "needs a positive integer".to_string())
         })?;
         Ok(ObsOptions {
-            trace: args.value("--trace-out")?,
-            journey: args.value("--journey-out")?,
+            trace,
+            journey,
             journey_sample_rate: journey_sample_rate.unwrap_or(1.0),
             profile: args.value("--profile-out")?,
             metrics_addr: args.value("--metrics-addr")?,
@@ -95,45 +176,28 @@ impl ObsOptions {
             // EBDA_THREADS / hardware fallback lives in ebda-par so that
             // library callers resolve identically to the commands.
             threads: threads.unwrap_or_else(ebda_par::threads),
-            ledger: None,
-            coverage: None,
+            ledger,
+            coverage,
             server: None,
         })
     }
 
-    /// [`ObsOptions::parse`] for the commands that write evidence
-    /// (`ebda oracle`, `ebda corpus run`): also reads `--ledger` and
-    /// `--coverage-out`, which the endpoint then serves.
-    ///
-    /// # Errors
-    ///
-    /// See [`ObsOptions::parse`].
-    pub fn parse_with_evidence(args: &mut Args) -> Result<ObsOptions, CliError> {
-        Ok(ObsOptions {
-            ledger: args.value("--ledger")?,
-            coverage: args.value("--coverage-out")?,
-            ..ObsOptions::parse(args)?
-        })
-    }
-
-    /// Enables the requested observability layers: the self-profiler
-    /// when a profile or a metrics address was asked for (a trace alone
-    /// does not switch it on — it costs 1.2–1.3× on the simulator), and
-    /// the global metrics registry and the HTTP endpoint when a metrics
-    /// address was given. The profiler is where every count is kept, so
-    /// `/metrics` renders its counters from it. Prints the bound address
-    /// to stderr (`metrics: serving http://...`), which is how scripts
-    /// discover a port-0 binding.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the metrics address cannot be bound — an explicitly
-    /// requested endpoint must not fail silently.
-    pub fn activate(&mut self) -> Result<(), CliError> {
-        // Install the thread count process-wide so library entry points
-        // that resolve via ebda_par::threads() see the flag too.
+    /// Enables the requested observability layers: the worker count
+    /// process-wide, the self-profiler when a profile, a metrics address
+    /// or (unless `outputs` make it the recorder's) a trace was asked
+    /// for, and the global metrics registry and the HTTP endpoint when a
+    /// metrics address was given. The profiler is where every count is
+    /// kept, so `/metrics` renders its counters from it. Prints the bound
+    /// address to stderr (`metrics: serving http://...`), which is how
+    /// scripts discover a port-0 binding; an address that cannot be
+    /// bound fails the command in [`ObsOptions::finish`], after its
+    /// result.
+    pub fn activate(&mut self, outputs: &[Output]) {
+        // Library entry points that resolve via ebda_par::threads() see
+        // the flag too.
         ebda_par::set_threads(self.threads);
-        if self.profile.is_some() || self.metrics_addr.is_some() {
+        let profile_trace = self.trace.is_some() && !outputs.contains(&Output::RecorderTrace);
+        if self.profile.is_some() || self.metrics_addr.is_some() || profile_trace {
             ebda_obs::prof::set_enabled(true);
         }
         if let Some(addr) = &self.metrics_addr {
@@ -148,30 +212,13 @@ impl ObsOptions {
                 ],
                 1.0,
             );
-            let server = MetricsServer::serve(addr, self.ledger.clone(), self.coverage.clone())
-                .map_err(|e| CliError::Failed(format!("cannot serve metrics on {addr}: {e}")))?;
-            eprintln!("metrics: serving http://{}/metrics", server.local_addr());
-            self.server = Some(server);
+            let served = MetricsServer::serve(addr, self.ledger.clone(), self.coverage.clone())
+                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"));
+            if let Ok(server) = &served {
+                eprintln!("metrics: serving http://{}/metrics", server.local_addr());
+            }
+            self.server = Some(served);
         }
-        Ok(())
-    }
-
-    /// [`ObsOptions::activate`] for commands that aggregate many runs
-    /// (`repro sweep`, `repro explore`, `repro scalability`, `corpus
-    /// run`, `oracle`). They share no single event log, so `--trace-out`
-    /// means the profile there: it switches the profiler on like
-    /// `--profile-out`, and the command ends with [`write_profile`] on
-    /// [`ObsOptions::trace`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ObsOptions::activate`].
-    pub(crate) fn activate_aggregate(&mut self) -> Result<(), CliError> {
-        self.activate()?;
-        if self.trace.is_some() {
-            ebda_obs::prof::set_enabled(true);
-        }
-        Ok(())
     }
 
     /// A recorder to attach when tracing or journey export was
@@ -217,28 +264,52 @@ impl ObsOptions {
         }
     }
 
-    /// Ends the observability session: writes the self-profiler report
-    /// when one was requested, keeps the metrics endpoint up for the
-    /// configured linger window, then shuts it down.
+    /// Ends the session of a command that `ran` and handed back
+    /// `traces`. After a result — success or a failed check — it writes
+    /// the requested trace, journeys and profile, keeps the metrics
+    /// endpoint up for the linger window and shuts it down. After a
+    /// usage error it only shuts the endpoint down.
     ///
     /// # Errors
     ///
-    /// Fails when the profile cannot be written (the endpoint is shut
-    /// down regardless).
-    pub fn finish(&self) -> Result<(), CliError> {
-        let written = self.profile.as_deref().map_or(Ok(()), write_profile);
-        if let Some(server) = &self.server {
-            if self.metrics_linger > 0 {
-                eprintln!(
-                    "metrics: lingering {}s on http://{}/metrics",
-                    self.metrics_linger,
-                    server.local_addr()
-                );
-                std::thread::sleep(std::time::Duration::from_secs(self.metrics_linger));
+    /// The usage error the command returned; else the endpoint that
+    /// could not be bound, then the first output that could not be
+    /// written, then the command's own failure.
+    pub fn finish(self, ran: Result<(), CliError>, traces: Traces) -> Result<(), CliError> {
+        let usage = matches!(ran, Err(CliError::Usage(_)));
+        let written = if usage { Ok(()) } else { self.write(traces) };
+        let served = match &self.server {
+            Some(Ok(server)) => {
+                if self.metrics_linger > 0 && !usage {
+                    let linger = self.metrics_linger;
+                    let addr = server.local_addr();
+                    eprintln!("metrics: lingering {linger}s on http://{addr}/metrics");
+                    std::thread::sleep(std::time::Duration::from_secs(linger));
+                }
+                server.shutdown();
+                Ok(())
             }
-            server.shutdown();
+            Some(Err(unbound)) if !usage => Err(CliError::Failed(unbound.clone())),
+            _ => Ok(()),
+        };
+        served.and(written).and(ran)
+    }
+
+    /// Writes the requested trace, journeys and profile.
+    fn write(&self, traces: Traces) -> Result<(), CliError> {
+        if let Some(path) = &self.trace {
+            match traces.trace {
+                Some(trace) => trace.write("trace", path)?,
+                None => write_profile(path)?,
+            }
         }
-        written
+        if let Some(path) = &self.journey {
+            match traces.journeys {
+                Some(journeys) => journeys.write("journeys", path)?,
+                None => eprintln!("journeys: nothing traced, {} not written", path.display()),
+            }
+        }
+        self.profile.as_deref().map_or(Ok(()), write_profile)
     }
 }
 
@@ -251,29 +322,6 @@ impl ObsOptions {
 pub fn write_file(what: &str, path: &Path, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
     std::fs::write(path, contents)
         .map_err(|e| CliError::Failed(format!("write {what} {}: {e}", path.display())))
-}
-
-/// Writes the recorded trace to `path` in the format its extension picks.
-///
-/// # Errors
-///
-/// See [`write_file`].
-pub fn write_trace(rec: &Recorder, path: &Path) -> Result<(), CliError> {
-    let is_csv = path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-    if is_csv {
-        write_file("trace", path, rec.events_csv())?;
-        write_file(
-            "trace",
-            &path.with_extension("samples.csv"),
-            rec.samples_csv(),
-        )?;
-    } else {
-        write_file("trace", path, rec.write_json())?;
-    }
-    eprintln!("trace written to {}", path.display());
-    Ok(())
 }
 
 /// A small per-run recorder carrying only a journey tracer — the shape
@@ -289,37 +337,6 @@ pub(crate) fn journey_recorder(cfg: JourneyConfig) -> Recorder {
     rec
 }
 
-/// Writes the packet journeys of `rec` as one Chrome-trace run labelled
-/// `label` — load the file in Perfetto or `chrome://tracing`.
-///
-/// # Errors
-///
-/// See [`write_file`].
-///
-/// # Panics
-///
-/// Panics when `rec` has no journey tracer attached (a caller bug).
-pub fn write_journey(rec: &Recorder, label: &str, path: &Path) -> Result<(), CliError> {
-    let tracer = rec
-        .journeys()
-        .expect("write_journey needs a journey-enabled recorder");
-    let mut builder = TraceBuilder::new();
-    builder.add_run(label, tracer);
-    // When the self-profiler is on, render the worker busy timeline next
-    // to the packet journeys so one Perfetto tab shows both.
-    if ebda_obs::prof::enabled() {
-        builder.add_worker_timeline("workers", &ebda_obs::prof::snapshot().workers);
-    }
-    write_file("journey", path, builder.finish())?;
-    eprintln!(
-        "journeys: {} traced ({} dropped at the cap) written to {}",
-        tracer.journeys().len(),
-        tracer.skipped(),
-        path.display()
-    );
-    Ok(())
-}
-
 /// Writes the self-profiler report to `path`: a Chrome-trace JSON whose
 /// events are the per-worker busy segments (one Perfetto track per
 /// worker) and whose extra top-level `ebdaProfile` key carries the full
@@ -330,7 +347,7 @@ pub fn write_journey(rec: &Recorder, label: &str, path: &Path) -> Result<(), Cli
 /// # Errors
 ///
 /// See [`write_file`].
-pub(crate) fn write_profile(path: &Path) -> Result<(), CliError> {
+fn write_profile(path: &Path) -> Result<(), CliError> {
     let snap = ebda_obs::prof::snapshot();
     let mut builder = TraceBuilder::new();
     builder.add_worker_timeline("workers", &snap.workers);
@@ -362,25 +379,32 @@ mod tests {
                 .map(String::from)
                 .collect(),
         );
-        let mut obs = ObsOptions::parse(&mut args).unwrap();
+        let outputs = [Output::RecorderTrace];
+        let mut obs = ObsOptions::parse(&mut args, &outputs).unwrap();
         assert_eq!(args.positionals().unwrap(), ["work"]);
         assert_eq!(obs.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(obs.metrics_linger, 0);
         assert!(obs.server.is_none());
-        obs.activate().unwrap();
-        let server = obs.server.as_ref().expect("bound after activate");
+        obs.activate(&outputs);
+        let Some(Ok(server)) = &obs.server else {
+            panic!("bound after activate")
+        };
         let addr = server.local_addr();
         let body = ebda_obs::http_get(&addr.to_string(), "/healthz").unwrap();
         assert!(body.starts_with("ok uptime_seconds="), "body {body:?}");
-        obs.finish().unwrap();
+        // The trace was asked for but never handed back: the profile
+        // takes its place, so nothing is written to /tmp/t.json here.
+        obs.trace = None;
+        obs.finish(Ok(()), Traces::default()).unwrap();
     }
 
     #[test]
     fn recorder_only_when_requested() {
         let parse = |line: &str| {
             let words = line.split_whitespace().map(String::from).collect();
-            ObsOptions::parse(&mut Args::new(words)).unwrap()
+            let outputs = [Output::Trace, Output::Journeys];
+            ObsOptions::parse(&mut Args::new(words), &outputs).unwrap()
         };
         assert!(parse("").recorder().is_none());
         assert!(parse("--trace-out x.json").recorder().is_some());
@@ -399,7 +423,9 @@ mod tests {
         });
         let dir = std::env::temp_dir();
         let path = dir.join("ebda-trace-test.json");
-        write_trace(&rec, &path).unwrap();
+        Document::Recorder(Box::new(rec))
+            .write("trace", &path)
+            .unwrap();
         let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(doc.get("events").unwrap().as_arr().unwrap().len() == 1);
         let Value::Obj(top) = &doc else {

@@ -1,11 +1,19 @@
-//! Table-driven coverage of the shared observability flag parser
-//! (`ebda_bench::trace::ObsOptions`): flag extraction, the `--threads` /
-//! `EBDA_THREADS` layering, and a usage error naming the flag on
-//! malformed or value-less input.
+//! Table-driven coverage of the one observability flag parser
+//! (`ebda_bench::trace::ObsOptions`): flag extraction, the run outputs
+//! read only where declared, the `--threads` / `EBDA_THREADS` layering,
+//! and a usage error naming the flag on malformed or value-less input.
 
 use ebda_bench::args::{Args, CliError};
-use ebda_bench::trace::ObsOptions;
+use ebda_bench::trace::{ObsOptions, Output};
 use std::path::PathBuf;
+
+/// Every run output declared, as no one command does.
+const ALL: &[Output] = &[
+    Output::Trace,
+    Output::Journeys,
+    Output::Ledger,
+    Output::Coverage,
+];
 
 fn args(s: &str) -> Args {
     Args::new(s.split_whitespace().map(String::from).collect())
@@ -94,7 +102,7 @@ fn flag_extraction_table() {
     ];
     for c in &cases {
         let mut args = args(c.args);
-        let obs = ObsOptions::parse(&mut args).expect(c.name);
+        let obs = ObsOptions::parse(&mut args, &[Output::Trace, Output::Journeys]).expect(c.name);
         assert_eq!(obs.trace, c.trace.map(PathBuf::from), "{}", c.name);
         assert_eq!(obs.journey, c.journey.map(PathBuf::from), "{}", c.name);
         assert_eq!(obs.journey_sample_rate, c.rate, "{}", c.name);
@@ -103,25 +111,46 @@ fn flag_extraction_table() {
         assert_eq!(obs.profile, c.profile.map(PathBuf::from), "{}", c.name);
         let leftover: Vec<&str> = c.leftover.split_whitespace().collect();
         assert_eq!(args.positionals().unwrap(), leftover, "{}", c.name);
-        // Evidence flags belong to campaigns only.
+        // Evidence flags are read where they are declared only.
         assert_eq!((obs.ledger, obs.coverage), (None, None), "{}", c.name);
     }
 }
 
+/// Each run output is read where its declaration says so and stays on
+/// the line everywhere else, where the command's own read rejects it as
+/// an unknown flag; the process flags are read under any declaration.
 #[test]
-fn evidence_flags_are_read_for_campaigns_only() {
-    let line = "--ledger l.jsonl --coverage-out c.json --threads 2";
-    let obs = ObsOptions::parse_with_evidence(&mut args(line)).unwrap();
+fn run_outputs_are_read_where_declared() {
+    let rows = [
+        ("--trace-out t.json", Output::Trace),
+        ("--trace-out t.json", Output::RecorderTrace),
+        ("--journey-out j.json", Output::Journeys),
+        ("--journey-sample-rate 0.5", Output::Journeys),
+        ("--ledger l.jsonl", Output::Ledger),
+        ("--coverage-out c.json", Output::Coverage),
+    ];
+    for (line, output) in rows {
+        let flag = line.split_whitespace().next().unwrap();
+        let mut undeclared = args(line);
+        ObsOptions::parse(&mut undeclared, &[]).unwrap();
+        let unknown = Err(CliError::usage(format!("unknown flag {flag}")));
+        assert_eq!(undeclared.finish(), unknown, "{line} undeclared");
+        let mut declared = args(line);
+        ObsOptions::parse(&mut declared, &[output]).unwrap();
+        assert_eq!(declared.finish(), Ok(()), "{line} declared");
+    }
+    let line = "--ledger l.jsonl --coverage-out c.json --threads 2 --profile-out p.json";
+    let obs = ObsOptions::parse(&mut args(line), ALL).unwrap();
     assert_eq!(obs.ledger, Some(PathBuf::from("l.jsonl")));
     assert_eq!(obs.coverage, Some(PathBuf::from("c.json")));
+    let process = "--threads 2 --profile-out p.json --metrics-addr 127.0.0.1:0 --metrics-linger 1";
+    let mut line = args(process);
+    let obs = ObsOptions::parse(&mut line, &[]).unwrap();
+    assert_eq!(line.finish(), Ok(()), "process flags are read everywhere");
     assert_eq!(obs.threads, 2);
-    let mut plain = args(line);
-    ObsOptions::parse(&mut plain).unwrap();
-    assert_eq!(
-        plain.finish(),
-        Err(CliError::usage("unknown flag --ledger")),
-        "a command that writes no evidence rejects the flag"
-    );
+    assert_eq!(obs.profile, Some(PathBuf::from("p.json")));
+    assert_eq!(obs.metrics_addr.as_deref(), Some("127.0.0.1:0"));
+    assert_eq!(obs.metrics_linger, 1);
 }
 
 /// Nothing in this file calls `ObsOptions::activate`: it installs the
@@ -129,12 +158,12 @@ fn evidence_flags_are_read_for_campaigns_only() {
 /// here (activation failures are pinned at the process level, tests/cli.rs).
 #[test]
 fn threads_flag_and_env_layering() {
-    let threads = |line: &str| ObsOptions::parse(&mut args(line)).unwrap().threads;
+    let threads = |line: &str| ObsOptions::parse(&mut args(line), ALL).unwrap().threads;
     std::env::remove_var("EBDA_THREADS");
 
     // Explicit flag wins and is removed from the line.
     let mut line = args("work --threads 3 rest");
-    assert_eq!(ObsOptions::parse(&mut line).unwrap().threads, 3);
+    assert_eq!(ObsOptions::parse(&mut line, ALL).unwrap().threads, 3);
     assert_eq!(line.positionals().unwrap(), ["work", "rest"]);
 
     // Without the flag, EBDA_THREADS decides.
@@ -185,7 +214,7 @@ fn malformed_flags_are_usage_errors_with_the_flag_named() {
         ("--coverage-out", "--coverage-out needs a value"),
     ];
     for (line, expected) in cases {
-        match ObsOptions::parse_with_evidence(&mut args(line)) {
+        match ObsOptions::parse(&mut args(line), ALL) {
             Err(CliError::Usage(msg)) => assert!(msg.contains(expected), "{line}: {msg}"),
             other => panic!("{line} must be a usage error, got {other:?}"),
         }

@@ -41,6 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The tests' shared checkers name this crate as their includers do.
+#[cfg(test)]
+extern crate self as ebda_obs;
+
 /// The CSV reader of the round-trip tests, shared with the integration
 /// suites (`tests/csv_reader/mod.rs`).
 #[cfg(test)]
@@ -61,7 +65,7 @@ pub(crate) mod recorder;
 pub(crate) mod ring;
 pub(crate) mod rng;
 
-pub use chrome::{TraceBuilder, TraceSummary};
+pub use chrome::TraceBuilder;
 pub use coverage::CoverageMap;
 pub use event::{Event, EventKind};
 pub use http::{http_get, MetricsServer};

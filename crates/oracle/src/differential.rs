@@ -626,6 +626,10 @@ fn coord_matches_witness(coord: ChannelCoord, c: &BruteChannel) -> bool {
 }
 
 #[cfg(test)]
+#[path = "../../obs/tests/chrome_check/mod.rs"]
+mod chrome_check;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -808,7 +812,7 @@ mod tests {
 
         // The journey export is a valid Chrome trace with flow events.
         let summary =
-            ebda_obs::chrome::validate(&replay.journey_json).expect("valid Trace Event Format");
+            chrome_check::validate(&replay.journey_json).expect("valid Trace Event Format");
         assert!(summary.complete > 0);
         assert!(summary.flows > 0, "hop-linking flow events expected");
     }

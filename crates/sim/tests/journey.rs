@@ -4,13 +4,16 @@
 //! whole feature must be invisible when disabled.
 
 use ebda_core::{parse_channels, Turn, TurnSet};
-use ebda_obs::{chrome, JourneyConfig, JourneyEnd};
+use ebda_obs::{JourneyConfig, JourneyEnd};
 use ebda_routing::{Topology, TurnRouting};
 use noc_sim::{
     replay_traced, simulate, wait_edge_count, ChannelCoord, Outcome, SimConfig, SuspectedEdge,
     TrafficPattern,
 };
 use std::collections::BTreeSet;
+
+#[path = "../../obs/tests/chrome_check/mod.rs"]
+mod chrome_check;
 
 /// All turns allowed on one VC: cyclic by construction, the standard
 /// positive control.
@@ -120,7 +123,7 @@ fn journeys_of_a_deadlocked_run_export_and_round_trip() {
     let mut builder = ebda_obs::TraceBuilder::new();
     builder.add_run("deadlock replay", tracer);
     let text = builder.finish();
-    let summary = chrome::validate(&text).expect("export must be valid Trace Event Format");
+    let summary = chrome_check::validate(&text).expect("export must be valid Trace Event Format");
     assert!(summary.complete > 0, "hold spans expected");
     assert!(summary.flows > 0, "flow events linking hops expected");
     assert!(summary.tracks > 1, "more than one router track expected");

@@ -17,7 +17,8 @@
 //! or socket could not be used; 2 the command line itself is wrong.
 
 use ebda::bench::args::{Args, CliError};
-use ebda::bench::trace::{write_file, write_journey, write_trace, ObsOptions};
+use ebda::bench::trace::Output::{self, Coverage, Journeys, Ledger, RecorderTrace, Trace};
+use ebda::bench::trace::{write_file, Document, ObsOptions, Traces};
 use ebda::core::algorithm1::{partition_network, partition_network_region_covering};
 use ebda::core::algorithm2::derive_all;
 use ebda::core::sets::arrangement1;
@@ -47,37 +48,43 @@ fn main() -> ExitCode {
     }
 }
 
-/// A subcommand's entry point.
-type Run = fn(Args) -> Result<(), CliError>;
+/// A subcommand's entry point: most read only their own flags; a few
+/// also read the session's and may hand traces back to it.
+enum Run {
+    Plain(fn(Args) -> Result<(), CliError>),
+    Session(fn(Args, &ObsOptions, &mut Traces) -> Result<(), CliError>),
+}
+use Run::{Plain, Session};
 
 /// Every subcommand: its usage block (also its `help` entry; the second
-/// word is the name it is selected by) and its entry point.
+/// word is the name it is selected by) and its entry point. Each also
+/// takes the process flags of [`PROCESS_FLAGS`].
 const COMMANDS: &[(&str, Run)] = &[
     (
         "ebda design   --vcs <a,b[,c...]> [--arrangement region|plain]
                                              run Algorithm 1 on a VC budget",
-        cmd_design,
+        Plain(cmd_design),
     ),
     (
         "ebda options  --vcs <a,b[,c...]>           enumerate Algorithm 2 derivations",
-        cmd_options,
+        Plain(cmd_options),
     ),
     (
         "ebda turns    \"<design>\" [--dot]            extract all allowable turns
                                              (--dot: Graphviz output)",
-        cmd_turns,
+        Plain(cmd_turns),
     ),
     (
         "ebda verify   \"<design>\" [--mesh AxB[xC]] [--torus AxB[xC]] [--ledger FILE]
                                              (--ledger: run all four verdict
                                              paths and append one provenance-
                                              carrying run-ledger record)",
-        cmd_verify,
+        Session(cmd_verify),
     ),
     (
         "ebda certify  --turns \"X1+>Y1+,Y1->X1-,...\"  reconstruct a partitioning
                                              certificate from raw turns",
-        cmd_certify,
+        Plain(cmd_certify),
     ),
     (
         "ebda check-cert FILE                       independently re-validate every
@@ -85,14 +92,14 @@ const COMMANDS: &[(&str, Run)] = &[
                                              ledger (or a single provenance
                                              JSON document) without re-running
                                              any prover",
-        cmd_check_cert,
+        Plain(cmd_check_cert),
     ),
     (
         "ebda ledger   list FILE [--json]           one summary line per ledger record
                                              (--json: one canonical JSON array)
   ebda ledger   show FILE [HASH]             canonical JSON of the records
   ebda ledger   diff FILE1 FILE2             byte-compare two run ledgers",
-        cmd_ledger,
+        Plain(cmd_ledger),
     ),
     (
         "ebda coverage report FILE                  per-family table of a design-space
@@ -102,16 +109,16 @@ const COMMANDS: &[(&str, Run)] = &[
                                              iff they are identical
   ebda coverage merge OUT FILE...            merge coverage maps (associative,
                                              commutative) into OUT",
-        cmd_coverage,
+        Plain(cmd_coverage),
     ),
     (
         "ebda explain  HASH --ledger FILE           human narrative of one verdict's
                                              proof evidence",
-        cmd_explain,
+        Plain(cmd_explain),
     ),
     (
         "ebda report   \"<design>\"                    markdown design review",
-        cmd_report,
+        Plain(cmd_report),
     ),
     (
         "ebda simulate \"<design>\" [--mesh AxB] [--torus AxB] [--rate R]
@@ -126,51 +133,43 @@ const COMMANDS: &[(&str, Run)] = &[
                                              Chrome Trace JSON for Perfetto /
                                              chrome://tracing
                                              (--journey-sample-rate P thins it)
-                 [--metrics-addr HOST:PORT]  serve live Prometheus metrics at
-                                             /metrics (--metrics-linger SECS
-                                             keeps it up)
-                 [--profile-out FILE]        deterministic self-profiler report:
-                                             phase tree + worker timeline as
-                                             Chrome Trace JSON (render with
-                                             `ebda profile FILE`)
-                 [--threads N]               worker threads for parallel helpers
-                                             (else EBDA_THREADS, else hardware
-                                             parallelism; results are identical
-                                             at every value)
                  [--heatmap-out FILE]        per-channel utilization heatmap CSV",
-        cmd_simulate,
+        Session(cmd_simulate),
     ),
     (
         "ebda repro    <id> [flags] | list | all    regenerate a table, figure or study
                                              of the paper (list: the ids; all:
                                              every one in turn); sweep, explore
-                                             and scalability take the simulate
-                                             observability flags",
-        ebda::bench::repro::run,
+                                             and scalability take --trace-out,
+                                             sweep also --journey-out",
+        Session(ebda::bench::repro::run),
     ),
     (
         "ebda oracle   [--budget SECS] [--seed N] [--min-configs N] [--max-configs N]
                  [--max-nodes N] [--mutate NAME] [--expect-disagreement]
                  [--coverage-guided] [--ledger FILE] [--coverage-out FILE]
+                 [--trace-out FILE] [--journey-out FILE]
                                              differential campaign: random
                                              artifacts through all four verdict
                                              paths; a disagreement is shrunk
-                                             and replayed in the simulator",
-        ebda::bench::oracle_cli::run,
+                                             and replayed in the simulator
+                                             (--trace-out, --journey-out: the
+                                             replay's)",
+        Session(ebda::bench::oracle_cli::run),
     ),
     (
         "ebda corpus   generate --out DIR           build the labeled seed corpus
                                              (ten families, labels proven at
                                              generation time)
   ebda corpus   run DIR [--archive-to DIR] [--mutate NAME] [--inject-mismatch]
-                 [--expect-mismatch] [--shrink-budget N] [--threads N]
-                 [--ledger FILE] [--coverage-out FILE]
+                 [--expect-mismatch] [--shrink-budget N]
+                 [--ledger FILE] [--coverage-out FILE] [--trace-out FILE]
                                              regression campaign: check every
                                              entry against all four verdict
                                              paths; mismatches are shrunk and
                                              archived as labeled witnesses
   ebda corpus   stats DIR [--json]           deterministic corpus statistics",
-        ebda::bench::corpus_cli::run,
+        Session(ebda::bench::corpus_cli::run),
     ),
     (
         "ebda monitor  --addr HOST:PORT [--once] [--interval SECS] [--interval-ms N]
@@ -179,7 +178,7 @@ const COMMANDS: &[(&str, Run)] = &[
                                              --interval re-renders in place;
                                              --ledger adds a recent-verdicts
                                              section from the run-ledger tail",
-        cmd_monitor,
+        Plain(cmd_monitor),
     ),
     (
         "ebda profile  FILE [--counters|--flame]    render a --profile-out report:
@@ -188,8 +187,28 @@ const COMMANDS: &[(&str, Run)] = &[
                                              the deterministic work-unit tree
                                              (byte-identical at every --threads);
                                              --flame prints nested flame JSON",
-        cmd_profile,
+        Plain(cmd_profile),
     ),
+];
+
+/// The process flags, which every command takes.
+const PROCESS_FLAGS: &str = "every command also takes the process flags
+  [--profile-out FILE]        self-profiler report (render: ebda profile FILE)
+  [--metrics-addr HOST:PORT]  live Prometheus metrics at /metrics while it runs
+                              (--metrics-linger SECS keeps them up after)
+  [--threads N]               worker threads (else EBDA_THREADS, else hardware
+                              parallelism; results are identical at every N)";
+
+/// The run outputs each command writes, by the words that select it
+/// (docs/OBSERVABILITY.md §3); every other command rejects their flags.
+const OUTPUTS: &[(&[&str], &[Output])] = &[
+    (&["simulate"], &[RecorderTrace, Journeys]),
+    (&["oracle"], &[Trace, Journeys, Ledger, Coverage]),
+    (&["corpus", "run"], &[Trace, Ledger, Coverage]),
+    (&["repro", "sweep"], &[Trace, Journeys]),
+    (&["repro", "explore"], &[Trace]),
+    (&["repro", "scalability"], &[Trace]),
+    (&["verify"], &[Ledger]),
 ];
 
 const DESIGN_HELP: &str =
@@ -212,12 +231,17 @@ fn help() -> String {
         out.push('\n');
     }
     out.push('\n');
+    out.push_str(PROCESS_FLAGS);
+    out.push_str("\n\n");
     out.push_str(DESIGN_HELP);
     out
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(args.to_vec());
+/// Runs one command line in one observability session: the session is
+/// read off the line and activated before the command runs, and finished
+/// after it, whatever the command.
+fn run(line: &[String]) -> Result<(), CliError> {
+    let mut args = Args::new(line.to_vec());
     let Some(name) = args.word() else {
         return Err(CliError::usage("missing subcommand"));
     };
@@ -225,10 +249,21 @@ fn run(args: &[String]) -> Result<(), CliError> {
         println!("{}", help());
         return Ok(());
     }
-    match command(&name) {
-        Some((_, run)) => run(args),
-        None => Err(CliError::Usage(format!("unknown subcommand {name:?}"))),
-    }
+    let Some((_, command)) = command(&name) else {
+        return Err(CliError::Usage(format!("unknown subcommand {name:?}")));
+    };
+    let outputs = OUTPUTS
+        .iter()
+        .find(|(words, _)| line.get(..words.len()).is_some_and(|head| head == *words))
+        .map_or(&[][..], |&(_, outputs)| outputs);
+    let mut obs = ObsOptions::parse(&mut args, outputs)?;
+    obs.activate(outputs);
+    let mut traces = Traces::default();
+    let ran = match command {
+        Plain(run) => run(args),
+        Session(run) => run(args, &obs, &mut traces),
+    };
+    obs.finish(ran, traces)
 }
 
 /// Ends the read of a command whose only input left is the required
@@ -385,14 +420,13 @@ fn cmd_turns(mut args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_verify(mut args: Args) -> Result<(), CliError> {
+fn cmd_verify(mut args: Args, obs: &ObsOptions, _: &mut Traces) -> Result<(), CliError> {
     let topo = topology_flag(&mut args)?;
-    let ledger: Option<PathBuf> = args.value("--ledger")?;
     let seq = design(args)?;
     let topo = topology_for(topo, &seq)?;
     let report = verify_design(&topo, &seq)?;
     println!("{report}");
-    if let Some(path) = ledger {
+    if let Some(path) = &obs.ledger {
         // The ledger record carries full provenance, so the honest
         // four-path evaluation (including brute force) runs here — the
         // Dally verdict above is untouched.
@@ -422,7 +456,7 @@ fn cmd_verify(mut args: Args) -> Result<(), CliError> {
             0,
             Some(&coverage),
         );
-        ebda_obs::ledger::append(&path, &[record]).map_err(|e| format!("ledger append: {e}"))?;
+        ebda_obs::ledger::append(path, &[record]).map_err(|e| format!("ledger append: {e}"))?;
         println!(
             "ledger: verdict {} recorded as {} in {}",
             prov.verdict_str(),
@@ -699,9 +733,8 @@ fn cmd_certify(mut args: Args) -> Result<(), CliError> {
     }
 }
 
-fn cmd_simulate(mut args: Args) -> Result<(), CliError> {
+fn cmd_simulate(mut args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), CliError> {
     use ebda::sim::config::Switching;
-    let mut obs = ObsOptions::parse(&mut args)?;
     let topo = topology_flag(&mut args)?;
     let mut cfg = SimConfig::default();
     cfg.injection_rate = args.value("--rate")?.unwrap_or(cfg.injection_rate);
@@ -741,10 +774,6 @@ fn cmd_simulate(mut args: Args) -> Result<(), CliError> {
     cfg.check().map_err(|e| CliError::Usage(e.to_string()))?;
     let relation = TurnRouting::from_design("cli", &seq)?;
 
-    // The result is what was asked for: it is printed first, and a
-    // requested endpoint or file that could not be had fails the command
-    // after it.
-    let served = obs.activate();
     let mut rec = obs.recorder();
     let result = ebda::sim::simulate_traced(&topo, &relation, &cfg, rec.as_mut());
     println!("{result}");
@@ -760,19 +789,25 @@ fn cmd_simulate(mut args: Args) -> Result<(), CliError> {
             println!("  {}", edge.label);
         }
     }
-    served?;
-    if let (Some(rec), Some(path)) = (&rec, &obs.trace) {
-        write_trace(rec, path)?;
-    }
-    if let (Some(rec), Some(path)) = (&rec, &obs.journey) {
-        write_journey(rec, "ebda simulate", path)?;
+    if let Some(rec) = rec {
+        if let Some(tracer) = rec.journeys() {
+            eprintln!(
+                "journeys: {} traced ({} dropped at the cap)",
+                tracer.journeys().len(),
+                tracer.skipped()
+            );
+            let mut timeline = ebda_obs::TraceBuilder::new();
+            timeline.add_run("ebda simulate", tracer);
+            traces.journeys = Some(Document::Timeline(timeline));
+        }
+        traces.trace = Some(Document::Recorder(Box::new(rec)));
     }
     if let Some(path) = &heatmap {
         let csv = ebda::sim::channel_heatmap_csv(&topo, &relation, &cfg, &result);
         write_file("heatmap", path, csv)?;
         eprintln!("heatmap written to {}", path.display());
     }
-    obs.finish()
+    Ok(())
 }
 
 fn cmd_monitor(mut args: Args) -> Result<(), CliError> {
@@ -961,6 +996,10 @@ fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String
 }
 
 #[cfg(test)]
+#[path = "../../crates/obs/tests/chrome_check/mod.rs"]
+mod chrome_check;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1098,7 +1137,7 @@ mod tests {
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let summary = ebda_obs::chrome::validate(&text).expect("valid Trace Event Format");
+        let summary = chrome_check::validate(&text).expect("valid Trace Event Format");
         assert!(summary.complete > 0, "hold spans expected");
         assert!(summary.tracks > 1, "per-router tracks expected");
         std::fs::remove_file(&path).ok();
@@ -1119,7 +1158,7 @@ mod tests {
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        ebda_obs::chrome::validate(&text).expect("profile is a valid Chrome trace");
+        chrome_check::validate(&text).expect("profile is a valid Chrome trace");
         let doc = ebda_obs::json::Value::parse(&text).unwrap();
         let snap = ebda_obs::ProfSnapshot::from_value(doc.get("ebdaProfile").unwrap()).unwrap();
         assert!(snap.phases.contains_key("sim/run"), "{:?}", snap.phases);

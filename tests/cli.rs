@@ -213,6 +213,15 @@ fn every_subcommand_rejects_a_malformed_line_with_exit_2() {
         ("design", "--vcs=1,x --arrangement=diagonal"),
         ("options", "--vcs=x"),
         ("turns xy", ""),
+        // Run outputs a command does not write are unknown flags there.
+        ("corpus run corpus/seed", "--journey-out"),
+        ("repro explore", "--journey-out"),
+        ("repro scalability", "--journey-out"),
+        // The process flags reach every command.
+        ("verify xy", "--profile-out"),
+        ("certify --turns X1+>Y1+", "--profile-out"),
+        ("check-cert /nonexistent/l.jsonl", "--profile-out"),
+        ("ledger list /nonexistent/l.jsonl", "--profile-out"),
     ];
     for (line, flags) in rows {
         let with = |extra: &[&str]| -> Vec<String> {
@@ -284,7 +293,32 @@ fn unusable_outputs_fail_with_exit_1_after_the_result() {
         ("--trace-out", "/nonexistent/p.json"),
         ("--metrics-addr", "nope"),
     ] {
-        assert_exit(&[&oracle[..], &[flag, target]].concat(), 1, target);
+        let out = assert_exit(&[&oracle[..], &[flag, target]].concat(), 1, target);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("checked 4 configurations"), "{flag}: {text}");
+    }
+    // An endpoint that cannot be bound fails every command after its
+    // result, like a file that cannot be written.
+    for (line, result) in [
+        ("corpus run corpus/seed", "mismatches: 0"),
+        ("repro sweep --quick", "design,traffic,rate"),
+        ("turns xy", "90-degree"),
+    ] {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = assert_exit(
+            &[&args[..], &["--metrics-addr", "nope"]].concat(),
+            1,
+            "nope",
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(result), "{line}: result first: {text}");
+        let out = assert_exit(
+            &[&args[..], &["--profile-out", "/nonexistent/p.json"]].concat(),
+            1,
+            "/nonexistent/p.json",
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(result), "{line}: result first: {text}");
     }
     assert_exit(
         &["verify", "xy", "--ledger", "/nonexistent/l.jsonl"],
@@ -303,6 +337,88 @@ fn unusable_outputs_fail_with_exit_1_after_the_result() {
     );
     // A failed check is exit 1 as well, not a usage error.
     assert_exit(&["verify", "xy", "--torus", "4x4"], 1, "NOT deadlock-free");
+}
+
+/// The run outputs are accepted exactly where `ebda` declares them, and
+/// the process flags everywhere: a value-less flag a command accepts
+/// "needs a value", one it does not is an "unknown flag" (`explain` and
+/// `monitor` read `--ledger` as their own input).
+#[test]
+fn run_outputs_are_accepted_exactly_where_declared() {
+    let outputs = "--trace-out --journey-out --journey-sample-rate --ledger --coverage-out";
+    let process = "--profile-out --metrics-addr --metrics-linger --threads";
+    let journey = "--trace-out --journey-out --journey-sample-rate";
+    let rows = [
+        ("simulate xy", journey),
+        ("oracle", outputs),
+        (
+            "corpus run corpus/seed",
+            "--trace-out --ledger --coverage-out",
+        ),
+        ("repro sweep", journey),
+        ("repro explore", "--trace-out"),
+        ("repro scalability", "--trace-out"),
+        ("verify xy", "--ledger"),
+        ("explain abcd", "--ledger"),
+        ("monitor --addr 127.0.0.1:1", "--ledger"),
+        ("repro all", ""),
+        ("repro table1", ""),
+        ("repro e1e2", ""),
+        ("corpus generate", ""),
+        ("corpus stats corpus/seed", ""),
+        ("design --vcs 1,1", ""),
+        ("options --vcs 1,1", ""),
+        ("turns xy", ""),
+        ("certify --turns X1+>Y1+", ""),
+        ("check-cert /nonexistent/l.jsonl", ""),
+        ("ledger list /nonexistent/l.jsonl", ""),
+        ("coverage report /nonexistent/c.json", ""),
+        ("report xy", ""),
+        ("profile /nonexistent/p.json", ""),
+    ];
+    for (line, accepted) in rows {
+        for flag in outputs.split_whitespace().chain(process.split_whitespace()) {
+            let args: Vec<&str> = line.split_whitespace().chain([flag]).collect();
+            let takes = [process, accepted]
+                .iter()
+                .any(|flags| flags.split_whitespace().any(|f| f == flag));
+            let want = if takes {
+                format!("{flag} needs a value")
+            } else {
+                format!("unknown flag {flag}")
+            };
+            assert_exit(&args, 2, &want);
+        }
+    }
+}
+
+/// A usage error ends the session without writing or lingering, even
+/// when the endpoint is up and a profile was asked for.
+#[test]
+fn a_usage_error_writes_nothing_and_does_not_linger() {
+    let profile = temp("usage-profile.json");
+    let started = std::time::Instant::now();
+    assert_exit(
+        &[
+            "verify",
+            "xy",
+            "--bogus",
+            "--profile-out",
+            profile.to_str().unwrap(),
+            "--metrics-addr",
+            "127.0.0.1:0",
+            "--metrics-linger",
+            "30",
+        ],
+        2,
+        "unknown flag --bogus",
+    );
+    assert!(started.elapsed().as_secs() < 20, "lingered");
+    assert!(
+        !profile.exists(),
+        "a usage error wrote {}",
+        profile.display()
+    );
 }
 
 /// A file nested a million deep is a failed read, not a dead process:
@@ -710,4 +826,104 @@ fn session_outputs_are_pinned() {
         std::fs::remove_dir_all(&dir).ok();
     }
     assert_checked_in("session_outputs.txt", &got);
+}
+
+/// Every command and every `repro` experiment writes `--profile-out`, and
+/// `tests/command_phases.txt` lists the phases its counter tree names,
+/// one `command phase` line each (`command -` for a command none of whose
+/// kernels has a phase yet). The commands run in order in one directory,
+/// so `verify --ledger` and `oracle --coverage-out` write what the
+/// ledger, `explain` and `coverage` commands then read.
+#[test]
+fn every_command_writes_a_profile_of_its_phases() {
+    let seed = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/seed");
+    let dir = temp("phases");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = ebda::obs::MetricsServer::serve("127.0.0.1:0", None, None).unwrap();
+    let phases = |name: &str, line: &str| -> Vec<String> {
+        let profile = format!("{}.json", name.replace(' ', "-"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ebda"))
+            .args(line.split_whitespace())
+            .args(["--threads", "1", "--profile-out", &profile])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn ebda binary");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{line}: {err}");
+        let tree = counters(&dir.join(profile));
+        let paths = tree.lines().filter_map(|l| l.split(' ').next());
+        let lines: Vec<String> = paths.map(|path| format!("{name} {path}")).collect();
+        if lines.is_empty() {
+            vec![format!("{name} -")]
+        } else {
+            lines
+        }
+    };
+    let mut got = phases(
+        "verify --ledger",
+        "verify west-first --mesh 4x4 --ledger ledger.jsonl",
+    );
+    let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    let hash = ledger.split("\"hash\":\"").nth(1).unwrap();
+    let hash = hash.split('"').next().unwrap();
+    let mut rows = vec![
+        ("design", "design --vcs 1,2".to_string()),
+        ("options", "options --vcs 1,1".into()),
+        ("turns", "turns xy".into()),
+        ("report", "report west-first".into()),
+        ("verify", "verify west-first --mesh 4x4".into()),
+        (
+            "certify",
+            "certify --turns X1+>Y1+,Y1+>X1+,X1+>Y1-,Y1->X1+,X1->Y1+,X1->Y1-".into(),
+        ),
+        ("check-cert", "check-cert ledger.jsonl".into()),
+        ("ledger list", "ledger list ledger.jsonl".into()),
+        ("ledger show", "ledger show ledger.jsonl".into()),
+        (
+            "ledger diff",
+            "ledger diff ledger.jsonl ledger.jsonl".into(),
+        ),
+        ("explain", format!("explain {hash} --ledger ledger.jsonl")),
+        ("simulate", "simulate xy --mesh 4x4 --rate 0.02".into()),
+        (
+            "oracle",
+            "oracle --budget 0 --min-configs 20 --max-configs 20 --max-nodes 16 \
+             --coverage-out coverage.json"
+                .into(),
+        ),
+        ("coverage report", "coverage report coverage.json".into()),
+        (
+            "coverage diff",
+            "coverage diff coverage.json coverage.json".into(),
+        ),
+        (
+            "coverage merge",
+            "coverage merge merged.json coverage.json coverage.json".into(),
+        ),
+        ("corpus generate", "corpus generate --out generated".into()),
+        ("corpus stats", format!("corpus stats {seed}")),
+        ("corpus run", format!("corpus run {seed}")),
+        (
+            "monitor",
+            format!("monitor --addr {} --once", server.local_addr()),
+        ),
+        ("profile", "profile verify.json".into()),
+    ];
+    let ids = String::from_utf8(assert_exit(&["repro", "list"], 0, "").stdout).unwrap();
+    for id in ids.lines() {
+        let quick = if id == "sweep" { " --quick" } else { "" };
+        rows.push(("repro", format!("repro {id}{quick}")));
+    }
+    for (name, line) in &rows {
+        let name = match *name {
+            "repro" => line.split(' ').take(2).collect::<Vec<_>>().join(" "),
+            name => name.to_string(),
+        };
+        got.extend(phases(&name, line));
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    got.sort();
+    assert_checked_in("command_phases.txt", &got);
 }

@@ -6,7 +6,8 @@
 //! the only way in, except for the one variable of [`ALLOWED_ENV`]. There
 //! is one process to run: the `ebda` binary. And there is one counter
 //! system: outside `crates/obs` a count is a profiler count, except the
-//! family of [`LABELLED_COUNTERS`].
+//! family of [`LABELLED_COUNTERS`]. And there is one observability
+//! session per command, opened and closed in [`SESSION_OWNERS`] only.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,6 +35,11 @@ const SHARED_STATE_TYPES: &[&str] = &["Atomic", "Mutex", "RwLock", "OnceLock", "
 /// `crates/obs/src/metrics.rs` and rendered from the profiler.
 const LABELLED_COUNTERS: &[&str] =
     &["crates/sim/src/engine/instrument.rs:ebda_sim_channel_flits_total"];
+
+/// The files that may construct, activate or finish an `ObsOptions` or
+/// write the profile: the dispatcher and the session itself. Everywhere
+/// else a command reads the session it is handed, `&ObsOptions`.
+const SESSION_OWNERS: &[&str] = &["crates/bench/src/trace.rs", "src/bin/ebda.rs"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
@@ -182,6 +188,48 @@ fn counters_outside_obs_are_profiler_counts() {
     );
 }
 
+/// What one file does with the observability session outside tests and
+/// imports: every `ObsOptions` that is not a shared borrow
+/// (`&ObsOptions`), and every call of `activate` or `write_profile`.
+/// Constructing a session (`ObsOptions::parse`), activating it (`&mut`)
+/// and finishing it (by value) all need one of those.
+fn session_uses(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for code in outside_tests(source) {
+        if code.starts_with("use ") || code.starts_with("//") {
+            continue;
+        }
+        for (at, _) in code.match_indices("ObsOptions") {
+            if !code[..at].ends_with('&') {
+                found.push(code.to_string());
+            }
+        }
+        for call in [".activate(", "write_profile("] {
+            if code.contains(call) {
+                found.push(code.to_string());
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn sessions_open_and_close_in_the_dispatcher_only() {
+    let found: Vec<String> = sources()
+        .iter()
+        .filter(|(rel, _)| !SESSION_OWNERS.contains(&rel.as_str()))
+        .flat_map(|(rel, text)| {
+            session_uses(text)
+                .into_iter()
+                .map(move |code| format!("{rel}: {code}"))
+        })
+        .collect();
+    assert_eq!(
+        found, [""; 0],
+        "a command reads the &ObsOptions it is handed; see crates/bench/src/trace.rs"
+    );
+}
+
 #[test]
 fn the_environment_is_read_for_one_variable_only() {
     let mut found: Vec<String> = sources()
@@ -265,6 +313,29 @@ mod tests {
     assert_eq!(
         counter_uses(source),
         ["counter_add", "ebda_x_flits_total", "ebda_x_wall_ns"]
+    );
+    let source = "\
+use crate::trace::{ObsOptions, Traces};
+/// Reads the [`ObsOptions`] it is handed.
+fn run(args: Args, obs: &ObsOptions) {
+    let mut own = ObsOptions::parse(&mut args, &[])?;
+    own.activate(&[]);
+    write_profile(path)?;
+}
+fn close(obs: ObsOptions) {}
+#[cfg(test)]
+mod tests {
+    let obs = ObsOptions::parse(&mut args, &[]).unwrap();
+}
+";
+    assert_eq!(
+        session_uses(source),
+        [
+            "let mut own = ObsOptions::parse(&mut args, &[])?;",
+            "own.activate(&[]);",
+            "write_profile(path)?;",
+            "fn close(obs: ObsOptions) {}",
+        ]
     );
     let source = "let a = std::env::var(\"EBDA_X\"); env::var_os(name); environment::var(1)";
     assert_eq!(env_reads(source), ["EBDA_X", "<not a literal>"]);

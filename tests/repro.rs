@@ -11,6 +11,9 @@ use ebda::obs::json::Value;
 use ebda::obs::ProfSnapshot;
 use std::process::Command;
 
+#[path = "../crates/obs/tests/chrome_check/mod.rs"]
+mod chrome_check;
+
 /// Runs `ebda repro <args>` and returns its stdout. Never inherits a
 /// thread count from the test runner's environment.
 fn repro(args: &[&str], envs: &[(&str, &str)]) -> String {
@@ -153,7 +156,7 @@ fn sweep_csv_and_work_counters_do_not_depend_on_the_thread_count() {
 
     // The 8-thread profile is a loadable Chrome trace whose worker pid
     // carries one named thread track per worker.
-    let summary = ebda::obs::chrome::validate(&text).expect("valid Trace Event Format");
+    let summary = chrome_check::validate(&text).expect("valid Trace Event Format");
     assert!(summary.tracks >= 1, "at least one worker track");
     assert!(text.contains("\"worker 0\""), "worker 0 track named");
     // Every sweep point is one busy segment, whichever worker won it

@@ -9,6 +9,9 @@
 
 use std::process::Command;
 
+#[path = "../crates/obs/tests/chrome_check/mod.rs"]
+mod chrome_check;
+
 fn ebda(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_ebda"))
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -70,7 +73,7 @@ fn oracle_mutations_shrink_to_their_pinned_artifacts() {
     // chain has at least a start and a finish).
     let trace = std::fs::read_to_string(&journeys).expect("journeys written");
     std::fs::remove_file(&journeys).ok();
-    let summary = ebda::obs::chrome::validate(&trace).unwrap_or_else(|e| panic!("{e}"));
+    let summary = chrome_check::validate(&trace).unwrap_or_else(|e| panic!("{e}"));
     assert!(summary.complete >= 1 && summary.flows >= 2, "{summary:?}");
 }
 
