@@ -867,7 +867,7 @@ fn every_command_writes_a_profile_of_its_phases() {
     let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
     let hash = ledger.split("\"hash\":\"").nth(1).unwrap();
     let hash = hash.split('"').next().unwrap();
-    let mut rows = vec![
+    let rows = [
         ("design", "design --vcs 1,2".to_string()),
         ("options", "options --vcs 1,1".into()),
         ("turns", "turns xy".into()),
@@ -910,17 +910,16 @@ fn every_command_writes_a_profile_of_its_phases() {
         ),
         ("profile", "profile verify.json".into()),
     ];
+    for (name, line) in &rows {
+        got.extend(phases(name, line));
+    }
     let ids = String::from_utf8(assert_exit(&["repro", "list"], 0, "").stdout).unwrap();
     for id in ids.lines() {
         let quick = if id == "sweep" { " --quick" } else { "" };
-        rows.push(("repro", format!("repro {id}{quick}")));
-    }
-    for (name, line) in &rows {
-        let name = match *name {
-            "repro" => line.split(' ').take(2).collect::<Vec<_>>().join(" "),
-            name => name.to_string(),
-        };
-        got.extend(phases(&name, line));
+        got.extend(phases(
+            &format!("repro {id}"),
+            &format!("repro {id}{quick}"),
+        ));
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
