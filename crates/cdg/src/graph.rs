@@ -29,16 +29,6 @@ pub struct ConcreteChannel {
     pub vc: u8,
 }
 
-impl ConcreteChannel {
-    /// The class-level label of this channel — dimension, VC and
-    /// direction (e.g. `X1+`), dropping the node coordinates. Coverage
-    /// maps key CDG edges at this granularity so maps stay comparable
-    /// across topology sizes.
-    pub(crate) fn class_label(&self) -> String {
-        format!("{}{}{}", self.dim, self.vc, self.dir)
-    }
-}
-
 impl fmt::Display for ConcreteChannel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -590,43 +580,6 @@ impl Cdg {
                 .collect()
         })
     }
-
-    /// The class-level edge labels present in the graph, deduplicated
-    /// and sorted: `"X1+>Y1+"` records that some concrete `X1+` channel
-    /// depends on some concrete `Y1+` channel. This is what the
-    /// coverage subsystem records as the `cdg_edge` family — class
-    /// granularity keeps maps comparable across topology sizes.
-    pub fn class_edges(&self) -> Vec<String> {
-        // A graph has a handful of distinct `(dim, vc, dir)` classes:
-        // deduplicate on their index pairs, format only the distinct ones.
-        let mut reps: Vec<ConcreteChannel> = Vec::new();
-        let class_of: Vec<usize> = self
-            .channels
-            .iter()
-            .map(|c| {
-                let same = |r: &ConcreteChannel| (r.dim, r.vc, r.dir) == (c.dim, c.vc, c.dir);
-                reps.iter().position(same).unwrap_or_else(|| {
-                    reps.push(*c);
-                    reps.len() - 1
-                })
-            })
-            .collect();
-        let k = reps.len();
-        let mut seen = vec![false; k * k];
-        for (ai, &ca) in class_of.iter().enumerate() {
-            for &bi in self.csr.row(ai) {
-                seen[ca * k + class_of[bi as usize]] = true;
-            }
-        }
-        let labels: Vec<String> = reps.iter().map(ConcreteChannel::class_label).collect();
-        let mut out: Vec<String> = (0..k * k)
-            .filter(|&pair| seen[pair])
-            .map(|pair| [labels[pair / k].as_str(), ">", &labels[pair % k]].concat())
-            .collect();
-        // Distinct classes have distinct labels: nothing to deduplicate.
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -705,25 +658,6 @@ mod tests {
                 "odd-even must be acyclic on {radix}x{radix}"
             );
         }
-    }
-
-    #[test]
-    fn class_edges_are_sorted_deduplicated_class_labels() {
-        let seq = PartitionSeq::parse("X+ X- Y- | Y+").unwrap();
-        let ex = extract_turns(&seq).unwrap();
-        let topo = Topology::mesh(&[3, 3]);
-        let cdg = Cdg::from_turn_set(&topo, &[1, 1], &design_universe(&seq), ex.turn_set());
-        let edges = cdg.class_edges();
-        assert!(!edges.is_empty());
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "labels sorted and deduplicated: {edges:?}"
-        );
-        // Straight-through along X+ exists on any 3x3 mesh route set
-        // that allows X+ at all.
-        assert!(edges.contains(&"X1+>X1+".to_string()), "{edges:?}");
-        // Class labels carry no node coordinates.
-        assert!(edges.iter().all(|e| !e.contains('(')), "{edges:?}");
     }
 
     #[test]

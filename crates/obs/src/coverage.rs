@@ -43,6 +43,7 @@
 //! the server was started with.
 
 use crate::json;
+use std::cmp::Ordering;
 use std::fmt;
 use std::path::Path;
 
@@ -81,6 +82,12 @@ struct Table {
     names: String,
     entries: Vec<Entry>,
 }
+
+/// The entries a table makes room for with its first point, and eight
+/// name bytes for each: about what one generated artifact contributes
+/// to its largest families, so that building its map seldom regrows a
+/// table.
+const FIRST_ENTRIES: usize = 32;
 
 /// A point of a [`Table`]: `names[start..end]`, hit `hits` times.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,16 +131,17 @@ impl Table {
 
     /// Puts `point` where [`Table::find`] said it belongs.
     fn insert(&mut self, at: usize, point: &str, hits: u64) {
-        let entry = self.named(point, hits);
+        let entry = self.named(point, head(point), hits);
         self.entries.insert(at, entry);
     }
 
-    /// A new entry for `point`, whose name goes to the end of `names`.
-    fn named(&mut self, point: &str, hits: u64) -> Entry {
+    /// A new entry for `point`, whose [`head`] is `head` and whose name
+    /// goes to the end of `names`.
+    fn named(&mut self, point: &str, head: u64, hits: u64) -> Entry {
         let start = self.names.len();
         self.names.push_str(point);
         Entry {
-            head: head(point),
+            head,
             start,
             end: self.names.len(),
             hits,
@@ -150,11 +158,34 @@ impl Table {
         }
     }
 
-    /// Adds `hits > 0` hits of `point`.
+    /// Adds `hits > 0` hits of `point`. A producer that records in
+    /// canonical order only ever names the last point or one after it,
+    /// mostly told apart by their heads alone: that costs a comparison
+    /// and, for a new point, a push. Any other point is searched for and
+    /// inserted where it belongs.
     fn add(&mut self, point: &str, hits: u64) {
-        match self.find(0, point) {
-            Ok(i) => self.entries[i].hits += hits,
-            Err(i) => self.insert(i, point, hits),
+        let (names, head) = (self.names.as_bytes(), head(point));
+        let after = self.entries.last().map(|last| {
+            let by_head = last.head.cmp(&head);
+            by_head.then_with(|| names[last.start..last.end].cmp(point.as_bytes()))
+        });
+        match after {
+            None | Some(Ordering::Less) => {
+                if self.entries.is_empty() {
+                    self.entries.reserve(FIRST_ENTRIES);
+                    self.names.reserve(FIRST_ENTRIES * 8);
+                }
+                let entry = self.named(point, head, hits);
+                self.entries.push(entry);
+            }
+            Some(Ordering::Equal) => {
+                let last = self.entries.len() - 1;
+                self.entries[last].hits += hits;
+            }
+            Some(Ordering::Greater) => match self.find(0, point) {
+                Ok(i) => self.entries[i].hits += hits,
+                Err(i) => self.insert(i, point, hits),
+            },
         }
     }
 
@@ -185,7 +216,8 @@ impl Table {
             self.entries.copy_within(at..read, write);
             read = at;
             write -= 1;
-            self.entries[write] = self.named(&other.names[entry.start..entry.end], entry.hits);
+            let point = &other.names[entry.start..entry.end];
+            self.entries[write] = self.named(point, entry.head, entry.hits);
         }
     }
 }
@@ -630,6 +662,48 @@ mod tests {
                 model.get("p0").copied().unwrap_or(0)
             );
         }
+    }
+
+    #[test]
+    fn recording_order_does_not_change_the_map() {
+        // One multiset of points, duplicates and a prefix of another
+        // point included: ascending takes the append path, descending the
+        // insert path, shuffled both.
+        let mut points: Vec<(&str, u64)> = Vec::new();
+        for (i, point) in ["X1+>Y1+", "X1+", "X1+[Y=3]>X1-", "X1+>X1-", "Y1-", "X1+"]
+            .into_iter()
+            .enumerate()
+        {
+            points.extend(std::iter::repeat_n((point, 1 + i as u64 % 3), 1 + i % 2));
+        }
+        points.sort_unstable();
+        let build = |order: &[(&str, u64)]| {
+            let mut m = CoverageMap::new("order");
+            for &(point, n) in order {
+                m.record_n("turn_denied", point, n);
+                m.record("cdg_edge", point);
+            }
+            m
+        };
+        let ascending = build(&points);
+        points.reverse();
+        let descending = build(&points);
+        let mut rng = crate::Rng64::new(5);
+        for i in (1..points.len()).rev() {
+            points.swap(i, rng.gen_index(i + 1));
+        }
+        let shuffled = build(&points);
+        for m in [&descending, &shuffled] {
+            assert_eq!(m, &ascending);
+            assert_eq!(m.to_json(), ascending.to_json());
+            assert_eq!(m.digest(), ascending.digest());
+        }
+        // `X1+` is listed at 1 and 5: twice with 2 hits, twice with 3.
+        assert_eq!(hits(&ascending, "turn_denied", "X1+"), 2 * 2 + 2 * 3);
+        assert_eq!(hits(&ascending, "cdg_edge", "X1+"), 4);
+        let back = CoverageMap::from_json(&ascending.to_json()).unwrap();
+        assert_eq!(back, ascending);
+        assert_eq!(back.to_json(), ascending.to_json());
     }
 
     #[test]

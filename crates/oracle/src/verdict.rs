@@ -27,7 +27,7 @@ use crate::brute::{self, BruteReport};
 use crate::provenance::Provenance;
 use ebda_cdg::duato::{verify_escape_given, DuatoReport};
 use ebda_cdg::{verify_turn_set, Cdg, Topology, VerificationReport};
-use ebda_core::{design_verdict, DesignVerdict};
+use ebda_core::{extract_turns, DesignVerdict, Extraction};
 use ebda_obs::CoverageMap;
 use std::fmt;
 
@@ -123,6 +123,9 @@ pub struct Evaluation<'a> {
     /// The relation's graph on the artifact's own topology — never the
     /// one a mutation diverts Dally to.
     cdg: Cdg,
+    /// The turn extraction of the artifact's design, when it has a
+    /// valid one — whatever verdict a mutation has the EbDa path give.
+    extraction: Option<Extraction>,
 }
 
 impl<'a> Evaluation<'a> {
@@ -135,16 +138,33 @@ impl<'a> Evaluation<'a> {
         let _p = prof::phase("oracle/evaluate");
         prof::work("oracle/evaluate", "artifacts", 1);
         let topo = artifact.topology();
-        let ebda = {
+        let (ebda, extraction) = {
             let _p = prof::phase("oracle/evaluate/ebda");
-            artifact.design.as_ref().map(|seq| match mutation {
-                Mutation::EbdaSkipsTheorem1 => DesignVerdict::DeadlockFree {
-                    partitions: seq.len(),
-                    channels: seq.channel_count(),
-                    turns: artifact.turns.counts(),
-                },
-                _ => design_verdict(seq),
-            })
+            match &artifact.design {
+                None => (None, None),
+                Some(seq) => {
+                    // What `design_verdict` decides, its extraction kept
+                    // for the `obligation` coverage family.
+                    let extraction = extract_turns(seq);
+                    let (partitions, channels) = (seq.len(), seq.channel_count());
+                    let verdict = match (&extraction, mutation) {
+                        (_, Mutation::EbdaSkipsTheorem1) => DesignVerdict::DeadlockFree {
+                            partitions,
+                            channels,
+                            turns: artifact.turns.counts(),
+                        },
+                        (Ok(extraction), _) => DesignVerdict::DeadlockFree {
+                            partitions,
+                            channels,
+                            turns: extraction.turn_set().counts(),
+                        },
+                        (Err(e), _) => DesignVerdict::Rejected {
+                            reason: e.to_string(),
+                        },
+                    };
+                    (Some(verdict), extraction.ok())
+                }
+            }
         };
         let (cdg, honest, diverted) = {
             let _p = prof::phase("oracle/evaluate/dally");
@@ -186,6 +206,7 @@ impl<'a> Evaluation<'a> {
                 brute,
             },
             cdg,
+            extraction,
         }
     }
 
@@ -196,9 +217,11 @@ impl<'a> Evaluation<'a> {
     }
 
     /// The artifact's coverage contribution, its `cdg_edge` family read
-    /// off the evaluation's graph.
+    /// off the evaluation's graph and its `obligation` family off the
+    /// EbDa path's extraction.
     pub fn coverage(&self) -> CoverageMap {
-        crate::coverage::extract(self.artifact, &self.verdicts, &self.cdg)
+        let extraction = self.extraction.as_ref();
+        crate::coverage::extract(self.artifact, &self.verdicts, &self.cdg, extraction)
     }
 }
 
