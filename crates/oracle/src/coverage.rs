@@ -244,9 +244,11 @@ fn emit(
 /// unless `A` equals `C`, in which case by `B` against `D`. Walking the
 /// heads in the order of their labels with a `>` appended, and for each
 /// head the tails in the order of their labels as they are, therefore
-/// visits the points in byte order. The two orders differ where a
-/// label is a proper prefix of another: `X1+` sorts before `X1+[Y=3]`,
-/// but `X1+[Y=3]>` before `X1+>`.
+/// visits the points in byte order. The two orders differ only where a
+/// label is a proper prefix of another that goes on with a byte below
+/// `>`: `a` sorts before `a=b`, but `a=b>` before `a>`. A channel label
+/// is only ever a prefix of one that goes on with `[`, which sorts after
+/// `>`, but the walk does not rely on that.
 struct Labels {
     text: String,
     /// Label `i` is `text[start[i]..start[i + 1]]`.

@@ -102,8 +102,8 @@ fn hand_built_artifacts() -> Vec<(&'static str, Artifact)> {
     let plain = |dim, dir| Channel::new(dim, dir);
     let mut out = Vec::new();
 
-    // `X1+` is a proper prefix of `X1+[Y=3]` and `X1+[Y!=3]`: it sorts
-    // first by label but last as the head of a point.
+    // `X1+` is a proper prefix of `X1+[Y=3]` and `X1+[Y!=3]`, the one way
+    // a channel label can be a prefix of another.
     let prefixed = vec![
         plain(x, plus).at_coord(y, 3),
         plain(x, plus),
