@@ -742,6 +742,17 @@ fn fnv1a64(path: &Path) -> String {
     format!("{hash:016x}")
 }
 
+/// `corpus stats --json` of the seed corpus, byte for byte.
+#[test]
+fn corpus_stats_json_is_pinned() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let seed = format!("{root}/corpus/seed");
+    let out = assert_exit(&["corpus", "stats", &seed, "--json"], 0, "");
+    let mut hash = ebda_obs::json::Fnv1a::new();
+    hash.update(&out.stdout);
+    assert_eq!(format!("{:016x}", hash.finish()), "f5770df9e1859049");
+}
+
 /// Every output the six many-flag commands write, pinned in
 /// `tests/session_outputs.txt`: which files each run leaves, the counter
 /// tree of every profile among them (a `--trace-out` that holds the
