@@ -8,8 +8,11 @@
 //! against its recomputed hash, catching hand-edited entries loudly.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
+
+use ebda_obs::json;
 
 use crate::entry::CorpusEntry;
 
@@ -63,36 +66,41 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
     Ok(entries)
 }
 
-/// Renders deterministic corpus statistics: totals, per-family counts
-/// with label splits, and per-entry lines in hash order. Contains no
-/// timestamps or wall-clock data, so output is byte-identical across
-/// runs and thread counts.
-pub fn render_stats(entries: &[CorpusEntry]) -> String {
-    let mut out = String::new();
-    let free = entries.iter().filter(|e| e.expected.is_free()).count();
-    out.push_str(&format!(
-        "corpus: {} entries ({} deadlock-free, {} deadlocking)\n",
-        entries.len(),
-        free,
-        entries.len() - free
-    ));
+/// What both stats renderers report: each family's `(deadlock-free,
+/// deadlocking)` split by family name, and the entries in hash order.
+fn tally(entries: &[CorpusEntry]) -> (BTreeMap<&str, (usize, usize)>, Vec<&CorpusEntry>) {
     let mut families: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for e in entries {
-        let slot = families.entry(&e.family).or_insert((0, 0));
+        let slot = families.entry(&e.family).or_default();
         if e.expected.is_free() {
             slot.0 += 1;
         } else {
             slot.1 += 1;
         }
     }
+    let mut by_hash: Vec<&CorpusEntry> = entries.iter().collect();
+    by_hash.sort_by_key(|e| e.content_hash());
+    (families, by_hash)
+}
+
+/// Renders deterministic corpus statistics: totals, per-family counts
+/// with label splits, and per-entry lines in hash order. Contains no
+/// timestamps or wall-clock data, so output is byte-identical across
+/// runs and thread counts.
+pub fn render_stats(entries: &[CorpusEntry]) -> String {
+    let (families, by_hash) = tally(entries);
+    let free: usize = families.values().map(|&(f, _)| f).sum();
+    let mut out = format!(
+        "corpus: {} entries ({free} deadlock-free, {} deadlocking)\n",
+        entries.len(),
+        entries.len() - free
+    );
     for (family, (f, d)) in &families {
         out.push_str(&format!(
             "  family {family}: {} entries ({f} deadlock-free, {d} deadlocking)\n",
             f + d
         ));
     }
-    let mut by_hash: Vec<&CorpusEntry> = entries.iter().collect();
-    by_hash.sort_by_key(|e| e.content_hash());
     for e in by_hash {
         out.push_str(&format!("  {}\n", e.summary()));
     }
@@ -100,56 +108,50 @@ pub fn render_stats(entries: &[CorpusEntry]) -> String {
 }
 
 /// The machine-readable sibling of [`render_stats`]: the same totals,
-/// per-family splits, and hash-ordered entry list as one canonical JSON
-/// document (single line, sorted keys, trailing newline). Deterministic
-/// for a fixed corpus, so dashboards and CI can diff it byte-for-byte.
+/// per-family splits, and hash-ordered entry list as one JSON document
+/// (a single line and a trailing newline). The top-level keys and the
+/// family names are sorted; each family's and each listed entry's keys
+/// come in a fixed order. Deterministic for a fixed corpus, so
+/// dashboards and CI can diff it byte-for-byte.
 pub fn render_stats_json(entries: &[CorpusEntry]) -> String {
-    use ebda_obs::json::escape;
-    let free = entries.iter().filter(|e| e.expected.is_free()).count();
-    let mut families: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for e in entries {
-        let slot = families.entry(&e.family).or_insert((0, 0));
-        if e.expected.is_free() {
-            slot.0 += 1;
-        } else {
-            slot.1 += 1;
-        }
+    let mut out = String::new();
+    write_stats_json(&mut out, entries).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_stats_json(out: &mut String, entries: &[CorpusEntry]) -> fmt::Result {
+    // `key` is everything up to the value: `,"entries":`.
+    fn count(out: &mut String, key: &str, n: usize) -> fmt::Result {
+        out.push_str(key);
+        json::write_u64(out, n as u64)
     }
-    let family_fields: Vec<String> = families
-        .iter()
-        .map(|(family, (f, d))| {
-            format!(
-                "{}:{{\"entries\":{},\"deadlock_free\":{f},\"deadlocking\":{d}}}",
-                escape(family),
-                f + d
-            )
-        })
-        .collect();
-    let mut by_hash: Vec<&CorpusEntry> = entries.iter().collect();
-    by_hash.sort_by_key(|e| e.content_hash());
-    let entry_fields: Vec<String> = by_hash
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"hash\":\"{}\",\"name\":{},\"family\":{},\"expected\":\"{}\"}}",
-                e.hash_hex(),
-                escape(&e.name),
-                escape(&e.family),
-                if e.expected.is_free() {
-                    "deadlock-free"
-                } else {
-                    "deadlocking"
-                }
-            )
-        })
-        .collect();
-    format!(
-        "{{\"deadlock_free\":{free},\"deadlocking\":{},\"entries\":{},\"families\":{{{}}},\"listing\":[{}]}}\n",
-        entries.len() - free,
-        entries.len(),
-        family_fields.join(","),
-        entry_fields.join(",")
-    )
+    fn text(out: &mut String, key: &str, s: &str) -> fmt::Result {
+        out.push_str(key);
+        json::write_str(out, s)
+    }
+    let (families, by_hash) = tally(entries);
+    let free: usize = families.values().map(|&(f, _)| f).sum();
+    count(out, "{\"deadlock_free\":", free)?;
+    count(out, ",\"deadlocking\":", entries.len() - free)?;
+    count(out, ",\"entries\":", entries.len())?;
+    out.push_str(",\"families\":{");
+    for (i, (family, (f, d))) in families.into_iter().enumerate() {
+        text(out, if i > 0 { "," } else { "" }, family)?;
+        count(out, ":{\"entries\":", f + d)?;
+        count(out, ",\"deadlock_free\":", f)?;
+        count(out, ",\"deadlocking\":", d)?;
+        out.push('}');
+    }
+    out.push_str("},\"listing\":");
+    json::write_list(out, ",", by_hash, |out, e| {
+        text(out, "{\"hash\":", &e.hash_hex())?;
+        text(out, ",\"name\":", &e.name)?;
+        text(out, ",\"family\":", &e.family)?;
+        text(out, ",\"expected\":", e.expected.name())?;
+        out.write_char('}')
+    })?;
+    out.push_str("}\n");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,16 +21,25 @@
 //! in µs), so cycle numbers read directly off the Perfetto ruler.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use crate::journey::{Journey, JourneyEnd, JourneyTracer};
-use crate::json;
+use crate::json::{self, Field, Field::Str, Field::U64};
 
 /// Builds a multi-run Chrome trace from journey tracers.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuilder {
-    events: Vec<String>,
+    /// The events so far, one per line, comma-separated.
+    body: String,
     runs: usize,
     next_flow: u64,
+}
+
+/// An event's `args` object, member by member.
+type Args<'a> = &'a [(&'a str, Field<'a>)];
+
+fn count(n: usize) -> Field<'static> {
+    Field::U64(n as u64)
 }
 
 impl TraceBuilder {
@@ -45,10 +54,7 @@ impl TraceBuilder {
         self.runs += 1;
         let horizon = tracer.last_cycle();
 
-        self.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-            json::escape(label)
-        ));
+        self.metadata((pid, 0), "process_name", label);
 
         let mut tids: BTreeSet<usize> = BTreeSet::new();
         for j in tracer.journeys() {
@@ -62,15 +68,10 @@ impl TraceBuilder {
         }
         let watchdog_track = !tracer.trips().is_empty() || !tracer.wait_notes().is_empty();
         if watchdog_track {
-            self.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"watchdog\"}}}}"
-            ));
+            self.metadata((pid, 0), "thread_name", "watchdog");
         }
         for tid in tids {
-            self.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"router {}\"}}}}",
-                tid - 1
-            ));
+            self.metadata((pid, tid), "thread_name", &format!("router {}", tid - 1));
         }
 
         for j in tracer.journeys() {
@@ -78,25 +79,19 @@ impl TraceBuilder {
         }
 
         for t in tracer.trips() {
-            self.push(format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":\"watchdog trip\",\"args\":{{\"blocked\":{}}}}}",
-                t.cycle, t.blocked
-            ));
+            let args = [("blocked", count(t.blocked))];
+            self.instant((pid, 0), t.cycle, "watchdog trip", &args);
         }
         for n in tracer.wait_notes() {
-            self.push(format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":{},\"args\":{{\"waiter\":{},\"waits_on\":{}}}}}",
-                n.cycle,
-                json::escape(&format!("wait: {}", n.label)),
-                n.waiter,
-                n.waits_on
-            ));
+            let args = [("waiter", U64(n.waiter)), ("waits_on", U64(n.waits_on))];
+            self.instant((pid, 0), n.cycle, &format!("wait: {}", n.label), &args);
         }
     }
 
     fn add_journey(&mut self, pid: usize, j: &Journey, horizon: u64) {
         let end_cycle = j.end_cycle(horizon);
-        let suspect = if j.suspect { "true" } else { "false" };
+        let suspect = ("suspect", Field::Bool(j.suspect));
+        let name = |what: &str| format!("p{} {what}", j.pid);
 
         // Injection span: source track, from injection to the first VC
         // win (or to the journey's end while it never won one).
@@ -106,17 +101,15 @@ impl TraceBuilder {
             .map(|h| h.alloc_cycle)
             .unwrap_or(end_cycle)
             .max(j.inject_cycle + 1);
-        self.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"pid\":{},\"src\":{},\"dst\":{},\"len\":{},\"suspect\":{suspect}}}}}",
-            j.src + 1,
-            j.inject_cycle,
-            inject_end - j.inject_cycle,
-            json::escape(&format!("p{} inject", j.pid)),
-            j.pid,
-            j.src,
-            j.dst,
-            j.len
-        ));
+        let args = [
+            ("pid", U64(j.pid)),
+            ("src", count(j.src)),
+            ("dst", count(j.dst)),
+            ("len", count(j.len)),
+            suspect,
+        ];
+        let (ts, dur) = (j.inject_cycle, inject_end - j.inject_cycle);
+        self.span((pid, j.src + 1), (ts, dur), &name("inject"), &args);
 
         // One hold slice per hop: from the VC win until the last flit
         // clears the link (release), on the holding router's track.
@@ -128,34 +121,28 @@ impl TraceBuilder {
                 .unwrap_or(end_cycle)
                 .max(h.last_flit.map(|c| c + 1).unwrap_or(0))
                 .max(h.alloc_cycle + 1);
-            self.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"pid\":{},\"channel\":{},\"to\":{},\"stalls\":{},\"suspect\":{suspect}}}}}",
-                h.channel.node + 1,
-                h.alloc_cycle,
-                release - h.alloc_cycle,
-                json::escape(&format!(
-                    "p{} hold d{}{} vc{}",
-                    j.pid, h.channel.dim, h.channel.dir, h.channel.vc
-                )),
-                j.pid,
-                json::escape(&h.channel.to_string()),
-                h.to.map(|t| t.to_string()).unwrap_or("null".into()),
-                h.stalls
-            ));
+            let c = h.channel;
+            let args = [
+                ("pid", U64(j.pid)),
+                ("channel", Str(&c.to_string())),
+                ("to", h.to.map_or(Field::Null, count)),
+                ("stalls", U64(h.stalls)),
+                suspect,
+            ];
+            let name = name(&format!("hold d{}{} vc{}", c.dim, c.dir, c.vc));
+            let timing = (h.alloc_cycle, release - h.alloc_cycle);
+            self.span((pid, c.node + 1), timing, &name, &args);
         }
 
         // Terminal instant.
         match j.end {
-            JourneyEnd::Ejected { cycle, latency } => self.push(format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{},\"ts\":{cycle},\"name\":{},\"args\":{{\"latency\":{latency}}}}}",
-                j.dst + 1,
-                json::escape(&format!("p{} eject", j.pid))
-            )),
-            JourneyEnd::Dropped { cycle } => self.push(format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{},\"ts\":{cycle},\"name\":{},\"args\":{{}}}}",
-                j.src + 1,
-                json::escape(&format!("p{} drop", j.pid))
-            )),
+            JourneyEnd::Ejected { cycle, latency } => {
+                let args = [("latency", U64(latency))];
+                self.instant((pid, j.dst + 1), cycle, &name("eject"), &args);
+            }
+            JourneyEnd::Dropped { cycle } => {
+                self.instant((pid, j.src + 1), cycle, &name("drop"), &[])
+            }
             JourneyEnd::InFlight => {}
         }
 
@@ -164,25 +151,16 @@ impl TraceBuilder {
         if !j.hops.is_empty() {
             let id = self.next_flow;
             self.next_flow += 1;
-            let name = json::escape(&format!("p{}", j.pid));
-            let mut points: Vec<(usize, u64)> = Vec::with_capacity(j.hops.len() + 1);
-            points.push((j.src + 1, j.inject_cycle));
-            for h in &j.hops {
-                points.push((h.channel.node + 1, h.alloc_cycle));
-            }
-            let last = points.len() - 1;
-            for (i, (tid, ts)) in points.into_iter().enumerate() {
-                let ph = if i == 0 {
-                    "s"
-                } else if i == last {
-                    "f"
-                } else {
-                    "t"
+            let name = format!("p{}", j.pid);
+            let hops = j.hops.iter().map(|h| (h.channel.node + 1, h.alloc_cycle));
+            let points = std::iter::once((j.src + 1, j.inject_cycle)).chain(hops);
+            for (i, (tid, ts)) in points.enumerate() {
+                let ph = match i {
+                    0 => "s",
+                    _ if i == j.hops.len() => "f",
+                    _ => "t",
                 };
-                let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-                self.push(format!(
-                    "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"id\":{id},\"cat\":\"journey\",\"name\":{name}{bp}}}"
-                ));
+                self.push(ph, (pid, tid), [Some(ts), None, Some(id)], &name, &[]);
             }
         }
     }
@@ -201,31 +179,69 @@ impl TraceBuilder {
         }
         let pid = self.runs;
         self.runs += 1;
-        self.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-            json::escape(label)
-        ));
+        self.metadata((pid, 0), "process_name", label);
         let workers: BTreeSet<usize> = segments.iter().map(|s| s.worker).collect();
         for w in workers {
-            self.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"worker {w}\"}}}}",
-                w + 1
-            ));
+            self.metadata((pid, w + 1), "thread_name", &format!("worker {w}"));
         }
         for s in segments {
-            self.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"dur_ns\":{}}}}}",
-                s.worker + 1,
-                s.start_ns / 1_000,
-                (s.dur_ns / 1_000).max(1),
-                json::escape(&s.label),
-                s.dur_ns
-            ));
+            let timing = (s.start_ns / 1_000, (s.dur_ns / 1_000).max(1));
+            let args = [("dur_ns", U64(s.dur_ns))];
+            self.span((pid, s.worker + 1), timing, &s.label, &args);
         }
     }
 
-    fn push(&mut self, event: String) {
-        self.events.push(event);
+    /// A complete event: a slice of `(ts, dur)` on a `(pid, tid)` track.
+    fn span(&mut self, track: (usize, usize), (ts, dur): (u64, u64), name: &str, args: Args<'_>) {
+        self.push("X", track, [Some(ts), Some(dur), None], name, args);
+    }
+
+    /// An instant event at `ts` on a `(pid, tid)` track.
+    fn instant(&mut self, track: (usize, usize), ts: u64, name: &str, args: Args<'_>) {
+        self.push("i", track, [Some(ts), None, None], name, args);
+    }
+
+    /// A metadata event: `what` is `process_name` or `thread_name`.
+    fn metadata(&mut self, track: (usize, usize), what: &str, label: &str) {
+        self.push("M", track, [None; 3], what, &[("name", Str(label))]);
+    }
+
+    /// The one event writer: appends one event to the body as one line.
+    /// `timing` is its `ts`, `dur` and flow `id`, each left out when
+    /// `None`. A flow event (one with an `id`) carries `"cat":"journey"`,
+    /// binds to the enclosing slice at its finish (`"bp":"e"` on `ph` `f`)
+    /// and has no `args`.
+    fn push(
+        &mut self,
+        ph: &str,
+        (pid, tid): (usize, usize),
+        [ts, dur, id]: [Option<u64>; 3],
+        name: &str,
+        args: Args<'_>,
+    ) {
+        let head = [
+            ("ph", Some(Str(ph))),
+            ("pid", Some(count(pid))),
+            ("tid", Some(count(tid))),
+            ("ts", ts.map(U64)),
+            ("dur", dur.map(U64)),
+            ("id", id.map(U64)),
+            ("cat", id.map(|_| Str("journey"))),
+            ("name", Some(Str(name))),
+            ("bp", (ph == "f").then_some(Str("e"))),
+        ];
+        let out = &mut self.body;
+        if !out.is_empty() {
+            out.push_str(",\n");
+        }
+        out.push('{');
+        let head = head.into_iter().filter_map(|(k, v)| Some((k, v?)));
+        let _ = json::write_members(out, ",", head);
+        if id.is_none() {
+            out.push_str(",\"args\":");
+            let _ = json::write_object(out, ",", args.iter().copied());
+        }
+        out.push('}');
     }
 
     /// Serializes the trace as a Trace Event Format JSON object.
@@ -242,21 +258,13 @@ impl TraceBuilder {
     }
 
     fn finish_inner(self, extra: Option<(&str, &str)>) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 64);
+        let mut out = String::with_capacity(self.body.len() + 64);
         out.push_str("{\"displayTimeUnit\":\"ms\",");
         if let Some((key, value_json)) = extra {
-            out.push_str(&json::escape(key));
-            out.push(':');
-            out.push_str(value_json);
-            out.push(',');
+            let _ = write!(out, "{}:{value_json},", json::escape(key));
         }
         out.push_str("\"traceEvents\":[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(e);
-        }
+        out.push_str(&self.body);
         out.push_str("\n]}\n");
         out
     }

@@ -332,16 +332,9 @@ impl CoverageMap {
                 out.write_char(',')?;
             }
             json::write_str(out, family)?;
-            out.write_str(":{")?;
-            for (i, (point, n)) in points.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                json::write_str(out, point)?;
-                out.write_char(':')?;
-                json::write_u64(out, n)?;
-            }
-            out.write_char('}')?;
+            out.write_char(':')?;
+            let points = points.iter().map(|(point, n)| (point, json::Field::U64(n)));
+            json::write_object(out, ",", points)?;
         }
         out.write_str("}}")
     }

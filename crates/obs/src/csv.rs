@@ -22,13 +22,19 @@ pub(crate) fn field(s: &str) -> String {
     }
 }
 
-/// Joins fields into one CSV row (no trailing newline).
-pub(crate) fn row(fields: &[String]) -> String {
-    fields
-        .iter()
-        .map(|f| field(f))
-        .collect::<Vec<_>>()
-        .join(",")
+/// A CSV document: the header line, then one line per item, each
+/// written by `row`.
+pub(crate) fn table<'a, T: 'a>(
+    header: &str,
+    items: impl IntoIterator<Item = &'a T>,
+    row: fn(&T, &mut String),
+) -> String {
+    let mut out = format!("{header}\n");
+    for item in items {
+        row(item, &mut out);
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -39,13 +45,13 @@ mod tests {
     #[test]
     fn plain_fields_pass_through() {
         assert_eq!(field("abc"), "abc");
-        assert_eq!(row(&["a".into(), "b".into()]), "a,b");
+        assert_eq!(field("a b"), "a b");
     }
 
     #[test]
     fn special_fields_are_quoted_and_round_trip() {
         for s in ["a,b", "say \"hi\"", "line\nbreak", ""] {
-            let encoded = row(&[s.to_string(), "tail".to_string()]);
+            let encoded = format!("{},tail", field(s));
             // The embedded-newline case is a single logical row; our
             // writers never emit embedded newlines, but quoting keeps the
             // parser correct on one-line inputs.

@@ -5,8 +5,10 @@
 //! stays dependency-free and sits *below* `ebda-core` in the workspace
 //! graph; the simulator converts its richer types at the emission site.
 
+use std::fmt;
+
 use crate::csv;
-use crate::json;
+use crate::json::{self, Field};
 
 /// The discriminant of an [`Event`], used for per-kind totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -194,164 +196,60 @@ impl Event {
         }
     }
 
-    /// Serializes the event as one JSON object.
-    pub(crate) fn to_json(&self) -> String {
-        let kind = json::escape(self.kind().name());
-        match self {
-            Event::Inject {
-                cycle,
-                pid,
-                src,
-                dst,
-                len,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid},\"src\":{src},\"dst\":{dst},\"len\":{len}}}"
-            ),
-            Event::VcAlloc {
-                cycle,
-                pid,
-                node,
-                dim,
-                dir,
-                vc,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid},\"node\":{node},\"dim\":{dim},\"dir\":{},\"vc\":{vc}}}",
-                json::escape(&dir.to_string())
-            ),
-            Event::SwitchStall {
-                cycle,
-                pid,
-                node,
-                dim,
-                dir,
-                vc,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid},\"node\":{node},\"dim\":{dim},\"dir\":{},\"vc\":{vc}}}",
-                json::escape(&dir.to_string())
-            ),
-            Event::LinkTraverse {
-                cycle,
-                pid,
-                flit,
-                from,
-                to,
-                dim,
-                dir,
-                vc,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid},\"flit\":{flit},\"from\":{from},\"to\":{to},\"dim\":{dim},\"dir\":{},\"vc\":{vc}}}",
-                json::escape(&dir.to_string())
-            ),
-            Event::Eject {
-                cycle,
-                pid,
-                node,
-                latency,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid},\"node\":{node},\"latency\":{latency}}}"
-            ),
-            Event::Drop { cycle, pid } => {
-                format!("{{\"kind\":{kind},\"cycle\":{cycle},\"pid\":{pid}}}")
-            }
-            Event::Watchdog { cycle, blocked } => {
-                format!("{{\"kind\":{kind},\"cycle\":{cycle},\"blocked\":{blocked}}}")
-            }
-            Event::WaitFor {
-                cycle,
-                waiter,
-                waits_on,
-                label,
-            } => format!(
-                "{{\"kind\":{kind},\"cycle\":{cycle},\"waiter\":{waiter},\"waits_on\":{waits_on},\"label\":{}}}",
-                json::escape(label)
-            ),
+    /// The event's fields in the order its JSON object lists them, `kind`
+    /// and `cycle` first: each kind's layout, stated once. The JSON
+    /// object and the CSV row both render from this listing.
+    #[rustfmt::skip]
+    fn fields(&self) -> Vec<(&'static str, Field<'_>)> {
+        use Field::{Char, Str, U64};
+        let n = |x: usize| U64(x as u64);
+        let mut fields = vec![("kind", Str(self.kind().name())), ("cycle", U64(self.cycle()))];
+        match *self {
+            Event::Inject { pid, src, dst, len, .. } => fields.extend([
+                ("pid", U64(pid)), ("src", n(src)), ("dst", n(dst)), ("len", n(len)),
+            ]),
+            Event::VcAlloc { pid, node, dim, dir, vc, .. }
+            | Event::SwitchStall { pid, node, dim, dir, vc, .. } => fields.extend([
+                ("pid", U64(pid)), ("node", n(node)),
+                ("dim", U64(dim.into())), ("dir", Char(dir)), ("vc", U64(vc.into())),
+            ]),
+            Event::LinkTraverse { pid, flit, from, to, dim, dir, vc, .. } => fields.extend([
+                ("pid", U64(pid)), ("flit", n(flit)), ("from", n(from)), ("to", n(to)),
+                ("dim", U64(dim.into())), ("dir", Char(dir)), ("vc", U64(vc.into())),
+            ]),
+            Event::Eject { pid, node, latency, .. } => fields.extend([
+                ("pid", U64(pid)), ("node", n(node)), ("latency", U64(latency)),
+            ]),
+            Event::Drop { pid, .. } => fields.push(("pid", U64(pid))),
+            Event::Watchdog { blocked, .. } => fields.push(("blocked", n(blocked))),
+            Event::WaitFor { waiter, waits_on, ref label, .. } => fields.extend([
+                ("waiter", U64(waiter)), ("waits_on", U64(waits_on)), ("label", Str(label)),
+            ]),
         }
+        fields
     }
 
-    /// Header for [`Event::csv_row`] exports.
+    /// Writes the event as one JSON object.
+    pub(crate) fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        json::write_object(out, ",", self.fields())
+    }
+
+    /// The columns of [`Event::write_csv`]: every field of every kind.
     pub(crate) const CSV_HEADER: &'static str =
         "kind,cycle,pid,src,dst,len,node,dim,dir,vc,flit,from,to,latency,blocked,waiter,waits_on,label";
 
-    /// Serializes the event as one CSV row matching [`Event::CSV_HEADER`];
-    /// fields that do not apply to this kind are left empty.
-    pub(crate) fn csv_row(&self) -> String {
-        let mut cols: Vec<String> = vec![String::new(); 18];
-        cols[0] = self.kind().name().to_string();
-        cols[1] = self.cycle().to_string();
-        match self {
-            Event::Inject {
-                pid, src, dst, len, ..
-            } => {
-                cols[2] = pid.to_string();
-                cols[3] = src.to_string();
-                cols[4] = dst.to_string();
-                cols[5] = len.to_string();
+    /// Writes the event as one CSV row (no newline), each field in its
+    /// column of [`Event::CSV_HEADER`]; columns this kind lacks are empty.
+    pub(crate) fn write_csv(&self, out: &mut String) {
+        let fields = self.fields();
+        for (i, column) in Self::CSV_HEADER.split(',').enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            Event::VcAlloc {
-                pid,
-                node,
-                dim,
-                dir,
-                vc,
-                ..
-            }
-            | Event::SwitchStall {
-                pid,
-                node,
-                dim,
-                dir,
-                vc,
-                ..
-            } => {
-                cols[2] = pid.to_string();
-                cols[6] = node.to_string();
-                cols[7] = dim.to_string();
-                cols[8] = dir.to_string();
-                cols[9] = vc.to_string();
-            }
-            Event::LinkTraverse {
-                pid,
-                flit,
-                from,
-                to,
-                dim,
-                dir,
-                vc,
-                ..
-            } => {
-                cols[2] = pid.to_string();
-                cols[7] = dim.to_string();
-                cols[8] = dir.to_string();
-                cols[9] = vc.to_string();
-                cols[10] = flit.to_string();
-                cols[11] = from.to_string();
-                cols[12] = to.to_string();
-            }
-            Event::Eject {
-                pid, node, latency, ..
-            } => {
-                cols[2] = pid.to_string();
-                cols[6] = node.to_string();
-                cols[13] = latency.to_string();
-            }
-            Event::Drop { pid, .. } => {
-                cols[2] = pid.to_string();
-            }
-            Event::Watchdog { blocked, .. } => {
-                cols[14] = blocked.to_string();
-            }
-            Event::WaitFor {
-                waiter,
-                waits_on,
-                label,
-                ..
-            } => {
-                cols[15] = waiter.to_string();
-                cols[16] = waits_on.to_string();
-                cols[17] = label.clone();
+            if let Some((_, value)) = fields.iter().find(|(name, _)| *name == column) {
+                out.push_str(&csv::field(&value.to_string()));
             }
         }
-        csv::row(&cols)
     }
 }
 
@@ -414,26 +312,34 @@ mod tests {
                 label: "p1 \"credit\" wait, stage\n2".into(),
             },
         ];
+        let columns: Vec<&str> = Event::CSV_HEADER.split(',').collect();
         for e in &events {
-            let v = Value::parse(&e.to_json()).unwrap();
-            assert_eq!(v.get("kind").unwrap().as_str().unwrap(), e.kind().name());
-            assert_eq!(v.get("cycle").unwrap().as_u64().unwrap(), e.cycle());
-            // Same number of CSV columns for every kind.
-            let parsed = crate::csv_reader::parse_line(&e.csv_row()).unwrap();
-            assert_eq!(parsed.len(), Event::CSV_HEADER.split(',').count());
-            assert_eq!(parsed[0], e.kind().name());
+            let (mut text, mut row) = (String::new(), String::new());
+            e.write_json(&mut text).unwrap();
+            e.write_csv(&mut row);
+            let Ok(Value::Obj(fields)) = Value::parse(&text) else {
+                panic!("{text} is not a JSON object")
+            };
+            assert_eq!(fields["kind"].as_str(), Some(e.kind().name()));
+            assert_eq!(fields["cycle"].as_u64(), Some(e.cycle()));
+            // Every JSON field fills the CSV column of its name with the
+            // same value (the label's quotes, comma and newline survive
+            // CSV quoting), and no other column is filled.
+            let cells = crate::csv_reader::parse_line(&row).unwrap();
+            assert_eq!(cells.len(), columns.len(), "{row}");
+            let filled: Vec<_> = columns
+                .iter()
+                .zip(&cells)
+                .filter(|(_, c)| !c.is_empty())
+                .collect();
+            assert_eq!(filled.len(), fields.len(), "{row} against {text}");
+            for (column, cell) in filled {
+                let field = match &fields[*column] {
+                    Value::Str(s) => s.clone(),
+                    number => number.as_u64().expect("an integer").to_string(),
+                };
+                assert_eq!(&field, cell, "column {column}");
+            }
         }
-    }
-
-    #[test]
-    fn wait_for_label_survives_csv_quoting() {
-        let e = Event::WaitFor {
-            cycle: 5,
-            waiter: 10,
-            waits_on: 11,
-            label: "credits on X+, vc 1 \"owned\"".into(),
-        };
-        let parsed = crate::csv_reader::parse_line(&e.csv_row()).unwrap();
-        assert_eq!(parsed[17], "credits on X+, vc 1 \"owned\"");
     }
 }

@@ -96,6 +96,73 @@ pub fn write_list<W: fmt::Write, T>(
     out.write_char(']')
 }
 
+/// One scalar field of an exported record. A record lists its fields
+/// once, as `(name, Field)` pairs, and each of its renderings (a JSON
+/// object, a CSV row) reads that listing. `Null` is an empty CSV cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Field<'a> {
+    U64(u64),
+    Char(char),
+    Str(&'a str),
+    Bool(bool),
+    Null,
+}
+
+impl Field<'_> {
+    /// Writes the field as a JSON value.
+    pub(crate) fn write<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self {
+            Field::U64(n) => write_u64(out, n),
+            Field::Char(c) => write_str(out, c.encode_utf8(&mut [0; 4])),
+            Field::Str(s) => write_str(out, s),
+            Field::Bool(b) => write_bool(out, b),
+            Field::Null => out.write_str("null"),
+        }
+    }
+}
+
+/// The field's bare text: a CSV cell before quoting.
+impl fmt::Display for Field<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Field::U64(n) => write!(f, "{n}"),
+            Field::Char(c) => write!(f, "{c}"),
+            Field::Str(s) => f.write_str(s),
+            Field::Bool(b) => write!(f, "{b}"),
+            Field::Null => Ok(()),
+        }
+    }
+}
+
+/// Writes `"name":value` members separated by `sep`. What follows the
+/// comma of `sep` also follows each colon: `", "` writes `"a": 1, "b": 2`.
+pub(crate) fn write_members<'a, W: fmt::Write>(
+    out: &mut W,
+    sep: &str,
+    members: impl IntoIterator<Item = (&'a str, Field<'a>)>,
+) -> fmt::Result {
+    let pad = sep.strip_prefix(',').unwrap_or_default();
+    for (i, (name, value)) in members.into_iter().enumerate() {
+        out.write_str(if i > 0 { sep } else { "" })?;
+        write_str(out, name)?;
+        out.write_char(':')?;
+        out.write_str(pad)?;
+        value.write(out)?;
+    }
+    Ok(())
+}
+
+/// Writes `{members}` through [`write_members`].
+pub(crate) fn write_object<'a, W: fmt::Write>(
+    out: &mut W,
+    sep: &str,
+    members: impl IntoIterator<Item = (&'a str, Field<'a>)>,
+) -> fmt::Result {
+    out.write_char('{')?;
+    write_members(out, sep, members)?;
+    out.write_char('}')
+}
+
 /// Escapes a string for inclusion in a JSON document (adds the quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

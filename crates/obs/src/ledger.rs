@@ -94,32 +94,28 @@ impl LedgerRecord {
     /// [`LedgerRecord::to_line`] with `index` in place of the record's
     /// own, so [`append`] stamps positions without cloning records.
     fn write_line<W: fmt::Write>(&self, index: u64, out: &mut W) -> fmt::Result {
-        // `key` is everything up to the value: `,"seed":`.
-        let number = |out: &mut W, key: &str, n: u64| {
-            out.write_str(key)?;
-            json::write_u64(out, n)
-        };
-        let text = |out: &mut W, key: &str, s: &str| {
-            out.write_str(key)?;
-            json::write_str(out, s)
-        };
-        number(out, "{\"format\":", LEDGER_FORMAT)?;
-        number(out, ",\"index\":", index)?;
-        text(out, ",\"source\":", &self.source)?;
-        text(out, ",\"name\":", &self.name)?;
-        text(out, ",\"git_rev\":", &self.git_rev)?;
-        number(out, ",\"seed\":", self.seed)?;
-        text(out, ",\"verdict\":", &self.verdict)?;
-        text(out, ",\"evidence\":", &self.evidence)?;
-        text(out, ",\"hash\":", &self.hash)?;
-        number(out, ",\"gfp_sweeps\":", self.gfp_sweeps)?;
-        number(out, ",\"wait_pairs\":", self.wait_pairs)?;
-        text(out, ",\"coverage\":", &self.coverage)?;
+        use json::Field::{Str, U64};
+        let fields = [
+            ("format", U64(LEDGER_FORMAT)),
+            ("index", U64(index)),
+            ("source", Str(&self.source)),
+            ("name", Str(&self.name)),
+            ("git_rev", Str(&self.git_rev)),
+            ("seed", U64(self.seed)),
+            ("verdict", Str(&self.verdict)),
+            ("evidence", Str(&self.evidence)),
+            ("hash", Str(&self.hash)),
+            ("gfp_sweeps", U64(self.gfp_sweeps)),
+            ("wait_pairs", U64(self.wait_pairs)),
+            ("coverage", Str(&self.coverage)),
+        ];
+        out.write_char('{')?;
+        json::write_members(out, ",", fields)?;
+        out.write_str(",\"provenance\":")?;
         if json::embeddable_object(&self.provenance) {
-            out.write_str(",\"provenance\":")?;
             out.write_str(&self.provenance)?;
         } else {
-            text(out, ",\"provenance\":", &self.provenance)?;
+            json::write_str(out, &self.provenance)?;
         }
         out.write_char('}')
     }

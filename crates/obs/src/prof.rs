@@ -33,12 +33,12 @@
 //! (`with_phases`), so live counters move while a campaign runs.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::{self, Value};
+use crate::json::{self, Field, Value};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -299,26 +299,32 @@ impl ProfSnapshot {
     /// `phases` array, a nested flame-style `flame` tree over the slash
     /// hierarchy, and the raw worker segments.
     pub fn to_json(&self) -> String {
+        use Field::{Str, U64};
         let mut out = String::from("{\"phases\":");
         let _ = json::write_list(&mut out, ",", &self.phases, |out, (path, stat)| {
-            let (path, calls, wall_ns) = (json::escape(path), stat.calls, stat.wall_ns);
-            write!(
-                out,
-                "{{\"path\":{path},\"calls\":{calls},\"wall_ns\":{wall_ns},\"work\":{{"
-            )?;
-            for (j, (unit, v)) in stat.work.iter().enumerate() {
-                let sep = if j > 0 { "," } else { "" };
-                write!(out, "{sep}{}:{v}", json::escape(unit))?;
-            }
-            out.write_str("}}")
+            let head = [
+                ("path", Str(path)),
+                ("calls", U64(stat.calls)),
+                ("wall_ns", U64(stat.wall_ns)),
+            ];
+            out.push('{');
+            json::write_members(out, ",", head)?;
+            out.push_str(",\"work\":");
+            let work = stat.work.iter().map(|(unit, &v)| (unit.as_str(), U64(v)));
+            json::write_object(out, ",", work)?;
+            out.write_char('}')
         });
         out.push_str(",\"flame\":");
         out.push_str(&self.flame_json());
         out.push_str(",\"workers\":");
         let _ = json::write_list(&mut out, ",", &self.workers, |out, s| {
-            let (worker, label) = (s.worker, json::escape(&s.label));
-            let (start_ns, dur_ns) = (s.start_ns, s.dur_ns);
-            write!(out, "{{\"worker\":{worker},\"label\":{label},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}")
+            let segment = [
+                ("worker", U64(s.worker as u64)),
+                ("label", Str(&s.label)),
+                ("start_ns", U64(s.start_ns)),
+                ("dur_ns", U64(s.dur_ns)),
+            ];
+            json::write_object(out, ",", segment)
         });
         out.push('}');
         out
@@ -343,22 +349,21 @@ impl ProfSnapshot {
         // A parent's rendered value covers at least its children, so
         // pure-organizational nodes (never timed directly) still size
         // correctly in a flame view.
-        fn render(name: &str, node: &Node, out: &mut String) -> u64 {
-            let _ = write!(out, "{{\"name\":{},", json::escape(name));
-            let mut kids = String::new();
-            let mut child_sum = 0u64;
-            for (i, (cname, c)) in node.children.iter().enumerate() {
-                if i > 0 {
-                    kids.push(',');
-                }
-                child_sum += render(cname, c, &mut kids);
-            }
-            let total = node.wall_ns.max(child_sum);
-            let _ = write!(out, "\"wall_ns\":{total},\"children\":[{kids}]}}");
-            total
+        fn total(node: &Node) -> u64 {
+            node.wall_ns.max(node.children.values().map(total).sum())
+        }
+        fn render(out: &mut String, name: &str, node: &Node) -> fmt::Result {
+            let wall_ns = Field::U64(total(node));
+            out.push('{');
+            json::write_members(out, ",", [("name", Field::Str(name)), ("wall_ns", wall_ns)])?;
+            out.push_str(",\"children\":");
+            json::write_list(out, ",", &node.children, |out, (name, c)| {
+                render(out, name, c)
+            })?;
+            out.write_char('}')
         }
         let mut out = String::new();
-        render("profile", &root, &mut out);
+        let _ = render(&mut out, "profile", &root);
         out
     }
 

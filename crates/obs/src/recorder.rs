@@ -7,11 +7,12 @@
 //! per-kind totals keep counting across evictions, so aggregate numbers
 //! stay exact even when the ring wraps.
 
+use crate::csv;
 use crate::event::{Event, EventKind};
 use crate::journey::{JourneyConfig, JourneyTracer};
-use crate::json;
+use crate::json::{self, Field};
 use crate::ring::RingBuffer;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Flight-recorder configuration.
 #[derive(Debug, Clone)]
@@ -48,46 +49,45 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// Header for [`Sample::csv_row`] exports. `occupancy` is the full
+    /// Header for [`Sample::write_csv`] exports. `occupancy` is the full
     /// space-separated per-channel vector; the mean/max columns summarize
     /// it for quick plotting.
     pub(crate) const CSV_HEADER: &'static str =
         "cycle,in_flight,buffered_flits,credit_stalls,occupancy_mean,occupancy_max,occupancy";
 
-    /// Serializes the sample as one CSV row matching [`Sample::CSV_HEADER`].
-    pub(crate) fn csv_row(&self) -> String {
-        let n = self.occupancy.len().max(1);
-        let sum: u64 = self.occupancy.iter().map(|&x| x as u64).sum();
-        let max = self.occupancy.iter().copied().max().unwrap_or(0);
-        let vector = self
-            .occupancy
-            .iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        crate::csv::row(&[
-            self.cycle.to_string(),
-            self.in_flight.to_string(),
-            self.buffered_flits.to_string(),
-            self.credit_stalls.to_string(),
-            format!("{:.4}", sum as f64 / n as f64),
-            max.to_string(),
-            vector,
-        ])
+    /// The scalar fields, in the order both exports list them first.
+    fn counts(&self) -> [(&'static str, Field<'static>); 4] {
+        [
+            ("cycle", Field::U64(self.cycle)),
+            ("in_flight", Field::U64(self.in_flight)),
+            ("buffered_flits", Field::U64(self.buffered_flits)),
+            ("credit_stalls", Field::U64(self.credit_stalls)),
+        ]
     }
 
-    /// Serializes the sample as one JSON object.
-    pub(crate) fn to_json(&self) -> String {
-        let occ = self
-            .occupancy
-            .iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"cycle\":{},\"in_flight\":{},\"buffered_flits\":{},\"credit_stalls\":{},\"occupancy\":[{}]}}",
-            self.cycle, self.in_flight, self.buffered_flits, self.credit_stalls, occ
-        )
+    /// Writes the sample as one CSV row matching [`Sample::CSV_HEADER`]
+    /// (no newline); none of its cells needs quoting.
+    pub(crate) fn write_csv(&self, out: &mut String) {
+        let n = self.occupancy.len().max(1);
+        let sum: u64 = self.occupancy.iter().map(|&x| u64::from(x)).sum();
+        let max = self.occupancy.iter().copied().max().unwrap_or(0);
+        for (_, count) in self.counts() {
+            let _ = write!(out, "{count},");
+        }
+        let _ = write!(out, "{:.4},{max},", sum as f64 / n as f64);
+        let vector: Vec<String> = self.occupancy.iter().map(u32::to_string).collect();
+        out.push_str(&vector.join(" "));
+    }
+
+    /// Writes the sample as one JSON object.
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_char('{')?;
+        json::write_members(out, ",", self.counts())?;
+        out.write_str(",\"occupancy\":")?;
+        json::write_list(out, ",", &self.occupancy, |out, &x| {
+            json::write_u64(out, x.into())
+        })?;
+        out.write_char('}')
     }
 }
 
@@ -191,65 +191,53 @@ impl Recorder {
     /// Exports the whole trace as one JSON document:
     /// `{"meta": .., "totals": .., "events": [..], "samples": [..]}`.
     pub fn write_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"meta\": {");
-        let _ = write!(
-            out,
-            "\"capacity\": {}, \"sample_every\": {}, \"retained\": {}, \"evicted\": {}",
-            self.events.capacity(),
-            self.config.sample_every,
-            self.retained(),
-            self.evicted()
-        );
-        out.push_str("},\n  \"totals\": {");
-        let totals = EventKind::ALL
-            .iter()
-            .map(|&k| format!("{}: {}", json::escape(k.name()), self.total(k)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&totals);
-        out.push_str("},\n  \"events\": [\n");
-        let events = self
-            .events
-            .iter()
-            .map(|e| format!("    {}", e.to_json()))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        out.push_str(&events);
-        out.push_str("\n  ],\n  \"samples\": [\n");
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| format!("    {}", s.to_json()))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        out.push_str(&samples);
-        out.push_str("\n  ]\n}\n");
+        let mut out = String::with_capacity(128 * (self.retained() + self.samples.len() + 2));
+        self.write_json_to(&mut out)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    fn write_json_to(&self, out: &mut String) -> fmt::Result {
+        /// One element per line, indented under the list's key.
+        fn rows<T>(
+            out: &mut String,
+            items: impl IntoIterator<Item = T>,
+            mut item: impl FnMut(&mut String, T) -> fmt::Result,
+        ) -> fmt::Result {
+            for (i, x) in items.into_iter().enumerate() {
+                out.push_str(if i > 0 { ",\n    " } else { "    " });
+                item(out, x)?;
+            }
+            Ok(())
+        }
+        use Field::U64;
+        out.push_str("{\n  \"meta\": ");
+        let meta = [
+            ("capacity", U64(self.events.capacity() as u64)),
+            ("sample_every", U64(self.config.sample_every)),
+            ("retained", U64(self.retained() as u64)),
+            ("evicted", U64(self.evicted())),
+        ];
+        json::write_object(out, ", ", meta)?;
+        out.push_str(",\n  \"totals\": ");
+        let totals = EventKind::ALL.map(|k| (k.name(), U64(self.total(k))));
+        json::write_object(out, ", ", totals)?;
+        out.push_str(",\n  \"events\": [\n");
+        rows(out, self.events.iter(), |out, e| e.write_json(out))?;
+        out.push_str("\n  ],\n  \"samples\": [\n");
+        rows(out, &self.samples, |out, s| s.write_json(out))?;
+        out.push_str("\n  ]\n}\n");
+        Ok(())
     }
 
     /// Exports the retained events as CSV (header + one row per event).
     pub fn events_csv(&self) -> String {
-        let mut out = String::with_capacity(64 * (self.retained() + 1));
-        out.push_str(Event::CSV_HEADER);
-        out.push('\n');
-        for e in self.events.iter() {
-            out.push_str(&e.csv_row());
-            out.push('\n');
-        }
-        out
+        csv::table(Event::CSV_HEADER, self.events.iter(), Event::write_csv)
     }
 
     /// Exports the samples as CSV (header + one row per sample).
     pub fn samples_csv(&self) -> String {
-        let mut out = String::with_capacity(32 * (self.samples.len() + 1));
-        out.push_str(Sample::CSV_HEADER);
-        out.push('\n');
-        for s in &self.samples {
-            out.push_str(&s.csv_row());
-            out.push('\n');
-        }
-        out
+        csv::table(Sample::CSV_HEADER, &self.samples, Sample::write_csv)
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! [`run_campaign`] is the oracle's single entry point, shared by the
 //! `ebda oracle` command, the integration tests and CI: it draws artifacts
-//! from the deterministic [`Generator`](crate::artifact::Generator) stream,
+//! from the deterministic [`Generator`] stream,
 //! pushes each through all four verdict paths, and stops loudly at the
 //! first cross-check violation — which it then minimizes with
-//! [`crate::shrink`] and replays through the wormhole simulator with a
+//! [`shrink`] and replays through the wormhole simulator with a
 //! flight recorder attached, so the abstract disagreement arrives as a
 //! concrete, watchable wait cycle.
 

@@ -14,7 +14,7 @@
 //! * [`verdict`] — the four verdict paths (EbDa, Dally, Duato, brute) and
 //!   the cross-checking rules, plus mutation hooks that deliberately break
 //!   a checker to prove the oracle notices.
-//! * [`shrink`] — greedy 1-minimal counterexample reduction.
+//! * [`shrink`](mod@shrink) — greedy 1-minimal counterexample reduction.
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.

@@ -8,6 +8,9 @@
 //! system: outside `crates/obs` a count is a profiler count, except the
 //! family of [`LABELLED_COUNTERS`]. And there is one observability
 //! session per command, opened and closed in [`SESSION_OWNERS`] only.
+//! And there is one JSON writer: outside [`JSON_WRITER`], library code
+//! writes a JSON object through that module's sinks, never by opening
+//! one inside a format string.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -41,6 +44,9 @@ const LABELLED_COUNTERS: &[&str] =
 /// else a command reads the session it is handed, `&ObsOptions`.
 const SESSION_OWNERS: &[&str] = &["crates/bench/src/trace.rs", "src/bin/ebda.rs"];
 
+/// The module whose writers every JSON document goes through.
+const JSON_WRITER: &str = "crates/obs/src/json.rs";
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
     for path in entries.map(|e| e.expect("directory entry").path()) {
@@ -53,24 +59,40 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// The trimmed lines of one file outside `thread_local!` blocks and
-/// `#[cfg(test)]` items (brace-balanced from their opening line).
+/// `#[cfg(test)]` items. rustfmt closes an item at the indentation it
+/// opened at, so a skipped item ends at its own first line (after its
+/// attributes and comments) when that ends with `;` or `,`, and otherwise
+/// at the next line of that indentation that starts with a closing
+/// bracket: braces inside string literals, such as a test's JSON
+/// snippets, cannot end it early.
 fn outside_tests(source: &str) -> Vec<&str> {
     let mut kept = Vec::new();
-    let mut skipping = false;
-    let mut depth = 0i64;
+    // The indentation of the item being skipped, and whether its body
+    // is open (past the attributes and its first line).
+    let mut skipping: Option<(&str, bool)> = None;
     for line in source.lines() {
         let code = line.trim();
-        if !skipping && (code == "#[cfg(test)]" || code.starts_with("thread_local!")) {
-            skipping = true;
-            depth = 0;
-        }
-        if skipping {
-            depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
-            // The attribute line itself opens nothing; the item after it does.
-            skipping = depth > 0 || !code.contains(['{', '}']);
+        let indent = &line[..line.len() - line.trim_start().len()];
+        if skipping.is_none() && code == "#[cfg(test)]" {
+            skipping = Some((indent, false));
             continue;
         }
-        kept.push(code);
+        if skipping.is_none() && code.starts_with("thread_local!") {
+            skipping = Some((indent, false));
+        }
+        match skipping {
+            None => kept.push(code),
+            Some((_, false)) if code.starts_with("#[") || code.starts_with("//") => {}
+            Some((at, false)) => {
+                let single_line = code.ends_with(';') || code.ends_with(',');
+                skipping = (!single_line).then_some((at, true));
+            }
+            Some((at, true)) => {
+                if indent == at && code.starts_with(['}', ')', ']']) {
+                    skipping = None;
+                }
+            }
+        }
     }
     kept
 }
@@ -230,6 +252,59 @@ fn sessions_open_and_close_in_the_dispatcher_only() {
     );
 }
 
+/// The format strings of one file's `format!` / `write!` / `writeln!`
+/// calls outside tests that open a JSON object: an escaped brace followed
+/// by a quote, `{{\"` in a string or `{{"` in a raw string. The format
+/// string is the first string literal after the macro's parenthesis.
+fn inline_json_objects(source: &str) -> Vec<String> {
+    let code = outside_tests(source).join("\n");
+    let mut found = Vec::new();
+    for mac in ["format!(", "write!(", "writeln!("] {
+        for (at, _) in code.match_indices(mac) {
+            let rest = &code[at + mac.len()..];
+            let Some(open) = rest.find('"') else {
+                continue;
+            };
+            let hashes = rest[..open].len() - rest[..open].trim_end_matches('#').len();
+            let raw = rest[..open - hashes].ends_with('r');
+            let body = &rest[open + 1..];
+            let literal = if raw {
+                let close = format!("\"{}", "#".repeat(hashes));
+                body.split(close.as_str()).next().unwrap_or(body)
+            } else {
+                let mut escaped = false;
+                let end = body.char_indices().find(|&(_, c)| {
+                    let closes = c == '"' && !escaped;
+                    escaped = c == '\\' && !escaped;
+                    closes
+                });
+                &body[..end.map_or(body.len(), |(i, _)| i)]
+            };
+            if literal.contains(if raw { "{{\"" } else { "{{\\\"" }) {
+                found.push(literal.to_string());
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn json_is_written_through_one_writer() {
+    let found: Vec<String> = sources()
+        .iter()
+        .filter(|(rel, _)| rel != JSON_WRITER)
+        .flat_map(|(rel, text)| {
+            inline_json_objects(text)
+                .into_iter()
+                .map(move |literal| format!("{rel}: {literal}"))
+        })
+        .collect();
+    assert_eq!(
+        found, [""; 0],
+        "write JSON through the sinks of {JSON_WRITER} (write_str, write_u64, write_list)"
+    );
+}
+
 #[test]
 fn the_environment_is_read_for_one_variable_only() {
     let mut found: Vec<String> = sources()
@@ -336,6 +411,26 @@ mod tests {
             "write_profile(path)?;",
             "fn close(obs: ObsOptions) {}",
         ]
+    );
+    let source = r##"
+let a = format!("{{\"kind\":{},\"cycle\":{}}}", k, c);
+write!(out, ",\"hash\":\"{hash:016x}\",\"verdict\":")?;
+out.write_str("{\"format\":")?;
+let _ = writeln!(
+    out,
+    r#"{{"raw":{n}}}"#,
+);
+let set = format!("{{{}}}", parts.join(","));
+let b = format!("{} \"{{\\\"", x);
+#[cfg(test)]
+mod tests {
+    let unbalanced = ("{\"a\":", false);
+    let c = format!("{{\"later\":{}}}", body);
+}
+"##;
+    assert_eq!(
+        inline_json_objects(source),
+        [r#"{{\"kind\":{},\"cycle\":{}}}"#, r#"{{"raw":{n}}}"#]
     );
     let source = "let a = std::env::var(\"EBDA_X\"); env::var_os(name); environment::var(1)";
     assert_eq!(env_reads(source), ["EBDA_X", "<not a literal>"]);
