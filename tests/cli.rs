@@ -756,7 +756,9 @@ fn corpus_stats_json_is_pinned() {
 /// Every output the six many-flag commands write, pinned in
 /// `tests/session_outputs.txt`: which files each run leaves, the counter
 /// tree of every profile among them (a `--trace-out` that holds the
-/// profile included), and the digests of the ledger and the coverage map.
+/// profile included), the digests of the ledger and the coverage map,
+/// the bytes of every witness a corpus run archives, and the digest of
+/// the stdout of the campaign rows, which hold no wall time.
 /// The runs are small, serial and started outside any git checkout, so
 /// the ledger stamps `git_rev` as `unknown` and every line is the same on
 /// every host.
@@ -766,6 +768,9 @@ fn session_outputs_are_pinned() {
     let seed = format!("{root}/corpus/seed");
     let all = "--trace-out trace.json --journey-out journeys.json --profile-out profile.json";
     let evidence = "--ledger ledger.jsonl --coverage-out coverage.json";
+    // Outside the session directory, whose every file is read as text.
+    let archive = temp("session-archive");
+    let _ = std::fs::remove_dir_all(&archive);
     let rows = [
         (
             "simulate",
@@ -785,6 +790,14 @@ fn session_outputs_are_pinned() {
         (
             "corpus-run",
             format!("corpus run {seed} --trace-out trace.json --profile-out profile.json {evidence}"),
+        ),
+        (
+            "corpus-caught",
+            format!(
+                "corpus run {seed} --inject-mismatch --expect-mismatch --archive-to {} \
+                 --profile-out profile.json {evidence}",
+                archive.display()
+            ),
         ),
         ("repro-sweep", format!("repro sweep --quick {all} sweep.csv")),
         (
@@ -815,6 +828,20 @@ fn session_outputs_are_pinned() {
             .collect();
         files.sort();
         got.push(format!("{name} files {}", files.join(" ")));
+        if name.starts_with("corpus") {
+            let mut hash = ebda_obs::json::Fnv1a::new();
+            hash.update(&out.stdout);
+            got.push(format!("{name} stdout fnv1a64 {:016x}", hash.finish()));
+        }
+        if let Ok(listing) = std::fs::read_dir(&archive) {
+            let mut witnesses: Vec<PathBuf> = listing.map(|e| e.unwrap().path()).collect();
+            witnesses.sort();
+            for path in &witnesses {
+                let file = path.file_name().unwrap().to_string_lossy();
+                got.push(format!("{name} archive {file} fnv1a64 {}", fnv1a64(path)));
+            }
+            std::fs::remove_dir_all(&archive).unwrap();
+        }
         for file in &files {
             let path = dir.join(file);
             let text = std::fs::read_to_string(&path).unwrap();
