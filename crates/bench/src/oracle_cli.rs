@@ -4,6 +4,8 @@
 //! Usage: `ebda oracle [flags]`; the flags are tabulated in
 //! docs/VERIFICATION.md §5 and by `ebda help`.
 //!
+//! Stdout is deterministic: the wall-clock time goes to stderr, as the
+//! corpus campaign's does, so CI can diff stdout across thread counts.
 //! The command succeeds when the outcome matches the expectation — clean
 //! by default, caught-disagreement under `--expect-disagreement` — and
 //! fails (exit 1) otherwise, so both the CI guard and its self-check are
@@ -54,6 +56,7 @@ pub fn run(mut args: Args, obs: &ObsOptions, traces: &mut Traces) -> Result<(), 
     }
     let report = run_campaign(&cfg);
     println!("{report}");
+    eprintln!("campaign finished in {} ms", report.elapsed_ms);
     let found = !report.is_clean();
     if let Some(replay) = report.caught.and_then(|caught| caught.replay) {
         traces.trace = Some(Document::Text(replay.trace_json));

@@ -4,25 +4,29 @@
 //! Unlike the oracle's random differential campaign (which only checks
 //! that the paths agree with *each other*), the corpus campaign holds
 //! every path to the entry's proven `expected` label — a bug that breaks
-//! all four paths in the same direction still gets caught here.
+//! all four paths in the same direction still gets caught here. It is the
+//! corpus source of the one [`ebda_oracle::campaign`] loop: it yields its
+//! whole entry list as one batch, each entry held to its
+//! [`Expectation::Label`], and checks every entry; the loop shrinks each
+//! failure by the rule it broke, and this source archives the witness.
 //!
 //! Determinism contract: for a fixed entry list and configuration, the
 //! report's [`fmt::Display`] output is byte-identical at every thread
 //! count. Checks fan out over [`ebda_par::parallel_map`] (index-order
-//! merge); shrinking and archiving run serially afterwards, in entry
-//! order. Wall-clock time lives only in `elapsed_ms`, which Display
-//! excludes.
+//! merge); shrinking and archiving run serially, in entry order.
+//! Wall-clock time lives only in `elapsed_ms`, which Display excludes.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use ebda_obs::prof;
+use ebda_obs::{prof, CoverageMap};
 use ebda_oracle::artifact::Artifact;
-use ebda_oracle::provenance::Provenance;
-use ebda_oracle::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
-use ebda_oracle::verdict::{cross_check, evaluate, Evaluation, Mutation, Verdicts};
+use ebda_oracle::campaign::{self, Expectation, Settings, Source, Violation};
+use ebda_oracle::shrink::DEFAULT_SHRINK_BUDGET;
+use ebda_oracle::verdict::{evaluate, Mutation, Verdicts};
 
 use crate::entry::{CorpusEntry, ExpectedVerdict};
 use crate::store;
@@ -78,7 +82,7 @@ pub struct CorpusMismatch {
 }
 
 /// The deterministic result of a corpus campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusCampaignReport {
     /// Total entries checked.
     pub entries: usize,
@@ -152,205 +156,140 @@ impl fmt::Display for CorpusCampaignReport {
 pub fn check_entry(entry: &CorpusEntry, id: u64, mutation: Mutation) -> Option<String> {
     let artifact = entry.to_artifact(id);
     let verdicts = evaluate(&artifact, mutation);
-    mismatch_reason(
-        &artifact,
-        entry.expected,
-        Some(entry.ebda_certified),
-        &verdicts,
-    )
+    let violation = expectation(entry).check(&artifact, &verdicts)?;
+    Some(violation.to_string())
 }
 
-/// The label check on a bare artifact with already-computed verdicts.
-/// `ebda_certified` is compared only when the artifact still carries a
-/// design (shrinking may drop it).
-fn mismatch_reason(
-    artifact: &Artifact,
-    expected: ExpectedVerdict,
-    ebda_certified: Option<bool>,
-    verdicts: &Verdicts,
-) -> Option<String> {
-    if let Some(d) = cross_check(artifact, verdicts) {
-        return Some(format!("cross-check violation: {d}"));
+/// What an entry's four paths are held to: its label.
+fn expectation(entry: &CorpusEntry) -> Expectation {
+    Expectation::Label {
+        deadlock_free: entry.expected.is_free(),
+        ebda_certified: Some(entry.ebda_certified),
     }
-    let want_free = expected.is_free();
-    if verdicts.brute.is_deadlock_free() != want_free {
-        return Some(format!(
-            "brute disagrees with label {expected}: {}",
-            verdicts.brute
-        ));
-    }
-    if verdicts.dally.is_deadlock_free() != want_free {
-        return Some(format!(
-            "dally disagrees with label {expected}: {}",
-            verdicts.dally
-        ));
-    }
-    if verdicts.duato.escape_acyclic != want_free {
-        return Some(format!(
-            "duato disagrees with label {expected}: {}",
-            verdicts.duato
-        ));
-    }
-    if let (Some(v), Some(certified)) = (&verdicts.ebda, ebda_certified) {
-        if v.is_deadlock_free() != certified {
-            return Some(format!(
-                "ebda verdict contradicts ebda_certified={certified}: {v}"
-            ));
-        }
-    }
-    None
 }
 
 /// Runs the regression campaign over `entries`.
 ///
 /// Every entry is checked against all four verdict paths under
-/// `cfg.mutation`. Each mismatching entry is then shrunk (the predicate
-/// being "the shrunk artifact still disagrees with the label") and, when
-/// `cfg.archive_dir` is set, the shrunk witness is written back as a new
-/// labeled entry whose `expected`/`ebda_certified` fields are re-proven
-/// honestly (always under [`Mutation::None`]) so even witnesses born
-/// from an injected fault carry true labels.
+/// `cfg.mutation`. Each mismatching entry is shrunk by the rule it broke
+/// (a cross-check violation by the cross-check rules, a label mismatch
+/// by the label) and, when `cfg.archive_dir` is set, the shrunk witness
+/// is written back as a new labeled entry whose `expected`/`ebda_certified`
+/// fields are re-proven honestly (always under [`Mutation::None`]) so
+/// even witnesses born from an injected fault carry true labels.
 pub fn run_corpus_campaign(
     entries: &[CorpusEntry],
     cfg: &CorpusCampaignConfig,
 ) -> CorpusCampaignReport {
     let started = Instant::now();
     let _campaign = prof::phase("corpus/campaign");
-
-    let with_ledger = cfg.ledger.is_some();
-    let with_coverage = cfg.coverage.is_some();
-    #[allow(clippy::type_complexity)]
-    let checks: Vec<(
-        Option<String>,
-        Option<Provenance>,
-        Option<ebda_obs::CoverageMap>,
-    )> = {
-        let _check = prof::phase("corpus/check");
-        prof::work("corpus/check", "entries", entries.len() as u64);
-        ebda_par::parallel_map(cfg.threads, entries, |i, entry| {
-            let artifact = entry.to_artifact(i as u64);
-            let evaluation = Evaluation::of(&artifact, cfg.mutation);
-            let reason = mismatch_reason(
-                &artifact,
-                entry.expected,
-                Some(entry.ebda_certified),
-                &evaluation.verdicts,
-            );
-            let prov = with_ledger.then(|| evaluation.provenance());
-            let cov = with_coverage.then(|| evaluation.coverage());
-            (reason, prov, cov)
-        })
-    };
-
-    // Per-entry coverage was computed in parallel above; the merge runs
-    // here on the coordinator, in entry order, so the merged map — and
-    // its digest — is byte-identical at every thread count. The map key
-    // is a content hash over the entry list: same corpus, same key.
-    let coverage_map = with_coverage.then(|| {
+    prof::work("corpus/check", "entries", entries.len() as u64);
+    // The map key is a content hash over the entry list: same corpus,
+    // same key.
+    let key = cfg.coverage.is_some().then(|| {
         let joined: String = entries.iter().map(|e| e.hash_hex()).collect();
-        let mut map = ebda_obs::CoverageMap::new(format!(
+        format!(
             "corpus-{}",
             ebda_obs::coverage::fnv1a_hex(joined.as_bytes())
-        ));
-        for (_, _, cov) in &checks {
-            if let Some(cov) = cov {
-                map.merge(cov);
-            }
-        }
-        map
+        )
     });
-
-    let mut report = CorpusCampaignReport {
-        entries: entries.len(),
-        free: entries.iter().filter(|e| e.expected.is_free()).count(),
-        deadlocking: entries.iter().filter(|e| !e.expected.is_free()).count(),
-        families: BTreeMap::new(),
-        mismatches: Vec::new(),
-        archived: Vec::new(),
-        coverage: None,
-        elapsed_ms: 0,
-        write_errors: Vec::new(),
+    let settings = Settings {
+        threads: cfg.threads,
+        mutation: cfg.mutation,
+        shrink_budget: cfg.shrink_budget,
+        check_phase: Some("corpus/check"),
+        ledger: cfg.ledger.as_deref().map(|path| (path, "corpus", 0)),
+        coverage: key.map(|key| (key, cfg.coverage.as_deref())),
     };
-    for entry in entries {
-        *report.families.entry(entry.family.clone()).or_insert(0) += 1;
-    }
-    prof::work("corpus/check", "deadlock_free", report.free as u64);
-    prof::work("corpus/check", "deadlocking", report.deadlocking as u64);
+    let batch = entries.iter().enumerate();
+    let batch = batch.map(|(i, e)| (e.to_artifact(i as u64), expectation(e)));
+    let mut source = Entries {
+        entries,
+        archive_dir: cfg.archive_dir.as_deref(),
+        batch: Some(batch.collect()),
+        report: CorpusCampaignReport::default(),
+    };
+    let (coverage, write_errors) = campaign::run(&settings, &mut source);
+    let report = &mut source.report;
+    report.coverage = coverage;
+    report.write_errors.extend(write_errors);
+    report.elapsed_ms = started.elapsed().as_millis();
+    source.report
+}
 
-    if let Some(path) = &cfg.ledger {
-        // Parallel checks were merged in index order, so the records —
-        // and therefore the ledger bytes — are entry-ordered regardless
-        // of the thread count.
-        let git_rev = ebda_obs::ledger::git_rev();
-        let records: Vec<ebda_obs::LedgerRecord> = entries
-            .iter()
-            .zip(&checks)
-            .filter_map(|(entry, (_, prov, cov))| {
-                let prov = prov.as_ref()?;
-                Some(prov.ledger_record(
-                    "corpus",
-                    entry.name.clone(),
-                    git_rev.clone(),
-                    0,
-                    cov.as_ref(),
-                ))
-            })
-            .collect();
-        if let Err(e) = ebda_obs::ledger::append(path, &records) {
-            report.write_errors.push(format!("ledger append: {e}"));
+/// The entry list as a campaign source: one batch, every entry checked.
+struct Entries<'a> {
+    entries: &'a [CorpusEntry],
+    archive_dir: Option<&'a Path>,
+    /// The one batch, until it is yielded.
+    batch: Option<Vec<(Artifact, Expectation)>>,
+    report: CorpusCampaignReport,
+}
+
+impl Source for Entries<'_> {
+    fn next_batch(&mut self, _: usize) -> Option<Vec<(Artifact, Expectation)>> {
+        self.batch.take()
+    }
+
+    fn tally(&mut self, index: usize, _: &Artifact, _: &Verdicts, _: bool) {
+        let entry = &self.entries[index];
+        let report = &mut self.report;
+        report.entries += 1;
+        *report.families.entry(entry.family.clone()).or_insert(0) += 1;
+        if entry.expected.is_free() {
+            report.free += 1;
+            prof::work("corpus/check", "deadlock_free", 1);
+        } else {
+            report.deadlocking += 1;
+            prof::work("corpus/check", "deadlocking", 1);
         }
     }
 
-    for (i, (reason, _, _)) in checks.into_iter().enumerate() {
-        let Some(reason) = reason else { continue };
-        let entry = &entries[i];
-        let shrunk = {
+    fn record_name(&self, index: usize, _: &Artifact) -> String {
+        self.entries[index].name.clone()
+    }
+
+    /// Labels the shrunk witness honestly and archives it.
+    fn caught(
+        &mut self,
+        index: usize,
+        _: &Artifact,
+        violation: Violation,
+        shrunk: Artifact,
+        _: Option<&mut CoverageMap>,
+    ) -> ControlFlow<()> {
+        let entry = &self.entries[index];
+        let reason = violation.to_string();
+        let witness = {
             let _shrink = prof::phase("corpus/shrink");
             prof::work("corpus/shrink", "mismatches", 1);
-            let artifact = entry.to_artifact(i as u64);
-            let still_mismatches = |candidate: &Artifact| {
-                let verdicts = evaluate(candidate, cfg.mutation);
-                mismatch_reason(candidate, entry.expected, None, &verdicts).is_some()
-            };
-            shrink(&artifact, still_mismatches, cfg.shrink_budget)
+            witness_entry(entry, &reason, &shrunk)
         };
-        let witness = witness_entry(entry, &reason, &shrunk);
         let mut archived = None;
-        if let Some(dir) = &cfg.archive_dir {
+        if let Some(dir) = self.archive_dir {
             // Calls count attempts, `witnesses` the entries saved.
             let _archive = prof::phase("corpus/archive");
             match store::save_entry(dir, &witness) {
                 Ok(file) => {
                     prof::work("corpus/archive", "witnesses", 1);
-                    report.archived.push(file.clone());
+                    self.report.archived.push(file.clone());
                     archived = Some(file);
                 }
-                Err(e) => report
+                Err(e) => self
+                    .report
                     .write_errors
                     .push(format!("archive witness for {}: {e}", entry.name)),
             }
         }
-        report.mismatches.push(CorpusMismatch {
+        self.report.mismatches.push(CorpusMismatch {
             name: entry.name.clone(),
             hash: entry.hash_hex(),
             reason,
             shrunk: shrunk.summary(),
             archived,
         });
+        ControlFlow::Continue(())
     }
-
-    if let Some(map) = coverage_map {
-        map.publish_metrics();
-        if let Some(path) = &cfg.coverage {
-            if let Err(e) = map.write_file(path) {
-                report.write_errors.push(format!("coverage write: {e}"));
-            }
-        }
-        report.coverage = Some(map);
-    }
-
-    report.elapsed_ms = started.elapsed().as_millis();
-    report
 }
 
 /// Builds the labeled corpus entry for a shrunk witness. Labels are
@@ -414,121 +353,5 @@ mod tests {
         assert_eq!(report.free, 2);
         assert_eq!(report.deadlocking, 2);
         assert_eq!(report.families.len(), 2);
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_thread_counts() {
-        let entries = small_corpus();
-        let base = run_corpus_campaign(
-            &entries,
-            &CorpusCampaignConfig {
-                threads: 1,
-                ..CorpusCampaignConfig::default()
-            },
-        )
-        .to_string();
-        for threads in [2, 8] {
-            let other = run_corpus_campaign(
-                &entries,
-                &CorpusCampaignConfig {
-                    threads,
-                    ..CorpusCampaignConfig::default()
-                },
-            )
-            .to_string();
-            assert_eq!(base, other, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn coverage_map_is_keyed_merged_in_entry_order_and_thread_invariant() {
-        let entries = small_corpus();
-        let dir = std::env::temp_dir().join(format!("ebda-corpus-cov-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |threads: usize, tag: &str| {
-            let path = dir.join(format!("cov-{tag}.json"));
-            let report = run_corpus_campaign(
-                &entries,
-                &CorpusCampaignConfig {
-                    threads,
-                    coverage: Some(path.clone()),
-                    ..CorpusCampaignConfig::default()
-                },
-            );
-            (report, std::fs::read_to_string(&path).unwrap())
-        };
-        let (serial, serial_bytes) = run(1, "1");
-        let (parallel, parallel_bytes) = run(8, "8");
-        assert_eq!(serial_bytes, parallel_bytes, "coverage depends on threads");
-        let map = serial.coverage.as_ref().expect("coverage accumulated");
-        assert!(map.key().starts_with("corpus-"), "key: {}", map.key());
-        // Every static family is fed by the four verdict paths; only the
-        // simulator family stays empty (the corpus campaign never replays).
-        for family in [
-            "cdg_edge",
-            "design_bin",
-            "escape_drain",
-            "gfp_pair",
-            "turn_admitted",
-        ] {
-            assert!(map.covered(family) > 0, "family {family} uncovered");
-        }
-        assert_eq!(map.covered("sim_event"), 0);
-        assert_eq!(map.digest(), parallel.coverage.as_ref().unwrap().digest());
-        assert!(serial.to_string().contains("coverage:"), "{serial}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mislabeled_entry_is_caught_shrunk_and_archived() {
-        // Flip a deadlocking entry's label: the campaign must catch it,
-        // shrink the counterexample, and archive an honestly labeled
-        // witness.
-        let mut entries = small_corpus();
-        entries[2].expected = ExpectedVerdict::DeadlockFree;
-        let dir = std::env::temp_dir().join(format!(
-            "ebda-corpus-test-{}-{}",
-            std::process::id(),
-            entries[2].hash_hex()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let report = run_corpus_campaign(
-            &entries,
-            &CorpusCampaignConfig {
-                archive_dir: Some(dir.clone()),
-                ..CorpusCampaignConfig::default()
-            },
-        );
-        assert_eq!(report.mismatches.len(), 1, "{report}");
-        let m = &report.mismatches[0];
-        assert_eq!(m.name, entries[2].name);
-        assert!(m.reason.contains("label deadlock-free"), "{}", m.reason);
-        let file = m.archived.clone().expect("witness archived");
-        let loaded = store::load_dir(&dir).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].family, "witness");
-        assert_eq!(loaded[0].expected, ExpectedVerdict::Deadlocking);
-        assert_eq!(loaded[0].file_name(), file);
-        // The honest witness must itself pass the check.
-        assert!(check_entry(&loaded[0], 0, Mutation::None).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_oracle_fault_trips_the_corpus() {
-        // The dally-ignores-wrap mutation makes Dally miss wrap rings:
-        // torus entries must catch it.
-        let entries: Vec<CorpusEntry> = families::generate_family("removed-dateline")
-            .into_iter()
-            .take(1)
-            .collect();
-        let report = run_corpus_campaign(
-            &entries,
-            &CorpusCampaignConfig {
-                mutation: Mutation::DallyIgnoresWrap,
-                ..CorpusCampaignConfig::default()
-            },
-        );
-        assert!(!report.is_clean(), "mutation went uncaught: {report}");
     }
 }

@@ -18,8 +18,12 @@
 //! * [`provenance`] — the full proof evidence behind one verdict
 //!   (certificates, orderings, witnesses) in canonical JSON, plus the
 //!   independent checker `ebda check-cert` runs.
-//! * [`differential`] — the campaign entry point shared by the `ebda oracle`
-//!   command, the integration tests and CI.
+//! * [`campaign`] — the one campaign loop: batches checked in parallel,
+//!   tallied and recorded in stream order, each failure shrunk by the
+//!   rule it broke. The generator stream and the corpus are its sources.
+//! * [`differential`] — the generator-stream source and its entry point,
+//!   shared by the `ebda oracle` command, the integration tests and CI,
+//!   plus the simulator replay of a caught disagreement.
 //! * `coverage` — per-artifact coverage extraction feeding the
 //!   design-space coverage maps of [`ebda_obs::coverage`], plus the
 //!   design-space bin labels coverage-guided generation steers by.
@@ -42,6 +46,7 @@
 
 pub mod artifact;
 pub mod brute;
+pub mod campaign;
 pub(crate) mod coverage;
 pub mod differential;
 pub mod provenance;

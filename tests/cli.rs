@@ -828,7 +828,7 @@ fn session_outputs_are_pinned() {
             .collect();
         files.sort();
         got.push(format!("{name} files {}", files.join(" ")));
-        if name.starts_with("corpus") {
+        if name.starts_with("oracle") || name.starts_with("corpus") {
             let mut hash = ebda_obs::json::Fnv1a::new();
             hash.update(&out.stdout);
             got.push(format!("{name} stdout fnv1a64 {:016x}", hash.finish()));

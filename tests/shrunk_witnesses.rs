@@ -6,6 +6,8 @@
 //! `corpus run` re-checks clean. How the shrinker gets there is its own
 //! business; where it lands is pinned here. The `dally-ignores-wrap` run
 //! also exports the journeys of its replay, which must be a valid trace.
+//! A corpus run under each mutation shrinks every entry by the rule it
+//! broke, so each witness it archives trips that mutation again.
 
 use std::process::Command;
 
@@ -115,4 +117,56 @@ fn injected_corpus_mismatch_shrinks_to_its_pinned_witness() {
     let rerun = ebda(&["corpus", "run", dir]);
     assert!(rerun.contains("\nmismatches: 0\n"), "{rerun}");
     std::fs::remove_dir_all(&archive).unwrap();
+}
+
+#[test]
+fn corpus_witnesses_trip_the_mutation_that_made_them() {
+    // `honest`: the witnesses also pass an honest run. Those of
+    // `ebda-skips-theorem1` do not: EbDa judges the design's extraction
+    // while brute force judges the turn set, and the shrinker keeps a
+    // design whose extraction no longer covers the turns, so an honest
+    // run flags them `[ebda-vs-brute]` (docs/VERIFICATION.md §5).
+    for (mutation, honest) in [
+        ("dally-ignores-wrap", true),
+        ("ebda-skips-theorem1", false),
+        ("brute-stops-after-first-round", true),
+    ] {
+        let archive = std::env::temp_dir().join(format!(
+            "ebda-corpus-witnesses-{}-{mutation}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&archive);
+        let dir = archive.to_str().expect("utf-8 temp dir");
+        ebda(&[
+            "corpus",
+            "run",
+            "corpus/seed",
+            "--mutate",
+            mutation,
+            "--expect-mismatch",
+            "--archive-to",
+            dir,
+        ]);
+        let witnesses = std::fs::read_dir(&archive)
+            .expect("witnesses archived")
+            .count();
+        assert!(witnesses > 0, "{mutation}: nothing archived");
+        let rerun = ebda(&[
+            "corpus",
+            "run",
+            dir,
+            "--mutate",
+            mutation,
+            "--expect-mismatch",
+        ]);
+        assert!(
+            rerun.contains(&format!("\nmismatches: {witnesses}\n")),
+            "{mutation}: every one of {witnesses} witnesses must trip it again:\n{rerun}"
+        );
+        if honest {
+            let clean = ebda(&["corpus", "run", dir]);
+            assert!(clean.contains("\nmismatches: 0\n"), "{mutation}:\n{clean}");
+        }
+        std::fs::remove_dir_all(&archive).unwrap();
+    }
 }
