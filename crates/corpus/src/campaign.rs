@@ -202,7 +202,7 @@ pub fn run_corpus_campaign(
         coverage: key.map(|key| (key, cfg.coverage.as_deref())),
     };
     let batch = entries.iter().enumerate();
-    let batch = batch.map(|(i, e)| (e.to_artifact(i as u64), expectation(e)));
+    let batch = batch.map(|(i, e)| (e.to_artifact(i as u64), expectation(e), e.name.clone()));
     let mut source = Entries {
         entries,
         archive_dir: cfg.archive_dir.as_deref(),
@@ -222,12 +222,12 @@ struct Entries<'a> {
     entries: &'a [CorpusEntry],
     archive_dir: Option<&'a Path>,
     /// The one batch, until it is yielded.
-    batch: Option<Vec<(Artifact, Expectation)>>,
+    batch: Option<Vec<(Artifact, Expectation, String)>>,
     report: CorpusCampaignReport,
 }
 
 impl Source for Entries<'_> {
-    fn next_batch(&mut self, _: usize) -> Option<Vec<(Artifact, Expectation)>> {
+    fn next_batch(&mut self) -> Option<Vec<(Artifact, Expectation, String)>> {
         self.batch.take()
     }
 
@@ -243,10 +243,6 @@ impl Source for Entries<'_> {
             report.deadlocking += 1;
             prof::work("corpus/check", "deadlocking", 1);
         }
-    }
-
-    fn record_name(&self, index: usize, _: &Artifact) -> String {
-        self.entries[index].name.clone()
     }
 
     /// Labels the shrunk witness honestly and archives it.
@@ -353,5 +349,121 @@ mod tests {
         assert_eq!(report.free, 2);
         assert_eq!(report.deadlocking, 2);
         assert_eq!(report.families.len(), 2);
+    }
+
+    #[test]
+    fn report_is_byte_identical_across_thread_counts() {
+        let entries = small_corpus();
+        let base = run_corpus_campaign(
+            &entries,
+            &CorpusCampaignConfig {
+                threads: 1,
+                ..CorpusCampaignConfig::default()
+            },
+        )
+        .to_string();
+        for threads in [2, 8] {
+            let other = run_corpus_campaign(
+                &entries,
+                &CorpusCampaignConfig {
+                    threads,
+                    ..CorpusCampaignConfig::default()
+                },
+            )
+            .to_string();
+            assert_eq!(base, other, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn coverage_map_is_keyed_merged_in_entry_order_and_thread_invariant() {
+        let entries = small_corpus();
+        let dir = std::env::temp_dir().join(format!("ebda-corpus-cov-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = |threads: usize, tag: &str| {
+            let path = dir.join(format!("cov-{tag}.json"));
+            let report = run_corpus_campaign(
+                &entries,
+                &CorpusCampaignConfig {
+                    threads,
+                    coverage: Some(path.clone()),
+                    ..CorpusCampaignConfig::default()
+                },
+            );
+            (report, std::fs::read_to_string(&path).unwrap())
+        };
+        let (serial, serial_bytes) = run(1, "1");
+        let (parallel, parallel_bytes) = run(8, "8");
+        assert_eq!(serial_bytes, parallel_bytes, "coverage depends on threads");
+        let map = serial.coverage.as_ref().expect("coverage accumulated");
+        assert!(map.key().starts_with("corpus-"), "key: {}", map.key());
+        // Every static family is fed by the four verdict paths; only the
+        // simulator family stays empty (the corpus campaign never replays).
+        for family in [
+            "cdg_edge",
+            "design_bin",
+            "escape_drain",
+            "gfp_pair",
+            "turn_admitted",
+        ] {
+            assert!(map.covered(family) > 0, "family {family} uncovered");
+        }
+        assert_eq!(map.covered("sim_event"), 0);
+        assert_eq!(map.digest(), parallel.coverage.as_ref().unwrap().digest());
+        assert!(serial.to_string().contains("coverage:"), "{serial}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mislabeled_entry_is_caught_shrunk_and_archived() {
+        // Flip a deadlocking entry's label: the campaign must catch it,
+        // shrink the counterexample, and archive an honestly labeled
+        // witness.
+        let mut entries = small_corpus();
+        entries[2].expected = ExpectedVerdict::DeadlockFree;
+        let dir = std::env::temp_dir().join(format!(
+            "ebda-corpus-test-{}-{}",
+            std::process::id(),
+            entries[2].hash_hex()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let report = run_corpus_campaign(
+            &entries,
+            &CorpusCampaignConfig {
+                archive_dir: Some(dir.clone()),
+                ..CorpusCampaignConfig::default()
+            },
+        );
+        assert_eq!(report.mismatches.len(), 1, "{report}");
+        let m = &report.mismatches[0];
+        assert_eq!(m.name, entries[2].name);
+        assert!(m.reason.contains("label deadlock-free"), "{}", m.reason);
+        let file = m.archived.clone().expect("witness archived");
+        let loaded = store::load_dir(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].family, "witness");
+        assert_eq!(loaded[0].expected, ExpectedVerdict::Deadlocking);
+        assert_eq!(loaded[0].file_name(), file);
+        // The honest witness must itself pass the check.
+        assert!(check_entry(&loaded[0], 0, Mutation::None).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn injected_oracle_fault_trips_the_corpus() {
+        // The dally-ignores-wrap mutation makes Dally miss wrap rings:
+        // torus entries must catch it.
+        let entries: Vec<CorpusEntry> = families::generate_family("removed-dateline")
+            .into_iter()
+            .take(1)
+            .collect();
+        let report = run_corpus_campaign(
+            &entries,
+            &CorpusCampaignConfig {
+                mutation: Mutation::DallyIgnoresWrap,
+                ..CorpusCampaignConfig::default()
+            },
+        );
+        assert!(!report.is_clean(), "mutation went uncaught: {report}");
     }
 }

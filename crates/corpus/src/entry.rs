@@ -29,21 +29,14 @@ impl ExpectedVerdict {
 
     /// Parses the on-disk name.
     pub fn parse(s: &str) -> Option<ExpectedVerdict> {
-        match s {
-            "deadlock-free" => Some(ExpectedVerdict::DeadlockFree),
-            "deadlocking" => Some(ExpectedVerdict::Deadlocking),
-            _ => None,
-        }
+        [ExpectedVerdict::DeadlockFree, ExpectedVerdict::Deadlocking]
+            .into_iter()
+            .find(|v| v.name() == s)
     }
-}
 
-impl ExpectedVerdict {
-    /// The stable on-disk name.
+    /// The stable on-disk name, the label name the campaign reports.
     pub fn name(self) -> &'static str {
-        match self {
-            ExpectedVerdict::DeadlockFree => "deadlock-free",
-            ExpectedVerdict::Deadlocking => "deadlocking",
-        }
+        ebda_oracle::campaign::label_name(self.is_free())
     }
 }
 

@@ -276,7 +276,7 @@ struct Stream<'a> {
 }
 
 impl Source for Stream<'_> {
-    fn next_batch(&mut self, checked: usize) -> Option<Vec<(Artifact, Expectation)>> {
+    fn next_batch(&mut self) -> Option<Vec<(Artifact, Expectation, String)>> {
         // Artifacts are generated sequentially from the deterministic
         // stream and checked in parallel batches. The batch size is a
         // constant (never derived from the thread count) because it shapes
@@ -286,7 +286,7 @@ impl Source for Stream<'_> {
         // enough to skip well-trodden shapes, bounded so generation stays
         // cheap.
         const GUIDED_DRAWS: usize = 6;
-        let cfg = self.cfg;
+        let (cfg, checked) = (self.cfg, self.report.configs);
         let over_budget = self.start.elapsed() >= cfg.budget;
         if (over_budget && checked >= cfg.min_configs) || checked >= cfg.max_configs {
             return None;
@@ -316,7 +316,8 @@ impl Source for Stream<'_> {
                 }
                 self.seen_shapes.insert(crate::coverage::shape_bin(&pick));
             }
-            (pick, Expectation::Agreement)
+            let name = pick.summary();
+            (pick, Expectation::Agreement, name)
         });
         Some(batch.collect())
     }
@@ -343,10 +344,6 @@ impl Source for Stream<'_> {
             report.duato_connected += 1;
         }
         report.bin_opening_artifacts += usize::from(new_bin);
-    }
-
-    fn record_name(&self, _: usize, artifact: &Artifact) -> String {
-        artifact.summary()
     }
 
     /// Replays the shrunk disagreement; its `sim_event` coverage joins the
@@ -643,6 +640,117 @@ mod tests {
         let serial = report(1);
         assert!(serial.contains("bin-opening artifacts"), "{serial}");
         assert_eq!(serial, report(8));
+    }
+
+    #[test]
+    fn campaign_summary_is_thread_count_invariant() {
+        // A config-count-bound campaign (budget 0) must tally identically
+        // at any thread count: same stream, same batches, same order.
+        let serial = run_campaign(&CampaignConfig {
+            threads: 1,
+            ..quick(Mutation::None)
+        });
+        let parallel = run_campaign(&CampaignConfig {
+            threads: 8,
+            ..quick(Mutation::None)
+        });
+        assert_eq!(serial.configs, parallel.configs);
+        assert_eq!(serial.partitionings, parallel.partitionings);
+        assert_eq!(serial.orderings, parallel.orderings);
+        assert_eq!(serial.random_turns, parallel.random_turns);
+        assert_eq!(serial.deadlock_free, parallel.deadlock_free);
+        assert_eq!(serial.deadlocking, parallel.deadlocking);
+        assert_eq!(serial.ebda_accepted, parallel.ebda_accepted);
+        assert_eq!(serial.duato_connected, parallel.duato_connected);
+        assert!(serial.is_clean() && parallel.is_clean());
+    }
+
+    #[test]
+    fn coverage_map_is_byte_identical_across_thread_counts() {
+        // The tentpole determinism claim: per-artifact maps are
+        // extracted in parallel but merged in stream order, so the
+        // campaign map's canonical JSON is identical at --threads 1/8.
+        let with_coverage = |threads| {
+            let mut path = std::env::temp_dir();
+            path.push(format!("ebda-oracle-cov-t{threads}-{}", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let report = run_campaign(&CampaignConfig {
+                threads,
+                coverage: Some(path.clone()),
+                ..quick(Mutation::None)
+            });
+            let on_disk = std::fs::read_to_string(&path).expect("map written");
+            let _ = std::fs::remove_file(&path);
+            (report, on_disk)
+        };
+        let (serial, serial_bytes) = with_coverage(1);
+        let (parallel, parallel_bytes) = with_coverage(8);
+        assert_eq!(serial_bytes, parallel_bytes, "coverage files must match");
+        let (sm, pm) = (serial.coverage.unwrap(), parallel.coverage.unwrap());
+        assert_eq!(sm.to_json(), pm.to_json());
+        assert_eq!(sm.diff(&pm), None);
+        assert_eq!(serial.bin_opening_artifacts, parallel.bin_opening_artifacts);
+        // The written file is the report's map plus a newline.
+        assert_eq!(serial_bytes, sm.to_json() + "\n");
+        // Every non-sim family is fed even by a 30-artifact campaign.
+        for family in [
+            "cdg_edge",
+            "turn_admitted",
+            "turn_denied",
+            "obligation",
+            "escape_drain",
+            "gfp_pair",
+            "design_bin",
+        ] {
+            assert!(sm.covered(family) > 0, "family {family} empty");
+        }
+    }
+
+    #[test]
+    fn guided_campaign_reaches_more_bins_at_equal_budget() {
+        // The acceptance claim: at the same checked-artifact budget, the
+        // coverage-guided stream must reach strictly more design-space
+        // bins than blind sampling from the same seed.
+        let base = CampaignConfig {
+            min_configs: 60,
+            max_configs: 60,
+            ..quick(Mutation::None)
+        };
+        let blind = run_campaign(&CampaignConfig {
+            coverage_guided: false,
+            coverage: Some(
+                std::env::temp_dir().join(format!("ebda-oracle-blind-{}", std::process::id())),
+            ),
+            ..base.clone()
+        });
+        let guided = run_campaign(&CampaignConfig {
+            coverage_guided: true,
+            ..base
+        });
+        let _ = std::fs::remove_file(
+            std::env::temp_dir().join(format!("ebda-oracle-blind-{}", std::process::id())),
+        );
+        assert_eq!(blind.configs, guided.configs, "equal artifact budget");
+        let blind_bins = blind.coverage.as_ref().unwrap().covered("design_bin");
+        let guided_bins = guided.coverage.as_ref().unwrap().covered("design_bin");
+        assert!(
+            guided_bins > blind_bins,
+            "guided must beat blind: {guided_bins} vs {blind_bins}"
+        );
+        // Guided runs track coverage even with no output path, and the
+        // report narrates it.
+        assert!(guided.to_string().contains("design-space bins"));
+        // Determinism: the guided stream is a pure function of the seed.
+        let again = run_campaign(&CampaignConfig {
+            coverage_guided: true,
+            min_configs: 60,
+            max_configs: 60,
+            ..quick(Mutation::None)
+        });
+        assert_eq!(
+            again.coverage.as_ref().unwrap().to_json(),
+            guided.coverage.as_ref().unwrap().to_json()
+        );
     }
 
     #[test]
