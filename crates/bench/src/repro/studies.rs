@@ -5,8 +5,8 @@
 use crate::args::{Args, CliError};
 use crate::trace::{ObsOptions, Traces};
 use ebda_cdg::turn_model::{
-    abstract_cycle_count, combination_count, deadlock_free_combinations,
-    deadlock_free_combinations_2d, unique_up_to_symmetry,
+    abstract_cycle_count, abstract_cycles, combination_count, deadlock_free_combinations,
+    deadlock_free_combinations_2d, unique_turn_sets_up_to_symmetry, unique_up_to_symmetry,
 };
 use ebda_cdg::verify_design;
 use ebda_core::adaptiveness::{
@@ -15,7 +15,7 @@ use ebda_core::adaptiveness::{
 use ebda_core::algorithm1::{partition_network, partition_network_region_covering};
 use ebda_core::algorithm2::{derive_all, transition_reorderings};
 use ebda_core::sets::{arrangement1, arrangement2, arrangement3};
-use ebda_core::{extract_turns, PartitionSeq};
+use ebda_core::{extract_turns, PartitionSeq, TurnSet};
 use ebda_routing::certify_relation::certify_relation;
 use ebda_routing::classic::{
     DimensionOrder, DuatoFullyAdaptive, NegativeFirst, NorthLast, OddEven, TorusDateline, UpDown,
@@ -56,6 +56,19 @@ pub(super) fn scalability() {
     let t0 = Instant::now();
     let free3 = deadlock_free_combinations(3, 4);
     let brute3_time = t0.elapsed();
+    // Each free model's allowed turns: every cycle turn but its digit's.
+    let cycles3 = abstract_cycles(3);
+    let sets3: Vec<TurnSet> = free3
+        .iter()
+        .map(|digits| {
+            let mut allowed: TurnSet = cycles3.iter().flatten().copied().collect();
+            for (cycle, &k) in cycles3.iter().zip(digits) {
+                allowed.remove(cycle[k]);
+            }
+            allowed
+        })
+        .collect();
+    let unique3 = unique_turn_sets_up_to_symmetry(3, &sets3);
     println!("\n3D turn-model enumeration on a 4x4x4 mesh:");
     println!("  combinations checked : 4096 (4^6)");
     println!("  deadlock-free        : {}", free3.len());
@@ -63,10 +76,11 @@ pub(super) fn scalability() {
         "  wall clock           : {brute3_time:.2?} (2D took {brute_time:.2?}) — the growth Section 2 warns about"
     );
     println!(
-        "  unique under the 48-element cube symmetry group: 9 (this repo's\n\
+        "  unique under the 48-element cube symmetry group: {unique3} (this repo's\n\
          \x20 measurement — the 3D analogue of Glass & Ni's 3; see\n\
          \x20 turn_model::unique_turn_sets_up_to_symmetry)"
     );
+    assert_eq!((free3.len(), unique3), (176, 9));
 
     // (a'') The 2D-with-VCs space: all 65,536 combinations.
     let t0 = Instant::now();
@@ -140,14 +154,21 @@ pub(super) fn scalability() {
             certified2 += 1;
         }
     }
+    let universe3 = ebda_core::parse_channels("X+ X- Y+ Y- Z+ Z-").expect("static");
+    let certified3 = sets3
+        .iter()
+        .filter(|allowed| ebda_core::certify::certify(&universe3, allowed).is_ok())
+        .count();
     println!(
         "\nEbDa certification (turn set -> partitioning certificate):\n\
          2D: {certified2}/16 combinations certifiable = exactly the 12 deadlock-free ones\n\
-         3D: 32/176 deadlock-free combinations certifiable, 0 unsound\n\
+         3D: {certified3}/{} deadlock-free combinations certifiable, 0 unsound\n\
              (sound but incomplete at channel-class granularity; see\n\
-             tests/certification.rs and EXPERIMENTS.md)"
+             tests/certification.rs and EXPERIMENTS.md)",
+        sets3.len()
     );
     assert_eq!(certified2, 12);
+    assert_eq!(certified3, 32);
 }
 
 /// Design-space exploration (Section 5.3 operationalized): enumerate the

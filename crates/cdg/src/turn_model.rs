@@ -14,38 +14,56 @@
 //! CDG per model that this replaced are the reference in
 //! `tests/kernel_differential.rs`.
 //!
+//! Every space's abstract cycles come from one generator over the
+//! per-dimension VC budgets. Its order is an invariant, because a model
+//! is a digit per cycle and seeded samples and index vectors name cycles
+//! by position: dimension pairs `a < b` in lexicographic order, then VC
+//! pairs `(va, vb)` with `vb` varying fastest, and for each the clockwise
+//! cycle `a+ → b− → a− → b+` before the counterclockwise `a+ → b+ → a− →
+//! b−`. Orbits are counted under one group, the mesh's: every
+//! permutation of the dimensions with every mask of flipped directions,
+//! VC labels kept (`n!·2^n` elements, 8 for the square).
+//!
 //! For the 2D no-VC case it reproduces the classic Glass & Ni result the
 //! paper cites: of the 16 combinations, 12 are deadlock-free and 3 are
 //! unique up to symmetry (west-first, north-last, negative-first).
 
 use crate::graph::{Relation, Skeleton};
 use crate::topology::Topology;
+use ebda_core::sets::permutations;
 use ebda_core::{Channel, Dimension, Direction, Turn, TurnSet};
 use ebda_obs::Rng64;
 
-/// The eight 90° turns of a 2D network, split into the two abstract cycles.
-///
-/// Clockwise abstract cycle: ES → SW → WN → NE; counterclockwise: EN → NW →
-/// WS → SE. Returned as `(clockwise, counterclockwise)`.
-pub fn abstract_cycles_2d() -> ([Turn; 4], [Turn; 4]) {
-    let e = Channel::new(Dimension::X, Direction::Plus);
-    let w = Channel::new(Dimension::X, Direction::Minus);
-    let n = Channel::new(Dimension::Y, Direction::Plus);
-    let s = Channel::new(Dimension::Y, Direction::Minus);
-    (
+/// The abstract cycles of a network whose dimension `d` has `vcs[d]`
+/// virtual channels, in the module's cycle order.
+fn cycles(vcs: &[u8]) -> impl Iterator<Item = [Turn; 4]> + '_ {
+    let n = vcs.len();
+    let planes = (0..n).flat_map(move |a| (a + 1..n).map(move |b| (a, b)));
+    let pairs = planes.flat_map(move |(a, b)| {
+        (1..=vcs[a]).flat_map(move |va| (1..=vcs[b]).map(move |vb| ((a, va), (b, vb))))
+    });
+    pairs.flat_map(|(a, b)| cycle_pair(a, b))
+}
+
+/// The clockwise cycle `a+ → b− → a− → b+` and the counterclockwise
+/// cycle `a+ → b+ → a− → b−` of dimension `a` on one VC and dimension `b`
+/// on another, each given as `(dimension, vc)`. The single-VC plane's
+/// pair, `cycle_pair((0, 1), (1, 1))`, is the generator's first two
+/// cycles, built without running it: it is most of the set-up of the
+/// benchmark's `enumerate`.
+fn cycle_pair((a, va): (usize, u8), (b, vb): (usize, u8)) -> [[Turn; 4]; 2] {
+    let ch = |d: usize, vc, dir| Channel::with_vc(Dimension::new(d as u8), dir, vc);
+    let (ap, am) = (ch(a, va, Direction::Plus), ch(a, va, Direction::Minus));
+    let (bp, bm) = (ch(b, vb, Direction::Plus), ch(b, vb, Direction::Minus));
+    let cycle = |x: Channel, y: Channel| {
         [
-            Turn::new(e, s), // ES
-            Turn::new(s, w), // SW
-            Turn::new(w, n), // WN
-            Turn::new(n, e), // NE
-        ],
-        [
-            Turn::new(e, n), // EN
-            Turn::new(n, w), // NW
-            Turn::new(w, s), // WS
-            Turn::new(s, e), // SE
-        ],
-    )
+            Turn::new(ap, x),
+            Turn::new(x, am),
+            Turn::new(am, y),
+            Turn::new(y, ap),
+        ]
+    };
+    [cycle(bm, bp), cycle(bp, bm)]
 }
 
 /// One prohibition combination: remove turn `cw` from the clockwise cycle
@@ -63,7 +81,7 @@ pub struct Combination {
 /// Enumerates all `4 × 4 = 16` one-per-cycle prohibition combinations of the
 /// 2D turn model.
 pub fn combinations_2d() -> Vec<Combination> {
-    let (cw, ccw) = abstract_cycles_2d();
+    let [cw, ccw] = cycle_pair((0, 1), (1, 1));
     let mut out = Vec::with_capacity(16);
     // A clone and a removal, not six inserts into a fresh set: this is
     // the whole set-up of the benchmark's `enumerate`.
@@ -159,8 +177,7 @@ impl Drop for Enumeration {
 /// deadlock-free ones. With `radix >= 4` this reproduces the Glass & Ni
 /// count of 12 the paper quotes.
 pub fn deadlock_free_combinations_2d(radix: usize) -> Vec<Combination> {
-    let (cw, ccw) = abstract_cycles_2d();
-    let mut models = Enumeration::new(2, radix, 1, &[cw, ccw]);
+    let mut models = Enumeration::new(2, radix, 1, &cycle_pair((0, 1), (1, 1)));
     combinations_2d()
         .into_iter()
         .filter(|c| models.is_free(|cycle| [c.cw, c.ccw][cycle]))
@@ -171,68 +188,31 @@ pub fn deadlock_free_combinations_2d(radix: usize) -> Vec<Combination> {
 /// of the 2D mesh (the dihedral group acting on the four directions) — the
 /// paper's "3 unique if symmetry is taken into account".
 pub fn unique_up_to_symmetry(combos: &[Combination]) -> usize {
-    let mut canonical: Vec<String> = Vec::new();
-    for c in combos {
-        let mut forms: Vec<String> = symmetries()
-            .iter()
-            .map(|s| {
-                let mapped: TurnSet = c
-                    .allowed
-                    .iter()
-                    .map(|t| Turn::new(apply(s, t.from), apply(s, t.to)))
-                    .collect();
-                mapped.to_string()
-            })
-            .collect();
-        forms.sort();
-        let canon = forms.remove(0);
-        if !canonical.contains(&canon) {
-            canonical.push(canon);
-        }
-    }
-    canonical.len()
-}
-
-/// The 8 symmetries of the square as permutations of (dim, dir):
-/// encoded as (swap_xy, flip_x, flip_y).
-fn symmetries() -> Vec<(bool, bool, bool)> {
-    let mut out = Vec::with_capacity(8);
-    for swap in [false, true] {
-        for fx in [false, true] {
-            for fy in [false, true] {
-                out.push((swap, fx, fy));
-            }
-        }
-    }
-    out
-}
-
-fn apply(s: &(bool, bool, bool), c: Channel) -> Channel {
-    let (swap, fx, fy) = *s;
-    let mut dim = c.dim;
-    if swap {
-        dim = if dim == Dimension::X {
-            Dimension::Y
-        } else {
-            Dimension::X
-        };
-    }
-    let flip = if dim == Dimension::X { fx } else { fy };
-    let dir = if flip { c.dir.opposite() } else { c.dir };
-    Channel::with_vc(dim, dir, c.vc)
+    let sets: Vec<TurnSet> = combos.iter().map(|c| c.allowed.clone()).collect();
+    unique_turn_sets_up_to_symmetry(2, &sets)
 }
 
 /// Counts the orbits of a set of turn sets under the hyperoctahedral
 /// symmetry group of the `n`-dimensional mesh (all dimension permutations
 /// combined with per-dimension flips: `n! · 2^n` elements — 48 for 3D).
 ///
-/// Generalizes [`unique_up_to_symmetry`] beyond 2D; feed it the allowed
+/// [`unique_up_to_symmetry`] is this group at `n = 2`; feed it the allowed
 /// turn sets of [`deadlock_free_combinations`]'s survivors to learn how
 /// many structurally distinct turn models an enumeration found.
 pub fn unique_turn_sets_up_to_symmetry(n: usize, sets: &[TurnSet]) -> usize {
     assert!(n <= 5, "group size n!*2^n explodes beyond 5 dimensions");
-    // Enumerate group elements: a permutation of dims + a flip mask.
-    let perms = permutations_of(n);
+    let perms = permutations(n);
+    // Dimension `d` goes to `perm[d]`, its direction flipped if bit `d`
+    // of the mask is set.
+    let apply = |perm: &[usize], mask: u32, c: Channel| {
+        let d = c.dim.index();
+        let dir = if mask >> d & 1 == 1 {
+            c.dir.opposite()
+        } else {
+            c.dir
+        };
+        Channel::with_vc(Dimension::new(perm[d] as u8), dir, c.vc)
+    };
     let mut canonical = std::collections::BTreeSet::new();
     for ts in sets {
         let mut forms: Vec<String> = Vec::new();
@@ -240,7 +220,7 @@ pub fn unique_turn_sets_up_to_symmetry(n: usize, sets: &[TurnSet]) -> usize {
             for mask in 0..(1u32 << n) {
                 let mapped: TurnSet = ts
                     .iter()
-                    .map(|t| Turn::new(apply_nd(perm, mask, t.from), apply_nd(perm, mask, t.to)))
+                    .map(|t| Turn::new(apply(perm, mask, t.from), apply(perm, mask, t.to)))
                     .collect();
                 forms.push(mapped.to_string());
             }
@@ -251,66 +231,13 @@ pub fn unique_turn_sets_up_to_symmetry(n: usize, sets: &[TurnSet]) -> usize {
     canonical.len()
 }
 
-fn permutations_of(n: usize) -> Vec<Vec<usize>> {
-    fn rec(n: usize, cur: &mut Vec<usize>, used: &mut Vec<bool>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == n {
-            out.push(cur.clone());
-            return;
-        }
-        for v in 0..n {
-            if !used[v] {
-                used[v] = true;
-                cur.push(v);
-                rec(n, cur, used, out);
-                cur.pop();
-                used[v] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(n, &mut Vec::new(), &mut vec![false; n], &mut out);
-    out
-}
-
-fn apply_nd(perm: &[usize], flip_mask: u32, c: Channel) -> Channel {
-    let d = c.dim.index();
-    let new_dim = perm[d];
-    let dir = if flip_mask & (1 << d) != 0 {
-        c.dir.opposite()
-    } else {
-        c.dir
-    };
-    Channel::with_vc(Dimension::new(new_dim as u8), dir, c.vc)
-}
-
 /// The abstract cycles of an `n`-dimensional single-VC network: for every
 /// dimension pair, one clockwise and one counterclockwise cycle of four
 /// turns. Returns `2·C(n,2)` cycles.
 pub fn abstract_cycles(n: usize) -> Vec<[Turn; 4]> {
-    let mut cycles = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let ap = Channel::new(Dimension::new(a as u8), Direction::Plus);
-            let am = Channel::new(Dimension::new(a as u8), Direction::Minus);
-            let bp = Channel::new(Dimension::new(b as u8), Direction::Plus);
-            let bm = Channel::new(Dimension::new(b as u8), Direction::Minus);
-            // Clockwise: a+ -> b- -> a- -> b+ -> a+.
-            cycles.push([
-                Turn::new(ap, bm),
-                Turn::new(bm, am),
-                Turn::new(am, bp),
-                Turn::new(bp, ap),
-            ]);
-            // Counterclockwise: a+ -> b+ -> a- -> b- -> a+.
-            cycles.push([
-                Turn::new(ap, bp),
-                Turn::new(bp, am),
-                Turn::new(am, bm),
-                Turn::new(bm, ap),
-            ]);
-        }
-    }
-    cycles
+    // A budget of one VC per dimension, borrowed rather than allocated
+    // (a `Dimension` index is a byte).
+    cycles(&[1; 256][..n]).collect()
 }
 
 /// Exhaustive brute-force turn-model verification in `n` dimensions with a
@@ -350,28 +277,7 @@ pub fn deadlock_free_combinations(n: usize, radix: usize) -> Vec<Vec<usize>> {
 /// Y-VC)` pairing — `2q²` cycles of four turns each (8 cycles for the
 /// paper's "65,536 (4^8)" configuration).
 pub fn abstract_cycles_2d_vc(q: u8) -> Vec<[Turn; 4]> {
-    let mut cycles = Vec::new();
-    for va in 1..=q {
-        for vb in 1..=q {
-            let xp = Channel::with_vc(Dimension::X, Direction::Plus, va);
-            let xm = Channel::with_vc(Dimension::X, Direction::Minus, va);
-            let yp = Channel::with_vc(Dimension::Y, Direction::Plus, vb);
-            let ym = Channel::with_vc(Dimension::Y, Direction::Minus, vb);
-            cycles.push([
-                Turn::new(xp, ym),
-                Turn::new(ym, xm),
-                Turn::new(xm, yp),
-                Turn::new(yp, xp),
-            ]);
-            cycles.push([
-                Turn::new(xp, yp),
-                Turn::new(yp, xm),
-                Turn::new(xm, ym),
-                Turn::new(ym, xp),
-            ]);
-        }
-    }
-    cycles
+    cycles(&[q, q]).collect()
 }
 
 /// The digit vectors of a walk over a model space, 32 base-4 digits to

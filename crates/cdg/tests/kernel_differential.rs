@@ -28,6 +28,13 @@
 //!   against the three enumerations, verdict by verdict: the 4 096 3D
 //!   models, the 16 of Glass and Ni, the sampled stream, and (in
 //!   release) all 65 536 two-VC models with their count and orbits.
+//! * Abstract cycles and orbits — the three cycle listings `turn_model`
+//!   had (the 2D pair, the `n`-D loop, the 2D-with-VCs loop) against its
+//!   one generator, cycle by cycle and in order; and the square's
+//!   dihedral group as eight `(swap, flip_x, flip_y)` maps
+//!   ([`reference_dihedral_orbits`]) against the `n`-D group at `n = 2`
+//!   behind `unique_up_to_symmetry`, on the Glass and Ni models, every
+//!   subset of the eight planar turns and seeded families with VCs.
 //!
 //! Inputs are seed-pinned random turn relations over random class
 //! universes (parity / `AtCoord` / `NotAtCoord` classes, dropped and
@@ -43,8 +50,9 @@ use ebda_cdg::csr;
 use ebda_cdg::duato::{verify_escape, verify_escape_given};
 use ebda_cdg::graph::Relation;
 use ebda_cdg::turn_model::{
-    abstract_cycles, abstract_cycles_2d, abstract_cycles_2d_vc, deadlock_free_combinations,
+    abstract_cycle_count, abstract_cycles, abstract_cycles_2d_vc, deadlock_free_combinations,
     deadlock_free_combinations_2d, sample_deadlock_free_2d_vc, unique_turn_sets_up_to_symmetry,
+    unique_up_to_symmetry, Combination,
 };
 use ebda_cdg::{
     verify_turn_set, Cdg, ConcreteChannel, NodeId, Skeleton, Topology, VerificationReport,
@@ -858,8 +866,7 @@ fn enumerations_match_the_per_model_build() {
         assert_eq!(deadlock_free_combinations(3, radix), want, "radix {radix}");
     }
     // The 16 of Glass and Ni, in `(cw, ccw)` order.
-    let (cw, ccw) = abstract_cycles_2d();
-    let space = Space::new(2, 6, 1, vec![cw, ccw]);
+    let space = Space::new(2, 6, 1, abstract_cycles(2));
     let got = deadlock_free_combinations_2d(6);
     let mut at = 0;
     for combo in 0..16usize {
@@ -907,6 +914,204 @@ fn the_two_vc_space_matches_the_per_model_build_exhaustively() {
     assert_eq!(free.len(), 68);
     assert_eq!(unique_turn_sets_up_to_symmetry(2, &free), 12);
     assert_eq!(sample_deadlock_free_2d_vc(2, 5, u64::MAX, 0), (65_536, 68));
+}
+
+// ---------------------------------------------------------------------
+// Abstract cycles and orbits: the listings and the group `turn_model`
+// had before its one generator and its one group.
+// ---------------------------------------------------------------------
+
+/// The eight 90° turns of a 2D network as the two abstract cycles:
+/// clockwise ES → SW → WN → NE, counterclockwise EN → NW → WS → SE.
+fn reference_cycles_2d() -> ([Turn; 4], [Turn; 4]) {
+    let e = Channel::new(Dimension::X, Direction::Plus);
+    let w = Channel::new(Dimension::X, Direction::Minus);
+    let n = Channel::new(Dimension::Y, Direction::Plus);
+    let s = Channel::new(Dimension::Y, Direction::Minus);
+    (
+        [
+            Turn::new(e, s), // ES
+            Turn::new(s, w), // SW
+            Turn::new(w, n), // WN
+            Turn::new(n, e), // NE
+        ],
+        [
+            Turn::new(e, n), // EN
+            Turn::new(n, w), // NW
+            Turn::new(w, s), // WS
+            Turn::new(s, e), // SE
+        ],
+    )
+}
+
+/// The `n`-dimensional single-VC loop: per dimension pair, clockwise
+/// then counterclockwise.
+fn reference_cycles(n: usize) -> Vec<[Turn; 4]> {
+    let mut cycles = Vec::new();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            let ap = Channel::new(Dimension::new(a as u8), Direction::Plus);
+            let am = Channel::new(Dimension::new(a as u8), Direction::Minus);
+            let bp = Channel::new(Dimension::new(b as u8), Direction::Plus);
+            let bm = Channel::new(Dimension::new(b as u8), Direction::Minus);
+            // Clockwise: a+ -> b- -> a- -> b+ -> a+.
+            cycles.push([
+                Turn::new(ap, bm),
+                Turn::new(bm, am),
+                Turn::new(am, bp),
+                Turn::new(bp, ap),
+            ]);
+            // Counterclockwise: a+ -> b+ -> a- -> b- -> a+.
+            cycles.push([
+                Turn::new(ap, bp),
+                Turn::new(bp, am),
+                Turn::new(am, bm),
+                Turn::new(bm, ap),
+            ]);
+        }
+    }
+    cycles
+}
+
+/// The 2D loop with `q` VCs per dimension: per `(X-VC, Y-VC)` pairing,
+/// clockwise then counterclockwise.
+fn reference_cycles_2d_vc(q: u8) -> Vec<[Turn; 4]> {
+    let mut cycles = Vec::new();
+    for va in 1..=q {
+        for vb in 1..=q {
+            let xp = Channel::with_vc(Dimension::X, Direction::Plus, va);
+            let xm = Channel::with_vc(Dimension::X, Direction::Minus, va);
+            let yp = Channel::with_vc(Dimension::Y, Direction::Plus, vb);
+            let ym = Channel::with_vc(Dimension::Y, Direction::Minus, vb);
+            cycles.push([
+                Turn::new(xp, ym),
+                Turn::new(ym, xm),
+                Turn::new(xm, yp),
+                Turn::new(yp, xp),
+            ]);
+            cycles.push([
+                Turn::new(xp, yp),
+                Turn::new(yp, xm),
+                Turn::new(xm, ym),
+                Turn::new(ym, xp),
+            ]);
+        }
+    }
+    cycles
+}
+
+/// The orbits of `sets` under the square's eight symmetries, each a
+/// `(swap_xy, flip_x, flip_y)` map with the flip read after the swap:
+/// the smallest printed image of a set is its orbit's name.
+fn reference_dihedral_orbits(sets: &[TurnSet]) -> usize {
+    let apply = |(swap, fx, fy): (bool, bool, bool), c: Channel| {
+        let mut dim = c.dim;
+        if swap {
+            dim = if dim == Dimension::X {
+                Dimension::Y
+            } else {
+                Dimension::X
+            };
+        }
+        let flip = if dim == Dimension::X { fx } else { fy };
+        let dir = if flip { c.dir.opposite() } else { c.dir };
+        Channel::with_vc(dim, dir, c.vc)
+    };
+    let mut symmetries = Vec::with_capacity(8);
+    for swap in [false, true] {
+        for fx in [false, true] {
+            for fy in [false, true] {
+                symmetries.push((swap, fx, fy));
+            }
+        }
+    }
+    let mut canonical: Vec<String> = Vec::new();
+    for set in sets {
+        let mut forms: Vec<String> = symmetries
+            .iter()
+            .map(|&s| {
+                let mapped: TurnSet = set
+                    .iter()
+                    .map(|t| Turn::new(apply(s, t.from), apply(s, t.to)))
+                    .collect();
+                mapped.to_string()
+            })
+            .collect();
+        forms.sort();
+        let canon = forms.remove(0);
+        if !canonical.contains(&canon) {
+            canonical.push(canon);
+        }
+    }
+    canonical.len()
+}
+
+#[test]
+fn the_cycle_generator_lists_what_the_three_loops_listed() {
+    let (cw, ccw) = reference_cycles_2d();
+    assert_eq!(abstract_cycles(2), [cw, ccw]);
+    for n in 1..=5 {
+        let got = abstract_cycles(n);
+        assert_eq!(got, reference_cycles(n), "{n} dimensions");
+        assert_eq!(abstract_cycle_count(&vec![1; n]), got.len() as u64);
+    }
+    for q in 1..=3 {
+        let got = abstract_cycles_2d_vc(q);
+        assert_eq!(got, reference_cycles_2d_vc(q), "{q} VCs");
+        assert_eq!(abstract_cycle_count(&[q, q]), got.len() as u64);
+    }
+}
+
+#[test]
+fn the_mesh_group_at_two_dimensions_is_the_dihedral_group() {
+    let orbits = |sets: &[TurnSet]| {
+        let combos: Vec<Combination> = sets
+            .iter()
+            .map(|allowed| Combination {
+                cw: 0,
+                ccw: 0,
+                allowed: allowed.clone(),
+            })
+            .collect();
+        let got = unique_up_to_symmetry(&combos);
+        assert_eq!(got, reference_dihedral_orbits(sets));
+        assert_eq!(got, unique_turn_sets_up_to_symmetry(2, sets));
+        got
+    };
+    // The 12 deadlock-free models of Glass and Ni: west-first,
+    // north-last and negative-first.
+    let free: Vec<TurnSet> = deadlock_free_combinations_2d(4)
+        .into_iter()
+        .map(|c| c.allowed)
+        .collect();
+    assert_eq!(orbits(&free), 3);
+    // Every subset of the eight planar turns, as one family.
+    let planar: Vec<Turn> = abstract_cycles(2).into_iter().flatten().collect();
+    let subsets: Vec<TurnSet> = (0..1u32 << planar.len())
+        .map(|bits| {
+            (0..planar.len())
+                .filter(|&i| bits >> i & 1 == 1)
+                .map(|i| planar[i])
+                .collect()
+        })
+        .collect();
+    assert!(orbits(&subsets) > 3);
+    // Seeded families over the 32 turns of the two-VC plane, where the
+    // group must keep every VC label.
+    let turns: Vec<Turn> = abstract_cycles_2d_vc(2).into_iter().flatten().collect();
+    for seed in [1, 7, 42, 2024] {
+        let mut rng = Rng64::new(seed);
+        let family: Vec<TurnSet> = (0..1 + rng.gen_index(40))
+            .map(|_| {
+                turns
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect()
+            })
+            .collect();
+        assert!(orbits(&family) >= 1, "seed {seed}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -327,8 +327,9 @@ pub(crate) fn region_covering(vcs_per_dim: &[u8]) -> Result<SetArrangement> {
 }
 
 /// All permutations of `0..n` in lexicographic order (helper for
-/// Arrangement 3 and the derivation machinery).
-pub(crate) fn permutations(n: usize) -> Vec<Vec<usize>> {
+/// Arrangement 3, the derivation machinery and the mesh symmetry group
+/// of `ebda_cdg::turn_model`).
+pub fn permutations(n: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut current: Vec<usize> = (0..n).collect();
     let mut used = vec![false; n];

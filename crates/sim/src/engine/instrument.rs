@@ -101,7 +101,7 @@ impl<'a> Simulator<'a> {
             ("sim/run/vc_alloc", p.vc_allocs, vc_alloc_ns),
             ("sim/run/switch", p.link_flits, switch_ns),
             ("sim/run/credit", p.credits, p.credit_ns),
-            ("sim/run/eject", p.eject_flits, p.eject_ns),
+            ("sim/run/eject", self.flits_ejected_total, p.eject_ns),
         ] {
             prof::record(path, calls, ns);
         }
@@ -124,7 +124,7 @@ impl<'a> Simulator<'a> {
             ("sim/run/switch", "link_flits", p.link_flits),
             ("sim/run/switch", "router_visits", p.router_visits),
             ("sim/run/credit", "credits_returned", p.credits),
-            ("sim/run/eject", "flits_ejected", p.eject_flits),
+            ("sim/run/eject", "flits_ejected", self.flits_ejected_total),
         ] {
             prof::work(path, unit, n);
         }

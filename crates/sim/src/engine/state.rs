@@ -61,9 +61,9 @@ pub(super) struct ProfAcc {
     /// Wall ns inside `return_credit` and number of credits returned.
     pub(super) credit_ns: u64,
     pub(super) credits: u64,
-    /// Wall ns spent in the ejection branch and flits ejected there.
+    /// Wall ns spent in the ejection branch (its flits are
+    /// `flits_ejected_total`).
     pub(super) eject_ns: u64,
-    pub(super) eject_flits: u64,
     /// Flits that crossed a link (the switch-traversal work unit).
     pub(super) link_flits: u64,
 }

@@ -174,7 +174,6 @@ impl<'a> Simulator<'a> {
                     }
                     if let Some(t0) = t0 {
                         self.prof.eject_ns += t0.elapsed().as_nanos() as u64;
-                        self.prof.eject_flits += 1;
                     }
                 }
             }
