@@ -5,8 +5,9 @@
 use crate::args::{Args, CliError};
 use crate::trace::{ObsOptions, Traces};
 use ebda_cdg::turn_model::{
-    abstract_cycle_count, abstract_cycles, combination_count, deadlock_free_combinations,
-    deadlock_free_combinations_2d, unique_turn_sets_up_to_symmetry, unique_up_to_symmetry,
+    abstract_cycle_count, abstract_cycles, allowed_turns, combination_count,
+    deadlock_free_combinations, deadlock_free_combinations_2d, unique_turn_sets_up_to_symmetry,
+    unique_up_to_symmetry,
 };
 use ebda_cdg::verify_design;
 use ebda_core::adaptiveness::{
@@ -56,18 +57,8 @@ pub(super) fn scalability() {
     let t0 = Instant::now();
     let free3 = deadlock_free_combinations(3, 4);
     let brute3_time = t0.elapsed();
-    // Each free model's allowed turns: every cycle turn but its digit's.
     let cycles3 = abstract_cycles(3);
-    let sets3: Vec<TurnSet> = free3
-        .iter()
-        .map(|digits| {
-            let mut allowed: TurnSet = cycles3.iter().flatten().copied().collect();
-            for (cycle, &k) in cycles3.iter().zip(digits) {
-                allowed.remove(cycle[k]);
-            }
-            allowed
-        })
-        .collect();
+    let sets3: Vec<TurnSet> = free3.iter().map(|d| allowed_turns(&cycles3, d)).collect();
     let unique3 = unique_turn_sets_up_to_symmetry(3, &sets3);
     println!("\n3D turn-model enumeration on a 4x4x4 mesh:");
     println!("  combinations checked : 4096 (4^6)");

@@ -213,20 +213,25 @@ pub fn unique_turn_sets_up_to_symmetry(n: usize, sets: &[TurnSet]) -> usize {
         };
         Channel::with_vc(Dimension::new(perm[d] as u8), dir, c.vc)
     };
+    // An orbit is named by the least of its images, each image a sorted
+    // list of turns (all of one set's images are equally long, so an
+    // empty `least` is one not yet set, or the empty set's).
     let mut canonical = std::collections::BTreeSet::new();
+    let (mut image, mut least) = (Vec::new(), Vec::new());
     for ts in sets {
-        let mut forms: Vec<String> = Vec::new();
+        least.clear();
         for perm in &perms {
             for mask in 0..(1u32 << n) {
-                let mapped: TurnSet = ts
-                    .iter()
-                    .map(|t| Turn::new(apply(perm, mask, t.from), apply(perm, mask, t.to)))
-                    .collect();
-                forms.push(mapped.to_string());
+                image.clear();
+                let map = |t: Turn| Turn::new(apply(perm, mask, t.from), apply(perm, mask, t.to));
+                image.extend(ts.iter().map(map));
+                image.sort_unstable();
+                if least.is_empty() || image < least {
+                    std::mem::swap(&mut image, &mut least);
+                }
             }
         }
-        forms.sort();
-        canonical.insert(forms.swap_remove(0));
+        canonical.insert(least.clone());
     }
     canonical.len()
 }
@@ -238,6 +243,25 @@ pub fn abstract_cycles(n: usize) -> Vec<[Turn; 4]> {
     // A budget of one VC per dimension, borrowed rather than allocated
     // (a `Dimension` index is a byte).
     cycles(&[1; 256][..n]).collect()
+}
+
+/// The turns a model allows: every turn of `cycles` except turn
+/// `digits[c]` of cycle `c` — a prohibition index vector, as
+/// [`deadlock_free_combinations`] returns it.
+///
+/// ```
+/// use ebda_cdg::turn_model::{abstract_cycles, allowed_turns, combinations_2d};
+/// let cycles = abstract_cycles(2);
+/// let derived: Vec<_> = (0..16).map(|i| allowed_turns(&cycles, &[i / 4, i % 4])).collect();
+/// let listed: Vec<_> = combinations_2d().into_iter().map(|c| c.allowed).collect();
+/// assert_eq!(derived, listed);
+/// ```
+pub fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
+    let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
+    for (cycle, &k) in cycles.iter().zip(digits) {
+        allowed.remove(cycle[k]);
+    }
+    allowed
 }
 
 /// Exhaustive brute-force turn-model verification in `n` dimensions with a
@@ -376,17 +400,6 @@ pub fn combination_count(vcs: &[u8]) -> Option<u128> {
 mod tests {
     use super::*;
     use crate::Cdg;
-
-    /// The turns a model allows: every turn of `cycles` except turn
-    /// `digits[c]` of cycle `c` — the model's prohibition index vector, as
-    /// [`deadlock_free_combinations`] returns it.
-    fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
-        let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
-        for (cycle, &k) in cycles.iter().zip(digits) {
-            allowed.remove(cycle[k]);
-        }
-        allowed
-    }
 
     #[test]
     fn sixteen_combinations() {

@@ -8,7 +8,8 @@
 //! [`ebda_obs::coverage`]) plus the design-space bin of the artifact
 //! itself: a coarse label over (dims, max radix, wrap, max VCs,
 //! turn-set density, verdict) that coverage-guided generation steers
-//! toward unseen values of.
+//! toward unseen values of. A caught disagreement's simulator replay
+//! adds the `sim_event` family (`replay_coverage`).
 //!
 //! Everything here is a pure function of the artifact and its verdicts,
 //! so workers can extract coverage in parallel and the coordinator can
@@ -19,7 +20,8 @@ use crate::artifact::Artifact;
 use crate::verdict::Verdicts;
 use ebda_cdg::{Cdg, ConcreteChannel};
 use ebda_core::{extract_turns, Direction, Extraction, Turn};
-use ebda_obs::CoverageMap;
+use ebda_obs::{CoverageMap, EventKind, Recorder};
+use noc_sim::SimResult;
 use std::fmt::{self, Write};
 
 /// Buckets a turn-set density (allowed off-diagonal class pairs over
@@ -154,6 +156,24 @@ pub(crate) fn extract(
     emit(artifact, verdicts, cdg, extraction, &mut |family, point| {
         map.record(family, point);
     });
+    map
+}
+
+/// The coverage contribution of one recorded replay, under the
+/// `sim_event` family: per-kind event totals plus the run's outcome
+/// (`outcome/completed` or `outcome/deadlocked`), so the campaign map
+/// also records which simulator behaviours a witness exercised.
+pub(crate) fn replay_coverage(result: &SimResult, recorder: &Recorder) -> CoverageMap {
+    let mut map = CoverageMap::new("");
+    for kind in EventKind::ALL {
+        map.record_n("sim_event", kind.name(), recorder.total(kind));
+    }
+    let outcome = if result.outcome.is_deadlock_free() {
+        "outcome/completed"
+    } else {
+        "outcome/deadlocked"
+    };
+    map.record("sim_event", outcome);
     map
 }
 

@@ -16,11 +16,9 @@ use crate::brute::BruteChannel;
 use crate::campaign::{self, Expectation, Settings, Source, Violation};
 use crate::shrink::DEFAULT_SHRINK_BUDGET;
 use crate::verdict::{cross_check, evaluate, Disagreement, Mutation, Verdicts};
-use ebda_obs::{JourneyConfig, Rng64, TraceBuilder};
+use ebda_obs::{EventKind, JourneyConfig, Recorder, RecorderConfig, Rng64, TraceBuilder};
 use ebda_routing::{PortVc, RouteChoice, RouteState, RoutingRelation, TurnRouting, INJECT};
-use noc_sim::{
-    replay_traced, wait_edge_count, BufferPolicy, ChannelCoord, Outcome, SimConfig, TrafficPattern,
-};
+use noc_sim::{BufferPolicy, ChannelCoord, Outcome, SimConfig, TrafficPattern};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -111,9 +109,9 @@ pub struct Replay {
     pub journey_json: String,
     /// The full recorder document (events + samples + totals) as JSON.
     pub trace_json: String,
-    /// The replay's `sim_event` coverage contribution (see
-    /// [`noc_sim::replay_coverage`]), merged into the campaign map when
-    /// coverage tracking is on.
+    /// The replay's `sim_event` coverage contribution (the recorder's
+    /// event totals by kind plus the outcome), merged into the campaign
+    /// map when coverage tracking is on.
     pub sim_coverage: ebda_obs::CoverageMap,
 }
 
@@ -543,8 +541,10 @@ pub fn replay_artifact(artifact: &Artifact, seed: u64, journeys: JourneyConfig) 
         seed,
         ..SimConfig::default()
     };
-    let (result, recorder) = replay_traced(&topo, relation.as_ref(), &sim_cfg, Some(journeys));
-    let sim_coverage = noc_sim::replay_coverage(&result, &recorder);
+    let mut recorder = Recorder::new(RecorderConfig::default());
+    recorder.enable_journeys(journeys);
+    let result = noc_sim::simulate_traced(&topo, relation.as_ref(), &sim_cfg, Some(&mut recorder));
+    let sim_coverage = crate::coverage::replay_coverage(&result, &recorder);
     let watchdog_agrees = witness
         .as_ref()
         .filter(|_| !result.suspected_cycle.is_empty())
@@ -578,6 +578,20 @@ pub fn replay_artifact(artifact: &Artifact, seed: u64, journeys: JourneyConfig) 
         watchdog_agrees,
         journey_json: journeys.finish(),
         trace_json: recorder.write_json(),
+    })
+}
+
+/// The wait-for edges of the recorder's *final* diagnosis: those
+/// recorded after the last watchdog event. The online watchdog records
+/// a suspicion batch at every trip and a deadlocked run one more, its
+/// post-mortem; only the last batch counts. (A run that completed after
+/// a trip still counts its last suspicion, where
+/// `SimResult::final_wait_edges` is empty.)
+fn wait_edge_count(recorder: &Recorder) -> usize {
+    recorder.events().fold(0, |count, e| match e.kind() {
+        EventKind::Watchdog => 0,
+        EventKind::WaitFor => count + 1,
+        _ => count,
     })
 }
 
@@ -823,5 +837,99 @@ mod tests {
             design: None,
         };
         assert!(replay_artifact(&artifact, 7, JourneyConfig::default()).is_none());
+    }
+
+    /// Runs `relation` on a 4x4 mesh under `cfg` with a recorder whose
+    /// journeys are on, as [`replay_artifact`] does.
+    fn recorded(relation: &TurnRouting, cfg: &SimConfig) -> (noc_sim::SimResult, Recorder) {
+        let mut recorder = Recorder::new(RecorderConfig::default());
+        recorder.enable_journeys(JourneyConfig::default());
+        let topo = ebda_routing::Topology::mesh(&[4, 4]);
+        let result = noc_sim::simulate_traced(&topo, relation, cfg, Some(&mut recorder));
+        (result, recorder)
+    }
+
+    /// Every turn on one VC, cyclic by construction, under traffic that
+    /// wedges it within a few hundred cycles: `(relation, config)`.
+    fn positive_control(watchdog_window: u64) -> (TurnRouting, SimConfig) {
+        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
+        let turns = universe
+            .iter()
+            .flat_map(|&a| universe.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| ebda_core::Turn::new(a, b))
+            .collect();
+        let cfg = SimConfig {
+            injection_rate: 0.5,
+            packet_length: 8,
+            buffer_depth: 2,
+            warmup: 0,
+            measurement: 4_000,
+            drain: 0,
+            deadlock_threshold: 300,
+            watchdog_window,
+            traffic: TrafficPattern::Uniform,
+            ..SimConfig::default()
+        };
+        (TurnRouting::new("all-turns", universe, turns), cfg)
+    }
+
+    #[test]
+    fn only_the_final_diagnosis_batch_is_counted() {
+        // With the online watchdog on, suspicion batches are recorded
+        // before the hard deadlock's post-mortem; the count is still
+        // the final wait cycle's length.
+        for window in [0, 100] {
+            let (relation, cfg) = positive_control(window);
+            let (result, recorder) = recorded(&relation, &cfg);
+            let Outcome::Deadlocked { wait_cycle, .. } = &result.outcome else {
+                panic!("positive control must deadlock, got {:?}", result.outcome);
+            };
+            assert!(wait_cycle.len() >= 2);
+            assert_eq!(result.watchdog_trips >= 1, window > 0, "window {window}");
+            assert_eq!(wait_edge_count(&recorder), wait_cycle.len());
+            let tracer = recorder.journeys().expect("journeys attached");
+            assert!(!tracer.journeys().is_empty());
+            assert!(
+                !tracer.wait_notes().is_empty(),
+                "watchdog edges must reach the journey tracer"
+            );
+        }
+    }
+
+    #[test]
+    fn a_clean_run_records_no_wait_edges() {
+        let relation = TurnRouting::from_design("xy", &ebda_core::catalog::p1_xy()).unwrap();
+        let cfg = SimConfig {
+            injection_rate: 0.05,
+            warmup: 0,
+            measurement: 500,
+            drain: 500,
+            ..SimConfig::default()
+        };
+        let (result, recorder) = recorded(&relation, &cfg);
+        assert!(result.outcome.is_deadlock_free());
+        assert_eq!(wait_edge_count(&recorder), 0);
+        let map = crate::coverage::replay_coverage(&result, &recorder);
+        let points: Vec<_> = map.points("sim_event").collect();
+        assert!(points.iter().all(|&(p, _)| p != "wait_for"));
+        assert!(points.contains(&("outcome/completed", 1)));
+    }
+
+    #[test]
+    fn sim_event_holds_the_event_kinds_and_the_outcome() {
+        let (relation, cfg) = positive_control(0);
+        let (result, recorder) = recorded(&relation, &cfg);
+        let map = crate::coverage::replay_coverage(&result, &recorder);
+        let hits = |point: &str| {
+            let mut points = map.points("sim_event");
+            points.find(|&(p, _)| p == point).map_or(0, |(_, n)| n)
+        };
+        assert!(hits("inject") > 0);
+        for kind in EventKind::ALL {
+            assert_eq!(hits(kind.name()), recorder.total(kind), "{}", kind.name());
+        }
+        assert_eq!(hits("outcome/deadlocked"), 1);
+        assert_eq!(hits("outcome/completed"), 0);
     }
 }

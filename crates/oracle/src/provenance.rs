@@ -40,6 +40,7 @@
 
 use crate::artifact::Artifact;
 use crate::brute::BruteChannel;
+use crate::campaign::label_name;
 use crate::verdict::Verdicts;
 use ebda_cdg::graph::{Cdg, ConcreteChannel};
 use ebda_cdg::topology::Topology;
@@ -375,11 +376,7 @@ impl Provenance {
 
     /// The verdict as its ledger spelling.
     pub fn verdict_str(&self) -> &'static str {
-        if self.deadlock_free {
-            "deadlock-free"
-        } else {
-            "deadlocking"
-        }
+        label_name(self.deadlock_free)
     }
 
     /// The run-ledger record of this verdict: who produced it (`source`,
@@ -559,11 +556,9 @@ impl Provenance {
                 }
                 "hash" => hash = Some(r.str()?),
                 "verdict" => {
-                    deadlock_free = Some(match &*r.str()? {
-                        "deadlock-free" => true,
-                        "deadlocking" => false,
-                        other => return Err(format!("unknown verdict {other:?}")),
-                    })
+                    let verdict = r.str()?;
+                    let free = [true, false].into_iter().find(|&f| label_name(f) == verdict);
+                    deadlock_free = Some(free.ok_or_else(|| format!("unknown verdict {verdict:?}"))?);
                 }
                 "radix" => radix = Some(r.arr(Reader::uint::<usize>)?),
                 "wrap" => wrap = Some(r.arr(Reader::bool)?),

@@ -27,9 +27,7 @@ impl<'a> Simulator<'a> {
             let Some(&front) = self.in_vcs[slot].buf.front() else {
                 continue;
             };
-            if self.prof_on {
-                self.prof.head_visits += 1;
-            }
+            self.prof.head_visits += 1;
             debug_assert_eq!(front.idx, 0, "unallocated buffer front must be a head");
             let pid = front.pid;
             let (src, dst, state) = {
@@ -43,9 +41,7 @@ impl<'a> Simulator<'a> {
                     clear_bit(&mut self.heads, slot);
                     let bit = self.owned_bit(node, self.layout.out_per_node);
                     set_bit(&mut self.owned, bit);
-                    if self.prof_on {
-                        self.prof.vc_allocs += 1;
-                    }
+                    self.prof.vc_allocs += 1;
                 } else {
                     self.wait_on(self.eject_row(node), node, slot);
                     self.sleep(slot);
@@ -69,15 +65,13 @@ impl<'a> Simulator<'a> {
             // finds no free output VC keeps its candidates and repeats
             // the selection below when one of them is released.
             if !self.head_routes[slot].routed {
+                let t0 = self.prof_on.then(Instant::now);
                 let cands = &mut self.head_routes[slot].cands;
-                if self.prof_on {
-                    let t0 = Instant::now();
-                    self.bound.route_into(node, state, src, dst, cands);
+                self.bound.route_into(node, state, src, dst, cands);
+                if let Some(t0) = t0 {
                     self.prof.route_ns += t0.elapsed().as_nanos() as u64;
-                    self.prof.routes += 1;
-                } else {
-                    self.bound.route_into(node, state, src, dst, cands);
                 }
+                self.prof.routes += 1;
                 self.head_routes[slot].routed = true;
             }
             if self.head_routes[slot].cands.is_empty() {
@@ -100,9 +94,7 @@ impl<'a> Simulator<'a> {
             let bit = self.owned_bit(node, oslot - node * self.layout.out_per_node);
             set_bit(&mut self.owned, bit);
             self.packets[pid as usize].route_state = ch.state;
-            if self.prof_on {
-                self.prof.vc_allocs += 1;
-            }
+            self.prof.vc_allocs += 1;
             if let Some(rec) = self.rec.as_deref_mut() {
                 rec.record(Event::VcAlloc {
                     cycle,
@@ -120,9 +112,7 @@ impl<'a> Simulator<'a> {
     /// it could claim and is not looked at again until one is released.
     fn sleep(&mut self, slot: usize) {
         set_bit(&mut self.asleep, slot);
-        if self.prof_on {
-            self.prof.head_sleeps += 1;
-        }
+        self.prof.head_sleeps += 1;
     }
 
     /// The out-slot behind route candidate `ch` of a head at `node`.

@@ -77,9 +77,7 @@ impl<'a> Simulator<'a> {
         self.watchdog_trips += 1;
         let blocked = self.blocked_packet_count();
         let edges = self.diagnose_deadlock();
-        if self.prof_on && !edges.is_empty() {
-            ebda_obs::prof::work("sim/run", "suspected_cycles", 1);
-        }
+        self.prof.suspected_cycles += u64::from(!edges.is_empty());
         if self.metrics_on {
             use ebda_obs::metrics as m;
             m::global().observe("ebda_watchdog_stall_streak_cycles", &[], self.stall_streak);

@@ -80,9 +80,10 @@ impl<'a> Simulator<'a> {
     }
 
     /// Flushes the run's phase accumulator and totals into the global
-    /// self-profiler after the hot loop is done. The `calls` and work
-    /// units of every phase are deterministic functions of the seeded
-    /// run; only the wall-ns totals vary between hosts. Phase wall times
+    /// self-profiler after the hot loop is done: the one place the
+    /// engine charges work units. The `calls` and work units of every
+    /// phase are deterministic functions of the seeded run; only the
+    /// wall-ns totals vary between hosts. Phase wall times
     /// are accounted so the five cycle-loop phases are disjoint children
     /// of `sim/run`: VC allocation is `allocate()` minus routing, switch
     /// traversal is `arbitrate_and_move()` minus credit return and
@@ -96,11 +97,13 @@ impl<'a> Simulator<'a> {
         prof::record("sim/run", 1, run_ns);
         let vc_alloc_ns = p.alloc_ns.saturating_sub(p.route_ns);
         let switch_ns = p.arb_ns.saturating_sub(p.credit_ns + p.eject_ns);
+        let credits = p.link_flits + self.flits_ejected_total;
+        let fallbacks = u64::from(matches!(self.last_delivered, DeliveredLog::Sparse(_)));
         for (path, calls, ns) in [
             ("sim/run/route", p.routes, p.route_ns),
             ("sim/run/vc_alloc", p.vc_allocs, vc_alloc_ns),
             ("sim/run/switch", p.link_flits, switch_ns),
-            ("sim/run/credit", p.credits, p.credit_ns),
+            ("sim/run/credit", credits, p.credit_ns),
             ("sim/run/eject", self.flits_ejected_total, p.eject_ns),
         ] {
             prof::record(path, calls, ns);
@@ -108,6 +111,7 @@ impl<'a> Simulator<'a> {
         let deadlocked = !matches!(outcome, Outcome::Completed);
         for (path, unit, n) in [
             ("sim/run", "cycles", cycles),
+            ("sim/run", "delivered_log_sparse_fallbacks", fallbacks),
             ("sim/run", "packets_injected", self.injected),
             ("sim/run", "packets_delivered", self.delivered),
             ("sim/run", "packets_dropped", self.dropped),
@@ -116,6 +120,7 @@ impl<'a> Simulator<'a> {
             ("sim/run", "credit_stalls", self.credit_stalls),
             ("sim/run", "deadlocks", u64::from(deadlocked)),
             ("sim/run", "watchdog_trips", self.watchdog_trips),
+            ("sim/run", "suspected_cycles", p.suspected_cycles),
             ("sim/run/route", "route_queries", p.routes),
             ("sim/run/vc_alloc", "vc_grants", p.vc_allocs),
             ("sim/run/vc_alloc", "head_visits", p.head_visits),
@@ -123,7 +128,7 @@ impl<'a> Simulator<'a> {
             ("sim/run/vc_alloc", "head_wakes", p.head_wakes),
             ("sim/run/switch", "link_flits", p.link_flits),
             ("sim/run/switch", "router_visits", p.router_visits),
-            ("sim/run/credit", "credits_returned", p.credits),
+            ("sim/run/credit", "credits_returned", credits),
             ("sim/run/eject", "flits_ejected", self.flits_ejected_total),
         ] {
             prof::work(path, unit, n);

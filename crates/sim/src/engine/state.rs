@@ -30,11 +30,11 @@ pub(super) enum Alloc {
     Eject,
 }
 
-/// Local self-profiler accumulator for one run's cycle-loop phases.
-/// Filled only when `prof_on`; flushed once to `ebda_obs::prof` in
-/// `finish()` so the hot loop never takes the registry lock. The
-/// operation counts are deterministic (pure functions of the seeded
-/// run); only the `_ns` sums are wall-clock.
+/// One run's work counts and cycle-loop phase clocks, flushed once to
+/// `ebda_obs::prof` in `finish()` so the hot loop never takes the
+/// registry lock. The counts are run state, kept on every run and
+/// deterministic (pure functions of the seeded run); only the `_ns`
+/// sums wait for `prof_on`, which guards every clock read.
 #[derive(Debug, Default)]
 pub(super) struct ProfAcc {
     /// Wall ns inside the bound relation's `route_into` and number of
@@ -58,14 +58,16 @@ pub(super) struct ProfAcc {
     /// Wall ns of whole `arbitrate_and_move()` calls; switch-traversal
     /// time is this minus credit-return and ejection time.
     pub(super) arb_ns: u64,
-    /// Wall ns inside `return_credit` and number of credits returned.
+    /// Wall ns inside `return_credit` (one credit per flit moved: the
+    /// link flits plus `flits_ejected_total`).
     pub(super) credit_ns: u64,
-    pub(super) credits: u64,
     /// Wall ns spent in the ejection branch (its flits are
     /// `flits_ejected_total`).
     pub(super) eject_ns: u64,
     /// Flits that crossed a link (the switch-traversal work unit).
     pub(super) link_flits: u64,
+    /// Watchdog trips whose diagnosis found a wait cycle.
+    pub(super) suspected_cycles: u64,
 }
 
 #[derive(Debug)]
@@ -129,7 +131,7 @@ pub(super) fn next_set_bit_except(bits: &[u64], except: &[u64], from: usize) -> 
 /// (src, dst) pair. Dense `n*n` table for the meshes we simulate (zero-
 /// initialised, matching a map's `or_insert(0)`); falls back to hashing
 /// above [`DeliveredLog::DENSE_LIMIT`] pairs so giant topologies don't
-/// pay O(n²) memory; choosing the fallback is counted.
+/// pay O(n²) memory; `flush_prof` counts a run that chose the fallback.
 pub(super) enum DeliveredLog {
     Dense { n: usize, last: Vec<u64> },
     Sparse(std::collections::HashMap<(NodeId, NodeId), u64>),
@@ -147,7 +149,6 @@ impl DeliveredLog {
                 last: vec![0; n * n],
             }
         } else {
-            ebda_obs::prof::work("sim/run", "delivered_log_sparse_fallbacks", 1);
             DeliveredLog::Sparse(std::collections::HashMap::new())
         }
     }
@@ -256,7 +257,7 @@ pub(super) struct Simulator<'a> {
     /// snapshot-once rule as `metrics_on`); `false` keeps every timing
     /// site a single branch with no clock reads and no allocations.
     pub(super) prof_on: bool,
-    /// Per-phase accumulator, flushed once in `finish()`.
+    /// Work counts and phase clocks, flushed once in `finish()`.
     pub(super) prof: ProfAcc,
     /// Run start time, set at the top of `run()` when `prof_on`.
     pub(super) prof_run_t0: Option<Instant>,
@@ -467,9 +468,7 @@ impl<'a> Simulator<'a> {
                 bits &= bits - 1;
                 if test_bit(&self.asleep, slot) {
                     clear_bit(&mut self.asleep, slot);
-                    if self.prof_on {
-                        self.prof.head_wakes += 1;
-                    }
+                    self.prof.head_wakes += 1;
                 }
             }
         }
@@ -479,10 +478,8 @@ impl<'a> Simulator<'a> {
     /// the routes the registrations were made on, and before each pass of
     /// the tests' full scan.
     pub(super) fn wake_all(&mut self) {
-        if self.prof_on {
-            let sleepers = self.asleep.iter().map(|w| u64::from(w.count_ones()));
-            self.prof.head_wakes += sleepers.sum::<u64>();
-        }
+        let sleepers = self.asleep.iter().map(|w| u64::from(w.count_ones()));
+        self.prof.head_wakes += sleepers.sum::<u64>();
         self.asleep.fill(0);
         self.waiters.fill(0);
     }

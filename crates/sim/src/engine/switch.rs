@@ -22,9 +22,7 @@ impl<'a> Simulator<'a> {
             let node = bit >> self.owned_shift;
             let row = node << self.owned_shift;
             from = row + (1 << self.owned_shift);
-            if self.prof_on {
-                self.prof.router_visits += 1;
-            }
+            self.prof.router_visits += 1;
             let mut used_inputs = 0u64;
             // Ejection first: it frees buffers and models the sink.
             if let Some((pid, slot)) = self.eject_owner[node] {
@@ -98,7 +96,6 @@ impl<'a> Simulator<'a> {
         }
         if let Some(t0) = t0 {
             self.prof.credit_ns += t0.elapsed().as_nanos() as u64;
-            self.prof.credits += moves.len() as u64;
         }
         let mut arrivals = std::mem::take(&mut self.arrivals_buf);
         arrivals.clear();
@@ -155,9 +152,7 @@ impl<'a> Simulator<'a> {
                         });
                     }
                     arrivals.push((dslot, flit));
-                    if self.prof_on {
-                        self.prof.link_flits += 1;
-                    }
+                    self.prof.link_flits += 1;
                 }
                 None => {
                     let t0 = self.prof_on.then(Instant::now);

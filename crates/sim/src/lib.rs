@@ -42,7 +42,6 @@ extern crate self as noc_sim;
 pub mod config;
 pub(crate) mod engine;
 pub(crate) mod metrics;
-pub(crate) mod replay;
 pub mod sweep;
 pub(crate) mod traffic;
 
@@ -50,6 +49,5 @@ pub use config::{BufferPolicy, ConfigError, Selection, SimConfig, Switching};
 pub use ebda_obs::ChannelCoord;
 pub use engine::{channel_heatmap_csv, simulate, simulate_traced};
 pub use metrics::{Outcome, SimResult, SuspectedEdge};
-pub use replay::{replay_coverage, replay_traced, replay_with_recorder, wait_edge_count};
 pub use sweep::{latency_curve, saturation_rate, SweepPoint};
 pub use traffic::TrafficPattern;

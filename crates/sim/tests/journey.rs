@@ -4,10 +4,10 @@
 //! whole feature must be invisible when disabled.
 
 use ebda_core::{parse_channels, Turn, TurnSet};
-use ebda_obs::{JourneyConfig, JourneyEnd};
+use ebda_obs::{EventKind, JourneyConfig, JourneyEnd, Recorder, RecorderConfig};
 use ebda_routing::{Topology, TurnRouting};
 use noc_sim::{
-    replay_traced, simulate, wait_edge_count, ChannelCoord, Outcome, SimConfig, SuspectedEdge,
+    simulate, simulate_traced, ChannelCoord, Outcome, SimConfig, SimResult, SuspectedEdge,
     TrafficPattern,
 };
 use std::collections::BTreeSet;
@@ -45,6 +45,22 @@ fn pressure() -> SimConfig {
     }
 }
 
+/// Runs one simulation with a fresh recorder attached, its journey
+/// tracer on when `journeys` is given, and hands both back.
+fn traced(
+    topo: &Topology,
+    relation: &TurnRouting,
+    cfg: &SimConfig,
+    journeys: Option<JourneyConfig>,
+) -> (SimResult, Recorder) {
+    let mut rec = Recorder::new(RecorderConfig::default());
+    if let Some(journeys) = journeys {
+        rec.enable_journeys(journeys);
+    }
+    let result = simulate_traced(topo, relation, cfg, Some(&mut rec));
+    (result, rec)
+}
+
 fn channel_set(edges: &[SuspectedEdge]) -> BTreeSet<ChannelCoord> {
     edges.iter().flat_map(|e| e.channels()).collect()
 }
@@ -56,7 +72,7 @@ fn online_suspicion_matches_the_post_mortem_wait_cycle() {
         watchdog_window: 100,
         ..pressure()
     };
-    let (result, rec) = replay_traced(
+    let (result, rec) = traced(
         &topo,
         &cyclic_relation(),
         &cfg,
@@ -77,7 +93,13 @@ fn online_suspicion_matches_the_post_mortem_wait_cycle() {
     for (edge, label) in result.final_wait_edges.iter().zip(wait_cycle) {
         assert_eq!(&edge.label, label);
     }
-    assert_eq!(wait_edge_count(&rec), wait_cycle.len());
+    // The recorder's last batch of wait-for edges is the post-mortem.
+    let final_batch = rec.events().fold(0, |n, e| match e.kind() {
+        EventKind::Watchdog => 0,
+        EventKind::WaitFor => n + 1,
+        _ => n,
+    });
+    assert_eq!(final_batch, wait_cycle.len());
 
     // The acceptance criterion: the suspected wait cycle names the same
     // channel set as the flight-recorder post-mortem. The network froze
@@ -99,7 +121,7 @@ fn journeys_of_a_deadlocked_run_export_and_round_trip() {
         watchdog_window: 100,
         ..pressure()
     };
-    let (result, rec) = replay_traced(
+    let (result, rec) = traced(
         &topo,
         &cyclic_relation(),
         &cfg,
@@ -141,14 +163,14 @@ fn sampling_prunes_journeys_deterministically() {
         sample_rate: 0.25,
         ..JourneyConfig::default()
     };
-    let (_, rec_all) = replay_traced(
+    let (_, rec_all) = traced(
         &topo,
         &cyclic_relation(),
         &cfg,
         Some(JourneyConfig::default()),
     );
-    let (_, rec_some) = replay_traced(&topo, &cyclic_relation(), &cfg, Some(sampled.clone()));
-    let (_, rec_same) = replay_traced(&topo, &cyclic_relation(), &cfg, Some(sampled));
+    let (_, rec_some) = traced(&topo, &cyclic_relation(), &cfg, Some(sampled.clone()));
+    let (_, rec_same) = traced(&topo, &cyclic_relation(), &cfg, Some(sampled));
     let all = rec_all.journeys().unwrap().journeys().len();
     let some = rec_some.journeys().unwrap().journeys().len();
     assert!(
@@ -183,7 +205,7 @@ fn disabled_journeys_leave_results_byte_identical() {
     cfg.injection_rate = 0.05; // completes: exercises the full pipeline
     cfg.drain = 2_000;
 
-    let sweep_row = |r: &noc_sim::SimResult| -> String {
+    let sweep_row = |r: &SimResult| -> String {
         let p50 = r.latency_percentile(50.0).unwrap_or(0);
         let p99 = r.latency_percentile(99.0).unwrap_or(0);
         format!(
@@ -203,9 +225,8 @@ fn disabled_journeys_leave_results_byte_identical() {
     };
 
     let plain = simulate(&topo, &relation, &cfg);
-    let (with_journeys, rec) =
-        replay_traced(&topo, &relation, &cfg, Some(JourneyConfig::default()));
-    let (without, _) = replay_traced(&topo, &relation, &cfg, None);
+    let (with_journeys, rec) = traced(&topo, &relation, &cfg, Some(JourneyConfig::default()));
+    let (without, _) = traced(&topo, &relation, &cfg, None);
     assert!(rec.journeys().is_some());
     assert_eq!(sweep_row(&plain), sweep_row(&with_journeys));
     assert_eq!(sweep_row(&plain), sweep_row(&without));

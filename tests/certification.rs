@@ -2,23 +2,12 @@
 //! CDG verification, beyond the 2D space (which `paper_claims.rs` shows is
 //! an exact match).
 
-use ebda::cdg::turn_model::{abstract_cycles, deadlock_free_combinations};
+use ebda::cdg::turn_model::{abstract_cycles, allowed_turns, deadlock_free_combinations};
 use ebda::core::certify::certify;
 use ebda::prelude::*;
 
 #[path = "../crates/core/tests/designs/mod.rs"]
 mod designs;
-
-/// The turns a model allows: every turn of `cycles` except turn
-/// `digits[c]` of cycle `c`, the index vectors
-/// [`deadlock_free_combinations`] returns.
-fn allowed_turns(cycles: &[[Turn; 4]], digits: &[usize]) -> TurnSet {
-    let mut allowed: TurnSet = cycles.iter().flatten().copied().collect();
-    for (cycle, &k) in cycles.iter().zip(digits) {
-        allowed.remove(cycle[k]);
-    }
-    allowed
-}
 
 /// In 3D the picture splits: certification remains *sound* (every
 /// certificate really is deadlock-free) but is *incomplete* at channel-
