@@ -3,16 +3,14 @@
 //! at any `--threads` value) is testable without spawning processes.
 //!
 //! [`run_sweep`] expands designs × traffic patterns × injection rates ×
-//! buffer policies into a flat point list, simulates every point on the
-//! [`ebda_par`] pool, and renders rows **in point order** — each row is a
-//! pure function of its point, so the CSV is byte-identical at every
-//! thread count.
+//! buffer policies into a flat point list, simulates it through
+//! [`noc_sim::sweep::run`], and renders one row per point **in point
+//! order** — so the CSV is byte-identical at every thread count.
 
-use crate::trace::journey_recorder;
-use ebda_obs::{JourneyConfig, Recorder, TraceBuilder};
+use ebda_obs::{JourneyConfig, TraceBuilder};
 use ebda_routing::classic::{DimensionOrder, DuatoFullyAdaptive};
 use ebda_routing::{RoutingRelation, Topology, TurnRouting};
-use noc_sim::{simulate, simulate_traced, BufferPolicy, SimConfig, TrafficPattern};
+use noc_sim::{sweep, BufferPolicy, SimConfig, TrafficPattern};
 use std::fmt::Write as _;
 
 /// The CSV header every sweep emits.
@@ -28,17 +26,6 @@ pub(crate) struct SweepOutput {
     /// One Chrome-trace run per point, in matrix order, when journey
     /// tracing was requested.
     pub journeys: Option<TraceBuilder>,
-}
-
-/// One cell of the sweep matrix.
-struct Point<'a> {
-    design: &'a str,
-    relation: &'a dyn RoutingRelation,
-    traffic_name: &'a str,
-    traffic: TrafficPattern,
-    rate: f64,
-    policy_name: &'a str,
-    policy: BufferPolicy,
 }
 
 /// Runs the full (or `--quick`) sweep matrix on `threads` workers and
@@ -88,7 +75,9 @@ pub(crate) fn run_sweep(
         &[0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12]
     };
 
-    let mut points: Vec<Point> = Vec::new();
+    // One label per point, in point order: design, traffic, rate, policy.
+    let mut labels = Vec::new();
+    let mut points = Vec::new();
     for (name, relation) in &designs {
         for (tname, traffic) in traffics {
             for &rate in rates {
@@ -96,84 +85,50 @@ pub(crate) fn run_sweep(
                     ("multi", BufferPolicy::MultiPacket),
                     ("single", BufferPolicy::SinglePacket),
                 ] {
-                    points.push(Point {
-                        design: name,
-                        relation: relation.as_ref(),
-                        traffic_name: tname,
-                        traffic: traffic.clone(),
-                        rate,
-                        policy_name: pname,
-                        policy,
-                    });
+                    labels.push((name, tname, rate, pname));
+                    points.push((
+                        relation.as_ref(),
+                        SimConfig {
+                            injection_rate: rate,
+                            traffic: traffic.clone(),
+                            buffer_policy: policy,
+                            warmup: if quick { 100 } else { 500 },
+                            measurement: if quick { 400 } else { 2_000 },
+                            drain: if quick { 600 } else { 2_500 },
+                            deadlock_threshold: if quick { 400 } else { 1_200 },
+                            ..SimConfig::default()
+                        },
+                    ));
                 }
             }
         }
     }
 
-    // Each point simulates independently and renders its own row; the
-    // index-order merge below makes the CSV thread-count invariant.
-    let rows: Vec<(String, Option<(String, Recorder)>)> =
-        ebda_par::parallel_map(threads, &points, |_, p| {
-            let cfg = SimConfig {
-                injection_rate: p.rate,
-                traffic: p.traffic.clone(),
-                buffer_policy: p.policy,
-                warmup: if quick { 100 } else { 500 },
-                measurement: if quick { 400 } else { 2_000 },
-                drain: if quick { 600 } else { 2_500 },
-                deadlock_threshold: if quick { 400 } else { 1_200 },
-                collect_latencies: false,
-                ..SimConfig::default()
-            };
-            let (r, journey) = match &journeys {
-                Some(jcfg) => {
-                    // One journey-only recorder per point, merged into a
-                    // single timeline: each point becomes its own
-                    // Chrome-trace process.
-                    let mut rec = journey_recorder(jcfg.clone());
-                    let r = simulate_traced(&topo, p.relation, &cfg, Some(&mut rec));
-                    let label = format!(
-                        "{} {} rate {} {}",
-                        p.design, p.traffic_name, p.rate, p.policy_name
-                    );
-                    (r, Some((label, rec)))
-                }
-                None => (simulate(&topo, p.relation, &cfg), None),
-            };
-            ebda_obs::prof::work("sweep/run", "points", 1);
-            let outcome = if r.outcome.is_deadlock_free() {
-                if r.measured_delivered == r.measured_injected {
-                    "ok"
-                } else {
-                    "saturated"
-                }
-            } else {
-                "deadlock"
-            };
-            let mut row = String::new();
-            let _ = writeln!(
-                row,
-                "{},{},{},{},{:.2},{},{},{},{:.4},{:.3},{outcome}",
-                p.design,
-                p.traffic_name,
-                p.rate,
-                p.policy_name,
-                r.avg_latency,
-                r.latency_hist.quantile(0.50).unwrap_or(0),
-                r.latency_hist.quantile(0.99).unwrap_or(0),
-                r.latency_hist.quantile(0.999).unwrap_or(0),
-                r.throughput,
-                r.channel_balance_cv().unwrap_or(f64::NAN),
-            );
-            (row, journey)
-        });
-
     let mut csv = String::from(CSV_HEADER);
     csv.push('\n');
-    let mut timeline = journeys.map(|_| TraceBuilder::new());
-    for (row, journey) in rows {
-        csv.push_str(&row);
-        if let (Some(builder), Some((label, rec))) = (timeline.as_mut(), journey) {
+    let mut timeline = journeys.as_ref().map(|_| TraceBuilder::new());
+    let swept = sweep::run(&topo, &points, threads, journeys.as_ref());
+    for ((design, traffic, rate, policy), p) in labels.into_iter().zip(swept) {
+        let outcome = if p.deadlocked {
+            "deadlock"
+        } else if p.drained {
+            "ok"
+        } else {
+            "saturated"
+        };
+        let _ = writeln!(
+            csv,
+            "{design},{traffic},{rate},{policy},{:.2},{},{},{},{:.4},{:.3},{outcome}",
+            p.avg_latency,
+            p.p50_latency.unwrap_or(0),
+            p.p99_latency.unwrap_or(0),
+            p.p999_latency.unwrap_or(0),
+            p.throughput,
+            p.channel_balance_cv.unwrap_or(f64::NAN),
+        );
+        if let (Some(builder), Some(rec)) = (timeline.as_mut(), p.journeys) {
+            // Each point becomes its own Chrome-trace process.
+            let label = format!("{design} {traffic} rate {rate} {policy}");
             builder.add_run(&label, rec.journeys().expect("journeys attached"));
         }
     }

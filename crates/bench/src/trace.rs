@@ -15,7 +15,7 @@
 //! (`EBDA_THREADS` is resolved inside `ebda-par`).
 
 use crate::args::{Args, CliError};
-use ebda_obs::{JourneyConfig, MetricsServer, Recorder, RecorderConfig, TraceBuilder};
+use ebda_obs::{JourneyConfig, MetricsServer, Recorder, TraceBuilder};
 use std::path::{Path, PathBuf};
 
 /// A run output a command writes: it accepts that output's flag.
@@ -322,19 +322,6 @@ impl ObsOptions {
 pub fn write_file(what: &str, path: &Path, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
     std::fs::write(path, contents)
         .map_err(|e| CliError::Failed(format!("write {what} {}: {e}", path.display())))
-}
-
-/// A small per-run recorder carrying only a journey tracer — the shape
-/// the sweep attaches to each simulated point when `--journey-out` is
-/// set: a modest event ring (journeys themselves are never evicted) and
-/// no periodic samples.
-pub(crate) fn journey_recorder(cfg: JourneyConfig) -> Recorder {
-    let mut rec = Recorder::new(RecorderConfig {
-        capacity: 1024,
-        sample_every: 0,
-    });
-    rec.enable_journeys(cfg);
-    rec
 }
 
 /// Writes the self-profiler report to `path`: a Chrome-trace JSON whose

@@ -1,7 +1,7 @@
 //! Concrete network topologies for verification: `n`-dimensional meshes,
 //! `k`-ary `n`-cubes (tori), and vertically partially connected 3D meshes.
 
-use ebda_core::{Dimension, Direction};
+use ebda_core::{Channel, ChannelClass, Dimension, Direction};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -287,11 +287,74 @@ impl Topology {
             })
             .sum()
     }
+
+    /// Checks that every class of `universe` exists on this topology: it
+    /// moves along and is restricted to axes the topology has, a
+    /// coordinate restriction names a coordinate in `[0, radix)`, and the
+    /// class matches at least one link. A class failing any of these is
+    /// vacuous: a verdict over it speaks of channels the network lacks.
+    ///
+    /// # Errors
+    ///
+    /// Names the first class that fails, and why.
+    pub fn admit(&self, universe: &[Channel]) -> Result<(), String> {
+        for c in universe {
+            let (axis, value) = match c.class {
+                ChannelClass::All => (c.dim, None),
+                ChannelClass::AtParity { axis, .. } => (axis, None),
+                ChannelClass::AtCoord { axis, value }
+                | ChannelClass::NotAtCoord { axis, value } => (axis, Some(value)),
+            };
+            if let Some(lacking) = [c.dim, axis].into_iter().find(|a| a.index() >= self.dims()) {
+                let dims = self.dims();
+                return Err(format!(
+                    "class {c} names axis {lacking}, but the topology has {dims} dimensions"
+                ));
+            }
+            let radix = self.radix[axis.index()] as i64;
+            if let Some(v) = value.filter(|v| !(0..radix).contains(v)) {
+                return Err(format!(
+                    "class {c} names coordinate {v}, outside [0, {radix})"
+                ));
+            }
+            let linked = |n| self.neighbor(n, c.dim, c.dir).is_some();
+            if !(0..self.node_count()).any(|n| linked(n) && c.class.contains(&self.coords(n))) {
+                return Err(format!("class {c} matches no channel of the topology"));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn admit_refuses_each_kind_of_vacuous_class() {
+        let admit =
+            |topo: &Topology, spec: &str| topo.admit(&ebda_core::parse_channels(spec).unwrap());
+        let (torus, mesh) = (Topology::torus(&[4, 4]), Topology::mesh(&[4, 4]));
+        assert_eq!(admit(&torus, "X1+ X1- Y1+[X%2=0] X2+[X=3]"), Ok(()));
+        let refused = [
+            (
+                &torus,
+                "X1+ X1+[Z!=1]",
+                "names axis Z, but the topology has 2 dimensions",
+            ),
+            (&torus, "X1+[Y=7]", "coordinate 7, outside [0, 4)"),
+            (&torus, "X1+[X=-1]", "coordinate -1"),
+            (&mesh, "X2+[X=3]", "matches no channel"),
+            (&Topology::mesh(&[2, 4]), "X1+[X%2=1]", "matches no channel"),
+        ];
+        for (topo, spec, why) in refused {
+            let err = admit(topo, spec).unwrap_err();
+            assert!(
+                err.contains(why) && err.starts_with("class X"),
+                "{spec}: {err}"
+            );
+        }
+    }
 
     #[test]
     fn coords_roundtrip() {

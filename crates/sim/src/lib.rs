@@ -49,5 +49,5 @@ pub use config::{BufferPolicy, ConfigError, Selection, SimConfig, Switching};
 pub use ebda_obs::ChannelCoord;
 pub use engine::{channel_heatmap_csv, simulate, simulate_traced};
 pub use metrics::{Outcome, SimResult, SuspectedEdge};
-pub use sweep::{latency_curve, saturation_rate, SweepPoint};
+pub use sweep::{saturation_rate, SweepPoint};
 pub use traffic::TrafficPattern;

@@ -1,9 +1,11 @@
-//! Load-sweep utilities: latency/throughput curves and saturation-point
-//! estimation — the standard NoC evaluation loop, packaged.
+//! Load sweeps: a batch of simulations summarised point by point
+//! ([`run`]), and saturation-point estimation by bisection — the standard
+//! NoC evaluation loop, packaged.
 
 use crate::config::SimConfig;
-use crate::engine::simulate;
+use crate::engine::{simulate, simulate_traced};
 use crate::metrics::{Outcome, SimResult};
+use ebda_obs::{JourneyConfig, Recorder, RecorderConfig};
 use ebda_routing::{RoutingRelation, Topology};
 
 /// One point of a load sweep.
@@ -28,10 +30,13 @@ pub struct SweepPoint {
     pub drained: bool,
     /// Whether the watchdog fired.
     pub deadlocked: bool,
+    /// The point's journey-only recorder, when [`run`] was asked for
+    /// journeys.
+    pub journeys: Option<Recorder>,
 }
 
 impl SweepPoint {
-    fn from_result(rate: f64, r: &SimResult) -> SweepPoint {
+    fn from_result(rate: f64, r: &SimResult, journeys: Option<Recorder>) -> SweepPoint {
         // Quantiles come from the log-bucketed histogram, not the raw
         // vector — sweeps run with `collect_latencies: false` and skip the
         // per-point O(n log n) sort entirely.
@@ -46,43 +51,44 @@ impl SweepPoint {
             channel_balance_cv: r.channel_balance_cv(),
             drained: r.measured_delivered == r.measured_injected,
             deadlocked: !matches!(r.outcome, Outcome::Completed),
+            journeys,
         }
     }
 }
 
-/// Runs the relation at each rate and collects the curve. The `base`
-/// configuration supplies everything except the injection rate.
+/// Simulates every `(relation, config)` point on one `topo` and returns
+/// their summaries in point order: the one place a batch of simulations
+/// runs.
 ///
-/// Points run in parallel on the [`ebda_par`] pool (thread count from
-/// `--threads` / `EBDA_THREADS` / hardware) and merge in rate order, so
-/// the curve is identical at any thread count.
-pub fn latency_curve(
+/// Points run on up to `threads` workers of the [`ebda_par`] pool (0
+/// resolves via [`ebda_par::threads`], 1 is strictly serial). Each point
+/// depends only on itself, so the index-order merge makes the result
+/// identical at any thread count. Raw latencies are never collected: the
+/// quantiles come from the histogram. With `journeys`, each point runs
+/// with its own journey-only recorder — a modest event ring (journeys
+/// themselves are never evicted) and no periodic samples — returned in
+/// [`SweepPoint::journeys`].
+pub fn run(
     topo: &Topology,
-    relation: &dyn RoutingRelation,
-    base: &SimConfig,
-    rates: &[f64],
-) -> Vec<SweepPoint> {
-    latency_curve_with_threads(topo, relation, base, rates, ebda_par::threads())
-}
-
-/// [`latency_curve`] with an explicit worker count (1 = strictly serial).
-pub(crate) fn latency_curve_with_threads(
-    topo: &Topology,
-    relation: &dyn RoutingRelation,
-    base: &SimConfig,
-    rates: &[f64],
+    points: &[(&dyn RoutingRelation, SimConfig)],
     threads: usize,
+    journeys: Option<&JourneyConfig>,
 ) -> Vec<SweepPoint> {
-    // Each point depends only on its own rate and the shared base config,
-    // so parallel_map's index-order merge reproduces the serial curve.
-    ebda_par::parallel_map(threads, rates, |_, &rate| {
+    ebda_par::parallel_map(threads, points, |_, (relation, cfg)| {
+        let mut rec = journeys.map(|jcfg| {
+            let mut rec = Recorder::new(RecorderConfig {
+                capacity: 1024,
+                sample_every: 0,
+            });
+            rec.enable_journeys(jcfg.clone());
+            rec
+        });
         let cfg = SimConfig {
-            injection_rate: rate,
-            // Histogram quantiles suffice: skip raw-latency storage.
             collect_latencies: false,
-            ..base.clone()
+            ..cfg.clone()
         };
-        SweepPoint::from_result(rate, &simulate(topo, relation, &cfg))
+        let r = simulate_traced(topo, *relation, &cfg, rec.as_mut());
+        SweepPoint::from_result(cfg.injection_rate, &r, rec)
     })
 }
 
@@ -125,91 +131,6 @@ pub fn saturation_rate(
     Some(lo)
 }
 
-/// Mean and sample standard deviation over replicated runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanStd {
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single replicate).
-    pub std: f64,
-}
-
-/// Replicated measurements of one configuration across `seeds` RNG seeds —
-/// the confidence-interval hygiene single-seed runs lack.
-#[derive(Debug, Clone)]
-pub struct Replication {
-    /// Latency statistics over replicates.
-    pub latency: MeanStd,
-    /// Throughput statistics over replicates.
-    pub throughput: MeanStd,
-    /// Number of replicates that completed without deadlock.
-    pub clean_runs: usize,
-    /// Number of replicates.
-    pub replicates: usize,
-}
-
-/// The seed replicate `i` of a base-seed run simulates under.
-///
-/// Pure function of `(base_seed, i)` — the `i`-th value of the splitmix64
-/// stream seeded with `base_seed` ([`ebda_obs::Rng64::nth`]) — so a
-/// replicate's result does not depend on which other replicates ran, in
-/// what order, or on which worker thread. Replicate 0 is **not** the base
-/// seed itself: derived seeds must be well-mixed even when callers pass
-/// small sequential base seeds.
-pub fn replicate_seed(base_seed: u64, i: usize) -> u64 {
-    ebda_obs::Rng64::nth(base_seed, i as u64)
-}
-
-/// Runs `cfg` under `replicates` different seeds (derived from `cfg.seed`
-/// via [`replicate_seed`]) and aggregates latency and throughput.
-/// Replicates run on up to `threads` workers of the [`ebda_par`] pool (0
-/// resolves via [`ebda_par::threads`], 1 is strictly serial) and
-/// aggregate in index order.
-///
-/// # Panics
-///
-/// Panics if `replicates == 0`.
-pub fn replicate_with_threads(
-    topo: &Topology,
-    relation: &dyn RoutingRelation,
-    cfg: &SimConfig,
-    replicates: usize,
-    threads: usize,
-) -> Replication {
-    assert!(replicates >= 1, "at least one replicate");
-    let indexes: Vec<usize> = (0..replicates).collect();
-    let results = ebda_par::parallel_map(threads, &indexes, |_, &i| {
-        let run_cfg = SimConfig {
-            seed: replicate_seed(cfg.seed, i),
-            // Only the mean latency, throughput and outcome are read.
-            collect_latencies: false,
-            ..cfg.clone()
-        };
-        let r = simulate(topo, relation, &run_cfg);
-        let clean = matches!(r.outcome, Outcome::Completed);
-        (r.avg_latency, r.throughput, clean)
-    });
-    let latencies: Vec<f64> = results.iter().map(|r| r.0).collect();
-    let throughputs: Vec<f64> = results.iter().map(|r| r.1).collect();
-    Replication {
-        latency: mean_std(&latencies),
-        throughput: mean_std(&throughputs),
-        clean_runs: results.iter().filter(|r| r.2).count(),
-        replicates,
-    }
-}
-
-fn mean_std(xs: &[f64]) -> MeanStd {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let std = if xs.len() < 2 {
-        0.0
-    } else {
-        (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)).sqrt()
-    };
-    MeanStd { mean, std }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,11 +147,23 @@ mod tests {
         }
     }
 
+    /// One point per rate, everything else from [`base`].
+    fn at_rates<'a>(
+        relation: &'a dyn RoutingRelation,
+        rates: &[f64],
+    ) -> Vec<(&'a dyn RoutingRelation, SimConfig)> {
+        let at = |rate| SimConfig {
+            injection_rate: rate,
+            ..base()
+        };
+        rates.iter().map(|&rate| (relation, at(rate))).collect()
+    }
+
     #[test]
     fn curve_is_monotone_at_the_low_end() {
         let topo = Topology::mesh(&[4, 4]);
         let xy = DimensionOrder::xy();
-        let curve = latency_curve(&topo, &xy, &base(), &[0.01, 0.05, 0.12]);
+        let curve = run(&topo, &at_rates(&xy, &[0.01, 0.05, 0.12]), 0, None);
         assert_eq!(curve.len(), 3);
         assert!(curve[0].drained && curve[1].drained);
         assert!(!curve[0].deadlocked);
@@ -244,6 +177,7 @@ mod tests {
             assert!(p.p50_latency.unwrap() <= p.p99_latency.unwrap());
             assert!(p.p99_latency.unwrap() <= p.p999_latency.unwrap());
             assert!(p.channel_balance_cv.unwrap() >= 0.0);
+            assert!(p.journeys.is_none());
         }
     }
 
@@ -268,74 +202,30 @@ mod tests {
     }
 
     #[test]
-    fn replication_aggregates_across_seeds() {
-        let topo = Topology::mesh(&[4, 4]);
-        let xy = DimensionOrder::xy();
-        let cfg = SimConfig {
-            injection_rate: 0.03,
-            ..base()
-        };
-        let rep = replicate_with_threads(&topo, &xy, &cfg, 5, 0);
-        assert_eq!(rep.replicates, 5);
-        assert_eq!(rep.clean_runs, 5);
-        assert!(rep.latency.mean > 5.0);
-        // Different seeds produce (slightly) different loads.
-        assert!(rep.latency.std >= 0.0);
-        assert!(rep.throughput.mean > 0.0);
-        // Single replicate has zero std by definition.
-        let one = replicate_with_threads(&topo, &xy, &cfg, 1, 0);
-        assert_eq!(one.latency.std, 0.0);
-    }
-
-    #[test]
-    fn replicate_seed_is_pinned_and_order_free() {
-        // The derivation is (base, i) -> Rng64::nth(base, i): pure in the
-        // pair, so replicate i's world is fixed no matter what ran before
-        // it. These exact values are part of the determinism contract.
-        assert_eq!(replicate_seed(0, 0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(replicate_seed(0, 1), 0x6E78_9E6A_A1B9_65F4);
-        assert_eq!(
-            replicate_seed(0xEBDA, 0),
-            ebda_obs::Rng64::new(0xEBDA).next_u64()
-        );
-        // Distinct replicates get distinct, well-mixed seeds even from a
-        // base seed of 0.
-        let seeds: Vec<u64> = (0..8).map(|i| replicate_seed(0, i)).collect();
-        let mut uniq = seeds.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), seeds.len());
-    }
-
-    #[test]
     fn sweep_results_are_thread_count_invariant() {
         let topo = Topology::mesh(&[4, 4]);
         let xy = DimensionOrder::xy();
-        let cfg = SimConfig {
-            injection_rate: 0.04,
-            ..base()
-        };
-        let rates = [0.01, 0.03, 0.05, 0.08];
-        let serial = latency_curve_with_threads(&topo, &xy, &base(), &rates, 1);
-        let parallel = latency_curve_with_threads(&topo, &xy, &base(), &rates, 8);
+        let points = at_rates(&xy, &[0.01, 0.03, 0.05, 0.08]);
+        let journeys = JourneyConfig::default();
+        let serial = run(&topo, &points, 1, Some(&journeys));
+        let parallel = run(&topo, &points, 8, Some(&journeys));
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.rate, b.rate);
             assert_eq!(a.avg_latency, b.avg_latency);
             assert_eq!(a.throughput, b.throughput);
             assert_eq!(a.p99_latency, b.p99_latency);
+            let traced =
+                |p: &SweepPoint| p.journeys.as_ref()?.journeys().map(|t| t.journeys().len());
+            assert!(traced(a).is_some_and(|n| n > 0));
+            assert_eq!(traced(a), traced(b));
         }
-        let r1 = replicate_with_threads(&topo, &xy, &cfg, 4, 1);
-        let r8 = replicate_with_threads(&topo, &xy, &cfg, 4, 8);
-        assert_eq!(r1.latency, r8.latency);
-        assert_eq!(r1.throughput, r8.throughput);
-        assert_eq!(r1.clean_runs, r8.clean_runs);
     }
 
     #[test]
     fn adaptive_curve_runs_clean() {
         let topo = Topology::mesh(&[4, 4]);
         let fa = TurnRouting::from_design("dyxy", &ebda_core::catalog::fig7b_dyxy()).unwrap();
-        let curve = latency_curve(&topo, &fa, &base(), &[0.02, 0.08]);
+        let curve = run(&topo, &at_rates(&fa, &[0.02, 0.08]), 0, None);
         assert!(curve.iter().all(|p| !p.deadlocked));
     }
 }

@@ -3,12 +3,12 @@
 
 use ebda_routing::classic::DimensionOrder;
 use ebda_routing::Topology;
-use noc_sim::sweep::{replicate_seed, replicate_with_threads, MeanStd};
-use noc_sim::{saturation_rate, simulate, Outcome, SimConfig};
+use noc_sim::{saturation_rate, simulate, sweep, Outcome, SimConfig};
 
-/// `saturation_rate` and `replicate_with_threads` read only means,
-/// counts and outcomes, so they run without the raw latency vector; what
-/// they return is bit-identical to running with it.
+/// `saturation_rate` reads only counts and outcomes, and `sweep::run`
+/// only means, histogram quantiles and outcomes, so both run without the
+/// raw latency vector; what they return is bit-identical to running with
+/// it.
 #[test]
 fn sweeps_skip_raw_latencies_without_changing_their_answers() {
     let topo = Topology::mesh(&[4, 4]);
@@ -49,33 +49,19 @@ fn sweeps_skip_raw_latencies_without_changing_their_answers() {
     let sat = saturation_rate(&topo, &xy, &base, 0.01, 0.6, 0.05).expect("drains at 0.01");
     assert_eq!(sat.to_bits(), lo.to_bits());
 
-    // The replication, re-done here on full results.
+    // The sweep summary, re-read here from full results.
     let cfg = SimConfig {
         injection_rate: 0.04,
         ..base
     };
-    let full: Vec<_> = (0..4)
-        .map(|i| {
-            let run = SimConfig {
-                seed: replicate_seed(cfg.seed, i),
-                ..cfg.clone()
-            };
-            simulate(&topo, &xy, &run)
-        })
-        .collect();
-    let mean_std = |xs: Vec<f64>| {
-        let mean = xs.iter().sum::<f64>() / 4.0;
-        let std = (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / 3.0).sqrt();
-        MeanStd { mean, std }
+    let full = simulate(&topo, &xy, &cfg);
+    assert!(!full.latencies.is_empty());
+    let [point] = &sweep::run(&topo, &[(&xy, cfg)], 1, None)[..] else {
+        panic!("one point in, one point out");
     };
-    let rep = replicate_with_threads(&topo, &xy, &cfg, 4, 1);
-    assert_eq!(
-        rep.latency,
-        mean_std(full.iter().map(|r| r.avg_latency).collect())
-    );
-    assert_eq!(
-        rep.throughput,
-        mean_std(full.iter().map(|r| r.throughput).collect())
-    );
-    assert!(rep.latency.std > 0.0 && rep.clean_runs == 4);
+    assert_eq!(point.avg_latency.to_bits(), full.avg_latency.to_bits());
+    assert_eq!(point.throughput.to_bits(), full.throughput.to_bits());
+    assert_eq!(point.p99_latency, full.latency_hist.quantile(0.99));
+    assert_eq!(point.channel_balance_cv, full.channel_balance_cv());
+    assert!(point.drained && !point.deadlocked);
 }

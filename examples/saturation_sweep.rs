@@ -1,11 +1,13 @@
 //! Latency/load sweep: deterministic vs partially vs fully adaptive EbDa
-//! designs on an 8x8 mesh — the classic NoC evaluation, driven by the
-//! `noc_sim::sweep` utilities (curves + bisected saturation points).
+//! designs on an 8x8 mesh — the classic NoC evaluation. Every
+//! design × rate point runs in one `noc_sim::sweep::run` batch (the same
+//! entry `ebda repro sweep` uses); `saturation_rate` bisects each
+//! design's saturation point.
 //!
 //! Run with: `cargo run --release --example saturation_sweep`
 
 use ebda::prelude::*;
-use ebda::sim::{latency_curve, saturation_rate};
+use ebda::sim::{saturation_rate, sweep};
 
 fn base_cfg() -> SimConfig {
     SimConfig {
@@ -47,10 +49,21 @@ fn main() -> Result<(), EbdaError> {
     }
     println!(" {:>10}", "saturation");
 
-    for (name, relation) in &designs {
-        let curve = latency_curve(&topo, relation, &base_cfg(), &rates);
+    let mut points: Vec<(&dyn RoutingRelation, SimConfig)> = Vec::new();
+    for (_, relation) in &designs {
+        for rate in rates {
+            let cfg = SimConfig {
+                injection_rate: rate,
+                ..base_cfg()
+            };
+            points.push((relation, cfg));
+        }
+    }
+    let swept = sweep::run(&topo, &points, 0, None);
+
+    for ((name, relation), curve) in designs.iter().zip(swept.chunks(rates.len())) {
         print!("{name:<24}");
-        for point in &curve {
+        for point in curve {
             if point.deadlocked {
                 print!(" {:>8}", "DEADLOCK");
             } else if point.drained {

@@ -345,16 +345,11 @@ fn topology_flag(args: &mut Args) -> Result<Option<Topology>, CliError> {
         .map(|radix| Topology::mesh(&radix)))
 }
 
-/// The requested topology, or a radix-4 mesh of the design's dimensions.
+/// The requested topology, or a radix-4 mesh of the design's dimensions —
+/// refused unless every class of the design exists on it.
 fn topology_for(flag: Option<Topology>, seq: &PartitionSeq) -> Result<Topology, CliError> {
-    let dims = design_dims(seq);
-    let topo = flag.unwrap_or_else(|| Topology::mesh(&vec![4; dims]));
-    if topo.dims() < dims {
-        return Err(CliError::Usage(format!(
-            "the design uses {dims} dimensions but the topology has {}",
-            topo.dims()
-        )));
-    }
+    let topo = flag.unwrap_or_else(|| Topology::mesh(&vec![4; design_dims(seq)]));
+    topo.admit(&seq.channels()).map_err(CliError::Usage)?;
     Ok(topo)
 }
 

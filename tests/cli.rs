@@ -57,6 +57,31 @@ fn verify_fails_on_invalid_design_with_nonzero_exit() {
 }
 
 #[test]
+fn vacuous_designs_are_refused_with_exit_2_naming_the_class() {
+    for (args, class) in [
+        (&["verify", "X1+[Z!=1]", "--torus", "4x4"][..], "X1+[Z!=1]"),
+        (&["verify", "X1+[Z=0]", "--torus", "4x4"], "X1+[Z=0]"),
+        (&["verify", "X1+[Y=7]", "--torus", "4x4"], "X1+[Y=7]"),
+        (
+            &["simulate", "X1+[Z=0]", "--torus", "4x4", "--rate", "0.01"],
+            "X1+[Z=0]",
+        ),
+    ] {
+        let out = ebda(args);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("class {class} ")), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a path");
+    }
+    // The control: an admissible design that is not deadlock-free still
+    // fails the check itself, with its cycle.
+    let out = ebda(&["verify", "X1+", "--torus", "4x4"]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("cycle of 4 channels"), "{text}");
+}
+
+#[test]
 fn turns_lists_the_extraction() {
     let out = ebda(&["turns", "X+ X- Y-"]);
     assert!(out.status.success());

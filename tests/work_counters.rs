@@ -18,15 +18,15 @@ mod list_diff;
 
 use ebda::cdg::dally::{design_universe, infer_vcs};
 use ebda::core::{catalog, extract_turns, parse_channels, Turn, TurnSet};
-use ebda::obs::prof;
+use ebda::obs::{prof, Rng64};
 use ebda::oracle::artifact::{Artifact, ArtifactKind};
 use ebda::oracle::brute;
 use ebda::oracle::differential::{run_campaign, CampaignConfig};
 use ebda::oracle::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
 use ebda::routing::classic::DimensionOrder;
-use ebda::routing::Topology;
-use ebda::sim::sweep::{latency_curve, replicate_with_threads};
-use ebda::sim::{simulate, SimConfig};
+use ebda::routing::{RoutingRelation, Topology};
+use ebda::sim::{simulate, sweep, SimConfig};
+use ebda_par::parallel_map;
 use list_diff::compare;
 use std::path::Path;
 use std::time::Duration;
@@ -116,11 +116,25 @@ fn measure() -> Vec<String> {
         assert_eq!(small.universe.len(), 1);
     }));
     lines.extend(profiled("sweep/16pt-x3rep-8x8", || {
-        let rates: Vec<f64> = (1..=16).map(|i| 0.005 * i as f64).collect();
-        assert_eq!(latency_curve(&mesh8, &xy, &base, &rates).len(), 16);
-        for &rate in &rates[..3] {
-            let replicated = replicate_with_threads(&mesh8, &xy, &at(rate), 3, 0);
-            assert_eq!(replicated.replicates, 3);
+        let points: Vec<(&dyn RoutingRelation, SimConfig)> =
+            (1..=16).map(|i| (&xy as _, at(0.005 * i as f64))).collect();
+        assert_eq!(sweep::run(&mesh8, &points, 0, None).len(), 16);
+        // Three seed replicates of each of the first three points, seeded
+        // by the first three values of the base seed's stream.
+        let mut stream = Rng64::new(base.seed);
+        let seeds = [stream.next_u64(), stream.next_u64(), stream.next_u64()];
+        for (_, cfg) in &points[..3] {
+            let replicates = parallel_map(0, &seeds, |_, &seed| {
+                simulate(
+                    &mesh8,
+                    &xy,
+                    &SimConfig {
+                        seed,
+                        ..cfg.clone()
+                    },
+                )
+            });
+            assert_eq!(replicates.len(), 3);
         }
     }));
     lines.extend(profiled("oracle/campaign-150", || {
