@@ -8,7 +8,7 @@
 
 use crate::graph::{Cdg, ConcreteChannel};
 use crate::topology::Topology;
-use ebda_core::{extract_turns, Channel, PartitionSeq, Result, TurnSet};
+use ebda_core::{extract_turns, Channel, EbdaError, PartitionSeq, Result, TurnSet};
 use std::fmt;
 
 /// The outcome of a Dally verification run.
@@ -101,11 +101,14 @@ pub fn channel_ordering(
 ///
 /// # Errors
 ///
-/// Returns an error when the design itself is invalid (Theorem 1 or
+/// Returns an error when a class of the design exists nowhere on `topo`
+/// ([`Topology::admit`]) or the design itself is invalid (Theorem 1 or
 /// disjointness violations).
 pub fn verify_design(topo: &Topology, seq: &PartitionSeq) -> Result<VerificationReport> {
-    let extraction = extract_turns(seq)?;
     let universe = design_universe(seq);
+    topo.admit(&universe)
+        .map_err(|reason| EbdaError::Inadmissible { reason })?;
+    let extraction = extract_turns(seq)?;
     let vcs = infer_vcs(&universe, topo.dims());
     Ok(verify_turn_set(
         topo,
@@ -135,6 +138,7 @@ pub fn infer_vcs(universe: &[Channel], dims: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::all_turns;
     use ebda_core::catalog;
 
     #[test]
@@ -160,15 +164,7 @@ mod tests {
         }
 
         // The unrestricted relation is cyclic: no ordering exists.
-        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in &universe {
-                if a != b {
-                    turns.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (universe, turns) = all_turns();
         assert!(channel_ordering(&topo, &[1, 1], &universe, &turns).is_none());
     }
 
@@ -182,15 +178,7 @@ mod tests {
     fn negative_control_cyclic_turnset_detected() {
         // Hand-build the all-turns-allowed relation (valid partitions taken
         // separately, but we bypass extraction to model a broken router).
-        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in &universe {
-                if a != b {
-                    turns.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (universe, turns) = all_turns();
         let report = verify_turn_set(&Topology::mesh(&[4, 4]), &[1, 1], &universe, &turns);
         assert!(!report.is_deadlock_free());
         let text = report.to_string();

@@ -250,6 +250,7 @@ fn check_connectivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::all_turns;
     use ebda_core::{extract_turns, PartitionSeq};
 
     fn xy_escape() -> (Vec<Channel>, TurnSet) {
@@ -258,18 +259,6 @@ mod tests {
         let ex = extract_turns(&seq).unwrap();
         let universe = crate::dally::design_universe(&seq);
         (universe, ex.into_turn_set())
-    }
-
-    /// Every turn among the four plain 2D classes: connected but cyclic.
-    fn all_turns() -> (Vec<Channel>, TurnSet) {
-        let universe = ebda_core::parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in universe.iter().filter(|&&b| b != a) {
-                turns.insert(ebda_core::Turn::new(a, b));
-            }
-        }
-        (universe, turns)
     }
 
     #[test]

@@ -95,10 +95,14 @@ thread_local! {
     static ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// How many witnesses a [`Relation`] keeps.
+const WITNESSES: usize = 64;
+
 /// A class relation over a [`Skeleton`]'s universe — the allow rows
 /// [`Skeleton::fill`] derives from a turn set, editable one class pair
 /// at a time — with what one verdict after another on that skeleton
-/// shares: the kind table of the search and the last cycle found.
+/// shares: the kind table of the search and up to 64 witnesses, the
+/// distinct kind pairs along a cycle a verdict found.
 #[derive(Debug, Clone)]
 pub struct Relation {
     words: usize,
@@ -112,6 +116,11 @@ pub struct Relation {
     table: Vec<u64>,
     ready: Vec<u64>,
     cycle: Vec<u32>,
+    /// Witness slot `s` starts at `pairs[s * room]`, `room` the most
+    /// pairs a cycle has; `order` lists `(slot, pairs)`, most recently
+    /// useful first.
+    pairs: Vec<(u32, u32)>,
+    order: Vec<(u32, u32)>,
     searches: u64,
 }
 
@@ -123,11 +132,10 @@ impl Relation {
         *word = *word & !(1 << (to % 64)) | u64::from(allowed) << (to % 64);
     }
 
-    /// Takes `base`'s allow rows and kept cycle without
-    /// allocating (both relations are of one skeleton).
+    /// Takes `base`'s allow rows without allocating (both relations are
+    /// of one skeleton). The witnesses stay: each verdict checks them.
     pub(crate) fn copy_from(&mut self, base: &Relation) {
         self.allow.clone_from(&base.allow);
-        self.cycle.clone_from(&base.cycle);
     }
 
     /// How many verdicts took a search ([`Skeleton::find_cycle`]).
@@ -410,38 +418,60 @@ impl Skeleton {
         let words = bitrow::words_for(self.universe.len());
         let mut allow = Vec::new();
         bitrow::allow_rows(&self.universe, turns, false, &mut allow);
+        let room = usize::min(self.channels.len(), self.kinds.saturating_mul(self.kinds));
         Relation {
             words,
             allow,
             reach: vec![0; words],
             table: vec![0; self.kinds * bitrow::words_for(self.kinds)],
             ready: vec![0; bitrow::words_for(self.kinds)],
-            // Room for the longest cycle there can be: no verdict allocates.
+            // Room for the longest cycle there can be and for its
+            // distinct kind pairs: no verdict allocates.
             cycle: Vec::with_capacity(self.channels.len()),
+            pairs: vec![(0, 0); WITNESSES * room],
+            order: Vec::with_capacity(WITNESSES),
             searches: 0,
         }
     }
 
     /// Dally's verdict for `relation` without materialising its graph.
-    /// A cyclic verdict keeps its cycle, and the next one — the relation
-    /// edited in between — first re-validates every edge of that cycle:
-    /// a walk that changes a turn or two at a time decides most of its
-    /// models that way. Each verdict is still a cycle of the relation's
-    /// own graph or a full search of it.
+    /// A stored witness whose every kind pair depends under `relation`
+    /// (the rule of [`Skeleton::fill`], entry by entry) is a cycle
+    /// of its graph, adjacency being the skeleton's; the most recently
+    /// useful is tried first. If none fits, one search decides, and a
+    /// cycle it finds replaces the least recently useful witness. Each
+    /// verdict is still a cycle of the relation's own graph or a full
+    /// search of it.
     pub fn is_acyclic(&self, relation: &mut Relation) -> bool {
-        let cycle = &relation.cycle;
-        // One table entry per edge of the cycle, computed on its own.
-        let depends = |i: usize| {
-            let kind = |at: usize| self.kind[cycle[at % cycle.len()] as usize] as usize;
-            bitrow::ones(self.mask(kind(i))).any(|c| {
-                bitrow::intersects(
-                    &relation.allow[c * relation.words..],
-                    self.mask(kind(i + 1)),
-                )
-            })
+        let r = &*relation;
+        let room = r.pairs.len() / WITNESSES;
+        let depends = |&(ka, kb): &(u32, u32)| {
+            let meets = |c| bitrow::intersects(&r.allow[c * r.words..], self.mask(kb as usize));
+            bitrow::ones(self.mask(ka as usize)).any(meets)
         };
-        let holds = !cycle.is_empty() && (0..cycle.len()).all(depends);
-        !holds && self.find_cycle(relation).is_none()
+        let slot = |(slot, len): (u32, u32)| &r.pairs[slot as usize * room..][..len as usize];
+        if let Some(at) = r.order.iter().position(|&s| slot(s).iter().all(depends)) {
+            relation.order[..=at].rotate_right(1);
+            return false;
+        }
+        if self.find_cycle(relation).is_none() {
+            return true;
+        }
+        if relation.order.len() < WITNESSES {
+            relation.order.push((relation.order.len() as u32, 0));
+        }
+        relation.order.rotate_right(1);
+        let (slot, len) = &mut relation.order[0];
+        let kept = &mut relation.pairs[*slot as usize * room..];
+        *len = 0;
+        let kinds = relation.cycle.iter().map(|&c| self.kind[c as usize]);
+        for pair in kinds.clone().zip(kinds.cycle().skip(1)) {
+            if !kept[..*len as usize].contains(&pair) {
+                kept[*len as usize] = pair;
+                *len += 1;
+            }
+        }
+        false
     }
 
     /// A fresh search for `relation`: [`crate::csr::find_cycle`]'s, over
@@ -583,12 +613,24 @@ impl Cdg {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ebda_core::{extract_turns, parse_channels, PartitionSeq};
+    use ebda_core::{extract_turns, parse_channels, PartitionSeq, Turn};
 
     fn design_universe(seq: &PartitionSeq) -> Vec<Channel> {
         seq.channels()
+    }
+
+    /// The four plain 2D classes with every turn among them: cyclic on
+    /// any mesh larger than 1x1.
+    pub(crate) fn all_turns() -> (Vec<Channel>, TurnSet) {
+        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
+        let mut turns = TurnSet::new();
+        for &a in &universe {
+            let others = universe.iter().filter(|&&b| b != a);
+            turns.extend(others.map(|&b| Turn::new(a, b)));
+        }
+        (universe, turns)
     }
 
     #[test]
@@ -603,15 +645,7 @@ mod tests {
     fn all_turns_allowed_is_cyclic() {
         // The unrestricted network: every turn allowed => cyclic CDG.
         let topo = Topology::mesh(&[3, 3]);
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in &universe {
-                if a != b {
-                    turns.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (universe, turns) = all_turns();
         let cdg = Cdg::from_turn_set(&topo, &[1, 1], &universe, &turns);
         assert!(!cdg.is_acyclic());
         let cycle = cdg.find_cycle().unwrap();
@@ -664,15 +698,7 @@ mod tests {
     fn edge_order_invariant_rows_ascend() {
         // The documented invariant: every adjacency row ascends (build
         // enumerates successors in channel order, no sort involved).
-        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
-        let mut turns = TurnSet::new();
-        for &a in &universe {
-            for &b in &universe {
-                if a != b {
-                    turns.insert(ebda_core::Turn::new(a, b));
-                }
-            }
-        }
+        let (universe, turns) = all_turns();
         for topo in [Topology::mesh(&[4, 4]), Topology::torus(&[4, 4])] {
             let cdg = Cdg::from_turn_set(&topo, &[1, 1], &universe, &turns);
             assert!(cdg.edge_count() > 0);
@@ -681,6 +707,52 @@ mod tests {
                 assert!(row.windows(2).all(|w| w[0] < w[1]), "row {i}: {row:?}");
             }
         }
+    }
+
+    #[test]
+    fn stored_witnesses_decide_relations_met_again_exactly() {
+        // Per X VC, its eight 90° turns with Y's only VC: each relation
+        // cyclic on a mesh, none with a cycle of another.
+        let ch = |d: u8, dir, vc| Channel::with_vc(Dimension::new(d), dir, vc);
+        let [p, m] = [Direction::Plus, Direction::Minus];
+        let vcs = WITNESSES as u8 + 1;
+        let xs = |vc| [ch(0, p, vc), ch(0, m, vc)];
+        let ys = [ch(1, p, 1), ch(1, m, 1)];
+        let universe: Vec<Channel> = (1..=vcs).flat_map(xs).chain(ys).collect();
+        let plane = |vc| -> TurnSet {
+            let turns = |x| ys.map(|y| [Turn::new(x, y), Turn::new(y, x)]);
+            xs(vc).into_iter().flat_map(turns).flatten().collect()
+        };
+        let skeleton = Skeleton::new(&Topology::mesh(&[3, 3]), &[vcs, 1], &universe);
+        let mut relation = skeleton.relation(&TurnSet::new());
+        // The relation of VC `vc`'s plane: its verdict, checked against
+        // the filled graph's, and whether it took a search.
+        let mut verdict = |vc: u8| {
+            let turns = plane(vc);
+            relation.copy_from(&skeleton.relation(&turns));
+            let searches = relation.searches();
+            let acyclic = skeleton.is_acyclic(&mut relation);
+            assert_eq!(acyclic, csr::find_cycle(&skeleton.fill(&turns)).is_none());
+            (acyclic, relation.searches() > searches)
+        };
+        assert_eq!([1, 2, 1].map(|vc| verdict(vc).1), [true, true, false]);
+        // VC 2's witness, met again, moves ahead of VC 1's; the 63 new
+        // ones after it fill the store and evict VC 1's.
+        assert_eq!((2..=vcs).filter(|&vc| verdict(vc).1).count(), WITNESSES - 1);
+        assert_eq!(verdict(1), (false, true));
+    }
+
+    #[test]
+    fn an_acyclic_verdict_keeps_nothing() {
+        // The straight rings of a torus, a witness of one pair each; then
+        // not even going straight on is allowed.
+        let universe = parse_channels("X+ X- Y+ Y-").unwrap();
+        let skeleton = Skeleton::new(&Topology::torus(&[4, 4]), &[1, 1], &universe);
+        let mut relation = skeleton.relation(&TurnSet::new());
+        assert!(!skeleton.is_acyclic(&mut relation));
+        (0..4).for_each(|class| relation.set(class, class, false));
+        assert!(skeleton.is_acyclic(&mut relation));
+        assert_eq!((relation.order.len(), relation.searches()), (1, 2));
     }
 
     #[test]

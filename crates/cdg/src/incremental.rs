@@ -8,10 +8,10 @@
 //! [`Relation`], one allow row per class: a turn sets or clears the
 //! allow entries of its class pair, a few bit writes.
 //!
-//! A *query* makes the edit on a scratch copy of the relation, a
+//! A *query* makes the edit on a scratch copy of the allow rows, a
 //! *commit* in place, and both take the same verdict:
-//! [`Skeleton::is_acyclic`], which re-validates the cycle kept from the
-//! verdict before and searches the skeleton only when that cycle broke.
+//! [`Skeleton::is_acyclic`], which tries the witnesses that earlier
+//! cyclic verdicts stored and searches the skeleton only when none fits.
 //! Two cases need no verdict at all: removing dependencies from an
 //! acyclic base leaves it acyclic, adding them to a cyclic one leaves it
 //! cyclic.
@@ -36,10 +36,10 @@ pub struct IncrementalVerifier {
     turns: TurnSet,
     /// The channels of the topology, matched against the universe.
     skeleton: Skeleton,
-    /// `turns` as allow rows and a cycle of the base for as long as it
-    /// is cyclic.
+    /// `turns` as allow rows, with the witnesses of the commits.
     relation: Relation,
-    /// The copy of `relation` a query edits.
+    /// The copy of `relation`'s rows a query edits, with the queries'
+    /// witnesses.
     scratch: Mutex<Relation>,
     acyclic: bool,
 }
@@ -57,7 +57,7 @@ impl Clone for IncrementalVerifier {
 }
 
 /// [`Skeleton::is_acyclic`], counted: a verdict is a search of the
-/// skeleton or a hit on the cycle kept from the verdict before.
+/// skeleton or a hit on a stored witness.
 fn verdict(skeleton: &Skeleton, relation: &mut Relation) -> bool {
     let before = relation.searches();
     let acyclic = skeleton.is_acyclic(relation);

@@ -10,8 +10,9 @@
 //! it — the number of checks is the quantity Section 2 counts — but no
 //! model gets a graph: the models of one space share a
 //! [`Skeleton`], a model is the allow rows of its prohibitions, and its
-//! verdict is read off the skeleton (`Enumeration`). The turn set and
-//! CDG per model that this replaced are the reference in
+//! verdict is read off the skeleton (`Enumeration`): a cycle an earlier
+//! model left in the [`Relation`]'s witness store, or one search. The
+//! turn set and CDG per model that this replaced are the reference in
 //! `tests/kernel_differential.rs`.
 //!
 //! Every space's abstract cycles come from one generator over the

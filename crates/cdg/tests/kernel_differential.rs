@@ -692,8 +692,8 @@ fn from_rule_asks_the_rule_of_every_adjacent_pair() {
 // ---------------------------------------------------------------------
 
 /// Edits `relation` into the relation of `turns`, one class pair at a
-/// time, and checks both ways of asking: `is_acyclic` (which may reuse
-/// the cycle kept from the turn set before) gives the filled graph's
+/// time, and checks both ways of asking: `is_acyclic` (which may decide
+/// by a witness stored at any turn set before) gives the filled graph's
 /// boolean, a fresh `find_cycle` its witness.
 fn assert_skeleton_verdict(
     skeleton: &Skeleton,

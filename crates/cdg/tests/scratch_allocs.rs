@@ -10,8 +10,9 @@
 //! network and a large one, and for a partially connected one), its edge
 //! fill allocates only the two CSR arrays it returns, a turn-model
 //! enumeration allocates per *free* model only (the index vector it
-//! returns), and neither a query nor a turn commit of the incremental
-//! verifier allocates at all.
+//! returns; a sampled stream returns counts and allocates its set-up
+//! only, however many models it checks), and neither a query nor a turn
+//! commit of the incremental verifier allocates at all.
 //!
 //! Each `#[test]` warms and measures on its own thread: the scratch
 //! arenas and the allocation counter are all thread-local.
@@ -20,7 +21,7 @@ mod counting_alloc;
 
 use counting_alloc::allocs_during;
 use ebda_cdg::duato::verify_escape_given;
-use ebda_cdg::turn_model::deadlock_free_combinations;
+use ebda_cdg::turn_model::{deadlock_free_combinations, sample_deadlock_free_2d_vc};
 use ebda_cdg::{Cdg, IncrementalVerifier, Skeleton, Topology, VerificationReport};
 use ebda_core::{parse_channels, Channel, Dimension, Direction, Turn, TurnSet};
 
@@ -177,6 +178,20 @@ fn an_enumeration_allocates_per_free_model_only() {
     let n = allocs_during(|| free = deadlock_free_combinations(3, 3).len() as u64);
     assert_eq!(free, 176);
     assert!((free..=free + 64).contains(&n), "{n} allocations");
+}
+
+#[test]
+fn a_sampled_stream_allocates_as_much_for_a_thousand_models_as_for_ten() {
+    // The witness store is sized with the relation, so nothing grows
+    // with the number of cyclic models: at seed 7 one model in the
+    // thousand is free, and the stream returns counts, not models.
+    let allocs =
+        |samples| allocs_during(|| assert!(sample_deadlock_free_2d_vc(2, 5, samples, 7).1 <= 1));
+    // Warm-up: the deepest search sizes this thread's scratch.
+    allocs(1000);
+    let (few, many) = (allocs(10), allocs(1000));
+    assert_eq!(few, many, "10 models: {few} allocations, 1000: {many}");
+    assert!((1..=64).contains(&many), "{many} allocations");
 }
 
 #[test]

@@ -4,10 +4,22 @@
 
 use ebda_cdg::dally::design_universe;
 use ebda_cdg::{verify_design, Cdg, ConcreteChannel, Topology};
-use ebda_core::catalog;
+use ebda_core::{catalog, EbdaError, PartitionSeq};
 
 #[path = "../../core/tests/designs/mod.rs"]
 mod designs;
+
+/// A design with a class the topology lacks is refused before any
+/// verdict: over the channels that exist, `X1+ Z1+ Z1- | X1- Y1+ Y1-`
+/// is deadlock-free on a 4x4 mesh, and that verdict would be vacuous.
+#[test]
+fn a_design_the_topology_cannot_carry_is_refused() {
+    let seq = PartitionSeq::parse("X1+ Z1+ Z1- | X1- Y1+ Y1-").unwrap();
+    let err = verify_design(&Topology::mesh(&[4, 4]), &seq).unwrap_err();
+    assert!(matches!(err, EbdaError::Inadmissible { .. }), "{err}");
+    assert!(err.to_string().contains("class Z1+"), "{err}");
+    assert!(verify_design(&Topology::mesh(&[4, 4, 4]), &seq).is_ok());
+}
 
 #[test]
 fn every_catalog_design_is_deadlock_free_on_meshes() {

@@ -62,6 +62,12 @@ pub enum EbdaError {
         /// Why it is rejected.
         reason: &'static str,
     },
+    /// A class of a design exists nowhere on the topology it is checked
+    /// on, so a verdict over it would speak of channels the network lacks.
+    Inadmissible {
+        /// Which class, and why.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EbdaError {
@@ -100,6 +106,7 @@ impl fmt::Display for EbdaError {
             EbdaError::BadDimension { n, reason } => {
                 write!(f, "unsupported network dimension {n}: {reason}")
             }
+            EbdaError::Inadmissible { reason } => write!(f, "inadmissible design: {reason}"),
         }
     }
 }
@@ -139,6 +146,9 @@ mod tests {
             EbdaError::BadDimension {
                 n: 0,
                 reason: "must be at least 1",
+            },
+            EbdaError::Inadmissible {
+                reason: "class Z1+ names axis Z".into(),
             },
         ];
         for e in errors {
