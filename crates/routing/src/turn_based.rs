@@ -20,8 +20,10 @@
 //! Everything a query needs is resolved against the topology once, into
 //! one `Resolved` structure: per-(node, class) next-hop and predecessor
 //! tables (class membership, mesh edges, missing partial links and failed
-//! links already folded in) and one distance table per destination, built
-//! on first use by a backward search over the predecessor table. `route`,
+//! links already folded in) and one distance table per destination. The
+//! tables are built on first use, 64 destinations per backward search over
+//! the predecessor table: each state carries one bit per destination, so
+//! a level of the search advances all 64 at once. `route`,
 //! `route_into`, `legal_distance` and the view handed out by
 //! [`RoutingRelation::bind`] all run the same candidate loop over it. The
 //! topology-taking entry points first find the structure for their
@@ -55,6 +57,8 @@ struct Resolved {
     topo: Topology,
     /// Number of channel classes.
     k: usize,
+    /// Length of one destination's row of `dist`: `n * (k + 1)`.
+    states: usize,
     /// `allow[s * k + c]`: may a packet in state `s` continue on class
     /// `c`? Injection (row `k`) may start on any class.
     allow: Vec<bool>,
@@ -67,9 +71,18 @@ struct Resolved {
     /// The inverse: `prev[node * k + c]` is the node whose class-`c` hop
     /// lands on `node`.
     prev: Vec<u32>,
-    /// Distance-to-`dst` over states, indexed by `dst`, built on first use.
+    /// `preds[pred_at[s]..pred_at[s + 1]]`: the states that may continue
+    /// on class `s` (every `ps` with `allow[ps * k + s]`).
+    pred_at: Vec<usize>,
+    preds: Vec<u32>,
+    /// Distance-to-`dst` over states, one block of [`BLOCK`] destinations
+    /// per `OnceLock`, built on first use: `dst`'s row is the
+    /// `dst % BLOCK`-th row of block `dst / BLOCK`.
     dist: Vec<OnceLock<Vec<u32>>>,
 }
+
+/// Destinations searched at once: one bit each in a state's word.
+const BLOCK: usize = u64::BITS as usize;
 
 impl Resolved {
     fn new(universe: &[Channel], turns: &TurnSet, topo: &Topology) -> Resolved {
@@ -81,6 +94,11 @@ impl Resolved {
             for (b, &cb) in universe.iter().enumerate() {
                 allow[a * k + b] = turns.allows(ca, cb);
             }
+        }
+        let (mut pred_at, mut preds) = (vec![0], Vec::new());
+        for s in 0..k {
+            preds.extend((0..=k as u32).filter(|&ps| allow[ps as usize * k + s]));
+            pred_at.push(preds.len());
         }
         let choices = universe
             .iter()
@@ -111,11 +129,14 @@ impl Resolved {
         Resolved {
             topo: topo.clone(),
             k,
+            states: n * (k + 1),
             allow,
             choices,
             next,
             prev,
-            dist: (0..n).map(|_| OnceLock::new()).collect(),
+            pred_at,
+            preds,
+            dist: (0..n.div_ceil(BLOCK)).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -129,43 +150,61 @@ impl Resolved {
     }
 
     fn dist_to(&self, dst: NodeId) -> &[u32] {
-        self.dist[dst].get_or_init(|| self.build_dist(dst))
+        let block = self.dist[dst / BLOCK].get_or_init(|| self.build_block(dst / BLOCK * BLOCK));
+        &block[dst % BLOCK * self.states..][..self.states]
     }
 
-    /// Backward BFS from `dst` over reversed product-graph edges.
-    fn build_dist(&self, dst: NodeId) -> Vec<u32> {
-        let k = self.k;
-        let mut dist = vec![UNREACHABLE; self.next.len() / k * (k + 1)];
-        // Every state enters the queue at most once.
-        let mut queue: Vec<(u32, u32)> = Vec::with_capacity(dist.len());
-        // Arriving at dst in any state (including injection = src == dst).
-        for s in 0..=k {
-            dist[dst * (k + 1) + s] = 0;
-            queue.push((dst as u32, s as u32));
+    /// Backward BFS over reversed product-graph edges from the
+    /// destinations `first..first + w` at once, level by level: bit `j` of
+    /// a state's words stands for destination `first + j`. Distances go
+    /// straight into its row, `rows[j * states..]`: a state-major buffer
+    /// transposed afterwards measured slower (docs/PERFORMANCE.md §8).
+    fn build_block(&self, first: NodeId) -> Vec<u32> {
+        let (k, states) = (self.k, self.states);
+        let w = BLOCK.min(self.topo.node_count() - first);
+        let mut rows = vec![UNREACHABLE; w * states];
+        let (mut reached, mut frontier) = (vec![0u64; states], vec![0u64; states]);
+        // Arriving at a destination in any state (injection: src == dst).
+        // Nothing precedes the injection state, so it never joins a level.
+        let mut level: Vec<(u32, u32, u64)> = Vec::new();
+        for j in 0..w {
+            for s in 0..=k {
+                let x = (first + j) * (k + 1) + s;
+                (reached[x], rows[j * states + x]) = (1 << j, 0);
+                level.extend((s < k).then_some(((first + j) as u32, s as u32, 1 << j)));
+            }
         }
-        let mut head = 0;
-        while let Some(&(node, s)) = queue.get(head) {
-            head += 1;
-            let (node, s) = (node as usize, s as usize);
-            if s == k {
-                continue; // nothing precedes the injection state
-            }
-            // Predecessor states: (prev, ps) such that moving on class `s`
-            // from prev lands on node, and ps allows continuing on s.
-            let prev = self.prev[node * k + s];
-            if prev == NO_NODE {
-                continue;
-            }
-            let d = dist[node * (k + 1) + s];
-            let base = prev as usize * (k + 1);
-            for ps in 0..=k {
-                if self.allow[ps * k + s] && dist[base + ps] == UNREACHABLE {
-                    dist[base + ps] = d + 1;
-                    queue.push((prev, ps as u32));
+        let (mut next, mut d) = (Vec::new(), 0);
+        while !level.is_empty() {
+            d += 1;
+            for &(node, s, bits) in &level {
+                let (s, prev) = (s as usize, self.prev[node as usize * k + s as usize]);
+                if prev == NO_NODE {
+                    continue;
+                }
+                for &ps in &self.preds[self.pred_at[s]..self.pred_at[s + 1]] {
+                    let y = prev as usize * (k + 1) + ps as usize;
+                    let mut new = bits & !reached[y];
+                    reached[y] |= new;
+                    if new != 0 && ps as usize != k {
+                        if frontier[y] == 0 {
+                            next.push((prev, ps));
+                        }
+                        frontier[y] |= new;
+                    }
+                    while new != 0 {
+                        rows[new.trailing_zeros() as usize * states + y] = d;
+                        new &= new - 1;
+                    }
                 }
             }
+            level.clear();
+            for (p, ps) in next.drain(..) {
+                let y = p as usize * (k + 1) + ps as usize;
+                level.push((p, ps, std::mem::take(&mut frontier[y])));
+            }
         }
-        dist
+        rows
     }
 }
 

@@ -10,14 +10,21 @@
 //! below, the library's topology-taking `route_into`, its bound view and
 //! `legal_distance` must give the reference's candidates in the
 //! reference's order.
+//!
+//! The library searches for 64 destinations at once, so the fabrics with
+//! more than 64 nodes (a partial last block, built first), the 72-class
+//! universe (more predecessor states than one word has bits) and the
+//! four threads that share one relation on first use check what a
+//! single-block fabric cannot.
 
-use ebda_core::{catalog, Channel, Dimension, Direction, PartitionSeq, TurnSet};
+use ebda_core::{catalog, Channel, Dimension, Direction, PartitionSeq, Turn, TurnSet};
 use ebda_routing::classic::DimensionOrder;
 use ebda_routing::{
     bind, NodeId, PortVc, RouteChoice, RouteState, RoutingRelation, Topology, TurnRouting, INJECT,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread;
 
 const UNREACHABLE: u32 = u32::MAX;
 
@@ -161,12 +168,14 @@ fn states(r: &TurnRouting) -> Vec<RouteState> {
 
 /// Compares every library entry point with the reference over every
 /// `(node, state, dst)` of `topo`, and fails a case that compared nothing
-/// but empty lists.
+/// but empty lists. Destinations go from the highest id down, so on a
+/// fresh relation the first table built is the last block of destinations
+/// (partial unless the node count is a multiple of the block width).
 fn assert_same_everywhere(name: &str, r: &TurnRouting, reference: &Reference, topo: &Topology) {
     let bound = bind(r, topo);
     let (mut want, mut legacy, mut via_bound) = (Vec::new(), Vec::new(), Vec::new());
     let mut candidates = 0usize;
-    for dst in topo.nodes() {
+    for dst in (0..topo.node_count()).rev() {
         for node in topo.nodes() {
             for &state in &states(r) {
                 reference.route_into(topo, node, state, dst, &mut want);
@@ -232,6 +241,103 @@ fn dateline_tori() {
 fn partial_3d_elevators() {
     let topo = Topology::mesh(&[3, 3, 2]).with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 2]]);
     check("table5", &catalog::table5_partial3d(), &topo);
+}
+
+// The fabrics below have more than one 64-destination block, the last
+// of them partial.
+
+#[test]
+fn mesh_9x9_past_one_block() {
+    let topo = Topology::mesh(&[9, 9]);
+    check("west-first 9x9", &catalog::p3_west_first(), &topo);
+    check("odd-even 9x9", &catalog::odd_even(), &topo);
+}
+
+#[test]
+fn dateline_torus_9x8_past_one_block() {
+    check(
+        "dateline 9x8",
+        &catalog::torus_dateline(&[9, 8]),
+        &Topology::torus(&[9, 8]),
+    );
+}
+
+#[test]
+fn partial_3d_past_one_block() {
+    let topo = Topology::mesh(&[5, 5, 3])
+        .with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 3], vec![4, 1]]);
+    assert!(topo.node_count() > 64);
+    check("table5 5x5x3", &catalog::table5_partial3d(), &topo);
+}
+
+#[test]
+fn universe_wider_than_one_word() {
+    // 72 classes: 18 VCs of each 2-D direction, so a class's predecessor
+    // states (k + 1 = 73 of them, injection included) do not fit one word.
+    let universe: Vec<Channel> = (1..=18)
+        .flat_map(|vc| {
+            [Dimension::X, Dimension::Y]
+                .into_iter()
+                .flat_map(move |dim| {
+                    [Direction::Plus, Direction::Minus].map(|dir| Channel::with_vc(dim, dir, vc))
+                })
+        })
+        .collect();
+    assert_eq!(universe.len(), 72);
+    let mut turns = TurnSet::new();
+    for (a, &from) in universe.iter().enumerate() {
+        for (b, &to) in universe.iter().enumerate() {
+            if (a * 7 + b * 3) % 5 != 0 {
+                turns.insert(Turn::new(from, to));
+            }
+        }
+    }
+    let r = TurnRouting::new("wide", universe.clone(), turns.clone());
+    let reference = Reference::new(&universe, &turns);
+    assert_same_everywhere("wide", &r, &reference, &Topology::mesh(&[3, 3]));
+}
+
+#[test]
+fn concurrent_first_use_agrees_with_one_thread() {
+    // Four threads share one relation, as sweep points do, start together
+    // and each walks the destinations in its own order; every answer must
+    // be what a fresh relation gives on one thread.
+    let topo = Topology::mesh(&[9, 9]);
+    let n = topo.node_count();
+    let design = catalog::p3_west_first();
+    let fresh = TurnRouting::from_design("west-first", &design).unwrap();
+    let cells: Vec<(NodeId, RouteState)> = topo
+        .nodes()
+        .flat_map(|node| states(&fresh).into_iter().map(move |s| (node, s)))
+        .collect();
+    let want: Vec<Vec<Option<u32>>> = (0..n)
+        .map(|dst| {
+            let at = |&(node, s): &(NodeId, RouteState)| fresh.legal_distance(&topo, node, s, dst);
+            cells.iter().map(at).collect()
+        })
+        .collect();
+    let shared = TurnRouting::from_design("west-first", &design).unwrap();
+    let orders: [Vec<usize>; 4] = [
+        (0..n).collect(),
+        (0..n).rev().collect(),
+        (0..n).map(|i| i * 29 % n).collect(),
+        (0..n).map(|i| i * 64 % n).collect(),
+    ];
+    let start = Barrier::new(orders.len());
+    thread::scope(|scope| {
+        for order in &orders {
+            let (topo, cells, want, shared, start) = (&topo, &cells, &want, &shared, &start);
+            scope.spawn(move || {
+                start.wait();
+                for &dst in order {
+                    for (&(node, s), &d) in cells.iter().zip(&want[dst]) {
+                        let got = shared.legal_distance(topo, node, s, dst);
+                        assert_eq!(got, d, "node {node} state {s} dst {dst}");
+                    }
+                }
+            });
+        }
+    });
 }
 
 #[test]
