@@ -1,6 +1,7 @@
 //! Bit rows over a channel-class universe: entry `j` of a row is bit
 //! `j % 64` of word `j / 64`, so a universe of any size takes the same
-//! code path (one word up to 64 classes). Shared by the CDG edge fill
+//! code path (one word up to 64 classes). Shared by the link table
+//! ([`crate::LinkTable`]), the CDG edge fill
 //! ([`crate::graph::Skeleton::fill`]), the skeleton search and Duato's
 //! connectivity check.
 

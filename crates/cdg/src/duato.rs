@@ -14,7 +14,7 @@ use crate::bitrow;
 use crate::dally::verify_turn_set;
 use crate::graph::ConcreteChannel;
 use crate::topology::{NodeId, Topology};
-use crate::walk::{ClassBuckets, Walk};
+use crate::walk::{slot, LinkTable, Walk};
 use ebda_core::{Channel, Dimension, Direction, TurnSet};
 use std::fmt;
 
@@ -130,16 +130,17 @@ pub fn verify_escape_given(
 /// `good` that the turn set lets follow; `src` reaches `dst` iff
 /// `good[src]` is non-empty.
 ///
-/// Per node and link slot `(dim, dir)` one pass records the next node
-/// and the mask of classes the link matches. A visited node `w` keeps
-/// `pred[w]`, the OR of the transposed allow rows over `good[w]`: the
-/// classes that may turn onto one of its good classes (every class for
-/// `dst`). Then `good[v]` is the OR, over the at most `dims` slots that
-/// shorten a coordinate, of `mask & pred[next]`. Nodes are visited
-/// without sorting: per dimension and destination coordinate, a list of
-/// the coordinates by steps to it (built once per call), walked as a
-/// lexicographic odometer, reaches a node's next hop — one step fewer in
-/// one coordinate, the others equal — before the node.
+/// The [`LinkTable`] of the universe gives, per node and link slot
+/// `(dim, dir)`, the next node and the classes the link carries. A
+/// visited node `w` keeps `pred[w]`, the OR of the transposed allow rows
+/// over `good[w]`: the classes that may turn onto one of its good
+/// classes (every class for `dst`). Then `good[v]` is the OR, over the
+/// at most `dims` links of `v` that shorten a coordinate, of
+/// `classes & pred[next]`; a slot without a link adds nothing. Nodes are
+/// visited without sorting: per dimension and destination coordinate, a
+/// list of the coordinates by steps to it (built once per call), walked
+/// as a lexicographic odometer, reaches a node's next hop — one step
+/// fewer in one coordinate, the others equal — before the node.
 /// O(N · (dims + |good|) · words) per destination for N nodes.
 ///
 /// The reported pair is the first failing `(src, dst)` in src-major
@@ -150,54 +151,26 @@ fn check_connectivity(
     turns: &TurnSet,
 ) -> (bool, Option<(NodeId, NodeId)>) {
     let (n, dims, radix) = (topo.node_count(), topo.dims(), topo.radix());
-    // Connectivity asks where a class leads, not on which VC: a slot per
-    // direction of a dimension, and `stay`, never matched, for a
-    // coordinate already at the destination's.
-    let (words, stay) = (bitrow::words_for(universe.len()), 2 * dims);
-    let slots = stay + 1;
-    let slot = |d: usize, dir: Direction| 2 * d + usize::from(dir == Direction::Minus);
-    let classes = ClassBuckets::new(universe, stay, |cl| {
-        (cl.dim.index() < dims).then(|| slot(cl.dim.index(), cl.dir))
-    });
-    // Per node and slot: the next node and the classes the link matches.
-    // Where there is no link the mask is empty, so `next` may stay 0.
-    let mut next = vec![0u32; n * slots];
-    let mut mask = vec![0u64; n * slots * words];
-    let mut walk = Walk::new(topo);
-    loop {
-        let v = walk.node();
-        for d in 0..dims {
-            for dir in [Direction::Plus, Direction::Minus] {
-                if let Some(to) = walk.neighbor(d, dir) {
-                    let at = v * slots + slot(d, dir);
-                    next[at] = to as u32;
-                    for c in classes.matched(slot(d, dir), walk.coords()) {
-                        bitrow::set(&mut mask[at * words..][..words], c);
-                    }
-                }
-            }
-        }
-        if !walk.advance() {
-            break;
-        }
-    }
+    let words = bitrow::words_for(universe.len());
+    let links = LinkTable::new(topo, universe);
 
     // Per dimension `d` and target coordinate `t`: the `r` coordinates
     // by steps to `t`, `t` first, each as its share of the node id and
-    // the slot that shortens it. `t - s` reaches `t` going `Plus` and
-    // `t + s` going `Minus`; a ring goes the shorter way, `Plus` on a tie.
+    // the slot that shortens it (none at `t` itself). `t - s` reaches
+    // `t` going `Plus` and `t + s` going `Minus`; a ring goes the
+    // shorter way, `Plus` on a tie.
     let mut lists = Vec::with_capacity(radix.iter().map(|r| r * r).sum());
     let mut stride = n;
     for (d, &r) in radix.iter().enumerate() {
         stride /= r;
         let wrap = topo.wraps(Dimension::new(d as u8));
         for t in 0..r {
-            lists.push((t * stride, stay));
+            lists.push((t * stride, None));
             for s in 1..r {
                 let plus = if wrap { 2 * s <= r } else { s <= t }.then(|| (t + r - s) % r);
                 let minus = if wrap { 2 * s < r } else { t + s < r }.then(|| (t + s) % r);
-                lists.extend(plus.map(|x| (x * stride, slot(d, Direction::Plus))));
-                lists.extend(minus.map(|x| (x * stride, slot(d, Direction::Minus))));
+                lists.extend(plus.map(|x| (x * stride, Some(slot(d, Direction::Plus)))));
+                lists.extend(minus.map(|x| (x * stride, Some(slot(d, Direction::Minus)))));
             }
         }
     }
@@ -205,6 +178,7 @@ fn check_connectivity(
     let mut into = Vec::new();
     bitrow::allow_rows(universe, turns, true, &mut into);
     let mut start = vec![0usize; dims];
+    let mut walk = Walk::new(topo);
     let (mut pred, mut good) = (vec![0u64; n * words], vec![0u64; words]);
     let mut first: Option<(NodeId, NodeId)> = None;
     for dst in 0..n {
@@ -216,14 +190,16 @@ fn check_connectivity(
             rest /= radix[d];
         }
         pred[dst * words..][..words].fill(!0);
-        // The walk goes round once more, its coordinates now positions
-        // in the lists: all zero, where it stands, is `dst` itself.
+        // The walk's coordinates are positions in the lists: all zero,
+        // where it stands, is `dst` itself.
         while walk.advance() {
             let entry = |d: usize| lists[start[d] + walk.coords()[d] as usize];
             let v: usize = (0..dims).map(|d| entry(d).0).sum();
             for (w, g) in good.iter_mut().enumerate() {
-                let hop = |at: usize| mask[at * words + w] & pred[next[at] as usize * words + w];
-                *g = (0..dims).fold(0, |g, d| g | hop(v * slots + entry(d).1));
+                let hop = |(to, classes): (NodeId, &[u64])| classes[w] & pred[to * words + w];
+                *g = (0..dims)
+                    .filter_map(|d| links.hop(v, entry(d).1?))
+                    .fold(0, |g, link| g | hop(link));
             }
             for w in 0..words {
                 pred[v * words + w] = bitrow::ones(&good).fold(0, |p, c| p | into[c * words + w]);

@@ -43,3 +43,4 @@ pub use dally::{verify_design, verify_turn_set, VerificationReport};
 pub use graph::{Cdg, ConcreteChannel, Relation, Skeleton};
 pub use incremental::IncrementalVerifier;
 pub use topology::{Connectivity, NodeId, Topology};
+pub use walk::LinkTable;

@@ -1,6 +1,7 @@
 //! Concrete network topologies for verification: `n`-dimensional meshes,
 //! `k`-ary `n`-cubes (tori), and vertically partially connected 3D meshes.
 
+use crate::walk::LinkTable;
 use ebda_core::{Channel, ChannelClass, Dimension, Direction};
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -298,7 +299,8 @@ impl Topology {
     ///
     /// Names the first class that fails, and why.
     pub fn admit(&self, universe: &[Channel]) -> Result<(), String> {
-        for c in universe {
+        let links = LinkTable::new(self, universe);
+        for (i, c) in universe.iter().enumerate() {
             let (axis, value) = match c.class {
                 ChannelClass::All => (c.dim, None),
                 ChannelClass::AtParity { axis, .. } => (axis, None),
@@ -317,8 +319,8 @@ impl Topology {
                     "class {c} names coordinate {v}, outside [0, {radix})"
                 ));
             }
-            let linked = |n| self.neighbor(n, c.dim, c.dir).is_some();
-            if !(0..self.node_count()).any(|n| linked(n) && c.class.contains(&self.coords(n))) {
+            let carries = |n| links.classes(n, c.dim, c.dir).any(|j| j == i);
+            if !self.nodes().any(carries) {
                 return Err(format!("class {c} matches no channel of the topology"));
             }
         }

@@ -5,6 +5,10 @@
 //! * Cycle search — the adjacency-list DFS in `cycle_ref/` against
 //!   `csr::find_cycle` on fixed graphs with known answers: same witness
 //!   (`proptest_cycles.rs` repeats the comparison on random graphs).
+//! * Link table — every entry of `LinkTable` against its definition,
+//!   `Topology::neighbor` plus `class.contains(&topo.coords(node))`,
+//!   on every input below and on classes of an absent axis, radix-1
+//!   dimensions and a radix-2 ring (`+` and `-` reach the same node).
 //! * Duato connectivity — the per-pair BFS over `(node, last class)`
 //!   states ([`reference_connectivity`]) against the per-destination
 //!   dynamic program behind `verify_escape_given`: same
@@ -55,7 +59,8 @@ use ebda_cdg::turn_model::{
     unique_up_to_symmetry, Combination,
 };
 use ebda_cdg::{
-    verify_turn_set, Cdg, ConcreteChannel, NodeId, Skeleton, Topology, VerificationReport,
+    verify_turn_set, Cdg, ConcreteChannel, LinkTable, NodeId, Skeleton, Topology,
+    VerificationReport,
 };
 use ebda_core::{Channel, Dimension, Direction, Parity, Turn, TurnSet};
 use ebda_obs::Rng64;
@@ -460,6 +465,96 @@ fn given_report_matches_standalone_check() {
         cyclic >= 10 && acyclic >= 10,
         "{cyclic} cyclic, {acyclic} acyclic"
     );
+}
+
+// ---------------------------------------------------------------------
+// Link table.
+// ---------------------------------------------------------------------
+
+/// Every `(node, dim, dir)` of `topo`, one axis past its last included:
+/// the neighbour is `Topology::neighbor`'s, and the classes are those of
+/// that dimension and direction, on a link that exists, whose
+/// restriction holds at the node's coordinates.
+fn assert_link_table(topo: &Topology, universe: &[Channel], context: &str) -> usize {
+    let links = LinkTable::new(topo, universe);
+    let mut matched = 0;
+    for node in topo.nodes() {
+        let coords = topo.coords(node);
+        for dim in (0..=topo.dims() as u8).map(Dimension::new) {
+            for dir in [Direction::Plus, Direction::Minus] {
+                let to = topo.neighbor(node, dim, dir);
+                let at = format!("{context}: node {node} {dim}{dir}");
+                assert_eq!(links.neighbor(node, dim, dir), to, "{at}");
+                let want: Vec<usize> = (0..universe.len())
+                    .filter(|&i| {
+                        let c = universe[i];
+                        (c.dim, c.dir) == (dim, dir) && to.is_some() && c.class.contains(&coords)
+                    })
+                    .collect();
+                let got: Vec<usize> = links.classes(node, dim, dir).collect();
+                assert_eq!(got, want, "{at}");
+                matched += want.len();
+            }
+        }
+    }
+    matched
+}
+
+#[test]
+fn link_table_matches_its_definition() {
+    let mut rng = Rng64::new(0x00C0_D605);
+    let (x, plus) = (Dimension::X, Direction::Plus);
+    let mut topos = topologies();
+    topos.push(("torus2x5", Topology::torus(&[2, 5])));
+    topos.push(("mesh1x1x3", Topology::mesh(&[1, 1, 3])));
+    let mut matched = 0;
+    for (name, topo) in &topos {
+        let vcs = random_vcs(&mut rng, topo.dims());
+        let absent = Dimension::new(topo.dims() as u8);
+        let mut universes = vec![(
+            "an absent axis".to_string(),
+            vec![
+                Channel::new(x, plus),
+                Channel::new(absent, plus),
+                Channel::new(x, Direction::Minus).at_coord(absent, 0),
+                Channel::new(x, plus).not_at_coord(absent, 1),
+            ],
+        )];
+        for round in 0..4 {
+            let universe = random_universe(&mut rng, topo, &vcs);
+            universes.push((format!("random {round}"), universe));
+        }
+        for (what, universe, _) in kind_universes(topo, &vcs) {
+            universes.push((what.to_string(), universe));
+        }
+        for (what, universe) in &universes {
+            matched += assert_link_table(topo, universe, &format!("{name} / {what}"));
+        }
+    }
+    for (radix, keep) in [(4usize, 100usize), (3, 168)] {
+        let universe = big_universe(&mut rng, radix, keep);
+        for topo in [
+            Topology::mesh(&[radix, radix]),
+            Topology::torus(&[radix, radix]),
+        ] {
+            matched += assert_link_table(&topo, &universe, &format!("{keep} classes"));
+        }
+    }
+    assert!(matched > 10_000, "the tables are not empty: {matched}");
+
+    // A radix-2 ring: both directions lead to the one other node, and a
+    // radix-1 dimension has no link at all.
+    let topo = Topology::torus(&[2, 5]);
+    let links = LinkTable::new(&topo, &[Channel::new(x, plus)]);
+    for node in topo.nodes() {
+        let other = links.neighbor(node, x, plus);
+        assert!(other.is_some() && other == links.neighbor(node, x, Direction::Minus));
+    }
+    let line = Topology::mesh(&[1, 4]);
+    let links = LinkTable::new(&line, &[Channel::new(x, plus)]);
+    assert!(line
+        .nodes()
+        .all(|n| links.classes(n, x, plus).next().is_none()));
 }
 
 // ---------------------------------------------------------------------

@@ -44,6 +44,7 @@ pub use verify::{routing_cdg, verify_relation};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebda_cdg::LinkTable;
     use ebda_core::catalog;
     use std::collections::{HashSet, VecDeque};
 
@@ -57,6 +58,7 @@ mod tests {
         let extraction = ebda_core::extract_turns(seq).unwrap();
         let turns = extraction.turn_set();
         let universe = seq.channels();
+        let links = LinkTable::new(topo, &universe);
         for src in topo.nodes() {
             for dst in topo.nodes() {
                 if src == dst {
@@ -69,8 +71,8 @@ mod tests {
                 while let Some((node, state, last)) = queue.pop_front() {
                     for ch in classic.route(topo, node, state, src, dst) {
                         if let Some((prev_port, prev_node)) = last {
-                            let pa = class_at(&universe, topo, prev_node, prev_port);
-                            let pb = class_at(&universe, topo, node, ch.port);
+                            let pa = class_at(&universe, &links, prev_node, prev_port);
+                            let pb = class_at(&universe, &links, node, ch.port);
                             let (Some(a), Some(b)) = (pa, pb) else {
                                 return Err("hop outside the design universe".into());
                             };
@@ -94,14 +96,14 @@ mod tests {
 
     fn class_at(
         universe: &[ebda_core::Channel],
-        topo: &Topology,
+        links: &LinkTable,
         node: NodeId,
         port: PortVc,
     ) -> Option<ebda_core::Channel> {
-        let coords = topo.coords(node);
-        universe.iter().copied().find(|c| {
-            c.dim == port.dim && c.dir == port.dir && c.vc == port.vc && c.class.contains(&coords)
-        })
+        links
+            .classes(node, port.dim, port.dir)
+            .map(|c| universe[c])
+            .find(|c| c.vc == port.vc)
     }
 
     #[test]

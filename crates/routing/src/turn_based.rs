@@ -19,8 +19,9 @@
 //!
 //! Everything a query needs is resolved against the topology once, into
 //! one `Resolved` structure: per-(node, class) next-hop and predecessor
-//! tables (class membership, mesh edges, missing partial links and failed
-//! links already folded in) and one distance table per destination. The
+//! tables, read off `ebda_cdg::LinkTable` (which classes run on which
+//! link: class membership, mesh edges, missing partial links and failed
+//! links already folded in), and one distance table per destination. The
 //! tables are built on first use, 64 destinations per backward search over
 //! the predecessor table: each state carries one bit per destination, so
 //! a level of the search advances all 64 at once. `route`,
@@ -33,7 +34,8 @@
 
 use crate::relation::{BoundRelation, PortVc, RouteChoice, RouteState, RoutingRelation, INJECT};
 use ebda_cdg::topology::{NodeId, Topology};
-use ebda_core::{extract_turns, Channel, PartitionSeq, Result, TurnSet};
+use ebda_cdg::LinkTable;
+use ebda_core::{extract_turns, Channel, Dimension, Direction, PartitionSeq, Result, TurnSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Distance value for unreachable states.
@@ -88,7 +90,6 @@ impl Resolved {
     fn new(universe: &[Channel], turns: &TurnSet, topo: &Topology) -> Resolved {
         let k = universe.len();
         let n = topo.node_count();
-        assert!(n < NO_NODE as usize, "too many nodes for the hop tables");
         let mut allow = vec![true; (k + 1) * k];
         for (a, &ca) in universe.iter().enumerate() {
             for (b, &cb) in universe.iter().enumerate() {
@@ -112,17 +113,19 @@ impl Resolved {
                 state: ci as RouteState,
             })
             .collect();
+        let links = LinkTable::new(topo, universe);
         let mut next = vec![NO_NODE; n * k];
         let mut prev = vec![NO_NODE; n * k];
         for node in topo.nodes() {
-            let coords = topo.coords(node);
-            for (ci, c) in universe.iter().enumerate() {
-                if !c.class.contains(&coords) {
-                    continue;
-                }
-                if let Some(to) = topo.neighbor(node, c.dim, c.dir) {
-                    next[node * k + ci] = to as u32;
-                    prev[to * k + ci] = node as u32;
+            for dim in (0..topo.dims() as u8).map(Dimension::new) {
+                for dir in [Direction::Plus, Direction::Minus] {
+                    let Some(to) = links.neighbor(node, dim, dir) else {
+                        continue;
+                    };
+                    for ci in links.classes(node, dim, dir) {
+                        next[node * k + ci] = to as u32;
+                        prev[to * k + ci] = node as u32;
+                    }
                 }
             }
         }

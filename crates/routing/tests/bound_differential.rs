@@ -15,7 +15,8 @@
 //! more than 64 nodes (a partial last block, built first), the 72-class
 //! universe (more predecessor states than one word has bits) and the
 //! four threads that share one relation on first use check what a
-//! single-block fabric cannot.
+//! single-block fabric cannot. A universe with a class on an axis the
+//! fabric lacks checks the link table the hop tables are read from.
 
 use ebda_core::{catalog, Channel, Dimension, Direction, PartitionSeq, Turn, TurnSet};
 use ebda_routing::classic::DimensionOrder;
@@ -241,6 +242,18 @@ fn dateline_tori() {
 fn partial_3d_elevators() {
     let topo = Topology::mesh(&[3, 3, 2]).with_partial_dim(Dimension::Z, [vec![0, 0], vec![2, 2]]);
     check("table5", &catalog::table5_partial3d(), &topo);
+}
+
+#[test]
+fn a_class_on_an_absent_axis() {
+    // `Z1+` runs on no link of a 2-D fabric. `TurnRouting::new` never
+    // asks `Topology::admit`, so the link table must leave the class out
+    // as the reference's `neighbor` call does; the 2x5 torus adds a
+    // radix-2 ring, where `+` and `-` reach the same node.
+    let seq = PartitionSeq::parse("X1- | X1+ Y1+ Y1- Z1+").unwrap();
+    for topo in [Topology::mesh(&[4, 4]), Topology::torus(&[2, 5])] {
+        check(&format!("absent Z {:?}", topo.radix()), &seq, &topo);
+    }
 }
 
 // The fabrics below have more than one 64-destination block, the last

@@ -10,7 +10,9 @@
 //! session per command, opened and closed in [`SESSION_OWNERS`] only.
 //! And there is one JSON writer: outside [`JSON_WRITER`], library code
 //! writes a JSON object through that module's sinks, never by opening
-//! one inside a format string.
+//! one inside a format string. And a prover matches a channel class
+//! against a node only in the files of [`CLASS_MATCHERS`]: the link
+//! table, the skeleton's walk and the independent paths.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,6 +48,33 @@ const SESSION_OWNERS: &[&str] = &["crates/bench/src/trace.rs", "src/bin/ebda.rs"
 
 /// The module whose writers every JSON document goes through.
 const JSON_WRITER: &str = "crates/obs/src/json.rs";
+
+/// The library files that may match a channel class against a node
+/// (`.class.contains(`) outside tests, each with its reason. Every other
+/// prover reads the link table instead, so a new call site is another
+/// answer to "which classes run on which link".
+const CLASS_MATCHERS: &[(&str, &str)] = &[
+    (
+        "crates/cdg/src/graph.rs",
+        "Skeleton::new's own walk: on the link table it measured 1.7-2x slower",
+    ),
+    (
+        "crates/cdg/src/walk.rs",
+        "the link table the other provers read, and the skeleton's buckets",
+    ),
+    (
+        "crates/core/src/adaptiveness.rs",
+        "ebda-core sits below ebda-cdg",
+    ),
+    (
+        "crates/oracle/src/brute.rs",
+        "the brute path, independent by design",
+    ),
+    (
+        "crates/oracle/src/provenance.rs",
+        "the checker, independent by design",
+    ),
+];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
@@ -302,6 +331,25 @@ fn json_is_written_through_one_writer() {
     assert_eq!(
         found, [""; 0],
         "write JSON through the sinks of {JSON_WRITER} (write_str, write_u64, write_list)"
+    );
+}
+
+#[test]
+fn classes_are_matched_against_nodes_in_the_link_table_only() {
+    let mut found: Vec<String> = sources()
+        .into_iter()
+        .filter(|(_, text)| {
+            outside_tests(text)
+                .iter()
+                .any(|code| !code.starts_with("//") && code.contains(".class.contains("))
+        })
+        .map(|(rel, _)| rel)
+        .collect();
+    found.sort();
+    let allowed: Vec<&str> = CLASS_MATCHERS.iter().map(|(file, _)| *file).collect();
+    assert_eq!(
+        found, allowed,
+        "read ebda_cdg::LinkTable instead of calling ChannelClass::contains"
     );
 }
 
