@@ -9,6 +9,10 @@
 //!   `Topology::neighbor` plus `class.contains(&topo.coords(node))`,
 //!   on every input below and on classes of an absent axis, radix-1
 //!   dimensions and a radix-2 ring (`+` and `-` reach the same node).
+//! * Admission — `Topology::admit` against the link table: a class that
+//!   passes the axis and coordinate checks is admitted iff some slot
+//!   carries it, over the same inputs (a guard for any `admit` that
+//!   stops matching before the whole table is built).
 //! * Duato connectivity — the per-pair BFS over `(node, last class)`
 //!   states ([`reference_connectivity`]) against the per-destination
 //!   dynamic program behind `verify_escape_given`: same
@@ -555,6 +559,78 @@ fn link_table_matches_its_definition() {
     assert!(line
         .nodes()
         .all(|n| links.classes(n, x, plus).next().is_none()));
+}
+
+/// `topo.admit` class by class against the link table: a class that
+/// passes the axis and coordinate checks is admitted iff some slot of the
+/// table carries it. The whole universe is refused for its first refused
+/// class, or admitted. Returns how many classes were admitted and how
+/// many refused for matching no channel.
+fn assert_admit(topo: &Topology, universe: &[Channel], context: &str) -> (usize, usize) {
+    let links = LinkTable::new(topo, universe);
+    let (mut admitted, mut unmatched) = (0, 0);
+    for (i, &c) in universe.iter().enumerate() {
+        let carried = topo
+            .nodes()
+            .any(|n| links.classes(n, c.dim, c.dir).any(|j| j == i));
+        let at = format!("{context}: class {c}");
+        match topo.admit(&[c]) {
+            Ok(()) => {
+                assert!(carried, "{at}: admitted, carried nowhere");
+                admitted += 1;
+            }
+            Err(why) if why.contains("matches no channel") => {
+                assert!(!carried, "{at}: {why}");
+                unmatched += 1;
+            }
+            // Refused by the axis and coordinate checks, which come first.
+            Err(_) => {}
+        }
+    }
+    let first_refusal = universe.iter().find_map(|&c| topo.admit(&[c]).err());
+    assert_eq!(topo.admit(universe).err(), first_refusal, "{context}");
+    (admitted, unmatched)
+}
+
+#[test]
+fn admit_matches_the_link_table() {
+    let mut rng = Rng64::new(0x00C0_D607);
+    let (x, plus) = (Dimension::X, Direction::Plus);
+    let mut topos = topologies();
+    topos.push(("torus2x5", Topology::torus(&[2, 5])));
+    topos.push(("mesh1x1x3", Topology::mesh(&[1, 1, 3])));
+    let (mut admitted, mut unmatched) = (0, 0);
+    for (name, topo) in &topos {
+        let vcs = random_vcs(&mut rng, topo.dims());
+        let absent = Dimension::new(topo.dims() as u8);
+        let mut universes = vec![(
+            "an absent axis".to_string(),
+            vec![
+                Channel::new(x, plus),
+                Channel::new(absent, plus),
+                Channel::new(x, Direction::Minus).at_coord(absent, 0),
+                Channel::new(x, plus).not_at_coord(absent, 1),
+            ],
+        )];
+        for round in 0..4 {
+            let universe = random_universe(&mut rng, topo, &vcs);
+            universes.push((format!("random {round}"), universe));
+        }
+        for (what, universe, _) in kind_universes(topo, &vcs) {
+            universes.push((what.to_string(), universe));
+        }
+        for (what, universe) in &universes {
+            let (a, u) = assert_admit(topo, universe, &format!("{name} / {what}"));
+            (admitted, unmatched) = (admitted + a, unmatched + u);
+        }
+    }
+    // Both verdicts occur: radix-1 dimensions, VCs past the budget and
+    // restrictions that hold only where no link leaves leave classes
+    // unmatched.
+    assert!(
+        admitted > 1000 && unmatched > 100,
+        "{admitted} / {unmatched}"
+    );
 }
 
 // ---------------------------------------------------------------------

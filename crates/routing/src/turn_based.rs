@@ -21,10 +21,12 @@
 //! one `Resolved` structure: per-(node, class) next-hop and predecessor
 //! tables, read off `ebda_cdg::LinkTable` (which classes run on which
 //! link: class membership, mesh edges, missing partial links and failed
-//! links already folded in), and one distance table per destination. The
-//! tables are built on first use, 64 destinations per backward search over
-//! the predecessor table: each state carries one bit per destination, so
-//! a level of the search advances all 64 at once. `route`,
+//! links already folded in), and one distance table per destination: a
+//! `u16` per (node, class) state, the injection state's distance derived
+//! from the node's class states. The tables are built on first use, 64
+//! destinations per backward search over the predecessor table: each state
+//! carries one bit per destination, so a level of the search advances all
+//! 64 at once. `route`,
 //! `route_into`, `legal_distance` and the view handed out by
 //! [`RoutingRelation::bind`] all run the same candidate loop over it. The
 //! topology-taking entry points first find the structure for their
@@ -38,8 +40,9 @@ use ebda_cdg::LinkTable;
 use ebda_core::{extract_turns, Channel, Dimension, Direction, PartitionSeq, Result, TurnSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Distance value for unreachable states.
-const UNREACHABLE: u32 = u32::MAX;
+/// Stored distance of unreachable states. A stored distance is at most
+/// one less: `build_block` panics on a longer legal path.
+const UNREACHABLE: u16 = u16::MAX;
 
 /// Table entry for "no such hop".
 const NO_NODE: u32 = u32::MAX;
@@ -53,13 +56,13 @@ pub struct TurnRouting {
     resolved: Mutex<Option<Arc<Resolved>>>,
 }
 
-/// A [`TurnRouting`] resolved against one topology. States are
-/// `node * (k + 1) + s` with `s == k` the injection state.
+/// A [`TurnRouting`] resolved against one topology. A node's states are
+/// its `k` classes, stored at `node * k + s`, and injection, `s == k`.
 struct Resolved {
     topo: Topology,
     /// Number of channel classes.
     k: usize,
-    /// Length of one destination's row of `dist`: `n * (k + 1)`.
+    /// Length of one destination's row of `dist`: `n * k`.
     states: usize,
     /// `allow[s * k + c]`: may a packet in state `s` continue on class
     /// `c`? Injection (row `k`) may start on any class.
@@ -73,14 +76,14 @@ struct Resolved {
     /// The inverse: `prev[node * k + c]` is the node whose class-`c` hop
     /// lands on `node`.
     prev: Vec<u32>,
-    /// `preds[pred_at[s]..pred_at[s + 1]]`: the states that may continue
-    /// on class `s` (every `ps` with `allow[ps * k + s]`).
+    /// `preds[pred_at[s]..pred_at[s + 1]]`: the class states that may
+    /// continue on class `s` (every `ps < k` with `allow[ps * k + s]`).
     pred_at: Vec<usize>,
     preds: Vec<u32>,
     /// Distance-to-`dst` over states, one block of [`BLOCK`] destinations
     /// per `OnceLock`, built on first use: `dst`'s row is the
     /// `dst % BLOCK`-th row of block `dst / BLOCK`.
-    dist: Vec<OnceLock<Vec<u32>>>,
+    dist: Vec<OnceLock<Vec<u16>>>,
 }
 
 /// Destinations searched at once: one bit each in a state's word.
@@ -96,9 +99,11 @@ impl Resolved {
                 allow[a * k + b] = turns.allows(ca, cb);
             }
         }
+        // `distance` derives injection from this: a class goes straight on.
+        debug_assert!((0..k).all(|c| allow[c * k + c]));
         let (mut pred_at, mut preds) = (vec![0], Vec::new());
         for s in 0..k {
-            preds.extend((0..=k as u32).filter(|&ps| allow[ps as usize * k + s]));
+            preds.extend((0..k as u32).filter(|&ps| allow[ps as usize * k + s]));
             pred_at.push(preds.len());
         }
         let choices = universe
@@ -132,7 +137,7 @@ impl Resolved {
         Resolved {
             topo: topo.clone(),
             k,
-            states: n * (k + 1),
+            states: n * k,
             allow,
             choices,
             next,
@@ -143,7 +148,7 @@ impl Resolved {
         }
     }
 
-    /// Row of `state` in `allow` and within a node's block of `dist`.
+    /// Row of `state` in `allow`; below `k`, its offset in a node's states.
     fn state_row(&self, state: RouteState) -> usize {
         if state == INJECT {
             self.k
@@ -152,9 +157,24 @@ impl Resolved {
         }
     }
 
-    fn dist_to(&self, dst: NodeId) -> &[u32] {
+    fn dist_to(&self, dst: NodeId) -> &[u16] {
         let block = self.dist[dst / BLOCK].get_or_init(|| self.build_block(dst / BLOCK * BLOCK));
         &block[dst % BLOCK * self.states..][..self.states]
+    }
+
+    /// Distance from `node` in state row `s`, `None` when unreachable:
+    /// stored for a class state; for the injection state, the least over
+    /// the node's class states. That is 0 at the destination and elsewhere
+    /// 1 + the least over the node's first hops: a class state goes on by
+    /// a first hop, and the best first hop's class may go straight on.
+    fn distance(&self, dist: &[u16], node: NodeId, s: usize) -> Option<u32> {
+        let row = &dist[node * self.k..][..self.k];
+        let d = if s < self.k {
+            row[s]
+        } else {
+            *row.iter().min().unwrap_or(&UNREACHABLE)
+        };
+        (d != UNREACHABLE).then_some(u32::from(d))
     }
 
     /// Backward BFS over reversed product-graph edges from the
@@ -162,19 +182,18 @@ impl Resolved {
     /// a state's words stands for destination `first + j`. Distances go
     /// straight into its row, `rows[j * states..]`: a state-major buffer
     /// transposed afterwards measured slower (docs/PERFORMANCE.md §8).
-    fn build_block(&self, first: NodeId) -> Vec<u32> {
+    fn build_block(&self, first: NodeId) -> Vec<u16> {
         let (k, states) = (self.k, self.states);
         let w = BLOCK.min(self.topo.node_count() - first);
         let mut rows = vec![UNREACHABLE; w * states];
         let (mut reached, mut frontier) = (vec![0u64; states], vec![0u64; states]);
-        // Arriving at a destination in any state (injection: src == dst).
-        // Nothing precedes the injection state, so it never joins a level.
+        // Arriving at a destination in any class state.
         let mut level: Vec<(u32, u32, u64)> = Vec::new();
         for j in 0..w {
-            for s in 0..=k {
-                let x = (first + j) * (k + 1) + s;
+            for s in 0..k {
+                let x = (first + j) * k + s;
                 (reached[x], rows[j * states + x]) = (1 << j, 0);
-                level.extend((s < k).then_some(((first + j) as u32, s as u32, 1 << j)));
+                level.push(((first + j) as u32, s as u32, 1 << j));
             }
         }
         let (mut next, mut d) = (Vec::new(), 0);
@@ -186,10 +205,10 @@ impl Resolved {
                     continue;
                 }
                 for &ps in &self.preds[self.pred_at[s]..self.pred_at[s + 1]] {
-                    let y = prev as usize * (k + 1) + ps as usize;
+                    let y = prev as usize * k + ps as usize;
                     let mut new = bits & !reached[y];
                     reached[y] |= new;
-                    if new != 0 && ps as usize != k {
+                    if new != 0 {
                         if frontier[y] == 0 {
                             next.push((prev, ps));
                         }
@@ -201,9 +220,13 @@ impl Resolved {
                     }
                 }
             }
+            assert!(
+                next.is_empty() || d < UNREACHABLE,
+                "legal path over 65534 hops"
+            );
             level.clear();
             for (p, ps) in next.drain(..) {
-                let y = p as usize * (k + 1) + ps as usize;
+                let y = p as usize * k + ps as usize;
                 level.push((p, ps, std::mem::take(&mut frontier[y])));
             }
         }
@@ -226,16 +249,15 @@ impl BoundRelation for Resolved {
         let dist = self.dist_to(dst);
         let k = self.k;
         let s = self.state_row(state);
-        let here = dist[node * (k + 1) + s];
-        if here == UNREACHABLE || here == 0 {
+        let Some(here) = self.distance(dist, node, s).filter(|&d| d > 0) else {
             return;
-        }
+        };
         let allow = &self.allow[s * k..][..k];
         let next = &self.next[node * k..][..k];
         for ci in 0..k {
             if allow[ci]
                 && next[ci] != NO_NODE
-                && dist[next[ci] as usize * (k + 1) + ci] == here - 1
+                && u32::from(dist[next[ci] as usize * k + ci]) == here - 1
             {
                 out.push(self.choices[ci]);
             }
@@ -309,8 +331,7 @@ impl TurnRouting {
         dst: NodeId,
     ) -> Option<u32> {
         let r = self.resolve(topo);
-        let d = r.dist_to(dst)[node * (r.k + 1) + r.state_row(state)];
-        (d != UNREACHABLE).then_some(d)
+        r.distance(r.dist_to(dst), node, r.state_row(state))
     }
 
     /// The relation resolved against `topo`: the held structure when it
@@ -557,6 +578,54 @@ mod tests {
         let dst = topo.node_at(&[1, 0]);
         assert!(r.route(&topo, src, INJECT, src, dst).is_empty());
         assert_eq!(r.legal_distance(&topo, src, INJECT, dst), None);
+    }
+
+    #[test]
+    fn each_block_holds_one_u16_per_node_and_class() {
+        // West-first has k = 4 classes: on 16x16 four blocks of 64
+        // destinations hold 524 288 bytes; 9x9 ends with a partial block.
+        for (radix, bytes) in [(16, 524_288), (9, 52_488)] {
+            let topo = Topology::mesh(&[radix, radix]);
+            let r = TurnRouting::from_design("west-first", &catalog::p3_west_first()).unwrap();
+            let resolved = r.resolve(&topo);
+            for dst in topo.nodes() {
+                resolved.dist_to(dst);
+            }
+            let (n, k) = (topo.node_count(), resolved.k);
+            let mut total = 0;
+            for (i, block) in resolved.dist.iter().enumerate() {
+                let len = BLOCK.min(n - i * BLOCK) * n * k;
+                let block = block.get().expect("every block was built");
+                assert_eq!((block.len(), block.capacity()), (len, len), "{radix}: {i}");
+                total += std::mem::size_of_val(&block[..]);
+            }
+            assert_eq!(total, bytes, "{radix}x{radix}");
+        }
+    }
+
+    /// A relation on a line of `n` nodes that moves both ways.
+    fn line(n: usize) -> (TurnRouting, Topology) {
+        let universe = ebda_core::parse_channels("X+ X-").unwrap();
+        let r = TurnRouting::new("line", universe, TurnSet::new());
+        (r, Topology::mesh(&[n]))
+    }
+
+    #[test]
+    fn the_longest_stored_distance_is_one_below_the_sentinel() {
+        // 65 534 hops end to end. Going straight is always allowed, so
+        // the class state of the first hop at the source is stored at the
+        // full length, and the derived injection distance equals it.
+        let (r, topo) = line(65_535);
+        assert_eq!(r.legal_distance(&topo, 0, INJECT, 65_534), Some(65_534));
+        assert_eq!(r.legal_distance(&topo, 0, 0, 65_534), Some(65_534));
+        assert_eq!(r.legal_distance(&topo, 1, INJECT, 65_534), Some(65_533));
+    }
+
+    #[test]
+    #[should_panic(expected = "legal path over 65534 hops")]
+    fn a_longer_legal_path_is_refused() {
+        let (r, topo) = line(65_536);
+        r.legal_distance(&topo, 0, INJECT, 65_535);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! four threads that share one relation on first use check what a
 //! single-block fabric cannot. A universe with a class on an axis the
 //! fabric lacks checks the link table the hop tables are read from.
+//!
+//! The library stores no distance for the injection state; it derives it
+//! from the node's class states: 0 at the destination, elsewhere 1 + the
+//! least over its first hops. A node whose every link has failed has no
+//! first hop, which the last fabric checks.
 
 use ebda_core::{catalog, Channel, Dimension, Direction, PartitionSeq, Turn, TurnSet};
 use ebda_routing::classic::DimensionOrder;
@@ -220,6 +225,18 @@ fn mesh_5x5_catalog_designs() {
 }
 
 #[test]
+fn a_first_class_that_cannot_turn() {
+    // A design lists its first partition first, and those classes may
+    // turn to any class, so their state can stand in for injection's.
+    // North-last in reverse order starts with Y+, which only goes north.
+    let design = TurnRouting::from_design("north-last", &catalog::north_last()).unwrap();
+    let universe: Vec<Channel> = design.universe().iter().rev().copied().collect();
+    let r = TurnRouting::new("reversed", universe.clone(), design.turns().clone());
+    let reference = Reference::new(&universe, r.turns());
+    assert_same_everywhere("reversed", &r, &reference, &Topology::mesh(&[5, 5]));
+}
+
+#[test]
 fn odd_even_parity_classes() {
     // Classes that exist only in odd or only in even columns: the
     // hop tables must fold `class.contains` in exactly as the per-query
@@ -286,7 +303,7 @@ fn partial_3d_past_one_block() {
 #[test]
 fn universe_wider_than_one_word() {
     // 72 classes: 18 VCs of each 2-D direction, so a class's predecessor
-    // states (k + 1 = 73 of them, injection included) do not fit one word.
+    // states (its 72 class states) do not fit one word.
     let universe: Vec<Channel> = (1..=18)
         .flat_map(|vc| {
             [Dimension::X, Dimension::Y]
@@ -380,6 +397,41 @@ fn mesh_with_a_failed_link_and_back() {
     assert_ne!(held, want, "the cut row must change this pair's route");
 
     assert_same_everywhere("healthy again", &r, &reference, &healthy);
+}
+
+#[test]
+fn a_node_without_a_working_link() {
+    // Every link of one node has failed, so no class has a hop there:
+    // the injection state's distance must be unreachable toward every
+    // other destination and 0 at the node itself, with the reference's
+    // answers everywhere else.
+    let base = Topology::mesh(&[4, 4]);
+    let cut = base.node_at(&[1, 1]);
+    let topo = [Dimension::X, Dimension::Y]
+        .into_iter()
+        .flat_map(|dim| [Direction::Plus, Direction::Minus].map(|dir| (dim, dir)))
+        .fold(base, |t, (dim, dir)| t.with_failed_link(cut, dim, dir));
+    for (name, seq) in [
+        ("west-first", catalog::p3_west_first()),
+        ("odd-even", catalog::odd_even()),
+    ] {
+        let r = TurnRouting::from_design(name, &seq).unwrap();
+        for dst in topo.nodes().filter(|&dst| dst != cut) {
+            assert_eq!(
+                r.legal_distance(&topo, cut, INJECT, dst),
+                None,
+                "{name} to {dst}"
+            );
+            assert!(
+                r.route(&topo, cut, INJECT, cut, dst).is_empty(),
+                "{name} to {dst}"
+            );
+        }
+        assert_eq!(r.legal_distance(&topo, cut, INJECT, cut), Some(0), "{name}");
+        assert!(r.route(&topo, cut, INJECT, cut, cut).is_empty(), "{name}");
+        let reference = Reference::new(r.universe(), r.turns());
+        assert_same_everywhere(name, &r, &reference, &topo);
+    }
 }
 
 #[test]
